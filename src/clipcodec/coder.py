@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detmath
-from .errors import ConfigError, DataError
+from .errors import BitstreamError, ConfigError, DataError
 from .ratequant import MAX_SYMBOL, SIGMA_FLOOR
 
 FREQ_BITS = 16
@@ -146,9 +146,19 @@ class RangeDecoder:
         return 0
 
     def decode_cum(self, cum: list[int]) -> int:
-        """Decode one symbol index given a cumulative frequency list."""
+        """Decode one symbol index given a cumulative frequency list.
+
+        A valid payload keeps the code value inside the coder's interval
+        ``[low, low + range)``; one that leaves it was not written with
+        these tables, and decoding on would spin forever, so it raises
+        :class:`BitstreamError`.
+        """
+        offset = self._code - self._low
+        if not 0 <= offset < self._range:
+            raise BitstreamError(f"range-coded payload disagrees with its "
+                                 f"symbol tables at payload byte {self._pos}")
         r = self._range // FREQ_TOTAL
-        target = (self._code - self._low) // r
+        target = offset // r
         if target >= FREQ_TOTAL:
             target = FREQ_TOTAL - 1
         idx = bisect_right(cum, target) - 1

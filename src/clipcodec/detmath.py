@@ -20,6 +20,11 @@ Recipes are the classic ones:
 * ``erf/erfc`` -- W. J. Cody's rational approximations (the SPECFUN
   ``CALERF`` coefficient sets), with the ``exp(-x*x)`` factor evaluated
   via the split-argument trick and the deterministic ``exp`` above.
+  Each element is routed once to its region (near, mid or far) and only
+  that region's kernel runs on it, on the gathered subset.  Every step is
+  elementwise and exactly rounded, so an element's bits do not depend on
+  which other elements share its call, nor on the input's shape: the
+  result equals evaluating every kernel everywhere and selecting.
 
 Accuracy is a few ulp everywhere (ample for rate estimation and
 training); determinism, not last-bit accuracy, is the contract.
@@ -44,25 +49,28 @@ _EXP_POLY = tuple(1.0 / math.factorial(k) for k in range(13, -1, -1))
 
 
 def _horner(z: np.ndarray, coeffs) -> np.ndarray:
-    acc = np.full_like(z, coeffs[0])
-    for c in coeffs[1:]:
-        acc = acc * z + c
+    acc = z * coeffs[0]
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= z
+    acc += coeffs[-1]
     return acc
 
 
 def exp(x) -> np.ndarray:
     """Deterministic ``e**x`` (float64)."""
     x = np.asarray(x, dtype=np.float64)
-    xc = np.clip(x, _EXP_UNDERFLOW, _EXP_OVERFLOW)
-    xc = np.where(np.isnan(xc), 0.0, xc)
+    ok = (x >= _EXP_UNDERFLOW) & (x <= _EXP_OVERFLOW)  # False for NaN
+    fix = not ok.all()
+    xc = np.where(ok, x, 0.0) if fix else x
     k = np.rint(xc * _INV_LN2)
     r = (xc - k * _LN2_HI) - k * _LN2_LO
-    p = _horner(r, _EXP_POLY)
-    out = np.ldexp(p, k.astype(np.int32))
-    out = np.where(x > _EXP_OVERFLOW, np.inf, out)
-    out = np.where(x < _EXP_UNDERFLOW, 0.0, out)
-    out = np.where(np.isnan(x), np.nan, out)
-    return out
+    out = np.ldexp(_horner(r, _EXP_POLY), k.astype(np.int32))
+    if fix:
+        out = np.where(x > _EXP_OVERFLOW, np.inf, out)
+        out = np.where(x < _EXP_UNDERFLOW, 0.0, out)
+        out = np.where(np.isnan(x), np.nan, out)
+    return np.asarray(out)
 
 
 _SQRT_HALF = 0.7071067811865476
@@ -238,32 +246,34 @@ def _erf_near(x: np.ndarray) -> np.ndarray:
     return x * (num + _ERF_A[3]) / (den + _ERF_B[3])
 
 
+def _by_region(x, near, tail) -> np.ndarray:
+    """``near(x)`` where ``|x| <= 0.46875``, else ``tail(x, erfc(|x|))``.
+
+    ``erfc(|x|)`` comes from the mid kernel up to 4 and the far kernel
+    beyond; each kernel sees only its own elements.  NaN stays NaN.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    y = np.abs(flat)
+    out = np.full(flat.shape, np.nan)
+    idx = np.flatnonzero(y <= 0.46875)
+    out[idx] = near(flat[idx])
+    for idx, kernel in ((np.flatnonzero((y > 0.46875) & (y <= 4.0)),
+                         _erfc_mid),
+                        (np.flatnonzero(y > 4.0), _erfc_far)):
+        out[idx] = tail(flat[idx], kernel(y[idx]))
+    return out.reshape(x.shape)
+
+
 def erf(x) -> np.ndarray:
     """Deterministic error function (float64)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.abs(np.where(np.isnan(x), 0.0, x))
-    near = y <= 0.46875
-    ys = np.where(near, 0.5, y)  # keep mid/far kernels off bad inputs
-    mid = _erfc_mid(np.where(ys > 4.0, 1.0, ys))
-    far = _erfc_far(np.where(ys <= 4.0, 5.0, ys))
-    erfc_tail = np.where(ys <= 4.0, mid, far)
-    out = np.where(near, _erf_near(np.where(near, x, 0.0)),
-                   np.sign(x) * (1.0 - erfc_tail))
-    return np.where(np.isnan(x), np.nan, out)
+    return _by_region(x, _erf_near, lambda v, t: np.sign(v) * (1.0 - t))
 
 
 def erfc(x) -> np.ndarray:
     """Deterministic complementary error function (float64)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.abs(np.where(np.isnan(x), 0.0, x))
-    near = y <= 0.46875
-    ys = np.where(near, 0.5, y)
-    mid = _erfc_mid(np.where(ys > 4.0, 1.0, ys))
-    far = _erfc_far(np.where(ys <= 4.0, 5.0, ys))
-    tail = np.where(ys <= 4.0, mid, far)
-    out = np.where(near, 1.0 - _erf_near(np.where(near, x, 0.0)),
-                   np.where(x < 0.0, 2.0 - tail, tail))
-    return np.where(np.isnan(x), np.nan, out)
+    return _by_region(x, lambda v: 1.0 - _erf_near(v),
+                      lambda v, t: np.where(v < 0.0, 2.0 - t, t))
 
 
 _INV_SQRT2 = 0.7071067811865476

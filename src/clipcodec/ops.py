@@ -203,6 +203,20 @@ def upsample_nearest(x: Tensor, r: int) -> Tensor:
 
 # ------------------------------------------------------------------ reshape
 
+def concat_flat(xs) -> Tensor:
+    """Flatten each tensor and join them end to end, in order."""
+    xs = tuple(xs)
+    if not xs:
+        raise ShapeError("concat_flat: no tensors to join")
+    shapes = [x.shape for x in xs]
+    out = _result(np.concatenate([x.data.reshape(-1) for x in xs]), xs)
+    cuts = np.cumsum([x.size for x in xs])[:-1]
+    _record(out, xs,
+            lambda g: tuple(part.reshape(shape) for part, shape
+                            in zip(np.split(g, cuts), shapes)))
+    return out
+
+
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     if int(np.prod(shape, dtype=np.int64)) != x.size:
@@ -309,6 +323,38 @@ def mean_square(x: Tensor) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     out = _result(np.asarray(np.sum(x.data), dtype=x.dtype), (x,))
+    shape = x.shape
+    _record(out, (x,),
+            lambda g: (np.broadcast_to(g, shape).astype(x.dtype),))
+    return out
+
+
+def segment_sum(x: Tensor, sizes) -> Tensor:
+    """Sums of consecutive runs of the 1-d ``x``, one per entry of ``sizes``.
+
+    Each run is reduced by its own ``np.sum``, so a run sums to the same
+    bits as ``sum_all`` over that run alone.
+    """
+    sizes = list(sizes)
+    if x.data.ndim != 1 or sum(sizes) != x.size:
+        raise ShapeError(f"segment_sum: runs {sizes} do not cover {x.shape}")
+    ends = np.cumsum(sizes)
+    data = np.array([np.sum(x.data[end - n:end])
+                     for n, end in zip(sizes, ends)], dtype=x.dtype)
+    out = _result(data, (x,))
+    _record(out, (x,), lambda g: (np.repeat(g, sizes),))
+    return out
+
+
+def sum_ordered(x: Tensor) -> Tensor:
+    """Sum of a 1-d ``x`` added strictly left to right.
+
+    ``np.sum`` adds pairwise; this matches a chain of scalar ``add`` ops.
+    """
+    if x.data.ndim != 1:
+        raise ShapeError(f"sum_ordered: need a 1-d input, got {x.shape}")
+    total = np.add.accumulate(x.data)[-1] if x.size else 0.0
+    out = _result(np.asarray(total, dtype=x.dtype), (x,))
     shape = x.shape
     _record(out, (x,),
             lambda g: (np.broadcast_to(g, shape).astype(x.dtype),))

@@ -182,17 +182,39 @@ def rate_bits_train(scaled: list[Tensor], noise: list[np.ndarray],
 
     (mu, sd) are treated as per-step constants; gradients flow through the
     scaled residual (and hence through parameters and log-scales).
+
+    All layers are scored by one op chain: residuals and noise are
+    flattened and joined in layout order, every element carries its
+    layer's offsets and inverse sd, and the per-element bits are summed
+    per layer.  The bits equal scoring each layer on its own, because
+    every rounding step is kept: ``0.5 - mu`` and ``-0.5 - mu`` are taken
+    in float32 and ``1 / max(sd, SIGMA_TRAIN_FLOOR)`` in float64, then
+    rounded to the tensor dtype; each layer's sum is one ``np.sum`` over
+    its own contiguous elements, scaled to bits per layer; and the layer
+    bits are added left to right in layout order.
     """
-    total = None
-    for tensor, u, mu, sd in zip(scaled, noise, stats.mu, stats.sd):
-        inv_sd = 1.0 / max(float(sd), SIGMA_TRAIN_FLOOR)
-        y = ops.add(tensor, ops.constant(u.astype(tensor.dtype)))
-        hi = ops.mul(ops.add(y, float(0.5 - mu)), inv_sd)
-        lo = ops.mul(ops.add(y, float(-0.5 - mu)), inv_sd)
-        p = ops.clamp_min(ops.gauss_mass(lo, hi), TRAIN_PROB_FLOOR)
-        bits = ops.mul(ops.sum_all(ops.neg(ops.log(p))), _INV_LN2)
-        total = bits if total is None else ops.add(total, bits)
-    return total
+    if not len(scaled) == len(noise) == len(stats.names):
+        raise LayoutError(f"rate term got {len(scaled)} residuals, "
+                          f"{len(noise)} noise arrays and "
+                          f"{len(stats.names)} layer stats")
+    flat = ops.concat_flat(scaled)
+    sizes = [t.size for t in scaled]
+
+    def per_element(values) -> Tensor:
+        return ops.constant(np.repeat(np.asarray(values, dtype=flat.dtype),
+                                      sizes))
+
+    inv_sd = per_element([1.0 / max(float(sd), SIGMA_TRAIN_FLOOR)
+                          for sd in stats.sd])
+    u = np.concatenate([a.reshape(-1) for a in noise]).astype(flat.dtype)
+    y = ops.add(flat, ops.constant(u))
+    hi = ops.mul(ops.add(y, per_element([float(0.5 - mu)
+                                         for mu in stats.mu])), inv_sd)
+    lo = ops.mul(ops.add(y, per_element([float(-0.5 - mu)
+                                         for mu in stats.mu])), inv_sd)
+    p = ops.clamp_min(ops.gauss_mass(lo, hi), TRAIN_PROB_FLOOR)
+    nats = ops.segment_sum(ops.neg(ops.log(p)), sizes)
+    return ops.sum_ordered(ops.mul(nats, _INV_LN2))
 
 
 def rate_bits_eval(symbols: list[np.ndarray], stats: LayerStats) -> RateEstimate:

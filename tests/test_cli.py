@@ -2,12 +2,15 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clipcodec
 from clipcodec import detmath
 from clipcodec.cli import main
 from clipcodec.metrics import psnr
@@ -142,9 +145,14 @@ def test_fit_epsilon_command(tmp_path, capsys):
 def test_cli_entrypoint_via_subprocess(tmp_path):
     """The installed console script behaves like main()."""
     out = tmp_path / "tiny.rgb"
+    # the child imports the same package as this process, installed or not
+    src = str(Path(clipcodec.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run(
         [sys.executable, "-m", "clipcodec.cli", "synth", str(out),
          "--width", "8", "--height", "8", "--frames", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.stat().st_size == 3 * 8 * 8 * 2

@@ -1,6 +1,8 @@
 """Range coder: lossless round trips, table properties, rate agreement."""
 
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from scipy.stats import norm
 from clipcodec.coder import (FLUSH_BYTES, FREQ_TOTAL, SymbolModel,
                              build_model, decode_symbols, encode_symbols,
                              model_entropy_bits, sample_symbols)
-from clipcodec.errors import ConfigError, DataError
+from clipcodec.errors import BitstreamError, ConfigError, DataError
 from clipcodec.ratequant import LayerStats, rate_bits_eval
 from clipcodec.seeds import make_rng
 
@@ -112,6 +114,56 @@ def test_round_trip_random_models_and_streams(seed, mu, sd, bound, count):
     payload = encode_symbols([symbols], [model])
     back = decode_symbols(payload, [model], [count])
     assert np.array_equal(back[0], symbols)
+
+
+@contextmanager
+def time_budget(seconds: float):
+    """Fail the test, instead of hanging the suite, past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _decode_or_reject(payload, models, counts):
+    try:
+        layers = decode_symbols(payload, models, counts)
+    except BitstreamError:
+        return None
+    for layer, model, count in zip(layers, models, counts):
+        assert layer.shape == (count,)
+        assert np.all(np.abs(layer) <= model.bound)
+    return layers
+
+
+def test_hostile_payload_raises_instead_of_hanging():
+    # this payload drives the code value below the interval at symbol 37;
+    # the range then went negative and renormalization never ended
+    payload = np.random.default_rng(0).bytes(16)
+    with time_budget(5.0), pytest.raises(BitstreamError):
+        decode_symbols(payload, [build_model(0, 3, 40)], [200])
+
+
+def test_random_payloads_decode_or_raise_within_budget():
+    rng = np.random.default_rng(1)
+    rejected = 0
+    with time_budget(20.0):
+        for _ in range(300):
+            models = [build_model(float(rng.uniform(-3, 3)),
+                                  float(10.0 ** rng.uniform(-3, 1.5)),
+                                  int(rng.integers(1, 200)))
+                      for _ in range(int(rng.integers(1, 4)))]
+            counts = [int(n) for n in rng.integers(0, 300, len(models))]
+            payload = rng.bytes(int(rng.integers(0, 64)))
+            if _decode_or_reject(payload, models, counts) is None:
+                rejected += 1
+    assert rejected > 0
 
 
 def test_payload_platform_stable_snapshot():

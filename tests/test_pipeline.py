@@ -1,5 +1,7 @@
 """Partitioning, training, and the encode/decode closure."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,3 +341,27 @@ def test_encode_rejects_mismatched_plan():
     video = synth_video("static", 16, 16, 6, seed=1)
     with pytest.raises(ConfigError):
         encode_video(video, partition(7, 3, 1), config, quick_cfg())
+
+
+# ------------------------------------------------------------ golden bits
+
+# sha256 of the stream bytes and of the decoded frames for one fixed tiny
+# encode (one group: an I model and two P models).  Pinned at a known-good
+# commit: a speed-up must leave both unchanged, and any deliberate change
+# of the bytes re-pins them with a bitstream version bump.
+GOLDEN_STREAM_SHA256 = \
+    "76f46ebcb3168857b0f830d10ab5d2ec1d13b41430dd60b2c33ee83d6d43e692"
+GOLDEN_RECON_SHA256 = \
+    "14641a22db6c2815212109341a2b180038fd8dd0a939525e0d8e37d5ba6b2ab4"
+
+
+def test_golden_bitstream_and_reconstruction():
+    config = small_config()
+    video = synth_video("moving-blob", 16, 16, 6, velocity=1.0, seed=11)
+    plan = partition(6, 2, 3)
+    result = encode_video(video, plan, config, quick_cfg(seed=11))
+    assert [log.role for log in result.per_model] == ["I", "P", "P"]
+    decoded = decode_video(result.data)
+    assert hashlib.sha256(result.data).hexdigest() == GOLDEN_STREAM_SHA256
+    assert hashlib.sha256(decoded.frames.tobytes()).hexdigest() \
+        == GOLDEN_RECON_SHA256

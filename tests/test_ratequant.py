@@ -10,7 +10,8 @@ from scipy.stats import norm
 from clipcodec import detmath, ops
 from clipcodec.errors import ConfigError, LayoutError
 from clipcodec.params import ParamVector
-from clipcodec.ratequant import (MAX_SYMBOL, LayerStats, QuantScale,
+from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_TRAIN_FLOOR,
+                                 TRAIN_PROB_FLOOR, LayerStats, QuantScale,
                                  apply_residual, combined_loss, dequantize,
                                  initial_scales, layer_stats, quantize,
                                  rate_bits_eval, rate_bits_train, residual)
@@ -178,6 +179,93 @@ def test_train_rate_gradients_match_fd_with_fixed_noise():
     analytic = x.grad.copy()
     numeric = fd_gradient(lambda: run()[0].item(), x.data)
     assert rel_error(analytic, numeric) < 1e-6
+
+
+def _rate_bits_train_per_layer(scaled, noise, stats):
+    """Reference: the rate term scored one layer at a time (one op chain
+    per layer, layer bits added in layout order).  The fused
+    ``rate_bits_train`` must reproduce it bit for bit."""
+    total = None
+    for tensor, u, mu, sd in zip(scaled, noise, stats.mu, stats.sd):
+        inv_sd = 1.0 / max(float(sd), SIGMA_TRAIN_FLOOR)
+        y = ops.add(tensor, ops.constant(u.astype(tensor.dtype)))
+        hi = ops.mul(ops.add(y, float(0.5 - mu)), inv_sd)
+        lo = ops.mul(ops.add(y, float(-0.5 - mu)), inv_sd)
+        p = ops.clamp_min(ops.gauss_mass(lo, hi), TRAIN_PROB_FLOOR)
+        bits = ops.mul(ops.sum_all(ops.neg(ops.log(p))), 1.4426950408889634)
+        total = bits if total is None else ops.add(total, bits)
+    return total
+
+
+_MIXED_SHAPES = ((5, 3, 3, 3), (5,), (1,), (37, 11), (200,), (2, 1, 3),
+                 (4, 4, 3, 3), (1, 1))
+
+
+def _run_rate(fn, dtype, seed):
+    """One training-like graph: leaves -> scaled residuals -> rate term plus
+    a straight-through-rounded second use of each residual.  Returns the
+    loss bits and every leaf gradient."""
+    rng = np.random.default_rng(seed)
+    weights, log_steps, noise = [], [], []
+    for shape in _MIXED_SHAPES:
+        spread = 10.0 ** rng.uniform(-2.0, 1.0)
+        weights.append(Tensor(rng.standard_normal(shape) * spread
+                              + rng.uniform(-1, 1),
+                              requires_grad=True, dtype=dtype))
+        log_steps.append(Tensor(np.asarray(rng.uniform(-3.0, 0.0)),
+                                requires_grad=True, dtype=dtype))
+        noise.append(rng.uniform(-0.5, 0.5, shape))
+    names = tuple(f"layer{i}" for i in range(len(_MIXED_SHAPES)))
+    stats = layer_stats([w.data.reshape(-1) / np.exp(s.data)
+                         for w, s in zip(weights, log_steps)], names)
+    with Tape() as tape:
+        scaled, snapped = [], []
+        for w, s in zip(weights, log_steps):
+            step = ops.exp(s)
+            unit = ops.div(w, step)
+            scaled.append(unit)
+            snapped.append(ops.sum_all(ops.mul(ops.ste_round(unit), step)))
+        loss = fn(scaled, noise, stats)
+        for term in snapped:
+            loss = ops.add(loss, term)
+    tape.backward(loss)
+    return loss.data, [t.grad for t in weights + log_steps], stats
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fused_train_rate_matches_per_layer_reference_bitwise(dtype, seed):
+    got, got_grads, stats = _run_rate(rate_bits_train, dtype, seed)
+    want, want_grads, _ = _run_rate(_rate_bits_train_per_layer, dtype, seed)
+    # both floors of the train-mode sd are in play
+    assert (stats.sd < SIGMA_TRAIN_FLOOR).any()
+    assert (stats.sd > SIGMA_TRAIN_FLOOR).any()
+    assert got.dtype == want.dtype == dtype and got.shape == ()
+    assert got.tobytes() == want.tobytes()
+    for g, w in zip(got_grads, want_grads):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def test_fused_train_rate_records_one_chain():
+    rng = np.random.default_rng(4)
+    scaled = [Tensor(rng.standard_normal(shape), requires_grad=True,
+                     dtype=np.float32) for shape in _MIXED_SHAPES]
+    noise = [rng.uniform(-0.5, 0.5, shape) for shape in _MIXED_SHAPES]
+    stats = layer_stats([t.data.reshape(-1) for t in scaled],
+                        tuple(str(i) for i in range(len(scaled))))
+    with Tape() as tape:
+        rate_bits_train(scaled, noise, stats)
+    # one gauss_mass chain for all layers, independent of the layer count
+    assert len(tape) == 13
+
+
+def test_train_rate_rejects_layer_count_mismatch():
+    rng = np.random.default_rng(5)
+    scaled = [Tensor(rng.standard_normal(4)) for _ in range(2)]
+    stats = layer_stats([t.data for t in scaled], ("a", "b"))
+    with pytest.raises(LayoutError):
+        rate_bits_train(scaled, [np.zeros(4)], stats)
 
 
 def test_train_and_eval_rate_agree_in_direction():

@@ -147,6 +147,78 @@ def test_div_and_broadcast_gradients():
             assert rel_error(analytic, numeric) < 1e-7
 
 
+def _leaf_gradients_match_fd(leaves, loss_fn, tol=1e-7):
+    def run():
+        with Tape() as tape:
+            loss = loss_fn()
+        return loss, tape
+
+    loss, tape = run()
+    tape.backward(loss)
+    for tensor in leaves:
+        analytic = np.asarray(tensor.grad).copy()
+        tensor.grad = None
+        numeric = fd_gradient(lambda: run()[0].item(), tensor.data)
+        assert analytic.shape == tensor.shape
+        assert rel_error(analytic, numeric) < tol
+
+
+def test_concat_flat_forward_and_gradient():
+    rng = np.random.default_rng(4)
+    with precision("f64"):
+        parts = [Tensor(rng.standard_normal(shape), requires_grad=True)
+                 for shape in ((2, 3), (1,), (4, 1), (2, 1, 2))]
+        joined = ops.concat_flat(parts)
+        assert np.array_equal(joined.data, np.concatenate(
+            [p.data.reshape(-1) for p in parts]))
+        w = ops.constant(rng.uniform(0.5, 2.0, joined.shape))
+        _leaf_gradients_match_fd(
+            parts, lambda: ops.mean_square(ops.mul(ops.concat_flat(parts),
+                                                   w)))
+    with pytest.raises(ShapeError):
+        ops.concat_flat([])
+
+
+def test_segment_sum_forward_and_gradient():
+    rng = np.random.default_rng(5)
+    sizes = [3, 0, 1, 6]
+    with precision("f64"):
+        x = Tensor(rng.standard_normal(10), requires_grad=True)
+        sums = ops.segment_sum(x, sizes)
+        assert np.array_equal(sums.data, [x.data[:3].sum(), 0.0, x.data[3],
+                                          x.data[4:].sum()])
+        w = ops.constant(rng.uniform(0.5, 2.0, len(sizes)))
+        _leaf_gradients_match_fd(
+            [x], lambda: ops.mean_square(ops.mul(ops.segment_sum(x, sizes),
+                                                 w)))
+        with pytest.raises(ShapeError):
+            ops.segment_sum(x, [3, 6])
+        with pytest.raises(ShapeError):
+            ops.segment_sum(ops.reshape(x, (2, 5)), [5, 5])
+
+
+def test_sum_ordered_adds_left_to_right_and_gradient():
+    # each +1 vanishes next to 1e8 in float32; np.sum's pairwise partial
+    # sums keep some of them, so the two orders differ
+    x = Tensor(np.array([1e8] + [1.0] * 15, dtype=np.float32))
+    chained = x.data[0]
+    for v in x.data[1:]:
+        chained = chained + v
+    assert chained != np.sum(x.data)
+    out = ops.sum_ordered(x)
+    assert out.shape == () and out.dtype == np.float32
+    assert out.data.tobytes() == np.float32(chained).tobytes()
+    assert ops.sum_ordered(Tensor(np.zeros(0))).item() == 0.0
+    rng = np.random.default_rng(6)
+    with precision("f64"):
+        y = Tensor(rng.standard_normal(7), requires_grad=True)
+        w = ops.constant(rng.uniform(0.5, 2.0, 7))
+        _leaf_gradients_match_fd(
+            [y], lambda: ops.mean_square(ops.sum_ordered(ops.mul(y, w))))
+        with pytest.raises(ShapeError):
+            ops.sum_ordered(Tensor(np.ones((2, 2))))
+
+
 def test_ste_round_forward_and_gradient():
     x = Tensor(np.array([0.6, -0.5, 0.4, 2.5]), requires_grad=True,
                dtype=np.float64)
