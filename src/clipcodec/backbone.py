@@ -336,7 +336,13 @@ def config_from_text(text: str) -> BackboneConfig:
         fields[key] = value
 
     def geti(key, default):
-        return int(fields[key]) if key in fields else default
+        if key not in fields:
+            return default
+        try:
+            return int(fields[key])
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: {fields[key]!r} is not "
+                              f"an integer") from None
 
     kind = fields.get("kind", "nerv-lite")
     kwargs = dict(
@@ -368,8 +374,13 @@ def config_from_text(text: str) -> BackboneConfig:
             upsample=fields.get("upsample", "nearest"),
         )
     else:
-        hidden = tuple(int(w) for w in fields.get("hidden", "64, 64").split(",")
-                       if w.strip())
+        try:
+            hidden = tuple(int(w) for w
+                           in fields.get("hidden", "64, 64").split(",")
+                           if w.strip())
+        except ValueError:
+            raise ConfigError(f"bad hidden widths {fields['hidden']!r}") \
+                from None
         kwargs.update(hidden=hidden)
     config = BackboneConfig(**kwargs)
     validate(config)

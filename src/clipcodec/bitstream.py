@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BitstreamError
+from .ratequant import MAX_SYMBOL, SIGMA_FLOOR
 
 MAGIC = b"CINR"
 VERSION = 1
@@ -77,6 +78,33 @@ class BitstreamHeader:
         return self.header_size + sum(r.payload_len for r in self.records)
 
 
+def _check_record(rec: ModelRecord, offset=None) -> None:
+    """Reject a record the decoder could not use before any payload is read.
+
+    Bounds must lie in [1, MAX_SYMBOL] and sd be finite and at least the
+    floor the coder's tables accept; scales must be finite and positive;
+    epsilon must lie in [0, 1] and be 0 for an I model.
+    """
+    bound = np.asarray(rec.bound, dtype=np.int64)
+    sd = np.asarray(rec.sd, dtype=np.float64)
+    scale = np.asarray(rec.scale, dtype=np.float64)
+    for field_name, values, ok in (
+            ("alphabet bound", bound, (bound >= 1) & (bound <= MAX_SYMBOL)),
+            ("sd", sd, np.isfinite(sd) & (sd >= SIGMA_FLOOR * 0.5)),
+            ("scale", scale, np.isfinite(scale) & (scale > 0.0))):
+        wrong = np.flatnonzero(~ok)
+        if wrong.size:
+            layer = int(wrong[0])
+            raise BitstreamError(f"model {rec.index}: layer {layer} "
+                                 f"{field_name} {values[layer]} out of range",
+                                 offset=offset)
+    if not 0.0 <= rec.epsilon <= 1.0 or (rec.role == ROLE_I
+                                         and rec.epsilon != 0.0):
+        raise BitstreamError(f"model {rec.index}: epsilon {rec.epsilon} "
+                             f"invalid for a {rec.role} model",
+                             offset=offset)
+
+
 def _pack_header(width, height, frame_count, gop_size, gom_size, seed,
                  precision, config_text, n_layers,
                  records: list[ModelRecord]) -> bytes:
@@ -117,6 +145,7 @@ def write_bitstream(width: int, height: int, frame_count: int, gop_size: int,
         if rec.payload_crc != zlib.crc32(payload):
             raise BitstreamError(f"model {rec.index}: payload CRC mismatch "
                                  f"at write time")
+        _check_record(rec)
     n_layers = len(records[0].scale) if records else 0
     header = _pack_header(width, height, frame_count, gop_size, gom_size,
                           seed, precision, config_text, n_layers, records)
@@ -147,11 +176,14 @@ def _parse_header(read_exact) -> BitstreamHeader:
         raise BitstreamError(f"unsupported version {version}", offset=4)
     if prec_code not in _PRECISION_NAMES:
         raise BitstreamError(f"unknown precision code {prec_code}", offset=6)
-    config_text = cur.take(config_len).decode("utf-8")
+    config_off = cur.pos
+    config_bytes = cur.take(config_len)
     n_layers, model_count = _LAYERS.unpack(cur.take(_LAYERS.size))
     records = []
+    offsets = []
     for _ in range(model_count):
         rec_off = cur.pos
+        offsets.append(rec_off)
         index, role_code, epsilon = _REC_HEAD.unpack(cur.take(_REC_HEAD.size))
         if role_code not in _ROLE_NAMES:
             raise BitstreamError(f"unknown model role {role_code:#x}",
@@ -171,6 +203,13 @@ def _parse_header(read_exact) -> BitstreamHeader:
     actual_crc = zlib.crc32(read_exact(0, crc_off))
     if stored_crc != actual_crc:
         raise BitstreamError("header CRC mismatch", offset=crc_off)
+    try:
+        config_text = config_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BitstreamError(f"backbone config text is not UTF-8: {exc}",
+                             offset=config_off + exc.start) from None
+    for rec, rec_off in zip(records, offsets):
+        _check_record(rec, offset=rec_off)
     return BitstreamHeader(width=width, height=height,
                            frame_count=frame_count, gop_size=gop_size,
                            gom_size=gom_size, seed=seed,

@@ -135,6 +135,11 @@ class RangeDecoder:
         for _ in range(FLUSH_BYTES):
             self._code = (self._code << 8) | self._next_byte()
 
+    @property
+    def consumed(self) -> int:
+        """Bytes read so far, counting reads past the end."""
+        return self._pos
+
     def _next_byte(self) -> int:
         # Reads past the end yield zeros: truncation surfaces as a payload
         # length/CRC failure in the container, never as a crash here.
@@ -202,7 +207,11 @@ def encode_symbols(symbols: list[np.ndarray],
 
 def decode_symbols(payload: bytes, models: list[SymbolModel],
                    counts: list[int]) -> list[np.ndarray]:
-    """Inverse of :func:`encode_symbols`; exact for every valid stream."""
+    """Inverse of :func:`encode_symbols`; exact for every valid stream.
+
+    A valid payload is read to its last byte and no further, so a
+    payload of any other length raises :class:`BitstreamError`.
+    """
     if len(models) != len(counts):
         raise ConfigError("one model per layer count required")
     dec = RangeDecoder(payload)
@@ -215,4 +224,7 @@ def decode_symbols(payload: bytes, models: list[SymbolModel],
         for i in range(count):
             layer[i] = decode_one(cum) - bound
         out.append(layer)
+    if dec.consumed != len(payload):
+        raise BitstreamError(f"range decoder consumed {dec.consumed} bytes "
+                             f"of a {len(payload)}-byte payload")
     return out

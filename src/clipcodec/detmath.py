@@ -19,7 +19,8 @@ Recipes are the classic ones:
   exact for quotients below ``2**20``), Taylor kernels on ``|r| <= pi/4``.
 * ``erf/erfc`` -- W. J. Cody's rational approximations (the SPECFUN
   ``CALERF`` coefficient sets), with the ``exp(-x*x)`` factor evaluated
-  via the split-argument trick and the deterministic ``exp`` above.
+  via the split-argument trick and the deterministic ``exp`` above (its
+  ``exp(-ysq*ysq)`` half takes 425 values, tabulated by that ``exp``).
   Each element is routed once to its region (near, mid or far) and only
   that region's kernel runs on it, on the gathered subset.  Every step is
   elementwise and exactly rounded, so an element's bits do not depend on
@@ -81,7 +82,7 @@ _LOG_POLY = tuple(1.0 / k for k in range(21, 2, -2))
 def log(x) -> np.ndarray:
     """Deterministic natural logarithm (float64)."""
     x = np.asarray(x, dtype=np.float64)
-    safe = np.where(x > 0.0, x, 1.0)
+    safe = np.where((x > 0.0) & (x < np.inf), x, 1.0)
     m, e = np.frexp(safe)
     shift = m < _SQRT_HALF
     m = np.where(shift, m * 2.0, m)
@@ -205,63 +206,75 @@ _ERF_Q = (
 )
 _INV_SQRT_PI = 5.6418958354775628695e-1
 _ERFC_ZERO = 26.543  # erfc underflows to 0 beyond this
+_SQ16 = np.arange(int(_ERFC_ZERO * 16.0) + 1) / 16.0
+_EXP_NEG_SQ16 = exp(-_SQ16 * _SQ16)
+
+
+# The rational functions below in _horner order (highest degree first);
+# a leading 1.0 is a monic denominator.
+_ERFC_MID_NUM = (_ERF_C[8],) + _ERF_C[:8]
+_ERFC_MID_DEN = (1.0,) + _ERF_D
+_ERFC_FAR_NUM = (_ERF_P[5],) + _ERF_P[:5]
+_ERFC_FAR_DEN = (1.0,) + _ERF_Q
+_ERF_NEAR_NUM = (_ERF_A[4],) + _ERF_A[:4]
+_ERF_NEAR_DEN = (1.0,) + _ERF_B
+
+
+def _exp_neg_square(y: np.ndarray):
+    """``(exp(-ysq*ysq), y^2 - ysq^2)`` for ``ysq`` = y cut to 1/16ths.
+
+    Splitting ``y*y`` keeps ``exp``'s argument exact.  ``ysq`` is k/16
+    with k <= 16 * _ERFC_ZERO, so ``exp(-ysq*ysq)`` is read from a table
+    of those values, computed by ``exp`` itself: the same bits.
+    """
+    k = np.trunc(y * 16.0)
+    ysq = k / 16.0
+    return _EXP_NEG_SQ16[k.astype(np.intp)], (y - ysq) * (y + ysq)
 
 
 def _erfc_mid(y: np.ndarray) -> np.ndarray:
     # 0.46875 < y <= 4
-    num = _ERF_C[8] * y
-    den = y
-    for i in range(7):
-        num = (num + _ERF_C[i]) * y
-        den = (den + _ERF_D[i]) * y
-    ratio = (num + _ERF_C[7]) / (den + _ERF_D[7])
-    ysq = np.trunc(y * 16.0) / 16.0
-    delta = (y - ysq) * (y + ysq)
-    return exp(-ysq * ysq) * exp(-delta) * ratio
+    ratio = _horner(y, _ERFC_MID_NUM) / _horner(y, _ERFC_MID_DEN)
+    head, delta = _exp_neg_square(y)
+    return head * exp(-delta) * ratio
 
 
 def _erfc_far(y: np.ndarray) -> np.ndarray:
-    # y > 4
-    z = 1.0 / (y * y)
-    num = _ERF_P[5] * z
-    den = z
-    for i in range(4):
-        num = (num + _ERF_P[i]) * z
-        den = (den + _ERF_Q[i]) * z
-    r = z * (num + _ERF_P[4]) / (den + _ERF_Q[4])
-    ysq = np.trunc(y * 16.0) / 16.0
-    delta = (y - ysq) * (y + ysq)
-    out = exp(-ysq * ysq) * exp(-delta) * (_INV_SQRT_PI - r) / y
+    # y > 4; the value is 0 from _ERFC_ZERO on, so the kernel runs on y
+    # clipped there: y * y cannot overflow, nor y - ysq be inf - inf
+    yc = np.minimum(y, _ERFC_ZERO)
+    z = 1.0 / (yc * yc)
+    r = z * _horner(z, _ERFC_FAR_NUM) / _horner(z, _ERFC_FAR_DEN)
+    head, delta = _exp_neg_square(yc)
+    out = head * exp(-delta) * (_INV_SQRT_PI - r) / yc
     return np.where(y >= _ERFC_ZERO, 0.0, out)
 
 
 def _erf_near(x: np.ndarray) -> np.ndarray:
     # |x| <= 0.46875
     z = x * x
-    num = _ERF_A[4] * z
-    den = z
-    for i in range(3):
-        num = (num + _ERF_A[i]) * z
-        den = (den + _ERF_B[i]) * z
-    return x * (num + _ERF_A[3]) / (den + _ERF_B[3])
+    return x * _horner(z, _ERF_NEAR_NUM) / _horner(z, _ERF_NEAR_DEN)
 
 
 def _by_region(x, near, tail) -> np.ndarray:
     """``near(x)`` where ``|x| <= 0.46875``, else ``tail(x, erfc(|x|))``.
 
     ``erfc(|x|)`` comes from the mid kernel up to 4 and the far kernel
-    beyond; each kernel sees only its own elements.  NaN stays NaN.
+    beyond; each kernel sees only its own elements, and a region with no
+    elements runs nothing.  NaN stays NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
     y = np.abs(flat)
     out = np.full(flat.shape, np.nan)
     idx = np.flatnonzero(y <= 0.46875)
-    out[idx] = near(flat[idx])
+    if idx.size:
+        out[idx] = near(flat[idx])
     for idx, kernel in ((np.flatnonzero((y > 0.46875) & (y <= 4.0)),
                          _erfc_mid),
                         (np.flatnonzero(y > 4.0), _erfc_far)):
-        out[idx] = tail(flat[idx], kernel(y[idx]))
+        if idx.size:
+            out[idx] = tail(flat[idx], kernel(y[idx]))
     return out.reshape(x.shape)
 
 
@@ -286,9 +299,13 @@ def norm_cdf(x) -> np.ndarray:
     return 0.5 * erfc(-x * _INV_SQRT2)
 
 
+_PDF_ZERO = 64.0  # exp(-x*x/2) is 0 from |x| ~ 38.6 on
+
+
 def norm_pdf(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return _INV_SQRT_2PI * exp(-0.5 * x * x)
+    # |x| is capped so that x*x cannot overflow; the cap changes no value
+    h = np.minimum(np.abs(np.asarray(x, dtype=np.float64)), _PDF_ZERO)
+    return _INV_SQRT_2PI * exp(-0.5 * h * h)
 
 
 def norm_cdf_diff(lo, hi) -> np.ndarray:
@@ -300,7 +317,8 @@ def norm_cdf_diff(lo, hi) -> np.ndarray:
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    flip = (lo + hi) > 0.0
+    # lo > -hi has the sign of lo + hi without the sum, which can overflow
+    flip = lo > -hi
     a = np.where(flip, -hi, lo)
     b = np.where(flip, -lo, hi)
     mass = norm_cdf(b) - norm_cdf(a)

@@ -13,6 +13,8 @@ Every op validates shapes up front and raises
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import detmath
@@ -135,7 +137,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({cout},)")
     pad = kh // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + wd] = x.data
     acc = np.zeros((n, cout, h, wd), dtype=x.dtype)
     for di in range(kh):
         for dj in range(kw):
@@ -214,6 +217,57 @@ def concat_flat(xs) -> Tensor:
     _record(out, xs,
             lambda g: tuple(part.reshape(shape) for part, shape
                             in zip(np.split(g, cuts), shapes)))
+    return out
+
+
+def split_flat(x: Tensor, shapes) -> tuple[Tensor, ...]:
+    """Cut the 1-d ``x`` into consecutive pieces of the given shapes.
+
+    The inverse of :func:`concat_flat`.  The pieces are views of ``x``;
+    the split is one tape node with one output per piece.
+    """
+    shapes = [tuple(shape) for shape in shapes]
+    sizes = [math.prod(shape) for shape in shapes]
+    if x.data.ndim != 1 or sum(sizes) != x.size:
+        raise ShapeError(f"split_flat: pieces {shapes} do not cover "
+                         f"{x.shape}")
+    ends = np.cumsum(sizes)
+    pieces = tuple(_result(x.data[end - n:end].reshape(shape), (x,))
+                   for n, end, shape in zip(sizes, ends, shapes))
+
+    def backward(gs):
+        return (np.concatenate([
+            np.zeros(n, dtype=x.dtype) if g is None else g.reshape(-1)
+            for g, n in zip(gs, sizes)]),)
+
+    tape = active_tape()
+    if tape is not None and x.requires_grad:
+        tape.record(pieces, (x,), backward)
+    return pieces
+
+
+def broadcast_segments(x: Tensor, shapes) -> Tensor:
+    """Element i of the 1-d ``x`` spread over ``shapes[i]``, all joined flat.
+
+    Equals :func:`concat_flat` of each element broadcast to its shape, and
+    so is its gradient: each segment is reduced in its own shape exactly
+    as broadcasting a scalar reduces it, which need not give the bits of a
+    flat ``np.sum`` over the segment.
+    """
+    shapes = [tuple(shape) for shape in shapes]
+    if x.data.ndim != 1 or x.size != len(shapes):
+        raise ShapeError(f"broadcast_segments: {x.shape} does not give one "
+                         f"value per shape in {shapes}")
+    sizes = [math.prod(shape) for shape in shapes]
+    out = _result(np.repeat(x.data, sizes), (x,))
+    ends = np.cumsum(sizes)
+
+    def backward(g):
+        return (np.array([_unbroadcast(g[end - n:end].reshape(shape), ())
+                          for n, end, shape in zip(sizes, ends, shapes)],
+                         dtype=g.dtype),)
+
+    _record(out, (x,), backward)
     return out
 
 

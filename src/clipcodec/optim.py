@@ -14,10 +14,11 @@ from .params import ParamVector
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators matching a ParamVector layout."""
+    """First/second moment accumulators over a ParamVector, flattened in
+    layout order."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -29,32 +30,41 @@ class AdamState:
 
 def adam_init(params: ParamVector, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> AdamState:
-    return AdamState(
-        m={name: np.zeros_like(t.data) for name, t in params.items()},
-        v={name: np.zeros_like(t.data) for name, t in params.items()},
-        beta1=beta1, beta2=beta2, eps=eps)
+    zeros = np.zeros_like(params.flatten())
+    return AdamState(m=zeros, v=zeros.copy(), beta1=beta1, beta2=beta2,
+                     eps=eps)
 
 
 def adam_step(params: ParamVector, state: AdamState, lr: float) -> None:
-    """One in-place Adam update; missing gradients count as zero."""
+    """One in-place Adam update; missing gradients count as zero.
+
+    The update runs once over all segments, flattened in layout order.
+    Adam is elementwise, so each element gets the bits a separate update
+    per segment would give it.
+    """
     state.step += 1
     state.beta1_pow *= state.beta1
     state.beta2_pow *= state.beta2
-    for name, tensor in params.items():
-        grad = tensor.grad
-        if grad is None:
-            grad = np.zeros_like(tensor.data)
-        elif not np.all(np.isfinite(grad)):
-            raise NumericError(f"non-finite gradient in segment {name!r} at "
-                               f"step {state.step}")
-        dt = tensor.data.dtype.type
-        m = state.m[name]
-        v = state.v[name]
-        m += (grad - m) * dt(1.0 - state.beta1)
-        v += (grad * grad - v) * dt(1.0 - state.beta2)
-        mhat = m / dt(1.0 - state.beta1_pow)
-        vhat = v / dt(1.0 - state.beta2_pow)
-        tensor.data -= dt(lr) * mhat / (np.sqrt(vhat) + dt(state.eps))
+    tensors = params.tensors()
+    grad = np.concatenate([
+        np.zeros(t.size, dtype=t.dtype) if t.grad is None
+        else np.reshape(t.grad, -1) for t in tensors])
+    if not np.isfinite(grad).all():
+        name = next(name for name, t in params.items()
+                    if t.grad is not None and not np.all(np.isfinite(t.grad)))
+        raise NumericError(f"non-finite gradient in segment {name!r} at "
+                           f"step {state.step}")
+    dt = state.m.dtype.type
+    m, v = state.m, state.v
+    m += (grad - m) * dt(1.0 - state.beta1)
+    v += (grad * grad - v) * dt(1.0 - state.beta2)
+    mhat = m / dt(1.0 - state.beta1_pow)
+    vhat = v / dt(1.0 - state.beta2_pow)
+    update = dt(lr) * mhat / (np.sqrt(vhat) + dt(state.eps))
+    start = 0
+    for t in tensors:
+        t.data -= update[start:start + t.size].reshape(t.shape)
+        start += t.size
 
 
 def lr_at(epoch: int, total_epochs: int, base_lr: float,

@@ -121,28 +121,46 @@ class TrainConfig:
 def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
                        theta_star: ParamVector, log_scales: ParamVector,
                        target_hw3: np.ndarray, t_norm: float, lam: float,
-                       noise: list[np.ndarray],
-                       stats_override: LayerStats | None = None):
+                       noise, stats_override: LayerStats | None = None):
     """Build one training-step graph; returns (loss, rate, mse, stats).
 
     Rendering uses the warm start plus the straight-through-rounded
     residual on the trained lattice, so train-time distortion equals
     decode-time distortion.  The rate term scores the noisy scaled
-    residual; (mu, sd) statistics are per-step constants.
+    residual; (mu, sd) statistics are per-step constants.  ``noise`` is
+    one uniform(-1/2, 1/2) array with every layer's noise in layout order
+    (or one array per layer).
+
+    The lattice is one op chain over all layers, flattened and joined in
+    layout order: each layer's step size ``exp(log_scale)`` is spread over
+    its elements, ``unit = (star - prime) / step`` is what the rate term
+    scores, and ``prime + ste_round(unit) * step``, cut back into layers,
+    is what the network renders with.  Every value and gradient equals a
+    chain per layer: the step sizes enter the division and the product
+    as two separate spreads, so each path's log-scale gradient is reduced
+    over its layer on its own, in the layer's shape, before the two are
+    added.
     """
-    scaled: list[Tensor] = []
-    effective: dict[str, Tensor] = {}
-    for name in theta_star.names:
-        step = ops.exp(log_scales[name])
-        delta = ops.sub(theta_star[name], theta_prime[name])
-        unit = ops.div(delta, step)
-        scaled.append(unit)
-        snapped = ops.mul(ops.ste_round(unit), step)
-        effective[name] = ops.add(theta_prime[name], snapped)
+    names = theta_star.names
+    star = theta_star.tensors()
+    shapes = [t.shape for t in star]
+    sizes = [t.size for t in star]
+    steps = ops.exp(ops.concat_flat([log_scales[name] for name in names]))
+    prime = ops.constant(np.concatenate(
+        [theta_prime[name].data.reshape(-1) for name in names]))
+    delta = ops.sub(ops.concat_flat(star), prime)
+    unit = ops.div(delta, ops.broadcast_segments(steps, shapes))
+    snapped = ops.mul(ops.ste_round(unit),
+                      ops.broadcast_segments(steps, shapes))
+    effective = dict(zip(names, ops.split_flat(ops.add(prime, snapped),
+                                               shapes)))
     stats = stats_override
     if stats is None:
-        stats = layer_stats([u.data for u in scaled], theta_star.names)
-    rate = rate_bits_train(scaled, noise, stats)
+        ends = np.cumsum(sizes)
+        stats = layer_stats([unit.data[end - n:end].reshape(shape)
+                             for n, end, shape in zip(sizes, ends, shapes)],
+                            names)
+    rate = rate_bits_train(unit, noise, stats, sizes)
     frame = forward_frame(config, effective, t_norm)
     mse = ops.mean_square(ops.sub(frame, ops.constant(target_hw3)))
     loss = ops.add(rate, ops.mul(mse, lam))
@@ -156,6 +174,7 @@ class TrainedModel:
     scales: QuantScale
     stats: LayerStats
     final_mse: float
+    frames: np.ndarray               # (n, 3, H, W) uint8 rendered clip
     epoch_logs: list[dict]
     checkpoint_mse: dict[int, float]
 
@@ -177,14 +196,18 @@ def _freeze_lattice(theta_prime: ParamVector, theta_star: ParamVector,
     return theta_final, symbols, scales, stats
 
 
-def _clip_mse(config: BackboneConfig, params: ParamVector,
-              targets: np.ndarray, t_norms) -> float:
+def _render_clip(config: BackboneConfig, params: ParamVector,
+                 targets: np.ndarray, t_norms):
+    """Render a clip once; returns (mean frame MSE, (n, 3, H, W) uint8)."""
+    frames = np.empty((len(targets), 3, config.frame_height,
+                       config.frame_width), dtype=np.uint8)
     total = 0.0
-    for t_norm, target in zip(t_norms, targets):
+    for i, (t_norm, target) in enumerate(zip(t_norms, targets)):
         out = forward_frame(config, params, t_norm).data
         diff = out.astype(np.float64) - target.astype(np.float64)
         total += float(np.mean(diff * diff))
-    return total / max(len(targets), 1)
+        frames[i] = denormalize(out).transpose(2, 0, 1)
+    return total / max(len(targets), 1), frames
 
 
 def train_model(role: str, frames: np.ndarray, init: ParamVector,
@@ -214,7 +237,6 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
     opt_theta = adam_init(theta_star)
     opt_scales = adam_init(log_scales)
     noise_rng = make_rng(seed, STREAM_NOISE)
-    shapes = [t.shape for t in init.tensors()]
 
     targets = frames.transpose(0, 2, 3, 1).astype(dtype)
     t_norms = frame_timestamps(len(frames))
@@ -226,8 +248,9 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
         rate_sum = 0.0
         mse_sum = 0.0
         for step, (t_norm, target) in enumerate(zip(t_norms, targets)):
-            noise = [noise_rng.uniform(-0.5, 0.5, size=shape)
-                     for shape in shapes]
+            # PCG64 spends one word per double, so one draw for all layers
+            # equals one draw per layer, joined
+            noise = noise_rng.uniform(-0.5, 0.5, size=init.total_count)
             with Tape() as tape:
                 loss, rate, mse, _ = training_step_loss(
                     config, theta_prime, theta_star, log_scales, target,
@@ -249,16 +272,16 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
         if (epoch + 1) in wanted:
             snapped, _, _, _ = _freeze_lattice(theta_prime, theta_star,
                                                log_scales, dtype)
-            checkpoints[epoch + 1] = _clip_mse(config, snapped, targets,
-                                               t_norms)
+            checkpoints[epoch + 1], _ = _render_clip(config, snapped,
+                                                     targets, t_norms)
 
     theta_final, symbols, scales, stats = _freeze_lattice(
         theta_prime, theta_star, log_scales, dtype)
+    final_mse, rendered = _render_clip(config, theta_final, targets, t_norms)
     return TrainedModel(theta_star=theta_final,
                         symbols=[s.reshape(-1) for s in symbols],
                         scales=scales, stats=stats,
-                        final_mse=_clip_mse(config, theta_final, targets,
-                                            t_norms),
+                        final_mse=final_mse, frames=rendered,
                         epoch_logs=epoch_logs,
                         checkpoint_mse=checkpoints)
 
@@ -342,6 +365,7 @@ def _encode_gom(normalized: np.ndarray, plan: PartitionPlan,
             "final_mse": trained.final_mse,
             "epoch_logs": trained.epoch_logs,
             "theta": trained.theta_star,
+            "frames": trained.frames,
         })
         prev_theta = trained.theta_star
         prev_rand = rand
@@ -379,6 +403,7 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
     payloads: list[bytes] = []
     per_model: list[ModelLog] = []
     final_params: list[ParamVector] = []
+    clips: list[np.ndarray] = []
     for results in gom_results:
         for item in results:
             payload = item["payload"]
@@ -396,13 +421,15 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
                 final_mse=item["final_mse"],
                 epoch_logs=item["epoch_logs"]))
             final_params.append(item["theta"])
+            clips.append(item["frames"])
 
     data = write_bitstream(video.width, video.height, video.frame_count,
                            plan.gop_size, plan.gom_size, cfg.seed,
                            config.precision, config_to_text(config),
                            records, payloads)
 
-    recon = render_video(config, final_params, plan)
+    recon = RawVideo(width=config.frame_width, height=config.frame_height,
+                     frames=np.concatenate(clips))
     from .metrics import psnr  # local import avoids a module cycle
     quality = psnr(video, recon)
     bpp = len(data) * 8.0 / video.pixel_count
@@ -436,7 +463,11 @@ def render_video(config: BackboneConfig, params_per_gop: list[ParamVector],
 
 
 def _plan_from_header(header: BitstreamHeader):
-    config = config_from_text(header.config_text)
+    try:
+        config = config_from_text(header.config_text)
+    except ConfigError as exc:
+        raise BitstreamError(f"unusable backbone config text: {exc}") \
+            from None
     if header.precision != config.precision:
         raise BitstreamError("header precision disagrees with config text")
     plan = partition(header.frame_count, header.gop_size, header.gom_size)

@@ -176,15 +176,18 @@ def layer_stats(scaled: list[np.ndarray], names: tuple[str, ...]) -> LayerStats:
     return LayerStats(tuple(names), mu, sd)
 
 
-def rate_bits_train(scaled: list[Tensor], noise: list[np.ndarray],
-                    stats: LayerStats) -> Tensor:
+def rate_bits_train(scaled, noise, stats: LayerStats,
+                    sizes=None) -> Tensor:
     """Differentiable bit estimate at (scaled residual + uniform noise).
 
-    (mu, sd) are treated as per-step constants; gradients flow through the
-    scaled residual (and hence through parameters and log-scales).
+    ``scaled`` is one tensor per layer, or all layers already flattened
+    and joined in layout order as one 1-d tensor with ``sizes`` giving
+    each layer's element count.  ``noise`` holds one array per layer or
+    one array with every layer's noise in layout order.  (mu, sd) are
+    treated as per-step constants; gradients flow through the scaled
+    residual (and hence through parameters and log-scales).
 
-    All layers are scored by one op chain: residuals and noise are
-    flattened and joined in layout order, every element carries its
+    All layers are scored by one op chain: every element carries its
     layer's offsets and inverse sd, and the per-element bits are summed
     per layer.  The bits equal scoring each layer on its own, because
     every rounding step is kept: ``0.5 - mu`` and ``-0.5 - mu`` are taken
@@ -193,12 +196,21 @@ def rate_bits_train(scaled: list[Tensor], noise: list[np.ndarray],
     its own contiguous elements, scaled to bits per layer; and the layer
     bits are added left to right in layout order.
     """
-    if not len(scaled) == len(noise) == len(stats.names):
-        raise LayoutError(f"rate term got {len(scaled)} residuals, "
-                          f"{len(noise)} noise arrays and "
+    if isinstance(scaled, Tensor):
+        flat = scaled
+        sizes = list(sizes)
+    else:
+        flat = ops.concat_flat(scaled)
+        sizes = [t.size for t in scaled]
+    if isinstance(noise, np.ndarray):
+        u = noise.reshape(-1)
+    else:
+        u = np.concatenate([a.reshape(-1) for a in noise])
+    if not (len(sizes) == len(stats.names)
+            and sum(sizes) == u.size == flat.size):
+        raise LayoutError(f"rate term got {len(sizes)} layers of "
+                          f"{flat.size} values, {u.size} noise values and "
                           f"{len(stats.names)} layer stats")
-    flat = ops.concat_flat(scaled)
-    sizes = [t.size for t in scaled]
 
     def per_element(values) -> Tensor:
         return ops.constant(np.repeat(np.asarray(values, dtype=flat.dtype),
@@ -206,8 +218,7 @@ def rate_bits_train(scaled: list[Tensor], noise: list[np.ndarray],
 
     inv_sd = per_element([1.0 / max(float(sd), SIGMA_TRAIN_FLOOR)
                           for sd in stats.sd])
-    u = np.concatenate([a.reshape(-1) for a in noise]).astype(flat.dtype)
-    y = ops.add(flat, ops.constant(u))
+    y = ops.add(flat, ops.constant(u.astype(flat.dtype)))
     hi = ops.mul(ops.add(y, per_element([float(0.5 - mu)
                                          for mu in stats.mu])), inv_sd)
     lo = ops.mul(ops.add(y, per_element([float(-0.5 - mu)

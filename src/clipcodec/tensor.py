@@ -94,6 +94,10 @@ class Tensor:
 
 
 class _Node:
+    """One recorded op.  ``out`` is its output tensor, or a tuple of
+    output tensors for an op that yields several; ``backward`` then takes
+    one gradient per output, ``None`` for an output that received none."""
+
     __slots__ = ("out", "inputs", "backward")
 
     def __init__(self, out, inputs, backward):
@@ -126,9 +130,10 @@ class Tape:
         assert popped is self
         return False
 
-    def record(self, out: Tensor, inputs, backward) -> None:
+    def record(self, out, inputs, backward) -> None:
         self._nodes.append(_Node(out, inputs, backward))
-        self._produced.add(id(out))
+        for tensor in out if isinstance(out, tuple) else (out,):
+            self._produced.add(id(tensor))
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -158,9 +163,14 @@ class Tape:
         }
         leaves: dict[int, Tensor] = {}
         for node in reversed(self._nodes):
-            g = grads.pop(id(node.out), None)
-            if g is None:
-                continue
+            if isinstance(node.out, tuple):
+                g = [grads.pop(id(tensor), None) for tensor in node.out]
+                if all(part is None for part in g):
+                    continue
+            else:
+                g = grads.pop(id(node.out), None)
+                if g is None:
+                    continue
             for tensor, gin in zip(node.inputs, node.backward(g)):
                 if gin is None:
                     continue

@@ -141,6 +141,16 @@ def test_config_text_rejects_unknown_key():
         config_from_text("kind = nerv-lite\nbogus = 1\n")
 
 
+@pytest.mark.parametrize("text", [
+    "kind = nerv-lite\npe_frequencies = many\n",
+    "kind = nerv-lite\nstem_width = 4.5\n",
+    "kind = coord-mlp\nhidden = 8, wide\n",
+])
+def test_config_text_rejects_non_integer_values(text):
+    with pytest.raises(ConfigError):
+        config_from_text(text)
+
+
 def test_memory_proxy_monotone_in_tier():
     from clipcodec.presets import nerv_lite_preset
     tiers = [memory_proxy(nerv_lite_preset(32, 32, t))

@@ -15,6 +15,7 @@ from clipcodec import detmath
 from clipcodec.cli import main
 from clipcodec.metrics import psnr
 from clipcodec.video import load_raw
+from conftest import HOSTILE_HEADERS, repack, set_config_byte
 
 COMMON = ["--width", "16", "--height", "16"]
 # 2-frame clips, 2 clips per group: 8 frames make two GOMs, each I + P
@@ -99,10 +100,38 @@ def test_corrupted_stream_exits_3(workdir, tmp_path, capsys):
     assert "offset" in err
 
 
+@pytest.mark.parametrize("edit", [edit for _, edit in HOSTILE_HEADERS]
+                         + [None],
+                         ids=[name for name, _ in HOSTILE_HEADERS]
+                         + ["config-not-utf8"])
+def test_hostile_header_exits_3(workdir, tmp_path, capsys, edit):
+    data = (workdir / "out.bits").read_bytes()
+    if edit is None:
+        data = set_config_byte(data, 0, 0xFF)
+    else:
+        data = repack(data, **edit)
+    bad = tmp_path / "bad.bits"
+    bad.write_bytes(data)
+    out = tmp_path / "x.rgb"
+    assert main(["decode", str(bad), str(out)]) == 3
+    assert main(["decode", str(bad), str(out), "--gom", "0"]) == 3
+    assert "data error" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["decode"])  # missing positional
     assert excinfo.value.code == 2
+
+
+def test_non_integer_backbone_config_exits_2(workdir, tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_text("kind = nerv-lite\npe_frequencies = many\n")
+    out = tmp_path / "never.bits"
+    assert main(["encode", str(workdir / "in.rgb"), "--out", str(out),
+                 "--backbone-config", str(config), *COMMON,
+                 *ENCODE_FAST]) == 2
+    assert not out.exists()
 
 
 def test_bad_gom_index_exits_2(workdir):

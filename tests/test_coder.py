@@ -178,3 +178,16 @@ def test_payload_platform_stable_snapshot():
 # Captured once from this implementation; guards against any platform- or
 # refactor-induced drift in table construction or coder arithmetic.
 _FROZEN_PAYLOAD_HEX = "78d5e13d9b157af0"
+
+
+def test_payload_length_must_match_bytes_read():
+    rng = make_rng(14)
+    models = [build_model(0.0, 2.0, 12), build_model(0.5, 0.3, 3)]
+    streams = [rng.integers(-12, 13, 300).astype(np.int32),
+               rng.integers(-3, 4, 40).astype(np.int32)]
+    payload = encode_symbols(streams, models)
+    back = decode_symbols(payload, models, [300, 40])
+    assert all(np.array_equal(a, b) for a, b in zip(streams, back))
+    for bad in (payload + b"\x00", payload + payload[-2:], payload[:-1]):
+        with pytest.raises(BitstreamError, match="consumed"):
+            decode_symbols(bad, models, [300, 40])

@@ -191,7 +191,6 @@ GOLDEN_KERNEL_SHA256 = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/overflow inputs
 def test_kernels_match_golden_hashes():
     got = dict(_golden_outputs())
     assert set(got) == set(GOLDEN_KERNEL_SHA256)
@@ -203,7 +202,6 @@ _SCALAR_KERNELS = (detmath.exp, detmath.log, detmath.erf, detmath.erfc,
                    detmath.norm_cdf, detmath.norm_pdf, detmath.sigmoid)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("fn", _SCALAR_KERNELS, ids=lambda f: f.__name__)
 def test_kernels_are_shape_independent(fn):
     # a 0-d input, an empty input and any slice or reshape of the grid
@@ -224,7 +222,6 @@ def test_kernels_are_shape_independent(fn):
     assert fn(x[1::3]).tobytes() == flat[1::3].tobytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_norm_cdf_diff_is_shape_independent():
     x = golden_grid()
     flat = detmath.norm_cdf_diff(x, x[::-1])
@@ -235,3 +232,16 @@ def test_norm_cdf_diff_is_shape_independent():
         assert np.asarray(got).shape == ()
         assert np.asarray(got).tobytes() == flat[i].tobytes()
     assert detmath.norm_cdf_diff(np.empty(0), np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("fn", (detmath.erf, detmath.erfc),
+                         ids=lambda f: f.__name__)
+def test_erf_inputs_missing_a_region_keep_their_bits(fn):
+    # an input with no element in the near, mid or far region, or in two
+    # of them, gives each element the bits it has on the full grid
+    x = golden_grid()
+    full = fn(x)
+    y = np.abs(x)
+    regions = (y <= 0.46875, (y > 0.46875) & (y <= 4.0), y > 4.0)
+    for keep in (*(~r for r in regions), *regions):
+        assert fn(x[keep]).tobytes() == full[keep].tobytes()

@@ -10,6 +10,7 @@ from clipcodec.errors import ConfigError, NumericError
 from clipcodec.optim import adam_init, adam_step, lr_at
 from clipcodec.params import ParamVector
 from clipcodec.tensor import Tensor
+from conftest import PerSegmentAdam
 
 
 def _scalar_pv(value: float) -> ParamVector:
@@ -63,6 +64,51 @@ def test_identical_runs_are_bit_identical():
         return pv["w"].data.copy()
 
     assert np.array_equal(run(), run())
+
+
+def test_flat_update_matches_per_segment_reference_bitwise():
+    # mixed shapes with a 1-element and a 0-d segment; one segment has no
+    # gradient on every third step
+    shapes = ((5, 3, 3, 3), (1,), (), (37, 11), (200,))
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(12)
+        init = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+        pv = ParamVector([(f"s{i}", Tensor(a.copy(), requires_grad=True))
+                          for i, a in enumerate(init)])
+        ref = pv.clone(requires_grad=True)
+        state, ref_state = adam_init(pv), PerSegmentAdam(ref)
+        for step in range(8):
+            for i, shape in enumerate(shapes):
+                if i == 3 and step % 3 == 0:
+                    continue
+                grad = (rng.standard_normal(shape) * 10.0 ** (i - 2)
+                        ).astype(dtype)
+                pv[f"s{i}"].grad = grad
+                ref[f"s{i}"].grad = grad.copy()
+            adam_step(pv, state, lr=3e-3 * (step + 1))
+            ref_state.update(ref, lr=3e-3 * (step + 1))
+            pv.clear_grads()
+            ref.clear_grads()
+        assert pv.to_bytes() == ref.to_bytes()
+        for got, want in ((state.m, ref_state.m), (state.v, ref_state.v)):
+            assert got.dtype == dtype
+            assert got.tobytes() == np.concatenate(
+                [a.reshape(-1) for a in want.values()]).tobytes()
+
+
+def test_nonfinite_gradient_names_its_segment_among_many():
+    pv = ParamVector([(name, Tensor(np.zeros(shape), requires_grad=True))
+                      for name, shape in (("a", (3,)), ("b", (2, 2)),
+                                          ("c", (4,)))])
+    state = adam_init(pv)
+    pv["a"].grad = np.ones(3)
+    bad = np.ones((2, 2))
+    bad[1, 0] = np.inf
+    pv["b"].grad = bad
+    pv["c"].grad = np.full(4, np.nan)
+    with pytest.raises(NumericError, match="'b'"):
+        adam_step(pv, state, lr=1e-3)
+    assert not pv.flatten().any()
 
 
 def test_lr_schedule_shape():

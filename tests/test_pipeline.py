@@ -6,20 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clipcodec.backbone import (BackboneConfig, UpsampleStage, init_random,
-                                param_layout)
-from clipcodec.bitstream import BitstreamReader, read_bitstream
+from clipcodec import detmath, ops, pipeline
+from clipcodec.backbone import (BackboneConfig, UpsampleStage, forward_frame,
+                                init_random, param_layout)
+from clipcodec.bitstream import _FIXED, BitstreamReader, read_bitstream
 from clipcodec.errors import BitstreamError, ConfigError
+from clipcodec.optim import adam_init, adam_step
 from clipcodec.pipeline import (TrainConfig, decode_gom, decode_video,
                                 encode_video, partition, train_model,
                                 training_step_loss)
 from clipcodec.params import ParamVector
-from clipcodec.ratequant import layer_stats
-from clipcodec.seeds import make_rng, model_seed
+from clipcodec.ratequant import initial_scales, layer_stats, rate_bits_train
+from clipcodec.seeds import STREAM_NOISE, make_rng, model_seed
 from clipcodec.tensor import Tape, Tensor
 from clipcodec.video import synth_video
 from clipcodec.warmstart import interpolate_init
-from conftest import fd_gradient, rel_error
+from conftest import (HOSTILE_HEADERS, PerSegmentAdam, fd_gradient,
+                      rel_error, repack, set_config_byte)
 
 
 def small_config(size=16, precision="f32"):
@@ -198,6 +201,142 @@ def test_step_loss_full_graph_runs_and_is_finite():
     assert all(g is not None and np.all(np.isfinite(g)) for g in grads)
 
 
+def _training_step_loss_per_layer(config, theta_prime, theta_star,
+                                  log_scales, target_hw3, t_norm, lam,
+                                  noise):
+    """Reference: the lattice built by one op chain per layer, as before
+    the flat chain.  ``training_step_loss`` must match it bit for bit."""
+    scaled = []
+    effective = {}
+    for name in theta_star.names:
+        step = ops.exp(log_scales[name])
+        delta = ops.sub(theta_star[name], theta_prime[name])
+        unit = ops.div(delta, step)
+        scaled.append(unit)
+        snapped = ops.mul(ops.ste_round(unit), step)
+        effective[name] = ops.add(theta_prime[name], snapped)
+    stats = layer_stats([u.data for u in scaled], theta_star.names)
+    rate = rate_bits_train(scaled, noise, stats)
+    frame = forward_frame(config, effective, t_norm)
+    mse = ops.mean_square(ops.sub(frame, ops.constant(target_hw3)))
+    loss = ops.add(rate, ops.mul(mse, lam))
+    return loss, rate, mse, stats
+
+
+def _one_channel_config(precision):
+    # stage 0 has one output channel, so its bias is a 1-element layer
+    return BackboneConfig(
+        kind="nerv-lite", pe_frequencies=3, stem_width=8, base_channels=4,
+        base_height=4, base_width=4, stages=(UpsampleStage(2, 1),),
+        frame_height=8, frame_width=8, precision=precision)
+
+
+def _trainable(config, seed):
+    """Warm start, displaced live parameters and their log-scales."""
+    theta_prime = init_random(config, seed)
+    theta_star = theta_prime.clone(requires_grad=True)
+    rng = make_rng(seed + 1)
+    for name in theta_star.names:
+        theta_star[name].data += (rng.standard_normal(
+            theta_star[name].shape) * 0.02).astype(config.dtype)
+    log_scales = ParamVector([
+        (name, Tensor(np.asarray(detmath.log(value), dtype=config.dtype),
+                      requires_grad=True))
+        for name, value in zip(theta_prime.names,
+                               initial_scales(theta_prime).values)])
+    return theta_prime, theta_star, log_scales
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_flat_step_and_adam_match_per_layer_reference_bitwise(precision):
+    config = _one_channel_config(precision)
+    assert 1 in [spec.count for spec in param_layout(config)]
+    video = synth_video("moving-blob", 8, 8, 3, velocity=1.0, seed=2)
+    targets = video.normalized(config.dtype).transpose(0, 2, 3, 1)
+    prime, star, logs = _trainable(config, 4)
+    _, ref_star, ref_logs = _trainable(config, 4)
+    opt_star, opt_logs = adam_init(star), adam_init(logs)
+    ref_opt_star = PerSegmentAdam(ref_star)
+    ref_opt_logs = PerSegmentAdam(ref_logs)
+    rng, ref_rng = make_rng(9, STREAM_NOISE), make_rng(9, STREAM_NOISE)
+    for step in range(6):
+        t_norm, target = step % 3 / 2, targets[step % 3]
+        noise = rng.uniform(-0.5, 0.5, size=star.total_count)
+        ref_noise = [ref_rng.uniform(-0.5, 0.5, size=t.shape)
+                     for t in ref_star.tensors()]
+        with Tape() as tape:
+            loss, rate, mse, stats = training_step_loss(
+                config, prime, star, logs, target, t_norm, 1e4, noise)
+        tape.backward(loss)
+        with Tape() as ref_tape:
+            ref_loss, ref_rate, _, ref_stats = _training_step_loss_per_layer(
+                config, prime, ref_star, ref_logs, target, t_norm, 1e4,
+                ref_noise)
+        ref_tape.backward(ref_loss)
+        assert loss.data.dtype == config.dtype
+        assert loss.data.tobytes() == ref_loss.data.tobytes()
+        assert rate.data.tobytes() == ref_rate.data.tobytes()
+        assert stats.mu.tobytes() == ref_stats.mu.tobytes()
+        assert stats.sd.tobytes() == ref_stats.sd.tobytes()
+        for got, want in zip(star.tensors() + logs.tensors(),
+                             ref_star.tensors() + ref_logs.tensors()):
+            assert np.shape(got.grad) == np.shape(want.grad)
+            assert np.asarray(got.grad).tobytes() == \
+                np.asarray(want.grad).tobytes()
+        lr = 5e-3 * (step + 1)
+        adam_step(star, opt_star, lr)
+        adam_step(logs, opt_logs, lr)
+        ref_opt_star.update(ref_star, lr)
+        ref_opt_logs.update(ref_logs, lr)
+        for pv in (star, logs, ref_star, ref_logs):
+            pv.clear_grads()
+    assert star.to_bytes() == ref_star.to_bytes()
+    assert logs.to_bytes() == ref_logs.to_bytes()
+    for state, ref in ((opt_star, ref_opt_star), (opt_logs, ref_opt_logs)):
+        for got, name in ((state.m, "m"), (state.v, "v")):
+            want = np.concatenate([a.reshape(-1)
+                                   for a in getattr(ref, name).values()])
+            assert got.tobytes() == want.tobytes()
+
+
+def test_one_noise_draw_equals_per_layer_draws():
+    from clipcodec.presets import nerv_lite_preset
+    shapes = [spec.shape for spec in param_layout(nerv_lite_preset(32, 32))]
+    total = sum(int(np.prod(shape)) for shape in shapes)
+    flat = make_rng(3, STREAM_NOISE).uniform(-0.5, 0.5, size=total)
+    rng = make_rng(3, STREAM_NOISE)
+    per_layer = [rng.uniform(-0.5, 0.5, size=shape) for shape in shapes]
+    assert len(shapes) == 12
+    assert flat.tobytes() == np.concatenate(
+        [a.reshape(-1) for a in per_layer]).tobytes()
+
+
+def test_train_model_renders_each_frame_once(monkeypatch):
+    # one forward per training step plus one per frame for the final
+    # render, which gives both final_mse and the reconstruction
+    config = small_config()
+    video = synth_video("moving-blob", 16, 16, 4, velocity=1.0, seed=6)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward_frame(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "forward_frame", counted)
+    cfg = quick_cfg(epochs_i=2, epochs_p=1)
+    result = encode_video(video, partition(4, 2, 2), config, cfg,
+                          keep_reference=True)
+    assert len(calls) == 2 * 2 + 1 * 2 + 4
+    monkeypatch.undo()
+    assert np.array_equal(decode_video(result.data).frames,
+                          result.recon.frames)
+    model = train_model("I", video.normalized(np.float32)[:2],
+                        init_random(config, model_seed(cfg.seed, 0)),
+                        config, cfg, model_seed(cfg.seed, 0))
+    assert np.array_equal(model.frames, result.recon.frames[:2])
+    assert model.final_mse == result.per_model[0].final_mse
+
+
 # ------------------------------------------------------- encode / decode
 
 @pytest.fixture(scope="module")
@@ -294,6 +433,67 @@ def test_decode_frame_count_and_range(encoded_pair):
     assert (start, end) == plan.gom_frame_range(0)
     assert fragment.frame_count == end - start
     assert np.array_equal(fragment.frames, decoded.frames[start:end])
+
+
+@pytest.mark.parametrize("edit", [edit for _, edit in HOSTILE_HEADERS],
+                         ids=[name for name, _ in HOSTILE_HEADERS])
+def test_hostile_header_fields_raise_before_any_payload(encoded_pair, edit):
+    result = encoded_pair[-1]
+    data = repack(result.data, **edit)
+    with pytest.raises(BitstreamError):
+        decode_video(data)
+
+    def no_payload(index):
+        raise AssertionError(f"payload {index} read")
+
+    with pytest.raises(BitstreamError):
+        reader = BitstreamReader.from_bytes(data)
+        reader.read_payload = no_payload
+        decode_gom(reader, 0)
+
+
+@pytest.mark.parametrize("restamp", [True, False])
+def test_config_text_not_utf8_raises_bitstream_error(encoded_pair, restamp):
+    data = encoded_pair[-1].data
+    if restamp:
+        data = set_config_byte(data, 0, 0xFF)
+    else:
+        blob = bytearray(data)
+        blob[_FIXED.size] = 0xFF  # first config byte, header CRC left stale
+        data = bytes(blob)
+    with pytest.raises(BitstreamError, match="UTF-8" if restamp else "CRC"):
+        decode_video(data)
+    with pytest.raises(BitstreamError):
+        BitstreamReader.from_bytes(data)
+
+
+@pytest.mark.parametrize("tail", [b"\x00", b"\x5a\xa5\x5a"])
+def test_payload_with_extra_bytes_is_rejected(encoded_pair, tail):
+    result = encoded_pair[-1]
+    for model in range(4):
+        data = repack(result.data, model=model, payload_tail=tail)
+        with pytest.raises(BitstreamError, match="consumed"):
+            decode_video(data)
+        gom = model // 2
+        with pytest.raises(BitstreamError, match="consumed"):
+            decode_gom(BitstreamReader.from_bytes(data), gom)
+
+
+def test_payloads_are_read_to_their_last_byte(encoded_pair, monkeypatch):
+    # a valid payload's length is exactly what the range decoder reads
+    from clipcodec.coder import RangeDecoder
+    header, payloads = read_bitstream(encoded_pair[-1].data)
+    consumed = {}
+    original = RangeDecoder.decode_cum
+
+    def spy(self, cum):
+        idx = original(self, cum)
+        consumed[id(self)] = self.consumed
+        return idx
+
+    monkeypatch.setattr(RangeDecoder, "decode_cum", spy)
+    decode_video(encoded_pair[-1].data)
+    assert sorted(consumed.values()) == sorted(len(p) for p in payloads)
 
 
 def test_bpp_accounting(encoded_pair):

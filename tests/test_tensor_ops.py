@@ -179,6 +179,67 @@ def test_concat_flat_forward_and_gradient():
         ops.concat_flat([])
 
 
+def test_split_flat_views_one_node_and_gradient():
+    rng = np.random.default_rng(6)
+    shapes = [(2, 3), (), (1,), (4, 1), (2, 1, 2)]
+    with precision("f64"):
+        x = Tensor(rng.standard_normal(16), requires_grad=True)
+        with Tape() as tape:
+            pieces = ops.split_flat(x, shapes)
+        assert len(tape) == 1
+        assert [p.shape for p in pieces] == shapes
+        assert all(np.shares_memory(p.data, x.data) for p in pieces)
+        assert np.array_equal(ops.concat_flat(pieces).data, x.data)
+        w = ops.constant(rng.uniform(0.5, 2.0, (4, 1)))
+
+        def loss():
+            # piece 3 enters twice and piece 2 not at all (zero gradient)
+            a, b, _, d, e = ops.split_flat(x, shapes)
+            return ops.add(ops.add(ops.mean_square(a), ops.mul(b, 3.0)),
+                           ops.add(ops.sum_all(ops.mul(d, w)),
+                                   ops.mean_square(ops.add(d, ops.sum_all(
+                                       e)))))
+
+        _leaf_gradients_match_fd([x], loss)
+        with Tape() as tape:
+            out = loss()
+        tape.backward(out)
+        assert x.grad[7] == 0.0
+        with pytest.raises(ShapeError):
+            ops.split_flat(x, [(3, 5)])
+        with pytest.raises(ShapeError):
+            ops.split_flat(ops.reshape(x, (4, 4)), [(4, 4)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_broadcast_segments_reduces_each_segment_as_broadcasting(dtype):
+    # the gradient of each element is its segment reduced in the segment's
+    # own shape, as broadcasting a scalar over that shape reduces it
+    rng = np.random.default_rng(7)
+    shapes = [(5, 3, 3, 3), (), (1,), (37, 11), (2, 1, 3), (0,), (200,)]
+    x = Tensor(rng.standard_normal(len(shapes)), requires_grad=True,
+               dtype=dtype)
+    spread = ops.broadcast_segments(x, shapes)
+    assert spread.dtype == dtype
+    assert np.array_equal(spread.data, np.concatenate(
+        [np.broadcast_to(v, shape).reshape(-1)
+         for v, shape in zip(x.data, shapes)]))
+    g = rng.standard_normal(spread.size).astype(dtype) * 10.0
+    with Tape() as tape:
+        loss = ops.sum_all(ops.mul(ops.broadcast_segments(x, shapes),
+                                   ops.constant(g)))
+    tape.backward(loss)
+    start, want = 0, []
+    for shape in shapes:
+        n = int(np.prod(shape))
+        want.append(ops._unbroadcast(g[start:start + n].reshape(shape), ()))
+        start += n
+    assert x.grad.dtype == dtype
+    assert x.grad.tobytes() == np.array(want, dtype=dtype).tobytes()
+    with pytest.raises(ShapeError):
+        ops.broadcast_segments(x, shapes[1:])
+
+
 def test_segment_sum_forward_and_gradient():
     rng = np.random.default_rng(5)
     sizes = [3, 0, 1, 6]
