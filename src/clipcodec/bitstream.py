@@ -21,11 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BitstreamError
+from .backbone import config_from_text
+from .errors import BitstreamError, ConfigError
 from .ratequant import MAX_SYMBOL, SIGMA_FLOOR
 
 MAGIC = b"CINR"
 VERSION = 1
+# Format limit on frame_count x height x width, the pixels of one colour
+# plane of the whole video: 2^31, above the 1.24e9 of the largest setting
+# the codec targets (600 frames of 1920x1080).
+MAX_VIDEO_PIXELS = 1 << 31
 _PRECISION_CODES = {"f32": 0, "f64": 1}
 _PRECISION_NAMES = {v: k for k, v in _PRECISION_CODES.items()}
 
@@ -34,6 +39,9 @@ _LAYERS = struct.Struct("<HI")           # n_layers, model_count
 _REC_HEAD = struct.Struct("<IBf")        # index, role, epsilon
 _REC_TAIL = struct.Struct("<II")         # payload_len, payload_crc
 _CRC = struct.Struct("<I")
+# Byte offsets of the frame fields inside _FIXED.
+_FIELD_OFFSETS = {"width": 8, "height": 12, "frame_count": 16,
+                  "gop_size": 20, "gom_size": 24}
 
 ROLE_I = "I"
 ROLE_P = "P"
@@ -76,6 +84,45 @@ class BitstreamHeader:
 
     def total_size(self) -> int:
         return self.header_size + sum(r.payload_len for r in self.records)
+
+
+def _check_video(width: int, height: int, frame_count: int, gop_size: int,
+                 gom_size: int, model_count: int, config_text: str) -> None:
+    """Reject frame fields a decoder could not honour, before it plans
+    clips or allocates frames.
+
+    Every field must be positive, the clips of ``gop_size`` frames must
+    number exactly the model records, the video must stay within
+    :data:`MAX_VIDEO_PIXELS`, and width and height must equal the frame
+    size of the backbone config text.  A text that is not a valid config
+    has no frame size; decoders reject it before they plan anything.
+    """
+    fields = {"width": width, "height": height, "frame_count": frame_count,
+              "gop_size": gop_size, "gom_size": gom_size}
+    for name, value in fields.items():
+        if value < 1:
+            raise BitstreamError(f"header {name} {value} is not positive",
+                                 offset=_FIELD_OFFSETS[name])
+    if frame_count * height * width > MAX_VIDEO_PIXELS:
+        raise BitstreamError(f"{frame_count} frames of {width}x{height} "
+                             f"exceed the format limit of "
+                             f"{MAX_VIDEO_PIXELS} pixels",
+                             offset=_FIELD_OFFSETS["frame_count"])
+    clips = -(-frame_count // gop_size)
+    if clips != model_count:
+        raise BitstreamError(f"{frame_count} frames in clips of {gop_size} "
+                             f"need {clips} models, header has "
+                             f"{model_count}",
+                             offset=_FIELD_OFFSETS["gop_size"])
+    try:
+        config = config_from_text(config_text)
+    except ConfigError:
+        return
+    if (config.frame_width, config.frame_height) != (width, height):
+        raise BitstreamError(f"header frame size {width}x{height} differs "
+                             f"from the backbone's "
+                             f"{config.frame_width}x{config.frame_height}",
+                             offset=_FIELD_OFFSETS["width"])
 
 
 def _check_record(rec: ModelRecord, offset=None) -> None:
@@ -146,6 +193,8 @@ def write_bitstream(width: int, height: int, frame_count: int, gop_size: int,
             raise BitstreamError(f"model {rec.index}: payload CRC mismatch "
                                  f"at write time")
         _check_record(rec)
+    _check_video(width, height, frame_count, gop_size, gom_size,
+                 len(records), config_text)
     n_layers = len(records[0].scale) if records else 0
     header = _pack_header(width, height, frame_count, gop_size, gom_size,
                           seed, precision, config_text, n_layers, records)
@@ -208,6 +257,8 @@ def _parse_header(read_exact) -> BitstreamHeader:
     except UnicodeDecodeError as exc:
         raise BitstreamError(f"backbone config text is not UTF-8: {exc}",
                              offset=config_off + exc.start) from None
+    _check_video(width, height, frame_count, gop_size, gom_size,
+                 model_count, config_text)
     for rec, rec_off in zip(records, offsets):
         _check_record(rec, offset=rec_off)
     return BitstreamHeader(width=width, height=height,

@@ -11,6 +11,14 @@ arithmetic, so payload bytes are identical across platforms.
 
 One payload holds every layer of one model, concatenated in layout order
 through a single coder state; the stream is flushed once (4 bytes).
+
+Each layer is coded by one loop (:meth:`RangeEncoder.encode_layer`,
+:meth:`RangeDecoder.decode_layer`) that keeps the coder state in local
+variables and writes it back once per layer.  The loop reads a symbol's
+width from the ``freqs`` list and its start from ``cum``; the decoder
+finds the symbol with one ``bisect_right`` over ``cum`` without its last
+entry, which maps a target past ``FREQ_TOTAL - 1`` to the last symbol,
+and shifts the decoded indices by the bound once per layer, in numpy.
 """
 
 from __future__ import annotations
@@ -102,19 +110,27 @@ class RangeEncoder:
         self._range = _MASK
         self._out = bytearray()
 
-    def encode(self, cum_lo: int, cum_hi: int) -> None:
-        r = self._range // FREQ_TOTAL
-        self._low += r * cum_lo
-        self._range = r * (cum_hi - cum_lo)
+    def encode_layer(self, symbols: np.ndarray, model: SymbolModel) -> None:
+        """Code one layer's symbols, each within ``model``'s bound.
+
+        One loop with the coder state in locals, written back once.
+        """
+        cum = model.cum.tolist()
+        freqs = model.freqs.tolist()
+        indices = (symbols.astype(np.int64) + model.bound).tolist()
         low, rng = self._low, self._range
         out = self._out
-        while (low ^ (low + rng)) < _TOP or rng < _BOTTOM:
-            if (low ^ (low + rng)) >= _TOP:
-                # underflow: clip the range down to the byte boundary
-                rng = ((_MASK + 1) - low) & (_BOTTOM - 1)
-            out.append(low >> 24)
-            low = (low << 8) & _MASK
-            rng = rng << 8
+        for idx in indices:
+            r = rng >> FREQ_BITS
+            low += r * cum[idx]
+            rng = r * freqs[idx]
+            while (low ^ (low + rng)) < _TOP or rng < _BOTTOM:
+                if (low ^ (low + rng)) >= _TOP:
+                    # underflow: clip the range down to the byte boundary
+                    rng = ((_MASK + 1) - low) & (_BOTTOM - 1)
+                out.append(low >> 24)
+                low = (low << 8) & _MASK
+                rng = rng << 8
         self._low, self._range = low, rng
 
     def finish(self) -> bytes:
@@ -128,59 +144,58 @@ class RangeEncoder:
 class RangeDecoder:
     def __init__(self, data: bytes):
         self._data = data
-        self._pos = 0
+        # Reads past the end yield zeros and are counted: truncation
+        # surfaces as a payload length/CRC failure, never as a crash here.
+        head = data[:FLUSH_BYTES].ljust(FLUSH_BYTES, b"\0")
+        self._pos = FLUSH_BYTES
         self._low = 0
         self._range = _MASK
-        self._code = 0
-        for _ in range(FLUSH_BYTES):
-            self._code = (self._code << 8) | self._next_byte()
+        self._code = int.from_bytes(head, "big")
 
     @property
     def consumed(self) -> int:
         """Bytes read so far, counting reads past the end."""
         return self._pos
 
-    def _next_byte(self) -> int:
-        # Reads past the end yield zeros: truncation surfaces as a payload
-        # length/CRC failure in the container, never as a crash here.
-        if self._pos < len(self._data):
-            byte = self._data[self._pos]
-            self._pos += 1
-            return byte
-        self._pos += 1
-        return 0
-
-    def decode_cum(self, cum: list[int]) -> int:
-        """Decode one symbol index given a cumulative frequency list.
+    def decode_layer(self, model: SymbolModel, count: int) -> np.ndarray:
+        """Decode ``count`` symbols of one layer as an int32 array.
 
         A valid payload keeps the code value inside the coder's interval
         ``[low, low + range)``; one that leaves it was not written with
         these tables, and decoding on would spin forever, so it raises
         :class:`BitstreamError`.
         """
-        offset = self._code - self._low
-        if not 0 <= offset < self._range:
-            raise BitstreamError(f"range-coded payload disagrees with its "
-                                 f"symbol tables at payload byte {self._pos}")
-        r = self._range // FREQ_TOTAL
-        target = offset // r
-        if target >= FREQ_TOTAL:
-            target = FREQ_TOTAL - 1
-        idx = bisect_right(cum, target) - 1
-        self._low += r * cum[idx]
-        self._range = r * (cum[idx + 1] - cum[idx])
-        low, rng, code = self._low, self._range, self._code
-        while (low ^ (low + rng)) < _TOP or rng < _BOTTOM:
-            if (low ^ (low + rng)) >= _TOP:
-                rng = ((_MASK + 1) - low) & (_BOTTOM - 1)
-            code = ((code << 8) | self._next_byte()) & _MASK
-            low = (low << 8) & _MASK
-            rng = rng << 8
-        self._low, self._range, self._code = low, rng, code
-        return idx
-
-    def decode(self, model: SymbolModel) -> int:
-        return self.decode_cum(model.cum.tolist()) - model.bound
+        cum = model.cum.tolist()
+        freqs = model.freqs.tolist()
+        # bisect below the last entry: a target past FREQ_TOTAL - 1 maps
+        # to the last symbol
+        last = len(cum) - 1
+        data = self._data
+        size = len(data)
+        pos, low, rng, code = self._pos, self._low, self._range, self._code
+        indices = []
+        append = indices.append
+        for _ in range(count):
+            offset = code - low
+            if not 0 <= offset < rng:
+                raise BitstreamError(f"range-coded payload disagrees with "
+                                     f"its symbol tables at payload byte "
+                                     f"{pos}")
+            r = rng >> FREQ_BITS
+            idx = bisect_right(cum, offset // r, 0, last) - 1
+            low += r * cum[idx]
+            rng = r * freqs[idx]
+            while (low ^ (low + rng)) < _TOP or rng < _BOTTOM:
+                if (low ^ (low + rng)) >= _TOP:
+                    rng = ((_MASK + 1) - low) & (_BOTTOM - 1)
+                byte = data[pos] if pos < size else 0
+                pos += 1
+                code = ((code << 8) | byte) & _MASK
+                low = (low << 8) & _MASK
+                rng = rng << 8
+            append(idx)
+        self._pos, self._low, self._range, self._code = pos, low, rng, code
+        return np.asarray(indices, dtype=np.int32) - np.int32(model.bound)
 
 
 def encode_symbols(symbols: list[np.ndarray],
@@ -197,11 +212,7 @@ def encode_symbols(symbols: list[np.ndarray],
                 label = names[i] if names else f"layer {i}"
                 raise DataError(f"{label}: symbol magnitude {peak} exceeds "
                                 f"alphabet bound {model.bound}")
-        cum = model.cum
-        bound = model.bound
-        for s in sym.tolist():
-            idx = s + bound
-            enc.encode(int(cum[idx]), int(cum[idx + 1]))
+        enc.encode_layer(sym, model)
     return enc.finish()
 
 
@@ -215,15 +226,8 @@ def decode_symbols(payload: bytes, models: list[SymbolModel],
     if len(models) != len(counts):
         raise ConfigError("one model per layer count required")
     dec = RangeDecoder(payload)
-    out = []
-    for model, count in zip(models, counts):
-        cum = model.cum.tolist()
-        bound = model.bound
-        decode_one = dec.decode_cum
-        layer = np.empty(count, dtype=np.int32)
-        for i in range(count):
-            layer[i] = decode_one(cum) - bound
-        out.append(layer)
+    out = [dec.decode_layer(model, count)
+           for model, count in zip(models, counts)]
     if dec.consumed != len(payload):
         raise BitstreamError(f"range decoder consumed {dec.consumed} bytes "
                              f"of a {len(payload)}-byte payload")

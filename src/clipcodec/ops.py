@@ -3,9 +3,15 @@
 Kernels deliberately avoid BLAS (``einsum`` instead of ``dot``) and libm
 transcendentals (:mod:`~clipcodec.detmath` instead), so a forward pass is
 bit-reproducible for a fixed thread count on any IEEE-754 platform.
-Convolution is computed directly as nine shifted channel contractions;
-performance is secondary to reproducibility at the scales this codec
-targets.
+Convolution is computed directly as nine shifted channel contractions.
+The forward pass contracts, for each kernel row, the slab of whole padded
+rows (contiguous along height and width, which ``einsum`` runs about twice
+as fast as a strided tap) and crops each tap's result to the output
+columns; the weight gradient contracts a contiguous copy of each tap.
+Neither changes a bit: every output element still sums the same products
+in the same order (over channels for the output, over batch and pixels
+for the weight gradient); only the length of ``einsum``'s inner loop
+changes.  Tests compare both with the per-tap form bit for bit.
 
 Every op validates shapes up front and raises
 :class:`~clipcodec.errors.ShapeError` naming the op and offending shapes.
@@ -141,10 +147,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     xp[:, :, pad:pad + h, pad:pad + wd] = x.data
     acc = np.zeros((n, cout, h, wd), dtype=x.dtype)
     for di in range(kh):
+        # full padded rows keep the einsum operand contiguous along h and
+        # w; the columns each tap does not need are cropped afterwards
+        slab = xp[:, :, di:di + h]
         for dj in range(kw):
-            acc += np.einsum("nchw,oc->nohw",
-                             xp[:, :, di:di + h, dj:dj + wd],
-                             w.data[:, :, di, dj])
+            acc += np.einsum("nchw,oc->nohw", slab,
+                             w.data[:, :, di, dj])[..., dj:dj + wd]
     if b is not None:
         acc += b.data[None, :, None, None]
 
@@ -157,8 +165,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         gw = np.zeros_like(wdat)
         for di in range(kh):
             for dj in range(kw):
+                # a transient contiguous copy of the tap, dropped at once
                 gw[:, :, di, dj] = np.einsum(
-                    "nohw,nchw->oc", g, xp[:, :, di:di + h, dj:dj + wd])
+                    "nohw,nchw->oc", g,
+                    np.ascontiguousarray(xp[:, :, di:di + h, dj:dj + wd]))
                 gx_pad[:, :, di:di + h, dj:dj + wd] += np.einsum(
                     "nohw,oc->nchw", g, wdat[:, :, di, dj])
         gx = gx_pad[:, :, pad:pad + h, pad:pad + wd]

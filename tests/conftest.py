@@ -101,11 +101,16 @@ def tiny_mlp() -> BackboneConfig:
 def repack(data: bytes, model: int = 0, config_text: str | None = None,
            payload_tail: bytes = b"", **fields) -> bytes:
     """Rewrite a valid stream with header CRC (and payload length and CRC)
-    recomputed, so only the change itself can make it fail: ``fields``
-    replaced in record ``model``, ``payload_tail`` appended to its payload
-    and, if given, another backbone config text.  The writer's record
-    checks are bypassed on purpose."""
+    recomputed, so only the change itself can make it fail: frame fields
+    (``width``, ``height``, ``frame_count``, ``gop_size``, ``gom_size``)
+    in ``fields`` replaced in the header, the other ``fields`` in record
+    ``model``, ``payload_tail`` appended to its payload and, if given,
+    another backbone config text.  The writer's checks are bypassed on
+    purpose."""
     header, payloads = read_bitstream(data)
+    video = {name: fields.pop(name, getattr(header, name))
+             for name in ("width", "height", "frame_count", "gop_size",
+                          "gom_size")}
     payloads[model] += payload_tail
     records = list(header.records)
     for name in ("scale", "mu", "sd", "bound"):
@@ -116,8 +121,9 @@ def repack(data: bytes, model: int = 0, config_text: str | None = None,
     records[model] = dataclasses.replace(
         records[model], payload_len=len(payloads[model]),
         payload_crc=zlib.crc32(payloads[model]), **fields)
-    head = _pack_header(header.width, header.height, header.frame_count,
-                        header.gop_size, header.gom_size, header.seed,
+    head = _pack_header(video["width"], video["height"],
+                        video["frame_count"], video["gop_size"],
+                        video["gom_size"], header.seed,
                         header.precision,
                         header.config_text if config_text is None
                         else config_text, header.n_layers, records)
@@ -135,7 +141,16 @@ def set_config_byte(data: bytes, index: int, value: int) -> bytes:
 
 # Header edits that leave every CRC valid and the stream undecodable:
 # (id, repack keyword arguments).  A scalar array field edits layer 0.
+# The frame-field cases assume 8 frames of 16x16 in 4 clips of 2.
 HOSTILE_HEADERS = [
+    ("frame-count-max", dict(frame_count=2 ** 32 - 1, gop_size=1)),
+    ("frame-count-0", dict(frame_count=0)),
+    ("gop-size-0", dict(gop_size=0)),
+    ("gom-size-0", dict(gom_size=0)),
+    ("width-0", dict(width=0)),
+    ("clip-count-mismatch", dict(frame_count=9)),
+    ("pixels-past-limit", dict(frame_count=2 ** 32 - 1, gop_size=2 ** 30)),
+    ("frame-size-640x480", dict(width=640, height=480)),
     ("bound-0", dict(bound=0)),
     ("bound-past-max", dict(bound=32768)),
     ("sd-inf", dict(sd=np.inf)),

@@ -6,10 +6,12 @@ import zlib
 import numpy as np
 import pytest
 
-from clipcodec.bitstream import (BitstreamReader, ModelRecord,
-                                 dump_header_text, read_bitstream,
-                                 write_bitstream)
+from clipcodec.backbone import config_to_text
+from clipcodec.bitstream import (MAX_VIDEO_PIXELS, BitstreamReader,
+                                 ModelRecord, dump_header_text,
+                                 read_bitstream, write_bitstream)
 from clipcodec.errors import BitstreamError
+from conftest import HOSTILE_HEADERS, repack
 
 CONFIG_TEXT = "kind = nerv-lite\npe_frequencies = 4\n"
 
@@ -158,3 +160,49 @@ def test_write_rejects_mismatched_payload():
     with pytest.raises(BitstreamError):
         write_bitstream(8, 8, 4, 2, 2, 0, "f32", CONFIG_TEXT, [record],
                         [payload + b"x"])
+
+
+_FRAME_FIELDS = {"width", "height", "frame_count", "gop_size", "gom_size"}
+FRAME_FIELD_CASES = [(name, edit) for name, edit in HOSTILE_HEADERS
+                     if set(edit) <= _FRAME_FIELDS]
+
+
+def _frame_stream(tiny_nerv):
+    """8 frames of 16x16 in 4 clips of 2, 2 clips per group, with the
+    config text of a 16x16 backbone: the layout HOSTILE_HEADERS assumes."""
+    payloads = [bytes([i + 1]) * 6 for i in range(4)]
+    records = [_record(i, "I" if i % 2 == 0 else "P", payloads[i])
+               for i in range(4)]
+    args = dict(width=16, height=16, frame_count=8, gop_size=2, gom_size=2,
+                seed=3, precision="f64", config_text=config_to_text(tiny_nerv),
+                records=records, payloads=payloads)
+    return write_bitstream(**args), args
+
+
+@pytest.mark.parametrize("edit", [edit for _, edit in FRAME_FIELD_CASES],
+                         ids=[name for name, _ in FRAME_FIELD_CASES])
+def test_frame_fields_checked_on_read_and_write(tiny_nerv, edit):
+    data, args = _frame_stream(tiny_nerv)
+    assert read_bitstream(data)[0].frame_count == 8
+    bad = repack(data, **edit)
+    with pytest.raises(BitstreamError):
+        read_bitstream(bad)
+    with pytest.raises(BitstreamError):
+        BitstreamReader.from_bytes(bad)
+    with pytest.raises(BitstreamError):
+        write_bitstream(**{**args, **edit})
+
+
+def test_video_pixel_limit_is_inclusive():
+    # 2^31 pixels in 8 clips is the largest video the format allows
+    side = 1 << 13
+    frames = MAX_VIDEO_PIXELS // (side * side)
+    payloads = [b"\x01"] * 8
+    records = [_record(i, "I", payloads[i]) for i in range(8)]
+    data = write_bitstream(side, side, frames, frames // 8, 1, 0, "f32",
+                           CONFIG_TEXT, records, payloads)
+    assert read_bitstream(data)[0].frame_count == frames
+    # one frame more, in 7 clips of 5
+    with pytest.raises(BitstreamError, match="format limit"):
+        write_bitstream(side, side, frames + 1, 5, 1, 0, "f32", CONFIG_TEXT,
+                        records[:7], payloads[:7])

@@ -2,6 +2,7 @@
 
 import math
 import signal
+from bisect import bisect_right
 from contextlib import contextmanager
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.stats import norm
 from clipcodec.coder import (FLUSH_BYTES, FREQ_TOTAL, SymbolModel,
                              build_model, decode_symbols, encode_symbols,
                              model_entropy_bits, sample_symbols)
+from clipcodec.coder import _BOTTOM, _MASK, _TOP
 from clipcodec.errors import BitstreamError, ConfigError, DataError
 from clipcodec.ratequant import LayerStats, rate_bits_eval
 from clipcodec.seeds import make_rng
@@ -191,3 +193,164 @@ def test_payload_length_must_match_bytes_read():
     for bad in (payload + b"\x00", payload + payload[-2:], payload[:-1]):
         with pytest.raises(BitstreamError, match="consumed"):
             decode_symbols(bad, models, [300, 40])
+
+
+# ---------------------------------------------------------------------------
+# Per-symbol references: the coder as it was before the per-layer loops.
+# ``encode_symbols``/``decode_symbols`` must match them byte for byte,
+# symbol for symbol and error for error.
+
+class PerSymbolEncoder:
+    def __init__(self):
+        self._low = 0
+        self._range = _MASK
+        self._out = bytearray()
+
+    def encode(self, cum_lo: int, cum_hi: int) -> None:
+        r = self._range // FREQ_TOTAL
+        self._low += r * cum_lo
+        self._range = r * (cum_hi - cum_lo)
+        low, rng = self._low, self._range
+        out = self._out
+        while (low ^ (low + rng)) < _TOP or rng < _BOTTOM:
+            if (low ^ (low + rng)) >= _TOP:
+                rng = ((_MASK + 1) - low) & (_BOTTOM - 1)
+            out.append(low >> 24)
+            low = (low << 8) & _MASK
+            rng = rng << 8
+        self._low, self._range = low, rng
+
+    def finish(self) -> bytes:
+        low = self._low
+        for _ in range(FLUSH_BYTES):
+            self._out.append(low >> 24)
+            low = (low << 8) & _MASK
+        return bytes(self._out)
+
+
+class PerSymbolDecoder:
+    def __init__(self, data: bytes):
+        self._data = data
+        self._pos = 0
+        self._low = 0
+        self._range = _MASK
+        self._code = 0
+        for _ in range(FLUSH_BYTES):
+            self._code = (self._code << 8) | self._next_byte()
+
+    @property
+    def consumed(self) -> int:
+        return self._pos
+
+    def _next_byte(self) -> int:
+        if self._pos < len(self._data):
+            byte = self._data[self._pos]
+            self._pos += 1
+            return byte
+        self._pos += 1
+        return 0
+
+    def decode_cum(self, cum: list[int]) -> int:
+        offset = self._code - self._low
+        if not 0 <= offset < self._range:
+            raise BitstreamError(f"range-coded payload disagrees with its "
+                                 f"symbol tables at payload byte {self._pos}")
+        r = self._range // FREQ_TOTAL
+        target = offset // r
+        if target >= FREQ_TOTAL:
+            target = FREQ_TOTAL - 1
+        idx = bisect_right(cum, target) - 1
+        self._low += r * cum[idx]
+        self._range = r * (cum[idx + 1] - cum[idx])
+        low, rng, code = self._low, self._range, self._code
+        while (low ^ (low + rng)) < _TOP or rng < _BOTTOM:
+            if (low ^ (low + rng)) >= _TOP:
+                rng = ((_MASK + 1) - low) & (_BOTTOM - 1)
+            code = ((code << 8) | self._next_byte()) & _MASK
+            low = (low << 8) & _MASK
+            rng = rng << 8
+        self._low, self._range, self._code = low, rng, code
+        return idx
+
+
+def per_symbol_encode(symbols, models) -> bytes:
+    enc = PerSymbolEncoder()
+    for sym, model in zip(symbols, models):
+        cum = model.cum
+        for s in sym.tolist():
+            idx = s + model.bound
+            enc.encode(int(cum[idx]), int(cum[idx + 1]))
+    return enc.finish()
+
+
+def per_symbol_decode(payload, models, counts):
+    dec = PerSymbolDecoder(payload)
+    out = []
+    for model, count in zip(models, counts):
+        cum = model.cum.tolist()
+        layer = np.empty(count, dtype=np.int32)
+        for i in range(count):
+            layer[i] = dec.decode_cum(cum) - model.bound
+        out.append(layer)
+    if dec.consumed != len(payload):
+        raise BitstreamError(f"range decoder consumed {dec.consumed} bytes "
+                             f"of a {len(payload)}-byte payload")
+    return out
+
+
+def _outcome(decode, payload, models, counts):
+    """Decoded layers as (dtype, values) pairs, or the error message."""
+    try:
+        layers = decode(payload, models, counts)
+    except BitstreamError as exc:
+        return str(exc)
+    return [(layer.dtype.str, layer.tolist()) for layer in layers]
+
+
+_models = st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(1e-4, 40.0),
+                             st.integers(1, 300), st.integers(0, 400)),
+                   min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), _models, st.integers(0, 2 ** 16))
+def test_layer_loops_match_per_symbol_coder(seed, specs, where):
+    rng = make_rng(seed)
+    models = [build_model(mu, sd, bound) for mu, sd, bound, _ in specs]
+    counts = [count for *_, count in specs]
+    streams = []
+    for model, count in zip(models, counts):
+        if rng.random() < 0.5:
+            streams.append(sample_symbols(model, count, rng))
+        else:
+            streams.append(rng.integers(-model.bound, model.bound + 1,
+                                        count).astype(np.int32))
+    payload = encode_symbols(streams, models)
+    assert payload == per_symbol_encode(streams, models)
+    got = _outcome(decode_symbols, payload, models, counts)
+    assert got == _outcome(per_symbol_decode, payload, models, counts)
+    assert got == [("<i4", s.tolist()) for s in streams]
+    # the same payload damaged: one byte flipped, then cut short
+    if payload:
+        flipped = bytearray(payload)
+        flipped[where % len(payload)] ^= 1 + where % 255
+        for bad in (bytes(flipped), payload[:where % len(payload)]):
+            assert (_outcome(decode_symbols, bad, models, counts)
+                    == _outcome(per_symbol_decode, bad, models, counts))
+
+
+def test_layer_loops_match_per_symbol_coder_on_random_payloads():
+    # the 300 hostile payloads of the budget test above
+    rng = np.random.default_rng(1)
+    errors = 0
+    for _ in range(300):
+        models = [build_model(float(rng.uniform(-3, 3)),
+                              float(10.0 ** rng.uniform(-3, 1.5)),
+                              int(rng.integers(1, 200)))
+                  for _ in range(int(rng.integers(1, 4)))]
+        counts = [int(n) for n in rng.integers(0, 300, len(models))]
+        payload = rng.bytes(int(rng.integers(0, 64)))
+        got = _outcome(decode_symbols, payload, models, counts)
+        assert got == _outcome(per_symbol_decode, payload, models, counts)
+        errors += isinstance(got, str)
+    assert errors > 0

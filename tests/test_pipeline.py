@@ -484,14 +484,14 @@ def test_payloads_are_read_to_their_last_byte(encoded_pair, monkeypatch):
     from clipcodec.coder import RangeDecoder
     header, payloads = read_bitstream(encoded_pair[-1].data)
     consumed = {}
-    original = RangeDecoder.decode_cum
+    original = RangeDecoder.decode_layer
 
-    def spy(self, cum):
-        idx = original(self, cum)
+    def spy(self, model, count):
+        layer = original(self, model, count)
         consumed[id(self)] = self.consumed
-        return idx
+        return layer
 
-    monkeypatch.setattr(RangeDecoder, "decode_cum", spy)
+    monkeypatch.setattr(RangeDecoder, "decode_layer", spy)
     decode_video(encoded_pair[-1].data)
     assert sorted(consumed.values()) == sorted(len(p) for p in payloads)
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import norm
 
 from clipcodec import detmath, ops
@@ -74,6 +74,7 @@ def test_zero_delta_quantizes_to_zero():
 @given(st.lists(st.floats(-100.0, 100.0, allow_nan=False, width=32),
                 min_size=1, max_size=40),
        st.floats(1e-3, 8.0))
+@example([100.0], 0.02705261629397754)  # past a bound of half a step alone
 def test_quantize_round_trip_error_bounded(values, scale):
     delta = _pv(values)
     scales = QuantScale(("w",), np.asarray([scale], dtype=np.float32))
@@ -87,8 +88,19 @@ def test_quantize_round_trip_error_bounded(values, scale):
         return
     symbols = quantize(delta, scales)
     back = dequantize(symbols, scales, delta.layout(), np.float32)
-    err = np.max(np.abs(back["w"].data - delta["w"].data))
-    assert err <= scale * 0.5 * (1.0 + 1e-5)
+    # Half a step, plus the float32 rounding (relative error at most
+    # u = 2^-24) of value / step, which moves the symbol by at most
+    # u * |value| / step, and of symbol * step, whose exact value lies
+    # within |value| + step / 2 + u * |value|.  A quotient too small for
+    # a normal float32 rounds to symbol 0, well inside the bound.  The
+    # difference of two float32 values is exact in float64.
+    step = float(np.float32(scale))
+    value = np.abs(delta["w"].data.astype(np.float64))
+    u = 2.0 ** -24
+    bound = 0.5 * step + u * value + u * (value + 0.5 * step + u * value)
+    err = np.abs(back["w"].data.astype(np.float64)
+                 - delta["w"].data.astype(np.float64))
+    assert np.all(err <= bound)
     # idempotence on the lattice
     again = quantize(back, scales)
     assert np.array_equal(again[0], symbols[0])

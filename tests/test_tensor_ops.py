@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from clipcodec import ops
+from clipcodec.backbone import forward_frame, init_random
 from clipcodec.errors import ShapeError, TapeError
+from clipcodec.presets import nerv_lite_preset
 from clipcodec.tensor import Tape, Tensor, precision
 from conftest import fd_gradient, rel_error
 
@@ -105,6 +107,105 @@ def test_conv2d_gradients_match_fd():
             tensor.grad = None
             numeric = fd_gradient(lambda: run()[0].item(), tensor.data)
             assert rel_error(analytic, numeric) < 1e-6
+
+
+def per_tap_conv2d(x, w, b, g):
+    """Reference: conv2d as nine strided tap contractions, the form before
+    the row-slab forward and the contiguous weight-gradient taps.  Returns
+    the output and the gradients of x, w and b for upstream gradient g.
+    ``ops.conv2d`` must match it bit for bit."""
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    pad = kh // 2
+    xp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + wd] = x
+    out = np.zeros((n, cout, h, wd), dtype=x.dtype)
+    for di in range(kh):
+        for dj in range(kw):
+            out += np.einsum("nchw,oc->nohw",
+                             xp[:, :, di:di + h, dj:dj + wd], w[:, :, di, dj])
+    if b is not None:
+        out += b[None, :, None, None]
+    gx_pad = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for di in range(kh):
+        for dj in range(kw):
+            gw[:, :, di, dj] = np.einsum(
+                "nohw,nchw->oc", g, xp[:, :, di:di + h, dj:dj + wd])
+            gx_pad[:, :, di:di + h, dj:dj + wd] += np.einsum(
+                "nohw,oc->nchw", g, w[:, :, di, dj])
+    gx = gx_pad[:, :, pad:pad + h, pad:pad + wd]
+    gb = None if b is None else g.sum(axis=(0, 2, 3))
+    return out, gx, gw, gb
+
+
+def _nerv_conv_shapes(config):
+    """(input, weight) shapes of each conv2d in a nearest-upsample
+    nerv-lite forward pass, in call order."""
+    h, w, cin = config.base_height, config.base_width, config.base_channels
+    shapes = []
+    for stage in config.stages:
+        h, w = h * stage.scale, w * stage.scale
+        shapes.append(((1, cin, h, w), (stage.channels, cin, 3, 3)))
+        cin = stage.channels
+    shapes.append(((1, cin, h, w), (3, cin, 3, 3)))
+    return shapes
+
+
+# The benchmark's tiers: tiny at 32x32 and small at 64x64.
+TIER_CONFIGS = [nerv_lite_preset(32, 32, "tiny"),
+                nerv_lite_preset(64, 64, "small")]
+TIER_CONV_SHAPES = [shape for config in TIER_CONFIGS
+                    for shape in _nerv_conv_shapes(config)]
+
+
+def test_tier_conv_shapes_are_the_forward_pass(monkeypatch):
+    seen = []
+    original = ops.conv2d
+
+    def spy(x, w, b=None):
+        seen.append((x.shape, w.shape))
+        return original(x, w, b)
+
+    monkeypatch.setattr(ops, "conv2d", spy)
+    for config in TIER_CONFIGS:
+        forward_frame(config, init_random(config, 0), 0.5)
+    assert seen == TIER_CONV_SHAPES and len(seen) == 9
+
+
+class _CaptureTape(Tape):
+    """A tape that keeps the backward closure of the last recorded op."""
+
+    def record(self, out, inputs, backward):
+        super().record(out, inputs, backward)
+        self.last_backward = backward
+
+
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,w_shape", TIER_CONV_SHAPES,
+                         ids=[f"{x[1]}to{w[0]}@{x[2]}"
+                              for x, w in TIER_CONV_SHAPES])
+def test_conv2d_bitwise_equal_to_per_tap_reference(x_shape, w_shape, dtype,
+                                                   bias):
+    rng = np.random.default_rng(hash((x_shape, w_shape)) % 2 ** 32)
+    for _ in range(4):
+        x = rng.standard_normal(x_shape).astype(dtype)
+        w = (rng.standard_normal(w_shape) / 3.0).astype(dtype)
+        b = rng.standard_normal(w_shape[0]).astype(dtype) if bias else None
+        g = rng.standard_normal((x_shape[0], w_shape[0])
+                                + x_shape[2:]).astype(dtype)
+        with _CaptureTape() as tape:
+            out = ops.conv2d(Tensor(x, requires_grad=True),
+                             Tensor(w, requires_grad=True),
+                             None if b is None else Tensor(b,
+                                                           requires_grad=True))
+        grads = tape.last_backward(g)
+        expect = per_tap_conv2d(x, w, b, g)
+        assert len(grads) == (3 if bias else 2)
+        for got, want in zip((out.data,) + tuple(grads), expect):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("op_name", ["gelu", "sin", "sigmoid", "exp"])
