@@ -248,43 +248,6 @@ def frame_timestamps(length: int) -> list[float]:
     return [i / (length - 1) for i in range(length)]
 
 
-def memory_proxy(config: BackboneConfig) -> int:
-    """Parameter count plus forward activation element count."""
-    layout = param_layout(config)
-    params = sum(s.count for s in layout)
-    acts = 0
-    if config.kind == "coord-mlp":
-        rows = config.frame_height * config.frame_width
-        for w in list(config.hidden) + [3]:
-            acts += rows * w
-        return params + acts
-    acts += config.stem_width
-    h, w = config.base_height, config.base_width
-    acts += config.base_channels * h * w
-    for stage in config.stages:
-        h *= stage.scale
-        w *= stage.scale
-        acts += stage.channels * h * w
-    acts += 3 * h * w
-    return params + acts
-
-
-@dataclass
-class ModelInstance:
-    """One trained (or training) network bound to its config and seed."""
-
-    config: BackboneConfig
-    params: ParamVector
-    seed: int
-
-    @classmethod
-    def create(cls, config: BackboneConfig, seed: int) -> "ModelInstance":
-        return cls(config=config, params=init_random(config, seed), seed=seed)
-
-    def frame(self, t_norm: float) -> np.ndarray:
-        return forward_frame(self.config, self.params, t_norm).data
-
-
 # ----------------------------------------------------- config text format
 
 _CONFIG_KEYS = ("kind", "pe_frequencies", "stem_width", "base_channels",
@@ -294,7 +257,7 @@ _CONFIG_KEYS = ("kind", "pe_frequencies", "stem_width", "base_channels",
 
 
 def config_to_text(config: BackboneConfig) -> str:
-    """Canonical ``key = value`` serialization (documented in docs/)."""
+    """Canonical ``key = value`` text (see docs/bitstream.md)."""
     validate(config)
     lines = [f"kind = {config.kind}",
              f"pe_frequencies = {config.pe_frequencies}"]

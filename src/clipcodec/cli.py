@@ -14,17 +14,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics, presets, video as videomod
-from .backbone import config_from_text, config_to_text
+from .backbone import config_from_text
 from .bitstream import BitstreamReader, dump_header_text
 from .errors import (BitstreamError, CodecError, ConfigError, DataError,
                      NumericError)
 from .manifest import RunManifest, build_manifest
 from .pipeline import TrainConfig, decode_gom, decode_video, encode_video, \
     partition
-from .warmstart import EpsilonSchedule, fit_schedule
+from .warmstart import fit_schedule
 
 EXIT_OK = 0
 EXIT_USAGE = 2

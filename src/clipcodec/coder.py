@@ -51,10 +51,6 @@ class SymbolModel:
     freqs: np.ndarray  # (2*bound+1,) uint32, all >= 1, sum == FREQ_TOTAL
     cum: np.ndarray    # (2*bound+2,) uint64 cumulative, cum[-1] == FREQ_TOTAL
 
-    @property
-    def alphabet_size(self) -> int:
-        return 2 * self.bound + 1
-
 
 def build_model(mu: float, sd: float, bound: int) -> SymbolModel:
     """Discretize N(mu, sd^2) over [-bound, bound] into coder frequencies."""

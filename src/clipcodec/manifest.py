@@ -13,7 +13,7 @@ from .pipeline import TrainConfig
 from .warmstart import EpsilonSchedule
 
 TOOL_VERSION = "0.1.0"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class RunManifest:
     schedule_b: float
     schedule_c: float
     backbone_config: str  # config text, embedded verbatim
-    thread_count: int = 1
     jobs: int = 1
     manifest_version: int = MANIFEST_VERSION
 

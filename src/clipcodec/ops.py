@@ -423,38 +423,3 @@ def sum_ordered(x: Tensor) -> Tensor:
     _record(out, (x,),
             lambda g: (np.broadcast_to(g, shape).astype(x.dtype),))
     return out
-
-
-# Registry for dispatch-by-name (diagnostics, generic tests).
-OPS = {
-    "matmul": matmul,
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "neg": neg,
-    "conv2d": conv2d,
-    "pixel-shuffle": pixel_shuffle,
-    "upsample-nearest": upsample_nearest,
-    "reshape": reshape,
-    "permute": permute,
-    "gelu": gelu,
-    "sin": sin,
-    "sigmoid": sigmoid,
-    "exp": exp,
-    "log": log,
-    "clamp-min": clamp_min,
-    "gauss-mass": gauss_mass,
-    "ste-round": ste_round,
-    "mean-square": mean_square,
-    "sum": sum_all,
-}
-
-
-def apply(kind: str, *args, **kwargs) -> Tensor:
-    """Dispatch an op by registry name."""
-    try:
-        fn = OPS[kind]
-    except KeyError:
-        raise ShapeError(f"unknown op kind {kind!r}") from None
-    return fn(*args, **kwargs)

@@ -36,7 +36,7 @@ from .coder import build_model, decode_symbols, encode_symbols
 from .errors import BitstreamError, ConfigError, NumericError
 from .optim import adam_init, adam_step, lr_at
 from .params import ParamVector
-from .ratequant import (LayerStats, QuantScale, RateEstimate, apply_residual,
+from .ratequant import (LayerStats, QuantScale, apply_residual,
                         initial_scales, layer_stats, quantize, rate_bits_eval,
                         rate_bits_train, residual)
 from .seeds import STREAM_NOISE, make_rng, model_seed
@@ -103,7 +103,6 @@ class TrainConfig:
     lr_p: float = 5e-3
     lam: float = 5.0
     warmup_frac: float = 0.1
-    batch_size: int = 1  # one frame per step; the only supported value
     seed: int = 0
     schedule: EpsilonSchedule = field(default_factory=EpsilonSchedule)
 
@@ -114,8 +113,6 @@ class TrainConfig:
             raise ConfigError("learning rates and lambda must be positive")
         if not 0.0 < self.warmup_frac < 1.0:
             raise ConfigError("warmup_frac must lie in (0, 1)")
-        if self.batch_size != 1:
-            raise ConfigError("only batch_size=1 is supported")
 
 
 def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
@@ -176,7 +173,6 @@ class TrainedModel:
     final_mse: float
     frames: np.ndarray               # (n, 3, H, W) uint8 rendered clip
     epoch_logs: list[dict]
-    checkpoint_mse: dict[int, float]
 
 
 def _freeze_lattice(theta_prime: ParamVector, theta_star: ParamVector,
@@ -211,17 +207,15 @@ def _render_clip(config: BackboneConfig, params: ParamVector,
 
 
 def train_model(role: str, frames: np.ndarray, init: ParamVector,
-                config: BackboneConfig, cfg: TrainConfig, seed: int,
-                checkpoint_epochs=()) -> TrainedModel:
+                config: BackboneConfig, cfg: TrainConfig,
+                seed: int) -> TrainedModel:
     """Fit one clip model and produce its codable residual.
 
     ``frames`` is the clip's (n, 3, H, W) normalized pixel data; ``init``
     is the warm start (random for I-models, blended for P-models).  Runs
     epochs * n steps, one frame per step in clip order.  The returned
     parameters are snapped to the quantization lattice, i.e. exactly what
-    a decoder reconstructs from the symbols.  ``checkpoint_epochs`` asks
-    for the lattice-snapped clip MSE after those many epochs (the decoder
-    quality a stream truncated there would deliver).
+    a decoder reconstructs from the symbols.
     """
     epochs = cfg.epochs_i if role == ROLE_I else cfg.epochs_p
     base_lr = cfg.lr_i if role == ROLE_I else cfg.lr_p
@@ -241,8 +235,6 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
     targets = frames.transpose(0, 2, 3, 1).astype(dtype)
     t_norms = frame_timestamps(len(frames))
     epoch_logs: list[dict] = []
-    checkpoints: dict[int, float] = {}
-    wanted = set(checkpoint_epochs)
     for epoch in range(epochs):
         lr = lr_at(epoch, epochs, base_lr, cfg.warmup_frac)
         rate_sum = 0.0
@@ -269,11 +261,6 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
                            "loss_r": rate_sum / len(frames),
                            "loss_d": mse_sum / len(frames),
                            "lr": lr})
-        if (epoch + 1) in wanted:
-            snapped, _, _, _ = _freeze_lattice(theta_prime, theta_star,
-                                               log_scales, dtype)
-            checkpoints[epoch + 1], _ = _render_clip(config, snapped,
-                                                     targets, t_norms)
 
     theta_final, symbols, scales, stats = _freeze_lattice(
         theta_prime, theta_star, log_scales, dtype)
@@ -282,8 +269,7 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
                         symbols=[s.reshape(-1) for s in symbols],
                         scales=scales, stats=stats,
                         final_mse=final_mse, frames=rendered,
-                        epoch_logs=epoch_logs,
-                        checkpoint_mse=checkpoints)
+                        epoch_logs=epoch_logs)
 
 
 @dataclass
@@ -316,30 +302,52 @@ class EncodeResult:
         return totals
 
 
-def _encode_gom(normalized: np.ndarray, plan: PartitionPlan,
-                config: BackboneConfig, cfg: TrainConfig, gom_index: int):
-    """Train and code every model of one group (self-contained worker)."""
+def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
+              gom_index: int, epsilon_of, finish) -> list:
+    """The I/P warm-start chain of one group, shared by encoder and decoder.
+
+    Each model draws its seeded random init.  The I model starts from that
+    init; every P model starts from ``interpolate_init`` of its
+    predecessor's init and final parameters at ``epsilon_of(gop_index)``.
+    ``finish(gop_index, role, epsilon, theta_prime)`` turns the start into
+    ``(final parameters, result)``; the results are returned in order.
+    """
     first, end = plan.goms[gom_index]
     results = []
-    prev_theta: ParamVector | None = None
     prev_rand: ParamVector | None = None
+    prev_theta: ParamVector | None = None
     for gop_index in range(first, end):
-        start, stop = plan.gops[gop_index]
-        clip = normalized[start:stop]
-        rand = init_random(config, model_seed(cfg.seed, gop_index))
+        rand = init_random(config, model_seed(seed, gop_index))
         if gop_index == first:
-            role, epsilon = ROLE_I, np.float32(0.0)
-            theta_prime = rand
+            role, epsilon, theta_prime = ROLE_I, np.float32(0.0), rand
         else:
-            role = ROLE_P
-            pstart, pstop = plan.gops[gop_index - 1]
-            gap = gop_gap_mse(normalized[pstart:pstop], clip)
-            epsilon = np.float32(epsilon_for(gap, cfg.schedule))
+            role, epsilon = ROLE_P, epsilon_of(gop_index)
             theta_prime = interpolate_init(prev_rand, prev_theta,
                                            float(epsilon))
+        prev_theta, result = finish(gop_index, role, epsilon, theta_prime)
+        prev_rand = rand
+        results.append(result)
+    return results
+
+
+def _encode_gom(normalized: np.ndarray, plan: PartitionPlan,
+                config: BackboneConfig, cfg: TrainConfig, gom_index: int):
+    """Train and code every model of one group (self-contained worker).
+
+    Returns one ``(record, log, payload, final parameters, rendered
+    frames)`` row per model.
+    """
+    def epsilon_of(gop_index):
+        pstart, pstop = plan.gops[gop_index - 1]
+        start, stop = plan.gops[gop_index]
+        gap = gop_gap_mse(normalized[pstart:pstop], normalized[start:stop])
+        return np.float32(epsilon_for(gap, cfg.schedule))
+
+    def finish(gop_index, role, epsilon, theta_prime):
+        start, stop = plan.gops[gop_index]
         tic = time.perf_counter()
-        trained = train_model(role, clip, theta_prime, config, cfg,
-                              model_seed(cfg.seed, gop_index))
+        trained = train_model(role, normalized[start:stop], theta_prime,
+                              config, cfg, model_seed(cfg.seed, gop_index))
         seconds = time.perf_counter() - tic
 
         bounds = np.asarray(
@@ -351,25 +359,20 @@ def _encode_gom(normalized: np.ndarray, plan: PartitionPlan,
         payload = encode_symbols(trained.symbols, models,
                                  names=tuple(theta_prime.names))
         estimate = rate_bits_eval(trained.symbols, trained.stats)
-        results.append({
-            "gop_index": gop_index,
-            "role": role,
-            "epsilon": float(epsilon),
-            "scales": trained.scales.values,
-            "mu": trained.stats.mu,
-            "sd": trained.stats.sd,
-            "bounds": bounds,
-            "payload": payload,
-            "estimate_bits": estimate.total_bits,
-            "train_seconds": seconds,
-            "final_mse": trained.final_mse,
-            "epoch_logs": trained.epoch_logs,
-            "theta": trained.theta_star,
-            "frames": trained.frames,
-        })
-        prev_theta = trained.theta_star
-        prev_rand = rand
-    return results
+        record = ModelRecord(
+            index=gop_index, role=role, epsilon=float(epsilon),
+            scale=trained.scales.values, mu=trained.stats.mu,
+            sd=trained.stats.sd, bound=bounds, payload_len=len(payload),
+            payload_crc=zlib.crc32(payload))
+        log = ModelLog(
+            index=gop_index, role=role, epsilon=float(epsilon),
+            payload_bits=8 * len(payload),
+            estimate_bits=estimate.total_bits, train_seconds=seconds,
+            final_mse=trained.final_mse, epoch_logs=trained.epoch_logs)
+        theta = trained.theta_star
+        return theta, (record, log, payload, theta, trained.frames)
+
+    return _walk_gom(config, cfg.seed, plan, gom_index, epsilon_of, finish)
 
 
 def _gom_worker(args):
@@ -399,29 +402,8 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
     else:
         gom_results = [_gom_worker(task) for task in tasks]
 
-    records: list[ModelRecord] = []
-    payloads: list[bytes] = []
-    per_model: list[ModelLog] = []
-    final_params: list[ParamVector] = []
-    clips: list[np.ndarray] = []
-    for results in gom_results:
-        for item in results:
-            payload = item["payload"]
-            records.append(ModelRecord(
-                index=item["gop_index"], role=item["role"],
-                epsilon=item["epsilon"], scale=item["scales"],
-                mu=item["mu"], sd=item["sd"], bound=item["bounds"],
-                payload_len=len(payload), payload_crc=zlib.crc32(payload)))
-            payloads.append(payload)
-            per_model.append(ModelLog(
-                index=item["gop_index"], role=item["role"],
-                epsilon=item["epsilon"], payload_bits=8 * len(payload),
-                estimate_bits=item["estimate_bits"],
-                train_seconds=item["train_seconds"],
-                final_mse=item["final_mse"],
-                epoch_logs=item["epoch_logs"]))
-            final_params.append(item["theta"])
-            clips.append(item["frames"])
+    records, per_model, payloads, final_params, clips = map(list, zip(
+        *(row for rows in gom_results for row in rows)))
 
     data = write_bitstream(video.width, video.height, video.frame_count,
                            plan.gop_size, plan.gom_size, cfg.seed,
@@ -471,10 +453,10 @@ def _plan_from_header(header: BitstreamHeader):
     if header.precision != config.precision:
         raise BitstreamError("header precision disagrees with config text")
     plan = partition(header.frame_count, header.gop_size, header.gom_size)
-    layout = param_layout(config)
-    if header.n_layers != len(layout):
+    n_layers = len(param_layout(config))
+    if header.n_layers != n_layers:
         raise BitstreamError(f"header declares {header.n_layers} layers, "
-                             f"config yields {len(layout)}")
+                             f"config yields {n_layers}")
     if len(header.records) != plan.gop_count:
         raise BitstreamError(f"header has {len(header.records)} models, "
                              f"plan needs {plan.gop_count}")
@@ -485,46 +467,35 @@ def _plan_from_header(header: BitstreamHeader):
         if rec.role != plan.role_of(gop_index):
             raise BitstreamError(f"model {gop_index}: role {rec.role} "
                                  f"contradicts the partition")
-    return config, plan, layout
+    return config, plan
 
 
 def _decode_gom_params(header: BitstreamHeader, config: BackboneConfig,
-                       plan: PartitionPlan, layout, gom_index: int,
+                       plan: PartitionPlan, gom_index: int,
                        payload_of) -> list[ParamVector]:
     """Reconstruct every model of one group from header + payloads."""
-    names = tuple(spec.name for spec in layout)
-    counts = [spec.count for spec in layout]
-    first, end = plan.goms[gom_index]
-    params: list[ParamVector] = []
-    prev_theta: ParamVector | None = None
-    prev_rand: ParamVector | None = None
-    for gop_index in range(first, end):
+    def finish(gop_index, role, epsilon, theta_prime):
         rec = header.records[gop_index]
-        rand = init_random(config, model_seed(header.seed, gop_index))
-        if gop_index == first:
-            theta_prime = rand
-        else:
-            theta_prime = interpolate_init(prev_rand, prev_theta,
-                                           float(rec.epsilon))
-        scales = QuantScale(names, rec.scale.astype(np.float32))
         models = [build_model(float(mu), float(sd), int(bound))
                   for mu, sd, bound in zip(rec.mu, rec.sd, rec.bound)]
-        symbols = decode_symbols(payload_of(gop_index), models, counts)
+        symbols = decode_symbols(payload_of(gop_index), models,
+                                 [t.size for t in theta_prime.tensors()])
+        scales = QuantScale(theta_prime.names, rec.scale.astype(np.float32))
         theta = apply_residual(theta_prime, symbols, scales)
-        params.append(theta)
-        prev_theta = theta
-        prev_rand = rand
-    return params
+        return theta, theta
+
+    return _walk_gom(config, header.seed, plan, gom_index,
+                     lambda gop_index: header.records[gop_index].epsilon,
+                     finish)
 
 
 def decode_video(data: bytes) -> RawVideo:
     """Reconstruct the full video from bitstream bytes (pure function)."""
     header, payloads = read_bitstream(data)
-    config, plan, layout = _plan_from_header(header)
+    config, plan = _plan_from_header(header)
     params: list[ParamVector] = []
     for gom_index in range(plan.gom_count):
-        params.extend(_decode_gom_params(header, config, plan, layout,
-                                         gom_index,
+        params.extend(_decode_gom_params(header, config, plan, gom_index,
                                          lambda i: payloads[i]))
     return render_video(config, params, plan)
 
@@ -533,20 +504,12 @@ def decode_gom(reader: BitstreamReader,
                gom_index: int) -> tuple[RawVideo, tuple[int, int]]:
     """Decode one group via random access; reads only its payload range."""
     header = reader.header
-    config, plan, layout = _plan_from_header(header)
+    config, plan = _plan_from_header(header)
     if not 0 <= gom_index < plan.gom_count:
         raise ConfigError(f"gom index {gom_index} outside "
                           f"[0, {plan.gom_count})")
-    params = _decode_gom_params(header, config, plan, layout, gom_index,
+    params = _decode_gom_params(header, config, plan, gom_index,
                                 reader.read_payload)
-    first, end = plan.goms[gom_index]
-    sub_plan = PartitionPlan(
-        frame_count=plan.gom_frame_range(gom_index)[1]
-        - plan.gom_frame_range(gom_index)[0],
-        gop_size=plan.gop_size, gom_size=plan.gom_size,
-        gops=tuple((s - plan.gom_frame_range(gom_index)[0],
-                    e - plan.gom_frame_range(gom_index)[0])
-                   for s, e in plan.gops[first:end]),
-        goms=((0, end - first),))
-    return (render_video(config, params, sub_plan),
-            plan.gom_frame_range(gom_index))
+    start, stop = plan.gom_frame_range(gom_index)
+    sub_plan = partition(stop - start, plan.gop_size, plan.gom_size)
+    return render_video(config, params, sub_plan), (start, stop)

@@ -1,17 +1,11 @@
 """Named configurations: backbone tiers, clip-length presets, loss weights.
 
-Desk-scale tiers keep a full encode under ten minutes on a laptop.  The
-full-scale entries mirror the published operating points this codec's
-design targets (clip lengths 6/30/120, model sizes 0.3-9 MB, the two
-loss-weight families, and their epoch/learning-rate schedules); they are
-honored as named configs but the test suite never trains them.
+Desk-scale tiers keep a full encode under ten minutes on a laptop.
 """
 
 from __future__ import annotations
 
-import math
-
-from .backbone import BackboneConfig, UpsampleStage, param_layout
+from .backbone import BackboneConfig, UpsampleStage
 from .errors import ConfigError
 from .warmstart import EpsilonSchedule
 
@@ -28,15 +22,6 @@ LAMBDA_PRESETS = {
     "quality": 5.0,
     "rate": 0.5,
 }
-
-# Full-scale training schedules per clip-length preset (not used in tests).
-FULL_SCALE_EPOCHS_I = {"gop-small": 3000, "gop-medium": 1500,
-                       "gop-large": 1500}
-FULL_SCALE_EPOCHS_P = {"gop-small": 2000, "gop-medium": 2000,
-                       "gop-large": 1000}
-FULL_SCALE_LR = {"gop-small": 5e-3, "gop-medium": 5e-3, "gop-large": 2e-3}
-FULL_SCALE_LR_COMPACT = {"gop-small": 2e-3, "gop-medium": 2e-3,
-                         "gop-large": 1e-3}
 
 # Default blend schedule; b calibrated by scripts/calibrate_epsilon.py on
 # the bundled synthetic set (see that script for the procedure).
@@ -85,36 +70,3 @@ def nerv_lite_preset(width: int, height: int, tier: str = "tiny",
         base_channels=base_channels, base_height=base_h, base_width=base_w,
         stages=tuple(stages), frame_height=height, frame_width=width,
         activation="gelu", upsample="nearest", precision=precision)
-
-
-# Full-scale model-size ladder (MB of float32 parameters) at 1920x1080.
-MODEL_SIZE_PRESETS_MB = (0.3, 0.45, 0.6, 0.9, 1.8, 2.7, 3.0, 4.5, 6.0, 9.0)
-
-
-def full_scale_config(size_mb: float, width: int = 1920,
-                      height: int = 1080) -> BackboneConfig:
-    """A backbone whose parameter count approximates ``size_mb`` megabytes.
-
-    Channel widths scale with sqrt(size); layout only -- training these is
-    out of desk-scale scope.
-    """
-    if size_mb <= 0:
-        raise ConfigError("model size must be positive")
-    # base 15x? 1080 = 15 * 72; use a 15x27-ish base with three 2x stages
-    # and one 3x: 15*2*2*2*3 = 360? Keep it simple: 1080 = 135 * 8.
-    base_h, base_w = height // 8, width // 8
-    scale = math.sqrt(size_mb / 0.3)
-    stem = max(16, int(round(24 * scale)))
-    chans = [max(8, int(round(c * scale))) for c in (24, 16, 12)]
-    config = BackboneConfig(
-        kind="nerv-lite", pe_frequencies=8, stem_width=stem,
-        base_channels=chans[0], base_height=base_h, base_width=base_w,
-        stages=(UpsampleStage(2, chans[0]), UpsampleStage(2, chans[1]),
-                UpsampleStage(2, chans[2])),
-        frame_height=height, frame_width=width)
-    return config
-
-
-def preset_param_bytes(config: BackboneConfig) -> int:
-    itemsize = 4 if config.precision == "f32" else 8
-    return itemsize * sum(spec.count for spec in param_layout(config))

@@ -132,20 +132,6 @@ def quantize(delta: ParamVector, scales: QuantScale) -> list[np.ndarray]:
     return symbols
 
 
-def dequantize(symbols: list[np.ndarray], scales: QuantScale,
-               layout, dtype) -> ParamVector:
-    """Reconstruct the lattice points symbol * scale."""
-    if len(symbols) != len(scales.names):
-        raise LayoutError("symbol stream count does not match layout")
-    dtype = np.dtype(dtype)
-    segments = []
-    for sym, value, (name, shape) in zip(symbols, scales.values, layout):
-        step = dtype.type(value)
-        segments.append((name, Tensor((sym.astype(dtype) * step)
-                                      .reshape(shape))))
-    return ParamVector(segments)
-
-
 def apply_residual(theta_prime: ParamVector, symbols: list[np.ndarray],
                    scales: QuantScale) -> ParamVector:
     """Lattice snap shared by encoder and decoder: prime + symbol * scale.
@@ -242,13 +228,6 @@ def rate_bits_eval(symbols: list[np.ndarray], stats: LayerStats) -> RateEstimate
         bits = -detmath.log2(np.maximum(mass, EVAL_PROB_FLOOR))
         per_layer[i] = float(np.sum(bits))
     return RateEstimate(float(per_layer.sum()), per_layer)
-
-
-def combined_loss(frame_mse: float, rate: RateEstimate, lam: float) -> float:
-    """Training objective: estimated bits plus lam times distortion."""
-    if lam <= 0:
-        raise ConfigError(f"distortion weight must be positive, got {lam}")
-    return rate.total_bits + lam * frame_mse
 
 
 # Re-exported here because straight-through rounding is part of this

@@ -7,51 +7,19 @@ of every leaf tensor that requires them.  A tape can be walked backward
 exactly once; a second call raises :class:`~clipcodec.errors.TapeError`
 rather than silently recomputing.
 
-Precision is chosen once per run: float32 for training (the default),
-float64 for gradient-check tests.  Operations inherit the dtype of their
-inputs, so the choice made when parameters are created flows through the
-whole graph.
+Precision follows the data: a float32 or float64 array keeps its dtype
+and anything else becomes float32 unless ``dtype`` is given.  Operations
+inherit the dtype of their inputs, so the precision parameters are
+created with (``BackboneConfig.precision``) flows through the whole graph.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import TapeError
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
-
-_default_dtype = np.float32
-
-
-def set_default_dtype(name: str) -> None:
-    global _default_dtype
-    _default_dtype = DTYPES[name]
-
-
-def default_dtype():
-    return _default_dtype
-
-
-@contextmanager
-def precision(name: str):
-    """Temporarily switch the default dtype (``"f32"`` or ``"f64"``)."""
-    global _default_dtype
-    prev = _default_dtype
-    _default_dtype = DTYPES[name]
-    try:
-        yield
-    finally:
-        _default_dtype = prev
-
-
-def dtype_name(dtype) -> str:
-    for name, dt in DTYPES.items():
-        if np.dtype(dtype) == np.dtype(dt):
-            return name
-    raise KeyError(f"unsupported dtype {dtype}")
 
 
 class Tensor:
@@ -65,7 +33,7 @@ class Tensor:
                                                                np.float64):
                 dtype = data.dtype
             else:
-                dtype = _default_dtype
+                dtype = np.float32
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -81,9 +49,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def item(self) -> float:
         return float(self.data)

@@ -55,10 +55,6 @@ def denormalize(frames: np.ndarray) -> np.ndarray:
     return np.clip(scaled, 0.0, 255.0).astype(np.uint8)
 
 
-def from_normalized(frames: np.ndarray, width: int, height: int) -> RawVideo:
-    return RawVideo(width=width, height=height, frames=denormalize(frames))
-
-
 def load_raw(path, width: int, height: int) -> RawVideo:
     """Read planar RGB8; the frame count is inferred from the file size."""
     raw = Path(path).read_bytes()

@@ -14,14 +14,13 @@ schedule passes through epsilon(0) = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from . import detmath
-from .errors import ConfigError, DataError, LayoutError
+from .errors import ConfigError, DataError
 from .params import ParamVector
 from .tensor import Tensor
 

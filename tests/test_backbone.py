@@ -6,8 +6,7 @@ import pytest
 from clipcodec import ops
 from clipcodec.backbone import (BackboneConfig, UpsampleStage, config_from_text,
                                 config_to_text, forward_frame,
-                                frame_timestamps, init_random, memory_proxy,
-                                param_layout)
+                                frame_timestamps, init_random, param_layout)
 from clipcodec.errors import ConfigError, NumericError
 from clipcodec.params import ParamVector
 from clipcodec.tensor import Tape, Tensor
@@ -149,10 +148,3 @@ def test_config_text_rejects_unknown_key():
 def test_config_text_rejects_non_integer_values(text):
     with pytest.raises(ConfigError):
         config_from_text(text)
-
-
-def test_memory_proxy_monotone_in_tier():
-    from clipcodec.presets import nerv_lite_preset
-    tiers = [memory_proxy(nerv_lite_preset(32, 32, t))
-             for t in ("tiny", "small", "medium")]
-    assert tiers[0] < tiers[1] < tiers[2]

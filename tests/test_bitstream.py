@@ -1,12 +1,15 @@
 """Container format: round trips, tamper detection, random access."""
 
 import io
+import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from clipcodec.backbone import config_to_text
+from clipcodec import bitstream
 from clipcodec.bitstream import (MAX_VIDEO_PIXELS, BitstreamReader,
                                  ModelRecord, dump_header_text,
                                  read_bitstream, write_bitstream)
@@ -206,3 +209,34 @@ def test_video_pixel_limit_is_inclusive():
     with pytest.raises(BitstreamError, match="format limit"):
         write_bitstream(side, side, frames + 1, 5, 1, 0, "f32", CONFIG_TEXT,
                         records[:7], payloads[:7])
+
+
+DOC = Path(__file__).resolve().parent.parent / "docs" / "bitstream.md"
+
+
+def _doc_field_table():
+    """(section, offset, field, format) rows of the document's field table."""
+    rows = []
+    for line in DOC.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0].startswith("`_"):
+            rows.append((cells[0].strip("`"), int(cells[1]), cells[2],
+                         cells[3].strip("`")))
+    return rows
+
+
+def test_documented_field_table_matches_struct_formats():
+    rows = _doc_field_table()
+    sections = ("_FIXED", "_LAYERS", "_REC_HEAD", "_REC_TAIL", "_CRC")
+    assert {section for section, *_ in rows} == set(sections)
+    for section in sections:
+        fields = [row for row in rows if row[0] == section]
+        layout = getattr(bitstream, section)
+        assert "<" + "".join(fmt for *_, fmt in fields) == layout.format
+        for k, (_, offset, name, _) in enumerate(fields):
+            prefix = "<" + "".join(fmt for *_, fmt in fields[:k])
+            assert offset == struct.calcsize(prefix), (section, name)
+    frame_fields = {name: offset for section, offset, name, _ in rows
+                    if section == "_FIXED"}
+    for name, offset in bitstream._FIELD_OFFSETS.items():
+        assert frame_fields[name] == offset, name

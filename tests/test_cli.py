@@ -1,6 +1,7 @@
 """CLI workflows and exit-code contract."""
 
 import csv
+import json
 import math
 import os
 import subprocess
@@ -13,6 +14,8 @@ import pytest
 import clipcodec
 from clipcodec import detmath
 from clipcodec.cli import main
+from clipcodec.errors import DataError
+from clipcodec.manifest import RunManifest
 from clipcodec.metrics import psnr
 from clipcodec.video import load_raw
 from conftest import HOSTILE_HEADERS, repack, set_config_byte
@@ -79,6 +82,22 @@ def test_manifest_rerun_is_byte_identical(workdir):
                  str(workdir / "again.bits")]) == 0
     assert (workdir / "again.bits").read_bytes() == \
         (workdir / "out.bits").read_bytes()
+
+
+def test_v1_manifest_with_thread_count_is_refused(workdir, tmp_path):
+    # version 1 carried a thread_count field that nothing set; version 2
+    # drops it, so a v1 file is refused for its version, not its fields
+    raw = json.loads((workdir / "out.bits.manifest.json").read_text())
+    assert raw["manifest_version"] == 2 and "thread_count" not in raw
+    raw.update(manifest_version=1, thread_count=1)
+    old = tmp_path / "v1.manifest.json"
+    old.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match="unsupported manifest version 1"):
+        RunManifest.load(old)
+    out = tmp_path / "v1.bits"
+    assert main(["encode", "--from-manifest", str(old), "--out",
+                 str(out)]) == 3
+    assert not out.exists()
 
 
 def test_missing_input_exits_3_without_partial_output(tmp_path):

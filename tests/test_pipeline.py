@@ -361,11 +361,11 @@ def test_decoded_parameters_bit_identical(encoded_pair):
     video, config, plan, cfg, result = encoded_pair
     header, payloads = read_bitstream(result.data)
     from clipcodec.pipeline import _decode_gom_params, _plan_from_header
-    config2, plan2, layout = _plan_from_header(header)
+    config2, plan2 = _plan_from_header(header)
     params = []
     for gom_index in range(plan2.gom_count):
-        params.extend(_decode_gom_params(header, config2, plan2, layout,
-                                         gom_index, lambda i: payloads[i]))
+        params.extend(_decode_gom_params(header, config2, plan2, gom_index,
+                                         lambda i: payloads[i]))
     assert len(params) == len(result.final_params)
     for decoded, encoded in zip(params, result.final_params):
         assert np.array_equal(decoded.flatten(), encoded.flatten())
@@ -422,6 +422,23 @@ def test_single_gom_decode_reads_only_its_range(encoded_pair):
     assert spy.reads
     for start, length in spy.reads:
         assert lo <= start and start + length <= hi
+
+
+def test_decode_gom_with_short_last_clip_and_partial_last_group():
+    # 7 frames in clips of 2, 3 clips per group: the last clip has one
+    # frame and the last group holds only that clip
+    config = small_config()
+    video = synth_video("moving-blob", 16, 16, 7, velocity=1.0, seed=3)
+    plan = partition(7, 2, 3)
+    assert plan.gops[-1] == (6, 7) and plan.goms == ((0, 3), (3, 4))
+    data = encode_video(video, plan, config,
+                        quick_cfg(epochs_i=2, epochs_p=2)).data
+    full = decode_video(data)
+    reader = BitstreamReader.from_bytes(data)
+    for gom_index in range(plan.gom_count):
+        part, (start, stop) = decode_gom(reader, gom_index)
+        assert (start, stop) == plan.gom_frame_range(gom_index)
+        assert np.array_equal(part.frames, full.frames[start:stop])
 
 
 def test_decode_frame_count_and_range(encoded_pair):
@@ -488,7 +505,9 @@ def test_payloads_are_read_to_their_last_byte(encoded_pair, monkeypatch):
 
     def spy(self, model, count):
         layer = original(self, model, count)
-        consumed[id(self)] = self.consumed
+        # keyed by the decoder itself, which keeps it alive: a freed
+        # decoder's id() can be reused by the next one
+        consumed[self] = self.consumed
         return layer
 
     monkeypatch.setattr(RangeDecoder, "decode_layer", spy)

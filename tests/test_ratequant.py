@@ -1,4 +1,4 @@
-"""Quantization, the rate model, and the combined loss."""
+"""Quantization and the rate model."""
 
 import math
 
@@ -12,15 +12,22 @@ from clipcodec.errors import ConfigError, LayoutError
 from clipcodec.params import ParamVector
 from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_TRAIN_FLOOR,
                                  TRAIN_PROB_FLOOR, LayerStats, QuantScale,
-                                 apply_residual, combined_loss, dequantize,
-                                 initial_scales, layer_stats, quantize,
-                                 rate_bits_eval, rate_bits_train, residual)
+                                 apply_residual, initial_scales, layer_stats,
+                                 quantize, rate_bits_eval, rate_bits_train,
+                                 residual)
 from clipcodec.tensor import Tape, Tensor
 from conftest import fd_gradient, rel_error
 
 
 def _pv(values, name="w"):
     return ParamVector([(name, Tensor(np.asarray(values, dtype=np.float32)))])
+
+
+def _lattice(symbols, scales, like):
+    """symbol * step: the residual applied to a zero warm start."""
+    zero = ParamVector([(name, Tensor(np.zeros_like(t.data)))
+                        for name, t in like.items()])
+    return apply_residual(zero, symbols, scales)
 
 
 def test_residual_elementwise():
@@ -51,7 +58,7 @@ def test_quantize_example_values():
     scales = QuantScale(("w",), np.asarray([0.5], dtype=np.float32))
     symbols = quantize(delta, scales)
     assert np.array_equal(symbols[0], [1, -3])
-    back = dequantize(symbols, scales, delta.layout(), np.float32)
+    back = _lattice(symbols, scales, delta)
     assert np.allclose(back["w"].data, [0.5, -1.5])
 
 
@@ -66,7 +73,7 @@ def test_zero_delta_quantizes_to_zero():
     scales = QuantScale(("w",), np.asarray([0.25], dtype=np.float32))
     symbols = quantize(delta, scales)
     assert not symbols[0].any()
-    back = dequantize(symbols, scales, delta.layout(), np.float32)
+    back = _lattice(symbols, scales, delta)
     assert np.all(back["w"].data == 0.0)
 
 
@@ -87,7 +94,7 @@ def test_quantize_round_trip_error_bounded(values, scale):
             quantize(delta, scales)
         return
     symbols = quantize(delta, scales)
-    back = dequantize(symbols, scales, delta.layout(), np.float32)
+    back = _lattice(symbols, scales, delta)
     # Half a step, plus the float32 rounding (relative error at most
     # u = 2^-24) of value / step, which moves the symbol by at most
     # u * |value| / step, and of symbol * step, whose exact value lies
@@ -292,21 +299,6 @@ def test_train_and_eval_rate_agree_in_direction():
         bits[name] = rate_bits_eval([sym], stats).total_bits
     assert bits["large"] > bits["small"]
 
-
-def test_combined_loss_formula():
-    est = rate_bits_eval([np.zeros(0, dtype=np.int32)],
-                         LayerStats(("w",), np.zeros(1, np.float32),
-                                    np.ones(1, np.float32)))
-    base = combined_loss(0.5, _fixed_rate(10.0), 5.0)
-    assert base == pytest.approx(12.5)
-    assert combined_loss(0.0, _fixed_rate(7.0), 2.0) == pytest.approx(7.0)
-    with pytest.raises(ConfigError):
-        combined_loss(0.1, est, 0.0)
-
-
-def _fixed_rate(total):
-    from clipcodec.ratequant import RateEstimate
-    return RateEstimate(total, np.asarray([total]))
 
 
 def test_lambda_presets_exist():

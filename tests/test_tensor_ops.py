@@ -7,7 +7,7 @@ from clipcodec import ops
 from clipcodec.backbone import forward_frame, init_random
 from clipcodec.errors import ShapeError, TapeError
 from clipcodec.presets import nerv_lite_preset
-from clipcodec.tensor import Tape, Tensor, precision
+from clipcodec.tensor import Tape, Tensor
 from conftest import fd_gradient, rel_error
 
 
@@ -68,45 +68,43 @@ def test_unreachable_parameter_gets_no_gradient():
 
 def test_linear_system_gradient_matches_fd():
     rng = np.random.default_rng(0)
-    with precision("f64"):
-        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-        x = ops.constant(rng.standard_normal((4, 4)))
-        y = ops.constant(rng.standard_normal((4, 4)))
+    w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+    x = ops.constant(rng.standard_normal((4, 4)))
+    y = ops.constant(rng.standard_normal((4, 4)))
 
-        def run():
-            with Tape() as tape:
-                loss = ops.mean_square(ops.sub(ops.matmul(ops.constant(
-                    x.data), w), y))
-            return loss, tape
+    def run():
+        with Tape() as tape:
+            loss = ops.mean_square(ops.sub(ops.matmul(ops.constant(
+                x.data), w), y))
+        return loss, tape
 
-        loss, tape = run()
-        tape.backward(loss)
-        analytic = w.grad.copy()
-        numeric = fd_gradient(lambda: run()[0].item(), w.data, h=1e-4)
-        assert rel_error(analytic, numeric) < 1e-4
+    loss, tape = run()
+    tape.backward(loss)
+    analytic = w.grad.copy()
+    numeric = fd_gradient(lambda: run()[0].item(), w.data, h=1e-4)
+    assert rel_error(analytic, numeric) < 1e-4
 
 
 def test_conv2d_gradients_match_fd():
     rng = np.random.default_rng(1)
-    with precision("f64"):
-        x0 = rng.standard_normal((1, 3, 5, 5))
-        w = Tensor(rng.standard_normal((2, 3, 3, 3)) * 0.5,
-                   requires_grad=True)
-        b = Tensor(rng.standard_normal(2) * 0.1, requires_grad=True)
+    x0 = rng.standard_normal((1, 3, 5, 5))
+    w = Tensor(rng.standard_normal((2, 3, 3, 3)) * 0.5,
+               requires_grad=True)
+    b = Tensor(rng.standard_normal(2) * 0.1, requires_grad=True)
 
-        def run():
-            with Tape() as tape:
-                out = ops.conv2d(ops.constant(x0), w, b)
-                loss = ops.mean_square(out)
-            return loss, tape
+    def run():
+        with Tape() as tape:
+            out = ops.conv2d(ops.constant(x0), w, b)
+            loss = ops.mean_square(out)
+        return loss, tape
 
-        loss, tape = run()
-        tape.backward(loss)
-        for tensor in (w, b):
-            analytic = tensor.grad.copy()
-            tensor.grad = None
-            numeric = fd_gradient(lambda: run()[0].item(), tensor.data)
-            assert rel_error(analytic, numeric) < 1e-6
+    loss, tape = run()
+    tape.backward(loss)
+    for tensor in (w, b):
+        analytic = tensor.grad.copy()
+        tensor.grad = None
+        numeric = fd_gradient(lambda: run()[0].item(), tensor.data)
+        assert rel_error(analytic, numeric) < 1e-6
 
 
 def per_tap_conv2d(x, w, b, g):
@@ -211,41 +209,39 @@ def test_conv2d_bitwise_equal_to_per_tap_reference(x_shape, w_shape, dtype,
 @pytest.mark.parametrize("op_name", ["gelu", "sin", "sigmoid", "exp"])
 def test_elementwise_gradients_match_fd(op_name):
     rng = np.random.default_rng(2)
-    fn = ops.OPS[op_name]
-    with precision("f64"):
-        x = Tensor(rng.uniform(-2, 2, size=12), requires_grad=True)
+    fn = getattr(ops, op_name)
+    x = Tensor(rng.uniform(-2, 2, size=12), requires_grad=True)
 
-        def run():
-            with Tape() as tape:
-                loss = ops.sum_all(fn(x))
-            return loss, tape
+    def run():
+        with Tape() as tape:
+            loss = ops.sum_all(fn(x))
+        return loss, tape
 
-        loss, tape = run()
-        tape.backward(loss)
-        analytic = x.grad.copy()
-        numeric = fd_gradient(lambda: run()[0].item(), x.data)
-        assert rel_error(analytic, numeric) < 1e-7
+    loss, tape = run()
+    tape.backward(loss)
+    analytic = x.grad.copy()
+    numeric = fd_gradient(lambda: run()[0].item(), x.data)
+    assert rel_error(analytic, numeric) < 1e-7
 
 
 def test_div_and_broadcast_gradients():
     rng = np.random.default_rng(3)
-    with precision("f64"):
-        a = Tensor(rng.uniform(0.5, 2.0, (3, 4)), requires_grad=True)
-        s = Tensor(1.7, requires_grad=True)
+    a = Tensor(rng.uniform(0.5, 2.0, (3, 4)), requires_grad=True)
+    s = Tensor(1.7, requires_grad=True, dtype=np.float64)
 
-        def run():
-            with Tape() as tape:
-                loss = ops.mean_square(ops.div(a, s))
-            return loss, tape
+    def run():
+        with Tape() as tape:
+            loss = ops.mean_square(ops.div(a, s))
+        return loss, tape
 
-        loss, tape = run()
-        tape.backward(loss)
-        for tensor in (a, s):
-            analytic = np.asarray(tensor.grad).copy()
-            tensor.grad = None
-            numeric = fd_gradient(lambda: run()[0].item(),
-                                  tensor.data.reshape(tensor.data.shape))
-            assert rel_error(analytic, numeric) < 1e-7
+    loss, tape = run()
+    tape.backward(loss)
+    for tensor in (a, s):
+        analytic = np.asarray(tensor.grad).copy()
+        tensor.grad = None
+        numeric = fd_gradient(lambda: run()[0].item(),
+                              tensor.data.reshape(tensor.data.shape))
+        assert rel_error(analytic, numeric) < 1e-7
 
 
 def _leaf_gradients_match_fd(leaves, loss_fn, tol=1e-7):
@@ -266,16 +262,15 @@ def _leaf_gradients_match_fd(leaves, loss_fn, tol=1e-7):
 
 def test_concat_flat_forward_and_gradient():
     rng = np.random.default_rng(4)
-    with precision("f64"):
-        parts = [Tensor(rng.standard_normal(shape), requires_grad=True)
-                 for shape in ((2, 3), (1,), (4, 1), (2, 1, 2))]
-        joined = ops.concat_flat(parts)
-        assert np.array_equal(joined.data, np.concatenate(
-            [p.data.reshape(-1) for p in parts]))
-        w = ops.constant(rng.uniform(0.5, 2.0, joined.shape))
-        _leaf_gradients_match_fd(
-            parts, lambda: ops.mean_square(ops.mul(ops.concat_flat(parts),
-                                                   w)))
+    parts = [Tensor(rng.standard_normal(shape), requires_grad=True)
+             for shape in ((2, 3), (1,), (4, 1), (2, 1, 2))]
+    joined = ops.concat_flat(parts)
+    assert np.array_equal(joined.data, np.concatenate(
+        [p.data.reshape(-1) for p in parts]))
+    w = ops.constant(rng.uniform(0.5, 2.0, joined.shape))
+    _leaf_gradients_match_fd(
+        parts, lambda: ops.mean_square(ops.mul(ops.concat_flat(parts),
+                                               w)))
     with pytest.raises(ShapeError):
         ops.concat_flat([])
 
@@ -283,33 +278,32 @@ def test_concat_flat_forward_and_gradient():
 def test_split_flat_views_one_node_and_gradient():
     rng = np.random.default_rng(6)
     shapes = [(2, 3), (), (1,), (4, 1), (2, 1, 2)]
-    with precision("f64"):
-        x = Tensor(rng.standard_normal(16), requires_grad=True)
-        with Tape() as tape:
-            pieces = ops.split_flat(x, shapes)
-        assert len(tape) == 1
-        assert [p.shape for p in pieces] == shapes
-        assert all(np.shares_memory(p.data, x.data) for p in pieces)
-        assert np.array_equal(ops.concat_flat(pieces).data, x.data)
-        w = ops.constant(rng.uniform(0.5, 2.0, (4, 1)))
+    x = Tensor(rng.standard_normal(16), requires_grad=True)
+    with Tape() as tape:
+        pieces = ops.split_flat(x, shapes)
+    assert len(tape) == 1
+    assert [p.shape for p in pieces] == shapes
+    assert all(np.shares_memory(p.data, x.data) for p in pieces)
+    assert np.array_equal(ops.concat_flat(pieces).data, x.data)
+    w = ops.constant(rng.uniform(0.5, 2.0, (4, 1)))
 
-        def loss():
-            # piece 3 enters twice and piece 2 not at all (zero gradient)
-            a, b, _, d, e = ops.split_flat(x, shapes)
-            return ops.add(ops.add(ops.mean_square(a), ops.mul(b, 3.0)),
-                           ops.add(ops.sum_all(ops.mul(d, w)),
-                                   ops.mean_square(ops.add(d, ops.sum_all(
-                                       e)))))
+    def loss():
+        # piece 3 enters twice and piece 2 not at all (zero gradient)
+        a, b, _, d, e = ops.split_flat(x, shapes)
+        return ops.add(ops.add(ops.mean_square(a), ops.mul(b, 3.0)),
+                       ops.add(ops.sum_all(ops.mul(d, w)),
+                               ops.mean_square(ops.add(d, ops.sum_all(
+                                   e)))))
 
-        _leaf_gradients_match_fd([x], loss)
-        with Tape() as tape:
-            out = loss()
-        tape.backward(out)
-        assert x.grad[7] == 0.0
-        with pytest.raises(ShapeError):
-            ops.split_flat(x, [(3, 5)])
-        with pytest.raises(ShapeError):
-            ops.split_flat(ops.reshape(x, (4, 4)), [(4, 4)])
+    _leaf_gradients_match_fd([x], loss)
+    with Tape() as tape:
+        out = loss()
+    tape.backward(out)
+    assert x.grad[7] == 0.0
+    with pytest.raises(ShapeError):
+        ops.split_flat(x, [(3, 5)])
+    with pytest.raises(ShapeError):
+        ops.split_flat(ops.reshape(x, (4, 4)), [(4, 4)])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -344,19 +338,18 @@ def test_broadcast_segments_reduces_each_segment_as_broadcasting(dtype):
 def test_segment_sum_forward_and_gradient():
     rng = np.random.default_rng(5)
     sizes = [3, 0, 1, 6]
-    with precision("f64"):
-        x = Tensor(rng.standard_normal(10), requires_grad=True)
-        sums = ops.segment_sum(x, sizes)
-        assert np.array_equal(sums.data, [x.data[:3].sum(), 0.0, x.data[3],
-                                          x.data[4:].sum()])
-        w = ops.constant(rng.uniform(0.5, 2.0, len(sizes)))
-        _leaf_gradients_match_fd(
-            [x], lambda: ops.mean_square(ops.mul(ops.segment_sum(x, sizes),
-                                                 w)))
-        with pytest.raises(ShapeError):
-            ops.segment_sum(x, [3, 6])
-        with pytest.raises(ShapeError):
-            ops.segment_sum(ops.reshape(x, (2, 5)), [5, 5])
+    x = Tensor(rng.standard_normal(10), requires_grad=True)
+    sums = ops.segment_sum(x, sizes)
+    assert np.array_equal(sums.data, [x.data[:3].sum(), 0.0, x.data[3],
+                                      x.data[4:].sum()])
+    w = ops.constant(rng.uniform(0.5, 2.0, len(sizes)))
+    _leaf_gradients_match_fd(
+        [x], lambda: ops.mean_square(ops.mul(ops.segment_sum(x, sizes),
+                                             w)))
+    with pytest.raises(ShapeError):
+        ops.segment_sum(x, [3, 6])
+    with pytest.raises(ShapeError):
+        ops.segment_sum(ops.reshape(x, (2, 5)), [5, 5])
 
 
 def test_sum_ordered_adds_left_to_right_and_gradient():
@@ -372,13 +365,12 @@ def test_sum_ordered_adds_left_to_right_and_gradient():
     assert out.data.tobytes() == np.float32(chained).tobytes()
     assert ops.sum_ordered(Tensor(np.zeros(0))).item() == 0.0
     rng = np.random.default_rng(6)
-    with precision("f64"):
-        y = Tensor(rng.standard_normal(7), requires_grad=True)
-        w = ops.constant(rng.uniform(0.5, 2.0, 7))
-        _leaf_gradients_match_fd(
-            [y], lambda: ops.mean_square(ops.sum_ordered(ops.mul(y, w))))
-        with pytest.raises(ShapeError):
-            ops.sum_ordered(Tensor(np.ones((2, 2))))
+    y = Tensor(rng.standard_normal(7), requires_grad=True)
+    w = ops.constant(rng.uniform(0.5, 2.0, 7))
+    _leaf_gradients_match_fd(
+        [y], lambda: ops.mean_square(ops.sum_ordered(ops.mul(y, w))))
+    with pytest.raises(ShapeError):
+        ops.sum_ordered(Tensor(np.ones((2, 2))))
 
 
 def test_ste_round_forward_and_gradient():
@@ -432,10 +424,3 @@ def test_gradient_accumulates_across_shared_use():
         loss = ops.add(ops.mul(x, x), ops.mul(x, ops.constant(3.0)))
     tape.backward(loss)
     assert x.grad == pytest.approx(7.0)  # 2x + 3
-
-
-def test_apply_dispatch_and_unknown_kind():
-    out = ops.apply("add", Tensor(1.0), Tensor(2.0))
-    assert out.item() == 3.0
-    with pytest.raises(ShapeError, match="unknown op"):
-        ops.apply("definitely-not-an-op", Tensor(1.0))
