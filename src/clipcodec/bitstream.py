@@ -128,15 +128,18 @@ def _check_video(width: int, height: int, frame_count: int, gop_size: int,
 def _check_record(rec: ModelRecord, offset=None) -> None:
     """Reject a record the decoder could not use before any payload is read.
 
-    Bounds must lie in [1, MAX_SYMBOL] and sd be finite and at least the
-    floor the coder's tables accept; scales must be finite and positive;
-    epsilon must lie in [0, 1] and be 0 for an I model.
+    Bounds must lie in [1, MAX_SYMBOL], mu must be finite and sd be finite
+    and at least the floor the coder's tables accept; scales must be
+    finite and positive; epsilon must lie in [0, 1] and be 0 for an I
+    model.
     """
     bound = np.asarray(rec.bound, dtype=np.int64)
+    mu = np.asarray(rec.mu, dtype=np.float64)
     sd = np.asarray(rec.sd, dtype=np.float64)
     scale = np.asarray(rec.scale, dtype=np.float64)
     for field_name, values, ok in (
             ("alphabet bound", bound, (bound >= 1) & (bound <= MAX_SYMBOL)),
+            ("mu", mu, np.isfinite(mu)),
             ("sd", sd, np.isfinite(sd) & (sd >= SIGMA_FLOOR * 0.5)),
             ("scale", scale, np.isfinite(scale) & (scale > 0.0))):
         wrong = np.flatnonzero(~ok)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DataError
 from .video import RawVideo
@@ -71,7 +70,10 @@ def _curve_arrays(points: list[RDPoint], label: str):
 
 def bd_rate(anchor: list[RDPoint], test: list[RDPoint]) -> float:
     """Average rate difference of ``test`` vs ``anchor`` at equal quality,
-    in percent; negative means the test curve spends fewer bits."""
+    in percent; negative means the test curve spends fewer bits.  scipy
+    loads on the first call."""
+    from scipy.interpolate import CubicSpline  # keeps scipy off the codec path
+
     q_a, lr_a = _curve_arrays(anchor, "anchor")
     q_t, lr_t = _curve_arrays(test, "test")
     lo = max(q_a.min(), q_t.min())

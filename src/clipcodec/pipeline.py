@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +37,7 @@ from .optim import adam_init, adam_step, lr_at
 from .params import ParamVector
 from .ratequant import (LayerStats, QuantScale, apply_residual,
                         initial_scales, layer_stats, quantize, rate_bits_eval,
-                        rate_bits_train, residual)
+                        rate_bits_train, residual, widen_steps)
 from .seeds import STREAM_NOISE, make_rng, model_seed
 from .tensor import Tape, Tensor
 from .video import RawVideo, denormalize
@@ -177,13 +176,18 @@ class TrainedModel:
 
 def _freeze_lattice(theta_prime: ParamVector, theta_star: ParamVector,
                     log_scales: ParamVector, dtype):
-    """Snap the live parameters to their float32 quantization lattice."""
+    """Snap the live parameters to their float32 quantization lattice.
+
+    A layer's trained step ``exp(log_scale)`` is widened where its peak
+    symbol would pass the coder's alphabet, before anything uses it: the
+    stats, the recorded scale and the reconstruction all see one step.
+    """
     names = tuple(theta_prime.names)
     scale_values = np.asarray(
         [detmath.exp(float(log_scales[name].data)) for name in names],
         dtype=np.float32)
-    scales = QuantScale(names, scale_values)
     delta = residual(theta_star, theta_prime)
+    scales = widen_steps(delta, QuantScale(names, scale_values))
     symbols = quantize(delta, scales)
     scaled = [(tensor.data / dtype(value)).reshape(-1)
               for (name, tensor), value in zip(delta.items(), scales.values)]
@@ -397,6 +401,8 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
 
     tasks = [(normalized, plan, config, cfg, g) for g in range(plan.gom_count)]
     if jobs > 1 and plan.gom_count > 1:
+        # imported here so single-process runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             gom_results = list(pool.map(_gom_worker, tasks))
     else:
@@ -432,13 +438,22 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
 
 def render_video(config: BackboneConfig, params_per_gop: list[ParamVector],
                  plan: PartitionPlan) -> RawVideo:
-    """Render every clip with its final parameters into 8-bit frames."""
+    """Render every clip with its decoded parameters into 8-bit frames.
+
+    Parameters no encoder could have trained may overflow the network,
+    which ``forward_frame`` refuses; the decoder reports that as a
+    :class:`BitstreamError`.
+    """
     frames = np.empty((plan.frame_count, 3, config.frame_height,
                        config.frame_width), dtype=np.uint8)
     for gop_index, (start, stop) in enumerate(plan.gops):
         params = params_per_gop[gop_index]
         for offset, t_norm in enumerate(frame_timestamps(stop - start)):
-            out = forward_frame(config, params, t_norm).data
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = forward_frame(config, params, t_norm).data
+            except NumericError as exc:
+                raise BitstreamError(f"clip {gop_index}: {exc}") from None
             frames[start + offset] = denormalize(out).transpose(2, 0, 1)
     return RawVideo(width=config.frame_width, height=config.frame_height,
                     frames=frames)
@@ -481,7 +496,11 @@ def _decode_gom_params(header: BitstreamHeader, config: BackboneConfig,
         symbols = decode_symbols(payload_of(gop_index), models,
                                  [t.size for t in theta_prime.tensors()])
         scales = QuantScale(theta_prime.names, rec.scale.astype(np.float32))
-        theta = apply_residual(theta_prime, symbols, scales)
+        with np.errstate(over="ignore"):  # refused just below
+            theta = apply_residual(theta_prime, symbols, scales)
+        if not all(np.isfinite(t.data).all() for t in theta.tensors()):
+            raise BitstreamError(f"model {gop_index}: scales and symbols "
+                                 f"overflow the parameters")
         return theta, theta
 
     return _walk_gom(config, header.seed, plan, gom_index,

@@ -132,6 +132,44 @@ def quantize(delta: ParamVector, scales: QuantScale) -> list[np.ndarray]:
     return symbols
 
 
+def widen_steps(delta: ParamVector, scales: QuantScale) -> QuantScale:
+    """Steps that keep every symbol of ``delta`` inside ``MAX_SYMBOL``.
+
+    A layer whose peak symbol would pass the bound gets the smallest
+    float32 step whose peak is ``MAX_SYMBOL``; every other layer keeps its
+    step.  The quotient is monotone in the step, so only the layer's
+    largest magnitude matters, and the search uses only exactly rounded
+    operations (division, ``nextafter``), so every IEEE host finds the
+    same step.
+    """
+    if tuple(delta.names) != scales.names:
+        raise LayoutError("scale layout does not match parameter layout")
+    values = scales.values.copy()
+    limit = MAX_SYMBOL + 0.5  # round-half-away sends this up to MAX + 1
+    for i, (name, tensor) in enumerate(delta.items()):
+        if tensor.data.size == 0:
+            continue
+        dt = tensor.data.dtype.type
+        top = np.max(np.abs(tensor.data))
+
+        def fits(step):
+            with np.errstate(over="ignore"):  # an inf quotient does not fit
+                return top / dt(step) < limit
+
+        if not np.isfinite(top) or fits(values[i]):
+            continue  # no step fits a non-finite residual
+        step = np.float32(top / dt(limit))
+        while not fits(step):
+            step = np.nextafter(step, np.float32(np.inf))
+        while fits(np.nextafter(step, np.float32(0.0))):
+            step = np.nextafter(step, np.float32(0.0))
+        if not np.isfinite(step):
+            raise NumericError(f"layer {name!r}: residual peak {top} needs "
+                               f"a step past float32")
+        values[i] = step
+    return QuantScale(scales.names, values)
+
+
 def apply_residual(theta_prime: ParamVector, symbols: list[np.ndarray],
                    scales: QuantScale) -> ParamVector:
     """Lattice snap shared by encoder and decoder: prime + symbol * scale.

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import detmath
 from .errors import ConfigError, DataError
@@ -105,8 +104,10 @@ def fit_schedule(points: list[tuple[float, float]],
     With ``constrain`` the fit enforces a*exp(c) = 1 (so epsilon(0) = 0)
     and reduces to a one-dimensional problem over b.  Returns the schedule
     and the residual norm.  All-equal epsilon values yield a constant
-    schedule flagged ``degenerate``.
+    schedule flagged ``degenerate``.  scipy loads on the first call.
     """
+    from scipy.optimize import least_squares  # keeps scipy off the codec path
+
     if len(points) < 3:
         raise DataError(f"need at least 3 calibration points, got "
                         f"{len(points)}")

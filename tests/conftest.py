@@ -99,18 +99,21 @@ def tiny_mlp() -> BackboneConfig:
 
 
 def repack(data: bytes, model: int = 0, config_text: str | None = None,
-           payload_tail: bytes = b"", **fields) -> bytes:
+           payload_tail: bytes = b"", payload: bytes | None = None,
+           **fields) -> bytes:
     """Rewrite a valid stream with header CRC (and payload length and CRC)
     recomputed, so only the change itself can make it fail: frame fields
     (``width``, ``height``, ``frame_count``, ``gop_size``, ``gom_size``)
     in ``fields`` replaced in the header, the other ``fields`` in record
-    ``model``, ``payload_tail`` appended to its payload and, if given,
-    another backbone config text.  The writer's checks are bypassed on
-    purpose."""
+    ``model``, its payload replaced by ``payload`` if given and then
+    ``payload_tail`` appended and, if given, another backbone config
+    text.  The writer's checks are bypassed on purpose."""
     header, payloads = read_bitstream(data)
     video = {name: fields.pop(name, getattr(header, name))
              for name in ("width", "height", "frame_count", "gop_size",
                           "gom_size")}
+    if payload is not None:
+        payloads[model] = payload
     payloads[model] += payload_tail
     records = list(header.records)
     for name in ("scale", "mu", "sd", "bound"):
@@ -153,6 +156,8 @@ HOSTILE_HEADERS = [
     ("frame-size-640x480", dict(width=640, height=480)),
     ("bound-0", dict(bound=0)),
     ("bound-past-max", dict(bound=32768)),
+    ("mu-nan", dict(mu=np.nan)),
+    ("mu-inf", dict(mu=-np.inf)),
     ("sd-inf", dict(sd=np.inf)),
     ("sd-nan", dict(sd=np.nan)),
     ("sd-below-floor", dict(sd=1e-7)),

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from clipcodec.coder import (FLUSH_BYTES, FREQ_TOTAL, SymbolModel,
-                             build_model, decode_symbols, encode_symbols,
+from clipcodec.coder import (FLUSH_BYTES, FREQ_TOTAL, build_model,
+                             decode_symbols, encode_symbols,
                              model_entropy_bits, sample_symbols)
 from clipcodec.coder import _BOTTOM, _MASK, _TOP
 from clipcodec.errors import BitstreamError, ConfigError, DataError

@@ -1,0 +1,75 @@
+"""The encode/decode path loads none of the codec's optional heavy imports.
+
+scipy serves only ε calibration (``fit_schedule``) and rate-curve
+comparison (``bd_rate``), and ``multiprocessing`` only ``--jobs N``; each
+is imported on first use, so a codec process does not pay their memory
+and start-up time.  The check runs in a fresh interpreter: pytest and
+the other tests have loaded scipy into this one long ago.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+HEAVY = ("scipy.optimize", "scipy.interpolate", "scipy.linalg",
+         "scipy.sparse", "concurrent.futures.process", "multiprocessing")
+
+_CODEC_THEN_TOOLS = """
+import json, sys, tempfile
+from pathlib import Path
+
+import clipcodec
+import clipcodec.cli
+from clipcodec import (BackboneConfig, BitstreamReader, RDPoint,
+                       TrainConfig, UpsampleStage, bd_rate, decode_gom,
+                       decode_video, encode_video, fit_schedule, partition,
+                       synth_video)
+
+config = BackboneConfig(
+    kind="nerv-lite", pe_frequencies=4, stem_width=8, base_channels=4,
+    base_height=4, base_width=4,
+    stages=(UpsampleStage(2, 4), UpsampleStage(2, 4)),
+    frame_height=16, frame_width=16)
+video = synth_video("moving-blob", 16, 16, 4, velocity=1.0, seed=3)
+result = encode_video(video, partition(4, 2, 2), config,
+                      TrainConfig(epochs_i=1, epochs_p=1, seed=3))
+decoded = decode_video(result.data)
+fragment, _ = decode_gom(BitstreamReader.from_bytes(result.data), 0)
+with tempfile.TemporaryDirectory() as tmp:
+    stream = Path(tmp) / "clip.bits"
+    stream.write_bytes(result.data)
+    code = clipcodec.cli.main(["decode", str(stream), str(Path(tmp) / "out.rgb")])
+loaded = sorted(name for name in sys.argv[1:] if name in sys.modules)
+
+anchor = [RDPoint(b, q) for b, q in ((1, 30), (2, 33), (3, 35), (4, 36))]
+test = [RDPoint(0.9 * p.bpp, p.quality) for p in anchor]
+schedule, _ = fit_schedule([(0.0, 0.0), (0.01, 0.3), (0.02, 0.5),
+                            (0.05, 0.8)])
+print(json.dumps({"loaded": loaded, "cli": code,
+                  "frames": [decoded.frame_count, fragment.frame_count],
+                  "bd_rate": bd_rate(anchor, test), "b": schedule.b,
+                  "after_tools": sorted(name for name in sys.argv[1:]
+                                        if name in sys.modules)}))
+"""
+
+
+def test_codec_path_loads_no_heavy_imports():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-c", _CODEC_THEN_TOOLS, *HEAVY],
+                         cwd=ROOT, env=env, capture_output=True, text=True,
+                         timeout=600)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert report["loaded"] == []
+    assert report["cli"] == 0 and report["frames"] == [4, 4]
+    # the tools still work, and load what they need on first call
+    assert abs(report["bd_rate"] - (-10.0)) < 1e-9
+    assert report["b"] > 0
+    assert {"scipy.optimize", "scipy.interpolate"} <= set(
+        report["after_tools"])

@@ -16,11 +16,11 @@ from clipcodec.pipeline import (TrainConfig, decode_gom, decode_video,
                                 encode_video, partition, train_model,
                                 training_step_loss)
 from clipcodec.params import ParamVector
-from clipcodec.ratequant import initial_scales, layer_stats, rate_bits_train
+from clipcodec.ratequant import (MAX_SYMBOL, QuantScale, initial_scales,
+                                 layer_stats, rate_bits_train)
 from clipcodec.seeds import STREAM_NOISE, make_rng, model_seed
 from clipcodec.tensor import Tape, Tensor
 from clipcodec.video import synth_video
-from clipcodec.warmstart import interpolate_init
 from conftest import (HOSTILE_HEADERS, PerSegmentAdam, fd_gradient,
                       rel_error, repack, set_config_byte)
 
@@ -515,6 +515,70 @@ def test_payloads_are_read_to_their_last_byte(encoded_pair, monkeypatch):
     assert sorted(consumed.values()) == sorted(len(p) for p in payloads)
 
 
+PAYLOAD_EDITS = ("flip", "truncate", "extend")
+
+
+def _mutate_one_model(data: bytes, draw) -> bytes:
+    """One model's record field (``mu``, ``sd``, ``scale``, ``epsilon`` or
+    ``bound``) set to a drawn value, or its payload's bytes flipped, cut
+    short or extended; every CRC is recomputed."""
+    header, payloads = read_bitstream(data)
+    model = draw(st.integers(0, len(payloads) - 1))
+    kind = draw(st.sampled_from(("mu", "sd", "scale", "epsilon", "bound")
+                                + PAYLOAD_EDITS))
+    if kind == "epsilon":
+        return repack(data, model=model, epsilon=draw(st.floats(width=32)))
+    if kind not in PAYLOAD_EDITS:
+        values = getattr(header.records[model], kind).copy()
+        layer = draw(st.integers(0, len(values) - 1))
+        values[layer] = draw(st.integers(0, 2 ** 32 - 1) if kind == "bound"
+                             else st.floats(width=32))
+        return repack(data, model=model, **{kind: values})
+    payload = bytearray(payloads[model])
+    if kind == "flip":
+        for pos in draw(st.lists(st.integers(0, len(payload) - 1),
+                                 min_size=1, max_size=4)):
+            payload[pos] ^= draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del payload[draw(st.integers(0, len(payload) - 1)):]
+    else:
+        payload += draw(st.binary(min_size=1, max_size=64))
+    return repack(data, model=model, payload=bytes(payload))
+
+
+# Frame geometry is left to HOSTILE_HEADERS: a mutated frame count can
+# legally declare up to MAX_VIDEO_PIXELS, which no example could render.
+@settings(max_examples=150, deadline=2000)
+@given(st.data())
+def test_mutated_stream_decodes_or_raises_bitstream_error(encoded_pair,
+                                                          data):
+    video, _, _, _, result = encoded_pair
+    stream = _mutate_one_model(result.data, data.draw)
+    try:
+        decoded = decode_video(stream)
+    except BitstreamError:
+        return
+    assert (decoded.width, decoded.height, decoded.frame_count) == \
+        (video.width, video.height, video.frame_count)
+
+
+@pytest.mark.parametrize("layer, scale, message", [
+    (0, 3.4e38, "overflow the parameters"),
+    (4, 1e37, "non-finite activation")], ids=["params", "render"])
+def test_overflowing_scale_raises_bitstream_error(encoded_pair, layer, scale,
+                                                  message):
+    # a finite scale no encoder writes: symbol * scale overflows float32,
+    # or the parameters it yields overflow the network's activations
+    data = encoded_pair[-1].data
+    values = read_bitstream(data)[0].records[0].scale.copy()
+    values[layer] = scale
+    data = repack(data, scale=values)
+    with pytest.raises(BitstreamError, match=message):
+        decode_video(data)
+    with pytest.raises(BitstreamError, match=message):
+        decode_gom(BitstreamReader.from_bytes(data), 0)
+
+
 def test_bpp_accounting(encoded_pair):
     video, config, plan, cfg, result = encoded_pair
     expect = len(result.data) * 8 / (video.frame_count * 16 * 16)
@@ -529,6 +593,30 @@ def test_m_equals_one_makes_every_model_an_i_model():
     header, _ = read_bitstream(result.data)
     assert all(rec.role == "I" for rec in header.records)
     assert all(rec.epsilon == 0.0 for rec in header.records)
+
+
+def test_encoder_widens_a_step_the_alphabet_cannot_hold(monkeypatch):
+    # layer 0 starts with a step so fine that its trained residual is
+    # about a million steps wide, far past the coder's alphabet
+    first_steps = []
+
+    def narrow(init):
+        scales = initial_scales(init)
+        values = scales.values.copy()
+        values[0] *= np.float32(3e-6)
+        first_steps.append(values[0])
+        return QuantScale(scales.names, values)
+
+    monkeypatch.setattr(pipeline, "initial_scales", narrow)
+    video = synth_video("moving-blob", 16, 16, 4, velocity=1.0, seed=4)
+    result = encode_video(video, partition(4, 2, 2), small_config(),
+                          quick_cfg(), keep_reference=True)
+    header, _ = read_bitstream(result.data)
+    for rec, step in zip(header.records, first_steps):
+        assert rec.bound[0] == MAX_SYMBOL
+        assert rec.scale[0] > 20 * step  # widened, not just trained
+    decoded = decode_video(result.data)
+    assert np.array_equal(decoded.frames, result.recon.frames)
 
 
 def test_parallel_jobs_reproduce_serial_bitstream():

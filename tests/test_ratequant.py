@@ -14,7 +14,7 @@ from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_TRAIN_FLOOR,
                                  TRAIN_PROB_FLOOR, LayerStats, QuantScale,
                                  apply_residual, initial_scales, layer_stats,
                                  quantize, rate_bits_eval, rate_bits_train,
-                                 residual)
+                                 residual, widen_steps)
 from clipcodec.tensor import Tape, Tensor
 from conftest import fd_gradient, rel_error
 
@@ -131,6 +131,37 @@ def test_apply_residual_matches_manual():
     out = apply_residual(prime, [np.asarray([2, -1], dtype=np.int32)],
                          scales)
     assert np.allclose(out["w"].data, [2.0, 1.5])
+
+
+def _peak(values, step, dtype):
+    """Peak |symbol| as quantize computes it, in the residual's dtype."""
+    data = np.asarray(values, dtype=dtype)
+    return float(np.max(np.abs(detmath.round_half_away(
+        data / data.dtype.type(step)))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(2.0 ** -64, 2.0 ** 64, width=32), st.floats(1e-3, 1e9),
+       st.sampled_from([np.float32, np.float64]))
+@example(1.0, 1e6, np.float32)  # about a million steps wide
+def test_widen_steps_picks_smallest_step_inside_alphabet(top, width, dtype):
+    values = [top, -top / 3, 0.0]
+    step = np.float32(top / width)
+    delta = ParamVector([("w", Tensor(np.asarray(values, dtype=dtype))),
+                         ("b", Tensor(np.asarray([0.25], dtype=dtype)))])
+    given_steps = np.asarray([step, 0.5], dtype=np.float32)
+    scales = widen_steps(delta, QuantScale(("w", "b"), given_steps))
+    assert scales.values.dtype == np.float32
+    assert scales.values[1] == given_steps[1]  # a fitting layer is untouched
+    widened = scales.values[0]
+    assert _peak(values, widened, dtype) <= MAX_SYMBOL
+    if _peak(values, step, dtype) <= MAX_SYMBOL:
+        assert widened == step
+    else:
+        # the next float32 step down would pass the bound
+        below = np.nextafter(widened, np.float32(0.0))
+        assert _peak(values, below, dtype) > MAX_SYMBOL
+    quantize(delta, scales)  # no ConfigError
 
 
 def test_initial_scales_target_symbol_span():
