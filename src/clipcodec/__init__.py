@@ -6,8 +6,8 @@ predecessor, producing a decodable bitstream plus rate/quality reports.
 """
 
 from .backbone import (BackboneConfig, UpsampleStage, config_from_text,
-                       config_to_text, forward_frame, init_random,
-                       param_layout)
+                       config_to_text, forward_clip, forward_frame,
+                       init_random, param_layout)
 from .bitstream import BitstreamReader, read_bitstream, write_bitstream
 from .errors import (BitstreamError, CodecError, ConfigError, DataError,
                      LayoutError, NumericError, ShapeError, TapeError)

@@ -24,10 +24,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import detmath, ops
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, TapeError
 from .params import ParamVector, SegmentSpec
 from .seeds import STREAM_INIT, make_rng
-from .tensor import DTYPES, Tensor
+from .tensor import DTYPES, Tensor, active_tape
 
 ACTIVATIONS = ("gelu", "sin", "sigmoid")
 UPSAMPLE_KINDS = ("nearest", "subpel")
@@ -163,10 +163,13 @@ def _pe_bands(freqs: int) -> np.ndarray:
     return np.ldexp(np.ones(freqs), np.arange(freqs, dtype=np.int32)) * math.pi
 
 
-def positional_encoding(value: float, freqs: int) -> np.ndarray:
-    """[sin(2^j*pi*v), cos(2^j*pi*v)] for j = 0..freqs-1 (float64)."""
-    args = _pe_bands(freqs) * value
-    return np.concatenate([detmath.sin(args), detmath.cos(args)])
+def positional_encoding(value, freqs: int) -> np.ndarray:
+    """[sin(2^j*pi*v), cos(2^j*pi*v)] for j = 0..freqs-1 (float64).
+
+    An array of values gets one encoding per value, along a new last axis.
+    """
+    args = np.multiply.outer(value, _pe_bands(freqs))
+    return np.concatenate([detmath.sin(args), detmath.cos(args)], axis=-1)
 
 
 @lru_cache(maxsize=8)
@@ -193,52 +196,161 @@ def _activation(kind: str):
     return {"gelu": ops.gelu, "sin": ops.sin, "sigmoid": ops.sigmoid}[kind]
 
 
-def forward_frame(config: BackboneConfig, params, t_norm: float) -> Tensor:
-    """Render one frame (H, W, 3) in [0, 1] for a clip-local timestamp."""
-    if not 0.0 <= t_norm <= 1.0:
-        raise ConfigError(f"timestamp {t_norm} outside [0, 1]")
+def _layers(config: BackboneConfig, params) -> list:
+    """The network as a chain of ``(elements, layer)`` pairs.
+
+    ``elements`` counts the largest tensor the layer makes for one frame.
+    A layer maps a batch of frames to the same batch one layer on.  The
+    first takes the timestamps; after it, a batch holds its frames' rows
+    back to back along the first axis (one row per frame for nerv-lite,
+    H*W for coord-mlp).  The last returns (H, W, 3) for one frame and
+    (n, H, W, 3) for n.
+    """
     get = params.__getitem__
     act = _activation(config.activation)
     dtype = config.dtype
     H, W = config.frame_height, config.frame_width
+    freqs = config.pe_frequencies
+
+    def frames_shape(n):
+        return (H, W, 3) if n == 1 else (n, H, W, 3)
+
+    def dense(name, activation):
+        def layer(x):
+            x = ops.add(ops.matmul(x, get(f"{name}.weight")),
+                        get(f"{name}.bias"))
+            return _finite(name, activation(x))
+        return layer
 
     if config.kind == "coord-mlp":
-        t_feat = positional_encoding(t_norm, config.pe_frequencies)
-        xy = _grid_encoding(H, W, config.pe_frequencies)
-        rows = np.concatenate(
-            [xy, np.broadcast_to(t_feat, (H * W, t_feat.size))], axis=1)
-        x = ops.constant(rows.astype(dtype))
-        n_layers = len(config.hidden) + 1
-        for i in range(n_layers):
-            x = ops.add(ops.matmul(x, get(f"mlp.fc{i}.weight")),
-                        get(f"mlp.fc{i}.bias"))
-            x = act(x) if i < n_layers - 1 else ops.sigmoid(x)
-            _finite(f"mlp.fc{i}", x)
-        return ops.reshape(x, (H, W, 3))
+        xy = _grid_encoding(H, W, freqs)
+        last = len(config.hidden)
 
-    pe = positional_encoding(t_norm, config.pe_frequencies)
-    x = ops.constant(pe.reshape(1, -1).astype(dtype))
-    for i in range(2):
-        x = ops.add(ops.matmul(x, get(f"stem.fc{i}.weight")),
-                    get(f"stem.fc{i}.bias"))
-        x = _finite(f"stem.fc{i}", act(x))
-    x = ops.reshape(x, (1, config.base_channels, config.base_height,
-                        config.base_width))
-    for i, stage in enumerate(config.stages):
+        def encode(t):
+            rows = np.concatenate(
+                [np.tile(xy, (t.size, 1)),
+                 np.repeat(positional_encoding(t.data, freqs), H * W,
+                           axis=0)], axis=1)
+            return ops.constant(rows.astype(dtype))
+
+        out = dense(f"mlp.fc{last}", ops.sigmoid)
+
+        def head(x):
+            x = out(x)
+            return ops.reshape(x, frames_shape(x.shape[0] // (H * W)))
+
+        return ([(H * W * 6 * freqs, encode)]
+                + [(H * W * width, dense(f"mlp.fc{i}", act))
+                   for i, width in enumerate(config.hidden)]
+                + [(H * W * 3, head)])
+
+    def encode(t):
+        return ops.constant(positional_encoding(t.data, freqs).astype(dtype))
+
+    fc1 = dense("stem.fc1", act)
+
+    def stem(x):
+        x = fc1(x)
+        return ops.reshape(x, (x.shape[0], config.base_channels,
+                               config.base_height, config.base_width))
+
+    def stage(i, scale):
+        weight = get(f"stage{i}.conv.weight")
+        bias = get(f"stage{i}.conv.bias")
+
+        def layer(x):
+            if config.upsample == "nearest" and scale > 1:
+                x = ops.upsample_nearest(x, scale)
+            x = ops.conv2d(x, weight, bias)
+            if config.upsample == "subpel" and scale > 1:
+                x = ops.pixel_shuffle(x, scale)
+            return _finite(f"stage{i}", act(x))
+        return layer
+
+    def head(x):
+        x = ops.conv2d(x, get("head.conv.weight"), get("head.conv.bias"))
+        x = _finite("head", ops.sigmoid(x))
+        return ops.reshape(ops.permute(x, (0, 2, 3, 1)),
+                           frames_shape(x.shape[0]))
+
+    layers = [(2 * freqs, encode),
+              (config.stem_width, dense("stem.fc0", act)),
+              (config.base_channels * config.base_height * config.base_width,
+               stem)]
+    channels = config.base_channels
+    pixels = config.base_height * config.base_width
+    for i, spec in enumerate(config.stages):
+        pixels *= spec.scale * spec.scale
+        # a nearest upsample makes a stage's input at the output size
+        largest = spec.channels
         if config.upsample == "nearest":
-            if stage.scale > 1:
-                x = ops.upsample_nearest(x, stage.scale)
-            x = ops.conv2d(x, get(f"stage{i}.conv.weight"),
-                           get(f"stage{i}.conv.bias"))
+            largest = max(channels, spec.channels)
+        layers.append((largest * pixels, stage(i, spec.scale)))
+        channels = spec.channels
+    layers.append((3 * H * W, head))
+    return layers
+
+
+def _walk(config: BackboneConfig, params, t_norms):
+    """The one walk of the network; yields each timestamp's frame Tensor.
+
+    Each layer runs on every frame at once while that batch holds no more
+    elements than the network's largest one-frame activation.  From the
+    first layer where it would hold more, each frame runs the remaining
+    layers on its own, depth first, and is yielded before the next one
+    starts, so a long clip never holds more than one frame's activations
+    past that layer.  One frame never splits.
+    """
+    for t_norm in t_norms:
+        if not 0.0 <= t_norm <= 1.0:
+            raise ConfigError(f"timestamp {t_norm} outside [0, 1]")
+    frames = len(t_norms)
+    if frames > 1 and active_tape() is not None:
+        raise TapeError("a multi-frame render does not record gradients; "
+                        "render one frame per call under a tape")
+    layers = _layers(config, params)
+    largest = max(size for size, _ in layers)
+    x = Tensor(np.asarray(t_norms, dtype=np.float64))
+    for depth, (size, layer) in enumerate(layers):
+        if frames * size > largest:
+            break
+        x = layer(x)
+    else:
+        if frames == 1:
+            yield x
         else:
-            x = ops.conv2d(x, get(f"stage{i}.conv.weight"),
-                           get(f"stage{i}.conv.bias"))
-            if stage.scale > 1:
-                x = ops.pixel_shuffle(x, stage.scale)
-        x = _finite(f"stage{i}", act(x))
-    x = ops.conv2d(x, get("head.conv.weight"), get("head.conv.bias"))
-    x = _finite("head", ops.sigmoid(x))
-    return ops.reshape(ops.permute(x, (0, 2, 3, 1)), (H, W, 3))
+            yield from (Tensor(frame) for frame in x.data)
+        return
+    rows = x.shape[0] // frames
+    for i in range(frames):
+        y = Tensor(x.data[i * rows:(i + 1) * rows])
+        for _, layer in layers[depth:]:
+            y = layer(y)
+        yield y
+
+
+def forward_frame(config: BackboneConfig, params, t_norm: float) -> Tensor:
+    """Render one frame (H, W, 3) in [0, 1] for a clip-local timestamp.
+
+    The one-timestamp case of :func:`forward_clip`; under an active
+    :class:`~clipcodec.tensor.Tape` it records the graph for training.
+    """
+    (frame,) = _walk(config, params, (t_norm,))
+    return frame
+
+
+def forward_clip(config: BackboneConfig, params, t_norms):
+    """Yield a clip's frames in order, one (H, W, 3) array per timestamp.
+
+    The frames are batched through the network as far as the memory
+    bound of :func:`_walk` allows.  Each one has the bits
+    :func:`forward_frame` gives it: the ``detmath`` kernels are
+    elementwise and ``einsum`` sums each output element over channels
+    only, so every element goes through the same operations in the same
+    order.  The frames carry no gradients, so under an active tape more
+    than one timestamp raises :class:`~clipcodec.errors.TapeError`.
+    """
+    return (frame.data for frame in _walk(config, params, tuple(t_norms)))
 
 
 def frame_timestamps(length: int) -> list[float]:

@@ -52,17 +52,65 @@ class SymbolModel:
     cum: np.ndarray    # (2*bound+2,) uint64 cumulative, cum[-1] == FREQ_TOTAL
 
 
+# The widest single table; one norm_cdf_diff call never holds more entries.
+_GROUP_ENTRIES = 2 * MAX_SYMBOL + 1
+
+
+def build_models(mus, sds, bounds) -> list[SymbolModel]:
+    """Discretize N(mu, sd^2) over [-bound, bound] for each layer, in order.
+
+    Every alphabet is checked before anything is built.  Consecutive
+    layers share one :func:`~clipcodec.detmath.norm_cdf_diff` call as long
+    as their tables hold at most ``_GROUP_ENTRIES`` entries together.  The
+    kernel is elementwise, so each table has the bits it has when built
+    alone; the sum and apportionment run per layer.
+    """
+    mus = [float(mu) for mu in mus]
+    sds = [float(sd) for sd in sds]
+    bounds = [int(bound) for bound in bounds]
+    for bound, sd in zip(bounds, sds):
+        if bound < 1 or bound > MAX_SYMBOL:
+            raise ConfigError(f"alphabet bound {bound} outside "
+                              f"[1, {MAX_SYMBOL}]")
+        if sd < SIGMA_FLOOR * 0.5:
+            raise ConfigError(f"model sd {sd} below floor")
+    sizes = [2 * bound + 1 for bound in bounds]
+    models: list[SymbolModel] = []
+    first = 0
+    while first < len(sizes):
+        end, entries = first + 1, sizes[first]
+        while end < len(sizes) and entries + sizes[end] <= _GROUP_ENTRIES:
+            entries += sizes[end]
+            end += 1
+        group = range(first, end)
+
+        def edges(half):
+            return np.concatenate([
+                (np.arange(-bounds[i], bounds[i] + 1, dtype=np.float64)
+                 + half - mus[i]) * (1.0 / sds[i]) for i in group])
+
+        mass = detmath.norm_cdf_diff(edges(-0.5), edges(0.5))
+        ends = np.cumsum(sizes[first:end])
+        models += [_apportion(mus[i], sds[i], bounds[i],
+                              mass[stop - sizes[i]:stop])
+                   for i, stop in zip(group, ends)]
+        first = end
+    return models
+
+
 def build_model(mu: float, sd: float, bound: int) -> SymbolModel:
-    """Discretize N(mu, sd^2) over [-bound, bound] into coder frequencies."""
-    if bound < 1 or bound > MAX_SYMBOL:
-        raise ConfigError(f"alphabet bound {bound} outside [1, {MAX_SYMBOL}]")
-    if sd < SIGMA_FLOOR * 0.5:
-        raise ConfigError(f"model sd {sd} below floor")
+    """Discretize N(mu, sd^2) over [-bound, bound] into coder frequencies.
+
+    The one-layer case of :func:`build_models`.
+    """
+    (model,) = build_models([mu], [sd], [bound])
+    return model
+
+
+def _apportion(mu: float, sd: float, bound: int,
+               mass: np.ndarray) -> SymbolModel:
+    """One layer's table from the interval masses of its symbols."""
     size = 2 * bound + 1
-    ks = np.arange(-bound, bound + 1, dtype=np.float64)
-    inv_sd = 1.0 / float(sd)
-    mass = detmath.norm_cdf_diff((ks - 0.5 - mu) * inv_sd,
-                                 (ks + 0.5 - mu) * inv_sd)
     total_mass = float(mass.sum())
     if total_mass <= 0.0:
         weights = np.full(size, 1.0 / size)
@@ -82,8 +130,7 @@ def build_model(mu: float, sd: float, bound: int) -> SymbolModel:
     freqs = (base + 1).astype(np.uint32)
     cum = np.zeros(size + 1, dtype=np.uint64)
     np.cumsum(freqs, out=cum[1:])
-    return SymbolModel(mu=float(mu), sd=float(sd), bound=int(bound),
-                       freqs=freqs, cum=cum)
+    return SymbolModel(mu=mu, sd=sd, bound=bound, freqs=freqs, cum=cum)
 
 
 def model_entropy_bits(model: SymbolModel) -> float:

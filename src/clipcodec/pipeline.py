@@ -27,11 +27,11 @@ import numpy as np
 
 from . import detmath, ops
 from .backbone import (BackboneConfig, config_from_text, config_to_text,
-                       forward_frame, frame_timestamps, init_random,
-                       param_layout)
+                       forward_clip, forward_frame, frame_timestamps,
+                       init_random, param_layout)
 from .bitstream import (BitstreamHeader, BitstreamReader, ModelRecord,
                         ROLE_I, ROLE_P, read_bitstream, write_bitstream)
-from .coder import build_model, decode_symbols, encode_symbols
+from .coder import build_models, decode_symbols, encode_symbols
 from .errors import BitstreamError, ConfigError, NumericError
 from .optim import adam_init, adam_step, lr_at
 from .params import ParamVector
@@ -202,8 +202,8 @@ def _render_clip(config: BackboneConfig, params: ParamVector,
     frames = np.empty((len(targets), 3, config.frame_height,
                        config.frame_width), dtype=np.uint8)
     total = 0.0
-    for i, (t_norm, target) in enumerate(zip(t_norms, targets)):
-        out = forward_frame(config, params, t_norm).data
+    for i, (out, target) in enumerate(
+            zip(forward_clip(config, params, t_norms), targets)):
         diff = out.astype(np.float64) - target.astype(np.float64)
         total += float(np.mean(diff * diff))
         frames[i] = denormalize(out).transpose(2, 0, 1)
@@ -357,9 +357,7 @@ def _encode_gom(normalized: np.ndarray, plan: PartitionPlan,
         bounds = np.asarray(
             [max(1, int(np.max(np.abs(sym))) if sym.size else 1)
              for sym in trained.symbols], dtype=np.uint32)
-        models = [build_model(float(mu), float(sd), int(b))
-                  for mu, sd, b in zip(trained.stats.mu, trained.stats.sd,
-                                       bounds)]
+        models = build_models(trained.stats.mu, trained.stats.sd, bounds)
         payload = encode_symbols(trained.symbols, models,
                                  names=tuple(theta_prime.names))
         estimate = rate_bits_eval(trained.symbols, trained.stats)
@@ -387,7 +385,13 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
                  config: BackboneConfig, cfg: TrainConfig, *, jobs: int = 1,
                  keep_reference: bool = False,
                  log_path=None) -> EncodeResult:
-    """Run the full encoder; returns the bitstream plus a report."""
+    """Run the full encoder; returns the bitstream plus a report.
+
+    ``jobs`` worker processes encode the model groups in parallel; no
+    more are started than there are groups.
+    """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if plan.frame_count != video.frame_count:
         raise ConfigError(f"plan covers {plan.frame_count} frames, video "
                           f"has {video.frame_count}")
@@ -403,7 +407,8 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
     if jobs > 1 and plan.gom_count > 1:
         # imported here so single-process runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(
+                max_workers=min(jobs, plan.gom_count)) as pool:
             gom_results = list(pool.map(_gom_worker, tasks))
     else:
         gom_results = [_gom_worker(task) for task in tasks]
@@ -440,21 +445,21 @@ def render_video(config: BackboneConfig, params_per_gop: list[ParamVector],
                  plan: PartitionPlan) -> RawVideo:
     """Render every clip with its decoded parameters into 8-bit frames.
 
-    Parameters no encoder could have trained may overflow the network,
-    which ``forward_frame`` refuses; the decoder reports that as a
-    :class:`BitstreamError`.
+    Each clip is one :func:`forward_clip` call.  Parameters no encoder
+    could have trained may overflow the network, which the render
+    refuses; the decoder reports that as a :class:`BitstreamError`.
     """
     frames = np.empty((plan.frame_count, 3, config.frame_height,
                        config.frame_width), dtype=np.uint8)
     for gop_index, (start, stop) in enumerate(plan.gops):
-        params = params_per_gop[gop_index]
-        for offset, t_norm in enumerate(frame_timestamps(stop - start)):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out = forward_frame(config, params, t_norm).data
-            except NumericError as exc:
-                raise BitstreamError(f"clip {gop_index}: {exc}") from None
-            frames[start + offset] = denormalize(out).transpose(2, 0, 1)
+        clip = forward_clip(config, params_per_gop[gop_index],
+                            frame_timestamps(stop - start))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for offset, out in enumerate(clip, start):
+                    frames[offset] = denormalize(out).transpose(2, 0, 1)
+        except NumericError as exc:
+            raise BitstreamError(f"clip {gop_index}: {exc}") from None
     return RawVideo(width=config.frame_width, height=config.frame_height,
                     frames=frames)
 
@@ -491,8 +496,7 @@ def _decode_gom_params(header: BitstreamHeader, config: BackboneConfig,
     """Reconstruct every model of one group from header + payloads."""
     def finish(gop_index, role, epsilon, theta_prime):
         rec = header.records[gop_index]
-        models = [build_model(float(mu), float(sd), int(bound))
-                  for mu, sd, bound in zip(rec.mu, rec.sd, rec.bound)]
+        models = build_models(rec.mu, rec.sd, rec.bound)
         symbols = decode_symbols(payload_of(gop_index), models,
                                  [t.size for t in theta_prime.tensors()])
         scales = QuantScale(theta_prime.names, rec.scale.astype(np.float32))

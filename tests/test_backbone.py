@@ -1,13 +1,16 @@
 """Backbone layout, init, rendering, and gradient correctness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from clipcodec import ops
 from clipcodec.backbone import (BackboneConfig, UpsampleStage, config_from_text,
-                                config_to_text, forward_frame,
+                                config_to_text, forward_clip, forward_frame,
                                 frame_timestamps, init_random, param_layout)
-from clipcodec.errors import ConfigError, NumericError
+from clipcodec.errors import ConfigError, NumericError, TapeError
+from clipcodec.presets import nerv_lite_preset
 from clipcodec.params import ParamVector
 from clipcodec.tensor import Tape, Tensor
 from conftest import fd_gradient, rel_error
@@ -87,6 +90,72 @@ def test_forward_rejects_nonfinite_params(tiny_nerv):
     bad["stem.fc0.weight"].data[0, 0] = np.nan
     with pytest.raises(NumericError, match="stem.fc0"):
         forward_frame(tiny_nerv, bad, 0.0)
+
+
+CLIP_CONFIGS = {
+    "tiny32-f32": nerv_lite_preset(32, 32, "tiny"),
+    "tiny32-f64": nerv_lite_preset(32, 32, "tiny", precision="f64"),
+    "small64-f32": nerv_lite_preset(64, 64, "small"),
+    "small64-f64": nerv_lite_preset(64, 64, "small", precision="f64"),
+    "tiny32-subpel": dataclasses.replace(nerv_lite_preset(32, 32, "tiny"),
+                                         upsample="subpel"),
+    # the encoding (12 per pixel) batches up to 5 frames; the 64-wide
+    # layer never does
+    "coord-mlp": BackboneConfig(kind="coord-mlp", pe_frequencies=2,
+                                hidden=(64, 8), frame_height=16,
+                                frame_width=16),
+}
+
+
+@pytest.mark.parametrize("name", CLIP_CONFIGS)
+def test_clip_render_equals_per_frame_render(name):
+    # the batched walk gives every frame the bits, dtype and memory layout
+    # of a one-frame render
+    config = CLIP_CONFIGS[name]
+    params = init_random(config, 3)
+    for frames in range(1, 7):
+        t_norms = frame_timestamps(frames)
+        clip = list(forward_clip(config, params, t_norms))
+        assert len(clip) == frames
+        for t_norm, got in zip(t_norms, clip):
+            want = forward_frame(config, params, t_norm).data
+            assert (got.shape, got.dtype, got.strides) == \
+                (want.shape, want.dtype, want.strides)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_clip_render_batches_only_below_largest_activation(monkeypatch):
+    # small@64: the largest one-frame activation is the last stage's,
+    # 12 x 64 x 64; a 5-frame clip runs the 8x8 and 16x16 stages as one
+    # batch and everything finer one frame at a time
+    config = CLIP_CONFIGS["small64-f32"]
+    seen = []
+    original = ops.conv2d
+
+    def spy(x, w, b=None):
+        seen.append(x.shape)
+        return original(x, w, b)
+
+    monkeypatch.setattr(ops, "conv2d", spy)
+    list(forward_clip(config, init_random(config, 0), frame_timestamps(5)))
+    assert seen[:2] == [(5, 24, 8, 8), (5, 24, 16, 16)]
+    assert seen[2:] == [(1, 16, 32, 32), (1, 12, 64, 64), (1, 12, 64, 64)] * 5
+    assert max(np.prod(shape) for shape in seen) == 12 * 64 * 64
+
+
+@pytest.mark.parametrize("fixture_name",
+                         ["tiny_nerv", "tiny_subpel", "tiny_mlp"])
+def test_multi_frame_render_under_tape_raises(fixture_name, request):
+    # a clip's frames are plain arrays: under a tape the call raises
+    # rather than return frames whose gradients are lost
+    config = request.getfixturevalue(fixture_name)
+    live = init_random(config, 11).clone(requires_grad=True)
+    with Tape() as tape:
+        with pytest.raises(TapeError, match="one frame per call"):
+            list(forward_clip(config, live, [0.0, 1.0]))
+        loss = ops.mean_square(forward_frame(config, live, 1.0))
+    tape.backward(loss)
+    assert all(live[name].grad is not None for name in live.names)
 
 
 def test_timestamps_normalization():

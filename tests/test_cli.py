@@ -152,6 +152,13 @@ def test_non_integer_backbone_config_exits_2(workdir, tmp_path):
     assert not out.exists()
 
 
+def test_jobs_below_one_exits_2(workdir, tmp_path):
+    out = tmp_path / "never.bits"
+    assert main(["encode", str(workdir / "in.rgb"), "--out", str(out),
+                 *COMMON, *ENCODE_FAST, "--jobs", "0"]) == 2
+    assert not out.exists()
+
+
 def test_bad_gom_index_exits_2(workdir):
     assert main(["decode", str(workdir / "out.bits"),
                  str(workdir / "y.rgb"), "--gom", "99"]) == 2

@@ -7,15 +7,18 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import norm
 
+from clipcodec import detmath
 from clipcodec.coder import (FLUSH_BYTES, FREQ_TOTAL, build_model,
+                             build_models,
                              decode_symbols, encode_symbols,
                              model_entropy_bits, sample_symbols)
 from clipcodec.coder import _BOTTOM, _MASK, _TOP
 from clipcodec.errors import BitstreamError, ConfigError, DataError
-from clipcodec.ratequant import LayerStats, rate_bits_eval
+from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_FLOOR, LayerStats,
+                                 rate_bits_eval)
 from clipcodec.seeds import make_rng
 
 
@@ -116,6 +119,56 @@ def test_round_trip_random_models_and_streams(seed, mu, sd, bound, count):
     payload = encode_symbols([symbols], [model])
     back = decode_symbols(payload, [model], [count])
     assert np.array_equal(back[0], symbols)
+
+
+_layer_specs = st.tuples(
+    st.floats(-50.0, 50.0),
+    st.one_of(st.just(SIGMA_FLOOR), st.just(SIGMA_FLOOR * 0.5),
+              st.floats(SIGMA_FLOOR, 1e4)),
+    st.one_of(st.just(1), st.just(MAX_SYMBOL), st.integers(1, 3000)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_layer_specs, min_size=1, max_size=14))
+@example([(0.0, SIGMA_FLOOR, 1), (0.3, 2.0, MAX_SYMBOL),
+          (-1.5, SIGMA_FLOOR * 0.5, MAX_SYMBOL), (0.25, 1.75, 5)])
+def test_build_models_equals_per_layer_build_model(specs):
+    mus, sds, bounds = zip(*specs)
+    models = build_models(mus, sds, bounds)
+    assert len(models) == len(specs)
+    for model, (mu, sd, bound) in zip(models, specs):
+        alone = build_model(mu, sd, bound)
+        assert (model.mu, model.sd, model.bound) == (mu, sd, bound)
+        assert model.freqs.dtype == alone.freqs.dtype
+        assert np.array_equal(model.freqs, alone.freqs)
+        assert model.cum.dtype == alone.cum.dtype
+        assert np.array_equal(model.cum, alone.cum)
+
+
+def test_build_models_groups_layers_into_bounded_calls(monkeypatch):
+    # one interval-mass call per group of consecutive layers, none wider
+    # than the widest single table
+    sizes = []
+    original = detmath.norm_cdf_diff
+
+    def spy(lo, hi):
+        sizes.append(np.size(lo))
+        return original(lo, hi)
+
+    monkeypatch.setattr(detmath, "norm_cdf_diff", spy)
+    build_models([0.0] * 12, [1.0] * 12, [40] * 12)
+    assert sizes == [12 * 81]
+    sizes.clear()
+    build_models([0.0] * 5, [1.0] * 5, [MAX_SYMBOL, 3, 4, MAX_SYMBOL, 2])
+    assert sizes == [2 * MAX_SYMBOL + 1, 7 + 9, 2 * MAX_SYMBOL + 1, 5]
+
+
+def test_build_models_checks_every_layer_first(monkeypatch):
+    monkeypatch.setattr(detmath, "norm_cdf_diff", None)  # never reached
+    with pytest.raises(ConfigError, match="bound"):
+        build_models([0.0, 0.0], [1.0, 1.0], [5, MAX_SYMBOL + 1])
+    with pytest.raises(ConfigError, match="floor"):
+        build_models([0.0, 0.0], [1.0, SIGMA_FLOOR * 0.4], [5, 5])
 
 
 @contextmanager

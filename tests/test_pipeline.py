@@ -1,20 +1,24 @@
 """Partitioning, training, and the encode/decode closure."""
 
+import concurrent.futures
 import hashlib
+import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clipcodec import detmath, ops, pipeline
-from clipcodec.backbone import (BackboneConfig, UpsampleStage, forward_frame,
-                                init_random, param_layout)
+from clipcodec.backbone import (BackboneConfig, UpsampleStage, forward_clip,
+                                forward_frame, init_random, param_layout)
 from clipcodec.bitstream import _FIXED, BitstreamReader, read_bitstream
 from clipcodec.errors import BitstreamError, ConfigError
 from clipcodec.optim import adam_init, adam_step
 from clipcodec.pipeline import (TrainConfig, decode_gom, decode_video,
-                                encode_video, partition, train_model,
-                                training_step_loss)
+                                encode_video, partition, render_video,
+                                train_model, training_step_loss)
+from clipcodec.presets import nerv_lite_preset
 from clipcodec.params import ParamVector
 from clipcodec.ratequant import (MAX_SYMBOL, QuantScale, initial_scales,
                                  layer_stats, rate_bits_train)
@@ -312,21 +316,24 @@ def test_one_noise_draw_equals_per_layer_draws():
 
 
 def test_train_model_renders_each_frame_once(monkeypatch):
-    # one forward per training step plus one per frame for the final
-    # render, which gives both final_mse and the reconstruction
+    # one forward per training step plus one clip render per model, which
+    # gives both final_mse and the reconstruction
     config = small_config()
     video = synth_video("moving-blob", 16, 16, 4, velocity=1.0, seed=6)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return forward_frame(*args, **kwargs)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(pipeline, "forward_frame", counted)
+    monkeypatch.setattr(pipeline, "forward_frame", counted(forward_frame))
+    monkeypatch.setattr(pipeline, "forward_clip", counted(forward_clip))
     cfg = quick_cfg(epochs_i=2, epochs_p=1)
     result = encode_video(video, partition(4, 2, 2), config, cfg,
                           keep_reference=True)
-    assert len(calls) == 2 * 2 + 1 * 2 + 4
+    assert len(calls) == 2 * 2 + 1 * 2 + 2
     monkeypatch.undo()
     assert np.array_equal(decode_video(result.data).frames,
                           result.recon.frames)
@@ -562,6 +569,57 @@ def test_mutated_stream_decodes_or_raises_bitstream_error(encoded_pair,
         (video.width, video.height, video.frame_count)
 
 
+def _traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc peak of the decode below when every table was built on its
+# own (numpy 2.4, CPython 3.11); one interval-mass call over all 12
+# widest tables of a model peaked at 136.9 MB
+PER_LAYER_TABLES_PEAK = 20.64e6
+
+
+def test_widest_alphabets_decode_within_memory_ceiling():
+    # every layer of one record declares the widest alphabet the header
+    # allows, 65,535 entries; the tables still fit a fixed budget and the
+    # payload, coded with other tables, is refused
+    config = nerv_lite_preset(32, 32, "tiny")
+    video = synth_video("moving-blob", 32, 32, 4, velocity=1.0, seed=3)
+    data = encode_video(video, partition(4, 2, 2), config,
+                        quick_cfg(epochs_i=1, epochs_p=1)).data
+    layers = read_bitstream(data)[0].n_layers
+    stream = repack(data, bound=np.full(layers, MAX_SYMBOL, dtype=np.uint32))
+
+    def decode():
+        with pytest.raises(BitstreamError):
+            decode_video(stream)
+
+    assert _traced_peak(decode) <= 1.1 * PER_LAYER_TABLES_PEAK
+
+
+# tracemalloc peak of render_video when every frame walked the whole
+# network on its own, flat in the clip length (numpy 2.4, CPython 3.11);
+# running every layer on the whole clip peaked at 17.7 MB for p = 5 and
+# 69.3 MB for p = 20
+PER_FRAME_RENDER_PEAK = 3.89e6
+
+
+@pytest.mark.parametrize("gop_size", [1, 5, 10, 20, 40])
+def test_render_memory_flat_in_clip_length(gop_size):
+    config = nerv_lite_preset(64, 64, "small")
+    plan = partition(40, gop_size, 1)
+    params = [init_random(config, 0)] * plan.gop_count
+    render_video(config, params, plan)  # warm every cache first
+    peak = _traced_peak(lambda: render_video(config, params, plan))
+    assert peak <= 1.25 * PER_FRAME_RENDER_PEAK
+
+
 @pytest.mark.parametrize("layer, scale, message", [
     (0, 3.4e38, "overflow the parameters"),
     (4, 1e37, "non-finite activation")], ids=["params", "render"])
@@ -617,6 +675,43 @@ def test_encoder_widens_a_step_the_alphabet_cannot_hold(monkeypatch):
         assert rec.scale[0] > 20 * step  # widened, not just trained
     decoded = decode_video(result.data)
     assert np.array_equal(decoded.frames, result.recon.frames)
+
+
+def test_jobs_pool_capped_at_group_count(monkeypatch):
+    # a stand-in pool records its size and runs the groups inline, so
+    # no process starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    video = synth_video("moving-rect", 16, 16, 8, velocity=1.0, seed=9)
+    plan = partition(8, 2, 2)
+    cfg = quick_cfg(epochs_i=1, epochs_p=1)
+    pooled = encode_video(video, plan, small_config(), cfg, jobs=64)
+    assert sizes == [plan.gom_count] == [2]
+    assert not multiprocessing.active_children()
+    assert pooled.data == encode_video(video, plan, small_config(), cfg).data
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected(jobs):
+    video = synth_video("static", 16, 16, 4, seed=1)
+    with pytest.raises(ConfigError, match="jobs"):
+        encode_video(video, partition(4, 2, 2), small_config(), quick_cfg(),
+                     jobs=jobs)
 
 
 def test_parallel_jobs_reproduce_serial_bitstream():
