@@ -18,10 +18,11 @@ import io
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .backbone import config_from_text
+from .backbone import BackboneConfig, config_from_text, param_layout
 from .errors import BitstreamError, ConfigError
 from .ratequant import MAX_SYMBOL, SIGMA_FLOOR
 
@@ -75,27 +76,26 @@ class BitstreamHeader:
     n_layers: int
     records: tuple[ModelRecord, ...]
     header_size: int
+    config: BackboneConfig               # the parsed config text
+    offsets: tuple[int, ...]             # payload starts, then stream end
 
     def payload_offset(self, index: int) -> int:
-        off = self.header_size
-        for rec in self.records[:index]:
-            off += rec.payload_len
-        return off
+        return self.offsets[index]
 
     def total_size(self) -> int:
-        return self.header_size + sum(r.payload_len for r in self.records)
+        return self.offsets[-1]
 
 
-def _check_video(width: int, height: int, frame_count: int, gop_size: int,
-                 gom_size: int, model_count: int, config_text: str) -> None:
-    """Reject frame fields a decoder could not honour, before it plans
-    clips or allocates frames.
+def _check_header(width: int, height: int, frame_count: int, gop_size: int,
+                  gom_size: int, precision: str, config_text: str,
+                  n_layers: int, records) -> BackboneConfig:
+    """Every rule a header must meet; returns its parsed backbone config.
 
-    Every field must be positive, the clips of ``gop_size`` frames must
-    number exactly the model records, the video must stay within
-    :data:`MAX_VIDEO_PIXELS`, and width and height must equal the frame
-    size of the backbone config text.  A text that is not a valid config
-    has no frame size; decoders reject it before they plan anything.
+    The writer and the reader both run it, so the encoder never writes a
+    stream its own decoder rejects, and a decoder rejects a stream before
+    it plans clips, allocates frames or reads a payload.  Each rule is
+    checked once per field or record, so rejection takes time linear in
+    the header.  Offsets are those of the bad field in the stream.
     """
     fields = {"width": width, "height": height, "frame_count": frame_count,
               "gop_size": gop_size, "gom_size": gom_size}
@@ -109,50 +109,69 @@ def _check_video(width: int, height: int, frame_count: int, gop_size: int,
                              f"{MAX_VIDEO_PIXELS} pixels",
                              offset=_FIELD_OFFSETS["frame_count"])
     clips = -(-frame_count // gop_size)
-    if clips != model_count:
+    if clips != len(records):
         raise BitstreamError(f"{frame_count} frames in clips of {gop_size} "
                              f"need {clips} models, header has "
-                             f"{model_count}",
+                             f"{len(records)}",
                              offset=_FIELD_OFFSETS["gop_size"])
     try:
         config = config_from_text(config_text)
-    except ConfigError:
-        return
+    except ConfigError as exc:
+        raise BitstreamError(f"unusable backbone config text: {exc}",
+                             offset=_FIXED.size) from None
+    if config.precision != precision:
+        raise BitstreamError(f"header precision {precision} disagrees with "
+                             f"the config text's {config.precision}",
+                             offset=6)
     if (config.frame_width, config.frame_height) != (width, height):
         raise BitstreamError(f"header frame size {width}x{height} differs "
                              f"from the backbone's "
                              f"{config.frame_width}x{config.frame_height}",
                              offset=_FIELD_OFFSETS["width"])
-
-
-def _check_record(rec: ModelRecord, offset=None) -> None:
-    """Reject a record the decoder could not use before any payload is read.
-
-    Bounds must lie in [1, MAX_SYMBOL], mu must be finite and sd be finite
-    and at least the floor the coder's tables accept; scales must be
-    finite and positive; epsilon must lie in [0, 1] and be 0 for an I
-    model.
-    """
-    bound = np.asarray(rec.bound, dtype=np.int64)
-    mu = np.asarray(rec.mu, dtype=np.float64)
-    sd = np.asarray(rec.sd, dtype=np.float64)
-    scale = np.asarray(rec.scale, dtype=np.float64)
-    for field_name, values, ok in (
-            ("alphabet bound", bound, (bound >= 1) & (bound <= MAX_SYMBOL)),
-            ("mu", mu, np.isfinite(mu)),
-            ("sd", sd, np.isfinite(sd) & (sd >= SIGMA_FLOOR * 0.5)),
-            ("scale", scale, np.isfinite(scale) & (scale > 0.0))):
-        wrong = np.flatnonzero(~ok)
+    layers_off = _FIXED.size + len(config_text.encode("utf-8"))
+    layers = len(param_layout(config))
+    if n_layers != layers:
+        raise BitstreamError(f"header declares {n_layers} layers, config "
+                             f"yields {layers}", offset=layers_off)
+    first = layers_off + _LAYERS.size
+    rec_size = _REC_HEAD.size + 16 * n_layers + _REC_TAIL.size
+    for i, rec in enumerate(records):
+        role = ROLE_I if i % gom_size == 0 else ROLE_P
+        if rec.index != i:
+            raise BitstreamError(f"model record {i} carries index "
+                                 f"{rec.index}", offset=first + i * rec_size)
+        if rec.role != role:
+            raise BitstreamError(f"model {i}: role {rec.role} contradicts "
+                                 f"the partition",
+                                 offset=first + i * rec_size + 4)
+        if not 0.0 <= rec.epsilon <= 1.0 or (role == ROLE_I
+                                             and rec.epsilon != 0.0):
+            raise BitstreamError(f"model {i}: epsilon {rec.epsilon} invalid "
+                                 f"for a {role} model",
+                                 offset=first + i * rec_size + 5)
+    # Each array field as stored, one (models, layers) array at once; the
+    # smallest float32 above 0 is the least positive scale.
+    for pos, (name, dtype, lo, hi) in enumerate((
+            ("scale", "<f4", np.finfo(np.float32).smallest_subnormal, np.inf),
+            ("mu", "<f4", -np.inf, np.inf),
+            ("sd", "<f4", SIGMA_FLOOR * 0.5, np.inf),
+            ("bound", "<u4", 1, MAX_SYMBOL))):
+        rows = [getattr(rec, name) for rec in records]
+        short = [i for i, row in enumerate(rows) if len(row) != n_layers]
+        if short:
+            raise BitstreamError(f"model {short[0]}: {len(rows[short[0]])} "
+                                 f"{name} entries, expected {n_layers}")
+        values = np.asarray(rows, dtype=dtype).reshape(-1, n_layers)
+        values = values.astype(np.float64)
+        wrong = np.argwhere(~(np.isfinite(values) & (values >= lo)
+                              & (values <= hi)))
         if wrong.size:
-            layer = int(wrong[0])
-            raise BitstreamError(f"model {rec.index}: layer {layer} "
-                                 f"{field_name} {values[layer]} out of range",
-                                 offset=offset)
-    if not 0.0 <= rec.epsilon <= 1.0 or (rec.role == ROLE_I
-                                         and rec.epsilon != 0.0):
-        raise BitstreamError(f"model {rec.index}: epsilon {rec.epsilon} "
-                             f"invalid for a {rec.role} model",
-                             offset=offset)
+            i, layer = (int(v) for v in wrong[0])
+            raise BitstreamError(f"model {i}: layer {layer} {name} "
+                                 f"{values[i, layer]} out of range",
+                                 offset=first + i * rec_size + _REC_HEAD.size
+                                 + 4 * (pos * n_layers + layer))
+    return config
 
 
 def _pack_header(width, height, frame_count, gop_size, gom_size, seed,
@@ -166,9 +185,6 @@ def _pack_header(width, height, frame_count, gop_size, gom_size, seed,
     buf += config_bytes
     buf += _LAYERS.pack(n_layers, len(records))
     for rec in records:
-        if len(rec.scale) != n_layers:
-            raise BitstreamError(f"model {rec.index}: {len(rec.scale)} "
-                                 f"layer entries, expected {n_layers}")
         buf += _REC_HEAD.pack(rec.index, _ROLE_CODES[rec.role],
                               float(rec.epsilon))
         buf += np.asarray(rec.scale, dtype="<f4").tobytes()
@@ -195,103 +211,73 @@ def write_bitstream(width: int, height: int, frame_count: int, gop_size: int,
         if rec.payload_crc != zlib.crc32(payload):
             raise BitstreamError(f"model {rec.index}: payload CRC mismatch "
                                  f"at write time")
-        _check_record(rec)
-    _check_video(width, height, frame_count, gop_size, gom_size,
-                 len(records), config_text)
     n_layers = len(records[0].scale) if records else 0
+    _check_header(width, height, frame_count, gop_size, gom_size, precision,
+                  config_text, n_layers, records)
     header = _pack_header(width, height, frame_count, gop_size, gom_size,
                           seed, precision, config_text, n_layers, records)
     return header + b"".join(payloads)
 
 
-class _Cursor:
-    def __init__(self, read_exact, base: int = 0):
-        self._read = read_exact
-        self.pos = base
-
-    def take(self, n: int) -> bytes:
-        data = self._read(self.pos, n)
+def _parse_header(read_exact) -> BitstreamHeader:
+    def take(pos: int, n: int) -> bytes:
+        data = read_exact(pos, n)
         if len(data) != n:
-            raise BitstreamError("truncated header", offset=self.pos)
-        self.pos += n
+            raise BitstreamError("truncated header", offset=pos)
         return data
 
-
-def _parse_header(read_exact) -> BitstreamHeader:
-    cur = _Cursor(read_exact)
-    fixed = cur.take(_FIXED.size)
     (magic, version, prec_code, _reserved, width, height, frame_count,
-     gop_size, gom_size, seed, config_len) = _FIXED.unpack(fixed)
+     gop_size, gom_size, seed, config_len) = _FIXED.unpack(
+         take(0, _FIXED.size))
     if magic != MAGIC:
         raise BitstreamError(f"bad magic {magic!r}", offset=0)
     if version != VERSION:
         raise BitstreamError(f"unsupported version {version}", offset=4)
     if prec_code not in _PRECISION_NAMES:
         raise BitstreamError(f"unknown precision code {prec_code}", offset=6)
-    config_off = cur.pos
-    config_bytes = cur.take(config_len)
-    n_layers, model_count = _LAYERS.unpack(cur.take(_LAYERS.size))
+    config_bytes = take(_FIXED.size, config_len)
+    pos = _FIXED.size + config_len
+    n_layers, model_count = _LAYERS.unpack(take(pos, _LAYERS.size))
+    pos += _LAYERS.size
+    rec_size = _REC_HEAD.size + 16 * n_layers + _REC_TAIL.size
     records = []
-    offsets = []
     for _ in range(model_count):
-        rec_off = cur.pos
-        offsets.append(rec_off)
-        index, role_code, epsilon = _REC_HEAD.unpack(cur.take(_REC_HEAD.size))
+        blob = take(pos, rec_size)
+        index, role_code, epsilon = _REC_HEAD.unpack_from(blob)
         if role_code not in _ROLE_NAMES:
             raise BitstreamError(f"unknown model role {role_code:#x}",
-                                 offset=rec_off + 4)
-        scale = np.frombuffer(cur.take(4 * n_layers), dtype="<f4")
-        mu = np.frombuffer(cur.take(4 * n_layers), dtype="<f4")
-        sd = np.frombuffer(cur.take(4 * n_layers), dtype="<f4")
-        bound = np.frombuffer(cur.take(4 * n_layers), dtype="<u4")
-        payload_len, payload_crc = _REC_TAIL.unpack(cur.take(_REC_TAIL.size))
+                                 offset=pos + 4)
+        scale, mu, sd = np.frombuffer(blob, dtype="<f4", count=3 * n_layers,
+                                      offset=_REC_HEAD.size).reshape(3, -1)
+        bound = np.frombuffer(blob, dtype="<u4", count=n_layers,
+                              offset=_REC_HEAD.size + 12 * n_layers)
+        payload_len, payload_crc = _REC_TAIL.unpack_from(
+            blob, rec_size - _REC_TAIL.size)
         records.append(ModelRecord(index=index, role=_ROLE_NAMES[role_code],
                                    epsilon=float(epsilon), scale=scale,
                                    mu=mu, sd=sd, bound=bound,
                                    payload_len=payload_len,
                                    payload_crc=payload_crc))
-    crc_off = cur.pos
-    stored_crc, = _CRC.unpack(cur.take(_CRC.size))
-    actual_crc = zlib.crc32(read_exact(0, crc_off))
-    if stored_crc != actual_crc:
-        raise BitstreamError("header CRC mismatch", offset=crc_off)
+        pos += rec_size
+    stored_crc, = _CRC.unpack(take(pos, _CRC.size))
+    if stored_crc != zlib.crc32(read_exact(0, pos)):
+        raise BitstreamError("header CRC mismatch", offset=pos)
     try:
         config_text = config_bytes.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise BitstreamError(f"backbone config text is not UTF-8: {exc}",
-                             offset=config_off + exc.start) from None
-    _check_video(width, height, frame_count, gop_size, gom_size,
-                 model_count, config_text)
-    for rec, rec_off in zip(records, offsets):
-        _check_record(rec, offset=rec_off)
-    return BitstreamHeader(width=width, height=height,
-                           frame_count=frame_count, gop_size=gop_size,
-                           gom_size=gom_size, seed=seed,
-                           precision=_PRECISION_NAMES[prec_code],
-                           config_text=config_text, n_layers=n_layers,
-                           records=tuple(records), header_size=cur.pos)
-
-
-def read_bitstream(data: bytes) -> tuple[BitstreamHeader, list[bytes]]:
-    """Parse bytes into a header and verified payloads."""
-    def read_exact(offset, n):
-        return data[offset:offset + n]
-
-    header = _parse_header(read_exact)
-    if header.total_size() > len(data):
-        raise BitstreamError(f"stream shorter than declared: {len(data)} "
-                             f"< {header.total_size()}",
-                             offset=len(data))
-    payloads = []
-    off = header.header_size
-    for rec in header.records:
-        payload = data[off:off + rec.payload_len]
-        if zlib.crc32(payload) != rec.payload_crc:
-            raise BitstreamError(f"model {rec.index}: payload CRC mismatch",
-                                 offset=off)
-        payloads.append(payload)
-        off += rec.payload_len
-    return header, payloads
+                             offset=_FIXED.size + exc.start) from None
+    precision = _PRECISION_NAMES[prec_code]
+    config = _check_header(width, height, frame_count, gop_size, gom_size,
+                           precision, config_text, n_layers, records)
+    header_size = pos + _CRC.size
+    return BitstreamHeader(
+        width=width, height=height, frame_count=frame_count,
+        gop_size=gop_size, gom_size=gom_size, seed=seed, precision=precision,
+        config_text=config_text, n_layers=n_layers, records=tuple(records),
+        header_size=header_size, config=config,
+        offsets=tuple(accumulate((rec.payload_len for rec in records),
+                                 initial=header_size)))
 
 
 class BitstreamReader:
@@ -331,6 +317,19 @@ class BitstreamReader:
         return payload
 
 
+def read_bitstream(data: bytes) -> tuple[BitstreamHeader, list[bytes]]:
+    """Parse bytes into a header and verified payloads: the whole-stream
+    case of :class:`BitstreamReader`, which checks each payload."""
+    reader = BitstreamReader.from_bytes(data)
+    header = reader.header
+    if header.total_size() > len(data):
+        raise BitstreamError(f"stream shorter than declared: {len(data)} "
+                             f"< {header.total_size()}",
+                             offset=len(data))
+    return header, [reader.read_payload(i)
+                    for i in range(len(header.records))]
+
+
 def dump_header_text(header: BitstreamHeader) -> str:
     """Human-readable header rendering for the --dump-header mode."""
     lines = [
@@ -344,11 +343,9 @@ def dump_header_text(header: BitstreamHeader) -> str:
         "backbone config:",
     ]
     lines += ["  | " + line for line in header.config_text.rstrip().split("\n")]
-    off = header.header_size
-    for rec in header.records:
+    for rec, off in zip(header.records, header.offsets):
         lines.append(
             f"model {rec.index}: role={rec.role} epsilon={rec.epsilon:.6g} "
             f"payload={rec.payload_len}B @ {off} "
             f"bounds=[{int(rec.bound.min())}..{int(rec.bound.max())}]")
-        off += rec.payload_len
     return "\n".join(lines)

@@ -87,8 +87,6 @@ def _add_encode(sub):
                    help="explicit backbone config file (overrides --tier)")
     p.add_argument("--lambda", dest="lam", type=float, default=1e6,
                    help="distortion weight in the training loss")
-    p.add_argument("--lambda-preset", choices=sorted(presets.LAMBDA_PRESETS),
-                   help="named full-scale distortion weight")
     p.add_argument("--epochs-i", type=int, default=60)
     p.add_argument("--epochs-p", type=int, default=40)
     p.add_argument("--lr", type=float, default=1e-2)
@@ -123,15 +121,13 @@ def _cmd_encode(args) -> int:
         gop_size = (presets.GOP_PRESETS[args.gop_preset]
                     if args.gop_preset else args.gop)
         gom_size = args.gom
-        lam = (presets.LAMBDA_PRESETS[args.lambda_preset]
-               if args.lambda_preset else args.lam)
         if args.backbone_config:
             config = config_from_text(args.backbone_config.read_text())
         else:
             config = presets.nerv_lite_preset(width, height, args.tier,
                                               precision=args.precision)
         cfg = TrainConfig(epochs_i=args.epochs_i, epochs_p=args.epochs_p,
-                          lr_i=args.lr, lr_p=args.lr, lam=lam,
+                          lr_i=args.lr, lr_p=args.lr, lam=args.lam,
                           warmup_frac=args.warmup_frac, seed=args.seed,
                           schedule=presets.DEFAULT_SCHEDULE)
         jobs = args.jobs

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detmath, ops
-from .backbone import (BackboneConfig, config_from_text, config_to_text,
-                       forward_clip, forward_frame, frame_timestamps,
-                       init_random, param_layout)
+from .backbone import (BackboneConfig, config_to_text, forward_clip,
+                       forward_frame, frame_timestamps, init_random)
 from .bitstream import (BitstreamHeader, BitstreamReader, ModelRecord,
                         ROLE_I, ROLE_P, read_bitstream, write_bitstream)
 from .coder import build_models, decode_symbols, encode_symbols
@@ -68,10 +67,9 @@ class PartitionPlan:
         return self.gops[first][0], self.gops[end - 1][1]
 
     def role_of(self, gop_index: int) -> str:
-        for first, end in self.goms:
-            if first <= gop_index < end:
-                return ROLE_I if gop_index == first else ROLE_P
-        raise ConfigError(f"gop index {gop_index} outside plan")
+        if not 0 <= gop_index < self.gop_count:
+            raise ConfigError(f"gop index {gop_index} outside plan")
+        return ROLE_I if gop_index % self.gom_size == 0 else ROLE_P
 
 
 def partition(frame_count: int, gop_size: int, gom_size: int) -> PartitionPlan:
@@ -117,15 +115,14 @@ class TrainConfig:
 def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
                        theta_star: ParamVector, log_scales: ParamVector,
                        target_hw3: np.ndarray, t_norm: float, lam: float,
-                       noise, stats_override: LayerStats | None = None):
+                       noise):
     """Build one training-step graph; returns (loss, rate, mse, stats).
 
     Rendering uses the warm start plus the straight-through-rounded
     residual on the trained lattice, so train-time distortion equals
     decode-time distortion.  The rate term scores the noisy scaled
     residual; (mu, sd) statistics are per-step constants.  ``noise`` is
-    one uniform(-1/2, 1/2) array with every layer's noise in layout order
-    (or one array per layer).
+    one uniform(-1/2, 1/2) array with every layer's noise in layout order.
 
     The lattice is one op chain over all layers, flattened and joined in
     layout order: each layer's step size ``exp(log_scale)`` is spread over
@@ -150,12 +147,10 @@ def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
                       ops.broadcast_segments(steps, shapes))
     effective = dict(zip(names, ops.split_flat(ops.add(prime, snapped),
                                                shapes)))
-    stats = stats_override
-    if stats is None:
-        ends = np.cumsum(sizes)
-        stats = layer_stats([unit.data[end - n:end].reshape(shape)
-                             for n, end, shape in zip(sizes, ends, shapes)],
-                            names)
+    ends = np.cumsum(sizes)
+    stats = layer_stats([unit.data[end - n:end].reshape(shape)
+                         for n, end, shape in zip(sizes, ends, shapes)],
+                        names)
     rate = rate_bits_train(unit, noise, stats, sizes)
     frame = forward_frame(config, effective, t_norm)
     mse = ops.mean_square(ops.sub(frame, ops.constant(target_hw3)))
@@ -297,13 +292,6 @@ class EncodeResult:
     wall_seconds: float
     recon: RawVideo | None = None
     final_params: list[ParamVector] | None = None
-
-    @property
-    def payload_bits(self) -> dict[str, int]:
-        totals = {ROLE_I: 0, ROLE_P: 0}
-        for log in self.per_model:
-            totals[log.role] += log.payload_bits
-        return totals
 
 
 def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
@@ -464,35 +452,8 @@ def render_video(config: BackboneConfig, params_per_gop: list[ParamVector],
                     frames=frames)
 
 
-def _plan_from_header(header: BitstreamHeader):
-    try:
-        config = config_from_text(header.config_text)
-    except ConfigError as exc:
-        raise BitstreamError(f"unusable backbone config text: {exc}") \
-            from None
-    if header.precision != config.precision:
-        raise BitstreamError("header precision disagrees with config text")
-    plan = partition(header.frame_count, header.gop_size, header.gom_size)
-    n_layers = len(param_layout(config))
-    if header.n_layers != n_layers:
-        raise BitstreamError(f"header declares {header.n_layers} layers, "
-                             f"config yields {n_layers}")
-    if len(header.records) != plan.gop_count:
-        raise BitstreamError(f"header has {len(header.records)} models, "
-                             f"plan needs {plan.gop_count}")
-    for gop_index, rec in enumerate(header.records):
-        if rec.index != gop_index:
-            raise BitstreamError(f"model record {gop_index} carries index "
-                                 f"{rec.index}")
-        if rec.role != plan.role_of(gop_index):
-            raise BitstreamError(f"model {gop_index}: role {rec.role} "
-                                 f"contradicts the partition")
-    return config, plan
-
-
-def _decode_gom_params(header: BitstreamHeader, config: BackboneConfig,
-                       plan: PartitionPlan, gom_index: int,
-                       payload_of) -> list[ParamVector]:
+def _decode_gom_params(header: BitstreamHeader, plan: PartitionPlan,
+                       gom_index: int, payload_of) -> list[ParamVector]:
     """Reconstruct every model of one group from header + payloads."""
     def finish(gop_index, role, epsilon, theta_prime):
         rec = header.records[gop_index]
@@ -507,7 +468,7 @@ def _decode_gom_params(header: BitstreamHeader, config: BackboneConfig,
                                  f"overflow the parameters")
         return theta, theta
 
-    return _walk_gom(config, header.seed, plan, gom_index,
+    return _walk_gom(header.config, header.seed, plan, gom_index,
                      lambda gop_index: header.records[gop_index].epsilon,
                      finish)
 
@@ -515,24 +476,23 @@ def _decode_gom_params(header: BitstreamHeader, config: BackboneConfig,
 def decode_video(data: bytes) -> RawVideo:
     """Reconstruct the full video from bitstream bytes (pure function)."""
     header, payloads = read_bitstream(data)
-    config, plan = _plan_from_header(header)
+    plan = partition(header.frame_count, header.gop_size, header.gom_size)
     params: list[ParamVector] = []
     for gom_index in range(plan.gom_count):
-        params.extend(_decode_gom_params(header, config, plan, gom_index,
+        params.extend(_decode_gom_params(header, plan, gom_index,
                                          lambda i: payloads[i]))
-    return render_video(config, params, plan)
+    return render_video(header.config, params, plan)
 
 
 def decode_gom(reader: BitstreamReader,
                gom_index: int) -> tuple[RawVideo, tuple[int, int]]:
     """Decode one group via random access; reads only its payload range."""
     header = reader.header
-    config, plan = _plan_from_header(header)
+    plan = partition(header.frame_count, header.gop_size, header.gom_size)
     if not 0 <= gom_index < plan.gom_count:
         raise ConfigError(f"gom index {gom_index} outside "
                           f"[0, {plan.gom_count})")
-    params = _decode_gom_params(header, config, plan, gom_index,
-                                reader.read_payload)
+    params = _decode_gom_params(header, plan, gom_index, reader.read_payload)
     start, stop = plan.gom_frame_range(gom_index)
     sub_plan = partition(stop - start, plan.gop_size, plan.gom_size)
-    return render_video(config, params, sub_plan), (start, stop)
+    return render_video(header.config, params, sub_plan), (start, stop)

@@ -1,4 +1,4 @@
-"""Named configurations: backbone tiers, clip-length presets, loss weights.
+"""Named configurations: backbone tiers and clip-length presets.
 
 Desk-scale tiers keep a full encode under ten minutes on a laptop.
 """
@@ -14,13 +14,6 @@ GOP_PRESETS = {
     "gop-small": 6,
     "gop-medium": 30,
     "gop-large": 120,
-}
-
-# Distortion weights: "quality" suits grid-heavy backbones, "rate" compact
-# ones.
-LAMBDA_PRESETS = {
-    "quality": 5.0,
-    "rate": 0.5,
 }
 
 # Default blend schedule; b calibrated by scripts/calibrate_epsilon.py on

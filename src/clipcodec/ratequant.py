@@ -200,14 +200,13 @@ def layer_stats(scaled: list[np.ndarray], names: tuple[str, ...]) -> LayerStats:
     return LayerStats(tuple(names), mu, sd)
 
 
-def rate_bits_train(scaled, noise, stats: LayerStats,
-                    sizes=None) -> Tensor:
+def rate_bits_train(flat: Tensor, noise: np.ndarray, stats: LayerStats,
+                    sizes) -> Tensor:
     """Differentiable bit estimate at (scaled residual + uniform noise).
 
-    ``scaled`` is one tensor per layer, or all layers already flattened
-    and joined in layout order as one 1-d tensor with ``sizes`` giving
-    each layer's element count.  ``noise`` holds one array per layer or
-    one array with every layer's noise in layout order.  (mu, sd) are
+    ``flat`` holds every layer's scaled residual, flattened and joined in
+    layout order, with ``sizes`` giving each layer's element count;
+    ``noise`` holds every layer's noise in the same order.  (mu, sd) are
     treated as per-step constants; gradients flow through the scaled
     residual (and hence through parameters and log-scales).
 
@@ -220,16 +219,8 @@ def rate_bits_train(scaled, noise, stats: LayerStats,
     its own contiguous elements, scaled to bits per layer; and the layer
     bits are added left to right in layout order.
     """
-    if isinstance(scaled, Tensor):
-        flat = scaled
-        sizes = list(sizes)
-    else:
-        flat = ops.concat_flat(scaled)
-        sizes = [t.size for t in scaled]
-    if isinstance(noise, np.ndarray):
-        u = noise.reshape(-1)
-    else:
-        u = np.concatenate([a.reshape(-1) for a in noise])
+    sizes = list(sizes)
+    u = noise.reshape(-1)
     if not (len(sizes) == len(stats.names)
             and sum(sizes) == u.size == flat.size):
         raise LayoutError(f"rate term got {len(sizes)} layers of "
@@ -266,8 +257,3 @@ def rate_bits_eval(symbols: list[np.ndarray], stats: LayerStats) -> RateEstimate
         bits = -detmath.log2(np.maximum(mass, EVAL_PROB_FLOOR))
         per_layer[i] = float(np.sum(bits))
     return RateEstimate(float(per_layer.sum()), per_layer)
-
-
-# Re-exported here because straight-through rounding is part of this
-# module's contract; the kernel lives with the other tensor ops.
-ste_round = ops.ste_round

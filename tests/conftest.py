@@ -9,8 +9,10 @@ import zlib
 import numpy as np
 import pytest
 
+from clipcodec import ops
 from clipcodec.backbone import BackboneConfig, UpsampleStage
 from clipcodec.bitstream import _FIXED, _pack_header, read_bitstream
+from clipcodec.ratequant import rate_bits_train
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -38,6 +40,14 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray,
     scale = np.maximum(np.abs(numeric), np.abs(analytic))
     return float(np.max(np.abs(analytic - numeric)
                         / np.maximum(scale, floor)))
+
+
+def rate_bits_layers(scaled, noise, stats):
+    """``rate_bits_train`` of one tensor and one noise array per layer,
+    joined in layout order as the training step joins them."""
+    return rate_bits_train(ops.concat_flat(scaled),
+                           np.concatenate([u.reshape(-1) for u in noise]),
+                           stats, [t.size for t in scaled])
 
 
 class PerSegmentAdam:
@@ -98,39 +108,42 @@ def tiny_mlp() -> BackboneConfig:
         precision="f64")
 
 
-def repack(data: bytes, model: int = 0, config_text: str | None = None,
-           payload_tail: bytes = b"", payload: bytes | None = None,
-           **fields) -> bytes:
+def edit_stream(fields: dict, model: int = 0, **edit) -> dict:
+    """``fields`` (header fields by name, and ``records``) with ``edit``
+    applied: a name in ``fields`` replaces that field, any other name that
+    field of record ``model``, where a scalar array field edits layer 0."""
+    fields = {**fields, **{name: edit.pop(name) for name in list(edit)
+                           if name in fields}}
+    records = list(fields["records"])
+    for name in ("scale", "mu", "sd", "bound"):
+        if name in edit and np.ndim(edit[name]) == 0:
+            values = getattr(records[model], name).copy()
+            values[0] = edit[name]
+            edit[name] = values
+    records[model] = dataclasses.replace(records[model], **edit)
+    return {**fields, "records": records}
+
+
+def repack(data: bytes, model: int = 0, payload_tail: bytes = b"",
+           payload: bytes | None = None, **edit) -> bytes:
     """Rewrite a valid stream with header CRC (and payload length and CRC)
-    recomputed, so only the change itself can make it fail: frame fields
-    (``width``, ``height``, ``frame_count``, ``gop_size``, ``gom_size``)
-    in ``fields`` replaced in the header, the other ``fields`` in record
-    ``model``, its payload replaced by ``payload`` if given and then
-    ``payload_tail`` appended and, if given, another backbone config
-    text.  The writer's checks are bypassed on purpose."""
+    recomputed, so only the change itself can make it fail: ``edit`` as
+    :func:`edit_stream` applies it (header fields such as ``frame_count``,
+    ``precision`` or ``config_text``, or fields of record ``model``), and
+    that record's payload replaced by ``payload`` if given and then
+    ``payload_tail`` appended.  The writer's checks are bypassed on
+    purpose."""
     header, payloads = read_bitstream(data)
-    video = {name: fields.pop(name, getattr(header, name))
-             for name in ("width", "height", "frame_count", "gop_size",
-                          "gom_size")}
     if payload is not None:
         payloads[model] = payload
     payloads[model] += payload_tail
-    records = list(header.records)
-    for name in ("scale", "mu", "sd", "bound"):
-        if name in fields and np.ndim(fields[name]) == 0:
-            values = getattr(records[model], name).copy()
-            values[0] = fields[name]
-            fields[name] = values
-    records[model] = dataclasses.replace(
-        records[model], payload_len=len(payloads[model]),
-        payload_crc=zlib.crc32(payloads[model]), **fields)
-    head = _pack_header(video["width"], video["height"],
-                        video["frame_count"], video["gop_size"],
-                        video["gom_size"], header.seed,
-                        header.precision,
-                        header.config_text if config_text is None
-                        else config_text, header.n_layers, records)
-    return head + b"".join(payloads)
+    fields = {name: getattr(header, name)
+              for name in ("width", "height", "frame_count", "gop_size",
+                           "gom_size", "seed", "precision", "config_text",
+                           "n_layers", "records")}
+    fields = edit_stream(fields, model, payload_len=len(payloads[model]),
+                         payload_crc=zlib.crc32(payloads[model]), **edit)
+    return _pack_header(**fields) + b"".join(payloads)
 
 
 def set_config_byte(data: bytes, index: int, value: int) -> bytes:
@@ -143,8 +156,9 @@ def set_config_byte(data: bytes, index: int, value: int) -> bytes:
 
 
 # Header edits that leave every CRC valid and the stream undecodable:
-# (id, repack keyword arguments).  A scalar array field edits layer 0.
-# The frame-field cases assume 8 frames of 16x16 in 4 clips of 2.
+# (id, repack or edit_stream keyword arguments).  A scalar array field
+# edits layer 0.  The cases assume 8 frames of 16x16 in 4 clips of 2, two
+# clips per group, and f32 parameters in other than 6 layers per model.
 HOSTILE_HEADERS = [
     ("frame-count-max", dict(frame_count=2 ** 32 - 1, gop_size=1)),
     ("frame-count-0", dict(frame_count=0)),
@@ -171,4 +185,11 @@ HOSTILE_HEADERS = [
     ("config-unknown-key", dict(config_text="kind = nerv-lite\nbogus = 1\n")),
     ("config-not-a-number",
      dict(config_text="kind = nerv-lite\npe_frequencies = many\n")),
+    ("record-index-wrong", dict(model=1, index=2)),
+    ("role-P-on-I", dict(model=2, role="P")),
+    ("role-I-on-P", dict(model=1, role="I", epsilon=0.0)),
+    ("config-6-layers",
+     dict(config_text="kind = coord-mlp\nframe_height = 16\n"
+                      "frame_width = 16\n")),
+    ("precision-f64", dict(precision="f64")),
 ]

@@ -133,6 +133,7 @@ def test_hostile_header_exits_3(workdir, tmp_path, capsys, edit):
     out = tmp_path / "x.rgb"
     assert main(["decode", str(bad), str(out)]) == 3
     assert main(["decode", str(bad), str(out), "--gom", "0"]) == 3
+    assert main(["decode", str(bad), "--dump-header"]) == 3
     assert "data error" in capsys.readouterr().err
 
 

@@ -21,12 +21,12 @@ from clipcodec.pipeline import (TrainConfig, decode_gom, decode_video,
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.params import ParamVector
 from clipcodec.ratequant import (MAX_SYMBOL, QuantScale, initial_scales,
-                                 layer_stats, rate_bits_train)
+                                 layer_stats)
 from clipcodec.seeds import STREAM_NOISE, make_rng, model_seed
 from clipcodec.tensor import Tape, Tensor
 from clipcodec.video import synth_video
 from conftest import (HOSTILE_HEADERS, PerSegmentAdam, fd_gradient,
-                      rel_error, repack, set_config_byte)
+                      rate_bits_layers, rel_error, repack, set_config_byte)
 
 
 def small_config(size=16, precision="f32"):
@@ -149,9 +149,6 @@ def test_step_loss_gradients_match_fd_with_frozen_stats():
         / np.exp(-4.0) for n in theta_star.names]
     stats = layer_stats(scaled0, theta_star.names)
 
-    from clipcodec.ratequant import rate_bits_train
-    from clipcodec import ops
-
     def run_rate_only():
         with Tape() as tape:
             scaled = []
@@ -159,7 +156,7 @@ def test_step_loss_gradients_match_fd_with_frozen_stats():
                 step = ops.exp(log_scales[name])
                 delta = ops.sub(theta_star[name], theta_prime[name])
                 scaled.append(ops.div(delta, step))
-            bits = rate_bits_train(scaled, noise, stats)
+            bits = rate_bits_layers(scaled, noise, stats)
         return bits, tape
 
     bits, tape = run_rate_only()
@@ -192,8 +189,7 @@ def test_step_loss_full_graph_runs_and_is_finite():
         (name, Tensor(np.asarray(-4.0), requires_grad=True))
         for name in theta_star.names])
     rng = make_rng(3)
-    noise = [rng.uniform(-0.5, 0.5, theta_prime[n].shape)
-             for n in theta_prime.names]
+    noise = rng.uniform(-0.5, 0.5, theta_prime.total_count)
     target = rng.uniform(0, 1, (16, 16, 3))
     with Tape() as tape:
         loss, rate, mse, stats = training_step_loss(
@@ -220,7 +216,7 @@ def _training_step_loss_per_layer(config, theta_prime, theta_star,
         snapped = ops.mul(ops.ste_round(unit), step)
         effective[name] = ops.add(theta_prime[name], snapped)
     stats = layer_stats([u.data for u in scaled], theta_star.names)
-    rate = rate_bits_train(scaled, noise, stats)
+    rate = rate_bits_layers(scaled, noise, stats)
     frame = forward_frame(config, effective, t_norm)
     mse = ops.mean_square(ops.sub(frame, ops.constant(target_hw3)))
     loss = ops.add(rate, ops.mul(mse, lam))
@@ -367,12 +363,11 @@ def test_decode_matches_encoder_reconstruction(encoded_pair):
 def test_decoded_parameters_bit_identical(encoded_pair):
     video, config, plan, cfg, result = encoded_pair
     header, payloads = read_bitstream(result.data)
-    from clipcodec.pipeline import _decode_gom_params, _plan_from_header
-    config2, plan2 = _plan_from_header(header)
+    plan2 = partition(header.frame_count, header.gop_size, header.gom_size)
     params = []
     for gom_index in range(plan2.gom_count):
-        params.extend(_decode_gom_params(header, config2, plan2, gom_index,
-                                         lambda i: payloads[i]))
+        params.extend(pipeline._decode_gom_params(header, plan2, gom_index,
+                                                  payloads.__getitem__))
     assert len(params) == len(result.final_params)
     for decoded, encoded in zip(params, result.final_params):
         assert np.array_equal(decoded.flatten(), encoded.flatten())

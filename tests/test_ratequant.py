@@ -16,7 +16,7 @@ from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_TRAIN_FLOOR,
                                  quantize, rate_bits_eval, rate_bits_train,
                                  residual, widen_steps)
 from clipcodec.tensor import Tape, Tensor
-from conftest import fd_gradient, rel_error
+from conftest import fd_gradient, rate_bits_layers, rel_error
 
 
 def _pv(values, name="w"):
@@ -215,13 +215,13 @@ def test_eval_bits_nonnegative_per_layer():
 def test_train_rate_gradients_match_fd_with_fixed_noise():
     rng = np.random.default_rng(2)
     scaled_data = rng.standard_normal(24) * 3.0
-    noise = [rng.uniform(-0.5, 0.5, 24)]
+    noise = rng.uniform(-0.5, 0.5, 24)
     stats = layer_stats([scaled_data], ("w",))
     x = Tensor(scaled_data.copy(), requires_grad=True, dtype=np.float64)
 
     def run():
         with Tape() as tape:
-            bits = rate_bits_train([x], noise, stats)
+            bits = rate_bits_train(x, noise, stats, [24])
         return bits, tape
 
     bits, tape = run()
@@ -285,7 +285,7 @@ def _run_rate(fn, dtype, seed):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fused_train_rate_matches_per_layer_reference_bitwise(dtype, seed):
-    got, got_grads, stats = _run_rate(rate_bits_train, dtype, seed)
+    got, got_grads, stats = _run_rate(rate_bits_layers, dtype, seed)
     want, want_grads, _ = _run_rate(_rate_bits_train_per_layer, dtype, seed)
     # both floors of the train-mode sd are in play
     assert (stats.sd < SIGMA_TRAIN_FLOOR).any()
@@ -305,7 +305,7 @@ def test_fused_train_rate_records_one_chain():
     stats = layer_stats([t.data.reshape(-1) for t in scaled],
                         tuple(str(i) for i in range(len(scaled))))
     with Tape() as tape:
-        rate_bits_train(scaled, noise, stats)
+        rate_bits_layers(scaled, noise, stats)
     # one gauss_mass chain for all layers, independent of the layer count
     assert len(tape) == 13
 
@@ -315,7 +315,7 @@ def test_train_rate_rejects_layer_count_mismatch():
     scaled = [Tensor(rng.standard_normal(4)) for _ in range(2)]
     stats = layer_stats([t.data for t in scaled], ("a", "b"))
     with pytest.raises(LayoutError):
-        rate_bits_train(scaled, [np.zeros(4)], stats)
+        rate_bits_train(ops.concat_flat(scaled), np.zeros(4), stats, [4, 4])
 
 
 def test_train_and_eval_rate_agree_in_direction():
@@ -329,10 +329,3 @@ def test_train_and_eval_rate_agree_in_direction():
         sym = np.asarray(np.round(data), dtype=np.int32)
         bits[name] = rate_bits_eval([sym], stats).total_bits
     assert bits["large"] > bits["small"]
-
-
-
-def test_lambda_presets_exist():
-    from clipcodec.presets import LAMBDA_PRESETS
-    assert 5.0 in LAMBDA_PRESETS.values()
-    assert 0.5 in LAMBDA_PRESETS.values()
