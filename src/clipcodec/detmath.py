@@ -17,15 +17,19 @@ Recipes are the classic ones:
   ``m in [sqrt(1/2), sqrt(2))``.
 * ``sin/cos``-- Cody-Waite reduction modulo ``pi/2`` (two-part constant,
   exact for quotients below ``2**20``), Taylor kernels on ``|r| <= pi/4``.
+  ``cos`` is ``sin`` one quadrant on; each element runs only the kernel
+  its quadrant needs (sin for even quadrants, cos for odd ones).
 * ``erf/erfc`` -- W. J. Cody's rational approximations (the SPECFUN
   ``CALERF`` coefficient sets), with the ``exp(-x*x)`` factor evaluated
   via the split-argument trick and the deterministic ``exp`` above (its
   ``exp(-ysq*ysq)`` half takes 425 values, tabulated by that ``exp``).
   Each element is routed once to its region (near, mid or far) and only
-  that region's kernel runs on it, on the gathered subset.  Every step is
-  elementwise and exactly rounded, so an element's bits do not depend on
-  which other elements share its call, nor on the input's shape: the
-  result equals evaluating every kernel everywhere and selecting.
+  that region's kernel runs on it, on the gathered subset.
+
+In both routed pairs (sin/cos, erf/erfc) every step is elementwise and
+exactly rounded, so an element's bits do not depend on which other
+elements share its call, nor on the input's shape: the result equals
+evaluating every kernel everywhere and selecting.
 
 Accuracy is a few ulp everywhere (ample for rate estimation and
 training); determinism, not last-bit accuracy, is the contract.
@@ -116,41 +120,70 @@ _COS_POLY = tuple((-1.0) ** k / math.factorial(2 * k)
                   for k in range(8, 0, -1))
 
 
-def _trig_reduce(x: np.ndarray):
+def _trig_reduce(x: np.ndarray, quarter_turns: int):
+    """``x = k*pi/2 + r``; returns ``r`` and the quadrant of ``x`` plus
+    ``quarter_turns`` quarter turns, ``(k + quarter_turns) mod 4``."""
     k = np.rint(x * _TWO_OVER_PI)
     r = (x - k * _PIO2_HI) - k * _PIO2_LO
     r = r - k * _PIO2_TAIL
-    return r, k.astype(np.int64) & 3
+    return r, (k.astype(np.int64) + quarter_turns) & 3
 
 
 def _sin_kernel(r: np.ndarray) -> np.ndarray:
     z = r * r
-    return r + r * z * _horner(z, _SIN_POLY)
+    out = r * z
+    out *= _horner(z, _SIN_POLY)
+    out += r
+    return out
 
 
 def _cos_kernel(r: np.ndarray) -> np.ndarray:
     z = r * r
-    return 1.0 + z * _horner(z, _COS_POLY)
+    out = _horner(z, _COS_POLY)
+    out *= z
+    out += 1.0
+    return out
+
+
+_QUADRANT_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _sine(x, quarter_turns: int) -> np.ndarray:
+    """``sin(x + quarter_turns*pi/2)``, NaN where ``x`` is not finite.
+
+    In quadrant q the value is the sin kernel for even q and the cos
+    kernel for odd q, negated for q >= 2.  Each element is routed once by
+    the parity of q and only that kernel runs on it, on the gathered
+    subset; the negation is a multiply by -1, which is exact.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    finite = np.isfinite(x)
+    all_finite = finite.all()
+    xc = np.minimum(np.maximum(x, -_TRIG_MAX), _TRIG_MAX)
+    if not all_finite:
+        xc = np.where(finite, xc, 0.0)
+    r, q = _trig_reduce(xc.reshape(-1), quarter_turns)
+    out = np.empty(r.shape)
+    odd = (q & 1).astype(bool)
+    for idx, kernel in ((np.flatnonzero(~odd), _sin_kernel),
+                        (np.flatnonzero(odd), _cos_kernel)):
+        if idx.size:
+            out[idx] = kernel(r[idx])
+    out *= _QUADRANT_SIGN[q]
+    out = out.reshape(x.shape)
+    if not all_finite:
+        out[~finite] = np.nan
+    return out
 
 
 def sin(x) -> np.ndarray:
     """Deterministic sine; accurate for ``|x| <= 1e6``."""
-    x = np.asarray(x, dtype=np.float64)
-    xc = np.where(np.isfinite(x), np.clip(x, -_TRIG_MAX, _TRIG_MAX), 0.0)
-    r, q = _trig_reduce(xc)
-    s, c = _sin_kernel(r), _cos_kernel(r)
-    out = np.choose(q, (s, c, -s, -c))
-    return np.where(np.isfinite(x), out, np.nan)
+    return _sine(x, 0)
 
 
 def cos(x) -> np.ndarray:
     """Deterministic cosine; accurate for ``|x| <= 1e6``."""
-    x = np.asarray(x, dtype=np.float64)
-    xc = np.where(np.isfinite(x), np.clip(x, -_TRIG_MAX, _TRIG_MAX), 0.0)
-    r, q = _trig_reduce(xc)
-    s, c = _sin_kernel(r), _cos_kernel(r)
-    out = np.choose(q, (c, -s, -c, s))
-    return np.where(np.isfinite(x), out, np.nan)
+    return _sine(x, 1)
 
 
 # Cody's CALERF coefficient sets (netlib SPECFUN).  Region 1: |x| <= 0.46875,

@@ -260,6 +260,10 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
                            "loss_r": rate_sum / len(frames),
                            "loss_d": mse_sum / len(frames),
                            "lr": lr})
+    # the last step's tape closes over every activation of that step;
+    # each earlier one goes when the next is bound (freeing it before
+    # the Adam step took 5x the page faults: docs/resources.md)
+    tape = None
 
     theta_final, symbols, scales, stats = _freeze_lattice(
         theta_prime, theta_star, log_scales, dtype)

@@ -194,8 +194,14 @@ def layer_stats(scaled: list[np.ndarray], names: tuple[str, ...]) -> LayerStats:
     mu = np.empty(len(scaled), dtype=np.float32)
     sd = np.empty(len(scaled), dtype=np.float32)
     for i, arr in enumerate(scaled):
-        mu[i] = np.float32(np.mean(arr, dtype=np.float64))
-        sd[i] = np.float32(max(float(np.std(arr, dtype=np.float64)),
+        # the steps of np.mean and np.std(dtype=float64), with the mean
+        # taken once: the same bits
+        mean = np.sum(arr, dtype=np.float64) / arr.size
+        dev = arr.astype(np.float64)
+        dev -= mean
+        dev *= dev
+        mu[i] = np.float32(mean)
+        sd[i] = np.float32(max(float(np.sqrt(np.sum(dev) / arr.size)),
                                SIGMA_FLOOR))
     return LayerStats(tuple(names), mu, sd)
 

@@ -72,33 +72,30 @@ def save_raw(video: RawVideo, path) -> None:
     Path(path).write_bytes(video.to_bytes())
 
 
-def _grid(width: int, height: int):
-    ys = np.arange(height, dtype=np.float64)[:, None]
-    xs = np.arange(width, dtype=np.float64)[None, :]
-    return xs, ys
+# Frames are synthesized in batches along time of at most this many
+# pixels per plane, so each float64 temporary stays at 64 KB, below
+# glibc's default 128 KB mmap threshold.  A whole 64x64x20 clip in one
+# batch is slower than one frame at a time (docs/resources.md).
+_BATCH_ELEMENTS = 8192
 
 
 def _periodic_background(xs: np.ndarray, ys: np.ndarray, width: int,
-                         height: int, coeff: np.ndarray) -> np.ndarray:
-    """Smooth texture, periodic in x, evaluated at (possibly shifted) xs.
+                         height: int, coeff: np.ndarray):
+    """Smooth texture, periodic in x, at (possibly shifted) xs; yields
+    one plane per row ``(a1, a2, p1, p2)`` of ``coeff``.
 
     Horizontal frequencies are integer multiples of 2*pi/width, so shifting
     xs by the frame velocity translates the whole texture exactly.
     """
     two_pi = 2.0 * math.pi
-    planes = []
-    for c in range(3):
-        a1, a2, p1, p2 = coeff[c]
-        plane = (0.5
-                 + 0.18 * a1 * detmath.sin(two_pi * xs / width
-                                           + two_pi * ys / height + p1)
-                 + 0.12 * a2 * detmath.sin(2.0 * two_pi * xs / width
-                                           - two_pi * ys / height + p2))
-        planes.append(plane)
-    return np.stack(planes)
+    wave1 = two_pi * xs / width + two_pi * ys / height
+    wave2 = 2.0 * two_pi * xs / width - two_pi * ys / height
+    for a1, a2, p1, p2 in coeff:
+        yield (0.5 + 0.18 * a1 * detmath.sin(wave1 + p1)
+               + 0.12 * a2 * detmath.sin(wave2 + p2))
 
 
-def _wrap_delta(pos: np.ndarray, center: float, span: int) -> np.ndarray:
+def _wrap_delta(pos: np.ndarray, center, span: int) -> np.ndarray:
     """Signed distance on a periodic axis, in [-span/2, span/2)."""
     return (pos - center + span / 2.0) % span - span / 2.0
 
@@ -110,6 +107,12 @@ def synth_video(kind: str, width: int, height: int, frame_count: int,
     Moving kinds translate the whole frame on a periodic canvas at
     ``velocity`` pixels per frame: frame t is frame 0 shifted by t*v, so
     an integer velocity makes frame t+1 an exact roll of frame t.
+
+    Frames are computed in batches along time, each of at most
+    ``_BATCH_ELEMENTS`` pixels per plane (at least one frame); every step
+    is elementwise, so the bytes do not depend on the batching.
+    ``static`` computes its one frame and copies it, and
+    ``noise-texture-pan`` rolls its one quantized texture.
     """
     if kind not in SYNTH_KINDS:
         raise DataError(f"unknown synthetic kind {kind!r} "
@@ -121,42 +124,44 @@ def synth_video(kind: str, width: int, height: int, frame_count: int,
                                       rng.uniform(0.0, 2.0 * math.pi, 2)])
                       for _ in range(3)])
     color = rng.uniform(0.6, 1.0, size=3)
-    xs, ys = _grid(width, height)
     frames = np.empty((frame_count, 3, height, width), dtype=np.uint8)
 
     if kind == "noise-texture-pan":
-        texture = rng.uniform(0.0, 1.0, size=(3, height, width))
-        for t in range(frame_count):
-            shift = int(detmath.round_half_away(velocity * t))
-            frames[t] = denormalize(np.roll(texture, shift, axis=2))
+        texture = denormalize(rng.uniform(0.0, 1.0, size=(3, height, width)))
+        shifts = detmath.round_half_away(
+            velocity * np.arange(frame_count, dtype=np.float64))
+        for t, shift in enumerate(shifts):
+            frames[t] = np.roll(texture, int(shift), axis=2)
         return RawVideo(width=width, height=height, frames=frames)
 
     if kind == "static":
         velocity = 0.0
-    cx0 = width * 0.5
-    cy0 = height * 0.5
+    xs = np.arange(width, dtype=np.float64)[None, None, :]
+    ys = np.arange(height, dtype=np.float64)[None, :, None]
+    dy = _wrap_delta(ys, height * 0.5, height)
     radius = 0.16 * min(width, height)
     half_w = max(width // 8, 1)
     half_h = max(height // 8, 1)
-    for t in range(frame_count):
-        shift = velocity * t
-        bg = _periodic_background(xs - shift, ys, width, height, coeff)
-        if kind == "static":
-            art = bg
-        else:
-            cx = (cx0 + shift) % width
-            dx = _wrap_delta(xs, cx, width)
-            dy = _wrap_delta(ys, cy0, height)
-            if kind == "moving-blob":
-                bump = detmath.exp(-(dx * dx + dy * dy)
-                                   / (2.0 * radius * radius))
-                art = bg + 0.8 * color[:, None, None] * bump[None]
-            else:  # moving-rect
-                inside = ((np.abs(dx) <= half_w)
-                          & (np.abs(dy) <= half_h)).astype(np.float64)
-                art = bg + 0.7 * color[:, None, None] * inside[None]
-        frames[t] = denormalize(np.clip(art, 0.0, 1.0))
-        if kind == "static" and t == 0:
-            frames[1:] = frames[0]
-            break
+    computed = 1 if kind == "static" else frame_count
+    batch = max(_BATCH_ELEMENTS // (width * height), 1)
+    for t0 in range(0, computed, batch):
+        t1 = min(t0 + batch, computed)
+        # (t1 - t0, 1, 1): the horizontal shift of each frame
+        shift = velocity * np.arange(t0, t1, dtype=np.float64)[:, None, None]
+        dx = _wrap_delta(xs, (width * 0.5 + shift) % width, width)
+        if kind == "moving-blob":
+            amplitude = 0.8 * color
+            overlay = detmath.exp(-(dx * dx + dy * dy)
+                                  / (2.0 * radius * radius))
+        elif kind == "moving-rect":
+            amplitude = 0.7 * color
+            overlay = ((np.abs(dx) <= half_w)
+                       & (np.abs(dy) <= half_h)).astype(np.float64)
+        planes = _periodic_background(xs - shift, ys, width, height, coeff)
+        for c, plane in enumerate(planes):
+            if kind != "static":
+                plane = plane + amplitude[c] * overlay
+            frames[t0:t1, c] = denormalize(np.clip(plane, 0.0, 1.0))
+    if kind == "static":
+        frames[1:] = frames[0]
     return RawVideo(width=width, height=height, frames=frames)

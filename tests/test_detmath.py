@@ -178,6 +178,8 @@ def _golden_outputs():
         np.concatenate([x, x - 1.0, x]),
         np.concatenate([x[::-1], x + 1.0, x]))
     yield "sigmoid", detmath.sigmoid(x)
+    yield "sin", detmath.sin(x)
+    yield "cos", detmath.cos(x)
 
 
 GOLDEN_KERNEL_SHA256 = {
@@ -193,6 +195,8 @@ GOLDEN_KERNEL_SHA256 = {
         "18ed74fa4070c95c8617ff248392e929ee3213c847eeee80bdee1f125386a68a",
     "sigmoid":
         "69456720a9c73e256a374029ad953feca36c127a0f53330f10358ff1649ac6c8",
+    "sin": "b2e84ec4d15d5a608e720b9b256580dc1ffe1f948bbe02420ac77e8174b35543",
+    "cos": "89e2870fb21ba07b98f7e16c985e9be0ccfb2ee45e1895a5201ce13e2e6507e6",
 }
 
 
@@ -204,7 +208,8 @@ def test_kernels_match_golden_hashes():
 
 
 _SCALAR_KERNELS = (detmath.exp, detmath.log, detmath.erf, detmath.erfc,
-                   detmath.norm_cdf, detmath.norm_pdf, detmath.sigmoid)
+                   detmath.norm_cdf, detmath.norm_pdf, detmath.sigmoid,
+                   detmath.sin, detmath.cos)
 
 
 @pytest.mark.parametrize("fn", _SCALAR_KERNELS, ids=lambda f: f.__name__)
@@ -249,4 +254,22 @@ def test_erf_inputs_missing_a_region_keep_their_bits(fn):
     y = np.abs(x)
     regions = (y <= 0.46875, (y > 0.46875) & (y <= 4.0), y > 4.0)
     for keep in (*(~r for r in regions), *regions):
+        assert fn(x[keep]).tobytes() == full[keep].tobytes()
+
+
+@pytest.mark.parametrize("fn", (detmath.sin, detmath.cos),
+                         ids=lambda f: f.__name__)
+def test_trig_inputs_missing_a_quadrant_keep_their_bits(fn):
+    # an input whose elements all take one kernel (one parity of the
+    # quadrant q), or that lacks one quadrant, gives each element the
+    # bits it has on the full grid
+    x = golden_grid()
+    full = fn(x)
+    finite = np.isfinite(x)
+    q = np.zeros(x.shape, dtype=np.int64)
+    xc = np.clip(x[finite], -1.0e6, 1.0e6)
+    q[finite] = np.rint(xc * (2.0 / math.pi)).astype(np.int64) & 3
+    groups = [q % 2 == 0, q % 2 == 1] + [q != k for k in range(4)]
+    for keep in groups:
+        assert 0 < keep.sum() < x.size
         assert fn(x[keep]).tobytes() == full[keep].tobytes()

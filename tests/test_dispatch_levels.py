@@ -3,8 +3,8 @@
 numpy picks its SIMD loops at import time from the CPU features it finds;
 ``NPY_DISABLE_CPU_FEATURES`` switches dispatched ones off.  The codec's
 bytes must not depend on that choice, so the golden stream,
-reconstruction and kernel-hash tests are rerun in a fresh interpreter
-once per lower level.  Each case is named after the highest level it
+reconstruction, kernel-hash and synthetic-clip tests are rerun in a fresh
+interpreter once per lower level.  Each case is named after the highest level it
 leaves on, so the test ids say which levels were covered.  Baseline
 features are compiled in and cannot be switched off, and a level the
 host lacks cannot be emulated: only dispatch targets found here are
@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_TESTS = (
     "tests/test_pipeline.py::test_golden_bitstream_and_reconstruction",
     "tests/test_detmath.py::test_kernels_match_golden_hashes",
+    "tests/test_video.py::test_synth_matches_golden_hashes",
 )
 
 # Dispatch targets numpy was built with (lowest first) that the host has.

@@ -4,6 +4,7 @@ import concurrent.futures
 import hashlib
 import multiprocessing
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -309,6 +310,31 @@ def test_one_noise_draw_equals_per_layer_draws():
     assert len(shapes) == 12
     assert flat.tobytes() == np.concatenate(
         [a.reshape(-1) for a in per_layer]).tobytes()
+
+
+def test_no_tape_is_alive_when_the_lattice_is_frozen(monkeypatch):
+    # the last step's tape closes over every activation of that step; it
+    # must be gone before _freeze_lattice and the clip render run
+    config = small_config()
+    video = synth_video("moving-blob", 16, 16, 2, velocity=1.0, seed=5)
+    tapes, alive = [], []
+
+    class TrackedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    def freeze(*args):
+        alive.append(sum(ref() is not None for ref in tapes))
+        return freeze_lattice(*args)
+
+    freeze_lattice = pipeline._freeze_lattice
+    monkeypatch.setattr(pipeline, "Tape", TrackedTape)
+    monkeypatch.setattr(pipeline, "_freeze_lattice", freeze)
+    train_model("I", video.normalized(np.float32), init_random(config, 1),
+                config, quick_cfg(), 1)
+    assert len(tapes) > 0
+    assert alive == [0]
 
 
 def test_train_model_renders_each_frame_once(monkeypatch):
