@@ -4,8 +4,8 @@
 For a ladder of motion speeds, trains a predecessor model on clip 0, then
 sweeps the blend fraction over a grid for clip 1 and records which
 fraction minimizes the training objective (payload bits + lambda * MSE).
-Fitting the constrained schedule to the collected (gap mse, best epsilon)
-points yields the default `b` shipped in presets.py.
+Fitting the schedule to the collected (gap mse, best epsilon) points
+yields the default `b` of `EpsilonSchedule` in warmstart.py.
 
 Run:  python scripts/calibrate_epsilon.py [--quick]
 """
@@ -60,13 +60,13 @@ def main() -> int:
     parser.add_argument("--size", type=int, default=24)
     parser.add_argument("--gop", type=int, default=10)
     parser.add_argument("--epochs", type=int, default=40)
-    parser.add_argument("--lam", type=float, default=1e6)
+    parser.add_argument("--lam", type=float, default=TrainConfig().lam)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     config = nerv_lite_preset(args.size, args.size, "tiny")
     cfg = TrainConfig(epochs_i=args.epochs, epochs_p=args.epochs,
-                      lr_i=1e-2, lr_p=1e-2, lam=args.lam, seed=args.seed)
+                      lam=args.lam, seed=args.seed)
     print(f"backbone: {sum(s.count for s in param_layout(config))} params")
 
     if args.quick:
@@ -92,11 +92,10 @@ def main() -> int:
         seen.setdefault(round(mse, 9), []).append(eps)
     unique = [(mse, float(np.mean(vals))) for mse, vals in seen.items()]
 
-    sched, resid = fit_schedule(unique, constrain=True)
+    sched, resid = fit_schedule(unique)
     print(f"\npoints: {unique}")
-    print(f"fitted: a={sched.a} b={sched.b:.4f} c={sched.c} "
-          f"(residual {resid:.4g})")
-    print(f"=> set presets.DEFAULT_EPSILON_B = {sched.b:.1f}")
+    print(f"fitted: a={sched.a} b={sched.b:.4f} (residual {resid:.4g})")
+    print(f"=> set the default of EpsilonSchedule.b to {sched.b:.1f}")
     return 0
 
 

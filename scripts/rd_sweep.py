@@ -14,11 +14,12 @@ import sys
 
 from clipcodec.metrics import append_rd_row
 from clipcodec.pipeline import TrainConfig, encode_video, partition
-from clipcodec.presets import DEFAULT_SCHEDULE, nerv_lite_preset
+from clipcodec.presets import nerv_lite_preset
 from clipcodec.video import synth_video
 
 
 def main() -> int:
+    defaults = TrainConfig()
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", required=True)
     parser.add_argument("--kind", default="static")
@@ -27,8 +28,8 @@ def main() -> int:
     parser.add_argument("--velocity", type=float, default=0.0)
     parser.add_argument("--gop", type=int, default=10)
     parser.add_argument("--gom", type=int, default=3)
-    parser.add_argument("--epochs-i", type=int, default=60)
-    parser.add_argument("--epochs-p", type=int, default=40)
+    parser.add_argument("--epochs-i", type=int, default=defaults.epochs_i)
+    parser.add_argument("--epochs-p", type=int, default=defaults.epochs_p)
     parser.add_argument("--tier", default="tiny")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--lambdas", type=float, nargs="+",
@@ -42,8 +43,7 @@ def main() -> int:
     label = f"{args.kind}-v{args.velocity:g}-{args.size}"
     for lam in args.lambdas:
         cfg = TrainConfig(epochs_i=args.epochs_i, epochs_p=args.epochs_p,
-                          lr_i=1e-2, lr_p=1e-2, lam=lam, seed=args.seed,
-                          schedule=DEFAULT_SCHEDULE)
+                          lam=lam, seed=args.seed)
         result = encode_video(video, plan, config, cfg)
         append_rd_row(args.out, label, args.gop, args.gom, lam,
                       result.bpp, result.psnr_mean, result.wall_seconds)

@@ -5,6 +5,8 @@ within a group are warm-started and residual-coded against their
 predecessor, producing a decodable bitstream plus rate/quality reports.
 """
 
+__version__ = "0.1.0"  # the manifest records it as tool_version
+
 from .backbone import (BackboneConfig, UpsampleStage, config_from_text,
                        config_to_text, forward_clip, forward_frame,
                        init_random, param_layout)
@@ -21,5 +23,3 @@ from .tensor import Tape, Tensor
 from .video import RawVideo, load_raw, save_raw, synth_video
 from .warmstart import (EpsilonSchedule, GopGap, epsilon_for, fit_schedule,
                         gop_gap_mse, interpolate_init)
-
-__version__ = "0.1.0"

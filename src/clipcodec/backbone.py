@@ -17,6 +17,7 @@ identical network.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -362,10 +363,14 @@ def frame_timestamps(length: int) -> list[float]:
 
 # ----------------------------------------------------- config text format
 
-_CONFIG_KEYS = ("kind", "pe_frequencies", "stem_width", "base_channels",
-                "base_height", "base_width", "stages", "hidden",
-                "frame_height", "frame_width", "activation", "upsample",
-                "precision")
+# One config key per BackboneConfig field.  A key only the other kind
+# reads is accepted and ignored.
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(BackboneConfig)}
+_KIND_KEYS = {
+    "nerv-lite": {"stem_width", "base_channels", "base_height", "base_width",
+                  "stages", "upsample"},
+    "coord-mlp": {"hidden"},
+}
 
 
 def config_to_text(config: BackboneConfig) -> str:
@@ -404,59 +409,50 @@ def config_from_text(text: str) -> BackboneConfig:
             raise ConfigError(f"config line {lineno}: expected 'key = value', "
                               f"got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in fields:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         fields[key] = value
 
-    def geti(key, default):
-        if key not in fields:
-            return default
-        try:
-            return int(fields[key])
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: {fields[key]!r} is not "
-                              f"an integer") from None
+    # an omitted key keeps its BackboneConfig field default, except that
+    # a nerv-lite text must name its stages
+    kind = fields.get("kind", BackboneConfig.kind)
+    ignored = set().union(*_KIND_KEYS.values()) - _KIND_KEYS.get(kind, set())
+    kwargs = {key: _parse_value(key, value) for key, value in fields.items()
+              if key not in ignored}
+    if kind == "nerv-lite" and "stages" not in kwargs:
+        raise ConfigError("nerv-lite config needs a 'stages' key")
+    config = BackboneConfig(**kwargs)
+    validate(config)
+    return config
 
-    kind = fields.get("kind", "nerv-lite")
-    kwargs = dict(
-        kind=kind,
-        pe_frequencies=geti("pe_frequencies", 8),
-        frame_height=geti("frame_height", 32),
-        frame_width=geti("frame_width", 32),
-        activation=fields.get("activation", "gelu"),
-        precision=fields.get("precision", "f32"),
-    )
-    if kind == "nerv-lite":
+
+def _parse_value(key: str, value: str):
+    """One config value, typed as its BackboneConfig field."""
+    if key == "stages":
         stages = []
-        for part in fields.get("stages", "").split(","):
-            part = part.strip()
-            if not part:
-                continue
+        for part in _list_items(value):
             try:
                 scale, channels = part.split("x")
                 stages.append(UpsampleStage(int(scale), int(channels)))
             except ValueError:
                 raise ConfigError(f"bad stage spec {part!r} (want SxC)") \
                     from None
-        kwargs.update(
-            stem_width=geti("stem_width", 48),
-            base_channels=geti("base_channels", 16),
-            base_height=geti("base_height", 4),
-            base_width=geti("base_width", 4),
-            stages=tuple(stages),
-            upsample=fields.get("upsample", "nearest"),
-        )
-    else:
+        return tuple(stages)
+    if key == "hidden":
         try:
-            hidden = tuple(int(w) for w
-                           in fields.get("hidden", "64, 64").split(",")
-                           if w.strip())
+            return tuple(int(w) for w in _list_items(value))
         except ValueError:
-            raise ConfigError(f"bad hidden widths {fields['hidden']!r}") \
-                from None
-        kwargs.update(hidden=hidden)
-    config = BackboneConfig(**kwargs)
-    validate(config)
-    return config
+            raise ConfigError(f"bad hidden widths {value!r}") from None
+    if _FIELD_TYPES[key] == "int":
+        try:
+            return int(value)
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: {value!r} is not an "
+                              f"integer") from None
+    return value
+
+
+def _list_items(value: str) -> list[str]:
+    return [part.strip() for part in value.split(",") if part.strip()]

@@ -15,13 +15,14 @@ import tempfile
 from pathlib import Path
 
 from . import metrics, presets, video as videomod
-from .backbone import config_from_text
+from .backbone import BackboneConfig, config_from_text
 from .bitstream import BitstreamReader, dump_header_text
 from .errors import (BitstreamError, CodecError, ConfigError, DataError,
                      NumericError)
 from .manifest import RunManifest, build_manifest
 from .pipeline import TrainConfig, decode_gom, decode_video, encode_video, \
     partition
+from .tensor import DTYPES
 from .warmstart import fit_schedule
 
 EXIT_OK = 0
@@ -67,6 +68,7 @@ def _cmd_synth(args) -> int:
 
 
 def _add_encode(sub):
+    train = TrainConfig()
     p = sub.add_parser("encode", help="fit and compress a raw RGB video")
     p.add_argument("input", type=Path, nargs="?",
                    help="raw planar RGB8 file (omit with --from-manifest)")
@@ -77,25 +79,27 @@ def _add_encode(sub):
     p.add_argument("--width", type=int, default=32)
     p.add_argument("--height", type=int, default=32)
     p.add_argument("--gop", "-p", type=int, default=10,
-                   help="frames per clip, or use --gop-preset")
-    p.add_argument("--gop-preset", choices=sorted(presets.GOP_PRESETS))
+                   help="frames per clip")
     p.add_argument("--gom", "-m", type=int, default=3,
                    help="clips per model group")
-    p.add_argument("--tier", choices=("tiny", "small", "medium"),
-                   default="tiny", help="desk-scale backbone size")
+    p.add_argument("--tier", choices=tuple(presets.TIERS),
+                   default=presets.DEFAULT_TIER,
+                   help="desk-scale backbone size")
     p.add_argument("--backbone-config", type=Path,
                    help="explicit backbone config file (overrides --tier)")
-    p.add_argument("--lambda", dest="lam", type=float, default=1e6,
+    p.add_argument("--lambda", dest="lam", type=float, default=train.lam,
                    help="distortion weight in the training loss")
-    p.add_argument("--epochs-i", type=int, default=60)
-    p.add_argument("--epochs-p", type=int, default=40)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--warmup-frac", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs-i", type=int, default=train.epochs_i)
+    p.add_argument("--epochs-p", type=int, default=train.epochs_p)
+    p.add_argument("--lr", type=float, default=train.lr_i,
+                   help="learning rate of both I and P models")
+    p.add_argument("--warmup-frac", type=float, default=train.warmup_frac)
+    p.add_argument("--seed", type=int, default=train.seed)
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers; parallelism is across model "
                         "groups only")
-    p.add_argument("--precision", choices=("f32", "f64"), default="f32")
+    p.add_argument("--precision", choices=tuple(DTYPES),
+                   default=BackboneConfig.precision)
     p.add_argument("--csv", type=Path, help="append the summary row here")
     p.add_argument("--log", type=Path, help="write per-epoch JSONL records")
     p.add_argument("--emit-manifest", type=Path,
@@ -118,9 +122,7 @@ def _cmd_encode(args) -> int:
             raise ConfigError("encode needs an input file or --from-manifest")
         input_path = args.input
         width, height = args.width, args.height
-        gop_size = (presets.GOP_PRESETS[args.gop_preset]
-                    if args.gop_preset else args.gop)
-        gom_size = args.gom
+        gop_size, gom_size = args.gop, args.gom
         if args.backbone_config:
             config = config_from_text(args.backbone_config.read_text())
         else:
@@ -128,8 +130,7 @@ def _cmd_encode(args) -> int:
                                               precision=args.precision)
         cfg = TrainConfig(epochs_i=args.epochs_i, epochs_p=args.epochs_p,
                           lr_i=args.lr, lr_p=args.lr, lam=args.lam,
-                          warmup_frac=args.warmup_frac, seed=args.seed,
-                          schedule=presets.DEFAULT_SCHEDULE)
+                          warmup_frac=args.warmup_frac, seed=args.seed)
         jobs = args.jobs
 
     if not input_path.exists():
@@ -240,8 +241,6 @@ def _add_fit_epsilon(sub):
                    help="CSV with mse and epsilon columns")
     p.add_argument("--out", type=Path, required=True,
                    help="write the fitted schedule as JSON")
-    p.add_argument("--unconstrained", action="store_true",
-                   help="do not pin epsilon(0) = 0")
 
 
 def _cmd_fit_epsilon(args) -> int:
@@ -257,16 +256,15 @@ def _cmd_fit_epsilon(args) -> int:
         for row in reader:
             row = {k.strip().lower(): v for k, v in row.items()}
             points.append((float(row["mse"]), float(row["epsilon"])))
-    schedule, residual = fit_schedule(points,
-                                      constrain=not args.unconstrained)
+    schedule, residual = fit_schedule(points)
     payload = (f'{{\n  "a": {schedule.a!r},\n  "b": {schedule.b!r},\n'
-               f'  "c": {schedule.c!r},\n  "degenerate": '
+               f'  "degenerate": '
                f'{"true" if schedule.degenerate else "false"},\n'
                f'  "fit_residual": {residual!r}\n}}\n')
     _write_atomic(args.out, payload.encode())
     flag = " (degenerate: constant epsilon)" if schedule.degenerate else ""
-    print(f"fitted schedule: a={schedule.a:.8g} b={schedule.b:.8g} "
-          f"c={schedule.c:.8g}, residual={residual:.3e}{flag}")
+    print(f"fitted schedule: a={schedule.a:.8g} b={schedule.b:.8g}, "
+          f"residual={residual:.3e}{flag}")
     return EXIT_OK
 
 

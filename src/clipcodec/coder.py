@@ -133,20 +133,6 @@ def _apportion(mu: float, sd: float, bound: int,
     return SymbolModel(mu=mu, sd=sd, bound=bound, freqs=freqs, cum=cum)
 
 
-def model_entropy_bits(model: SymbolModel) -> float:
-    """Shannon entropy of the renormalized table, in bits per symbol."""
-    p = model.freqs.astype(np.float64) / FREQ_TOTAL
-    return float(-np.sum(p * detmath.log2(p)))
-
-
-def sample_symbols(model: SymbolModel, count: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Draw symbols from the renormalized table (test/calibration helper)."""
-    p = model.freqs.astype(np.float64) / FREQ_TOTAL
-    return rng.choice(np.arange(-model.bound, model.bound + 1), size=count,
-                      p=p).astype(np.int32)
-
-
 class RangeEncoder:
     def __init__(self):
         self._low = 0

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from . import __version__
 from .backbone import config_from_text, config_to_text
 from .errors import DataError
 from .pipeline import TrainConfig
 from .warmstart import EpsilonSchedule
 
-TOOL_VERSION = "0.1.0"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
+
+# the JSON values each declared field type takes; a bool is not a number
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass(frozen=True)
@@ -37,9 +40,8 @@ class RunManifest:
     seed: int
     schedule_a: float
     schedule_b: float
-    schedule_c: float
     backbone_config: str  # config text, embedded verbatim
-    jobs: int = 1
+    jobs: int
     manifest_version: int = MANIFEST_VERSION
 
     def train_config(self) -> TrainConfig:
@@ -47,8 +49,7 @@ class RunManifest:
             epochs_i=self.epochs_i, epochs_p=self.epochs_p,
             lr_i=self.lr_i, lr_p=self.lr_p, lam=self.lam,
             warmup_frac=self.warmup_frac, seed=self.seed,
-            schedule=EpsilonSchedule(a=self.schedule_a, b=self.schedule_b,
-                                     c=self.schedule_c))
+            schedule=EpsilonSchedule(a=self.schedule_a, b=self.schedule_b))
 
     def backbone(self):
         return config_from_text(self.backbone_config)
@@ -65,16 +66,26 @@ class RunManifest:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read manifest {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise DataError(f"manifest {path} is not a JSON object")
         if raw.get("manifest_version") != MANIFEST_VERSION:
             raise DataError(f"unsupported manifest version "
                             f"{raw.get('manifest_version')}")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(raw) - known
+        declared = {f.name: f.type for f in fields(cls)}
+        extra = set(raw) - set(declared)
         if extra:
             raise DataError(f"unknown manifest fields: {sorted(extra)}")
-        missing = known - set(raw)
+        missing = set(declared) - set(raw)
         if missing:
             raise DataError(f"manifest missing fields: {sorted(missing)}")
+        for name, kind in declared.items():
+            value = raw[name]
+            if (isinstance(value, bool)
+                    or not isinstance(value, _JSON_TYPES[kind])):
+                raise DataError(f"manifest field {name!r} needs a {kind}, "
+                                f"got {value!r}")
+            if kind == "float":
+                raw[name] = float(value)
         return cls(**raw)
 
 
@@ -88,9 +99,9 @@ def sha256_file(path) -> str:
 
 def build_manifest(input_path, width, height, frame_count, gop_size,
                    gom_size, config, cfg: TrainConfig,
-                   jobs: int = 1) -> RunManifest:
+                   jobs: int) -> RunManifest:
     return RunManifest(
-        tool_version=TOOL_VERSION,
+        tool_version=__version__,
         input_path=str(input_path),
         input_sha256=sha256_file(input_path),
         width=width, height=height, frame_count=frame_count,
@@ -99,6 +110,5 @@ def build_manifest(input_path, width, height, frame_count, gop_size,
         lr_i=cfg.lr_i, lr_p=cfg.lr_p, warmup_frac=cfg.warmup_frac,
         seed=cfg.seed,
         schedule_a=cfg.schedule.a, schedule_b=cfg.schedule.b,
-        schedule_c=cfg.schedule.c,
         backbone_config=config_to_text(config),
         jobs=jobs)

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import detmath
 from .errors import ConfigError, NumericError
 from .params import ParamVector
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -19,20 +23,15 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     # running beta powers, updated by multiplication (no pow() call)
-    beta1_pow: float = field(default=1.0)
-    beta2_pow: float = field(default=1.0)
+    beta1_pow: float = 1.0
+    beta2_pow: float = 1.0
 
 
-def adam_init(params: ParamVector, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+def adam_init(params: ParamVector) -> AdamState:
     zeros = np.zeros_like(params.flatten())
-    return AdamState(m=zeros, v=zeros.copy(), beta1=beta1, beta2=beta2,
-                     eps=eps)
+    return AdamState(m=zeros, v=zeros.copy())
 
 
 def adam_step(params: ParamVector, state: AdamState, lr: float) -> None:
@@ -43,8 +42,8 @@ def adam_step(params: ParamVector, state: AdamState, lr: float) -> None:
     per segment would give it.
     """
     state.step += 1
-    state.beta1_pow *= state.beta1
-    state.beta2_pow *= state.beta2
+    state.beta1_pow *= BETA1
+    state.beta2_pow *= BETA2
     tensors = params.tensors()
     grad = np.concatenate([
         np.zeros(t.size, dtype=t.dtype) if t.grad is None
@@ -56,11 +55,11 @@ def adam_step(params: ParamVector, state: AdamState, lr: float) -> None:
                            f"step {state.step}")
     dt = state.m.dtype.type
     m, v = state.m, state.v
-    m += (grad - m) * dt(1.0 - state.beta1)
-    v += (grad * grad - v) * dt(1.0 - state.beta2)
+    m += (grad - m) * dt(1.0 - BETA1)
+    v += (grad * grad - v) * dt(1.0 - BETA2)
     mhat = m / dt(1.0 - state.beta1_pow)
     vhat = v / dt(1.0 - state.beta2_pow)
-    update = dt(lr) * mhat / (np.sqrt(vhat) + dt(state.eps))
+    update = dt(lr) * mhat / (np.sqrt(vhat) + dt(EPS))
     start = 0
     for t in tensors:
         t.data -= update[start:start + t.size].reshape(t.shape)
@@ -68,7 +67,7 @@ def adam_step(params: ParamVector, state: AdamState, lr: float) -> None:
 
 
 def lr_at(epoch: int, total_epochs: int, base_lr: float,
-          warmup_frac: float = 0.1) -> float:
+          warmup_frac: float) -> float:
     """Linear ramp 0 -> base over the warmup span, then cosine decay to 0."""
     if not 0 <= epoch < total_epochs:
         raise ConfigError(f"epoch {epoch} outside [0, {total_epochs})")

@@ -88,28 +88,7 @@ class ParamVector:
         return np.concatenate([t.data.reshape(-1) for t in self.tensors()])
 
     def to_bytes(self) -> bytes:
-        """Raw little-endian dump in layout order (round-trip exact)."""
+        """Raw little-endian dump in layout order."""
         return b"".join(np.ascontiguousarray(t.data).astype(
             t.data.dtype.newbyteorder("<"), copy=False).tobytes()
             for t in self.tensors())
-
-    @classmethod
-    def from_bytes(cls, raw: bytes,
-                   layout: tuple[tuple[str, tuple[int, ...]], ...],
-                   dtype) -> "ParamVector":
-        dtype = np.dtype(dtype)
-        segments = []
-        offset = 0
-        for name, shape in layout:
-            count = int(np.prod(shape, dtype=np.int64))
-            nbytes = count * dtype.itemsize
-            if offset + nbytes > len(raw):
-                raise LayoutError(f"byte buffer too short for segment {name!r}")
-            arr = np.frombuffer(raw, dtype=dtype.newbyteorder("<"),
-                                count=count, offset=offset)
-            segments.append((name, Tensor(arr.astype(dtype).reshape(shape))))
-            offset += nbytes
-        if offset != len(raw):
-            raise LayoutError(f"{len(raw) - offset} trailing bytes after "
-                              f"last segment")
-        return cls(segments)

@@ -94,11 +94,14 @@ def partition(frame_count: int, gop_size: int, gom_size: int) -> PartitionPlan:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs_i: int = 30
-    epochs_p: int = 20
-    lr_i: float = 5e-3
-    lr_p: float = 5e-3
-    lam: float = 5.0
+    """Training settings.  The CLI's ``encode`` takes its defaults from
+    here, so a library caller gets the same operating point."""
+
+    epochs_i: int = 60
+    epochs_p: int = 40
+    lr_i: float = 1e-2
+    lr_p: float = 1e-2
+    lam: float = 1e6
     warmup_frac: float = 0.1
     seed: int = 0
     schedule: EpsilonSchedule = field(default_factory=EpsilonSchedule)

@@ -1,4 +1,4 @@
-"""Named configurations: backbone tiers and clip-length presets.
+"""Named configurations: backbone tiers and the default blend schedule.
 
 Desk-scale tiers keep a full encode under ten minutes on a laptop.
 """
@@ -9,25 +9,17 @@ from .backbone import BackboneConfig, UpsampleStage
 from .errors import ConfigError
 from .warmstart import EpsilonSchedule
 
-# Clip-length presets (frames per clip).
-GOP_PRESETS = {
-    "gop-small": 6,
-    "gop-medium": 30,
-    "gop-large": 120,
-}
+# EpsilonSchedule's defaults, by the name perfbench/bench.py imports
+DEFAULT_SCHEDULE = EpsilonSchedule()
 
-# Default blend schedule; b calibrated by scripts/calibrate_epsilon.py on
-# the bundled synthetic set (see that script for the procedure).
-DEFAULT_EPSILON_B = 60.0
-DEFAULT_SCHEDULE = EpsilonSchedule(a=1.0, b=DEFAULT_EPSILON_B, c=0.0)
-
-# Desk-scale channel ladders per tier, indexed by stage count.
-_TIER_CHANNELS = {
-    "tiny": (12, (12, 10, 8)),
-    "small": (24, (24, 16, 12)),
-    "medium": (48, (48, 32, 24)),
+# Desk-scale tiers: stem width, base channels, and the channel ladder
+# indexed by stage count.
+TIERS = {
+    "tiny": (32, 12, (12, 10, 8)),
+    "small": (64, 24, (24, 16, 12)),
+    "medium": (96, 48, (48, 32, 24)),
 }
-_TIER_STEM = {"tiny": 32, "small": 64, "medium": 96}
+DEFAULT_TIER = "tiny"
 
 
 def _stage_chain(height: int, width: int) -> tuple[int, int, list[int]]:
@@ -46,20 +38,21 @@ def _stage_chain(height: int, width: int) -> tuple[int, int, list[int]]:
     return size, size, scales
 
 
-def nerv_lite_preset(width: int, height: int, tier: str = "tiny",
-                     precision: str = "f32") -> BackboneConfig:
+def nerv_lite_preset(width: int, height: int, tier: str = DEFAULT_TIER,
+                     precision: str = BackboneConfig.precision
+                     ) -> BackboneConfig:
     """Desk-scale backbone sized for the given square frame."""
-    if tier not in _TIER_CHANNELS:
+    if tier not in TIERS:
         raise ConfigError(f"unknown tier {tier!r} "
-                          f"(have {', '.join(_TIER_CHANNELS)})")
+                          f"(have {', '.join(TIERS)})")
     base_h, base_w, scales = _stage_chain(height, width)
-    base_channels, ladder = _TIER_CHANNELS[tier]
+    stem_width, base_channels, ladder = TIERS[tier]
     stages = []
     for i, scale in enumerate(scales):
         channels = ladder[min(i, len(ladder) - 1)]
         stages.append(UpsampleStage(scale, channels))
     return BackboneConfig(
-        kind="nerv-lite", pe_frequencies=8, stem_width=_TIER_STEM[tier],
+        kind="nerv-lite", pe_frequencies=8, stem_width=stem_width,
         base_channels=base_channels, base_height=base_h, base_width=base_w,
         stages=tuple(stages), frame_height=height, frame_width=width,
         activation="gelu", upsample="nearest", precision=precision)

@@ -6,10 +6,10 @@ fraction ``epsilon`` grows with the mean-squared gap between the two
 clips: near-identical clips reuse the predecessor almost verbatim, while
 dissimilar clips fall back toward a random start.  The mapping is
 
-    epsilon(mse) = 1 - a * exp(-b * mse + c),        a > 0, b > 0,
+    epsilon(mse) = 1 - a * exp(-b * mse),        a > 0, b > 0,
 
-clamped into [0, 1].  Under the default constraint ``a * exp(c) = 1`` the
-schedule passes through epsilon(0) = 0.
+clamped into [0, 1].  With ``a = 1``, the default and what every
+non-degenerate fit returns, the schedule passes through epsilon(0) = 0.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from .tensor import Tensor
 @dataclass(frozen=True)
 class EpsilonSchedule:
     a: float = 1.0
-    b: float = 40.0
-    c: float = 0.0
+    # calibrated by scripts/calibrate_epsilon.py on the bundled synthetic
+    # set (see that script for the procedure)
+    b: float = 60.0
     degenerate: bool = False  # set by fits over constant-epsilon data
 
     def __post_init__(self):
@@ -71,8 +72,7 @@ def gop_gap_mse(prev_frames: np.ndarray, cur_frames: np.ndarray) -> GopGap:
 
 def epsilon_for(gap: GopGap, schedule: EpsilonSchedule) -> float:
     """Blend fraction for a measured clip gap, clamped into [0, 1]."""
-    raw = 1.0 - schedule.a * float(detmath.exp(-schedule.b * gap.mse
-                                               + schedule.c))
+    raw = 1.0 - schedule.a * float(detmath.exp(-schedule.b * gap.mse))
     return min(max(raw, 0.0), 1.0)
 
 
@@ -93,18 +93,18 @@ def interpolate_init(rand_params: ParamVector, trained_prev: ParamVector,
     return ParamVector(segments)
 
 
-def _eval_raw(mse: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
-    return 1.0 - a * np.asarray(detmath.exp(-b * mse + c))
+def _eval_raw(mse: np.ndarray, a: float, b: float) -> np.ndarray:
+    return 1.0 - a * np.asarray(detmath.exp(-b * mse))
 
 
-def fit_schedule(points: list[tuple[float, float]],
-                 constrain: bool = True) -> tuple[EpsilonSchedule, float]:
+def fit_schedule(points: list[tuple[float, float]]
+                 ) -> tuple[EpsilonSchedule, float]:
     """Least-squares fit of the schedule to (gap mse, best epsilon) pairs.
 
-    With ``constrain`` the fit enforces a*exp(c) = 1 (so epsilon(0) = 0)
-    and reduces to a one-dimensional problem over b.  Returns the schedule
-    and the residual norm.  All-equal epsilon values yield a constant
-    schedule flagged ``degenerate``.  scipy loads on the first call.
+    The fit holds a = 1 (so epsilon(0) = 0) and is a one-dimensional
+    problem over b.  Returns the schedule and the residual norm.
+    All-equal epsilon values yield a constant schedule flagged
+    ``degenerate``.  scipy loads on the first call.
     """
     from scipy.optimize import least_squares  # keeps scipy off the codec path
 
@@ -121,29 +121,16 @@ def fit_schedule(points: list[tuple[float, float]],
     if np.allclose(eps, eps[0], atol=1e-12):
         # constant target: epsilon == eps0 for every mse
         amp = max(1.0 - float(eps[0]), 1e-12)
-        sched = EpsilonSchedule(a=amp, b=0.0, c=0.0, degenerate=True)
-        resid = float(np.linalg.norm(_eval_raw(mse, amp, 0.0, 0.0) - eps))
+        sched = EpsilonSchedule(a=amp, b=0.0, degenerate=True)
+        resid = float(np.linalg.norm(_eval_raw(mse, amp, 0.0) - eps))
         return sched, resid
 
     span = float(np.ptp(mse))
     b0 = 1.0 / span if span > 0 else 1.0
 
-    tols = dict(xtol=2.5e-16, ftol=2.5e-16, gtol=1e-15)
-    if constrain:
-        def resid_fn(x):
-            return _eval_raw(mse, 1.0, x[0], 0.0) - eps
+    def resid_fn(x):
+        return _eval_raw(mse, 1.0, x[0]) - eps
 
-        sol = least_squares(resid_fn, x0=[b0], bounds=([1e-12], [np.inf]),
-                            **tols)
-        sched = EpsilonSchedule(a=1.0, b=float(sol.x[0]), c=0.0)
-    else:
-        # a and c are jointly identifiable only through a*exp(c); fit the
-        # product as `a` and report c = 0.
-        def resid_fn(x):
-            return _eval_raw(mse, x[0], x[1], 0.0) - eps
-
-        sol = least_squares(resid_fn, x0=[1.0, b0],
-                            bounds=([1e-12, 1e-12], [np.inf, np.inf]),
-                            **tols)
-        sched = EpsilonSchedule(a=float(sol.x[0]), b=float(sol.x[1]), c=0.0)
-    return sched, float(np.linalg.norm(sol.fun))
+    sol = least_squares(resid_fn, x0=[b0], bounds=([1e-12], [np.inf]),
+                        xtol=2.5e-16, ftol=2.5e-16, gtol=1e-15)
+    return EpsilonSchedule(b=float(sol.x[0])), float(np.linalg.norm(sol.fun))

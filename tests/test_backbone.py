@@ -204,6 +204,14 @@ def test_config_text_round_trip(tiny_nerv, tiny_subpel, tiny_mlp):
         assert config_to_text(back) == text  # canonical form is stable
 
 
+def test_config_text_omitted_keys_take_field_defaults():
+    assert config_from_text("kind = coord-mlp\n") == \
+        BackboneConfig(kind="coord-mlp")
+    assert config_from_text("stages = 2x16, 2x12, 2x8\n") == BackboneConfig()
+    with pytest.raises(ConfigError, match="stages"):
+        config_from_text("kind = nerv-lite\npe_frequencies = 8\n")
+
+
 def test_config_text_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_text("kind = nerv-lite\nbogus = 1\n")

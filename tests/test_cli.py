@@ -1,6 +1,7 @@
 """CLI workflows and exit-code contract."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -16,6 +17,8 @@ from clipcodec.cli import main
 from clipcodec.errors import DataError
 from clipcodec.manifest import RunManifest
 from clipcodec.metrics import psnr
+from clipcodec.pipeline import TrainConfig, encode_video, partition
+from clipcodec.presets import nerv_lite_preset
 from clipcodec.video import load_raw
 from conftest import HOSTILE_HEADERS, repack, set_config_byte
 
@@ -23,6 +26,10 @@ COMMON = ["--width", "16", "--height", "16"]
 # 2-frame clips, 2 clips per group: 8 frames make two GOMs, each I + P
 ENCODE_FAST = ["-p", "2", "-m", "2", "--epochs-i", "4", "--epochs-p", "3",
                "--seed", "7"]
+# sha256 of the workdir fixture's out.bits: the CLI's defaults for lambda,
+# learning rate, blend schedule and warm-up, pinned
+CLI_STREAM_SHA256 = \
+    "7ef2393cfb8da5e4af24becafc90f06d9a05ac4b4b9d4a656b9323dfcbb85dc3"
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +49,19 @@ def test_synth_expected_size(tmp_path):
     assert main(["synth", str(out), "--kind", "static", "--width", "32",
                  "--height", "32", "--frames", "60"]) == 0
     assert out.stat().st_size == 184320  # 3 * 32 * 32 * 60
+
+
+def test_cli_stream_is_pinned(workdir):
+    data = (workdir / "out.bits").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CLI_STREAM_SHA256
+
+
+def test_library_defaults_encode_the_cli_stream(workdir):
+    video = load_raw(workdir / "in.rgb", 16, 16)
+    result = encode_video(video, partition(video.frame_count, 2, 2),
+                          nerv_lite_preset(16, 16),
+                          TrainConfig(epochs_i=4, epochs_p=3, seed=7))
+    assert result.data == (workdir / "out.bits").read_bytes()
 
 
 def test_encode_decode_eval_closure(workdir):
@@ -84,19 +104,56 @@ def test_manifest_rerun_is_byte_identical(workdir):
 
 
 def test_v1_manifest_with_thread_count_is_refused(workdir, tmp_path):
-    # version 1 carried a thread_count field that nothing set; version 2
-    # drops it, so a v1 file is refused for its version, not its fields
+    # version 1 carried a thread_count field that nothing set, version 2 a
+    # schedule_c that every producer set to 0; version 3 drops both, so an
+    # older file is refused for its version, not its fields
     raw = json.loads((workdir / "out.bits.manifest.json").read_text())
-    assert raw["manifest_version"] == 2 and "thread_count" not in raw
-    raw.update(manifest_version=1, thread_count=1)
-    old = tmp_path / "v1.manifest.json"
-    old.write_text(json.dumps(raw))
-    with pytest.raises(DataError, match="unsupported manifest version 1"):
-        RunManifest.load(old)
-    out = tmp_path / "v1.bits"
-    assert main(["encode", "--from-manifest", str(old), "--out",
+    assert raw["manifest_version"] == 3
+    assert "thread_count" not in raw and "schedule_c" not in raw
+    assert raw["tool_version"] == clipcodec.__version__
+    for version, extra in ((1, dict(thread_count=1, schedule_c=0.0)),
+                           (2, dict(schedule_c=0.0))):
+        old = tmp_path / f"v{version}.manifest.json"
+        old.write_text(json.dumps(dict(raw, manifest_version=version,
+                                       **extra)))
+        with pytest.raises(DataError,
+                           match=f"unsupported manifest version {version}"):
+            RunManifest.load(old)
+        out = tmp_path / f"v{version}.bits"
+        assert main(["encode", "--from-manifest", str(old), "--out",
+                     str(out)]) == 3
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs_i", "5"), ("lam", "1e6"), ("jobs", "2"), ("schedule_b", None),
+    ("seed", True), ("input_path", 5), ("lr_i", [0.01])])
+def test_manifest_field_of_wrong_type_exits_3(workdir, tmp_path, capsys,
+                                              field, value):
+    raw = json.loads((workdir / "out.bits.manifest.json").read_text())
+    bad = tmp_path / "bad.manifest.json"
+    bad.write_text(json.dumps(dict(raw, **{field: value})))
+    out = tmp_path / "never.bits"
+    assert main(["encode", "--from-manifest", str(bad), "--out",
                  str(out)]) == 3
     assert not out.exists()
+    assert repr(field) in capsys.readouterr().err
+
+
+def test_manifest_takes_an_integer_for_a_float(workdir, tmp_path):
+    raw = json.loads((workdir / "out.bits.manifest.json").read_text())
+    assert raw["lam"] == 1e6
+    path = tmp_path / "int.manifest.json"
+    path.write_text(json.dumps(dict(raw, lam=1000000)))
+    lam = RunManifest.load(path).train_config().lam
+    assert lam == 1e6 and type(lam) is float
+
+
+def test_manifest_not_an_object_exits_3(tmp_path):
+    bad = tmp_path / "list.manifest.json"
+    bad.write_text("[]")
+    assert main(["encode", "--from-manifest", str(bad), "--out",
+                 str(tmp_path / "never.bits")]) == 3
 
 
 def test_missing_input_exits_3_without_partial_output(tmp_path):
@@ -195,6 +252,7 @@ def test_fit_epsilon_command(tmp_path, capsys):
     import json
     sched = json.loads(out.read_text())
     assert sched["b"] == pytest.approx(0.8, abs=1e-6)
+    assert set(sched) == {"a", "b", "degenerate", "fit_residual"}
 
 
 def test_cli_entrypoint_via_subprocess(tmp_path):

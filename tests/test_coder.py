@@ -11,15 +11,28 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import norm
 
 from clipcodec import detmath
-from clipcodec.coder import (FLUSH_BYTES, FREQ_TOTAL, build_model,
-                             build_models,
-                             decode_symbols, encode_symbols,
-                             model_entropy_bits, sample_symbols)
+from clipcodec.coder import (FLUSH_BYTES, FREQ_TOTAL, SymbolModel,
+                             build_model, build_models, decode_symbols,
+                             encode_symbols)
 from clipcodec.coder import _BOTTOM, _MASK, _TOP
 from clipcodec.errors import BitstreamError, ConfigError, DataError
 from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_FLOOR, LayerStats,
                                  rate_bits_eval)
 from clipcodec.seeds import make_rng
+
+
+def model_entropy_bits(model: SymbolModel) -> float:
+    """Shannon entropy of the renormalized table, in bits per symbol."""
+    p = model.freqs.astype(np.float64) / FREQ_TOTAL
+    return float(-np.sum(p * detmath.log2(p)))
+
+
+def sample_symbols(model: SymbolModel, count: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Draw symbols from the renormalized table."""
+    p = model.freqs.astype(np.float64) / FREQ_TOTAL
+    return rng.choice(np.arange(-model.bound, model.bound + 1), size=count,
+                      p=p).astype(np.int32)
 
 
 def test_table_sums_to_total_with_floor():

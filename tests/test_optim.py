@@ -115,16 +115,17 @@ def test_lr_schedule_shape():
     base = 5e-3
     total = 102
     warm = 11  # ceil(0.1 * 102); decay span [11, 101] has even length
-    assert lr_at(0, total, base) == 0.0
-    assert lr_at(warm, total, base) == base  # peak at warmup end
-    assert lr_at(total - 1, total, base) == pytest.approx(0.0, abs=1e-12)
+    assert lr_at(0, total, base, 0.1) == 0.0
+    assert lr_at(warm, total, base, 0.1) == base  # peak at warmup end
+    assert lr_at(total - 1, total, base, 0.1) == pytest.approx(0.0,
+                                                              abs=1e-12)
     mid = warm + (total - 1 - warm) // 2  # midpoint of the decay span
-    assert lr_at(mid, total, base) == pytest.approx(base / 2, rel=1e-9)
+    assert lr_at(mid, total, base, 0.1) == pytest.approx(base / 2, rel=1e-9)
 
 
 def test_lr_schedule_preconditions():
     with pytest.raises(ConfigError):
-        lr_at(10, 10, 1e-3)
+        lr_at(10, 10, 1e-3, 0.1)
     with pytest.raises(ConfigError):
         lr_at(0, 10, 1e-3, warmup_frac=1.5)
 

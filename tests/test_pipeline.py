@@ -26,6 +26,7 @@ from clipcodec.ratequant import (MAX_SYMBOL, QuantScale, initial_scales,
 from clipcodec.seeds import STREAM_NOISE, make_rng, model_seed
 from clipcodec.tensor import Tape, Tensor
 from clipcodec.video import synth_video
+from clipcodec.warmstart import EpsilonSchedule
 from conftest import (HOSTILE_HEADERS, PerSegmentAdam, fd_gradient,
                       rate_bits_layers, rel_error, repack, set_config_byte)
 
@@ -39,8 +40,9 @@ def small_config(size=16, precision="f32"):
 
 
 def quick_cfg(**kw):
+    # b = 40 is the blend schedule the golden stream was pinned with
     defaults = dict(epochs_i=4, epochs_p=3, lr_i=1e-2, lr_p=1e-2, lam=1e6,
-                    seed=5)
+                    seed=5, schedule=EpsilonSchedule(b=40.0))
     defaults.update(kw)
     return TrainConfig(**defaults)
 

@@ -40,19 +40,19 @@ def test_gap_rejects_resolution_mismatch():
 
 
 def test_epsilon_zero_gap_is_zero_under_constraint():
-    sched = EpsilonSchedule(a=1.0, b=3.0, c=0.0)
+    sched = EpsilonSchedule(a=1.0, b=3.0)
     assert epsilon_for(GopGap(0.0, 1), sched) == 0.0
 
 
 def test_epsilon_formula_value():
-    sched = EpsilonSchedule(a=1.0, b=0.5, c=0.0)
+    sched = EpsilonSchedule(a=1.0, b=0.5)
     value = epsilon_for(GopGap(2.0, 1), sched)
     assert value == pytest.approx(1.0 - float(detmath.exp(-1.0)), abs=1e-12)
     assert value == pytest.approx(0.6321, abs=1e-4)
 
 
 def test_epsilon_saturates_toward_one():
-    sched = EpsilonSchedule(a=1.0, b=2.0, c=0.0)
+    sched = EpsilonSchedule(a=1.0, b=2.0)
     assert epsilon_for(GopGap(1e6, 1), sched) == 1.0
 
 
@@ -60,7 +60,7 @@ def test_epsilon_saturates_toward_one():
 @given(st.floats(0.01, 50.0), st.lists(st.floats(0.0, 10.0),
                                        min_size=2, max_size=20))
 def test_epsilon_monotone_in_mse(b, mses):
-    sched = EpsilonSchedule(a=1.0, b=b, c=0.0)
+    sched = EpsilonSchedule(a=1.0, b=b)
     mses = sorted(mses)
     values = [epsilon_for(GopGap(m, 1), sched) for m in mses]
     assert all(x <= y + 1e-15 for x, y in zip(values, values[1:]))
@@ -108,18 +108,9 @@ def test_fit_recovers_planted_parameters():
     planted_b = 0.5
     points = [(m, float(1.0 - detmath.exp(-planted_b * m)))
               for m in (0.05, 0.2, 0.7, 1.3, 2.4, 4.0)]
-    sched, resid = fit_schedule(points, constrain=True)
+    sched, resid = fit_schedule(points)
     assert abs(sched.b - planted_b) < 1e-6
     assert resid < 1e-10
-
-
-def test_fit_unconstrained_recovers_amplitude():
-    points = [(m, float(1.0 - 0.7 * detmath.exp(-1.2 * m)))
-              for m in (0.05, 0.3, 0.8, 1.5, 3.0)]
-    sched, resid = fit_schedule(points, constrain=False)
-    assert abs(sched.a - 0.7) < 1e-6
-    assert abs(sched.b - 1.2) < 1e-6
-    assert resid < 1e-9
 
 
 def test_fit_degenerate_constant_points():
