@@ -94,6 +94,12 @@ def main() -> int:
 
     sched, resid = fit_schedule(unique)
     print(f"\npoints: {unique}")
+    if sched.degenerate:
+        # every best epsilon is the same, so the points fix no b (and
+        # EpsilonSchedule refuses b = 0 unless flagged degenerate)
+        print(f"fit is degenerate: every best epsilon is {unique[0][1]:.4g}"
+              f"; no b to recommend")
+        return 0
     print(f"fitted: a={sched.a} b={sched.b:.4f} (residual {resid:.4g})")
     print(f"=> set the default of EpsilonSchedule.b to {sched.b:.1f}")
     return 0

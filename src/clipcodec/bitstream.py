@@ -316,18 +316,14 @@ class BitstreamReader:
                                  offset=offset)
         return payload
 
-
-def read_bitstream(data: bytes) -> tuple[BitstreamHeader, list[bytes]]:
-    """Parse bytes into a header and verified payloads: the whole-stream
-    case of :class:`BitstreamReader`, which checks each payload."""
-    reader = BitstreamReader.from_bytes(data)
-    header = reader.header
-    if header.total_size() > len(data):
-        raise BitstreamError(f"stream shorter than declared: {len(data)} "
-                             f"< {header.total_size()}",
-                             offset=len(data))
-    return header, [reader.read_payload(i)
-                    for i in range(len(header.records))]
+    def check_complete(self) -> None:
+        """Refuse a stream shorter than its header declares; a whole-stream
+        decode runs this before it decodes anything."""
+        size = self._file.seek(0, io.SEEK_END)
+        if size < self.header.total_size():
+            raise BitstreamError(f"stream shorter than declared: {size} "
+                                 f"< {self.header.total_size()}",
+                                 offset=size)
 
 
 def dump_header_text(header: BitstreamHeader) -> str:

@@ -20,8 +20,7 @@ from .bitstream import BitstreamReader, dump_header_text
 from .errors import (BitstreamError, CodecError, ConfigError, DataError,
                      NumericError)
 from .manifest import RunManifest, build_manifest
-from .pipeline import TrainConfig, decode_gom, decode_video, encode_video, \
-    partition
+from .pipeline import TrainConfig, _decode_groups, encode_video, partition
 from .tensor import DTYPES
 from .warmstart import fit_schedule
 
@@ -31,13 +30,16 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write via a temp file + rename: failures leave no partial output."""
+def _write_atomic(path: Path, chunks) -> None:
+    """Write an iterable of byte chunks via a temp file + rename: a
+    failure, also one raised while the chunks are produced, leaves no
+    partial output."""
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
                                prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -61,9 +63,9 @@ def _cmd_synth(args) -> int:
     vid = videomod.synth_video(args.kind, args.width, args.height,
                                args.frames, velocity=args.velocity,
                                seed=args.seed)
-    _write_atomic(args.out, vid.to_bytes())
+    _write_atomic(args.out, [vid.to_bytes()])
     print(f"wrote {args.out} ({vid.frame_count} frames, "
-          f"{len(vid.to_bytes())} bytes)")
+          f"{vid.frames.nbytes} bytes)")
     return EXIT_OK
 
 
@@ -139,7 +141,7 @@ def _cmd_encode(args) -> int:
     plan = partition(vid.frame_count, gop_size, gom_size)
     result = encode_video(vid, plan, config, cfg, jobs=jobs,
                           log_path=args.log)
-    _write_atomic(args.out, result.data)
+    _write_atomic(args.out, [result.data])
 
     manifest = build_manifest(input_path, width, height, vid.frame_count,
                               gop_size, gom_size, config, cfg, jobs=jobs)
@@ -176,25 +178,18 @@ def _add_decode(sub):
 def _cmd_decode(args) -> int:
     if not args.bitstream.exists():
         raise DataError(f"bitstream {args.bitstream} does not exist")
-    if args.dump_header:
-        with args.bitstream.open("rb") as fh:
-            reader = BitstreamReader(fh)
-            print(dump_header_text(reader.header))
-        return EXIT_OK
-    if args.out is None:
+    if args.out is None and not args.dump_header:
         raise ConfigError("decode needs an output path (or --dump-header)")
-    if args.gom is not None:
-        with args.bitstream.open("rb") as fh:
-            reader = BitstreamReader(fh)
-            fragment, (start, end) = decode_gom(reader, args.gom)
-        _write_atomic(args.out, fragment.to_bytes())
-        print(f"decoded group {args.gom}: frames [{start}, {end}) -> "
-              f"{args.out}")
-        return EXIT_OK
-    data = args.bitstream.read_bytes()
-    vid = decode_video(data)
-    _write_atomic(args.out, vid.to_bytes())
-    print(f"decoded {vid.frame_count} frames -> {args.out}")
+    with args.bitstream.open("rb") as fh:
+        reader = BitstreamReader(fh)
+        if args.dump_header:
+            print(dump_header_text(reader.header))
+            return EXIT_OK
+        groups = _decode_groups(reader, args.gom)
+        _write_atomic(args.out, (part.to_bytes() for part, _ in groups))
+    frames = args.out.stat().st_size // (3 * reader.header.width
+                                         * reader.header.height)
+    print(f"decoded {frames} frames -> {args.out}")
     return EXIT_OK
 
 
@@ -261,7 +256,7 @@ def _cmd_fit_epsilon(args) -> int:
                f'  "degenerate": '
                f'{"true" if schedule.degenerate else "false"},\n'
                f'  "fit_residual": {residual!r}\n}}\n')
-    _write_atomic(args.out, payload.encode())
+    _write_atomic(args.out, [payload.encode()])
     flag = " (degenerate: constant epsilon)" if schedule.degenerate else ""
     print(f"fitted schedule: a={schedule.a:.8g} b={schedule.b:.8g}, "
           f"residual={residual:.3e}{flag}")

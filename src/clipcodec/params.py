@@ -50,9 +50,6 @@ class ParamVector:
     def tensors(self) -> list[Tensor]:
         return [self._tensors[name] for name in self._names]
 
-    def arrays(self) -> list[np.ndarray]:
-        return [self._tensors[name].data for name in self._names]
-
     @property
     def total_count(self) -> int:
         return sum(t.size for t in self._tensors.values())

@@ -18,6 +18,7 @@ into the header at the end.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 import zlib
@@ -25,11 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import detmath, ops
+from . import detmath, metrics, ops
 from .backbone import (BackboneConfig, config_to_text, forward_clip,
                        forward_frame, frame_timestamps, init_random)
-from .bitstream import (BitstreamHeader, BitstreamReader, ModelRecord,
-                        ROLE_I, ROLE_P, read_bitstream, write_bitstream)
+from .bitstream import (BitstreamReader, ModelRecord, ROLE_I, ROLE_P,
+                        write_bitstream)
 from .coder import build_models, decode_symbols, encode_symbols
 from .errors import BitstreamError, ConfigError, NumericError
 from .optim import adam_init, adam_step, lr_at
@@ -72,6 +73,8 @@ class PartitionPlan:
         return ROLE_I if gop_index % self.gom_size == 0 else ROLE_P
 
 
+# decode_video asks for one stream's plan once per group
+@functools.lru_cache(maxsize=1)
 def partition(frame_count: int, gop_size: int, gom_size: int) -> PartitionPlan:
     """Contiguous, disjoint clips covering [0, T); short tails allowed.
 
@@ -298,7 +301,6 @@ class EncodeResult:
     psnr_mean: float
     wall_seconds: float
     recon: RawVideo | None = None
-    final_params: list[ParamVector] | None = None
 
 
 def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
@@ -323,30 +325,36 @@ def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
             role, epsilon = ROLE_P, epsilon_of(gop_index)
             theta_prime = interpolate_init(prev_rand, prev_theta,
                                            float(epsilon))
+        prev_rand, prev_theta = rand, None  # not kept alive in finish
         prev_theta, result = finish(gop_index, role, epsilon, theta_prime)
-        prev_rand = rand
         results.append(result)
     return results
 
 
-def _encode_gom(normalized: np.ndarray, plan: PartitionPlan,
+def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
                 config: BackboneConfig, cfg: TrainConfig, gom_index: int):
     """Train and code every model of one group (self-contained worker).
 
-    Returns one ``(record, log, payload, final parameters, rendered
-    frames)`` row per model.
+    ``frames`` holds the group's (n, 3, H, W) uint8 frames only.  Returns
+    one ``(record, log, payload, rendered frames)`` row per model.
     """
-    def epsilon_of(gop_index):
-        pstart, pstop = plan.gops[gop_index - 1]
+    offset = plan.gom_frame_range(gom_index)[0]
+    normalized = RawVideo(width=config.frame_width,
+                          height=config.frame_height,
+                          frames=frames).normalized(config.dtype)
+
+    def clip(gop_index):
         start, stop = plan.gops[gop_index]
-        gap = gop_gap_mse(normalized[pstart:pstop], normalized[start:stop])
+        return normalized[start - offset:stop - offset]
+
+    def epsilon_of(gop_index):
+        gap = gop_gap_mse(clip(gop_index - 1), clip(gop_index))
         return np.float32(epsilon_for(gap, cfg.schedule))
 
     def finish(gop_index, role, epsilon, theta_prime):
-        start, stop = plan.gops[gop_index]
         tic = time.perf_counter()
-        trained = train_model(role, normalized[start:stop], theta_prime,
-                              config, cfg, model_seed(cfg.seed, gop_index))
+        trained = train_model(role, clip(gop_index), theta_prime, config,
+                              cfg, model_seed(cfg.seed, gop_index))
         seconds = time.perf_counter() - tic
 
         bounds = np.asarray(
@@ -366,8 +374,7 @@ def _encode_gom(normalized: np.ndarray, plan: PartitionPlan,
             payload_bits=8 * len(payload),
             estimate_bits=estimate.total_bits, train_seconds=seconds,
             final_mse=trained.final_mse, epoch_logs=trained.epoch_logs)
-        theta = trained.theta_star
-        return theta, (record, log, payload, theta, trained.frames)
+        return trained.theta_star, (record, log, payload, trained.frames)
 
     return _walk_gom(config, cfg.seed, plan, gom_index, epsilon_of, finish)
 
@@ -396,9 +403,8 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
                           f"{config.frame_height}x{config.frame_width}, "
                           f"video is {video.height}x{video.width}")
     wall_start = time.perf_counter()
-    normalized = video.normalized(config.dtype)
-
-    tasks = [(normalized, plan, config, cfg, g) for g in range(plan.gom_count)]
+    tasks = [(video.frames[slice(*plan.gom_frame_range(g))], plan, config,
+              cfg, g) for g in range(plan.gom_count)]
     if jobs > 1 and plan.gom_count > 1:
         # imported here so single-process runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -408,7 +414,7 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
     else:
         gom_results = [_gom_worker(task) for task in tasks]
 
-    records, per_model, payloads, final_params, clips = map(list, zip(
+    records, per_model, payloads, clips = map(list, zip(
         *(row for rows in gom_results for row in rows)))
 
     data = write_bitstream(video.width, video.height, video.frame_count,
@@ -418,8 +424,7 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
 
     recon = RawVideo(width=config.frame_width, height=config.frame_height,
                      frames=np.concatenate(clips))
-    from .metrics import psnr  # local import avoids a module cycle
-    quality = psnr(video, recon)
+    quality = metrics.psnr(video, recon)
     bpp = len(data) * 8.0 / video.pixel_count
 
     if log_path is not None:
@@ -432,74 +437,81 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
     return EncodeResult(
         data=data, per_model=per_model, bpp=bpp, psnr_mean=quality.mean,
         wall_seconds=time.perf_counter() - wall_start,
-        recon=recon if keep_reference else None,
-        final_params=final_params if keep_reference else None)
+        recon=recon if keep_reference else None)
 
 
-def render_video(config: BackboneConfig, params_per_gop: list[ParamVector],
-                 plan: PartitionPlan) -> RawVideo:
-    """Render every clip with its decoded parameters into 8-bit frames.
-
-    Each clip is one :func:`forward_clip` call.  Parameters no encoder
-    could have trained may overflow the network, which the render
-    refuses; the decoder reports that as a :class:`BitstreamError`.
+def render_video(config: BackboneConfig, params: ParamVector,
+                 frames: np.ndarray) -> None:
+    """Render one clip into ``frames``, its (n, 3, H, W) uint8 output, in
+    one :func:`forward_clip` call; parameters no encoder could have
+    trained may overflow the network, which raises :class:`NumericError`.
     """
-    frames = np.empty((plan.frame_count, 3, config.frame_height,
-                       config.frame_width), dtype=np.uint8)
-    for gop_index, (start, stop) in enumerate(plan.gops):
-        clip = forward_clip(config, params_per_gop[gop_index],
-                            frame_timestamps(stop - start))
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for offset, out in enumerate(clip, start):
-                    frames[offset] = denormalize(out).transpose(2, 0, 1)
-        except NumericError as exc:
-            raise BitstreamError(f"clip {gop_index}: {exc}") from None
-    return RawVideo(width=config.frame_width, height=config.frame_height,
-                    frames=frames)
-
-
-def _decode_gom_params(header: BitstreamHeader, plan: PartitionPlan,
-                       gom_index: int, payload_of) -> list[ParamVector]:
-    """Reconstruct every model of one group from header + payloads."""
-    def finish(gop_index, role, epsilon, theta_prime):
-        rec = header.records[gop_index]
-        models = build_models(rec.mu, rec.sd, rec.bound)
-        symbols = decode_symbols(payload_of(gop_index), models,
-                                 [t.size for t in theta_prime.tensors()])
-        scales = QuantScale(theta_prime.names, rec.scale.astype(np.float32))
-        with np.errstate(over="ignore"):  # refused just below
-            theta = apply_residual(theta_prime, symbols, scales)
-        if not all(np.isfinite(t.data).all() for t in theta.tensors()):
-            raise BitstreamError(f"model {gop_index}: scales and symbols "
-                                 f"overflow the parameters")
-        return theta, theta
-
-    return _walk_gom(header.config, header.seed, plan, gom_index,
-                     lambda gop_index: header.records[gop_index].epsilon,
-                     finish)
-
-
-def decode_video(data: bytes) -> RawVideo:
-    """Reconstruct the full video from bitstream bytes (pure function)."""
-    header, payloads = read_bitstream(data)
-    plan = partition(header.frame_count, header.gop_size, header.gom_size)
-    params: list[ParamVector] = []
-    for gom_index in range(plan.gom_count):
-        params.extend(_decode_gom_params(header, plan, gom_index,
-                                         lambda i: payloads[i]))
-    return render_video(header.config, params, plan)
+    clip = forward_clip(config, params, frame_timestamps(len(frames)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index, out in enumerate(clip):
+            frames[index] = denormalize(out).transpose(2, 0, 1)
 
 
 def decode_gom(reader: BitstreamReader,
                gom_index: int) -> tuple[RawVideo, tuple[int, int]]:
-    """Decode one group via random access; reads only its payload range."""
+    """Decode one group via random access; reads only its payload range.
+
+    Each model decodes its own payload and renders its clip once its
+    coder tables and symbols are freed.
+    """
     header = reader.header
     plan = partition(header.frame_count, header.gop_size, header.gom_size)
     if not 0 <= gom_index < plan.gom_count:
         raise ConfigError(f"gom index {gom_index} outside "
                           f"[0, {plan.gom_count})")
-    params = _decode_gom_params(header, plan, gom_index, reader.read_payload)
     start, stop = plan.gom_frame_range(gom_index)
-    sub_plan = partition(stop - start, plan.gop_size, plan.gom_size)
-    return render_video(header.config, params, sub_plan), (start, stop)
+    frames = np.empty((stop - start, 3, header.height, header.width),
+                      dtype=np.uint8)
+
+    def finish(gop_index, role, epsilon, theta_prime):
+        rec = header.records[gop_index]
+        symbols = decode_symbols(reader.read_payload(gop_index),
+                                 build_models(rec.mu, rec.sd, rec.bound),
+                                 [t.size for t in theta_prime.tensors()])
+        scales = QuantScale(theta_prime.names, rec.scale.astype(np.float32))
+        with np.errstate(over="ignore"):  # refused just below
+            theta = apply_residual(theta_prime, symbols, scales)
+        del symbols
+        if not all(np.isfinite(t.data).all() for t in theta.tensors()):
+            raise BitstreamError(f"model {gop_index}: scales and symbols "
+                                 f"overflow the parameters")
+        first, end = (i - start for i in plan.gops[gop_index])
+        try:
+            render_video(header.config, theta, frames[first:end])
+        except NumericError as exc:
+            raise BitstreamError(f"clip {gop_index}: {exc}") from None
+        return theta, None
+
+    _walk_gom(header.config, header.seed, plan, gom_index,
+              lambda gop_index: header.records[gop_index].epsilon, finish)
+    return (RawVideo(width=header.width, height=header.height,
+                     frames=frames), (start, stop))
+
+
+def _decode_groups(reader: BitstreamReader, gom_index: int | None = None):
+    """:func:`decode_gom` of one group, or of every group in order, run
+    lazily.  Every group is the whole stream, so the call itself first
+    refuses a stream shorter than its header declares."""
+    if gom_index is None:
+        reader.check_complete()
+    every = range(-(-len(reader.header.records) // reader.header.gom_size))
+    return (decode_gom(reader, index)
+            for index in (every if gom_index is None else [gom_index]))
+
+
+def decode_video(data: bytes) -> RawVideo:
+    """Reconstruct the full video from bitstream bytes (pure function),
+    one group at a time."""
+    reader = BitstreamReader.from_bytes(data)
+    header = reader.header
+    groups = _decode_groups(reader)
+    frames = np.empty((header.frame_count, 3, header.height, header.width),
+                      dtype=np.uint8)
+    for part, (start, stop) in groups:
+        frames[start:stop] = part.frames
+    return RawVideo(width=header.width, height=header.height, frames=frames)

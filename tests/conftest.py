@@ -11,7 +11,7 @@ import pytest
 
 from clipcodec import ops
 from clipcodec.backbone import BackboneConfig, UpsampleStage
-from clipcodec.bitstream import _FIXED, _pack_header, read_bitstream
+from clipcodec.bitstream import _FIXED, BitstreamReader, _pack_header
 from clipcodec.ratequant import rate_bits_train
 
 
@@ -133,7 +133,9 @@ def repack(data: bytes, model: int = 0, payload_tail: bytes = b"",
     that record's payload replaced by ``payload`` if given and then
     ``payload_tail`` appended.  The writer's checks are bypassed on
     purpose."""
-    header, payloads = read_bitstream(data)
+    reader = BitstreamReader.from_bytes(data)
+    header = reader.header
+    payloads = [reader.read_payload(i) for i in range(len(header.records))]
     if payload is not None:
         payloads[model] = payload
     payloads[model] += payload_tail
@@ -148,7 +150,7 @@ def repack(data: bytes, model: int = 0, payload_tail: bytes = b"",
 
 def set_config_byte(data: bytes, index: int, value: int) -> bytes:
     """Overwrite byte ``index`` of the config text; header CRC recomputed."""
-    size = read_bitstream(data)[0].header_size
+    size = BitstreamReader.from_bytes(data).header.header_size
     blob = bytearray(data)
     blob[_FIXED.size + index] = value
     blob[size - 4:size] = struct.pack("<I", zlib.crc32(bytes(blob[:size - 4])))

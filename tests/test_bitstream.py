@@ -12,7 +12,7 @@ import pytest
 from clipcodec import bitstream
 from clipcodec.bitstream import (MAX_VIDEO_PIXELS, BitstreamReader,
                                  ModelRecord, _pack_header, dump_header_text,
-                                 read_bitstream, write_bitstream)
+                                 write_bitstream)
 from clipcodec.errors import BitstreamError
 from clipcodec.pipeline import decode_video
 from conftest import HOSTILE_HEADERS, edit_stream, repack
@@ -47,7 +47,8 @@ def _stream(model_count=3, gom_size=5):
 
 def test_write_read_round_trip():
     data, records, payloads = _stream()
-    header, back = read_bitstream(data)
+    reader = BitstreamReader.from_bytes(data)
+    header = reader.header
     assert header.width == 16 and header.frame_count == 30
     assert header.gop_size == 10 and header.gom_size == 5
     assert header.seed == 42 and header.precision == "f32"
@@ -58,7 +59,7 @@ def test_write_read_round_trip():
         assert rec.epsilon == pytest.approx(orig.epsilon)
         assert np.array_equal(rec.scale, orig.scale)
         assert np.array_equal(rec.bound, orig.bound)
-    assert back == payloads
+    assert [reader.read_payload(i) for i in range(3)] == payloads
 
 
 def test_paper_scale_header_round_trips():
@@ -69,17 +70,18 @@ def test_paper_scale_header_round_trips():
     data = write_bitstream(1920, 1080, 600, 30, 5, seed=0, precision="f32",
                            config_text=_config_text(1920, 1080),
                            records=records, payloads=payloads)
-    header, back = read_bitstream(data)
+    reader = BitstreamReader.from_bytes(data)
+    header = reader.header
     assert len(header.records) == 20
     assert [r.role for r in header.records] == \
         ["I" if i % 5 == 0 else "P" for i in range(20)]
-    assert back == payloads
+    assert [reader.read_payload(i) for i in range(20)] == payloads
 
 
 def test_bad_magic_rejected_with_offset():
     data, _, _ = _stream()
     with pytest.raises(BitstreamError, match="magic"):
-        read_bitstream(b"XXXX" + data[4:])
+        BitstreamReader.from_bytes(b"XXXX" + data[4:])
 
 
 def test_unknown_version_rejected():
@@ -87,15 +89,15 @@ def test_unknown_version_rejected():
     tampered = bytearray(data)
     tampered[4] = 99
     with pytest.raises(BitstreamError, match="version"):
-        read_bitstream(bytes(tampered))
+        BitstreamReader.from_bytes(bytes(tampered))
 
 
 def test_truncated_stream_rejected():
     data, _, _ = _stream()
     with pytest.raises(BitstreamError):
-        read_bitstream(data[:20])
+        BitstreamReader.from_bytes(data[:20])
     with pytest.raises(BitstreamError, match="shorter"):
-        read_bitstream(data[:-3])
+        decode_video(data[:-3])
 
 
 def test_header_corruption_detected():
@@ -103,17 +105,17 @@ def test_header_corruption_detected():
     tampered = bytearray(data)
     tampered[10] ^= 0xFF  # inside the fixed header fields
     with pytest.raises(BitstreamError, match="CRC"):
-        read_bitstream(bytes(tampered))
+        BitstreamReader.from_bytes(bytes(tampered))
 
 
 def test_payload_flip_detected_not_crash():
     data, records, payloads = _stream()
-    header, _ = read_bitstream(data)
-    offset = header.payload_offset(1) + 3
+    reader = BitstreamReader.from_bytes(data)
+    offset = reader.header.payload_offset(1) + 3
     tampered = bytearray(data)
     tampered[offset] ^= 0x01
     with pytest.raises(BitstreamError, match="model 1"):
-        read_bitstream(bytes(tampered))
+        BitstreamReader.from_bytes(bytes(tampered)).read_payload(1)
 
 
 def test_reader_random_access_ranges():
@@ -155,8 +157,7 @@ def test_reader_reads_only_requested_ranges():
 
 def test_dump_header_text_mentions_fields():
     data, _, _ = _stream()
-    header, _ = read_bitstream(data)
-    text = dump_header_text(header)
+    text = dump_header_text(BitstreamReader.from_bytes(data).header)
     assert "gop_size=10" in text
     assert "role=P" in text
     assert "kind = coord-mlp" in text
@@ -188,10 +189,8 @@ def test_frame_fields_checked_on_read_and_write(edit):
     # every hostile header is one the writer can be asked for: it refuses
     # each, and the reader rejects each before any payload
     data, args = _frame_stream()
-    assert read_bitstream(data)[0].frame_count == 8
+    assert BitstreamReader.from_bytes(data).header.frame_count == 8
     bad = repack(data, **edit)
-    with pytest.raises(BitstreamError):
-        read_bitstream(bad)
     with pytest.raises(BitstreamError):
         BitstreamReader.from_bytes(bad)
     with pytest.raises(BitstreamError):
@@ -207,7 +206,7 @@ def test_video_pixel_limit_is_inclusive():
     text = _config_text(side, side)
     data = write_bitstream(side, side, frames, frames // 8, 1, 0, "f32",
                            text, records, payloads)
-    assert read_bitstream(data)[0].frame_count == frames
+    assert BitstreamReader.from_bytes(data).header.frame_count == frames
     # one frame more, in 7 clips of 5
     with pytest.raises(BitstreamError, match="format limit"):
         write_bitstream(side, side, frames + 1, 5, 1, 0, "f32", text,

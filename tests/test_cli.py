@@ -103,6 +103,17 @@ def test_manifest_rerun_is_byte_identical(workdir):
         (workdir / "out.bits").read_bytes()
 
 
+# older setuptools flags its own [tool.setuptools] table as beta
+@pytest.mark.filterwarnings("ignore:Support for .*tool.setuptools")
+def test_package_version_is_the_module_version():
+    # pyproject.toml reads its version from clipcodec.__version__, the
+    # value the manifest records as tool_version
+    from setuptools.config.pyprojecttoml import read_configuration
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert read_configuration(pyproject)["project"]["version"] == \
+        clipcodec.__version__
+
+
 def test_v1_manifest_with_thread_count_is_refused(workdir, tmp_path):
     # version 1 carried a thread_count field that nothing set, version 2 a
     # schedule_c that every producer set to 0; version 3 drops both, so an
@@ -173,6 +184,16 @@ def test_corrupted_stream_exits_3(workdir, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "offset" in err
+    # group 0 decodes and is written before group 1 fails its CRC; the
+    # partial temporary file goes with the error
+    assert not list(tmp_path.glob("x.rgb*"))
+
+
+def test_cut_stream_exits_3_and_writes_nothing(workdir, tmp_path):
+    cut = tmp_path / "cut.bits"
+    cut.write_bytes((workdir / "out.bits").read_bytes()[:-1])
+    assert main(["decode", str(cut), str(tmp_path / "cut.rgb")]) == 3
+    assert not list(tmp_path.glob("cut.rgb*"))
 
 
 @pytest.mark.parametrize("edit", [edit for _, edit in HOSTILE_HEADERS]

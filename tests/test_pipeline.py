@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from clipcodec import detmath, ops, pipeline
 from clipcodec.backbone import (BackboneConfig, UpsampleStage, forward_clip,
                                 forward_frame, init_random, param_layout)
-from clipcodec.bitstream import _FIXED, BitstreamReader, read_bitstream
+from clipcodec.bitstream import _FIXED, BitstreamReader
 from clipcodec.errors import BitstreamError, ConfigError
 from clipcodec.optim import adam_init, adam_step
 from clipcodec.pipeline import (TrainConfig, decode_gom, decode_video,
@@ -388,17 +388,30 @@ def test_decode_matches_encoder_reconstruction(encoded_pair):
     assert np.array_equal(decoded.frames, result.recon.frames)
 
 
-def test_decoded_parameters_bit_identical(encoded_pair):
+def test_decoded_parameters_bit_identical(encoded_pair, monkeypatch):
+    # the encoder's lattice-snapped parameters, as train_model returns
+    # them, are the parameters the decoder renders with, bit for bit
     video, config, plan, cfg, result = encoded_pair
-    header, payloads = read_bitstream(result.data)
-    plan2 = partition(header.frame_count, header.gop_size, header.gom_size)
-    params = []
-    for gom_index in range(plan2.gom_count):
-        params.extend(pipeline._decode_gom_params(header, plan2, gom_index,
-                                                  payloads.__getitem__))
-    assert len(params) == len(result.final_params)
-    for decoded, encoded in zip(params, result.final_params):
-        assert np.array_equal(decoded.flatten(), encoded.flatten())
+    encoded, decoded = [], []
+    train, render = pipeline.train_model, pipeline.render_video
+
+    def train_spy(*args, **kwargs):
+        trained = train(*args, **kwargs)
+        encoded.append(trained.theta_star)
+        return trained
+
+    def render_spy(config, params, frames):
+        decoded.append(params)
+        return render(config, params, frames)
+
+    monkeypatch.setattr(pipeline, "train_model", train_spy)
+    monkeypatch.setattr(pipeline, "render_video", render_spy)
+    assert encode_video(video, plan, config, cfg).data == result.data
+    decode_video(result.data)
+    assert len(encoded) == len(decoded) == plan.gop_count
+    for theta_encoded, theta_decoded in zip(encoded, decoded):
+        assert np.array_equal(theta_decoded.flatten(),
+                              theta_encoded.flatten())
 
 
 def test_encode_determinism(encoded_pair):
@@ -526,10 +539,29 @@ def test_payload_with_extra_bytes_is_rejected(encoded_pair, tail):
             decode_gom(BitstreamReader.from_bytes(data), gom)
 
 
+def test_decode_video_plans_the_stream_once(encoded_pair):
+    # decode_video runs decode_gom per group; a plan per group made a
+    # stream of 4,000 one-clip groups decode 4x slower than one plan did
+    pipeline.partition.cache_clear()
+    decode_video(encoded_pair[-1].data)
+    assert pipeline.partition.cache_info().misses == 1
+
+
+def test_cut_stream_refused_before_any_render(encoded_pair, monkeypatch):
+    # the whole-stream decode checks the stream's length up front; the
+    # cut is in group 1, so only a lazy check would render group 0 first
+    rendered = []
+    monkeypatch.setattr(pipeline, "render_video",
+                        lambda *args: rendered.append(args))
+    with pytest.raises(BitstreamError, match="shorter"):
+        decode_video(encoded_pair[-1].data[:-1])
+    assert not rendered
+
+
 def test_payloads_are_read_to_their_last_byte(encoded_pair, monkeypatch):
     # a valid payload's length is exactly what the range decoder reads
     from clipcodec.coder import RangeDecoder
-    header, payloads = read_bitstream(encoded_pair[-1].data)
+    reader = BitstreamReader.from_bytes(encoded_pair[-1].data)
     consumed = {}
     original = RangeDecoder.decode_layer
 
@@ -542,7 +574,8 @@ def test_payloads_are_read_to_their_last_byte(encoded_pair, monkeypatch):
 
     monkeypatch.setattr(RangeDecoder, "decode_layer", spy)
     decode_video(encoded_pair[-1].data)
-    assert sorted(consumed.values()) == sorted(len(p) for p in payloads)
+    assert sorted(consumed.values()) == sorted(
+        rec.payload_len for rec in reader.header.records)
 
 
 PAYLOAD_EDITS = ("flip", "truncate", "extend")
@@ -552,8 +585,9 @@ def _mutate_one_model(data: bytes, draw) -> bytes:
     """One model's record field (``mu``, ``sd``, ``scale``, ``epsilon`` or
     ``bound``) set to a drawn value, or its payload's bytes flipped, cut
     short or extended; every CRC is recomputed."""
-    header, payloads = read_bitstream(data)
-    model = draw(st.integers(0, len(payloads) - 1))
+    reader = BitstreamReader.from_bytes(data)
+    header = reader.header
+    model = draw(st.integers(0, len(header.records) - 1))
     kind = draw(st.sampled_from(("mu", "sd", "scale", "epsilon", "bound")
                                 + PAYLOAD_EDITS))
     if kind == "epsilon":
@@ -564,7 +598,7 @@ def _mutate_one_model(data: bytes, draw) -> bytes:
         values[layer] = draw(st.integers(0, 2 ** 32 - 1) if kind == "bound"
                              else st.floats(width=32))
         return repack(data, model=model, **{kind: values})
-    payload = bytearray(payloads[model])
+    payload = bytearray(reader.read_payload(model))
     if kind == "flip":
         for pos in draw(st.lists(st.integers(0, len(payload) - 1),
                                  min_size=1, max_size=4)):
@@ -616,7 +650,7 @@ def test_widest_alphabets_decode_within_memory_ceiling():
     video = synth_video("moving-blob", 32, 32, 4, velocity=1.0, seed=3)
     data = encode_video(video, partition(4, 2, 2), config,
                         quick_cfg(epochs_i=1, epochs_p=1)).data
-    layers = read_bitstream(data)[0].n_layers
+    layers = BitstreamReader.from_bytes(data).header.n_layers
     stream = repack(data, bound=np.full(layers, MAX_SYMBOL, dtype=np.uint32))
 
     def decode():
@@ -636,11 +670,15 @@ PER_FRAME_RENDER_PEAK = 3.89e6
 @pytest.mark.parametrize("gop_size", [1, 5, 10, 20, 40])
 def test_render_memory_flat_in_clip_length(gop_size):
     config = nerv_lite_preset(64, 64, "small")
-    plan = partition(40, gop_size, 1)
-    params = [init_random(config, 0)] * plan.gop_count
-    render_video(config, params, plan)  # warm every cache first
-    peak = _traced_peak(lambda: render_video(config, params, plan))
-    assert peak <= 1.25 * PER_FRAME_RENDER_PEAK
+    params = init_random(config, 0)
+
+    def render():
+        frames = np.empty((40, 3, 64, 64), dtype=np.uint8)
+        for start in range(0, 40, gop_size):
+            render_video(config, params, frames[start:start + gop_size])
+
+    render()  # warm every cache first
+    assert _traced_peak(render) <= 1.25 * PER_FRAME_RENDER_PEAK
 
 
 @pytest.mark.parametrize("layer, scale, message", [
@@ -651,7 +689,7 @@ def test_overflowing_scale_raises_bitstream_error(encoded_pair, layer, scale,
     # a finite scale no encoder writes: symbol * scale overflows float32,
     # or the parameters it yields overflow the network's activations
     data = encoded_pair[-1].data
-    values = read_bitstream(data)[0].records[0].scale.copy()
+    values = BitstreamReader.from_bytes(data).header.records[0].scale.copy()
     values[layer] = scale
     data = repack(data, scale=values)
     with pytest.raises(BitstreamError, match=message):
@@ -671,7 +709,7 @@ def test_m_equals_one_makes_every_model_an_i_model():
     video = synth_video("static", 16, 16, 6, seed=1)
     plan = partition(6, 3, 1)
     result = encode_video(video, plan, config, quick_cfg())
-    header, _ = read_bitstream(result.data)
+    header = BitstreamReader.from_bytes(result.data).header
     assert all(rec.role == "I" for rec in header.records)
     assert all(rec.epsilon == 0.0 for rec in header.records)
 
@@ -692,7 +730,7 @@ def test_encoder_widens_a_step_the_alphabet_cannot_hold(monkeypatch):
     video = synth_video("moving-blob", 16, 16, 4, velocity=1.0, seed=4)
     result = encode_video(video, partition(4, 2, 2), small_config(),
                           quick_cfg(), keep_reference=True)
-    header, _ = read_bitstream(result.data)
+    header = BitstreamReader.from_bytes(result.data).header
     for rec, step in zip(header.records, first_steps):
         assert rec.bound[0] == MAX_SYMBOL
         assert rec.scale[0] > 20 * step  # widened, not just trained
