@@ -82,9 +82,6 @@ class BitstreamHeader:
     def payload_offset(self, index: int) -> int:
         return self.offsets[index]
 
-    def total_size(self) -> int:
-        return self.offsets[-1]
-
 
 def _check_header(width: int, height: int, frame_count: int, gop_size: int,
                   gom_size: int, precision: str, config_text: str,
@@ -319,11 +316,10 @@ class BitstreamReader:
     def check_complete(self) -> None:
         """Refuse a stream shorter than its header declares; a whole-stream
         decode runs this before it decodes anything."""
-        size = self._file.seek(0, io.SEEK_END)
-        if size < self.header.total_size():
+        size, end = self._file.seek(0, io.SEEK_END), self.header.offsets[-1]
+        if size < end:
             raise BitstreamError(f"stream shorter than declared: {size} "
-                                 f"< {self.header.total_size()}",
-                                 offset=size)
+                                 f"< {end}", offset=size)
 
 
 def dump_header_text(header: BitstreamHeader) -> str:
