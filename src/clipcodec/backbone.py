@@ -148,14 +148,12 @@ def init_random(config: BackboneConfig, seed: int) -> ParamVector:
     from a PCG64 stream, in float64, then cast to the configured dtype.
     """
     rng = make_rng(seed, STREAM_INIT)
-    dtype = config.dtype
-    segments = []
-    for spec in param_layout(config):
-        scale = 1.0 / math.sqrt(spec.fan_in)
-        data = rng.standard_normal(spec.count, dtype=np.float64) * scale
-        segments.append((spec.name,
-                         Tensor(data.reshape(spec.shape).astype(dtype))))
-    return ParamVector(segments)
+    layout = param_layout(config)
+    flat = np.concatenate([
+        rng.standard_normal(spec.count, dtype=np.float64)
+        * (1.0 / math.sqrt(spec.fan_in)) for spec in layout])
+    return ParamVector([(spec.name, spec.shape) for spec in layout],
+                       Tensor(flat.astype(config.dtype)))
 
 
 # ------------------------------------------------------------ encodings
@@ -164,13 +162,21 @@ def _pe_bands(freqs: int) -> np.ndarray:
     return np.ldexp(np.ones(freqs), np.arange(freqs, dtype=np.int32)) * math.pi
 
 
-def positional_encoding(value, freqs: int) -> np.ndarray:
-    """[sin(2^j*pi*v), cos(2^j*pi*v)] for j = 0..freqs-1 (float64).
+@lru_cache(maxsize=256)
+def positional_encoding(t_norm: float, freqs: int) -> np.ndarray:
+    """[sin(2^j*pi*t), cos(2^j*pi*t)] for j = 0..freqs-1 (float64,
+    read-only), built once per timestamp, since a clip's timestamps recur
+    on every epoch."""
+    args = t_norm * _pe_bands(freqs)
+    row = np.concatenate([detmath.sin(args), detmath.cos(args)])
+    row.flags.writeable = False
+    return row
 
-    An array of values gets one encoding per value, along a new last axis.
-    """
-    args = np.multiply.outer(value, _pe_bands(freqs))
-    return np.concatenate([detmath.sin(args), detmath.cos(args)], axis=-1)
+
+def _time_encodings(t: Tensor, freqs: int) -> np.ndarray:
+    """One encoding row per timestamp of ``t``; a row has the bits of a
+    batch's, since the kernels are elementwise."""
+    return np.stack([positional_encoding(float(v), freqs) for v in t.data])
 
 
 @lru_cache(maxsize=8)
@@ -230,8 +236,8 @@ def _layers(config: BackboneConfig, params) -> list:
         def encode(t):
             rows = np.concatenate(
                 [np.tile(xy, (t.size, 1)),
-                 np.repeat(positional_encoding(t.data, freqs), H * W,
-                           axis=0)], axis=1)
+                 np.repeat(_time_encodings(t, freqs), H * W, axis=0)],
+                axis=1)
             return ops.constant(rows.astype(dtype))
 
         out = dense(f"mlp.fc{last}", ops.sigmoid)
@@ -246,7 +252,7 @@ def _layers(config: BackboneConfig, params) -> list:
                 + [(H * W * 3, head)])
 
     def encode(t):
-        return ops.constant(positional_encoding(t.data, freqs).astype(dtype))
+        return ops.constant(_time_encodings(t, freqs).astype(dtype))
 
     fc1 = dense("stem.fc1", act)
 

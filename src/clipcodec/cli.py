@@ -8,7 +8,6 @@ non-finite values).
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import tempfile
@@ -18,7 +17,7 @@ from . import metrics, presets, video as videomod
 from .backbone import BackboneConfig, config_from_text
 from .bitstream import BitstreamReader, dump_header_text
 from .errors import (BitstreamError, CodecError, ConfigError, DataError,
-                     NumericError)
+                     NumericError, unreadable)
 from .manifest import RunManifest, build_manifest
 from .pipeline import TrainConfig, _decode_groups, encode_video, partition
 from .tensor import DTYPES
@@ -126,7 +125,11 @@ def _cmd_encode(args) -> int:
         width, height = args.width, args.height
         gop_size, gom_size = args.gop, args.gom
         if args.backbone_config:
-            config = config_from_text(args.backbone_config.read_text())
+            try:
+                text = args.backbone_config.read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise unreadable(args.backbone_config, exc) from None
+            config = config_from_text(text)
         else:
             config = presets.nerv_lite_preset(width, height, args.tier,
                                               precision=args.precision)
@@ -135,8 +138,6 @@ def _cmd_encode(args) -> int:
                           warmup_frac=args.warmup_frac, seed=args.seed)
         jobs = args.jobs
 
-    if not input_path.exists():
-        raise DataError(f"input file {input_path} does not exist")
     vid = videomod.load_raw(input_path, width, height)
     plan = partition(vid.frame_count, gop_size, gom_size)
     result = encode_video(vid, plan, config, cfg, jobs=jobs,
@@ -239,18 +240,7 @@ def _add_fit_epsilon(sub):
 
 
 def _cmd_fit_epsilon(args) -> int:
-    points = []
-    with args.points.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{args.points}: empty CSV")
-        cols = {c.strip().lower() for c in reader.fieldnames}
-        if "mse" not in cols or "epsilon" not in cols:
-            raise DataError(f"{args.points}: need 'mse' and 'epsilon' "
-                            f"columns")
-        for row in reader:
-            row = {k.strip().lower(): v for k, v in row.items()}
-            points.append((float(row["mse"]), float(row["epsilon"])))
+    points = metrics.read_csv_columns(args.points, [("mse",), ("epsilon",)])
     schedule, residual = fit_schedule(points)
     payload = (f'{{\n  "a": {schedule.a!r},\n  "b": {schedule.b!r},\n'
                f'  "degenerate": '

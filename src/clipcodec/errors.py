@@ -21,6 +21,14 @@ class DataError(CodecError):
     """External data (files, streams, CSV input) is unusable."""
 
 
+def unreadable(path, exc: Exception) -> DataError:
+    """The :class:`DataError` for a file that could not be read, or whose
+    text is not UTF-8."""
+    if isinstance(exc, UnicodeDecodeError):
+        return DataError(f"cannot read {path}: not UTF-8 text")
+    return DataError(f"cannot read {path}: {exc.strerror or exc}")
+
+
 class BitstreamError(DataError):
     """Malformed bitstream.  ``offset`` points at the offending byte."""
 

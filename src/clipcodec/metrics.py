@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, unreadable
 from .video import RawVideo
 
 PSNR_CAP_DB = 100.0  # stands in for infinity in CSV output
@@ -109,23 +109,43 @@ def append_rd_row(path, sequence: str, gop_size: int, gom_size: int,
                          f"{wall_seconds:.3f}"])
 
 
+def read_csv_columns(path, columns) -> list[tuple[float, ...]]:
+    """One tuple of floats per data row of a CSV with named columns.
+
+    Each entry of ``columns`` is a tuple of accepted header names, matched
+    without case or surrounding space; the first one present is read.  An
+    unreadable file, a missing column, a short row or a non-numeric cell
+    raises :class:`DataError` naming the file (and the line).
+    """
+    try:
+        with Path(path).open(newline="") as fh:
+            reader = csv.reader(fh)
+            header = [name.strip().lower() for name in next(reader, [])]
+            if not header:
+                raise DataError(f"{path}: empty CSV")
+            index = []
+            for names in columns:
+                found = [header.index(name) for name in names
+                         if name in header]
+                if not found:
+                    raise DataError(f"{path}: no "
+                                    f"{' or '.join(map(repr, names))} column")
+                index.append(found[0])
+            rows = []
+            for row in filter(None, reader):  # a blank line reads as []
+                try:
+                    rows.append(tuple(float(row[i]) for i in index))
+                except (IndexError, ValueError):
+                    raise DataError(f"{path} line {reader.line_num}: not a "
+                                    f"number in every column") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise unreadable(path, exc) from None
+    return rows
+
+
 def read_rd_curve(path) -> list[RDPoint]:
     """Read (bpp, psnr) points from a CSV with named columns."""
-    points = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty CSV")
-        cols = {name.strip().lower() for name in reader.fieldnames}
-        if "bpp" not in cols:
-            raise DataError(f"{path}: no 'bpp' column")
-        quality_col = "psnr_db" if "psnr_db" in cols else "psnr"
-        if quality_col not in cols:
-            raise DataError(f"{path}: no 'psnr_db' or 'psnr' column")
-        for row in reader:
-            row = {k.strip().lower(): v for k, v in row.items()}
-            points.append(RDPoint(bpp=float(row["bpp"]),
-                                  quality=float(row[quality_col])))
-    if not points:
+    rows = read_csv_columns(path, [("bpp",), ("psnr_db", "psnr")])
+    if not rows:
         raise DataError(f"{path}: no rate points")
-    return points
+    return [RDPoint(bpp=bpp, quality=quality) for bpp, quality in rows]

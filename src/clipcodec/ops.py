@@ -216,25 +216,11 @@ def upsample_nearest(x: Tensor, r: int) -> Tensor:
 
 # ------------------------------------------------------------------ reshape
 
-def concat_flat(xs) -> Tensor:
-    """Flatten each tensor and join them end to end, in order."""
-    xs = tuple(xs)
-    if not xs:
-        raise ShapeError("concat_flat: no tensors to join")
-    shapes = [x.shape for x in xs]
-    out = _result(np.concatenate([x.data.reshape(-1) for x in xs]), xs)
-    cuts = np.cumsum([x.size for x in xs])[:-1]
-    _record(out, xs,
-            lambda g: tuple(part.reshape(shape) for part, shape
-                            in zip(np.split(g, cuts), shapes)))
-    return out
-
-
 def split_flat(x: Tensor, shapes) -> tuple[Tensor, ...]:
     """Cut the 1-d ``x`` into consecutive pieces of the given shapes.
 
-    The inverse of :func:`concat_flat`.  The pieces are views of ``x``;
-    the split is one tape node with one output per piece.
+    The pieces are views of ``x``; the split is one tape node with one
+    output per piece.
     """
     shapes = [tuple(shape) for shape in shapes]
     sizes = [math.prod(shape) for shape in shapes]
@@ -259,8 +245,8 @@ def split_flat(x: Tensor, shapes) -> tuple[Tensor, ...]:
 def broadcast_segments(x: Tensor, shapes) -> Tensor:
     """Element i of the 1-d ``x`` spread over ``shapes[i]``, all joined flat.
 
-    Equals :func:`concat_flat` of each element broadcast to its shape, and
-    so is its gradient: each segment is reduced in its own shape exactly
+    Equals each element broadcast to its shape, flattened and joined, and
+    so does its gradient: each segment is reduced in its own shape exactly
     as broadcasting a scalar reduces it, which need not give the bits of a
     flat ``np.sum`` over the segment.
     """

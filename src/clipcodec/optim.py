@@ -18,8 +18,7 @@ EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators over a ParamVector, flattened in
-    layout order."""
+    """First/second moment accumulators over a ParamVector's flat vector."""
 
     m: np.ndarray
     v: np.ndarray
@@ -30,27 +29,26 @@ class AdamState:
 
 
 def adam_init(params: ParamVector) -> AdamState:
-    zeros = np.zeros_like(params.flatten())
+    zeros = np.zeros_like(params.flat.data)
     return AdamState(m=zeros, v=zeros.copy())
 
 
 def adam_step(params: ParamVector, state: AdamState, lr: float) -> None:
-    """One in-place Adam update; missing gradients count as zero.
+    """One in-place Adam update of the flat vector; a missing gradient
+    counts as zero.
 
-    The update runs once over all segments, flattened in layout order.
     Adam is elementwise, so each element gets the bits a separate update
     per segment would give it.
     """
     state.step += 1
     state.beta1_pow *= BETA1
     state.beta2_pow *= BETA2
-    tensors = params.tensors()
-    grad = np.concatenate([
-        np.zeros(t.size, dtype=t.dtype) if t.grad is None
-        else np.reshape(t.grad, -1) for t in tensors])
+    flat = params.flat
+    grad = np.zeros_like(flat.data) if flat.grad is None else flat.grad
     if not np.isfinite(grad).all():
-        name = next(name for name, t in params.items()
-                    if t.grad is not None and not np.all(np.isfinite(t.grad)))
+        name = next(name for name, part in zip(params.names,
+                                               params.split(grad))
+                    if not np.isfinite(part).all())
         raise NumericError(f"non-finite gradient in segment {name!r} at "
                            f"step {state.step}")
     dt = state.m.dtype.type
@@ -59,11 +57,7 @@ def adam_step(params: ParamVector, state: AdamState, lr: float) -> None:
     v += (grad * grad - v) * dt(1.0 - BETA2)
     mhat = m / dt(1.0 - state.beta1_pow)
     vhat = v / dt(1.0 - state.beta2_pow)
-    update = dt(lr) * mhat / (np.sqrt(vhat) + dt(EPS))
-    start = 0
-    for t in tensors:
-        t.data -= update[start:start + t.size].reshape(t.shape)
-        start += t.size
+    flat.data -= dt(lr) * mhat / (np.sqrt(vhat) + dt(EPS))
 
 
 def lr_at(epoch: int, total_epochs: int, base_lr: float,

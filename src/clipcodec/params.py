@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,43 +25,50 @@ class SegmentSpec:
 
 
 class ParamVector:
-    """Ordered mapping segment-name -> Tensor with a fixed layout."""
+    """A model's parameters: one flat 1-d Tensor in layout order, with each
+    segment a named view of it.
 
-    def __init__(self, segments: list[tuple[str, Tensor]]):
-        names = [name for name, _ in segments]
-        if len(set(names)) != len(names):
+    ``layout`` is a sequence of ``(name, shape)`` pairs.  Everything that
+    acts on every element (Adam, the warm start, the residual, the lattice
+    snap) acts on ``flat`` in one expression; what needs a segment on its
+    own takes ``params[name]`` or :meth:`split`.
+    """
+
+    def __init__(self, layout, flat: Tensor):
+        self._layout = tuple((name, tuple(shape)) for name, shape in layout)
+        self.names = tuple(name for name, _ in self._layout)
+        if len(set(self.names)) != len(self.names):
             raise LayoutError("duplicate segment names")
-        self._names = tuple(names)
-        self._tensors = {name: t for name, t in segments}
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self._names
+        self.sizes = tuple(math.prod(shape) for _, shape in self._layout)
+        if flat.data.ndim != 1 or flat.size != sum(self.sizes):
+            raise LayoutError(f"flat vector of shape {flat.shape} does not "
+                              f"hold {sum(self.sizes)} parameters")
+        self.flat = flat
+        self._ends = np.cumsum(self.sizes)
+        self._spans = {name: (end - size, end, shape)
+                       for (name, shape), size, end
+                       in zip(self._layout, self.sizes, self._ends)}
 
     def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
+        start, end, shape = self._spans[name]
+        return Tensor(self.flat.data[start:end].reshape(shape))
 
-    def __iter__(self):
-        return iter(self._names)
+    def split(self, values: np.ndarray) -> list[np.ndarray]:
+        """``values``, one per parameter in layout order, cut into one
+        1-d view per segment."""
+        return np.split(values, self._ends[:-1])
 
-    def items(self):
-        for name in self._names:
-            yield name, self._tensors[name]
-
-    def tensors(self) -> list[Tensor]:
-        return [self._tensors[name] for name in self._names]
-
-    @property
-    def total_count(self) -> int:
-        return sum(t.size for t in self._tensors.values())
+    def spread(self, values) -> np.ndarray:
+        """One value per segment, cast to the dtype and repeated over the
+        segment's elements."""
+        return np.repeat(np.asarray(values, dtype=self.dtype), self.sizes)
 
     @property
     def dtype(self):
-        return self._tensors[self._names[0]].dtype
+        return self.flat.dtype
 
     def layout(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        return tuple((name, tuple(self._tensors[name].shape))
-                     for name in self._names)
+        return self._layout
 
     def check_same_layout(self, other: "ParamVector") -> None:
         mine, theirs = self.layout(), other.layout()
@@ -72,20 +80,18 @@ class ParamVector:
                 raise LayoutError(f"segment mismatch at {n1!r}: "
                                   f"{n1} {s1} vs {n2} {s2}")
 
+    def with_flat(self, data: np.ndarray) -> "ParamVector":
+        """The same layout over the 1-d ``data``."""
+        return ParamVector(self._layout, Tensor(data))
+
     def clone(self, requires_grad: bool = False) -> "ParamVector":
-        return ParamVector([(name, Tensor(t.data.copy(),
-                                          requires_grad=requires_grad))
-                            for name, t in self.items()])
+        return ParamVector(self._layout, Tensor(self.flat.data.copy(),
+                                                requires_grad=requires_grad))
 
     def clear_grads(self) -> None:
-        for t in self._tensors.values():
-            t.grad = None
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([t.data.reshape(-1) for t in self.tensors()])
+        self.flat.grad = None
 
     def to_bytes(self) -> bytes:
         """Raw little-endian dump in layout order."""
-        return b"".join(np.ascontiguousarray(t.data).astype(
-            t.data.dtype.newbyteorder("<"), copy=False).tobytes()
-            for t in self.tensors())
+        return self.flat.data.astype(self.dtype.newbyteorder("<"),
+                                     copy=False).tobytes()

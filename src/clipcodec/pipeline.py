@@ -130,34 +130,26 @@ def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
     residual; (mu, sd) statistics are per-step constants.  ``noise`` is
     one uniform(-1/2, 1/2) array with every layer's noise in layout order.
 
-    The lattice is one op chain over all layers, flattened and joined in
-    layout order: each layer's step size ``exp(log_scale)`` is spread over
-    its elements, ``unit = (star - prime) / step`` is what the rate term
-    scores, and ``prime + ste_round(unit) * step``, cut back into layers,
-    is what the network renders with.  Every value and gradient equals a
-    chain per layer: the step sizes enter the division and the product
-    as two separate spreads, so each path's log-scale gradient is reduced
-    over its layer on its own, in the layer's shape, before the two are
-    added.
+    The lattice is one op chain over the flat vectors: each layer's step
+    size ``exp(log_scale)`` is spread over its elements,
+    ``unit = (star - prime) / step`` is what the rate term scores, and
+    ``prime + ste_round(unit) * step``, cut into layers, is what the
+    network renders with.  Every value and gradient equals a chain per
+    layer: the step sizes enter the division and the product as two
+    separate spreads, so each path's log-scale gradient is reduced over
+    its layer on its own, in the layer's shape, before the two are added.
     """
-    names = theta_star.names
-    star = theta_star.tensors()
-    shapes = [t.shape for t in star]
-    sizes = [t.size for t in star]
-    steps = ops.exp(ops.concat_flat([log_scales[name] for name in names]))
-    prime = ops.constant(np.concatenate(
-        [theta_prime[name].data.reshape(-1) for name in names]))
-    delta = ops.sub(ops.concat_flat(star), prime)
+    shapes = [shape for _, shape in theta_star.layout()]
+    steps = ops.exp(log_scales.flat)
+    prime = ops.constant(theta_prime.flat.data)
+    delta = ops.sub(theta_star.flat, prime)
     unit = ops.div(delta, ops.broadcast_segments(steps, shapes))
     snapped = ops.mul(ops.ste_round(unit),
                       ops.broadcast_segments(steps, shapes))
-    effective = dict(zip(names, ops.split_flat(ops.add(prime, snapped),
-                                               shapes)))
-    ends = np.cumsum(sizes)
-    stats = layer_stats([unit.data[end - n:end].reshape(shape)
-                         for n, end, shape in zip(sizes, ends, shapes)],
-                        names)
-    rate = rate_bits_train(unit, noise, stats, sizes)
+    effective = dict(zip(theta_star.names,
+                         ops.split_flat(ops.add(prime, snapped), shapes)))
+    stats = layer_stats(theta_star.split(unit.data), theta_star.names)
+    rate = rate_bits_train(unit, noise, stats, theta_star.sizes)
     frame = forward_frame(config, effective, t_norm)
     mse = ops.mean_square(ops.sub(frame, ops.constant(target_hw3)))
     loss = ops.add(rate, ops.mul(mse, lam))
@@ -176,23 +168,20 @@ class TrainedModel:
 
 
 def _freeze_lattice(theta_prime: ParamVector, theta_star: ParamVector,
-                    log_scales: ParamVector, dtype):
+                    log_scales: ParamVector):
     """Snap the live parameters to their float32 quantization lattice.
 
     A layer's trained step ``exp(log_scale)`` is widened where its peak
     symbol would pass the coder's alphabet, before anything uses it: the
     stats, the recorded scale and the reconstruction all see one step.
     """
-    names = tuple(theta_prime.names)
-    scale_values = np.asarray(
-        [detmath.exp(float(log_scales[name].data)) for name in names],
-        dtype=np.float32)
+    names = theta_prime.names
     delta = residual(theta_star, theta_prime)
-    scales = widen_steps(delta, QuantScale(names, scale_values))
+    scales = widen_steps(delta, QuantScale(names, np.asarray(
+        detmath.exp(log_scales.flat.data), dtype=np.float32)))
     symbols = quantize(delta, scales)
-    scaled = [(tensor.data / dtype(value)).reshape(-1)
-              for (name, tensor), value in zip(delta.items(), scales.values)]
-    stats = layer_stats(scaled, names)
+    stats = layer_stats(
+        delta.split(delta.flat.data / delta.spread(scales.values)), names)
     theta_final = apply_residual(theta_prime, symbols, scales)
     return theta_final, symbols, scales, stats
 
@@ -228,11 +217,10 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
 
     theta_prime = init
     theta_star = init.clone(requires_grad=True)
-    scales0 = initial_scales(init)
-    log_scales = ParamVector([
-        (name, Tensor(np.asarray(detmath.log(value), dtype=dtype),
-                      requires_grad=True))
-        for name, value in zip(init.names, scales0.values)])
+    log_scales = ParamVector(
+        [(name, ()) for name in init.names],
+        Tensor(np.asarray(detmath.log(initial_scales(init).values),
+                          dtype=dtype), requires_grad=True))
     opt_theta = adam_init(theta_star)
     opt_scales = adam_init(log_scales)
     noise_rng = make_rng(seed, STREAM_NOISE)
@@ -247,7 +235,7 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
         for step, (t_norm, target) in enumerate(zip(t_norms, targets)):
             # PCG64 spends one word per double, so one draw for all layers
             # equals one draw per layer, joined
-            noise = noise_rng.uniform(-0.5, 0.5, size=init.total_count)
+            noise = noise_rng.uniform(-0.5, 0.5, size=init.flat.size)
             with Tape() as tape:
                 loss, rate, mse, _ = training_step_loss(
                     config, theta_prime, theta_star, log_scales, target,
@@ -272,10 +260,9 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
     tape = None
 
     theta_final, symbols, scales, stats = _freeze_lattice(
-        theta_prime, theta_star, log_scales, dtype)
+        theta_prime, theta_star, log_scales)
     final_mse, rendered = _render_clip(config, theta_final, targets, t_norms)
-    return TrainedModel(theta_star=theta_final,
-                        symbols=[s.reshape(-1) for s in symbols],
+    return TrainedModel(theta_star=theta_final, symbols=symbols,
                         scales=scales, stats=stats,
                         final_mse=final_mse, frames=rendered,
                         epoch_logs=epoch_logs)
@@ -472,12 +459,12 @@ def decode_gom(reader: BitstreamReader,
         rec = header.records[gop_index]
         symbols = decode_symbols(reader.read_payload(gop_index),
                                  build_models(rec.mu, rec.sd, rec.bound),
-                                 [t.size for t in theta_prime.tensors()])
+                                 theta_prime.sizes)
         scales = QuantScale(theta_prime.names, rec.scale.astype(np.float32))
         with np.errstate(over="ignore"):  # refused just below
             theta = apply_residual(theta_prime, symbols, scales)
         del symbols
-        if not all(np.isfinite(t.data).all() for t in theta.tensors()):
+        if not np.isfinite(theta.flat.data).all():
             raise BitstreamError(f"model {gop_index}: scales and symbols "
                                  f"overflow the parameters")
         first, end = (i - start for i in plan.gops[gop_index])

@@ -95,16 +95,14 @@ class RateEstimate:
 def residual(theta_star: ParamVector, theta_prime: ParamVector) -> ParamVector:
     """Elementwise coding target: trained minus warm-start parameters."""
     theta_star.check_same_layout(theta_prime)
-    return ParamVector([
-        (name, Tensor(theta_star[name].data - theta_prime[name].data))
-        for name in theta_star.names])
+    return theta_star.with_flat(theta_star.flat.data - theta_prime.flat.data)
 
 
 def initial_scales(init: ParamVector) -> QuantScale:
     """Step sizes proportional to each layer's initialization magnitude."""
     values = []
-    for name, tensor in init.items():
-        span = float(np.max(np.abs(tensor.data)))
+    for segment in init.split(init.flat.data):
+        span = float(np.max(np.abs(segment)))
         if span == 0.0:
             span = 1.0
         values.append(span / INIT_SYMBOL_SPAN)
@@ -120,16 +118,14 @@ def quantize(delta: ParamVector, scales: QuantScale) -> list[np.ndarray]:
     """
     if tuple(delta.names) != scales.names:
         raise LayoutError("scale layout does not match parameter layout")
-    symbols = []
-    for value, (name, tensor) in zip(scales.values, delta.items()):
-        step = tensor.data.dtype.type(value)
-        sym = detmath.round_half_away(tensor.data / step)
+    symbols = delta.split(detmath.round_half_away(
+        delta.flat.data / delta.spread(scales.values)))
+    for name, sym in zip(delta.names, symbols):
         peak = float(np.max(np.abs(sym))) if sym.size else 0.0
         if peak > MAX_SYMBOL:
             raise ConfigError(f"layer {name!r}: symbol magnitude {peak:.0f} "
                               f"exceeds the coder bound {MAX_SYMBOL}")
-        symbols.append(sym.astype(np.int32))
-    return symbols
+    return [sym.astype(np.int32) for sym in symbols]
 
 
 def widen_steps(delta: ParamVector, scales: QuantScale) -> QuantScale:
@@ -146,11 +142,12 @@ def widen_steps(delta: ParamVector, scales: QuantScale) -> QuantScale:
         raise LayoutError("scale layout does not match parameter layout")
     values = scales.values.copy()
     limit = MAX_SYMBOL + 0.5  # round-half-away sends this up to MAX + 1
-    for i, (name, tensor) in enumerate(delta.items()):
-        if tensor.data.size == 0:
+    for i, (name, segment) in enumerate(zip(delta.names,
+                                            delta.split(delta.flat.data))):
+        if segment.size == 0:
             continue
-        dt = tensor.data.dtype.type
-        top = np.max(np.abs(tensor.data))
+        dt = segment.dtype.type
+        top = np.max(np.abs(segment))
 
         def fits(step):
             with np.errstate(over="ignore"):  # an inf quotient does not fit
@@ -179,14 +176,10 @@ def apply_residual(theta_prime: ParamVector, symbols: list[np.ndarray],
     """
     if tuple(theta_prime.names) != scales.names:
         raise LayoutError("scale layout does not match parameter layout")
-    dtype = theta_prime.dtype
-    segments = []
-    for sym, value, (name, tensor) in zip(symbols, scales.values,
-                                          theta_prime.items()):
-        step = dtype.type(value)
-        data = tensor.data + (sym.astype(dtype) * step).reshape(tensor.shape)
-        segments.append((name, Tensor(data)))
-    return ParamVector(segments)
+    sym = np.concatenate([s.reshape(-1) for s in symbols])
+    return theta_prime.with_flat(
+        theta_prime.flat.data
+        + sym.astype(theta_prime.dtype) * theta_prime.spread(scales.values))
 
 
 def layer_stats(scaled: list[np.ndarray], names: tuple[str, ...]) -> LayerStats:

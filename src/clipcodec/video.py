@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detmath
-from .errors import DataError
+from .errors import DataError, unreadable
 from .seeds import make_rng
 
 SYNTH_KINDS = ("static", "moving-blob", "moving-rect", "noise-texture-pan")
@@ -57,7 +57,10 @@ def denormalize(frames: np.ndarray) -> np.ndarray:
 
 def load_raw(path, width: int, height: int) -> RawVideo:
     """Read planar RGB8; the frame count is inferred from the file size."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise unreadable(path, exc) from None
     frame_bytes = 3 * width * height
     if frame_bytes <= 0:
         raise DataError(f"bad dimensions {width}x{height}")

@@ -21,7 +21,6 @@ import numpy as np
 from . import detmath
 from .errors import ConfigError, DataError
 from .params import ParamVector
-from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -85,12 +84,8 @@ def interpolate_init(rand_params: ParamVector, trained_prev: ParamVector,
     dtype = trained_prev.dtype
     eps = dtype.type(epsilon)
     one_minus = dtype.type(1.0) - eps
-    segments = []
-    for name in rand_params.names:
-        data = (rand_params[name].data * eps
-                + trained_prev[name].data * one_minus)
-        segments.append((name, Tensor(data)))
-    return ParamVector(segments)
+    return rand_params.with_flat(rand_params.flat.data * eps
+                                 + trained_prev.flat.data * one_minus)
 
 
 def _eval_raw(mse: np.ndarray, a: float, b: float) -> np.ndarray:

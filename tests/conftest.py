@@ -12,7 +12,9 @@ import pytest
 from clipcodec import ops
 from clipcodec.backbone import BackboneConfig, UpsampleStage
 from clipcodec.bitstream import _FIXED, BitstreamReader, _pack_header
+from clipcodec.errors import ShapeError
 from clipcodec.ratequant import rate_bits_train
+from clipcodec.tensor import Tensor
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -42,17 +44,49 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray,
                         / np.maximum(scale, floor)))
 
 
+def concat_flat(xs) -> Tensor:
+    """Flatten each tensor and join them end to end, as one tape node.
+
+    The references below train one leaf per layer; this joins them into
+    the flat form the codec works on, with the gradient cut back per
+    layer.
+    """
+    xs = tuple(xs)
+    if not xs:
+        raise ShapeError("concat_flat: no tensors to join")
+    shapes = [x.shape for x in xs]
+    out = ops._result(np.concatenate([x.data.reshape(-1) for x in xs]), xs)
+    cuts = np.cumsum([x.size for x in xs])[:-1]
+    ops._record(out, xs,
+                lambda g: tuple(part.reshape(shape) for part, shape
+                                in zip(np.split(g, cuts), shapes)))
+    return out
+
+
+def segment_leaves(params) -> dict:
+    """One requires-grad leaf per segment of ``params``, copied: the
+    per-layer form the references train."""
+    return {name: Tensor(params[name].data.copy(), requires_grad=True)
+            for name in params.names}
+
+
+def joined(leaves: dict) -> np.ndarray:
+    """The values of per-segment ``leaves`` joined in order."""
+    return np.concatenate([t.data.reshape(-1) for t in leaves.values()])
+
+
 def rate_bits_layers(scaled, noise, stats):
     """``rate_bits_train`` of one tensor and one noise array per layer,
     joined in layout order as the training step joins them."""
-    return rate_bits_train(ops.concat_flat(scaled),
+    return rate_bits_train(concat_flat(scaled),
                            np.concatenate([u.reshape(-1) for u in noise]),
                            stats, [t.size for t in scaled])
 
 
 class PerSegmentAdam:
     """Reference: Adam updated one segment at a time, as before the flat
-    update.  ``adam_step`` must match it bit for bit."""
+    update, over a dict of per-segment leaves.  ``adam_step`` must match
+    it bit for bit."""
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}

@@ -11,9 +11,8 @@ from clipcodec.backbone import (BackboneConfig, UpsampleStage, config_from_text,
                                 frame_timestamps, init_random, param_layout)
 from clipcodec.errors import ConfigError, NumericError, TapeError
 from clipcodec.presets import nerv_lite_preset
-from clipcodec.params import ParamVector
-from clipcodec.tensor import Tape, Tensor
-from conftest import fd_gradient, rel_error
+from clipcodec.tensor import Tape
+from conftest import fd_gradient, rel_error, segment_leaves
 
 
 def test_layout_is_deterministic(tiny_nerv):
@@ -57,8 +56,8 @@ def test_init_reproducible_and_seed_sensitive(tiny_nerv):
     a = init_random(tiny_nerv, 7)
     b = init_random(tiny_nerv, 7)
     c = init_random(tiny_nerv, 8)
-    assert np.array_equal(a.flatten(), b.flatten())
-    differing = np.mean(a.flatten() != c.flatten())
+    assert np.array_equal(a.flat.data, b.flat.data)
+    differing = np.mean(a.flat.data != c.flat.data)
     assert differing >= 0.99
 
 
@@ -78,8 +77,7 @@ def test_forward_frame_deterministic(tiny_nerv):
 
 def test_forward_range_even_for_wild_parameters(tiny_nerv):
     params = init_random(tiny_nerv, 1)
-    scaled = ParamVector([(n, Tensor(t.data * 50.0))
-                          for n, t in params.items()])
+    scaled = params.with_flat(params.flat.data * 50.0)
     frame = forward_frame(tiny_nerv, scaled, 0.0)
     assert np.all(frame.data >= 0.0) and np.all(frame.data <= 1.0)
 
@@ -149,13 +147,13 @@ def test_multi_frame_render_under_tape_raises(fixture_name, request):
     # a clip's frames are plain arrays: under a tape the call raises
     # rather than return frames whose gradients are lost
     config = request.getfixturevalue(fixture_name)
-    live = init_random(config, 11).clone(requires_grad=True)
+    live = segment_leaves(init_random(config, 11))
     with Tape() as tape:
         with pytest.raises(TapeError, match="one frame per call"):
             list(forward_clip(config, live, [0.0, 1.0]))
         loss = ops.mean_square(forward_frame(config, live, 1.0))
     tape.backward(loss)
-    assert all(live[name].grad is not None for name in live.names)
+    assert all(live[name].grad is not None for name in live)
 
 
 def test_timestamps_normalization():
@@ -170,11 +168,11 @@ def test_timestamps_normalization():
 def test_frame_mse_gradients_match_fd(fixture_name, request):
     config = request.getfixturevalue(fixture_name)
     params = init_random(config, 11)
-    assert params.total_count <= 5000
+    assert params.flat.size <= 5000
     target = init_random(config, 12)  # any fixed params make a target
     target_frame = forward_frame(config, target, 0.3).data
 
-    live = params.clone(requires_grad=True)
+    live = segment_leaves(params)
 
     def run():
         with Tape() as tape:
@@ -186,14 +184,14 @@ def test_frame_mse_gradients_match_fd(fixture_name, request):
     loss, tape = run()
     tape.backward(loss)
     checked = 0
-    for name in live.names:
+    for name in params.names:
         tensor = live[name]
         analytic = tensor.grad
         assert analytic is not None, name
         numeric = fd_gradient(lambda: run()[0].item(), tensor.data, h=1e-5)
         assert rel_error(analytic, numeric) < 1e-4, name
         checked += tensor.size
-    assert checked == params.total_count
+    assert checked == params.flat.size
 
 
 def test_config_text_round_trip(tiny_nerv, tiny_subpel, tiny_mlp):

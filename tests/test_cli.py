@@ -276,6 +276,39 @@ def test_fit_epsilon_command(tmp_path, capsys):
     assert set(sched) == {"a", "b", "degenerate", "fit_residual"}
 
 
+@pytest.mark.parametrize("command, content", [
+    ("eval", None),
+    ("bdrate", None), ("bdrate", "bpp,psnr\n2,abc\n"),
+    ("bdrate", "bpp,psnr\n2\n"),
+    ("fit-epsilon", None), ("fit-epsilon", "mse,epsilon\n2,abc\n"),
+    ("fit-epsilon", "mse,epsilon\n2\n"),
+    ("encode", None),
+], ids=["eval-missing", "bdrate-missing", "bdrate-not-a-number",
+        "bdrate-short-row", "fit-epsilon-missing", "fit-epsilon-not-a-number",
+        "fit-epsilon-short-row", "encode-config-missing"])
+def test_unreadable_input_exits_3_naming_the_file(workdir, tmp_path, capsys,
+                                                  command, content):
+    bad = tmp_path / "input.csv"
+    if content is not None:
+        bad.write_text(content)
+    args = {
+        "eval": ["eval", str(bad), str(workdir / "in.rgb"), *COMMON],
+        "bdrate": ["bdrate", str(bad), str(bad)],
+        "fit-epsilon": ["fit-epsilon", str(bad), "--out",
+                        str(tmp_path / "sched.json")],
+        "encode": ["encode", str(workdir / "in.rgb"), "--out",
+                   str(tmp_path / "never.bits"), "--backbone-config",
+                   str(bad), *COMMON, *ENCODE_FAST],
+    }[command]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(bad) in err
+    if content is not None:
+        assert "line 2" in err
+    assert not list(tmp_path.glob("never.bits*"))
+    assert not list(tmp_path.glob("sched.json*"))
+
+
 def test_cli_entrypoint_via_subprocess(tmp_path):
     """The installed console script behaves like main()."""
     out = tmp_path / "tiny.rgb"

@@ -10,18 +10,18 @@ from clipcodec.errors import ConfigError, NumericError
 from clipcodec.optim import adam_init, adam_step, lr_at
 from clipcodec.params import ParamVector
 from clipcodec.tensor import Tensor
-from conftest import PerSegmentAdam
+from conftest import PerSegmentAdam, joined, segment_leaves
 
 
 def _scalar_pv(value: float) -> ParamVector:
-    return ParamVector([("w", Tensor(np.asarray(value, dtype=np.float64),
-                                     requires_grad=True))])
+    return ParamVector([("w", ())], Tensor(np.asarray([value]),
+                                           requires_grad=True))
 
 
 def test_first_adam_step_closed_form():
     pv = _scalar_pv(0.0)
     state = adam_init(pv)
-    pv["w"].grad = np.asarray(1.0)
+    pv.flat.grad = np.asarray([1.0])
     adam_step(pv, state, lr=1e-3)
     # bias-corrected first step is -lr/(1 + eps) for any gradient scale
     assert abs(float(pv["w"].data) - (-1e-3)) < 1e-8
@@ -31,7 +31,7 @@ def test_first_adam_step_closed_form():
 def test_zero_gradient_leaves_parameters_unchanged():
     pv = _scalar_pv(0.25)
     state = adam_init(pv)
-    pv["w"].grad = np.asarray(0.0)
+    pv.flat.grad = np.asarray([0.0])
     adam_step(pv, state, lr=1e-2)
     assert float(pv["w"].data) == 0.25
 
@@ -46,7 +46,7 @@ def test_missing_gradient_counts_as_zero():
 def test_nonfinite_gradient_aborts_with_segment_name():
     pv = _scalar_pv(0.0)
     state = adam_init(pv)
-    pv["w"].grad = np.asarray(np.nan)
+    pv.flat.grad = np.asarray([np.nan])
     with pytest.raises(NumericError, match="'w'"):
         adam_step(pv, state, lr=1e-3)
 
@@ -54,11 +54,11 @@ def test_nonfinite_gradient_aborts_with_segment_name():
 def test_identical_runs_are_bit_identical():
     def run():
         rng = np.random.default_rng(9)
-        pv = ParamVector([("w", Tensor(rng.standard_normal(16),
-                                       requires_grad=True))])
+        pv = ParamVector([("w", (16,))], Tensor(rng.standard_normal(16),
+                                                 requires_grad=True))
         state = adam_init(pv)
         for _ in range(25):
-            pv["w"].grad = rng.standard_normal(16)
+            pv.flat.grad = rng.standard_normal(16)
             adam_step(pv, state, lr=3e-3)
             pv.clear_grads()
         return pv["w"].data.copy()
@@ -73,23 +73,28 @@ def test_flat_update_matches_per_segment_reference_bitwise():
     for dtype in (np.float32, np.float64):
         rng = np.random.default_rng(12)
         init = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
-        pv = ParamVector([(f"s{i}", Tensor(a.copy(), requires_grad=True))
-                          for i, a in enumerate(init)])
-        ref = pv.clone(requires_grad=True)
+        pv = ParamVector([(f"s{i}", shape) for i, shape in enumerate(shapes)],
+                         Tensor(np.concatenate([a.reshape(-1) for a in init]),
+                                requires_grad=True))
+        ref = segment_leaves(pv)
         state, ref_state = adam_init(pv), PerSegmentAdam(ref)
         for step in range(8):
+            grads = []
             for i, shape in enumerate(shapes):
                 if i == 3 and step % 3 == 0:
+                    # no gradient: the reference counts it as zero
+                    ref[f"s{i}"].grad = None
+                    grads.append(np.zeros(shape, dtype))
                     continue
                 grad = (rng.standard_normal(shape) * 10.0 ** (i - 2)
                         ).astype(dtype)
-                pv[f"s{i}"].grad = grad
-                ref[f"s{i}"].grad = grad.copy()
+                ref[f"s{i}"].grad = grad
+                grads.append(grad)
+            pv.flat.grad = np.concatenate([g.reshape(-1) for g in grads])
             adam_step(pv, state, lr=3e-3 * (step + 1))
             ref_state.update(ref, lr=3e-3 * (step + 1))
             pv.clear_grads()
-            ref.clear_grads()
-        assert pv.to_bytes() == ref.to_bytes()
+        assert pv.to_bytes() == joined(ref).tobytes()
         for got, want in ((state.m, ref_state.m), (state.v, ref_state.v)):
             assert got.dtype == dtype
             assert got.tobytes() == np.concatenate(
@@ -97,18 +102,16 @@ def test_flat_update_matches_per_segment_reference_bitwise():
 
 
 def test_nonfinite_gradient_names_its_segment_among_many():
-    pv = ParamVector([(name, Tensor(np.zeros(shape), requires_grad=True))
-                      for name, shape in (("a", (3,)), ("b", (2, 2)),
-                                          ("c", (4,)))])
+    pv = ParamVector([("a", (3,)), ("b", (2, 2)), ("c", (4,))],
+                     Tensor(np.zeros(11), requires_grad=True))
     state = adam_init(pv)
-    pv["a"].grad = np.ones(3)
     bad = np.ones((2, 2))
     bad[1, 0] = np.inf
-    pv["b"].grad = bad
-    pv["c"].grad = np.full(4, np.nan)
+    pv.flat.grad = np.concatenate([np.ones(3), bad.reshape(-1),
+                                   np.full(4, np.nan)])
     with pytest.raises(NumericError, match="'b'"):
         adam_step(pv, state, lr=1e-3)
-    assert not pv.flatten().any()
+    assert not pv.flat.data.any()
 
 
 def test_lr_schedule_shape():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clipcodec import detmath, ops, pipeline
+from clipcodec import backbone, detmath, ops, pipeline
 from clipcodec.backbone import (BackboneConfig, UpsampleStage, forward_clip,
                                 forward_frame, init_random, param_layout)
 from clipcodec.bitstream import _FIXED, BitstreamReader
@@ -28,8 +28,9 @@ from clipcodec.seeds import STREAM_NOISE, make_rng, model_seed
 from clipcodec.tensor import Tape, Tensor
 from clipcodec.video import synth_video
 from clipcodec.warmstart import EpsilonSchedule
-from conftest import (HOSTILE_HEADERS, PerSegmentAdam, fd_gradient,
-                      rate_bits_layers, rel_error, repack, set_config_byte)
+from conftest import (HOSTILE_HEADERS, PerSegmentAdam, fd_gradient, joined,
+                      rate_bits_layers, rel_error, repack, segment_leaves,
+                      set_config_byte)
 
 
 def small_config(size=16, precision="f32"):
@@ -109,7 +110,7 @@ def test_zero_epoch_budget_snaps_to_init():
                           quick_cfg(epochs_i=0), 1)
     for sym in trained.symbols:
         assert not sym.any()
-    assert np.array_equal(trained.theta_star.flatten(), init.flatten())
+    assert np.array_equal(trained.theta_star.flat.data, init.flat.data)
 
 
 def test_training_is_deterministic():
@@ -122,11 +123,30 @@ def test_training_is_deterministic():
         return train_model("I", frames, init, config, quick_cfg(), 3)
 
     a, b = run(), run()
-    assert np.array_equal(a.theta_star.flatten(), b.theta_star.flatten())
+    assert np.array_equal(a.theta_star.flat.data, b.theta_star.flat.data)
     assert np.array_equal(a.scales.values, b.scales.values)
     assert np.array_equal(a.stats.mu, b.stats.mu)
     for sa, sb in zip(a.symbols, b.symbols):
         assert np.array_equal(sa, sb)
+
+
+def test_training_encodes_each_timestamp_once(monkeypatch):
+    # a clip's timestamp encodings are built once, not once per step
+    config = small_config()  # gelu: no other sin in the network
+    frames = synth_video("moving-blob", 16, 16, 3, velocity=1.0,
+                         seed=2).normalized(np.float32)
+    calls = []
+    sin = detmath.sin
+
+    def spy(x):
+        calls.append(np.shape(x))
+        return sin(x)
+
+    backbone.positional_encoding.cache_clear()
+    monkeypatch.setattr(detmath, "sin", spy)
+    train_model("I", frames, init_random(config, 1), config,
+                quick_cfg(epochs_i=3), 1)
+    assert 0 < len(calls) <= len(frames)
 
 
 def test_step_loss_gradients_match_fd_with_frozen_stats():
@@ -136,27 +156,26 @@ def test_step_loss_gradients_match_fd_with_frozen_stats():
         base_height=4, base_width=4, stages=(UpsampleStage(2, 4),),
         frame_height=8, frame_width=8, precision="f64")
     theta_prime = init_random(config, 0)
-    theta_star = theta_prime.clone(requires_grad=True)
+    theta_star = segment_leaves(theta_prime)
     rng = make_rng(7)
     # displace from the warm start so the residual is non-trivial
-    for name in theta_star.names:
+    for name in theta_prime.names:
         theta_star[name].data += rng.standard_normal(
             theta_star[name].shape) * 0.01
-    log_scales = ParamVector([
-        (name, Tensor(np.asarray(-4.0), requires_grad=True))
-        for name in theta_star.names])
+    log_scales = {name: Tensor(np.asarray(-4.0), requires_grad=True)
+                  for name in theta_prime.names}
     noise = [rng.uniform(-0.5, 0.5, theta_prime[n].shape)
              for n in theta_prime.names]
     target = rng.uniform(0, 1, (8, 8, 3))
     scaled0 = [
         (theta_star[n].data - theta_prime[n].data).reshape(-1)
-        / np.exp(-4.0) for n in theta_star.names]
-    stats = layer_stats(scaled0, theta_star.names)
+        / np.exp(-4.0) for n in theta_prime.names]
+    stats = layer_stats(scaled0, theta_prime.names)
 
     def run_rate_only():
         with Tape() as tape:
             scaled = []
-            for name in theta_star.names:
+            for name in theta_prime.names:
                 step = ops.exp(log_scales[name])
                 delta = ops.sub(theta_star[name], theta_prime[name])
                 scaled.append(ops.div(delta, step))
@@ -166,7 +185,7 @@ def test_step_loss_gradients_match_fd_with_frozen_stats():
     bits, tape = run_rate_only()
     tape.backward(bits)
     # check one weight segment and one log-scale end to end
-    name = theta_star.names[0]
+    name = theta_prime.names[0]
     analytic = theta_star[name].grad.copy()
     numeric = fd_gradient(lambda: run_rate_only()[0].item(),
                           theta_star[name].data, h=1e-6)
@@ -174,8 +193,8 @@ def test_step_loss_gradients_match_fd_with_frozen_stats():
 
     # gradients add into .grad across tapes, so clear both leaf sets
     # before the second backward pass
-    theta_star.clear_grads()
-    log_scales.clear_grads()
+    for leaf in [*theta_star.values(), *log_scales.values()]:
+        leaf.grad = None
     bits, tape = run_rate_only()
     tape.backward(bits)
     ls = log_scales[name]
@@ -189,11 +208,10 @@ def test_step_loss_full_graph_runs_and_is_finite():
     config = small_config(precision="f64")
     theta_prime = init_random(config, 0)
     theta_star = theta_prime.clone(requires_grad=True)
-    log_scales = ParamVector([
-        (name, Tensor(np.asarray(-4.0), requires_grad=True))
-        for name in theta_star.names])
+    log_scales = _log_scales(theta_prime, np.full(len(theta_prime.names),
+                                                  -4.0))
     rng = make_rng(3)
-    noise = rng.uniform(-0.5, 0.5, theta_prime.total_count)
+    noise = rng.uniform(-0.5, 0.5, theta_prime.flat.size)
     target = rng.uniform(0, 1, (16, 16, 3))
     with Tape() as tape:
         loss, rate, mse, stats = training_step_loss(
@@ -201,7 +219,8 @@ def test_step_loss_full_graph_runs_and_is_finite():
             1e6, noise)
     assert np.isfinite(loss.data)
     tape.backward(loss)
-    grads = [theta_star[n].grad for n in theta_star.names]
+    assert theta_star.flat.grad is not None
+    grads = theta_star.split(theta_star.flat.grad)
     assert all(g is not None and np.all(np.isfinite(g)) for g in grads)
 
 
@@ -209,17 +228,18 @@ def _training_step_loss_per_layer(config, theta_prime, theta_star,
                                   log_scales, target_hw3, t_norm, lam,
                                   noise):
     """Reference: the lattice built by one op chain per layer, as before
-    the flat chain.  ``training_step_loss`` must match it bit for bit."""
+    the flat chain, over dicts of per-layer leaves.  ``training_step_loss``
+    must match it bit for bit."""
     scaled = []
     effective = {}
-    for name in theta_star.names:
+    for name in theta_star:
         step = ops.exp(log_scales[name])
         delta = ops.sub(theta_star[name], theta_prime[name])
         unit = ops.div(delta, step)
         scaled.append(unit)
         snapped = ops.mul(ops.ste_round(unit), step)
         effective[name] = ops.add(theta_prime[name], snapped)
-    stats = layer_stats([u.data for u in scaled], theta_star.names)
+    stats = layer_stats([u.data for u in scaled], tuple(theta_star))
     rate = rate_bits_layers(scaled, noise, stats)
     frame = forward_frame(config, effective, t_norm)
     mse = ops.mean_square(ops.sub(frame, ops.constant(target_hw3)))
@@ -235,6 +255,19 @@ def _one_channel_config(precision):
         frame_height=8, frame_width=8, precision=precision)
 
 
+def _log_scales(params, values):
+    """One log-scale per segment of ``params``, as one (L,) leaf."""
+    return ParamVector([(name, ()) for name in params.names],
+                       Tensor(np.asarray(values, dtype=params.dtype),
+                              requires_grad=True))
+
+
+def _segment_grads(params):
+    """The flat gradient of ``params`` cut into its segments' shapes."""
+    return [g.reshape(shape) for g, (_, shape)
+            in zip(params.split(params.flat.grad), params.layout())]
+
+
 def _trainable(config, seed):
     """Warm start, displaced live parameters and their log-scales."""
     theta_prime = init_random(config, seed)
@@ -243,11 +276,8 @@ def _trainable(config, seed):
     for name in theta_star.names:
         theta_star[name].data += (rng.standard_normal(
             theta_star[name].shape) * 0.02).astype(config.dtype)
-    log_scales = ParamVector([
-        (name, Tensor(np.asarray(detmath.log(value), dtype=config.dtype),
-                      requires_grad=True))
-        for name, value in zip(theta_prime.names,
-                               initial_scales(theta_prime).values)])
+    log_scales = _log_scales(
+        theta_prime, detmath.log(initial_scales(theta_prime).values))
     return theta_prime, theta_star, log_scales
 
 
@@ -258,16 +288,16 @@ def test_flat_step_and_adam_match_per_layer_reference_bitwise(precision):
     video = synth_video("moving-blob", 8, 8, 3, velocity=1.0, seed=2)
     targets = video.normalized(config.dtype).transpose(0, 2, 3, 1)
     prime, star, logs = _trainable(config, 4)
-    _, ref_star, ref_logs = _trainable(config, 4)
+    ref_star, ref_logs = map(segment_leaves, _trainable(config, 4)[1:])
     opt_star, opt_logs = adam_init(star), adam_init(logs)
     ref_opt_star = PerSegmentAdam(ref_star)
     ref_opt_logs = PerSegmentAdam(ref_logs)
     rng, ref_rng = make_rng(9, STREAM_NOISE), make_rng(9, STREAM_NOISE)
     for step in range(6):
         t_norm, target = step % 3 / 2, targets[step % 3]
-        noise = rng.uniform(-0.5, 0.5, size=star.total_count)
+        noise = rng.uniform(-0.5, 0.5, size=star.flat.size)
         ref_noise = [ref_rng.uniform(-0.5, 0.5, size=t.shape)
-                     for t in ref_star.tensors()]
+                     for t in ref_star.values()]
         with Tape() as tape:
             loss, rate, mse, stats = training_step_loss(
                 config, prime, star, logs, target, t_norm, 1e4, noise)
@@ -282,20 +312,22 @@ def test_flat_step_and_adam_match_per_layer_reference_bitwise(precision):
         assert rate.data.tobytes() == ref_rate.data.tobytes()
         assert stats.mu.tobytes() == ref_stats.mu.tobytes()
         assert stats.sd.tobytes() == ref_stats.sd.tobytes()
-        for got, want in zip(star.tensors() + logs.tensors(),
-                             ref_star.tensors() + ref_logs.tensors()):
-            assert np.shape(got.grad) == np.shape(want.grad)
-            assert np.asarray(got.grad).tobytes() == \
+        for got, want in zip(_segment_grads(star) + _segment_grads(logs),
+                             [*ref_star.values(), *ref_logs.values()]):
+            assert np.shape(got) == np.shape(want.grad)
+            assert np.asarray(got).tobytes() == \
                 np.asarray(want.grad).tobytes()
         lr = 5e-3 * (step + 1)
         adam_step(star, opt_star, lr)
         adam_step(logs, opt_logs, lr)
         ref_opt_star.update(ref_star, lr)
         ref_opt_logs.update(ref_logs, lr)
-        for pv in (star, logs, ref_star, ref_logs):
-            pv.clear_grads()
-    assert star.to_bytes() == ref_star.to_bytes()
-    assert logs.to_bytes() == ref_logs.to_bytes()
+        star.clear_grads()
+        logs.clear_grads()
+        for leaf in [*ref_star.values(), *ref_logs.values()]:
+            leaf.grad = None
+    assert star.to_bytes() == joined(ref_star).tobytes()
+    assert logs.to_bytes() == joined(ref_logs).tobytes()
     for state, ref in ((opt_star, ref_opt_star), (opt_logs, ref_opt_logs)):
         for got, name in ((state.m, "m"), (state.v, "v")):
             want = np.concatenate([a.reshape(-1)
@@ -411,8 +443,8 @@ def test_decoded_parameters_bit_identical(encoded_pair, monkeypatch):
     decode_video(result.data)
     assert len(encoded) == len(decoded) == plan.gop_count
     for theta_encoded, theta_decoded in zip(encoded, decoded):
-        assert np.array_equal(theta_decoded.flatten(),
-                              theta_encoded.flatten())
+        assert np.array_equal(theta_decoded.flat.data,
+                              theta_encoded.flat.data)
 
 
 def test_encode_determinism(encoded_pair):

@@ -16,17 +16,17 @@ from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_TRAIN_FLOOR,
                                  quantize, rate_bits_eval, rate_bits_train,
                                  residual, widen_steps)
 from clipcodec.tensor import Tape, Tensor
-from conftest import fd_gradient, rate_bits_layers, rel_error
+from conftest import concat_flat, fd_gradient, rate_bits_layers, rel_error
 
 
 def _pv(values, name="w"):
-    return ParamVector([(name, Tensor(np.asarray(values, dtype=np.float32)))])
+    data = np.asarray(values, dtype=np.float32)
+    return ParamVector([(name, data.shape)], Tensor(data))
 
 
 def _lattice(symbols, scales, like):
     """symbol * step: the residual applied to a zero warm start."""
-    zero = ParamVector([(name, Tensor(np.zeros_like(t.data)))
-                        for name, t in like.items()])
+    zero = like.with_flat(np.zeros_like(like.flat.data))
     return apply_residual(zero, symbols, scales)
 
 
@@ -45,10 +45,10 @@ def test_residual_zero_and_constant():
 
 
 def test_residual_layout_mismatch_names_segment():
-    a = ParamVector([("x", Tensor(np.zeros(2, dtype=np.float32))),
-                     ("y", Tensor(np.zeros(3, dtype=np.float32)))])
-    b = ParamVector([("x", Tensor(np.zeros(2, dtype=np.float32))),
-                     ("y", Tensor(np.zeros(4, dtype=np.float32)))])
+    a = ParamVector([("x", (2,)), ("y", (3,))],
+                    Tensor(np.zeros(5, dtype=np.float32)))
+    b = ParamVector([("x", (2,)), ("y", (4,))],
+                    Tensor(np.zeros(6, dtype=np.float32)))
     with pytest.raises(LayoutError, match="y"):
         residual(a, b)
 
@@ -147,8 +147,8 @@ def _peak(values, step, dtype):
 def test_widen_steps_picks_smallest_step_inside_alphabet(top, width, dtype):
     values = [top, -top / 3, 0.0]
     step = np.float32(top / width)
-    delta = ParamVector([("w", Tensor(np.asarray(values, dtype=dtype))),
-                         ("b", Tensor(np.asarray([0.25], dtype=dtype)))])
+    delta = ParamVector([("w", (3,)), ("b", (1,))],
+                        Tensor(np.asarray(values + [0.25], dtype=dtype)))
     given_steps = np.asarray([step, 0.5], dtype=np.float32)
     scales = widen_steps(delta, QuantScale(("w", "b"), given_steps))
     assert scales.values.dtype == np.float32
@@ -315,7 +315,7 @@ def test_train_rate_rejects_layer_count_mismatch():
     scaled = [Tensor(rng.standard_normal(4)) for _ in range(2)]
     stats = layer_stats([t.data for t in scaled], ("a", "b"))
     with pytest.raises(LayoutError):
-        rate_bits_train(ops.concat_flat(scaled), np.zeros(4), stats, [4, 4])
+        rate_bits_train(concat_flat(scaled), np.zeros(4), stats, [4, 4])
 
 
 def test_train_and_eval_rate_agree_in_direction():

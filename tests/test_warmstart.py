@@ -68,7 +68,8 @@ def test_epsilon_monotone_in_mse(b, mses):
 
 
 def _pv(values):
-    return ParamVector([("w", Tensor(np.asarray(values, dtype=np.float32)))])
+    data = np.asarray(values, dtype=np.float32)
+    return ParamVector([("w", data.shape)], Tensor(data))
 
 
 def test_interpolate_endpoints_exact():
