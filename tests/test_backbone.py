@@ -202,6 +202,52 @@ def test_config_text_round_trip(tiny_nerv, tiny_subpel, tiny_mlp):
         assert config_to_text(back) == text  # canonical form is stable
 
 
+# The exact text each config writes into a header: a key out of order, a
+# renamed key or a changed value format changes every stream's bytes.
+CONFIG_TEXT_PINS = {
+    "tiny32-f32": (
+        nerv_lite_preset(32, 32, "tiny"),
+        "kind = nerv-lite\npe_frequencies = 8\nstem_width = 32\n"
+        "base_channels = 12\nbase_height = 4\nbase_width = 4\n"
+        "stages = 2x12, 2x10, 2x8\nupsample = nearest\nactivation = gelu\n"
+        "frame_height = 32\nframe_width = 32\nprecision = f32\n"),
+    "small64-f64": (
+        nerv_lite_preset(64, 64, "small", precision="f64"),
+        "kind = nerv-lite\npe_frequencies = 8\nstem_width = 64\n"
+        "base_channels = 24\nbase_height = 4\nbase_width = 4\n"
+        "stages = 2x24, 2x16, 2x12, 2x12\nupsample = nearest\n"
+        "activation = gelu\nframe_height = 64\nframe_width = 64\n"
+        "precision = f64\n"),
+    "subpel-sin": (
+        dataclasses.replace(nerv_lite_preset(16, 16, "tiny"),
+                            upsample="subpel", activation="sin"),
+        "kind = nerv-lite\npe_frequencies = 8\nstem_width = 32\n"
+        "base_channels = 12\nbase_height = 4\nbase_width = 4\n"
+        "stages = 2x12, 2x10\nupsample = subpel\nactivation = sin\n"
+        "frame_height = 16\nframe_width = 16\nprecision = f32\n"),
+    "sigmoid": (
+        dataclasses.replace(nerv_lite_preset(16, 16, "tiny"),
+                            activation="sigmoid"),
+        "kind = nerv-lite\npe_frequencies = 8\nstem_width = 32\n"
+        "base_channels = 12\nbase_height = 4\nbase_width = 4\n"
+        "stages = 2x12, 2x10\nupsample = nearest\nactivation = sigmoid\n"
+        "frame_height = 16\nframe_width = 16\nprecision = f32\n"),
+    "coord-mlp": (
+        BackboneConfig(kind="coord-mlp", pe_frequencies=3, hidden=(14, 12),
+                       frame_height=8, frame_width=6, precision="f64"),
+        "kind = coord-mlp\npe_frequencies = 3\nhidden = 14, 12\n"
+        "activation = gelu\nframe_height = 8\nframe_width = 6\n"
+        "precision = f64\n"),
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_TEXT_PINS)
+def test_config_text_is_pinned(name):
+    config, text = CONFIG_TEXT_PINS[name]
+    assert config_to_text(config) == text
+    assert config_from_text(text) == config
+
+
 def test_config_text_omitted_keys_take_field_defaults():
     assert config_from_text("kind = coord-mlp\n") == \
         BackboneConfig(kind="coord-mlp")
