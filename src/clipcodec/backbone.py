@@ -40,6 +40,9 @@ class UpsampleStage:
     scale: int
     channels: int
 
+    def __str__(self) -> str:
+        return f"{self.scale}x{self.channels}"
+
 
 @dataclass(frozen=True)
 class BackboneConfig:
@@ -52,11 +55,11 @@ class BackboneConfig:
     stages: tuple[UpsampleStage, ...] = (UpsampleStage(2, 16),
                                          UpsampleStage(2, 12),
                                          UpsampleStage(2, 8))
+    upsample: str = "nearest"
     hidden: tuple[int, ...] = (64, 64)
+    activation: str = "gelu"
     frame_height: int = 32
     frame_width: int = 32
-    activation: str = "gelu"
-    upsample: str = "nearest"
     precision: str = "f32"
 
     @property
@@ -379,30 +382,23 @@ _KIND_KEYS = {
 }
 
 
+def _ignored_keys(kind: str) -> set[str]:  # the keys only other kinds read
+    return set().union(*_KIND_KEYS.values()) - _KIND_KEYS.get(kind, set())
+
+
 def config_to_text(config: BackboneConfig) -> str:
-    """Canonical ``key = value`` text (see docs/bitstream.md)."""
+    """Canonical ``key = value`` text: the keys ``config.kind`` reads, in
+    field order (see docs/bitstream.md)."""
     validate(config)
-    lines = [f"kind = {config.kind}",
-             f"pe_frequencies = {config.pe_frequencies}"]
-    if config.kind == "nerv-lite":
-        lines += [
-            f"stem_width = {config.stem_width}",
-            f"base_channels = {config.base_channels}",
-            f"base_height = {config.base_height}",
-            f"base_width = {config.base_width}",
-            "stages = " + ", ".join(f"{s.scale}x{s.channels}"
-                                    for s in config.stages),
-            f"upsample = {config.upsample}",
-        ]
-    else:
-        lines.append("hidden = " + ", ".join(str(w) for w in config.hidden))
-    lines += [
-        f"activation = {config.activation}",
-        f"frame_height = {config.frame_height}",
-        f"frame_width = {config.frame_width}",
-        f"precision = {config.precision}",
-    ]
-    return "\n".join(lines) + "\n"
+    ignored = _ignored_keys(config.kind)
+    text = ""
+    for key in _FIELD_TYPES:
+        value = getattr(config, key)
+        if isinstance(value, tuple):  # stages or hidden widths
+            value = ", ".join(map(str, value))
+        if key not in ignored:
+            text += f"{key} = {value}\n"
+    return text
 
 
 def config_from_text(text: str) -> BackboneConfig:
@@ -424,7 +420,7 @@ def config_from_text(text: str) -> BackboneConfig:
     # an omitted key keeps its BackboneConfig field default, except that
     # a nerv-lite text must name its stages
     kind = fields.get("kind", BackboneConfig.kind)
-    ignored = set().union(*_KIND_KEYS.values()) - _KIND_KEYS.get(kind, set())
+    ignored = _ignored_keys(kind)
     kwargs = {key: _parse_value(key, value) for key, value in fields.items()
               if key not in ignored}
     if kind == "nerv-lite" and "stages" not in kwargs:

@@ -40,6 +40,15 @@ _LAYERS = struct.Struct("<HI")           # n_layers, model_count
 _REC_HEAD = struct.Struct("<IBf")        # index, role, epsilon
 _REC_TAIL = struct.Struct("<II")         # payload_len, payload_crc
 _CRC = struct.Struct("<I")
+# A record's per-layer arrays of 4-byte entries, in stream order: (field,
+# dtype, least and greatest valid value); the least scale is above 0.
+_RECORD_ARRAYS = (
+    ("scale", "<f4", np.finfo(np.float32).smallest_subnormal, np.inf),
+    ("mu", "<f4", -np.inf, np.inf),
+    ("sd", "<f4", SIGMA_FLOOR * 0.5, np.inf),
+    ("bound", "<u4", 1, MAX_SYMBOL),
+)
+_LAYER_BYTES = 4 * len(_RECORD_ARRAYS)   # a record's bytes per layer
 # Byte offsets of the frame fields inside _FIXED.
 _FIELD_OFFSETS = {"width": 8, "height": 12, "frame_count": 16,
                   "gop_size": 20, "gom_size": 24}
@@ -48,6 +57,54 @@ ROLE_I = "I"
 ROLE_P = "P"
 _ROLE_CODES = {ROLE_I: 0x49, ROLE_P: 0x50}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
+
+
+@dataclass(frozen=True)
+class PartitionPlan:
+    """GOP/GOM decomposition of a frame range."""
+
+    frame_count: int
+    gop_size: int
+    gom_size: int
+    gops: tuple[tuple[int, int], ...]   # frame index ranges [start, end)
+    goms: tuple[tuple[int, int], ...]   # gop index ranges [start, end)
+
+    @property
+    def gop_count(self) -> int:
+        return len(self.gops)
+
+    @property
+    def gom_count(self) -> int:
+        return len(self.goms)
+
+    def gom_frame_range(self, gom_index: int) -> tuple[int, int]:
+        first, end = self.goms[gom_index]
+        return self.gops[first][0], self.gops[end - 1][1]
+
+    def role_of(self, gop_index: int) -> str:
+        if not 0 <= gop_index < self.gop_count:
+            raise ConfigError(f"gop index {gop_index} outside plan")
+        return ROLE_I if gop_index % self.gom_size == 0 else ROLE_P
+
+
+def partition(frame_count: int, gop_size: int, gom_size: int) -> PartitionPlan:
+    """Contiguous, disjoint clips covering [0, T); short tails allowed.
+
+    ``gop_size`` counts frames per clip (one model per clip) and
+    ``gom_size`` counts clips, i.e. models, per group: 8 frames with
+    ``gop_size=2, gom_size=2`` make four clips in two groups.  The first
+    clip of a group is its I model and the rest are P models, so a group
+    with a single clip has no P model.
+    """
+    if frame_count < 1 or gop_size < 1 or gom_size < 1:
+        raise ConfigError(f"partition needs positive T/p/m, got "
+                          f"{frame_count}/{gop_size}/{gom_size}")
+    gops = tuple((start, min(start + gop_size, frame_count))
+                 for start in range(0, frame_count, gop_size))
+    goms = tuple((first, min(first + gom_size, len(gops)))
+                 for first in range(0, len(gops), gom_size))
+    return PartitionPlan(frame_count=frame_count, gop_size=gop_size,
+                         gom_size=gom_size, gops=gops, goms=goms)
 
 
 @dataclass(frozen=True)
@@ -78,6 +135,7 @@ class BitstreamHeader:
     header_size: int
     config: BackboneConfig               # the parsed config text
     offsets: tuple[int, ...]             # payload starts, then stream end
+    plan: PartitionPlan                  # one clip per record
 
     def payload_offset(self, index: int) -> int:
         return self.offsets[index]
@@ -85,14 +143,17 @@ class BitstreamHeader:
 
 def _check_header(width: int, height: int, frame_count: int, gop_size: int,
                   gom_size: int, precision: str, config_text: str,
-                  n_layers: int, records) -> BackboneConfig:
-    """Every rule a header must meet; returns its parsed backbone config.
+                  n_layers: int, records) -> tuple[BackboneConfig,
+                                                    PartitionPlan]:
+    """Every rule a header must meet; returns its parsed backbone config
+    and its partition plan.
 
     The writer and the reader both run it, so the encoder never writes a
     stream its own decoder rejects, and a decoder rejects a stream before
     it plans clips, allocates frames or reads a payload.  Each rule is
     checked once per field or record, so rejection takes time linear in
-    the header.  Offsets are those of the bad field in the stream.
+    the header, and the plan is built only once the clip count matches
+    the records.  Offsets are those of the bad field in the stream.
     """
     fields = {"width": width, "height": height, "frame_count": frame_count,
               "gop_size": gop_size, "gom_size": gom_size}
@@ -131,9 +192,10 @@ def _check_header(width: int, height: int, frame_count: int, gop_size: int,
         raise BitstreamError(f"header declares {n_layers} layers, config "
                              f"yields {layers}", offset=layers_off)
     first = layers_off + _LAYERS.size
-    rec_size = _REC_HEAD.size + 16 * n_layers + _REC_TAIL.size
+    rec_size = _REC_HEAD.size + _LAYER_BYTES * n_layers + _REC_TAIL.size
+    plan = partition(frame_count, gop_size, gom_size)
     for i, rec in enumerate(records):
-        role = ROLE_I if i % gom_size == 0 else ROLE_P
+        role = plan.role_of(i)
         if rec.index != i:
             raise BitstreamError(f"model record {i} carries index "
                                  f"{rec.index}", offset=first + i * rec_size)
@@ -146,13 +208,8 @@ def _check_header(width: int, height: int, frame_count: int, gop_size: int,
             raise BitstreamError(f"model {i}: epsilon {rec.epsilon} invalid "
                                  f"for a {role} model",
                                  offset=first + i * rec_size + 5)
-    # Each array field as stored, one (models, layers) array at once; the
-    # smallest float32 above 0 is the least positive scale.
-    for pos, (name, dtype, lo, hi) in enumerate((
-            ("scale", "<f4", np.finfo(np.float32).smallest_subnormal, np.inf),
-            ("mu", "<f4", -np.inf, np.inf),
-            ("sd", "<f4", SIGMA_FLOOR * 0.5, np.inf),
-            ("bound", "<u4", 1, MAX_SYMBOL))):
+    # Each array field as stored, one (models, layers) array at once
+    for pos, (name, dtype, lo, hi) in enumerate(_RECORD_ARRAYS):
         rows = [getattr(rec, name) for rec in records]
         short = [i for i, row in enumerate(rows) if len(row) != n_layers]
         if short:
@@ -168,7 +225,7 @@ def _check_header(width: int, height: int, frame_count: int, gop_size: int,
                                  f"{values[i, layer]} out of range",
                                  offset=first + i * rec_size + _REC_HEAD.size
                                  + 4 * (pos * n_layers + layer))
-    return config
+    return config, plan
 
 
 def _pack_header(width, height, frame_count, gop_size, gom_size, seed,
@@ -184,10 +241,8 @@ def _pack_header(width, height, frame_count, gop_size, gom_size, seed,
     for rec in records:
         buf += _REC_HEAD.pack(rec.index, _ROLE_CODES[rec.role],
                               float(rec.epsilon))
-        buf += np.asarray(rec.scale, dtype="<f4").tobytes()
-        buf += np.asarray(rec.mu, dtype="<f4").tobytes()
-        buf += np.asarray(rec.sd, dtype="<f4").tobytes()
-        buf += np.asarray(rec.bound, dtype="<u4").tobytes()
+        for name, dtype, _, _ in _RECORD_ARRAYS:
+            buf += np.asarray(getattr(rec, name), dtype=dtype).tobytes()
         buf += _REC_TAIL.pack(rec.payload_len, rec.payload_crc)
     buf += _CRC.pack(zlib.crc32(bytes(buf)))
     return bytes(buf)
@@ -236,7 +291,7 @@ def _parse_header(read_exact) -> BitstreamHeader:
     pos = _FIXED.size + config_len
     n_layers, model_count = _LAYERS.unpack(take(pos, _LAYERS.size))
     pos += _LAYERS.size
-    rec_size = _REC_HEAD.size + 16 * n_layers + _REC_TAIL.size
+    rec_size = _REC_HEAD.size + _LAYER_BYTES * n_layers + _REC_TAIL.size
     records = []
     for _ in range(model_count):
         blob = take(pos, rec_size)
@@ -244,17 +299,15 @@ def _parse_header(read_exact) -> BitstreamHeader:
         if role_code not in _ROLE_NAMES:
             raise BitstreamError(f"unknown model role {role_code:#x}",
                                  offset=pos + 4)
-        scale, mu, sd = np.frombuffer(blob, dtype="<f4", count=3 * n_layers,
-                                      offset=_REC_HEAD.size).reshape(3, -1)
-        bound = np.frombuffer(blob, dtype="<u4", count=n_layers,
-                              offset=_REC_HEAD.size + 12 * n_layers)
+        arrays = {name: np.frombuffer(blob, dtype=dtype, count=n_layers,
+                                      offset=_REC_HEAD.size + 4 * n_layers * k)
+                  for k, (name, dtype, _, _) in enumerate(_RECORD_ARRAYS)}
         payload_len, payload_crc = _REC_TAIL.unpack_from(
             blob, rec_size - _REC_TAIL.size)
         records.append(ModelRecord(index=index, role=_ROLE_NAMES[role_code],
-                                   epsilon=float(epsilon), scale=scale,
-                                   mu=mu, sd=sd, bound=bound,
+                                   epsilon=float(epsilon),
                                    payload_len=payload_len,
-                                   payload_crc=payload_crc))
+                                   payload_crc=payload_crc, **arrays))
         pos += rec_size
     stored_crc, = _CRC.unpack(take(pos, _CRC.size))
     if stored_crc != zlib.crc32(read_exact(0, pos)):
@@ -265,14 +318,15 @@ def _parse_header(read_exact) -> BitstreamHeader:
         raise BitstreamError(f"backbone config text is not UTF-8: {exc}",
                              offset=_FIXED.size + exc.start) from None
     precision = _PRECISION_NAMES[prec_code]
-    config = _check_header(width, height, frame_count, gop_size, gom_size,
-                           precision, config_text, n_layers, records)
+    config, plan = _check_header(width, height, frame_count, gop_size,
+                                 gom_size, precision, config_text, n_layers,
+                                 records)
     header_size = pos + _CRC.size
     return BitstreamHeader(
         width=width, height=height, frame_count=frame_count,
         gop_size=gop_size, gom_size=gom_size, seed=seed, precision=precision,
         config_text=config_text, n_layers=n_layers, records=tuple(records),
-        header_size=header_size, config=config,
+        header_size=header_size, config=config, plan=plan,
         offsets=tuple(accumulate((rec.payload_len for rec in records),
                                  initial=header_size)))
 

@@ -8,6 +8,7 @@ non-finite values).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import tempfile
@@ -46,6 +47,15 @@ def _write_atomic(path: Path, chunks) -> None:
         raise
 
 
+def _check_outputs(*paths) -> None:
+    """Refuse, before any work, an output that is a directory or lies in a
+    missing one; ``None`` stands for an output not asked for."""
+    for path in paths:
+        if path is not None and (path.is_dir() or not path.parent.is_dir()):
+            raise DataError(f"cannot write {path}: not a file in an "
+                            f"existing directory")
+
+
 def _add_synth(sub):
     p = sub.add_parser("synth", help="generate a synthetic raw RGB video")
     p.add_argument("out", type=Path)
@@ -59,6 +69,7 @@ def _add_synth(sub):
 
 
 def _cmd_synth(args) -> int:
+    _check_outputs(args.out)
     vid = videomod.synth_video(args.kind, args.width, args.height,
                                args.frames, velocity=args.velocity,
                                seed=args.seed)
@@ -110,6 +121,7 @@ def _add_encode(sub):
 
 
 def _cmd_encode(args) -> int:
+    _check_outputs(args.out, args.csv, args.log, args.emit_manifest)
     if args.from_manifest:
         manifest = RunManifest.load(args.from_manifest)
         input_path = Path(manifest.input_path)
@@ -140,9 +152,13 @@ def _cmd_encode(args) -> int:
 
     vid = videomod.load_raw(input_path, width, height)
     plan = partition(vid.frame_count, gop_size, gom_size)
-    result = encode_video(vid, plan, config, cfg, jobs=jobs,
-                          log_path=args.log)
+    result = encode_video(vid, plan, config, cfg, jobs=jobs)
     _write_atomic(args.out, [result.data])
+    if args.log:
+        _write_atomic(args.log, [
+            (json.dumps({"model": log.index, "role": log.role, **entry})
+             + "\n").encode()
+            for log in result.per_model for entry in log.epoch_logs])
 
     manifest = build_manifest(input_path, width, height, vid.frame_count,
                               gop_size, gom_size, config, cfg, jobs=jobs)
@@ -177,11 +193,14 @@ def _add_decode(sub):
 
 
 def _cmd_decode(args) -> int:
-    if not args.bitstream.exists():
-        raise DataError(f"bitstream {args.bitstream} does not exist")
     if args.out is None and not args.dump_header:
         raise ConfigError("decode needs an output path (or --dump-header)")
-    with args.bitstream.open("rb") as fh:
+    _check_outputs(args.out)
+    try:
+        fh = args.bitstream.open("rb")
+    except OSError as exc:
+        raise unreadable(args.bitstream, exc) from None
+    with fh:
         reader = BitstreamReader(fh)
         if args.dump_header:
             print(dump_header_text(reader.header))
@@ -240,6 +259,7 @@ def _add_fit_epsilon(sub):
 
 
 def _cmd_fit_epsilon(args) -> int:
+    _check_outputs(args.out)
     points = metrics.read_csv_columns(args.points, [("mse",), ("epsilon",)])
     schedule, residual = fit_schedule(points)
     payload = (f'{{\n  "a": {schedule.a!r},\n  "b": {schedule.b!r},\n'

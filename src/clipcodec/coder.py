@@ -12,13 +12,13 @@ arithmetic, so payload bytes are identical across platforms.
 One payload holds every layer of one model, concatenated in layout order
 through a single coder state; the stream is flushed once (4 bytes).
 
-Each layer is coded by one loop (:meth:`RangeEncoder.encode_layer`,
-:meth:`RangeDecoder.decode_layer`) that keeps the coder state in local
-variables and writes it back once per layer.  The loop reads a symbol's
-width from the ``freqs`` list and its start from ``cum``; the decoder
-finds the symbol with one ``bisect_right`` over ``cum`` without its last
-entry, which maps a target past ``FREQ_TOTAL - 1`` to the last symbol,
-and shifts the decoded indices by the bound once per layer, in numpy.
+The coder is two functions and no coder object: each keeps the coder
+state in local variables for the whole payload, with one loop per layer.
+The loop reads a symbol's width from the ``freqs`` list and its start
+from ``cum``; the decoder finds the symbol with one ``bisect_right`` over
+``cum`` without its last entry, which maps a target past
+``FREQ_TOTAL - 1`` to the last symbol, and shifts the decoded indices by
+the bound once per layer, in numpy.
 """
 
 from __future__ import annotations
@@ -133,23 +133,24 @@ def _apportion(mu: float, sd: float, bound: int,
     return SymbolModel(mu=mu, sd=sd, bound=bound, freqs=freqs, cum=cum)
 
 
-class RangeEncoder:
-    def __init__(self):
-        self._low = 0
-        self._range = _MASK
-        self._out = bytearray()
-
-    def encode_layer(self, symbols: np.ndarray, model: SymbolModel) -> None:
-        """Code one layer's symbols, each within ``model``'s bound.
-
-        One loop with the coder state in locals, written back once.
-        """
+def encode_symbols(symbols: list[np.ndarray],
+                   models: list[SymbolModel],
+                   names: tuple[str, ...] | None = None) -> bytes:
+    """Range-code per-layer symbol arrays into one payload."""
+    if len(symbols) != len(models):
+        raise ConfigError("one model per symbol layer required")
+    low, rng = 0, _MASK
+    out = bytearray()
+    for i, (sym, model) in enumerate(zip(symbols, models)):
+        if sym.size:
+            peak = int(np.max(np.abs(sym)))
+            if peak > model.bound:
+                label = names[i] if names else f"layer {i}"
+                raise DataError(f"{label}: symbol magnitude {peak} exceeds "
+                                f"alphabet bound {model.bound}")
         cum = model.cum.tolist()
         freqs = model.freqs.tolist()
-        indices = (symbols.astype(np.int64) + model.bound).tolist()
-        low, rng = self._low, self._range
-        out = self._out
-        for idx in indices:
+        for idx in (sym.astype(np.int64) + model.bound).tolist():
             r = rng >> FREQ_BITS
             low += r * cum[idx]
             rng = r * freqs[idx]
@@ -160,48 +161,36 @@ class RangeEncoder:
                 out.append(low >> 24)
                 low = (low << 8) & _MASK
                 rng = rng << 8
-        self._low, self._range = low, rng
-
-    def finish(self) -> bytes:
-        low = self._low
-        for _ in range(FLUSH_BYTES):
-            self._out.append(low >> 24)
-            low = (low << 8) & _MASK
-        return bytes(self._out)
+    for _ in range(FLUSH_BYTES):
+        out.append(low >> 24)
+        low = (low << 8) & _MASK
+    return bytes(out)
 
 
-class RangeDecoder:
-    def __init__(self, data: bytes):
-        self._data = data
-        # Reads past the end yield zeros and are counted: truncation
-        # surfaces as a payload length/CRC failure, never as a crash here.
-        head = data[:FLUSH_BYTES].ljust(FLUSH_BYTES, b"\0")
-        self._pos = FLUSH_BYTES
-        self._low = 0
-        self._range = _MASK
-        self._code = int.from_bytes(head, "big")
+def decode_symbols(payload: bytes, models: list[SymbolModel],
+                   counts: list[int]) -> list[np.ndarray]:
+    """Inverse of :func:`encode_symbols`; exact for every valid stream.
 
-    @property
-    def consumed(self) -> int:
-        """Bytes read so far, counting reads past the end."""
-        return self._pos
-
-    def decode_layer(self, model: SymbolModel, count: int) -> np.ndarray:
-        """Decode ``count`` symbols of one layer as an int32 array.
-
-        A valid payload keeps the code value inside the coder's interval
-        ``[low, low + range)``; one that leaves it was not written with
-        these tables, and decoding on would spin forever, so it raises
-        :class:`BitstreamError`.
-        """
+    A valid payload keeps the code value inside the coder's interval
+    ``[low, low + range)`` and is read to its last byte and no further.
+    One that leaves the interval (decoding on would spin forever) or has
+    any other length raises :class:`BitstreamError`.
+    """
+    if len(models) != len(counts):
+        raise ConfigError("one model per layer count required")
+    # Reads past the end yield zeros and are counted: truncation surfaces
+    # as the length check below or a CRC failure, never as a crash here.
+    size = len(payload)
+    pos, low, rng = FLUSH_BYTES, 0, _MASK
+    code = int.from_bytes(payload[:FLUSH_BYTES].ljust(FLUSH_BYTES, b"\0"),
+                          "big")
+    out = []
+    for model, count in zip(models, counts):
         cum = model.cum.tolist()
         freqs = model.freqs.tolist()
         # bisect below the last entry: a target past FREQ_TOTAL - 1 maps
         # to the last symbol
         last = len(cum) - 1
-        data = self._data
-        size = len(data)
-        pos, low, rng, code = self._pos, self._low, self._range, self._code
         indices = []
         append = indices.append
         for _ in range(count):
@@ -217,47 +206,15 @@ class RangeDecoder:
             while (low ^ (low + rng)) < _TOP or rng < _BOTTOM:
                 if (low ^ (low + rng)) >= _TOP:
                     rng = ((_MASK + 1) - low) & (_BOTTOM - 1)
-                byte = data[pos] if pos < size else 0
+                byte = payload[pos] if pos < size else 0
                 pos += 1
                 code = ((code << 8) | byte) & _MASK
                 low = (low << 8) & _MASK
                 rng = rng << 8
             append(idx)
-        self._pos, self._low, self._range, self._code = pos, low, rng, code
-        return np.asarray(indices, dtype=np.int32) - np.int32(model.bound)
-
-
-def encode_symbols(symbols: list[np.ndarray],
-                   models: list[SymbolModel],
-                   names: tuple[str, ...] | None = None) -> bytes:
-    """Range-code per-layer symbol arrays into one payload."""
-    if len(symbols) != len(models):
-        raise ConfigError("one model per symbol layer required")
-    enc = RangeEncoder()
-    for i, (sym, model) in enumerate(zip(symbols, models)):
-        if sym.size:
-            peak = int(np.max(np.abs(sym)))
-            if peak > model.bound:
-                label = names[i] if names else f"layer {i}"
-                raise DataError(f"{label}: symbol magnitude {peak} exceeds "
-                                f"alphabet bound {model.bound}")
-        enc.encode_layer(sym, model)
-    return enc.finish()
-
-
-def decode_symbols(payload: bytes, models: list[SymbolModel],
-                   counts: list[int]) -> list[np.ndarray]:
-    """Inverse of :func:`encode_symbols`; exact for every valid stream.
-
-    A valid payload is read to its last byte and no further, so a
-    payload of any other length raises :class:`BitstreamError`.
-    """
-    if len(models) != len(counts):
-        raise ConfigError("one model per layer count required")
-    dec = RangeDecoder(payload)
-    out = [dec.decode_layer(model, count)
-           for model, count in zip(models, counts)]
-    if dec.consumed != len(payload):
-        raise BitstreamError(f"range decoder consumed {dec.consumed} bytes "
-                             f"of a {len(payload)}-byte payload")
+        out.append(np.asarray(indices, dtype=np.int32)
+                   - np.int32(model.bound))
+    if pos != size:
+        raise BitstreamError(f"range decoder consumed {pos} bytes of a "
+                             f"{size}-byte payload")
     return out

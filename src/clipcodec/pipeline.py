@@ -18,8 +18,6 @@ into the header at the end.
 
 from __future__ import annotations
 
-import functools
-import json
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -29,8 +27,9 @@ import numpy as np
 from . import detmath, metrics, ops
 from .backbone import (BackboneConfig, config_to_text, forward_clip,
                        forward_frame, frame_timestamps, init_random)
-from .bitstream import (BitstreamReader, ModelRecord, ROLE_I, ROLE_P,
-                        write_bitstream)
+# partition is also this module's, for callers that plan an encode
+from .bitstream import (BitstreamReader, ModelRecord, PartitionPlan, ROLE_I,
+                        partition, write_bitstream)
 from .coder import build_models, decode_symbols, encode_symbols
 from .errors import BitstreamError, ConfigError, NumericError
 from .optim import adam_init, adam_step, lr_at
@@ -43,56 +42,6 @@ from .tensor import Tape, Tensor
 from .video import RawVideo, denormalize
 from .warmstart import (EpsilonSchedule, epsilon_for, gop_gap_mse,
                         interpolate_init)
-
-
-@dataclass(frozen=True)
-class PartitionPlan:
-    """GOP/GOM decomposition of a frame range."""
-
-    frame_count: int
-    gop_size: int
-    gom_size: int
-    gops: tuple[tuple[int, int], ...]   # frame index ranges [start, end)
-    goms: tuple[tuple[int, int], ...]   # gop index ranges [start, end)
-
-    @property
-    def gop_count(self) -> int:
-        return len(self.gops)
-
-    @property
-    def gom_count(self) -> int:
-        return len(self.goms)
-
-    def gom_frame_range(self, gom_index: int) -> tuple[int, int]:
-        first, end = self.goms[gom_index]
-        return self.gops[first][0], self.gops[end - 1][1]
-
-    def role_of(self, gop_index: int) -> str:
-        if not 0 <= gop_index < self.gop_count:
-            raise ConfigError(f"gop index {gop_index} outside plan")
-        return ROLE_I if gop_index % self.gom_size == 0 else ROLE_P
-
-
-# decode_video asks for one stream's plan once per group
-@functools.lru_cache(maxsize=1)
-def partition(frame_count: int, gop_size: int, gom_size: int) -> PartitionPlan:
-    """Contiguous, disjoint clips covering [0, T); short tails allowed.
-
-    ``gop_size`` counts frames per clip (one model per clip) and
-    ``gom_size`` counts clips, i.e. models, per group: 8 frames with
-    ``gop_size=2, gom_size=2`` make four clips in two groups.  The first
-    clip of a group is its I model and the rest are P models, so a group
-    with a single clip has no P model.
-    """
-    if frame_count < 1 or gop_size < 1 or gom_size < 1:
-        raise ConfigError(f"partition needs positive T/p/m, got "
-                          f"{frame_count}/{gop_size}/{gom_size}")
-    gops = tuple((start, min(start + gop_size, frame_count))
-                 for start in range(0, frame_count, gop_size))
-    goms = tuple((first, min(first + gom_size, len(gops)))
-                 for first in range(0, len(gops), gom_size))
-    return PartitionPlan(frame_count=frame_count, gop_size=gop_size,
-                         gom_size=gom_size, gops=gops, goms=goms)
 
 
 @dataclass(frozen=True)
@@ -306,10 +255,11 @@ def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
     prev_theta: ParamVector | None = None
     for gop_index in range(first, end):
         rand = init_random(config, model_seed(seed, gop_index))
-        if gop_index == first:
-            role, epsilon, theta_prime = ROLE_I, np.float32(0.0), rand
+        role = plan.role_of(gop_index)
+        if role == ROLE_I:
+            epsilon, theta_prime = np.float32(0.0), rand
         else:
-            role, epsilon = ROLE_P, epsilon_of(gop_index)
+            epsilon = epsilon_of(gop_index)
             theta_prime = interpolate_init(prev_rand, prev_theta,
                                            float(epsilon))
         prev_rand, prev_theta = rand, None  # not kept alive in finish
@@ -372,8 +322,7 @@ def _gom_worker(args):
 
 def encode_video(video: RawVideo, plan: PartitionPlan,
                  config: BackboneConfig, cfg: TrainConfig, *, jobs: int = 1,
-                 keep_reference: bool = False,
-                 log_path=None) -> EncodeResult:
+                 keep_reference: bool = False) -> EncodeResult:
     """Run the full encoder; returns the bitstream plus a report.
 
     ``jobs`` worker processes encode the model groups in parallel; no
@@ -414,13 +363,6 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
     quality = metrics.psnr(video, recon)
     bpp = len(data) * 8.0 / video.pixel_count
 
-    if log_path is not None:
-        with open(log_path, "w") as fh:
-            for log in per_model:
-                for entry in log.epoch_logs:
-                    fh.write(json.dumps({"model": log.index,
-                                         "role": log.role, **entry}) + "\n")
-
     return EncodeResult(
         data=data, per_model=per_model, bpp=bpp, psnr_mean=quality.mean,
         wall_seconds=time.perf_counter() - wall_start,
@@ -447,7 +389,7 @@ def decode_gom(reader: BitstreamReader,
     coder tables and symbols are freed.
     """
     header = reader.header
-    plan = partition(header.frame_count, header.gop_size, header.gom_size)
+    plan = header.plan
     if not 0 <= gom_index < plan.gom_count:
         raise ConfigError(f"gom index {gom_index} outside "
                           f"[0, {plan.gom_count})")
@@ -486,7 +428,7 @@ def _decode_groups(reader: BitstreamReader, gom_index: int | None = None):
     refuses a stream shorter than its header declares."""
     if gom_index is None:
         reader.check_complete()
-    every = range(-(-len(reader.header.records) // reader.header.gom_size))
+    every = range(reader.header.plan.gom_count)
     return (decode_gom(reader, index)
             for index in (every if gom_index is None else [gom_index]))
 

@@ -40,7 +40,8 @@ def workdir(tmp_path_factory):
                  *COMMON]) == 0
     assert main(["encode", str(path / "in.rgb"), "--out",
                  str(path / "out.bits"), "--csv", str(path / "rd.csv"),
-                 *COMMON, *ENCODE_FAST]) == 0
+                 "--log", str(path / "train.jsonl"), *COMMON,
+                 *ENCODE_FAST]) == 0
     return path
 
 
@@ -85,6 +86,16 @@ def test_decode_single_gom_matches_full(workdir):
     full = load_raw(workdir / "full.rgb", 16, 16)
     frag = load_raw(workdir / "frag.rgb", 16, 16)
     assert np.array_equal(frag.frames, full.frames[4:8])
+
+
+def test_run_log_records_epochs(workdir):
+    lines = [json.loads(line)
+             for line in (workdir / "train.jsonl").read_text().splitlines()]
+    assert lines
+    assert {"model", "role", "epoch", "loss_r", "loss_d", "lr"} <= \
+        set(lines[0])
+    models = {line["model"] for line in lines}
+    assert models == set(range(4))  # 8 frames in clips of 2
 
 
 def test_dump_header_mode(workdir, capsys):
@@ -307,6 +318,40 @@ def test_unreadable_input_exits_3_naming_the_file(workdir, tmp_path, capsys,
         assert "line 2" in err
     assert not list(tmp_path.glob("never.bits*"))
     assert not list(tmp_path.glob("sched.json*"))
+
+
+@pytest.mark.parametrize("case", [
+    "decode-from-directory", "decode-out", "synth-out", "fit-epsilon-out",
+    "encode-out", "encode-csv", "encode-log", "encode-emit-manifest"])
+def test_unwritable_output_exits_3_before_any_work(workdir, tmp_path, capsys,
+                                                   monkeypatch, case):
+    encodes = []
+    monkeypatch.setattr("clipcodec.cli.encode_video",
+                        lambda *args, **kwargs: encodes.append(args))
+    missing = tmp_path / "missing" / "x.out"
+    bits, out = str(workdir / "out.bits"), str(tmp_path / "x.rgb")
+    points = tmp_path / "points.csv"
+    points.write_text("mse,epsilon\n0.1,0.2\n0.5,0.6\n1.0,0.8\n")
+    encode = ["encode", str(workdir / "in.rgb"), "--out",
+              str(tmp_path / "x.bits"), *COMMON, *ENCODE_FAST]
+    args, named = {
+        "decode-from-directory": (["decode", str(tmp_path), out], tmp_path),
+        "decode-out": (["decode", bits, str(missing)], missing),
+        "synth-out": (["synth", str(missing), *COMMON], missing),
+        "fit-epsilon-out": (["fit-epsilon", str(points), "--out",
+                             str(missing)], missing),
+        "encode-out": (["encode", str(workdir / "in.rgb"), "--out",
+                        str(missing), *COMMON, *ENCODE_FAST], missing),
+        "encode-csv": (encode + ["--csv", str(missing)], missing),
+        "encode-log": (encode + ["--log", str(missing)], missing),
+        "encode-emit-manifest": (encode + ["--emit-manifest", str(missing)],
+                                 missing),
+    }[case]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(named) in err
+    assert not encodes
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_cli_entrypoint_via_subprocess(tmp_path):

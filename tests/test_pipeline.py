@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clipcodec import backbone, detmath, ops, pipeline
+from clipcodec import backbone, bitstream, detmath, ops, pipeline
 from clipcodec.backbone import (BackboneConfig, UpsampleStage, forward_clip,
                                 forward_frame, init_random, param_layout)
 from clipcodec.bitstream import _FIXED, BitstreamReader
+from clipcodec.coder import build_models, decode_symbols
 from clipcodec.errors import BitstreamError, ConfigError
 from clipcodec.optim import adam_init, adam_step
 from clipcodec.pipeline import (TrainConfig, decode_gom, decode_video,
@@ -572,12 +573,20 @@ def test_payload_with_extra_bytes_is_rejected(encoded_pair, tail):
             decode_gom(BitstreamReader.from_bytes(data), gom)
 
 
-def test_decode_video_plans_the_stream_once(encoded_pair):
+def test_decode_video_plans_the_stream_once(encoded_pair, monkeypatch):
     # decode_video runs decode_gom per group; a plan per group made a
     # stream of 4,000 one-clip groups decode 4x slower than one plan did
-    pipeline.partition.cache_clear()
+    calls = []
+    original = bitstream.partition
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bitstream, "partition", spy)
+    monkeypatch.setattr(pipeline, "partition", spy)
     decode_video(encoded_pair[-1].data)
-    assert pipeline.partition.cache_info().misses == 1
+    assert len(calls) == 1
 
 
 def test_cut_stream_refused_before_any_render(encoded_pair, monkeypatch):
@@ -591,24 +600,19 @@ def test_cut_stream_refused_before_any_render(encoded_pair, monkeypatch):
     assert not rendered
 
 
-def test_payloads_are_read_to_their_last_byte(encoded_pair, monkeypatch):
-    # a valid payload's length is exactly what the range decoder reads
-    from clipcodec.coder import RangeDecoder
+def test_payloads_are_read_to_their_last_byte(encoded_pair):
+    # a valid payload's length is exactly what the range decoder reads:
+    # every real payload decodes, and the same payload one byte longer
+    # is refused for the bytes the decoder did not read
     reader = BitstreamReader.from_bytes(encoded_pair[-1].data)
-    consumed = {}
-    original = RangeDecoder.decode_layer
-
-    def spy(self, model, count):
-        layer = original(self, model, count)
-        # keyed by the decoder itself, which keeps it alive: a freed
-        # decoder's id() can be reused by the next one
-        consumed[self] = self.consumed
-        return layer
-
-    monkeypatch.setattr(RangeDecoder, "decode_layer", spy)
-    decode_video(encoded_pair[-1].data)
-    assert sorted(consumed.values()) == sorted(
-        rec.payload_len for rec in reader.header.records)
+    counts = [spec.count for spec in param_layout(reader.header.config)]
+    for index, rec in enumerate(reader.header.records):
+        payload = reader.read_payload(index)
+        models = build_models(rec.mu, rec.sd, rec.bound)
+        layers = decode_symbols(payload, models, counts)
+        assert [layer.size for layer in layers] == counts
+        with pytest.raises(BitstreamError, match="consumed"):
+            decode_symbols(payload + b"\x00", models, counts)
 
 
 PAYLOAD_EDITS = ("flip", "truncate", "extend")
@@ -817,19 +821,6 @@ def test_parallel_jobs_reproduce_serial_bitstream():
     serial = encode_video(video, plan, config, cfg, jobs=1)
     parallel = encode_video(video, plan, config, cfg, jobs=2)
     assert serial.data == parallel.data
-
-
-def test_run_log_records_epochs(tmp_path, encoded_pair):
-    video, config, plan, cfg, _ = encoded_pair
-    log_path = tmp_path / "train.jsonl"
-    encode_video(video, plan, config, cfg, log_path=log_path)
-    import json
-    lines = [json.loads(line) for line in log_path.read_text().splitlines()]
-    assert lines
-    assert {"model", "role", "epoch", "loss_r", "loss_d", "lr"} <= \
-        set(lines[0])
-    models = {line["model"] for line in lines}
-    assert models == set(range(plan.gop_count))
 
 
 def test_encode_rejects_mismatched_plan():
