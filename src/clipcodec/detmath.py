@@ -31,6 +31,20 @@ exactly rounded, so an element's bits do not depend on which other
 elements share its call, nor on the input's shape: the result equals
 evaluating every kernel everywhere and selecting.
 
+Fast paths skip passes that do no arithmetic when the input allows it:
+``exp`` with every element in range and ``log`` with every element
+finite and positive run no select and no special-value fix; ``erf`` and
+``erfc`` with every ``|x| <= 4`` (so no NaN) build no far route; the
+erfc kernels call ``exp``'s core without its range check, as their
+argument is in range by construction.  Selects that are exact as
+arithmetic are written so (``log``'s mantissa shift, ``erf``'s sign,
+``norm_cdf_diff``'s reflection), and the kernels write into the memory
+of their own temporaries (``out=``, in-place operators), which keeps
+each operation and its order.  A fast path must give every element
+the bits the general path gives it, and each has a test in
+``tests/test_detmath.py`` that feeds it only inputs that take it and
+compares the bits with the full grid's; a new one needs such a test.
+
 Accuracy is a few ulp everywhere (ample for rate estimation and
 training); determinism, not last-bit accuracy, is the contract.
 """
@@ -54,28 +68,43 @@ _EXP_POLY = tuple(1.0 / math.factorial(k) for k in range(13, -1, -1))
 
 
 def _horner(z: np.ndarray, coeffs) -> np.ndarray:
-    acc = z * coeffs[0]
-    for c in coeffs[1:-1]:
-        acc += c
+    if coeffs[0] == 1.0:  # monic: z * 1.0 is exactly z
+        acc = z + coeffs[1]
+    else:
+        acc = z * coeffs[0]
+        acc += coeffs[1]
+    for c in coeffs[2:]:
         acc *= z
-    acc += coeffs[-1]
+        acc += c
     return acc
+
+
+def _exp_core(x: np.ndarray) -> np.ndarray:
+    """``e**x`` for 1-d ``x`` inside ``[_EXP_UNDERFLOW, _EXP_OVERFLOW]``."""
+    k = x * _INV_LN2
+    np.rint(k, out=k)
+    r = k * _LN2_HI
+    np.subtract(x, r, out=r)
+    ki = k.astype(np.int32)
+    k *= _LN2_LO
+    r -= k
+    del k  # its memory serves the polynomial
+    p = _horner(r, _EXP_POLY)
+    return np.ldexp(p, ki, out=p)
 
 
 def exp(x) -> np.ndarray:
     """Deterministic ``e**x`` (float64)."""
     x = np.asarray(x, dtype=np.float64)
-    ok = (x >= _EXP_UNDERFLOW) & (x <= _EXP_OVERFLOW)  # False for NaN
-    fix = not ok.all()
-    xc = np.where(ok, x, 0.0) if fix else x
-    k = np.rint(xc * _INV_LN2)
-    r = (xc - k * _LN2_HI) - k * _LN2_LO
-    out = np.ldexp(_horner(r, _EXP_POLY), k.astype(np.int32))
-    if fix:
-        out = np.where(x > _EXP_OVERFLOW, np.inf, out)
-        out = np.where(x < _EXP_UNDERFLOW, 0.0, out)
-        out = np.where(np.isnan(x), np.nan, out)
-    return np.asarray(out)
+    flat = x.reshape(-1)
+    ok = (flat >= _EXP_UNDERFLOW) & (flat <= _EXP_OVERFLOW)  # False for NaN
+    if ok.all():
+        return _exp_core(flat).reshape(x.shape)
+    out = _exp_core(np.where(ok, flat, 0.0))
+    bad = np.flatnonzero(~ok)
+    xb = flat[bad]
+    out[bad] = np.where(xb > 0.0, np.inf, np.where(xb < 0.0, 0.0, np.nan))
+    return out.reshape(x.shape)
 
 
 _SQRT_HALF = 0.7071067811865476
@@ -86,20 +115,34 @@ _LOG_POLY = tuple(1.0 / k for k in range(21, 2, -2))
 def log(x) -> np.ndarray:
     """Deterministic natural logarithm (float64)."""
     x = np.asarray(x, dtype=np.float64)
-    safe = np.where((x > 0.0) & (x < np.inf), x, 1.0)
-    m, e = np.frexp(safe)
+    flat = x.reshape(-1)
+    ok = (flat > 0.0) & (flat < np.inf)  # False for NaN
+    fix = not ok.all()
+    m, e = np.frexp(np.where(ok, flat, 1.0) if fix else flat)
+    # m < sqrt(1/2) moves to 2m and e - 1: exact, and no select
     shift = m < _SQRT_HALF
-    m = np.where(shift, m * 2.0, m)
-    e = np.where(shift, e - 1, e).astype(np.float64)
-    s = (m - 1.0) / (m + 1.0)
-    z = s * s
-    logm = 2.0 * s + 2.0 * s * z * _horner(z, _LOG_POLY)
-    out = e * _LN2_HI + (logm + e * _LN2_LO)
-    out = np.where(x == 0.0, -np.inf, out)
-    out = np.where(x < 0.0, np.nan, out)
-    out = np.where(np.isposinf(x), np.inf, out)
-    out = np.where(np.isnan(x), np.nan, out)
-    return out
+    np.ldexp(m, shift, out=m)
+    e -= shift
+    e = e.astype(np.float64)
+    # e*ln2_hi + (log(m) + e*ln2_lo), log(m) = 2s + 2s*z*P(z) with
+    # s = (m - 1) / (m + 1) and z = s*s, each in a buffer done with
+    s = m - 1.0
+    m += 1.0
+    s /= m
+    z = np.multiply(s, s, out=m)
+    s *= 2.0
+    t = s * z
+    t *= _horner(z, _LOG_POLY)
+    s += t
+    s += np.multiply(e, _LN2_LO, out=t)
+    out = np.multiply(e, _LN2_HI, out=z)
+    out += s
+    if fix:
+        out = np.where(flat == 0.0, -np.inf, out)
+        out = np.where(flat < 0.0, np.nan, out)
+        out = np.where(np.isposinf(flat), np.inf, out)
+        out = np.where(np.isnan(flat), np.nan, out)
+    return out.reshape(x.shape)
 
 
 def log2(x) -> np.ndarray:
@@ -254,22 +297,34 @@ _ERF_NEAR_DEN = (1.0,) + _ERF_B
 
 
 def _exp_neg_square(y: np.ndarray):
-    """``(exp(-ysq*ysq), y^2 - ysq^2)`` for ``ysq`` = y cut to 1/16ths.
+    """``(exp(-ysq*ysq), ysq^2 - y^2)`` for ``ysq`` = y cut to 1/16ths.
 
-    Splitting ``y*y`` keeps ``exp``'s argument exact.  ``ysq`` is k/16
-    with k <= 16 * _ERFC_ZERO, so ``exp(-ysq*ysq)`` is read from a table
-    of those values, computed by ``exp`` itself: the same bits.
+    Splitting ``y*y`` keeps ``exp``'s argument exact; ``exp(-y*y)`` is
+    the first times ``exp`` of the second, an argument in
+    ``(-2*y/16, 0]``, well inside ``exp``'s range.  ``ysq`` is k/16 with
+    k <= 16 * _ERFC_ZERO, so ``exp(-ysq*ysq)`` is read from a table of
+    those values, computed by ``exp`` itself: the same bits.
     """
-    k = np.trunc(y * 16.0)
-    ysq = k / 16.0
-    return _EXP_NEG_SQ16[k.astype(np.intp)], (y - ysq) * (y + ysq)
+    k = y * 16.0
+    np.trunc(k, out=k)
+    head = _EXP_NEG_SQ16[k.astype(np.intp)]
+    ysq = k
+    ysq /= 16.0
+    rest = ysq - y
+    ysq += y
+    rest *= ysq
+    return head, rest
 
 
 def _erfc_mid(y: np.ndarray) -> np.ndarray:
     # 0.46875 < y <= 4
-    ratio = _horner(y, _ERFC_MID_NUM) / _horner(y, _ERFC_MID_DEN)
-    head, delta = _exp_neg_square(y)
-    return head * exp(-delta) * ratio
+    head, rest = _exp_neg_square(y)
+    head *= _exp_core(rest)
+    del rest  # freed before the ratio's buffers are taken
+    ratio = _horner(y, _ERFC_MID_NUM)
+    ratio /= _horner(y, _ERFC_MID_DEN)
+    head *= ratio
+    return head
 
 
 def _erfc_far(y: np.ndarray) -> np.ndarray:
@@ -278,15 +333,29 @@ def _erfc_far(y: np.ndarray) -> np.ndarray:
     yc = np.minimum(y, _ERFC_ZERO)
     z = 1.0 / (yc * yc)
     r = z * _horner(z, _ERFC_FAR_NUM) / _horner(z, _ERFC_FAR_DEN)
-    head, delta = _exp_neg_square(yc)
-    out = head * exp(-delta) * (_INV_SQRT_PI - r) / yc
+    head, rest = _exp_neg_square(yc)
+    out = head * _exp_core(rest) * (_INV_SQRT_PI - r) / yc
     return np.where(y >= _ERFC_ZERO, 0.0, out)
 
 
 def _erf_near(x: np.ndarray) -> np.ndarray:
     # |x| <= 0.46875
     z = x * x
-    return x * _horner(z, _ERF_NEAR_NUM) / _horner(z, _ERF_NEAR_DEN)
+    out = _horner(z, _ERF_NEAR_NUM)
+    out *= x
+    out /= _horner(z, _ERF_NEAR_DEN)
+    return out
+
+
+def _erfc_near(x: np.ndarray) -> np.ndarray:
+    out = _erf_near(x)
+    return np.subtract(1.0, out, out=out)
+
+
+def _erf_tail(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # 1 - t > 0 here, so copysign gives sign(v) * (1 - t)
+    np.subtract(1.0, t, out=t)
+    return np.copysign(t, v, out=t)
 
 
 def _by_region(x, near, tail) -> np.ndarray:
@@ -299,26 +368,33 @@ def _by_region(x, near, tail) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
     y = np.abs(flat)
-    out = np.full(flat.shape, np.nan)
-    idx = np.flatnonzero(y <= 0.46875)
+    is_near = y <= 0.46875
+    if flat.size and y.max() <= 4.0:  # no far element and no NaN
+        routes = ((np.flatnonzero(~is_near), _erfc_mid),)
+    else:
+        routes = ((np.flatnonzero(~is_near & (y <= 4.0)), _erfc_mid),
+                  (np.flatnonzero(y > 4.0), _erfc_far))
+        y[np.isnan(y)] = np.nan  # the one NaN, whatever the input's
+    # Each route gathers its |x| first; then the output is written over
+    # y, where every element but NaN lies in a route.
+    routes = [(idx, kernel, y[idx]) for idx, kernel in routes if idx.size]
+    out = y
+    idx = np.flatnonzero(is_near)
     if idx.size:
         out[idx] = near(flat[idx])
-    for idx, kernel in ((np.flatnonzero((y > 0.46875) & (y <= 4.0)),
-                         _erfc_mid),
-                        (np.flatnonzero(y > 4.0), _erfc_far)):
-        if idx.size:
-            out[idx] = tail(flat[idx], kernel(y[idx]))
+    for idx, kernel, y_idx in routes:
+        out[idx] = tail(flat[idx], kernel(y_idx))
     return out.reshape(x.shape)
 
 
 def erf(x) -> np.ndarray:
     """Deterministic error function (float64)."""
-    return _by_region(x, _erf_near, lambda v, t: np.sign(v) * (1.0 - t))
+    return _by_region(x, _erf_near, _erf_tail)
 
 
 def erfc(x) -> np.ndarray:
     """Deterministic complementary error function (float64)."""
-    return _by_region(x, lambda v: 1.0 - _erf_near(v),
+    return _by_region(x, _erfc_near,
                       lambda v, t: np.where(v < 0.0, 2.0 - t, t))
 
 
@@ -328,8 +404,9 @@ _INV_SQRT_2PI = 0.3989422804014327
 
 def norm_cdf(x) -> np.ndarray:
     """Standard normal CDF via ``erfc`` (accurate in both tails)."""
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * erfc(-x * _INV_SQRT2)
+    out = erfc(np.asarray(x, dtype=np.float64) * -_INV_SQRT2)
+    out *= 0.5
+    return out
 
 
 _PDF_ZERO = 64.0  # exp(-x*x/2) is 0 from |x| ~ 38.6 on
@@ -337,8 +414,13 @@ _PDF_ZERO = 64.0  # exp(-x*x/2) is 0 from |x| ~ 38.6 on
 
 def norm_pdf(x) -> np.ndarray:
     # |x| is capped so that x*x cannot overflow; the cap changes no value
-    h = np.minimum(np.abs(np.asarray(x, dtype=np.float64)), _PDF_ZERO)
-    return _INV_SQRT_2PI * exp(-0.5 * h * h)
+    x = np.asarray(x, dtype=np.float64)
+    h = np.abs(x.reshape(-1))
+    np.minimum(h, _PDF_ZERO, out=h)
+    h *= -0.5 * h
+    out = exp(h)
+    out *= _INV_SQRT_2PI
+    return out.reshape(x.shape)
 
 
 def norm_cdf_diff(lo, hi) -> np.ndarray:
@@ -350,12 +432,13 @@ def norm_cdf_diff(lo, hi) -> np.ndarray:
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    # lo > -hi has the sign of lo + hi without the sum, which can overflow
-    flip = lo > -hi
-    a = np.where(flip, -hi, lo)
-    b = np.where(flip, -lo, hi)
-    mass = norm_cdf(b) - norm_cdf(a)
-    return np.maximum(mass, 0.0)
+    # where lo > -hi (the sign of lo + hi without the sum, which can
+    # overflow) the interval flips to (-hi, -lo]; minimum picks the same
+    # ends without a select, and at lo == -hi differs only in the sign of
+    # a zero, which norm_cdf maps to the same value
+    mass = norm_cdf(np.minimum(hi, -lo))
+    mass -= norm_cdf(np.minimum(lo, -hi))
+    return np.maximum(mass, 0.0, out=mass)
 
 
 def sigmoid(x) -> np.ndarray:

@@ -114,8 +114,9 @@ def read_csv_columns(path, columns) -> list[tuple[float, ...]]:
 
     Each entry of ``columns`` is a tuple of accepted header names, matched
     without case or surrounding space; the first one present is read.  An
-    unreadable file, a missing column, a short row or a non-numeric cell
-    raises :class:`DataError` naming the file (and the line).
+    unreadable file, a missing column, a short row or a cell that is not a
+    finite number (``nan`` and ``inf`` included) raises :class:`DataError`
+    naming the file (and the line).
     """
     try:
         with Path(path).open(newline="") as fh:
@@ -134,10 +135,13 @@ def read_csv_columns(path, columns) -> list[tuple[float, ...]]:
             rows = []
             for row in filter(None, reader):  # a blank line reads as []
                 try:
-                    rows.append(tuple(float(row[i]) for i in index))
+                    values = tuple(float(row[i]) for i in index)
+                    if not all(map(math.isfinite, values)):
+                        raise ValueError
                 except (IndexError, ValueError):
                     raise DataError(f"{path} line {reader.line_num}: not a "
-                                    f"number in every column") from None
+                                    f"finite number in every column") from None
+                rows.append(values)
     except (OSError, UnicodeDecodeError) as exc:
         raise unreadable(path, exc) from None
     return rows

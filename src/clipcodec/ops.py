@@ -63,6 +63,8 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def _broadcast_ok(a: Tensor, b: Tensor, op: str):
+    if a.shape == b.shape:
+        return a.shape
     try:
         return np.broadcast_shapes(a.shape, b.shape)
     except ValueError:

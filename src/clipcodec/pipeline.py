@@ -36,7 +36,8 @@ from .optim import adam_init, adam_step, lr_at
 from .params import ParamVector
 from .ratequant import (LayerStats, QuantScale, apply_residual,
                         initial_scales, layer_stats, quantize, rate_bits_eval,
-                        rate_bits_train, residual, widen_steps)
+                        rate_bits_train, residual, scaled_residual,
+                        widen_steps)
 from .seeds import STREAM_NOISE, make_rng, model_seed
 from .tensor import Tape, Tensor
 from .video import RawVideo, denormalize
@@ -97,7 +98,7 @@ def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
                       ops.broadcast_segments(steps, shapes))
     effective = dict(zip(theta_star.names,
                          ops.split_flat(ops.add(prime, snapped), shapes)))
-    stats = layer_stats(theta_star.split(unit.data), theta_star.names)
+    stats = layer_stats(unit.data, theta_star.sizes, theta_star.names)
     rate = rate_bits_train(unit, noise, stats, theta_star.sizes)
     frame = forward_frame(config, effective, t_norm)
     mse = ops.mean_square(ops.sub(frame, ops.constant(target_hw3)))
@@ -128,9 +129,9 @@ def _freeze_lattice(theta_prime: ParamVector, theta_star: ParamVector,
     delta = residual(theta_star, theta_prime)
     scales = widen_steps(delta, QuantScale(names, np.asarray(
         detmath.exp(log_scales.flat.data), dtype=np.float32)))
-    symbols = quantize(delta, scales)
-    stats = layer_stats(
-        delta.split(delta.flat.data / delta.spread(scales.values)), names)
+    scaled = scaled_residual(delta, scales)
+    symbols = quantize(scaled)
+    stats = layer_stats(scaled.flat.data, scaled.sizes, names)
     theta_final = apply_residual(theta_prime, symbols, scales)
     return theta_final, symbols, scales, stats
 

@@ -18,6 +18,7 @@ directly parameterize the integer-symbol models used by the coder.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -110,17 +111,22 @@ def initial_scales(init: ParamVector) -> QuantScale:
                       np.asarray(values, dtype=np.float32))
 
 
-def quantize(delta: ParamVector, scales: QuantScale) -> list[np.ndarray]:
-    """Integer symbols per layer: round-half-away(delta / scale).
+def scaled_residual(delta: ParamVector, scales: QuantScale) -> ParamVector:
+    """``delta / scale`` per layer: what :func:`quantize` rounds and
+    :func:`layer_stats` describes."""
+    if tuple(delta.names) != scales.names:
+        raise LayoutError("scale layout does not match parameter layout")
+    return delta.with_flat(delta.flat.data / delta.spread(scales.values))
+
+
+def quantize(scaled: ParamVector) -> list[np.ndarray]:
+    """Integer symbols per layer: round-half-away of the scaled residual.
 
     Raises :class:`ConfigError` naming the layer when a symbol's magnitude
     exceeds ``MAX_SYMBOL``, the range coder's alphabet bound.
     """
-    if tuple(delta.names) != scales.names:
-        raise LayoutError("scale layout does not match parameter layout")
-    symbols = delta.split(detmath.round_half_away(
-        delta.flat.data / delta.spread(scales.values)))
-    for name, sym in zip(delta.names, symbols):
+    symbols = scaled.split(detmath.round_half_away(scaled.flat.data))
+    for name, sym in zip(scaled.names, symbols):
         peak = float(np.max(np.abs(sym))) if sym.size else 0.0
         if peak > MAX_SYMBOL:
             raise ConfigError(f"layer {name!r}: symbol magnitude {peak:.0f} "
@@ -182,21 +188,31 @@ def apply_residual(theta_prime: ParamVector, symbols: list[np.ndarray],
         + sym.astype(theta_prime.dtype) * theta_prime.spread(scales.values))
 
 
-def layer_stats(scaled: list[np.ndarray], names: tuple[str, ...]) -> LayerStats:
-    """Mean/std of each scaled residual, floored and frozen to float32."""
-    mu = np.empty(len(scaled), dtype=np.float32)
-    sd = np.empty(len(scaled), dtype=np.float32)
-    for i, arr in enumerate(scaled):
-        # the steps of np.mean and np.std(dtype=float64), with the mean
-        # taken once: the same bits
-        mean = np.sum(arr, dtype=np.float64) / arr.size
-        dev = arr.astype(np.float64)
-        dev -= mean
-        dev *= dev
-        mu[i] = np.float32(mean)
-        sd[i] = np.float32(max(float(np.sqrt(np.sum(dev) / arr.size)),
-                               SIGMA_FLOOR))
-    return LayerStats(tuple(names), mu, sd)
+def layer_stats(scaled: np.ndarray, sizes, names: tuple[str, ...]) -> LayerStats:
+    """Mean/std of each layer's scaled residual, floored and frozen to
+    float32.
+
+    ``scaled`` holds every layer's values, flattened and joined in layout
+    order, with ``sizes`` giving each layer's element count.  The bits are
+    those of ``np.mean`` and ``np.std(dtype=float64)`` per layer: each sum
+    is one ``np.add.reduce`` (what ``np.sum`` calls) over the layer's own
+    contiguous values, and every other step is elementwise, so it is taken
+    once over all layers.
+    """
+    sizes = list(sizes)
+    if len(sizes) != len(names) or sum(sizes) != scaled.size:
+        raise LayoutError(f"stats got {len(sizes)} layers of {scaled.size} "
+                          f"values for {len(names)} names")
+    ends = list(itertools.accumulate(sizes))
+    spans = list(zip([0] + ends[:-1], ends))
+    mean = np.array([np.add.reduce(scaled[a:b], dtype=np.float64)
+                     for a, b in spans]) / sizes
+    dev = scaled.astype(np.float64)
+    dev -= np.repeat(mean, sizes)
+    dev *= dev
+    var = np.array([np.add.reduce(dev[a:b]) for a, b in spans]) / sizes
+    return LayerStats(tuple(names), mean.astype(np.float32),
+                      np.maximum(np.sqrt(var), SIGMA_FLOOR).astype(np.float32))
 
 
 def rate_bits_train(flat: Tensor, noise: np.ndarray, stats: LayerStats,

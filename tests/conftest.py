@@ -13,7 +13,7 @@ from clipcodec import ops
 from clipcodec.backbone import BackboneConfig, UpsampleStage
 from clipcodec.bitstream import _FIXED, BitstreamReader, _pack_header
 from clipcodec.errors import ShapeError
-from clipcodec.ratequant import rate_bits_train
+from clipcodec.ratequant import layer_stats, rate_bits_train
 from clipcodec.tensor import Tensor
 
 
@@ -81,6 +81,13 @@ def rate_bits_layers(scaled, noise, stats):
     return rate_bits_train(concat_flat(scaled),
                            np.concatenate([u.reshape(-1) for u in noise]),
                            stats, [t.size for t in scaled])
+
+
+def layer_stats_of(scaled, names):
+    """``layer_stats`` of one array per layer, joined in layout order as
+    the training step joins them."""
+    return layer_stats(np.concatenate([a.reshape(-1) for a in scaled]),
+                       [a.size for a in scaled], names)
 
 
 class PerSegmentAdam:

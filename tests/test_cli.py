@@ -293,10 +293,15 @@ def test_fit_epsilon_command(tmp_path, capsys):
     ("bdrate", "bpp,psnr\n2\n"),
     ("fit-epsilon", None), ("fit-epsilon", "mse,epsilon\n2,abc\n"),
     ("fit-epsilon", "mse,epsilon\n2\n"),
+    # a whole curve or point set but for one non-finite cell
+    ("bdrate", "bpp,psnr\n0.1,nan\n0.2,33\n0.4,36\n0.8,39\n"),
+    ("bdrate", "bpp,psnr\ninf,30\n0.2,33\n0.4,36\n0.8,39\n"),
+    ("fit-epsilon", "mse,epsilon\nnan,0.5\n0.1,0.2\n0.5,0.6\n1.0,0.8\n"),
     ("encode", None),
 ], ids=["eval-missing", "bdrate-missing", "bdrate-not-a-number",
         "bdrate-short-row", "fit-epsilon-missing", "fit-epsilon-not-a-number",
-        "fit-epsilon-short-row", "encode-config-missing"])
+        "fit-epsilon-short-row", "bdrate-nan", "bdrate-inf",
+        "fit-epsilon-nan", "encode-config-missing"])
 def test_unreadable_input_exits_3_naming_the_file(workdir, tmp_path, capsys,
                                                   command, content):
     bad = tmp_path / "input.csv"

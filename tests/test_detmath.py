@@ -257,6 +257,54 @@ def test_erf_inputs_missing_a_region_keep_their_bits(fn):
         assert fn(x[keep]).tobytes() == full[keep].tobytes()
 
 
+# Each fast path below skips passes that the general path runs; an input
+# that takes it gives each element the bits it has on the full grid.
+
+def test_log_of_finite_positive_inputs_keeps_its_bits():
+    # no zero, negative, inf or NaN element: no special-value fixups
+    x = np.concatenate([golden_grid(), np.abs(golden_grid())])
+    full = detmath.log(x)
+    keep = (x > 0.0) & (x < np.inf)
+    assert 0 < keep.sum() < x.size
+    assert detmath.log(x[keep]).tobytes() == full[keep].tobytes()
+
+
+def test_exp_of_in_range_inputs_keeps_its_bits():
+    # no element outside [underflow, overflow] and no NaN: no fixups
+    x = golden_grid()
+    full = detmath.exp(x)
+    keep = (x >= _EXP_EDGES[1]) & (x <= _EXP_EDGES[0])
+    assert 0 < keep.sum() < x.size
+    assert detmath.exp(x[keep]).tobytes() == full[keep].tobytes()
+
+
+@pytest.mark.parametrize("fn", (detmath.erf, detmath.erfc),
+                         ids=lambda f: f.__name__)
+def test_erf_inputs_without_far_or_nan_keep_their_bits(fn):
+    # every |x| <= 4 and no NaN: two routes, no far mask
+    x = golden_grid()
+    full = fn(x)
+    keep = np.abs(x) <= 4.0
+    assert 0 < keep.sum() < x.size
+    assert fn(x[keep]).tobytes() == full[keep].tobytes()
+
+
+def _norm_cdf_diff_by_select(lo, hi):
+    """The reflection written as a select: where lo > -hi, (-hi, -lo]."""
+    flip = lo > -hi
+    a = np.where(flip, -hi, lo)
+    b = np.where(flip, -lo, hi)
+    return np.maximum(detmath.norm_cdf(b) - detmath.norm_cdf(a), 0.0)
+
+
+def test_norm_cdf_diff_equals_the_select_form():
+    # every pair of ends from the branch edges, +-0, +-inf and NaN
+    ends = edge_values()
+    lo, hi = (a.reshape(-1) for a in np.meshgrid(ends, ends))
+    want = _norm_cdf_diff_by_select(lo, hi)
+    assert detmath.norm_cdf_diff(lo, hi).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("fn", (detmath.sin, detmath.cos),
                          ids=lambda f: f.__name__)
 def test_trig_inputs_missing_a_quadrant_keep_their_bits(fn):

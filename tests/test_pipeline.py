@@ -23,15 +23,14 @@ from clipcodec.pipeline import (TrainConfig, decode_gom, decode_video,
                                 train_model, training_step_loss)
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.params import ParamVector
-from clipcodec.ratequant import (MAX_SYMBOL, QuantScale, initial_scales,
-                                 layer_stats)
+from clipcodec.ratequant import MAX_SYMBOL, QuantScale, initial_scales
 from clipcodec.seeds import STREAM_NOISE, make_rng, model_seed
 from clipcodec.tensor import Tape, Tensor
 from clipcodec.video import synth_video
 from clipcodec.warmstart import EpsilonSchedule
 from conftest import (HOSTILE_HEADERS, PerSegmentAdam, fd_gradient, joined,
-                      rate_bits_layers, rel_error, repack, segment_leaves,
-                      set_config_byte)
+                      layer_stats_of, rate_bits_layers, rel_error, repack,
+                      segment_leaves, set_config_byte)
 
 
 def small_config(size=16, precision="f32"):
@@ -171,7 +170,7 @@ def test_step_loss_gradients_match_fd_with_frozen_stats():
     scaled0 = [
         (theta_star[n].data - theta_prime[n].data).reshape(-1)
         / np.exp(-4.0) for n in theta_prime.names]
-    stats = layer_stats(scaled0, theta_prime.names)
+    stats = layer_stats_of(scaled0, theta_prime.names)
 
     def run_rate_only():
         with Tape() as tape:
@@ -240,7 +239,7 @@ def _training_step_loss_per_layer(config, theta_prime, theta_star,
         scaled.append(unit)
         snapped = ops.mul(ops.ste_round(unit), step)
         effective[name] = ops.add(theta_prime[name], snapped)
-    stats = layer_stats([u.data for u in scaled], tuple(theta_star))
+    stats = layer_stats_of([u.data for u in scaled], tuple(theta_star))
     rate = rate_bits_layers(scaled, noise, stats)
     frame = forward_frame(config, effective, t_norm)
     mse = ops.mean_square(ops.sub(frame, ops.constant(target_hw3)))

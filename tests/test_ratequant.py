@@ -10,13 +10,14 @@ from scipy.stats import norm
 from clipcodec import detmath, ops
 from clipcodec.errors import ConfigError, LayoutError
 from clipcodec.params import ParamVector
-from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_TRAIN_FLOOR,
+from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_FLOOR, SIGMA_TRAIN_FLOOR,
                                  TRAIN_PROB_FLOOR, LayerStats, QuantScale,
                                  apply_residual, initial_scales, layer_stats,
                                  quantize, rate_bits_eval, rate_bits_train,
-                                 residual, widen_steps)
+                                 residual, scaled_residual, widen_steps)
 from clipcodec.tensor import Tape, Tensor
-from conftest import concat_flat, fd_gradient, rate_bits_layers, rel_error
+from conftest import (concat_flat, fd_gradient, layer_stats_of,
+                      rate_bits_layers, rel_error)
 
 
 def _pv(values, name="w"):
@@ -56,7 +57,7 @@ def test_residual_layout_mismatch_names_segment():
 def test_quantize_example_values():
     delta = _pv([0.4, -1.3])
     scales = QuantScale(("w",), np.asarray([0.5], dtype=np.float32))
-    symbols = quantize(delta, scales)
+    symbols = quantize(scaled_residual(delta, scales))
     assert np.array_equal(symbols[0], [1, -3])
     back = _lattice(symbols, scales, delta)
     assert np.allclose(back["w"].data, [0.5, -1.5])
@@ -65,13 +66,14 @@ def test_quantize_example_values():
 def test_quantize_identity_on_integer_lattice():
     delta = _pv([3.0, -7.0, 0.0])
     scales = QuantScale(("w",), np.asarray([1.0], dtype=np.float32))
-    assert np.array_equal(quantize(delta, scales)[0], [3, -7, 0])
+    symbols = quantize(scaled_residual(delta, scales))
+    assert np.array_equal(symbols[0], [3, -7, 0])
 
 
 def test_zero_delta_quantizes_to_zero():
     delta = _pv(np.zeros(16))
     scales = QuantScale(("w",), np.asarray([0.25], dtype=np.float32))
-    symbols = quantize(delta, scales)
+    symbols = quantize(scaled_residual(delta, scales))
     assert not symbols[0].any()
     back = _lattice(symbols, scales, delta)
     assert np.all(back["w"].data == 0.0)
@@ -91,9 +93,9 @@ def test_quantize_round_trip_error_bounded(values, scale):
     if peak > MAX_SYMBOL:
         # past the coder's alphabet: refused, naming the layer
         with pytest.raises(ConfigError, match="'w'"):
-            quantize(delta, scales)
+            quantize(scaled_residual(delta, scales))
         return
-    symbols = quantize(delta, scales)
+    symbols = quantize(scaled_residual(delta, scales))
     back = _lattice(symbols, scales, delta)
     # Half a step, plus the float32 rounding (relative error at most
     # u = 2^-24) of value / step, which moves the symbol by at most
@@ -109,7 +111,7 @@ def test_quantize_round_trip_error_bounded(values, scale):
                  - delta["w"].data.astype(np.float64))
     assert np.all(err <= bound)
     # idempotence on the lattice
-    again = quantize(back, scales)
+    again = quantize(scaled_residual(back, scales))
     assert np.array_equal(again[0], symbols[0])
 
 
@@ -117,7 +119,7 @@ def test_quantize_rejects_oversized_symbols():
     delta = _pv([1e9])
     scales = QuantScale(("w",), np.asarray([1.0], dtype=np.float32))
     with pytest.raises(ConfigError, match="'w'"):
-        quantize(delta, scales)
+        quantize(scaled_residual(delta, scales))
 
 
 def test_scale_positivity_enforced():
@@ -161,7 +163,7 @@ def test_widen_steps_picks_smallest_step_inside_alphabet(top, width, dtype):
         # the next float32 step down would pass the bound
         below = np.nextafter(widened, np.float32(0.0))
         assert _peak(values, below, dtype) > MAX_SYMBOL
-    quantize(delta, scales)  # no ConfigError
+    quantize(scaled_residual(delta, scales))  # no ConfigError
 
 
 def test_initial_scales_target_symbol_span():
@@ -173,9 +175,30 @@ def test_initial_scales_target_symbol_span():
 
 
 def test_layer_stats_floor():
-    stats = layer_stats([np.zeros(32)], ("w",))
+    stats = layer_stats_of([np.zeros(32)], ("w",))
     assert stats.sd[0] == pytest.approx(1e-6)
     assert stats.mu[0] == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_stats_match_per_layer_mean_and_std(dtype):
+    # one pass over the joined layers gives each layer the bits of its own
+    # np.mean and np.std(dtype=float64), at uneven offsets and past one
+    # 8192-element cast buffer
+    rng = np.random.default_rng(6)
+    sizes = [1, 3, 7, 129, 1000, 9001]
+    layers = [(rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+               + rng.uniform(-5, 5)).astype(dtype) for n in sizes]
+    names = tuple(f"layer{i}" for i in range(len(sizes)))
+    stats = layer_stats(np.concatenate(layers), sizes, names)
+    for i, arr in enumerate(layers):
+        mu = np.float32(np.mean(arr, dtype=np.float64))
+        sd = np.float32(max(float(np.std(arr, dtype=np.float64)),
+                            SIGMA_FLOOR))
+        assert stats.mu[i].tobytes() == mu.tobytes()
+        assert stats.sd[i].tobytes() == sd.tobytes()
+    with pytest.raises(LayoutError):
+        layer_stats(np.concatenate(layers), sizes[:-1], names[:-1])
 
 
 def test_eval_bits_symbol_zero_frozen_oracle():
@@ -205,8 +228,8 @@ def test_eval_bits_nonnegative_per_layer():
     rng = np.random.default_rng(1)
     symbols = [rng.integers(-5, 6, 100).astype(np.int32),
                rng.integers(-2, 3, 50).astype(np.int32)]
-    stats = layer_stats([s.astype(np.float64) for s in symbols],
-                        ("a", "b"))
+    stats = layer_stats_of([s.astype(np.float64) for s in symbols],
+                           ("a", "b"))
     est = rate_bits_eval(symbols, stats)
     assert np.all(est.per_layer >= 0.0)
     assert est.total_bits == pytest.approx(float(est.per_layer.sum()))
@@ -216,7 +239,7 @@ def test_train_rate_gradients_match_fd_with_fixed_noise():
     rng = np.random.default_rng(2)
     scaled_data = rng.standard_normal(24) * 3.0
     noise = rng.uniform(-0.5, 0.5, 24)
-    stats = layer_stats([scaled_data], ("w",))
+    stats = layer_stats_of([scaled_data], ("w",))
     x = Tensor(scaled_data.copy(), requires_grad=True, dtype=np.float64)
 
     def run():
@@ -266,8 +289,8 @@ def _run_rate(fn, dtype, seed):
                                 requires_grad=True, dtype=dtype))
         noise.append(rng.uniform(-0.5, 0.5, shape))
     names = tuple(f"layer{i}" for i in range(len(_MIXED_SHAPES)))
-    stats = layer_stats([w.data.reshape(-1) / np.exp(s.data)
-                         for w, s in zip(weights, log_steps)], names)
+    stats = layer_stats_of([w.data.reshape(-1) / np.exp(s.data)
+                            for w, s in zip(weights, log_steps)], names)
     with Tape() as tape:
         scaled, snapped = [], []
         for w, s in zip(weights, log_steps):
@@ -302,8 +325,8 @@ def test_fused_train_rate_records_one_chain():
     scaled = [Tensor(rng.standard_normal(shape), requires_grad=True,
                      dtype=np.float32) for shape in _MIXED_SHAPES]
     noise = [rng.uniform(-0.5, 0.5, shape) for shape in _MIXED_SHAPES]
-    stats = layer_stats([t.data.reshape(-1) for t in scaled],
-                        tuple(str(i) for i in range(len(scaled))))
+    stats = layer_stats_of([t.data.reshape(-1) for t in scaled],
+                           tuple(str(i) for i in range(len(scaled))))
     with Tape() as tape:
         rate_bits_layers(scaled, noise, stats)
     # one gauss_mass chain for all layers, independent of the layer count
@@ -313,7 +336,7 @@ def test_fused_train_rate_records_one_chain():
 def test_train_rate_rejects_layer_count_mismatch():
     rng = np.random.default_rng(5)
     scaled = [Tensor(rng.standard_normal(4)) for _ in range(2)]
-    stats = layer_stats([t.data for t in scaled], ("a", "b"))
+    stats = layer_stats_of([t.data for t in scaled], ("a", "b"))
     with pytest.raises(LayoutError):
         rate_bits_train(concat_flat(scaled), np.zeros(4), stats, [4, 4])
 
@@ -325,7 +348,7 @@ def test_train_and_eval_rate_agree_in_direction():
     large = rng.standard_normal(400) * 20.0
     bits = {}
     for name, data in (("small", small), ("large", large)):
-        stats = layer_stats([data], ("w",))
+        stats = layer_stats_of([data], ("w",))
         sym = np.asarray(np.round(data), dtype=np.int32)
         bits[name] = rate_bits_eval([sym], stats).total_bits
     assert bits["large"] > bits["small"]
