@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clipcodec import backbone, bitstream, detmath, ops, pipeline
+from clipcodec import (backbone, bitstream, detmath, metrics, ops,
+                       pipeline)
 from clipcodec.backbone import (BackboneConfig, UpsampleStage, forward_clip,
                                 forward_frame, init_random, param_layout)
 from clipcodec.bitstream import _FIXED, BitstreamReader
@@ -419,6 +420,15 @@ def test_decode_matches_encoder_reconstruction(encoded_pair):
     decoded = decode_video(result.data)
     assert decoded.frame_count == video.frame_count
     assert np.array_equal(decoded.frames, result.recon.frames)
+
+
+def test_psnr_mean_is_psnr_of_decoded_video(encoded_pair):
+    # two groups: the encoder's mean over per-frame values is the one a
+    # caller computes from the decoded video, to the last bit
+    video, config, plan, cfg, result = encoded_pair
+    assert plan.gom_count == 2
+    assert result.psnr_mean == metrics.psnr(video,
+                                            decode_video(result.data)).mean
 
 
 def test_decoded_parameters_bit_identical(encoded_pair, monkeypatch):
@@ -832,36 +842,40 @@ def test_encode_rejects_mismatched_plan():
 # ------------------------------------------------------------ golden bits
 
 # sha256 of the stream bytes and of the decoded frames for fixed tiny
-# encodes (one group: an I model and two P models) of four backbones.
-# Pinned at a known-good commit: a speed-up must leave both unchanged, and
-# any deliberate change of the bytes re-pins them with a bitstream version
-# bump.
+# encodes (one group: an I model and two P models) of four backbones, and
+# the repr of the encoder's psnr_mean.  Pinned at a known-good commit: a
+# speed-up must leave all three unchanged, and any deliberate change of
+# the bytes re-pins them with a bitstream version bump.
 GOLDEN = {
     "nerv-f32": (
         small_config(),
         "76f46ebcb3168857b0f830d10ab5d2ec1d13b41430dd60b2c33ee83d6d43e692",
-        "14641a22db6c2815212109341a2b180038fd8dd0a939525e0d8e37d5ba6b2ab4"),
+        "14641a22db6c2815212109341a2b180038fd8dd0a939525e0d8e37d5ba6b2ab4",
+        "15.05685397692767"),
     "nerv-f64": (
         small_config(precision="f64"),
         "bd938b758047c915dc907497dbc13121abddf3c2b4789084e64d3d57e175d401",
-        "14641a22db6c2815212109341a2b180038fd8dd0a939525e0d8e37d5ba6b2ab4"),
+        "14641a22db6c2815212109341a2b180038fd8dd0a939525e0d8e37d5ba6b2ab4",
+        "15.05685397692767"),
     "nerv-subpel-sin": (
         dataclasses.replace(small_config(), upsample="subpel",
                             activation="sin"),
         "b3374e904f0bb0165e9bbd0ec6b0b9c3fc152295a9d478aea898196a33c5212e",
-        "81ae1a43423726a96564e64f13b9636b3fb54ffdeabcf298f0d86cc1c1273b94"),
+        "81ae1a43423726a96564e64f13b9636b3fb54ffdeabcf298f0d86cc1c1273b94",
+        "15.208028851202622"),
     "coord-mlp": (
         BackboneConfig(kind="coord-mlp", pe_frequencies=4, hidden=(16, 16),
                        frame_height=16, frame_width=16),
         "c3fd8b090fe298d60e95c5b113c441ddb0e520bd5b02610f79e58589b66e2db6",
-        "5b7f4aa9104f483e3ef042c3f2d821de72b01134104b6b51c737ad3eadbae4f7"),
+        "5b7f4aa9104f483e3ef042c3f2d821de72b01134104b6b51c737ad3eadbae4f7",
+        "14.66325162821699"),
 }
 
 
-@pytest.mark.parametrize("config, stream_sha256, recon_sha256",
+@pytest.mark.parametrize("config, stream_sha256, recon_sha256, psnr_repr",
                          GOLDEN.values(), ids=GOLDEN.keys())
 def test_golden_bitstream_and_reconstruction(config, stream_sha256,
-                                             recon_sha256):
+                                             recon_sha256, psnr_repr):
     video = synth_video("moving-blob", 16, 16, 6, velocity=1.0, seed=11)
     plan = partition(6, 2, 3)
     result = encode_video(video, plan, config, quick_cfg(seed=11))
@@ -870,3 +884,4 @@ def test_golden_bitstream_and_reconstruction(config, stream_sha256,
     assert hashlib.sha256(result.data).hexdigest() == stream_sha256
     assert hashlib.sha256(decoded.frames.tobytes()).hexdigest() \
         == recon_sha256
+    assert repr(result.psnr_mean) == psnr_repr
