@@ -17,8 +17,10 @@ import sys
 
 import numpy as np
 
-from clipcodec.backbone import param_layout
-from clipcodec.pipeline import TrainConfig, partition, train_model
+from clipcodec.backbone import init_random, param_layout
+from clipcodec.metrics import frame_mse
+from clipcodec.pipeline import (TrainConfig, partition, render_video,
+                                train_model)
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.ratequant import rate_bits_eval
 from clipcodec.seeds import model_seed
@@ -31,9 +33,10 @@ def best_epsilon_for(video, gop_size, config, cfg, grid):
     normalized = video.normalized(config.dtype)
     clip0 = normalized[slice(*plan.gops[0])]
     clip1 = normalized[slice(*plan.gops[1])]
+    target1 = video.frames[slice(*plan.gops[1])]
+    rendered = np.empty_like(target1)
     gap = gop_gap_mse(clip0, clip1)
 
-    from clipcodec.backbone import init_random
     rand0 = init_random(config, model_seed(cfg.seed, 0))
     base = train_model("I", clip0, rand0, config, cfg,
                        model_seed(cfg.seed, 0))
@@ -45,9 +48,12 @@ def best_epsilon_for(video, gop_size, config, cfg, grid):
         trained = train_model("P", clip1, init, config, cfg,
                               model_seed(cfg.seed, 1))
         bits = rate_bits_eval(trained.symbols, trained.stats).total_bits
-        loss = bits + cfg.lam * trained.final_mse
+        # the decoded clip's MSE, on the [0, 1] scale training uses
+        render_video(config, trained.theta_star, rendered)
+        mse = float(np.mean(frame_mse(target1, rendered))) / 255.0 ** 2
+        loss = bits + cfg.lam * mse
         print(f"    eps={eps:.3f}: bits={bits:9.0f} "
-              f"mse={trained.final_mse:.6f} loss={loss:10.1f}")
+              f"mse={mse:.6f} loss={loss:10.1f}")
         if best_loss is None or loss < best_loss:
             best_loss, best_eps = loss, eps
     return gap.mse, best_eps

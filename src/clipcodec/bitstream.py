@@ -137,9 +137,6 @@ class BitstreamHeader:
     offsets: tuple[int, ...]             # payload starts, then stream end
     plan: PartitionPlan                  # one clip per record
 
-    def payload_offset(self, index: int) -> int:
-        return self.offsets[index]
-
 
 def _check_header(width: int, height: int, frame_count: int, gop_size: int,
                   gom_size: int, precision: str, config_text: str,
@@ -352,8 +349,8 @@ class BitstreamReader:
         return self._file.read(n)
 
     def payload_range(self, index: int) -> tuple[int, int]:
-        rec = self.header.records[index]
-        return self.header.payload_offset(index), rec.payload_len
+        return (self.header.offsets[index],
+                self.header.records[index].payload_len)
 
     def read_payload(self, index: int) -> bytes:
         offset, length = self.payload_range(index)

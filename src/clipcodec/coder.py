@@ -98,15 +98,6 @@ def build_models(mus, sds, bounds) -> list[SymbolModel]:
     return models
 
 
-def build_model(mu: float, sd: float, bound: int) -> SymbolModel:
-    """Discretize N(mu, sd^2) over [-bound, bound] into coder frequencies.
-
-    The one-layer case of :func:`build_models`.
-    """
-    (model,) = build_models([mu], [sd], [bound])
-    return model
-
-
 def _apportion(mu: float, sd: float, bound: int,
                mass: np.ndarray) -> SymbolModel:
     """One layer's table from the interval masses of its symbols."""

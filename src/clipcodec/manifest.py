@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
 from .backbone import config_from_text, config_to_text
-from .errors import DataError
+from .errors import DataError, unreadable
 from .pipeline import TrainConfig
 from .warmstart import EpsilonSchedule
 
@@ -64,7 +65,9 @@ class RunManifest:
     def load(cls, path) -> "RunManifest":
         try:
             raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError) as exc:
+            raise unreadable(path, exc) from None
+        except json.JSONDecodeError as exc:
             raise DataError(f"cannot read manifest {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise DataError(f"manifest {path} is not a JSON object")
@@ -86,6 +89,9 @@ class RunManifest:
                                 f"got {value!r}")
             if kind == "float":
                 raw[name] = float(value)
+                if not math.isfinite(raw[name]):  # json reads NaN, Infinity
+                    raise DataError(f"manifest field {name!r} needs a "
+                                    f"finite number, got {value!r}")
         return cls(**raw)
 
 

@@ -30,6 +30,23 @@ class PsnrResult:
         return np.minimum(self.per_frame, PSNR_CAP_DB)
 
 
+def frame_mse(ref: np.ndarray, test: np.ndarray) -> np.ndarray:
+    """Per-frame 8-bit MSE of two equally-shaped (n, 3, H, W) uint8 arrays.
+    A frame's squared-error sum is exact in int64, so its value does not
+    depend on which frames it is scored with."""
+    sse = np.square(ref.astype(np.int32) - test).sum(axis=(1, 2, 3),
+                                                     dtype=np.int64)
+    return sse / math.prod(ref.shape[1:])
+
+
+def psnr_of_mse(mse: np.ndarray) -> PsnrResult:
+    """Per-frame and mean PSNR of per-frame 8-bit MSE values."""
+    with np.errstate(divide="ignore"):
+        per_frame = 10.0 * np.log10(255.0 * 255.0 / mse)
+    return PsnrResult(per_frame=per_frame, mean=float(
+        np.mean(np.minimum(per_frame, PSNR_CAP_DB))))
+
+
 def psnr(ref: RawVideo, test: RawVideo) -> PsnrResult:
     """Per-frame and mean PSNR between two equally-sized videos."""
     if (ref.width, ref.height, ref.frame_count) != \
@@ -37,12 +54,7 @@ def psnr(ref: RawVideo, test: RawVideo) -> PsnrResult:
         raise DataError(
             f"dimension mismatch: {ref.width}x{ref.height}x{ref.frame_count}"
             f" vs {test.width}x{test.height}x{test.frame_count}")
-    diff = ref.frames.astype(np.float64) - test.frames.astype(np.float64)
-    mse = np.mean(diff * diff, axis=(1, 2, 3))
-    with np.errstate(divide="ignore"):
-        per_frame = 10.0 * np.log10(255.0 * 255.0 / mse)
-    mean = float(np.mean(np.minimum(per_frame, PSNR_CAP_DB)))
-    return PsnrResult(per_frame=per_frame, mean=mean)
+    return psnr_of_mse(frame_mse(ref.frames, test.frames))
 
 
 @dataclass(frozen=True)

@@ -373,19 +373,11 @@ def mean_square(x: Tensor) -> Tensor:
     return out
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out = _result(np.asarray(np.sum(x.data), dtype=x.dtype), (x,))
-    shape = x.shape
-    _record(out, (x,),
-            lambda g: (np.broadcast_to(g, shape).astype(x.dtype),))
-    return out
-
-
 def segment_sum(x: Tensor, sizes) -> Tensor:
     """Sums of consecutive runs of the 1-d ``x``, one per entry of ``sizes``.
 
     Each run is reduced by its own ``np.sum``, so a run sums to the same
-    bits as ``sum_all`` over that run alone.
+    bits as ``np.sum`` over that run alone.
     """
     sizes = list(sizes)
     if x.data.ndim != 1 or sum(sizes) != x.size:

@@ -6,7 +6,10 @@ a group trains and codes independently (I), every later model (P) is
 warm-started from its predecessor and only the quantized difference
 between its trained parameters and that warm start is entropy-coded.
 Groups never reference each other, so they decode independently and may
-be encoded in parallel.
+be encoded in parallel.  One group walk serves both sides: the encoder
+trains each model and the decoder reads it from the stream, and the walk
+renders every model's clip from its final parameters into the group's
+frames, so the encoder scores the frames a decoder gives.
 
 Training follows a strict quantization-aware regime: every step renders
 with the warm start plus the straight-through-rounded residual, so the
@@ -112,8 +115,6 @@ class TrainedModel:
     symbols: list[np.ndarray]        # per-layer integer residual symbols
     scales: QuantScale
     stats: LayerStats
-    final_mse: float
-    frames: np.ndarray               # (n, 3, H, W) uint8 rendered clip
     epoch_logs: list[dict]
 
 
@@ -134,20 +135,6 @@ def _freeze_lattice(theta_prime: ParamVector, theta_star: ParamVector,
     stats = layer_stats(scaled.flat.data, scaled.sizes, names)
     theta_final = apply_residual(theta_prime, symbols, scales)
     return theta_final, symbols, scales, stats
-
-
-def _render_clip(config: BackboneConfig, params: ParamVector,
-                 targets: np.ndarray, t_norms):
-    """Render a clip once; returns (mean frame MSE, (n, 3, H, W) uint8)."""
-    frames = np.empty((len(targets), 3, config.frame_height,
-                       config.frame_width), dtype=np.uint8)
-    total = 0.0
-    for i, (out, target) in enumerate(
-            zip(forward_clip(config, params, t_norms), targets)):
-        diff = out.astype(np.float64) - target.astype(np.float64)
-        total += float(np.mean(diff * diff))
-        frames[i] = denormalize(out).transpose(2, 0, 1)
-    return total / max(len(targets), 1), frames
 
 
 def train_model(role: str, frames: np.ndarray, init: ParamVector,
@@ -211,11 +198,8 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
 
     theta_final, symbols, scales, stats = _freeze_lattice(
         theta_prime, theta_star, log_scales)
-    final_mse, rendered = _render_clip(config, theta_final, targets, t_norms)
     return TrainedModel(theta_star=theta_final, symbols=symbols,
-                        scales=scales, stats=stats,
-                        final_mse=final_mse, frames=rendered,
-                        epoch_logs=epoch_logs)
+                        scales=scales, stats=stats, epoch_logs=epoch_logs)
 
 
 @dataclass
@@ -226,7 +210,7 @@ class ModelLog:
     payload_bits: int
     estimate_bits: float
     train_seconds: float
-    final_mse: float
+    final_mse: float  # the decoded clip's per-frame MSE over 255**2
     epoch_logs: list[dict]
 
 
@@ -241,16 +225,21 @@ class EncodeResult:
 
 
 def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
-              gom_index: int, epsilon_of, finish) -> list:
+              gom_index: int, epsilon_of, finish):
     """The I/P warm-start chain of one group, shared by encoder and decoder.
 
     Each model draws its seeded random init.  The I model starts from that
     init; every P model starts from ``interpolate_init`` of its
     predecessor's init and final parameters at ``epsilon_of(gop_index)``.
     ``finish(gop_index, role, epsilon, theta_prime)`` turns the start into
-    ``(final parameters, result)``; the results are returned in order.
+    ``(final parameters, result)``; the walk renders the clip with them,
+    and an overflow raises :class:`NumericError` naming the clip.  Returns
+    the group's (n, 3, H, W) uint8 frames and the results in order.
     """
     first, end = plan.goms[gom_index]
+    offset, end_frame = plan.gom_frame_range(gom_index)
+    frames = np.empty((end_frame - offset, 3, config.frame_height,
+                       config.frame_width), dtype=np.uint8)
     results = []
     prev_rand: ParamVector | None = None
     prev_theta: ParamVector | None = None
@@ -266,15 +255,21 @@ def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
         prev_rand, prev_theta = rand, None  # not kept alive in finish
         prev_theta, result = finish(gop_index, role, epsilon, theta_prime)
         results.append(result)
-    return results
+        start, stop = (i - offset for i in plan.gops[gop_index])
+        try:
+            render_video(config, prev_theta, frames[start:stop])
+        except NumericError as exc:
+            raise NumericError(f"clip {gop_index}: {exc}") from None
+    return frames, results
 
 
 def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
                 config: BackboneConfig, cfg: TrainConfig, gom_index: int):
-    """Train and code every model of one group (self-contained worker).
+    """Train, code and render one group's models (self-contained worker).
 
     ``frames`` holds the group's (n, 3, H, W) uint8 frames only.  Returns
-    one ``(record, log, payload, rendered frames)`` row per model.
+    the rendered frames, their per-frame MSE against ``frames`` and one
+    ``(record, log, payload)`` row per model.
     """
     offset = plan.gom_frame_range(gom_index)[0]
     normalized = RawVideo(width=config.frame_width,
@@ -311,10 +306,16 @@ def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
             index=gop_index, role=role, epsilon=float(epsilon),
             payload_bits=8 * len(payload),
             estimate_bits=estimate.total_bits, train_seconds=seconds,
-            final_mse=trained.final_mse, epoch_logs=trained.epoch_logs)
-        return trained.theta_star, (record, log, payload, trained.frames)
+            final_mse=float("nan"), epoch_logs=trained.epoch_logs)
+        return trained.theta_star, (record, log, payload)
 
-    return _walk_gom(config, cfg.seed, plan, gom_index, epsilon_of, finish)
+    rendered, rows = _walk_gom(config, cfg.seed, plan, gom_index,
+                               epsilon_of, finish)
+    mse = metrics.frame_mse(frames, rendered)
+    for _, log, _ in rows:  # scored once the walk has rendered the clip
+        start, stop = (i - offset for i in plan.gops[log.index])
+        log.final_mse = float(np.mean(mse[start:stop])) / 255.0 ** 2
+    return rendered, mse, rows
 
 
 def _gom_worker(args):
@@ -327,7 +328,9 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
     """Run the full encoder; returns the bitstream plus a report.
 
     ``jobs`` worker processes encode the model groups in parallel; no
-    more are started than there are groups.
+    more are started than there are groups.  Each group is scored as it
+    comes back; only its frames' squared errors are kept, and its frames
+    too when ``keep_reference`` asks for the reconstruction.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -347,27 +350,29 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
                 max_workers=min(jobs, plan.gom_count)) as pool:
-            gom_results = list(pool.map(_gom_worker, tasks))
+            groups = pool.map(_gom_worker, tasks)
     else:
-        gom_results = [_gom_worker(task) for task in tasks]
-
-    records, per_model, payloads, clips = map(list, zip(
-        *(row for rows in gom_results for row in rows)))
+        groups = map(_gom_worker, tasks)  # one group alive at a time
+    rows, mses, clips = [], [], []
+    for frames, mse, group_rows in groups:
+        rows += group_rows
+        mses.append(mse)
+        if keep_reference:
+            clips.append(frames)
+    records, per_model, payloads = map(list, zip(*rows))
 
     data = write_bitstream(video.width, video.height, video.frame_count,
                            plan.gop_size, plan.gom_size, cfg.seed,
                            config.precision, config_to_text(config),
                            records, payloads)
-
-    recon = RawVideo(width=config.frame_width, height=config.frame_height,
-                     frames=np.concatenate(clips))
-    quality = metrics.psnr(video, recon)
-    bpp = len(data) * 8.0 / video.pixel_count
-
     return EncodeResult(
-        data=data, per_model=per_model, bpp=bpp, psnr_mean=quality.mean,
+        data=data, per_model=per_model,
+        bpp=len(data) * 8.0 / video.pixel_count,
+        psnr_mean=metrics.psnr_of_mse(np.concatenate(mses)).mean,
         wall_seconds=time.perf_counter() - wall_start,
-        recon=recon if keep_reference else None)
+        recon=RawVideo(width=video.width, height=video.height,
+                       frames=np.concatenate(clips))
+        if keep_reference else None)
 
 
 def render_video(config: BackboneConfig, params: ParamVector,
@@ -386,17 +391,14 @@ def decode_gom(reader: BitstreamReader,
                gom_index: int) -> tuple[RawVideo, tuple[int, int]]:
     """Decode one group via random access; reads only its payload range.
 
-    Each model decodes its own payload and renders its clip once its
-    coder tables and symbols are freed.
+    Each model decodes its own payload, and the group walk renders its
+    clip once its coder tables and symbols are freed.
     """
     header = reader.header
     plan = header.plan
     if not 0 <= gom_index < plan.gom_count:
         raise ConfigError(f"gom index {gom_index} outside "
                           f"[0, {plan.gom_count})")
-    start, stop = plan.gom_frame_range(gom_index)
-    frames = np.empty((stop - start, 3, header.height, header.width),
-                      dtype=np.uint8)
 
     def finish(gop_index, role, epsilon, theta_prime):
         rec = header.records[gop_index]
@@ -410,17 +412,16 @@ def decode_gom(reader: BitstreamReader,
         if not np.isfinite(theta.flat.data).all():
             raise BitstreamError(f"model {gop_index}: scales and symbols "
                                  f"overflow the parameters")
-        first, end = (i - start for i in plan.gops[gop_index])
-        try:
-            render_video(header.config, theta, frames[first:end])
-        except NumericError as exc:
-            raise BitstreamError(f"clip {gop_index}: {exc}") from None
         return theta, None
 
-    _walk_gom(header.config, header.seed, plan, gom_index,
-              lambda gop_index: header.records[gop_index].epsilon, finish)
+    try:
+        frames, _ = _walk_gom(
+            header.config, header.seed, plan, gom_index,
+            lambda gop_index: header.records[gop_index].epsilon, finish)
+    except NumericError as exc:  # only the render raises it here
+        raise BitstreamError(str(exc)) from None
     return (RawVideo(width=header.width, height=header.height,
-                     frames=frames), (start, stop))
+                     frames=frames), plan.gom_frame_range(gom_index))
 
 
 def _decode_groups(reader: BitstreamReader, gom_index: int | None = None):

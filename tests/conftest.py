@@ -12,6 +12,7 @@ import pytest
 from clipcodec import ops
 from clipcodec.backbone import BackboneConfig, UpsampleStage
 from clipcodec.bitstream import _FIXED, BitstreamReader, _pack_header
+from clipcodec.coder import SymbolModel, build_models
 from clipcodec.errors import ShapeError
 from clipcodec.ratequant import layer_stats, rate_bits_train
 from clipcodec.tensor import Tensor
@@ -61,6 +62,22 @@ def concat_flat(xs) -> Tensor:
                 lambda g: tuple(part.reshape(shape) for part, shape
                                 in zip(np.split(g, cuts), shapes)))
     return out
+
+
+def sum_all(x: Tensor) -> Tensor:
+    """Sum of every element of ``x``, one ``np.sum``, as one tape node."""
+    out = ops._result(np.asarray(np.sum(x.data), dtype=x.dtype), (x,))
+    shape = x.shape
+    ops._record(out, (x,),
+                lambda g: (np.broadcast_to(g, shape).astype(x.dtype),))
+    return out
+
+
+def build_model(mu: float, sd: float, bound: int) -> SymbolModel:
+    """Discretize N(mu, sd^2) over [-bound, bound] into coder frequencies:
+    the one-layer case of :func:`build_models`."""
+    (model,) = build_models([mu], [sd], [bound])
+    return model
 
 
 def segment_leaves(params) -> dict:

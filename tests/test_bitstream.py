@@ -111,7 +111,7 @@ def test_header_corruption_detected():
 def test_payload_flip_detected_not_crash():
     data, records, payloads = _stream()
     reader = BitstreamReader.from_bytes(data)
-    offset = reader.header.payload_offset(1) + 3
+    offset = reader.header.offsets[1] + 3
     tampered = bytearray(data)
     tampered[offset] ^= 0x01
     with pytest.raises(BitstreamError, match="model 1"):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import clipcodec
-from clipcodec import detmath
+from clipcodec import cli, detmath
 from clipcodec.cli import main
 from clipcodec.errors import DataError
 from clipcodec.manifest import RunManifest
@@ -176,6 +176,39 @@ def test_manifest_not_an_object_exits_3(tmp_path):
     bad.write_text("[]")
     assert main(["encode", "--from-manifest", str(bad), "--out",
                  str(tmp_path / "never.bits")]) == 3
+
+
+def test_manifest_not_utf8_exits_3(tmp_path, capsys):
+    bad = tmp_path / "latin1.manifest.json"
+    bad.write_bytes(b'{"lam": "\xe9"}')
+    out = tmp_path / "never.bits"
+    assert main(["encode", "--from-manifest", str(bad), "--out",
+                 str(out)]) == 3
+    assert not out.exists()
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lam", "NaN"), ("lr_i", "Infinity"), ("schedule_b", "NaN"),
+    ("warmup_frac", "-Infinity"), ("lr_p", "1e400")])
+def test_manifest_non_finite_number_exits_3_before_reading_input(
+        workdir, tmp_path, capsys, monkeypatch, field, value):
+    # json reads NaN, Infinity and an overflowing literal as floats; the
+    # manifest refuses them before the input is read or a model trains
+    text = (workdir / "out.bits.manifest.json").read_text()
+    raw = json.loads(text)
+    bad = tmp_path / "bad.manifest.json"
+    bad.write_text(text.replace(f'"{field}": {json.dumps(raw[field])}',
+                                f'"{field}": {value}'))
+    assert json.loads(bad.read_text())[field] != raw[field]
+    loads = []
+    monkeypatch.setattr(cli.videomod, "load_raw",
+                        lambda *args: loads.append(args) or load_raw(*args))
+    out = tmp_path / "never.bits"
+    assert main(["encode", "--from-manifest", str(bad), "--out",
+                 str(out)]) == 3
+    assert not out.exists() and not loads
+    assert repr(field) in capsys.readouterr().err
 
 
 def test_missing_input_exits_3_without_partial_output(tmp_path):

@@ -12,13 +12,13 @@ from scipy.stats import norm
 
 from clipcodec import detmath
 from clipcodec.coder import (FLUSH_BYTES, FREQ_TOTAL, SymbolModel,
-                             build_model, build_models, decode_symbols,
-                             encode_symbols)
+                             build_models, decode_symbols, encode_symbols)
 from clipcodec.coder import _BOTTOM, _MASK, _TOP
 from clipcodec.errors import BitstreamError, ConfigError, DataError
 from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_FLOOR, LayerStats,
                                  rate_bits_eval)
 from clipcodec.seeds import make_rng
+from conftest import build_model
 
 
 def model_entropy_bits(model: SymbolModel) -> float:

@@ -8,7 +8,7 @@ from scipy.interpolate import CubicSpline
 
 from clipcodec.errors import DataError
 from clipcodec.metrics import (PSNR_CAP_DB, RDPoint, append_rd_row, bd_rate,
-                               psnr, read_rd_curve)
+                               frame_mse, psnr, psnr_of_mse, read_rd_curve)
 from clipcodec.video import RawVideo, synth_video
 
 
@@ -46,6 +46,22 @@ def test_psnr_symmetry():
     a = synth_video("moving-blob", 8, 8, 4, velocity=1, seed=1)
     b = synth_video("moving-blob", 8, 8, 4, velocity=1, seed=2)
     assert psnr(a, b).mean == psnr(b, a).mean
+
+
+def test_frame_mse_is_the_float64_mean_and_exact_per_group():
+    # every frame's value has the bits of the float64 mean over its own
+    # frame, so scoring a video group by group and joining the values
+    # gives the whole-video mean PSNR to the last bit
+    rng = np.random.default_rng(3)
+    a, b = (rng.integers(0, 256, (7, 3, 16, 16), dtype=np.uint8)
+            for _ in range(2))
+    diff = a.astype(np.float64) - b.astype(np.float64)
+    whole = frame_mse(a, b)
+    assert whole.tobytes() == np.mean(diff * diff, axis=(1, 2, 3)).tobytes()
+    parts = np.concatenate([frame_mse(a[:3], b[:3]), frame_mse(a[3:], b[3:])])
+    assert parts.tobytes() == whole.tobytes()
+    assert psnr_of_mse(parts).mean == psnr(_video_from(a),
+                                           _video_from(b)).mean
 
 
 def test_psnr_rejects_dim_mismatch():

@@ -25,7 +25,7 @@ from clipcodec.pipeline import (TrainConfig, decode_gom, decode_video,
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.params import ParamVector
 from clipcodec.ratequant import MAX_SYMBOL, QuantScale, initial_scales
-from clipcodec.seeds import STREAM_NOISE, make_rng, model_seed
+from clipcodec.seeds import STREAM_NOISE, make_rng
 from clipcodec.tensor import Tape, Tensor
 from clipcodec.video import synth_video
 from clipcodec.warmstart import EpsilonSchedule
@@ -350,7 +350,7 @@ def test_one_noise_draw_equals_per_layer_draws():
 
 def test_no_tape_is_alive_when_the_lattice_is_frozen(monkeypatch):
     # the last step's tape closes over every activation of that step; it
-    # must be gone before _freeze_lattice and the clip render run
+    # must be gone before _freeze_lattice runs
     config = small_config()
     video = synth_video("moving-blob", 16, 16, 2, velocity=1.0, seed=5)
     tapes, alive = [], []
@@ -393,13 +393,12 @@ def test_train_model_renders_each_frame_once(monkeypatch):
                           keep_reference=True)
     assert len(calls) == 2 * 2 + 1 * 2 + 2
     monkeypatch.undo()
-    assert np.array_equal(decode_video(result.data).frames,
-                          result.recon.frames)
-    model = train_model("I", video.normalized(np.float32)[:2],
-                        init_random(config, model_seed(cfg.seed, 0)),
-                        config, cfg, model_seed(cfg.seed, 0))
-    assert np.array_equal(model.frames, result.recon.frames[:2])
-    assert model.final_mse == result.per_model[0].final_mse
+    decoded = decode_video(result.data)
+    assert np.array_equal(decoded.frames, result.recon.frames)
+    for log, (start, stop) in zip(result.per_model, [(0, 2), (2, 4)]):
+        mse = metrics.frame_mse(video.frames[start:stop],
+                                decoded.frames[start:stop])
+        assert log.final_mse == float(np.mean(mse)) / 255.0 ** 2
 
 
 # ------------------------------------------------------- encode / decode
@@ -433,28 +432,34 @@ def test_psnr_mean_is_psnr_of_decoded_video(encoded_pair):
 
 def test_decoded_parameters_bit_identical(encoded_pair, monkeypatch):
     # the encoder's lattice-snapped parameters, as train_model returns
-    # them, are the parameters the decoder renders with, bit for bit
+    # them, are the parameters both the encoder and the decoder render
+    # with, bit for bit
     video, config, plan, cfg, result = encoded_pair
-    encoded, decoded = [], []
+    trained_thetas, rendered = [], {"encode": [], "decode": []}
     train, render = pipeline.train_model, pipeline.render_video
 
     def train_spy(*args, **kwargs):
         trained = train(*args, **kwargs)
-        encoded.append(trained.theta_star)
+        trained_thetas.append(trained.theta_star)
         return trained
 
-    def render_spy(config, params, frames):
-        decoded.append(params)
-        return render(config, params, frames)
+    def render_spy(side):
+        def spy(config, params, frames):
+            rendered[side].append(params)
+            return render(config, params, frames)
+        return spy
 
     monkeypatch.setattr(pipeline, "train_model", train_spy)
-    monkeypatch.setattr(pipeline, "render_video", render_spy)
+    monkeypatch.setattr(pipeline, "render_video", render_spy("encode"))
     assert encode_video(video, plan, config, cfg).data == result.data
+    monkeypatch.setattr(pipeline, "render_video", render_spy("decode"))
     decode_video(result.data)
-    assert len(encoded) == len(decoded) == plan.gop_count
-    for theta_encoded, theta_decoded in zip(encoded, decoded):
-        assert np.array_equal(theta_decoded.flat.data,
-                              theta_encoded.flat.data)
+    assert len(trained_thetas) == plan.gop_count
+    for side in rendered.values():
+        assert len(side) == plan.gop_count
+        for theta_trained, theta_rendered in zip(trained_thetas, side):
+            assert np.array_equal(theta_rendered.flat.data,
+                                  theta_trained.flat.data)
 
 
 def test_encode_determinism(encoded_pair):
@@ -502,8 +507,8 @@ def test_single_gom_decode_reads_only_its_range(encoded_pair):
     header_size = reader.header.header_size
     spy.reads.clear()
     decode_gom(reader, 1)
-    lo = reader.header.payload_offset(plan.goms[1][0])
-    hi = reader.header.payload_offset(plan.goms[1][1] - 1) \
+    lo = reader.header.offsets[plan.goms[1][0]]
+    hi = reader.header.offsets[plan.goms[1][1] - 1] \
         + reader.header.records[plan.goms[1][1] - 1].payload_len
     assert spy.reads
     for start, length in spy.reads:
@@ -728,8 +733,8 @@ def test_render_memory_flat_in_clip_length(gop_size):
 
 
 @pytest.mark.parametrize("layer, scale, message", [
-    (0, 3.4e38, "overflow the parameters"),
-    (4, 1e37, "non-finite activation")], ids=["params", "render"])
+    (0, 3.4e38, "model 0: scales and symbols overflow the parameters"),
+    (4, 1e37, "clip 0: non-finite activation")], ids=["params", "render"])
 def test_overflowing_scale_raises_bitstream_error(encoded_pair, layer, scale,
                                                   message):
     # a finite scale no encoder writes: symbol * scale overflows float32,

@@ -17,7 +17,7 @@ from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_FLOOR, SIGMA_TRAIN_FLOOR,
                                  residual, scaled_residual, widen_steps)
 from clipcodec.tensor import Tape, Tensor
 from conftest import (concat_flat, fd_gradient, layer_stats_of,
-                      rate_bits_layers, rel_error)
+                      rate_bits_layers, rel_error, sum_all)
 
 
 def _pv(values, name="w"):
@@ -265,7 +265,7 @@ def _rate_bits_train_per_layer(scaled, noise, stats):
         hi = ops.mul(ops.add(y, float(0.5 - mu)), inv_sd)
         lo = ops.mul(ops.add(y, float(-0.5 - mu)), inv_sd)
         p = ops.clamp_min(ops.gauss_mass(lo, hi), TRAIN_PROB_FLOOR)
-        bits = ops.mul(ops.sum_all(ops.neg(ops.log(p))), 1.4426950408889634)
+        bits = ops.mul(sum_all(ops.neg(ops.log(p))), 1.4426950408889634)
         total = bits if total is None else ops.add(total, bits)
     return total
 
@@ -297,7 +297,7 @@ def _run_rate(fn, dtype, seed):
             step = ops.exp(s)
             unit = ops.div(w, step)
             scaled.append(unit)
-            snapped.append(ops.sum_all(ops.mul(ops.ste_round(unit), step)))
+            snapped.append(sum_all(ops.mul(ops.ste_round(unit), step)))
         loss = fn(scaled, noise, stats)
         for term in snapped:
             loss = ops.add(loss, term)

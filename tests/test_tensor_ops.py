@@ -8,7 +8,7 @@ from clipcodec.backbone import forward_frame, init_random
 from clipcodec.errors import ShapeError, TapeError
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.tensor import Tape, Tensor
-from conftest import concat_flat, fd_gradient, rel_error
+from conftest import concat_flat, fd_gradient, rel_error, sum_all
 
 
 def test_matmul_shape_contract():
@@ -214,7 +214,7 @@ def test_elementwise_gradients_match_fd(op_name):
 
     def run():
         with Tape() as tape:
-            loss = ops.sum_all(fn(x))
+            loss = sum_all(fn(x))
         return loss, tape
 
     loss, tape = run()
@@ -291,8 +291,8 @@ def test_split_flat_views_one_node_and_gradient():
         # piece 3 enters twice and piece 2 not at all (zero gradient)
         a, b, _, d, e = ops.split_flat(x, shapes)
         return ops.add(ops.add(ops.mean_square(a), ops.mul(b, 3.0)),
-                       ops.add(ops.sum_all(ops.mul(d, w)),
-                               ops.mean_square(ops.add(d, ops.sum_all(
+                       ops.add(sum_all(ops.mul(d, w)),
+                               ops.mean_square(ops.add(d, sum_all(
                                    e)))))
 
     _leaf_gradients_match_fd([x], loss)
@@ -321,7 +321,7 @@ def test_broadcast_segments_reduces_each_segment_as_broadcasting(dtype):
          for v, shape in zip(x.data, shapes)]))
     g = rng.standard_normal(spread.size).astype(dtype) * 10.0
     with Tape() as tape:
-        loss = ops.sum_all(ops.mul(ops.broadcast_segments(x, shapes),
+        loss = sum_all(ops.mul(ops.broadcast_segments(x, shapes),
                                    ops.constant(g)))
     tape.backward(loss)
     start, want = 0, []
@@ -378,7 +378,7 @@ def test_ste_round_forward_and_gradient():
                dtype=np.float64)
     with Tape() as tape:
         out = ops.ste_round(x)
-        loss = ops.sum_all(out)
+        loss = sum_all(out)
     assert np.array_equal(out.data, [1.0, -1.0, 0.0, 3.0])
     tape.backward(loss)
     assert np.array_equal(x.grad, np.ones(4))  # identity pass-through
