@@ -16,9 +16,16 @@ The coder is two functions and no coder object: each keeps the coder
 state in local variables for the whole payload, with one loop per layer.
 The loop reads a symbol's width from the ``freqs`` list and its start
 from ``cum``; the decoder finds the symbol with one ``bisect_right`` over
-``cum`` without its last entry, which maps a target past
-``FREQ_TOTAL - 1`` to the last symbol, and shifts the decoded indices by
-the bound once per layer, in numpy.
+the symbol starts (``cum`` without its last entry), which maps a target
+past ``FREQ_TOTAL - 1`` to the last symbol, fills a preallocated index
+list and shifts the indices by the bound once per layer, in numpy.
+
+Both loops keep ``low + range <= 2^32`` on every input, valid or hostile:
+a symbol narrows the interval inside itself, a shift keeps it inside 2^32
+once the top bytes agree, and an underflow clip ends it on a multiple of
+2^24.  So a range of 2^24 or more spans two top bytes and never
+renormalizes, and both loops run the renormalization test only when the
+new range is below 2^24.  Most symbols of a low-entropy layer skip it.
 """
 
 from __future__ import annotations
@@ -145,13 +152,14 @@ def encode_symbols(symbols: list[np.ndarray],
             r = rng >> FREQ_BITS
             low += r * cum[idx]
             rng = r * freqs[idx]
-            while (low ^ (low + rng)) < _TOP or rng < _BOTTOM:
-                if (low ^ (low + rng)) >= _TOP:
-                    # underflow: clip the range down to the byte boundary
-                    rng = ((_MASK + 1) - low) & (_BOTTOM - 1)
-                out.append(low >> 24)
-                low = (low << 8) & _MASK
-                rng = rng << 8
+            if rng < _TOP:  # a wider range never renormalizes
+                while (low ^ (low + rng)) < _TOP or rng < _BOTTOM:
+                    if (low ^ (low + rng)) >= _TOP:
+                        # underflow: clip the range down to the byte boundary
+                        rng = ((_MASK + 1) - low) & (_BOTTOM - 1)
+                    out.append(low >> 24)
+                    low = (low << 8) & _MASK
+                    rng = rng << 8
     for _ in range(FLUSH_BYTES):
         out.append(low >> 24)
         low = (low << 8) & _MASK
@@ -179,30 +187,30 @@ def decode_symbols(payload: bytes, models: list[SymbolModel],
     for model, count in zip(models, counts):
         cum = model.cum.tolist()
         freqs = model.freqs.tolist()
-        # bisect below the last entry: a target past FREQ_TOTAL - 1 maps
-        # to the last symbol
-        last = len(cum) - 1
-        indices = []
-        append = indices.append
-        for _ in range(count):
+        # the symbol starts: a target past FREQ_TOTAL - 1 maps to the
+        # last symbol
+        starts = cum[:-1]
+        indices = [0] * count
+        for i in range(count):
             offset = code - low
             if not 0 <= offset < rng:
                 raise BitstreamError(f"range-coded payload disagrees with "
                                      f"its symbol tables at payload byte "
                                      f"{pos}")
             r = rng >> FREQ_BITS
-            idx = bisect_right(cum, offset // r, 0, last) - 1
+            idx = bisect_right(starts, offset // r) - 1
             low += r * cum[idx]
             rng = r * freqs[idx]
-            while (low ^ (low + rng)) < _TOP or rng < _BOTTOM:
-                if (low ^ (low + rng)) >= _TOP:
-                    rng = ((_MASK + 1) - low) & (_BOTTOM - 1)
-                byte = payload[pos] if pos < size else 0
-                pos += 1
-                code = ((code << 8) | byte) & _MASK
-                low = (low << 8) & _MASK
-                rng = rng << 8
-            append(idx)
+            if rng < _TOP:  # a wider range never renormalizes
+                while (low ^ (low + rng)) < _TOP or rng < _BOTTOM:
+                    if (low ^ (low + rng)) >= _TOP:
+                        rng = ((_MASK + 1) - low) & (_BOTTOM - 1)
+                    byte = payload[pos] if pos < size else 0
+                    pos += 1
+                    code = ((code << 8) | byte) & _MASK
+                    low = (low << 8) & _MASK
+                    rng = rng << 8
+            indices[i] = idx
         out.append(np.asarray(indices, dtype=np.int32)
                    - np.int32(model.bound))
     if pos != size:

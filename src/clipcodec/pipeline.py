@@ -228,9 +228,13 @@ def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
               gom_index: int, epsilon_of, finish):
     """The I/P warm-start chain of one group, shared by encoder and decoder.
 
-    Each model draws its seeded random init.  The I model starts from that
-    init; every P model starts from ``interpolate_init`` of its
-    predecessor's init and final parameters at ``epsilon_of(gop_index)``.
+    The I model starts from its seeded random init; every P model starts
+    from ``interpolate_init`` of its predecessor's init and final
+    parameters at ``epsilon_of(gop_index)``.  So a model draws its init
+    only where it is read: every I model, and a P model with a successor
+    in the group.  Each draw depends on its model's seed alone, so skipping
+    the group's last P draw changes no value of the chain, and another
+    decoder that draws every init decodes the same frames.
     ``finish(gop_index, role, epsilon, theta_prime)`` turns the start into
     ``(final parameters, result)``; the walk renders the clip with them,
     and an overflow raises :class:`NumericError` naming the clip.  Returns
@@ -244,8 +248,9 @@ def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
     prev_rand: ParamVector | None = None
     prev_theta: ParamVector | None = None
     for gop_index in range(first, end):
-        rand = init_random(config, model_seed(seed, gop_index))
         role = plan.role_of(gop_index)
+        rand = (init_random(config, model_seed(seed, gop_index))
+                if role == ROLE_I or gop_index + 1 < end else None)
         if role == ROLE_I:
             epsilon, theta_prime = np.float32(0.0), rand
         else:

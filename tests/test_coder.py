@@ -380,6 +380,13 @@ _models = st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(1e-4, 40.0),
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), _models, st.integers(0, 2 ** 16))
+# Long, low-entropy layers: thousands of consecutive symbols leave the
+# range at 2^24 or more and skip renormalization, and it falls below 2^24
+# again and again.  Seed 7 samples both layers from their models; seed 6
+# samples the first and last and draws the middle one uniformly.
+@example(7, [(0.33, 0.05, 3, 20000), (0.36, 0.05, 1, 20000)], 12345)
+@example(6, [(0.4, 0.03, 2, 12000), (-0.36, 0.05, 1, 2000),
+             (0.0, 0.01, 3, 20000)], 777)
 def test_layer_loops_match_per_symbol_coder(seed, specs, where):
     rng = make_rng(seed)
     models = [build_model(mu, sd, bound) for mu, sd, bound, _ in specs]

@@ -49,8 +49,8 @@ def streams(tmp_path_factory):
 
 def test_encode_peak_flat_in_frame_count():
     # each group is scored as it is rendered and only its frames' squared
-    # errors are kept, so 8x the frames is not 8x the peak (2.40 MB
-    # against 2.35 MB on numpy 2.4, CPython 3.11)
+    # errors are kept, so 8x the frames is not 8x the peak (2.35 MB
+    # against 2.31 MB on numpy 2.4, CPython 3.11)
     def peak(frames):
         video = _video(frames)
         return _traced_peak(lambda: encode_video(
@@ -61,7 +61,7 @@ def test_encode_peak_flat_in_frame_count():
 
 def test_cli_decode_peak_flat_in_frame_count(streams):
     # the CLI writes group by group, so 8x the frames is not 8x the peak
-    # (1.01 MB against 0.96 MB on numpy 2.4, CPython 3.11)
+    # (0.83 MB against 0.79 MB on numpy 2.4, CPython 3.11)
     def peak(frames):
         bits = streams[frames][0]
         return _traced_peak(lambda: main(["decode", str(bits),

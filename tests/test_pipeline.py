@@ -25,7 +25,7 @@ from clipcodec.pipeline import (TrainConfig, decode_gom, decode_video,
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.params import ParamVector
 from clipcodec.ratequant import MAX_SYMBOL, QuantScale, initial_scales
-from clipcodec.seeds import STREAM_NOISE, make_rng
+from clipcodec.seeds import STREAM_NOISE, make_rng, model_seed
 from clipcodec.tensor import Tape, Tensor
 from clipcodec.video import synth_video
 from clipcodec.warmstart import EpsilonSchedule
@@ -530,6 +530,48 @@ def test_decode_gom_with_short_last_clip_and_partial_last_group():
         part, (start, stop) = decode_gom(reader, gom_index)
         assert (start, stop) == plan.gom_frame_range(gom_index)
         assert np.array_equal(part.frames, full.frames[start:stop])
+
+
+@pytest.mark.parametrize("frames, gop_size, gom_size", [
+    (10, 5, 2),  # one group, I then P
+    (7, 2, 3),   # I P P, then a lone I model
+    (6, 2, 1),   # every model an I model
+], ids=["ends-in-P", "lone-I-last", "all-I"])
+def test_random_inits_drawn_only_where_read(monkeypatch, frames, gop_size,
+                                            gom_size):
+    # an I model starts from its draw; a P model's draw is read only by its
+    # successor, so a group's last P model draws none
+    config = small_config()
+    video = synth_video("moving-blob", 16, 16, frames, velocity=1.0, seed=2)
+    plan = partition(frames, gop_size, gom_size)
+    cfg = quick_cfg(epochs_i=1, epochs_p=1)
+    unread = {end - 1 for first, end in plan.goms if end - 1 > first}
+
+    def read_draws(first, end):
+        return [model_seed(cfg.seed, g) for g in range(first, end)
+                if g not in unread]
+
+    drawn = []
+
+    def spy(config, seed):
+        drawn.append(seed)
+        return init_random(config, seed)
+
+    monkeypatch.setattr(pipeline, "init_random", spy)
+    result = encode_video(video, plan, config, cfg, keep_reference=True)
+    expected = read_draws(0, plan.gop_count)
+    assert len(expected) == plan.gop_count - sum(
+        plan.role_of(end - 1) == "P" for _, end in plan.goms)
+    assert drawn == expected
+    drawn.clear()
+    assert np.array_equal(decode_video(result.data).frames,
+                          result.recon.frames)
+    assert drawn == expected
+    reader = BitstreamReader.from_bytes(result.data)
+    for gom_index, (first, end) in enumerate(plan.goms):
+        drawn.clear()
+        decode_gom(reader, gom_index)
+        assert drawn == read_draws(first, end)
 
 
 def test_decode_frame_count_and_range(encoded_pair):
