@@ -40,14 +40,14 @@ def best_epsilon_for(video, gop_size, config, cfg, grid):
     rand0 = init_random(config, model_seed(cfg.seed, 0))
     base = train_model("I", clip0, rand0, config, cfg,
                        model_seed(cfg.seed, 0))
-    rand1 = init_random(config, model_seed(cfg.seed, 1))
 
     best_eps, best_loss = None, None
     for eps in grid:
         init = interpolate_init(rand0, base.theta_star, eps)
         trained = train_model("P", clip1, init, config, cfg,
                               model_seed(cfg.seed, 1))
-        bits = rate_bits_eval(trained.symbols, trained.stats).total_bits
+        bits = float(rate_bits_eval(trained.symbols, trained.mu,
+                                    trained.sd).sum())
         # the decoded clip's MSE, on the [0, 1] scale training uses
         render_video(config, trained.theta_star, rendered)
         mse = float(np.mean(frame_mse(target1, rendered))) / 255.0 ** 2
@@ -56,7 +56,7 @@ def best_epsilon_for(video, gop_size, config, cfg, grid):
               f"mse={mse:.6f} loss={loss:10.1f}")
         if best_loss is None or loss < best_loss:
             best_loss, best_eps = loss, eps
-    return gap.mse, best_eps
+    return gap, best_eps
 
 
 def main() -> int:

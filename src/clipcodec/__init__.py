@@ -17,9 +17,8 @@ from .metrics import RDPoint, bd_rate, psnr
 from .params import ParamVector
 from .pipeline import (EncodeResult, PartitionPlan, TrainConfig, decode_gom,
                        decode_video, encode_video, partition, train_model)
-from .ratequant import (LayerStats, QuantScale, RateEstimate, quantize,
-                        rate_bits_eval, residual)
+from .ratequant import quantize, rate_bits_eval, residual
 from .tensor import Tape, Tensor
 from .video import RawVideo, load_raw, save_raw, synth_video
-from .warmstart import (EpsilonSchedule, GopGap, epsilon_for, fit_schedule,
+from .warmstart import (EpsilonSchedule, epsilon_for, fit_schedule,
                         gop_gap_mse, interpolate_init)

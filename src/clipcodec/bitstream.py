@@ -375,6 +375,8 @@ class BitstreamReader:
 
 def dump_header_text(header: BitstreamHeader) -> str:
     """Human-readable header rendering for the --dump-header mode."""
+    params = sum(spec.count for spec in param_layout(header.config))
+    n = header.frame_count  # decode work as docs/bitstream.md counts it
     lines = [
         f"magic/version: {MAGIC.decode()} v{VERSION}",
         f"video: {header.width}x{header.height}, {header.frame_count} frames",
@@ -383,6 +385,9 @@ def dump_header_text(header: BitstreamHeader) -> str:
         f"precision: {header.precision}",
         f"layers per model: {header.n_layers}",
         f"models: {len(header.records)}",
+        f"parameters per model: {params}",
+        f"decode work: {len(header.records) * params} symbols, {n} frame "
+        f"renders, {3 * n * header.height * header.width} output bytes",
         "backbone config:",
     ]
     lines += ["  | " + line for line in header.config_text.rstrip().split("\n")]

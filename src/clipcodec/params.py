@@ -61,7 +61,11 @@ class ParamVector:
     def spread(self, values) -> np.ndarray:
         """One value per segment, cast to the dtype and repeated over the
         segment's elements."""
-        return np.repeat(np.asarray(values, dtype=self.dtype), self.sizes)
+        values = np.asarray(values, dtype=self.dtype)
+        if values.shape != (len(self.sizes),):
+            raise LayoutError(f"{values.size} values for {len(self.sizes)} "
+                              f"segments")
+        return np.repeat(values, self.sizes)
 
     @property
     def dtype(self):

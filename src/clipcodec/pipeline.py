@@ -37,10 +37,9 @@ from .coder import build_models, decode_symbols, encode_symbols
 from .errors import BitstreamError, ConfigError, NumericError
 from .optim import adam_init, adam_step, lr_at
 from .params import ParamVector
-from .ratequant import (LayerStats, QuantScale, apply_residual,
-                        initial_scales, layer_stats, quantize, rate_bits_eval,
-                        rate_bits_train, residual, scaled_residual,
-                        widen_steps)
+from .ratequant import (apply_residual, initial_scales, layer_stats,
+                        quantize, rate_bits_eval, rate_bits_train, residual,
+                        scaled_residual, widen_steps)
 from .seeds import STREAM_NOISE, make_rng, model_seed
 from .tensor import Tape, Tensor
 from .video import RawVideo, denormalize
@@ -75,7 +74,7 @@ def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
                        theta_star: ParamVector, log_scales: ParamVector,
                        target_hw3: np.ndarray, t_norm: float, lam: float,
                        noise):
-    """Build one training-step graph; returns (loss, rate, mse, stats).
+    """Build one training-step graph; returns (loss, rate, mse, (mu, sd)).
 
     Rendering uses the warm start plus the straight-through-rounded
     residual on the trained lattice, so train-time distortion equals
@@ -101,20 +100,21 @@ def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
                       ops.broadcast_segments(steps, shapes))
     effective = dict(zip(theta_star.names,
                          ops.split_flat(ops.add(prime, snapped), shapes)))
-    stats = layer_stats(unit.data, theta_star.sizes, theta_star.names)
-    rate = rate_bits_train(unit, noise, stats, theta_star.sizes)
+    mu, sd = layer_stats(unit.data, theta_star.sizes)
+    rate = rate_bits_train(unit, noise, mu, sd, theta_star.sizes)
     frame = forward_frame(config, effective, t_norm)
     mse = ops.mean_square(ops.sub(frame, ops.constant(target_hw3)))
     loss = ops.add(rate, ops.mul(mse, lam))
-    return loss, rate, mse, stats
+    return loss, rate, mse, (mu, sd)
 
 
 @dataclass
 class TrainedModel:
     theta_star: ParamVector          # lattice-snapped final parameters
     symbols: list[np.ndarray]        # per-layer integer residual symbols
-    scales: QuantScale
-    stats: LayerStats
+    scale: np.ndarray                # (L,) float32 steps, layout order
+    mu: np.ndarray                   # (L,) float32 scaled-residual mean
+    sd: np.ndarray                   # (L,) float32 scaled-residual sd
     epoch_logs: list[dict]
 
 
@@ -125,16 +125,15 @@ def _freeze_lattice(theta_prime: ParamVector, theta_star: ParamVector,
     A layer's trained step ``exp(log_scale)`` is widened where its peak
     symbol would pass the coder's alphabet, before anything uses it: the
     stats, the recorded scale and the reconstruction all see one step.
+    Returns the fields of :class:`TrainedModel` in order, less the logs.
     """
-    names = theta_prime.names
     delta = residual(theta_star, theta_prime)
-    scales = widen_steps(delta, QuantScale(names, np.asarray(
-        detmath.exp(log_scales.flat.data), dtype=np.float32)))
-    scaled = scaled_residual(delta, scales)
+    scale = widen_steps(delta, detmath.exp(log_scales.flat.data))
+    scaled = scaled_residual(delta, scale)
     symbols = quantize(scaled)
-    stats = layer_stats(scaled.flat.data, scaled.sizes, names)
-    theta_final = apply_residual(theta_prime, symbols, scales)
-    return theta_final, symbols, scales, stats
+    mu, sd = layer_stats(scaled.flat.data, scaled.sizes)
+    theta_final = apply_residual(theta_prime, symbols, scale)
+    return theta_final, symbols, scale, mu, sd
 
 
 def train_model(role: str, frames: np.ndarray, init: ParamVector,
@@ -156,7 +155,7 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
     theta_star = init.clone(requires_grad=True)
     log_scales = ParamVector(
         [(name, ()) for name in init.names],
-        Tensor(np.asarray(detmath.log(initial_scales(init).values),
+        Tensor(np.asarray(detmath.log(initial_scales(init)),
                           dtype=dtype), requires_grad=True))
     opt_theta = adam_init(theta_star)
     opt_scales = adam_init(log_scales)
@@ -196,10 +195,8 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
     # the Adam step took 5x the page faults: docs/resources.md)
     tape = None
 
-    theta_final, symbols, scales, stats = _freeze_lattice(
-        theta_prime, theta_star, log_scales)
-    return TrainedModel(theta_star=theta_final, symbols=symbols,
-                        scales=scales, stats=stats, epoch_logs=epoch_logs)
+    return TrainedModel(*_freeze_lattice(theta_prime, theta_star, log_scales),
+                        epoch_logs=epoch_logs)
 
 
 @dataclass
@@ -286,8 +283,8 @@ def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
         return normalized[start - offset:stop - offset]
 
     def epsilon_of(gop_index):
-        gap = gop_gap_mse(clip(gop_index - 1), clip(gop_index))
-        return np.float32(epsilon_for(gap, cfg.schedule))
+        mse = gop_gap_mse(clip(gop_index - 1), clip(gop_index))
+        return np.float32(epsilon_for(mse, cfg.schedule))
 
     def finish(gop_index, role, epsilon, theta_prime):
         tic = time.perf_counter()
@@ -298,19 +295,19 @@ def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
         bounds = np.asarray(
             [max(1, int(np.max(np.abs(sym))) if sym.size else 1)
              for sym in trained.symbols], dtype=np.uint32)
-        models = build_models(trained.stats.mu, trained.stats.sd, bounds)
+        models = build_models(trained.mu, trained.sd, bounds)
         payload = encode_symbols(trained.symbols, models,
                                  names=tuple(theta_prime.names))
-        estimate = rate_bits_eval(trained.symbols, trained.stats)
+        estimate = rate_bits_eval(trained.symbols, trained.mu, trained.sd)
         record = ModelRecord(
             index=gop_index, role=role, epsilon=float(epsilon),
-            scale=trained.scales.values, mu=trained.stats.mu,
-            sd=trained.stats.sd, bound=bounds, payload_len=len(payload),
+            scale=trained.scale, mu=trained.mu, sd=trained.sd,
+            bound=bounds, payload_len=len(payload),
             payload_crc=zlib.crc32(payload))
         log = ModelLog(
             index=gop_index, role=role, epsilon=float(epsilon),
             payload_bits=8 * len(payload),
-            estimate_bits=estimate.total_bits, train_seconds=seconds,
+            estimate_bits=float(estimate.sum()), train_seconds=seconds,
             final_mse=float("nan"), epoch_logs=trained.epoch_logs)
         return trained.theta_star, (record, log, payload)
 
@@ -410,9 +407,8 @@ def decode_gom(reader: BitstreamReader,
         symbols = decode_symbols(reader.read_payload(gop_index),
                                  build_models(rec.mu, rec.sd, rec.bound),
                                  theta_prime.sizes)
-        scales = QuantScale(theta_prime.names, rec.scale.astype(np.float32))
         with np.errstate(over="ignore"):  # refused just below
-            theta = apply_residual(theta_prime, symbols, scales)
+            theta = apply_residual(theta_prime, symbols, rec.scale)
         del symbols
         if not np.isfinite(theta.flat.data).all():
             raise BitstreamError(f"model {gop_index}: scales and symbols "

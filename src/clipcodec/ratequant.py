@@ -13,14 +13,14 @@ fitted to the scaled residual, convolved with a unit uniform:
   same Gaussian, which is what the entropy coder's tables discretize.
 
 Layer statistics live in the scaled domain, so the stored (mu, sd) pairs
-directly parameterize the integer-symbol models used by the coder.
+directly parameterize the integer-symbol models used by the coder.  Steps,
+statistics and bit estimates are (L,) arrays in layout order; only the
+:class:`ParamVector` they meet names the layers.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,75 +48,28 @@ INIT_SYMBOL_SPAN = 128.0
 _INV_LN2 = 1.4426950408889634
 
 
-@dataclass(frozen=True)
-class QuantScale:
-    """Per-layer quantization step (frozen, float32)."""
-
-    names: tuple[str, ...]
-    values: np.ndarray  # (L,) float32, > 0
-
-    def __post_init__(self):
-        if len(self.names) != len(self.values):
-            raise LayoutError("scale count does not match layer count")
-        if not np.all(self.values > 0):
-            bad = self.names[int(np.argmin(self.values))]
-            raise ConfigError(f"non-positive quantization scale for {bad!r}")
-
-
-@dataclass(frozen=True)
-class LayerStats:
-    """Per-layer mean/std of the scaled residual (frozen, float32)."""
-
-    names: tuple[str, ...]
-    mu: np.ndarray  # (L,) float32
-    sd: np.ndarray  # (L,) float32, >= SIGMA_FLOOR
-
-    def __post_init__(self):
-        if not (len(self.names) == len(self.mu) == len(self.sd)):
-            raise LayoutError("stats arrays do not match layer count")
-        if not np.all(self.sd >= np.float32(SIGMA_FLOOR) * np.float32(0.5)):
-            raise ConfigError("standard deviation below floor")
-
-
-@dataclass(frozen=True)
-class RateEstimate:
-    """Total and per-layer bit estimates (non-negative)."""
-
-    total_bits: float
-    per_layer: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.per_layer < 0):
-            raise NumericError("negative per-layer bit estimate")
-        if not math.isclose(self.total_bits, float(self.per_layer.sum()),
-                            rel_tol=1e-9, abs_tol=1e-6):
-            raise NumericError("total bits != sum of per-layer bits")
-
-
 def residual(theta_star: ParamVector, theta_prime: ParamVector) -> ParamVector:
     """Elementwise coding target: trained minus warm-start parameters."""
     theta_star.check_same_layout(theta_prime)
     return theta_star.with_flat(theta_star.flat.data - theta_prime.flat.data)
 
 
-def initial_scales(init: ParamVector) -> QuantScale:
-    """Step sizes proportional to each layer's initialization magnitude."""
+def initial_scales(init: ParamVector) -> np.ndarray:
+    """(L,) float32 step sizes proportional to each layer's initialization
+    magnitude."""
     values = []
     for segment in init.split(init.flat.data):
         span = float(np.max(np.abs(segment)))
         if span == 0.0:
             span = 1.0
         values.append(span / INIT_SYMBOL_SPAN)
-    return QuantScale(tuple(init.names),
-                      np.asarray(values, dtype=np.float32))
+    return np.asarray(values, dtype=np.float32)
 
 
-def scaled_residual(delta: ParamVector, scales: QuantScale) -> ParamVector:
+def scaled_residual(delta: ParamVector, scales: np.ndarray) -> ParamVector:
     """``delta / scale`` per layer: what :func:`quantize` rounds and
     :func:`layer_stats` describes."""
-    if tuple(delta.names) != scales.names:
-        raise LayoutError("scale layout does not match parameter layout")
-    return delta.with_flat(delta.flat.data / delta.spread(scales.values))
+    return delta.with_flat(delta.flat.data / delta.spread(scales))
 
 
 def quantize(scaled: ParamVector) -> list[np.ndarray]:
@@ -134,8 +87,9 @@ def quantize(scaled: ParamVector) -> list[np.ndarray]:
     return [sym.astype(np.int32) for sym in symbols]
 
 
-def widen_steps(delta: ParamVector, scales: QuantScale) -> QuantScale:
-    """Steps that keep every symbol of ``delta`` inside ``MAX_SYMBOL``.
+def widen_steps(delta: ParamVector, scales: np.ndarray) -> np.ndarray:
+    """(L,) float32 steps that keep every symbol of ``delta`` inside
+    ``MAX_SYMBOL``.
 
     A layer whose peak symbol would pass the bound gets the smallest
     float32 step whose peak is ``MAX_SYMBOL``; every other layer keeps its
@@ -144,9 +98,9 @@ def widen_steps(delta: ParamVector, scales: QuantScale) -> QuantScale:
     operations (division, ``nextafter``), so every IEEE host finds the
     same step.
     """
-    if tuple(delta.names) != scales.names:
-        raise LayoutError("scale layout does not match parameter layout")
-    values = scales.values.copy()
+    values = np.array(scales, dtype=np.float32)
+    if len(values) != len(delta.names):
+        raise LayoutError(f"{len(values)} steps for {len(delta.names)} layers")
     limit = MAX_SYMBOL + 0.5  # round-half-away sends this up to MAX + 1
     for i, (name, segment) in enumerate(zip(delta.names,
                                             delta.split(delta.flat.data))):
@@ -170,27 +124,25 @@ def widen_steps(delta: ParamVector, scales: QuantScale) -> QuantScale:
             raise NumericError(f"layer {name!r}: residual peak {top} needs "
                                f"a step past float32")
         values[i] = step
-    return QuantScale(scales.names, values)
+    return values
 
 
 def apply_residual(theta_prime: ParamVector, symbols: list[np.ndarray],
-                   scales: QuantScale) -> ParamVector:
+                   scales: np.ndarray) -> ParamVector:
     """Lattice snap shared by encoder and decoder: prime + symbol * scale.
 
     Both sides run this exact arithmetic, so the resulting parameters are
     bit-identical whether the symbols came from training or the stream.
     """
-    if tuple(theta_prime.names) != scales.names:
-        raise LayoutError("scale layout does not match parameter layout")
     sym = np.concatenate([s.reshape(-1) for s in symbols])
     return theta_prime.with_flat(
         theta_prime.flat.data
-        + sym.astype(theta_prime.dtype) * theta_prime.spread(scales.values))
+        + sym.astype(theta_prime.dtype) * theta_prime.spread(scales))
 
 
-def layer_stats(scaled: np.ndarray, sizes, names: tuple[str, ...]) -> LayerStats:
-    """Mean/std of each layer's scaled residual, floored and frozen to
-    float32.
+def layer_stats(scaled: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, sd): mean/std of each layer's scaled residual, floored and
+    frozen to (L,) float32 arrays.
 
     ``scaled`` holds every layer's values, flattened and joined in layout
     order, with ``sizes`` giving each layer's element count.  The bits are
@@ -200,9 +152,9 @@ def layer_stats(scaled: np.ndarray, sizes, names: tuple[str, ...]) -> LayerStats
     once over all layers.
     """
     sizes = list(sizes)
-    if len(sizes) != len(names) or sum(sizes) != scaled.size:
-        raise LayoutError(f"stats got {len(sizes)} layers of {scaled.size} "
-                          f"values for {len(names)} names")
+    if sum(sizes) != scaled.size:
+        raise LayoutError(f"stats got {len(sizes)} layers of {sum(sizes)} "
+                          f"values in all for {scaled.size} values")
     ends = list(itertools.accumulate(sizes))
     spans = list(zip([0] + ends[:-1], ends))
     mean = np.array([np.add.reduce(scaled[a:b], dtype=np.float64)
@@ -211,12 +163,12 @@ def layer_stats(scaled: np.ndarray, sizes, names: tuple[str, ...]) -> LayerStats
     dev -= np.repeat(mean, sizes)
     dev *= dev
     var = np.array([np.add.reduce(dev[a:b]) for a, b in spans]) / sizes
-    return LayerStats(tuple(names), mean.astype(np.float32),
-                      np.maximum(np.sqrt(var), SIGMA_FLOOR).astype(np.float32))
+    return (mean.astype(np.float32),
+            np.maximum(np.sqrt(var), SIGMA_FLOOR).astype(np.float32))
 
 
-def rate_bits_train(flat: Tensor, noise: np.ndarray, stats: LayerStats,
-                    sizes) -> Tensor:
+def rate_bits_train(flat: Tensor, noise: np.ndarray, mu: np.ndarray,
+                    sd: np.ndarray, sizes) -> Tensor:
     """Differentiable bit estimate at (scaled residual + uniform noise).
 
     ``flat`` holds every layer's scaled residual, flattened and joined in
@@ -236,39 +188,41 @@ def rate_bits_train(flat: Tensor, noise: np.ndarray, stats: LayerStats,
     """
     sizes = list(sizes)
     u = noise.reshape(-1)
-    if not (len(sizes) == len(stats.names)
+    if not (len(sizes) == len(mu) == len(sd)
             and sum(sizes) == u.size == flat.size):
         raise LayoutError(f"rate term got {len(sizes)} layers of "
                           f"{flat.size} values, {u.size} noise values and "
-                          f"{len(stats.names)} layer stats")
+                          f"{len(mu)}/{len(sd)} layer stats")
 
     def per_element(values) -> Tensor:
         return ops.constant(np.repeat(np.asarray(values, dtype=flat.dtype),
                                       sizes))
 
-    inv_sd = per_element([1.0 / max(float(sd), SIGMA_TRAIN_FLOOR)
-                          for sd in stats.sd])
+    inv_sd = per_element([1.0 / max(float(s), SIGMA_TRAIN_FLOOR)
+                          for s in sd])
     y = ops.add(flat, ops.constant(u.astype(flat.dtype)))
-    hi = ops.mul(ops.add(y, per_element([float(0.5 - mu)
-                                         for mu in stats.mu])), inv_sd)
-    lo = ops.mul(ops.add(y, per_element([float(-0.5 - mu)
-                                         for mu in stats.mu])), inv_sd)
+    hi = ops.mul(ops.add(y, per_element([float(0.5 - m) for m in mu])),
+                 inv_sd)
+    lo = ops.mul(ops.add(y, per_element([float(-0.5 - m) for m in mu])),
+                 inv_sd)
     p = ops.clamp_min(ops.gauss_mass(lo, hi), TRAIN_PROB_FLOOR)
     nats = ops.segment_sum(ops.neg(ops.log(p)), sizes)
     return ops.sum_ordered(ops.mul(nats, _INV_LN2))
 
 
-def rate_bits_eval(symbols: list[np.ndarray], stats: LayerStats) -> RateEstimate:
-    """Bit estimate at hard symbols via Gaussian interval masses."""
+def rate_bits_eval(symbols: list[np.ndarray], mu: np.ndarray,
+                   sd: np.ndarray) -> np.ndarray:
+    """(L,) float64 bit estimates at hard symbols via Gaussian interval
+    masses, one per layer."""
     per_layer = np.empty(len(symbols), dtype=np.float64)
-    for i, (sym, mu, sd) in enumerate(zip(symbols, stats.mu, stats.sd)):
+    for i, (sym, m, s) in enumerate(zip(symbols, mu, sd)):
         if sym.size == 0:
             per_layer[i] = 0.0
             continue
         k = sym.astype(np.float64)
-        inv_sd = 1.0 / float(sd)
-        mass = detmath.norm_cdf_diff((k - 0.5 - mu) * inv_sd,
-                                     (k + 0.5 - mu) * inv_sd)
+        inv_sd = 1.0 / float(s)
+        mass = detmath.norm_cdf_diff((k - 0.5 - m) * inv_sd,
+                                     (k + 0.5 - m) * inv_sd)
         bits = -detmath.log2(np.maximum(mass, EVAL_PROB_FLOOR))
         per_layer[i] = float(np.sum(bits))
-    return RateEstimate(float(per_layer.sum()), per_layer)
+    return per_layer

@@ -40,19 +40,7 @@ class EpsilonSchedule:
             raise ConfigError(f"schedule needs b >= 0, got b={self.b}")
 
 
-@dataclass(frozen=True)
-class GopGap:
-    """Mean-squared error between position-aligned frames of two clips."""
-
-    mse: float
-    pairs: int
-
-    def __post_init__(self):
-        if self.mse < 0:
-            raise DataError(f"negative gap mse {self.mse}")
-
-
-def gop_gap_mse(prev_frames: np.ndarray, cur_frames: np.ndarray) -> GopGap:
+def gop_gap_mse(prev_frames: np.ndarray, cur_frames: np.ndarray) -> float:
     """Average per-pixel squared difference over aligned frame pairs.
 
     Clips of unequal length are truncated to the shorter one.  Frames are
@@ -66,12 +54,12 @@ def gop_gap_mse(prev_frames: np.ndarray, cur_frames: np.ndarray) -> GopGap:
     pairs = min(len(prev_frames), len(cur_frames))
     diff = (prev_frames[:pairs].astype(np.float64)
             - cur_frames[:pairs].astype(np.float64))
-    return GopGap(float(np.mean(diff * diff)), pairs)
+    return float(np.mean(diff * diff))
 
 
-def epsilon_for(gap: GopGap, schedule: EpsilonSchedule) -> float:
-    """Blend fraction for a measured clip gap, clamped into [0, 1]."""
-    raw = 1.0 - schedule.a * float(detmath.exp(-schedule.b * gap.mse))
+def epsilon_for(mse: float, schedule: EpsilonSchedule) -> float:
+    """Blend fraction for a measured clip gap mse, clamped into [0, 1]."""
+    raw = 1.0 - schedule.a * float(detmath.exp(-schedule.b * mse))
     return min(max(raw, 0.0), 1.0)
 
 

@@ -94,17 +94,18 @@ def joined(leaves: dict) -> np.ndarray:
 
 def rate_bits_layers(scaled, noise, stats):
     """``rate_bits_train`` of one tensor and one noise array per layer,
-    joined in layout order as the training step joins them."""
+    joined in layout order as the training step joins them; ``stats`` is
+    ``(mu, sd)``."""
     return rate_bits_train(concat_flat(scaled),
                            np.concatenate([u.reshape(-1) for u in noise]),
-                           stats, [t.size for t in scaled])
+                           *stats, [t.size for t in scaled])
 
 
-def layer_stats_of(scaled, names):
+def layer_stats_of(scaled):
     """``layer_stats`` of one array per layer, joined in layout order as
-    the training step joins them."""
+    the training step joins them: ``(mu, sd)``."""
     return layer_stats(np.concatenate([a.reshape(-1) for a in scaled]),
-                       [a.size for a in scaled], names)
+                       [a.size for a in scaled])
 
 
 class PerSegmentAdam:

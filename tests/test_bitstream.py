@@ -161,6 +161,11 @@ def test_dump_header_text_mentions_fields():
     assert "gop_size=10" in text
     assert "role=P" in text
     assert "kind = coord-mlp" in text
+    # 3 models of the 419 parameters of param_layout, 30 frames of 16x16
+    lines = text.split("\n")
+    assert "parameters per model: 419" in lines
+    assert ("decode work: 1257 symbols, 30 frame renders, 23040 output bytes"
+            in lines)
 
 
 def test_write_rejects_mismatched_payload():

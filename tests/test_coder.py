@@ -15,8 +15,7 @@ from clipcodec.coder import (FLUSH_BYTES, FREQ_TOTAL, SymbolModel,
                              build_models, decode_symbols, encode_symbols)
 from clipcodec.coder import _BOTTOM, _MASK, _TOP
 from clipcodec.errors import BitstreamError, ConfigError, DataError
-from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_FLOOR, LayerStats,
-                                 rate_bits_eval)
+from clipcodec.ratequant import MAX_SYMBOL, SIGMA_FLOOR, rate_bits_eval
 from clipcodec.seeds import make_rng
 from conftest import build_model
 
@@ -110,11 +109,9 @@ def test_multi_layer_payload_single_flush():
     models = [build_model(0.0, s, 6) for s in (0.8, 2.0, 4.0)]
     streams = [sample_symbols(m, 500, rng) for m in models]
     payload = encode_symbols(streams, models)
-    est = sum(rate_bits_eval([s], LayerStats(("w",),
-                                             np.asarray([m.mu], np.float32),
-                                             np.asarray([m.sd], np.float32))
-                             ).total_bits
-              for s, m in zip(streams, models))
+    est = float(rate_bits_eval(
+        streams, np.asarray([m.mu for m in models], np.float32),
+        np.asarray([m.sd for m in models], np.float32)).sum())
     assert len(payload) * 8 <= est * 1.02 + 64
     back = decode_symbols(payload, models, [500, 500, 500])
     for a, b in zip(streams, back):

@@ -66,3 +66,6 @@ def test_segments_are_views_and_spread_repeats_per_segment():
     spread = pv.spread([0.5, 2.0])
     assert spread.dtype == np.float32
     assert spread.tolist() == [0.5] * 6 + [2.0] * 2
+    for wrong in ([0.5], [0.5, 2.0, 1.0]):  # one value per segment
+        with pytest.raises(LayoutError, match=f"{len(wrong)} values for 2"):
+            pv.spread(wrong)

@@ -24,7 +24,7 @@ from clipcodec.pipeline import (TrainConfig, decode_gom, decode_video,
                                 train_model, training_step_loss)
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.params import ParamVector
-from clipcodec.ratequant import MAX_SYMBOL, QuantScale, initial_scales
+from clipcodec.ratequant import MAX_SYMBOL, initial_scales
 from clipcodec.seeds import STREAM_NOISE, make_rng, model_seed
 from clipcodec.tensor import Tape, Tensor
 from clipcodec.video import synth_video
@@ -125,8 +125,9 @@ def test_training_is_deterministic():
 
     a, b = run(), run()
     assert np.array_equal(a.theta_star.flat.data, b.theta_star.flat.data)
-    assert np.array_equal(a.scales.values, b.scales.values)
-    assert np.array_equal(a.stats.mu, b.stats.mu)
+    assert np.array_equal(a.scale, b.scale)
+    assert np.array_equal(a.mu, b.mu)
+    assert np.array_equal(a.sd, b.sd)
     for sa, sb in zip(a.symbols, b.symbols):
         assert np.array_equal(sa, sb)
 
@@ -171,7 +172,7 @@ def test_step_loss_gradients_match_fd_with_frozen_stats():
     scaled0 = [
         (theta_star[n].data - theta_prime[n].data).reshape(-1)
         / np.exp(-4.0) for n in theta_prime.names]
-    stats = layer_stats_of(scaled0, theta_prime.names)
+    stats = layer_stats_of(scaled0)
 
     def run_rate_only():
         with Tape() as tape:
@@ -240,7 +241,7 @@ def _training_step_loss_per_layer(config, theta_prime, theta_star,
         scaled.append(unit)
         snapped = ops.mul(ops.ste_round(unit), step)
         effective[name] = ops.add(theta_prime[name], snapped)
-    stats = layer_stats_of([u.data for u in scaled], tuple(theta_star))
+    stats = layer_stats_of([u.data for u in scaled])
     rate = rate_bits_layers(scaled, noise, stats)
     frame = forward_frame(config, effective, t_norm)
     mse = ops.mean_square(ops.sub(frame, ops.constant(target_hw3)))
@@ -278,7 +279,7 @@ def _trainable(config, seed):
         theta_star[name].data += (rng.standard_normal(
             theta_star[name].shape) * 0.02).astype(config.dtype)
     log_scales = _log_scales(
-        theta_prime, detmath.log(initial_scales(theta_prime).values))
+        theta_prime, detmath.log(initial_scales(theta_prime)))
     return theta_prime, theta_star, log_scales
 
 
@@ -311,8 +312,8 @@ def test_flat_step_and_adam_match_per_layer_reference_bitwise(precision):
         assert loss.data.dtype == config.dtype
         assert loss.data.tobytes() == ref_loss.data.tobytes()
         assert rate.data.tobytes() == ref_rate.data.tobytes()
-        assert stats.mu.tobytes() == ref_stats.mu.tobytes()
-        assert stats.sd.tobytes() == ref_stats.sd.tobytes()
+        for got, want in zip(stats, ref_stats):  # mu, then sd
+            assert got.tobytes() == want.tobytes()
         for got, want in zip(_segment_grads(star) + _segment_grads(logs),
                              [*ref_star.values(), *ref_logs.values()]):
             assert np.shape(got) == np.shape(want.grad)
@@ -814,10 +815,9 @@ def test_encoder_widens_a_step_the_alphabet_cannot_hold(monkeypatch):
 
     def narrow(init):
         scales = initial_scales(init)
-        values = scales.values.copy()
-        values[0] *= np.float32(3e-6)
-        first_steps.append(values[0])
-        return QuantScale(scales.names, values)
+        scales[0] *= np.float32(3e-6)
+        first_steps.append(scales[0])
+        return scales
 
     monkeypatch.setattr(pipeline, "initial_scales", narrow)
     video = synth_video("moving-blob", 16, 16, 4, velocity=1.0, seed=4)

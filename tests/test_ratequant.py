@@ -11,8 +11,7 @@ from clipcodec import detmath, ops
 from clipcodec.errors import ConfigError, LayoutError
 from clipcodec.params import ParamVector
 from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_FLOOR, SIGMA_TRAIN_FLOOR,
-                                 TRAIN_PROB_FLOOR, LayerStats, QuantScale,
-                                 apply_residual, initial_scales, layer_stats,
+                                 TRAIN_PROB_FLOOR, apply_residual, initial_scales, layer_stats,
                                  quantize, rate_bits_eval, rate_bits_train,
                                  residual, scaled_residual, widen_steps)
 from clipcodec.tensor import Tape, Tensor
@@ -56,7 +55,7 @@ def test_residual_layout_mismatch_names_segment():
 
 def test_quantize_example_values():
     delta = _pv([0.4, -1.3])
-    scales = QuantScale(("w",), np.asarray([0.5], dtype=np.float32))
+    scales = np.asarray([0.5], dtype=np.float32)
     symbols = quantize(scaled_residual(delta, scales))
     assert np.array_equal(symbols[0], [1, -3])
     back = _lattice(symbols, scales, delta)
@@ -65,14 +64,14 @@ def test_quantize_example_values():
 
 def test_quantize_identity_on_integer_lattice():
     delta = _pv([3.0, -7.0, 0.0])
-    scales = QuantScale(("w",), np.asarray([1.0], dtype=np.float32))
+    scales = np.asarray([1.0], dtype=np.float32)
     symbols = quantize(scaled_residual(delta, scales))
     assert np.array_equal(symbols[0], [3, -7, 0])
 
 
 def test_zero_delta_quantizes_to_zero():
     delta = _pv(np.zeros(16))
-    scales = QuantScale(("w",), np.asarray([0.25], dtype=np.float32))
+    scales = np.asarray([0.25], dtype=np.float32)
     symbols = quantize(scaled_residual(delta, scales))
     assert not symbols[0].any()
     back = _lattice(symbols, scales, delta)
@@ -86,7 +85,7 @@ def test_zero_delta_quantizes_to_zero():
 @example([100.0], 0.02705261629397754)  # past a bound of half a step alone
 def test_quantize_round_trip_error_bounded(values, scale):
     delta = _pv(values)
-    scales = QuantScale(("w",), np.asarray([scale], dtype=np.float32))
+    scales = np.asarray([scale], dtype=np.float32)
     # the peak symbol, computed in float32 as quantize does
     peak = np.max(np.abs(detmath.round_half_away(
         delta["w"].data / np.float32(scale))))
@@ -117,19 +116,14 @@ def test_quantize_round_trip_error_bounded(values, scale):
 
 def test_quantize_rejects_oversized_symbols():
     delta = _pv([1e9])
-    scales = QuantScale(("w",), np.asarray([1.0], dtype=np.float32))
+    scales = np.asarray([1.0], dtype=np.float32)
     with pytest.raises(ConfigError, match="'w'"):
         quantize(scaled_residual(delta, scales))
 
 
-def test_scale_positivity_enforced():
-    with pytest.raises(ConfigError):
-        QuantScale(("w",), np.asarray([0.0], dtype=np.float32))
-
-
 def test_apply_residual_matches_manual():
     prime = _pv([1.0, 2.0])
-    scales = QuantScale(("w",), np.asarray([0.5], dtype=np.float32))
+    scales = np.asarray([0.5], dtype=np.float32)
     out = apply_residual(prime, [np.asarray([2, -1], dtype=np.int32)],
                          scales)
     assert np.allclose(out["w"].data, [2.0, 1.5])
@@ -152,10 +146,10 @@ def test_widen_steps_picks_smallest_step_inside_alphabet(top, width, dtype):
     delta = ParamVector([("w", (3,)), ("b", (1,))],
                         Tensor(np.asarray(values + [0.25], dtype=dtype)))
     given_steps = np.asarray([step, 0.5], dtype=np.float32)
-    scales = widen_steps(delta, QuantScale(("w", "b"), given_steps))
-    assert scales.values.dtype == np.float32
-    assert scales.values[1] == given_steps[1]  # a fitting layer is untouched
-    widened = scales.values[0]
+    scales = widen_steps(delta, given_steps)
+    assert scales.dtype == np.float32
+    assert scales[1] == given_steps[1]  # a fitting layer is untouched
+    widened = scales[0]
     assert _peak(values, widened, dtype) <= MAX_SYMBOL
     if _peak(values, step, dtype) <= MAX_SYMBOL:
         assert widened == step
@@ -166,18 +160,26 @@ def test_widen_steps_picks_smallest_step_inside_alphabet(top, width, dtype):
     quantize(scaled_residual(delta, scales))  # no ConfigError
 
 
+def test_widen_steps_rejects_a_wrong_step_count():
+    delta = ParamVector([("w", (3,)), ("b", (1,))],
+                        Tensor(np.zeros(4, dtype=np.float32)))
+    with pytest.raises(LayoutError, match="3 steps for 2 layers"):
+        widen_steps(delta, np.ones(3, dtype=np.float32))
+
+
 def test_initial_scales_target_symbol_span():
     rng = np.random.default_rng(0)
     init = _pv(rng.standard_normal(500) * 0.2)
     scales = initial_scales(init)
     peak = float(np.max(np.abs(init["w"].data)))
-    assert scales.values[0] == pytest.approx(peak / 128.0, rel=1e-6)
+    assert scales.dtype == np.float32 and scales.shape == (1,)
+    assert scales[0] == pytest.approx(peak / 128.0, rel=1e-6)
 
 
 def test_layer_stats_floor():
-    stats = layer_stats_of([np.zeros(32)], ("w",))
-    assert stats.sd[0] == pytest.approx(1e-6)
-    assert stats.mu[0] == 0.0
+    mu, sd = layer_stats_of([np.zeros(32)])
+    assert sd[0] == pytest.approx(1e-6)
+    assert mu[0] == 0.0
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -189,35 +191,35 @@ def test_layer_stats_match_per_layer_mean_and_std(dtype):
     sizes = [1, 3, 7, 129, 1000, 9001]
     layers = [(rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
                + rng.uniform(-5, 5)).astype(dtype) for n in sizes]
-    names = tuple(f"layer{i}" for i in range(len(sizes)))
-    stats = layer_stats(np.concatenate(layers), sizes, names)
+    mus, sds = layer_stats(np.concatenate(layers), sizes)
+    assert mus.dtype == sds.dtype == np.float32
     for i, arr in enumerate(layers):
         mu = np.float32(np.mean(arr, dtype=np.float64))
         sd = np.float32(max(float(np.std(arr, dtype=np.float64)),
                             SIGMA_FLOOR))
-        assert stats.mu[i].tobytes() == mu.tobytes()
-        assert stats.sd[i].tobytes() == sd.tobytes()
+        assert mus[i].tobytes() == mu.tobytes()
+        assert sds[i].tobytes() == sd.tobytes()
     with pytest.raises(LayoutError):
-        layer_stats(np.concatenate(layers), sizes[:-1], names[:-1])
+        layer_stats(np.concatenate(layers), sizes[:-1])
 
 
 def test_eval_bits_symbol_zero_frozen_oracle():
     # independent oracle via scipy's normal CDF
     oracle = -math.log2(norm.cdf(0.5) - norm.cdf(-0.5))
-    stats = LayerStats(("w",), np.asarray([0.0], np.float32),
-                       np.asarray([1.0], np.float32))
-    est = rate_bits_eval([np.zeros(1, dtype=np.int32)], stats)
-    assert est.total_bits == pytest.approx(oracle, abs=1e-6)
-    assert est.total_bits == pytest.approx(1.3849, abs=5e-4)
+    bits = rate_bits_eval([np.zeros(1, dtype=np.int32)],
+                          np.asarray([0.0], np.float32),
+                          np.asarray([1.0], np.float32))
+    assert bits.dtype == np.float64 and bits.shape == (1,)
+    assert bits[0] == pytest.approx(oracle, abs=1e-6)
+    assert bits[0] == pytest.approx(1.3849, abs=5e-4)
 
 
 def test_eval_bits_zero_delta_monotone_in_sd():
     symbols = [np.zeros(64, dtype=np.int32)]
     previous = None
     for sd in (2.0, 1.0, 0.5, 0.1, 1e-3, 1e-6):
-        stats = LayerStats(("w",), np.asarray([0.0], np.float32),
-                           np.asarray([sd], np.float32))
-        bits = rate_bits_eval(symbols, stats).total_bits
+        bits = float(rate_bits_eval(symbols, np.asarray([0.0], np.float32),
+                                    np.asarray([sd], np.float32)).sum())
         if previous is not None:
             assert bits <= previous + 1e-12
         previous = bits
@@ -228,23 +230,22 @@ def test_eval_bits_nonnegative_per_layer():
     rng = np.random.default_rng(1)
     symbols = [rng.integers(-5, 6, 100).astype(np.int32),
                rng.integers(-2, 3, 50).astype(np.int32)]
-    stats = layer_stats_of([s.astype(np.float64) for s in symbols],
-                           ("a", "b"))
-    est = rate_bits_eval(symbols, stats)
-    assert np.all(est.per_layer >= 0.0)
-    assert est.total_bits == pytest.approx(float(est.per_layer.sum()))
+    mu, sd = layer_stats_of([s.astype(np.float64) for s in symbols])
+    bits = rate_bits_eval(symbols, mu, sd)
+    assert bits.shape == (2,)
+    assert np.all(bits >= 0.0)
 
 
 def test_train_rate_gradients_match_fd_with_fixed_noise():
     rng = np.random.default_rng(2)
     scaled_data = rng.standard_normal(24) * 3.0
     noise = rng.uniform(-0.5, 0.5, 24)
-    stats = layer_stats_of([scaled_data], ("w",))
+    mu, sd = layer_stats_of([scaled_data])
     x = Tensor(scaled_data.copy(), requires_grad=True, dtype=np.float64)
 
     def run():
         with Tape() as tape:
-            bits = rate_bits_train(x, noise, stats, [24])
+            bits = rate_bits_train(x, noise, mu, sd, [24])
         return bits, tape
 
     bits, tape = run()
@@ -259,7 +260,7 @@ def _rate_bits_train_per_layer(scaled, noise, stats):
     per layer, layer bits added in layout order).  The fused
     ``rate_bits_train`` must reproduce it bit for bit."""
     total = None
-    for tensor, u, mu, sd in zip(scaled, noise, stats.mu, stats.sd):
+    for tensor, u, mu, sd in zip(scaled, noise, *stats):
         inv_sd = 1.0 / max(float(sd), SIGMA_TRAIN_FLOOR)
         y = ops.add(tensor, ops.constant(u.astype(tensor.dtype)))
         hi = ops.mul(ops.add(y, float(0.5 - mu)), inv_sd)
@@ -288,9 +289,8 @@ def _run_rate(fn, dtype, seed):
         log_steps.append(Tensor(np.asarray(rng.uniform(-3.0, 0.0)),
                                 requires_grad=True, dtype=dtype))
         noise.append(rng.uniform(-0.5, 0.5, shape))
-    names = tuple(f"layer{i}" for i in range(len(_MIXED_SHAPES)))
     stats = layer_stats_of([w.data.reshape(-1) / np.exp(s.data)
-                            for w, s in zip(weights, log_steps)], names)
+                            for w, s in zip(weights, log_steps)])
     with Tape() as tape:
         scaled, snapped = [], []
         for w, s in zip(weights, log_steps):
@@ -308,11 +308,11 @@ def _run_rate(fn, dtype, seed):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fused_train_rate_matches_per_layer_reference_bitwise(dtype, seed):
-    got, got_grads, stats = _run_rate(rate_bits_layers, dtype, seed)
+    got, got_grads, (_, sd) = _run_rate(rate_bits_layers, dtype, seed)
     want, want_grads, _ = _run_rate(_rate_bits_train_per_layer, dtype, seed)
     # both floors of the train-mode sd are in play
-    assert (stats.sd < SIGMA_TRAIN_FLOOR).any()
-    assert (stats.sd > SIGMA_TRAIN_FLOOR).any()
+    assert (sd < SIGMA_TRAIN_FLOOR).any()
+    assert (sd > SIGMA_TRAIN_FLOOR).any()
     assert got.dtype == want.dtype == dtype and got.shape == ()
     assert got.tobytes() == want.tobytes()
     for g, w in zip(got_grads, want_grads):
@@ -325,8 +325,7 @@ def test_fused_train_rate_records_one_chain():
     scaled = [Tensor(rng.standard_normal(shape), requires_grad=True,
                      dtype=np.float32) for shape in _MIXED_SHAPES]
     noise = [rng.uniform(-0.5, 0.5, shape) for shape in _MIXED_SHAPES]
-    stats = layer_stats_of([t.data.reshape(-1) for t in scaled],
-                           tuple(str(i) for i in range(len(scaled))))
+    stats = layer_stats_of([t.data.reshape(-1) for t in scaled])
     with Tape() as tape:
         rate_bits_layers(scaled, noise, stats)
     # one gauss_mass chain for all layers, independent of the layer count
@@ -336,9 +335,9 @@ def test_fused_train_rate_records_one_chain():
 def test_train_rate_rejects_layer_count_mismatch():
     rng = np.random.default_rng(5)
     scaled = [Tensor(rng.standard_normal(4)) for _ in range(2)]
-    stats = layer_stats_of([t.data for t in scaled], ("a", "b"))
+    mu, sd = layer_stats_of([t.data for t in scaled])
     with pytest.raises(LayoutError):
-        rate_bits_train(concat_flat(scaled), np.zeros(4), stats, [4, 4])
+        rate_bits_train(concat_flat(scaled), np.zeros(4), mu, sd, [4, 4])
 
 
 def test_train_and_eval_rate_agree_in_direction():
@@ -348,7 +347,7 @@ def test_train_and_eval_rate_agree_in_direction():
     large = rng.standard_normal(400) * 20.0
     bits = {}
     for name, data in (("small", small), ("large", large)):
-        stats = layer_stats_of([data], ("w",))
+        mu, sd = layer_stats_of([data])
         sym = np.asarray(np.round(data), dtype=np.int32)
-        bits[name] = rate_bits_eval([sym], stats).total_bits
+        bits[name] = float(rate_bits_eval([sym], mu, sd).sum())
     assert bits["large"] > bits["small"]

@@ -8,30 +8,29 @@ from clipcodec import detmath
 from clipcodec.errors import ConfigError, DataError
 from clipcodec.params import ParamVector
 from clipcodec.tensor import Tensor
-from clipcodec.warmstart import (EpsilonSchedule, GopGap, epsilon_for,
-                                 fit_schedule, gop_gap_mse, interpolate_init)
+from clipcodec.warmstart import (EpsilonSchedule, epsilon_for, fit_schedule,
+                                 gop_gap_mse, interpolate_init)
 
 
 def test_gap_of_identical_clips_is_zero():
     frames = np.random.default_rng(0).uniform(0, 1, (4, 3, 8, 8))
-    gap = gop_gap_mse(frames, frames.copy())
-    assert gap.mse == 0.0 and gap.pairs == 4
+    assert gop_gap_mse(frames, frames.copy()) == 0.0
 
 
 def test_gap_of_constant_offset():
     a = np.zeros((3, 3, 4, 4))
     b = np.full((3, 3, 4, 4), 0.5)
-    assert gop_gap_mse(a, b).mse == pytest.approx(0.25)
+    assert gop_gap_mse(a, b) == pytest.approx(0.25)
 
 
 def test_gap_truncates_to_shorter_clip():
     rng = np.random.default_rng(1)
     a = rng.uniform(0, 1, (4, 3, 4, 4))
     b = rng.uniform(0, 1, (3, 3, 4, 4))
-    gap = gop_gap_mse(a, b)
-    assert gap.pairs == 3
+    # the mse of the overlap, whichever clip is the shorter
     manual = float(np.mean((a[:3] - b) ** 2))
-    assert gap.mse == pytest.approx(manual)
+    assert gop_gap_mse(a, b) == pytest.approx(manual)
+    assert gop_gap_mse(b, a) == pytest.approx(manual)
 
 
 def test_gap_rejects_resolution_mismatch():
@@ -41,19 +40,19 @@ def test_gap_rejects_resolution_mismatch():
 
 def test_epsilon_zero_gap_is_zero_under_constraint():
     sched = EpsilonSchedule(a=1.0, b=3.0)
-    assert epsilon_for(GopGap(0.0, 1), sched) == 0.0
+    assert epsilon_for(0.0, sched) == 0.0
 
 
 def test_epsilon_formula_value():
     sched = EpsilonSchedule(a=1.0, b=0.5)
-    value = epsilon_for(GopGap(2.0, 1), sched)
+    value = epsilon_for(2.0, sched)
     assert value == pytest.approx(1.0 - float(detmath.exp(-1.0)), abs=1e-12)
     assert value == pytest.approx(0.6321, abs=1e-4)
 
 
 def test_epsilon_saturates_toward_one():
     sched = EpsilonSchedule(a=1.0, b=2.0)
-    assert epsilon_for(GopGap(1e6, 1), sched) == 1.0
+    assert epsilon_for(1e6, sched) == 1.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -62,7 +61,7 @@ def test_epsilon_saturates_toward_one():
 def test_epsilon_monotone_in_mse(b, mses):
     sched = EpsilonSchedule(a=1.0, b=b)
     mses = sorted(mses)
-    values = [epsilon_for(GopGap(m, 1), sched) for m in mses]
+    values = [epsilon_for(m, sched) for m in mses]
     assert all(x <= y + 1e-15 for x, y in zip(values, values[1:]))
     assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -118,7 +117,7 @@ def test_fit_degenerate_constant_points():
     sched, _ = fit_schedule([(0.1, 0.0), (0.5, 0.0), (1.0, 0.0)])
     assert sched.degenerate
     for m in (0.0, 0.5, 10.0):
-        assert epsilon_for(GopGap(m, 1), sched) == pytest.approx(0.0)
+        assert epsilon_for(m, sched) == pytest.approx(0.0)
 
 
 def test_fit_rejects_too_few_points():
