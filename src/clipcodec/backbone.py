@@ -267,12 +267,11 @@ def _layers(config: BackboneConfig, params) -> list:
     def stage(i, scale):
         weight = get(f"stage{i}.conv.weight")
         bias = get(f"stage{i}.conv.bias")
+        nearest = config.upsample == "nearest"
 
         def layer(x):
-            if config.upsample == "nearest" and scale > 1:
-                x = ops.upsample_nearest(x, scale)
-            x = ops.conv2d(x, weight, bias)
-            if config.upsample == "subpel" and scale > 1:
+            x = ops.conv2d(x, weight, bias, scale if nearest else 1)
+            if not nearest and scale > 1:
                 x = ops.pixel_shuffle(x, scale)
             return _finite(f"stage{i}", act(x))
         return layer
@@ -291,7 +290,8 @@ def _layers(config: BackboneConfig, params) -> list:
     pixels = config.base_height * config.base_width
     for i, spec in enumerate(config.stages):
         pixels *= spec.scale * spec.scale
-        # a nearest upsample makes a stage's input at the output size
+        # a nearest stage counts its input at the output size, as its
+        # backward pass builds it
         largest = spec.channels
         if config.upsample == "nearest":
             largest = max(channels, spec.channels)

@@ -13,11 +13,11 @@ One payload holds every layer of one model, concatenated in layout order
 through a single coder state; the stream is flushed once (4 bytes).
 
 The coder is two functions and no coder object: each keeps the coder
-state in local variables for the whole payload, with one loop per layer.
-The loop reads a symbol's width from the ``freqs`` list and its start
-from ``cum``; the decoder finds the symbol with one ``bisect_right`` over
-the symbol starts (``cum`` without its last entry), which maps a target
-past ``FREQ_TOTAL - 1`` to the last symbol, fills a preallocated index
+state and constants in locals for the whole payload, one loop per layer.
+The loop reads a symbol's width from ``freqs`` and its start from
+``cum``; the decoder finds the symbol with one ``bisect_right`` over
+``cum[1:-1]``, the symbol ends but the last (a target past
+``FREQ_TOTAL - 1`` maps to the last symbol), fills a preallocated index
 list and shifts the indices by the bound once per layer, in numpy.
 
 Both loops keep ``low + range <= 2^32`` on every input, valid or hostile:
@@ -172,47 +172,51 @@ def decode_symbols(payload: bytes, models: list[SymbolModel],
 
     A valid payload keeps the code value inside the coder's interval
     ``[low, low + range)`` and is read to its last byte and no further.
-    One that leaves the interval (decoding on would spin forever) or has
-    any other length raises :class:`BitstreamError`.
+    One that leaves the interval (decoding on would spin forever), would
+    be read past its end or has any other length raises BitstreamError.
     """
     if len(models) != len(counts):
         raise ConfigError("one model per layer count required")
-    # Reads past the end yield zeros and are counted: truncation surfaces
-    # as the length check below or a CRC failure, never as a crash here.
     size = len(payload)
+    past_end = BitstreamError(f"range decoder consumed {size + 1} bytes of "
+                              f"a {size}-byte payload")
+    if size < FLUSH_BYTES:
+        raise past_end
     pos, low, rng = FLUSH_BYTES, 0, _MASK
-    code = int.from_bytes(payload[:FLUSH_BYTES].ljust(FLUSH_BYTES, b"\0"),
-                          "big")
+    code = int.from_bytes(payload[:FLUSH_BYTES], "big")
+    top, bottom, mask, shift = _TOP, _BOTTOM, _MASK, FREQ_BITS
     out = []
-    for model, count in zip(models, counts):
-        cum = model.cum.tolist()
-        freqs = model.freqs.tolist()
-        # the symbol starts: a target past FREQ_TOTAL - 1 maps to the
-        # last symbol
-        starts = cum[:-1]
-        indices = [0] * count
-        for i in range(count):
-            offset = code - low
-            if not 0 <= offset < rng:
-                raise BitstreamError(f"range-coded payload disagrees with "
-                                     f"its symbol tables at payload byte "
-                                     f"{pos}")
-            r = rng >> FREQ_BITS
-            idx = bisect_right(starts, offset // r) - 1
-            low += r * cum[idx]
-            rng = r * freqs[idx]
-            if rng < _TOP:  # a wider range never renormalizes
-                while (low ^ (low + rng)) < _TOP or rng < _BOTTOM:
-                    if (low ^ (low + rng)) >= _TOP:
-                        rng = ((_MASK + 1) - low) & (_BOTTOM - 1)
-                    byte = payload[pos] if pos < size else 0
-                    pos += 1
-                    code = ((code << 8) | byte) & _MASK
-                    low = (low << 8) & _MASK
-                    rng = rng << 8
-            indices[i] = idx
-        out.append(np.asarray(indices, dtype=np.int32)
-                   - np.int32(model.bound))
+    try:
+        for model, count in zip(models, counts):
+            cum = model.cum.tolist()
+            freqs = model.freqs.tolist()
+            # the symbol ends but the last: a target past FREQ_TOTAL - 1
+            # maps to the last symbol
+            ends = cum[1:-1]
+            indices = [0] * count
+            for i in range(count):
+                offset = code - low
+                if not 0 <= offset < rng:
+                    raise BitstreamError(f"range-coded payload disagrees "
+                                         f"with its symbol tables at "
+                                         f"payload byte {pos}")
+                r = rng >> shift
+                idx = bisect_right(ends, offset // r)
+                low += r * cum[idx]
+                rng = r * freqs[idx]
+                if rng < top:  # a wider range never renormalizes
+                    while (low ^ (low + rng)) < top or rng < bottom:
+                        if (low ^ (low + rng)) >= top:
+                            rng = ((mask + 1) - low) & (bottom - 1)
+                        code = ((code << 8) | payload[pos]) & mask
+                        pos += 1
+                        low = (low << 8) & mask
+                        rng = rng << 8
+                indices[i] = idx
+            out.append(np.asarray(indices, dtype=np.int32)
+                       - np.int32(model.bound))
+    except IndexError:  # the payload is the one index that can run out
+        raise past_end from None
     if pos != size:
         raise BitstreamError(f"range decoder consumed {pos} bytes of a "
                              f"{size}-byte payload")

@@ -5,13 +5,15 @@ transcendentals (:mod:`~clipcodec.detmath` instead), so a forward pass is
 bit-reproducible for a fixed thread count on any IEEE-754 platform.
 Convolution is computed directly as nine shifted channel contractions.
 The forward pass contracts, for each kernel row, the slab of whole padded
-rows (contiguous along height and width, which ``einsum`` runs about twice
-as fast as a strided tap) and crops each tap's result to the output
-columns; the weight gradient contracts a contiguous copy of each tap.
-Neither changes a bit: every output element still sums the same products
-in the same order (over channels for the output, over batch and pixels
-for the weight gradient); only the length of ``einsum``'s inner loop
-changes.  Tests compare both with the per-tap form bit for bit.
+rows (contiguous along height and width, which ``einsum`` runs about
+twice as fast as a strided tap) and crops each tap's result to the output
+columns; the weight gradient contracts a contiguous copy of each tap.  A
+convolution of a nearest-upsampled input contracts each tap once at input
+resolution, where each output phase (sub-pixel position) reads one cell
+per tap (Shi et al. 2016, arXiv:1609.05158).  No form changes a bit:
+every output element sums the same products in the same order (channels,
+then taps in row-major order; batch and pixels for the weight gradient),
+as tests check against the per-tap form and an upsample.
 
 Every op validates shapes up front and raises
 :class:`~clipcodec.errors.ShapeError` naming the op and offending shapes.
@@ -19,6 +21,7 @@ Every op validates shapes up front and raises
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -132,8 +135,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # -------------------------------------------------------------- convolution
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """2-D convolution, stride 1, odd kernel, same padding (NCHW)."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
+           scale: int = 1) -> Tensor:
+    """2-D convolution, stride 1, odd kernel, same padding (NCHW), of ``x``
+    nearest-upsampled ``scale`` times: (N, C, H, W) -> (N, O, H*s, W*s)."""
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d input and weight, got "
                          f"{x.shape} and {w.shape}")
@@ -144,42 +149,101 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                          f"{x.shape} (odd square kernel, matching channels)")
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({cout},)")
-    pad = kh // 2
-    xp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad:pad + h, pad:pad + wd] = x.data
-    acc = np.zeros((n, cout, h, wd), dtype=x.dtype)
-    for di in range(kh):
-        # full padded rows keep the einsum operand contiguous along h and
-        # w; the columns each tap does not need are cropped afterwards
-        slab = xp[:, :, di:di + h]
-        for dj in range(kw):
-            acc += np.einsum("nchw,oc->nohw", slab,
-                             w.data[:, :, di, dj])[..., dj:dj + wd]
+    if scale < 1:
+        raise ShapeError(f"conv2d: upsample factor {scale} below 1")
+    pad, xd, wdat = kh // 2, x.data, w.data
+    # at scale > 1 the backward pass builds the upsampled, padded input
+    xp = _padded(xd, pad) if scale == 1 else None
+    if xp is not None:
+        acc = np.zeros((n, cout, h, wd), dtype=x.dtype)
+        for di in range(kh):
+            # full padded rows keep the einsum operand contiguous along h
+            # and w; the columns each tap does not need are cropped after
+            slab = xp[:, :, di:di + h]
+            for dj in range(kw):
+                acc += np.einsum("nchw,oc->nohw", slab,
+                                 wdat[:, :, di, dj])[..., dj:dj + wd]
+    else:
+        acc = _phase_conv(xd, wdat, scale)
     if b is not None:
         acc += b.data[None, :, None, None]
 
     inputs = (x, w) if b is None else (x, w, b)
     out = _result(acc, inputs)
-    wdat = w.data
+    hs, ws = h * scale, wd * scale
 
-    def backward(g):
-        gx_pad = np.zeros_like(xp)
+    def backward(g):  # a plain conv's on the upsampled input, then upsample's
+        xq = xp if xp is not None else _padded(
+            np.repeat(np.repeat(xd, scale, axis=2), scale, axis=3), pad)
+        gx_pad = np.zeros_like(xq)
         gw = np.zeros_like(wdat)
         for di in range(kh):
             for dj in range(kw):
                 # a transient contiguous copy of the tap, dropped at once
                 gw[:, :, di, dj] = np.einsum(
                     "nohw,nchw->oc", g,
-                    np.ascontiguousarray(xp[:, :, di:di + h, dj:dj + wd]))
-                gx_pad[:, :, di:di + h, dj:dj + wd] += np.einsum(
+                    np.ascontiguousarray(xq[:, :, di:di + hs, dj:dj + ws]))
+                gx_pad[:, :, di:di + hs, dj:dj + ws] += np.einsum(
                     "nohw,oc->nchw", g, wdat[:, :, di, dj])
-        gx = gx_pad[:, :, pad:pad + h, pad:pad + wd]
+        gx = gx_pad[:, :, pad:pad + hs, pad:pad + ws]
+        if scale > 1:
+            gx = gx.reshape(n, cin, h, scale, wd, scale).sum(axis=(3, 5))
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
 
     _record(out, inputs, backward)
     return out
+
+
+def _padded(x: np.ndarray, pad: int) -> np.ndarray:  # zeros on all sides
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    return xp
+
+
+@functools.cache
+def _phase_runs(scale: int, d: int, pad: int):
+    """Runs ``(first, stop, cell, step)``: through kernel offset d, output
+    phase a in [first, stop) reads input cell ``cell + step*(a - first)``."""
+    cells = [(a + d - pad) // scale for a in range(scale)]
+    if scale == 2 or cells[0] == cells[-1]:
+        return ((0, scale, cells[0], cells[-1] - cells[0]),)
+    mid = cells.index(cells[-1])  # the cell steps up by one, once
+    return ((0, mid, cells[0], 0), (mid, scale, cells[-1], 0))
+
+
+def _phase_conv(x: np.ndarray, w: np.ndarray, scale: int) -> np.ndarray:
+    """:func:`conv2d`'s forward at ``scale`` > 1: one ``einsum`` contracts
+    all taps on the channel-major input grid, padded by one cell at least
+    (on a one-cell grid ``einsum`` sums the channels in another order)."""
+    n, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    p = max(1, -(-(k // 2) // scale))
+    xq = np.zeros((cin, n, h + 2 * p, wd + 2 * p), dtype=x.dtype)
+    xq[:, :, p:p + h, p:p + wd] = x.transpose(1, 0, 2, 3)
+    # a row-major buffer, so np.ndarray (cheaper than as_strided) views it
+    taps = np.empty((k * k, cout) + xq.shape[1:], np.result_type(x, w))
+    np.einsum("cm,toc->tom", xq.reshape(cin, -1),
+              w.transpose(2, 3, 0, 1).reshape(k * k, cout, cin),
+              out=taps.reshape(k * k, cout, -1))
+    tap, so, sn, row, item = taps.strides
+    acc = np.zeros((n, cout, scale, scale, h, wd), dtype=x.dtype)
+    runs = [_phase_runs(scale, d, k // 2) for d in range(k)]
+    for t in range(k * k):  # tap by tap, each run of phases adds a view
+        for a0, a1, ri, rs in runs[t // k]:
+            for b0, b1, ci, cs in runs[t % k]:
+                part = (acc if a1 - a0 == b1 - b0 == scale  # no slice
+                        else acc[:, :, a0:a1, b0:b1])
+                part += np.ndarray(
+                    (n, cout, a1 - a0, b1 - b0, h, wd), taps.dtype, taps,
+                    t * tap + (p + ri) * row + (p + ci) * item,
+                    (sn, so, rs * row, cs * item, row, item))
+    out = np.empty((n, cout, h, scale, wd, scale), dtype=x.dtype)
+    for a, b in np.ndindex(scale, scale):
+        out[:, :, :, a, :, b] = acc[:, :, a, b]
+    return out.reshape(n, cout, h * scale, wd * scale)
 
 
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:
@@ -201,18 +265,6 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
         return (gi,)
 
     _record(out, (x,), backward)
-    return out
-
-
-def upsample_nearest(x: Tensor, r: int) -> Tensor:
-    """(N, C, H, W) -> (N, C, H*r, W*r) by pixel repetition."""
-    if x.data.ndim != 4 or r < 1:
-        raise ShapeError(f"upsample_nearest: bad input {x.shape} or factor {r}")
-    n, c, h, w = x.shape
-    data = np.repeat(np.repeat(x.data, r, axis=2), r, axis=3)
-    out = _result(data, (x,))
-    _record(out, (x,),
-            lambda g: (g.reshape(n, c, h, r, w, r).sum(axis=(3, 5)),))
     return out
 
 

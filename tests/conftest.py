@@ -73,6 +73,21 @@ def sum_all(x: Tensor) -> Tensor:
     return out
 
 
+def upsample_nearest(x: Tensor, r: int) -> Tensor:
+    """(N, C, H, W) -> (N, C, H*r, W*r) by pixel repetition, as one tape
+    node: the reference that ``ops.conv2d(x, w, b, r)`` must match as
+    ``ops.conv2d(upsample_nearest(x, r), w, b)``."""
+    if x.data.ndim != 4 or r < 1:
+        raise ShapeError(f"upsample_nearest: bad input {x.shape} or "
+                         f"factor {r}")
+    n, c, h, w = x.shape
+    data = np.repeat(np.repeat(x.data, r, axis=2), r, axis=3)
+    out = ops._result(data, (x,))
+    ops._record(out, (x,),
+                lambda g: (g.reshape(n, c, h, r, w, r).sum(axis=(3, 5)),))
+    return out
+
+
 def build_model(mu: float, sd: float, bound: int) -> SymbolModel:
     """Discretize N(mu, sd^2) over [-bound, bound] into coder frequencies:
     the one-layer case of :func:`build_models`."""

@@ -130,9 +130,11 @@ def test_clip_render_batches_only_below_largest_activation(monkeypatch):
     seen = []
     original = ops.conv2d
 
-    def spy(x, w, b=None):
-        seen.append(x.shape)
-        return original(x, w, b)
+    def spy(x, w, b=None, scale=1):
+        # the input as the conv sees it, nearest-upsampled
+        n, c, h, wd = x.shape
+        seen.append((n, c, h * scale, wd * scale))
+        return original(x, w, b, scale)
 
     monkeypatch.setattr(ops, "conv2d", spy)
     list(forward_clip(config, init_random(config, 0), frame_timestamps(5)))

@@ -258,6 +258,23 @@ def test_payload_length_must_match_bytes_read():
             decode_symbols(bad, models, [300, 40])
 
 
+def test_cut_payload_refused_at_its_end():
+    # the decoder stops where it would read past the payload, rather
+    # than decode on from zeros
+    rng = make_rng(15)
+    models = [build_model(0.0, 3.0, 40), build_model(0.2, 0.5, 4)]
+    streams = [rng.integers(-40, 41, 2000).astype(np.int32),
+               rng.integers(-4, 5, 500).astype(np.int32)]
+    payload = encode_symbols(streams, models)
+    for cut in (payload[:len(payload) // 2], payload[:FLUSH_BYTES - 1],
+                b""):
+        size = len(cut)
+        with pytest.raises(BitstreamError,
+                           match=f"consumed {size + 1} bytes of a "
+                                 f"{size}-byte payload"):
+            decode_symbols(cut, models, [2000, 500])
+
+
 # ---------------------------------------------------------------------------
 # Per-symbol references: the coder as it was before the per-layer loops.
 # ``encode_symbols``/``decode_symbols`` must match them byte for byte,
@@ -306,12 +323,13 @@ class PerSymbolDecoder:
         return self._pos
 
     def _next_byte(self) -> int:
-        if self._pos < len(self._data):
-            byte = self._data[self._pos]
-            self._pos += 1
-            return byte
+        size = len(self._data)
+        if self._pos == size:
+            raise BitstreamError(f"range decoder consumed {size + 1} bytes "
+                                 f"of a {size}-byte payload")
+        byte = self._data[self._pos]
         self._pos += 1
-        return 0
+        return byte
 
     def decode_cum(self, cum: list[int]) -> int:
         offset = self._code - self._low

@@ -29,6 +29,8 @@ GOLDEN_TESTS = (
     "tests/test_pipeline.py::test_golden_bitstream_and_reconstruction",
     "tests/test_detmath.py::test_kernels_match_golden_hashes",
     "tests/test_video.py::test_synth_matches_golden_hashes",
+    "tests/test_tensor_ops.py::"
+    "test_conv2d_upsample_bitwise_equal_to_two_op_chain",
 )
 
 # Dispatch targets numpy was built with (lowest first) that the host has.

@@ -8,7 +8,8 @@ from clipcodec.backbone import forward_frame, init_random
 from clipcodec.errors import ShapeError, TapeError
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.tensor import Tape, Tensor
-from conftest import concat_flat, fd_gradient, rel_error, sum_all
+from conftest import (concat_flat, fd_gradient, rel_error, sum_all,
+                      upsample_nearest)
 
 
 def test_matmul_shape_contract():
@@ -42,7 +43,7 @@ def test_mean_square_zero():
 
 def test_upsample_nearest_values():
     x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-    out = ops.upsample_nearest(x, 2)
+    out = upsample_nearest(x, 2)
     assert out.shape == (1, 1, 4, 4)
     assert np.array_equal(out.data[0, 0],
                           np.array([[1, 1, 2, 2], [1, 1, 2, 2],
@@ -161,9 +162,11 @@ def test_tier_conv_shapes_are_the_forward_pass(monkeypatch):
     seen = []
     original = ops.conv2d
 
-    def spy(x, w, b=None):
-        seen.append((x.shape, w.shape))
-        return original(x, w, b)
+    def spy(x, w, b=None, scale=1):
+        # the input as the conv sees it, nearest-upsampled
+        n, c, h, wd = x.shape
+        seen.append(((n, c, h * scale, wd * scale), w.shape))
+        return original(x, w, b, scale)
 
     monkeypatch.setattr(ops, "conv2d", spy)
     for config in TIER_CONFIGS:
@@ -204,6 +207,66 @@ def test_conv2d_bitwise_equal_to_per_tap_reference(x_shape, w_shape, dtype,
         for got, want in zip((out.data,) + tuple(grads), expect):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def _conv_and_grads(x, w, b, g, scale, two_ops):
+    """Output and gradients of x, w and b for upstream gradient g of
+    ``ops.conv2d(x, w, b, scale)``, or with ``two_ops`` of
+    ``ops.conv2d(upsample_nearest(x, scale), w, b)``."""
+    leaves = [Tensor(a.copy(), requires_grad=True)
+              for a in (x, w, b) if a is not None]
+    with Tape() as tape:
+        if two_ops:
+            out = ops.conv2d(upsample_nearest(leaves[0], scale), *leaves[1:])
+        else:
+            out = ops.conv2d(*leaves, scale=scale)
+        loss = sum_all(ops.mul(out, ops.constant(g)))
+    tape.backward(loss)
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+# (input, output channels) of each nearest stage of the benchmark's
+# tiers, at the stage's input resolution; every stage upsamples 2x.
+TIER_STAGE_SHAPES = [((config.base_channels if i == 0
+                       else config.stages[i - 1].channels,
+                       config.base_height << i, config.base_width << i),
+                      stage.channels)
+                     for config in TIER_CONFIGS
+                     for i, stage in enumerate(config.stages)]
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_upsample_bitwise_equal_to_two_op_chain(dtype, batch):
+    # the nearest stage at input resolution against the upsample it
+    # replaces: output and every gradient, bit for bit
+    assert len(TIER_STAGE_SHAPES) == 7
+    rng = np.random.default_rng(batch)
+    # 8 input channels: on a one-cell grid einsum would sum them in
+    # another order, which 3 channels do not show
+    cases = [((8, h, wd), 4, scale, kernel, True)
+             for scale in (1, 2, 3, 4) for kernel in (1, 3, 5)
+             for h, wd in ((1, 1), (1, 6), (5, 1), (3, 4))]
+    cases += [(shape, cout, 2, 3, bias) for shape, cout in TIER_STAGE_SHAPES
+              for bias in (True, False)]
+    for (cin, h, wd), cout, scale, kernel, bias in cases:
+        x = rng.standard_normal((batch, cin, h, wd)).astype(dtype)
+        w = (rng.standard_normal((cout, cin, kernel, kernel))
+             / 3.0).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype) if bias else None
+        g = rng.standard_normal((batch, cout, h * scale,
+                                 wd * scale)).astype(dtype)
+        got = _conv_and_grads(x, w, b, g, scale, two_ops=False)
+        want = _conv_and_grads(x, w, b, g, scale, two_ops=True)
+        for a, e in zip(got, want):
+            assert a.dtype == e.dtype and a.shape == e.shape
+            assert a.tobytes() == e.tobytes(), (x.shape, w.shape, scale)
+
+
+def test_conv2d_rejects_upsample_below_one():
+    with pytest.raises(ShapeError, match="upsample factor 0"):
+        ops.conv2d(Tensor(np.ones((1, 2, 3, 3))),
+                   Tensor(np.ones((2, 2, 3, 3))), scale=0)
 
 
 @pytest.mark.parametrize("op_name", ["gelu", "sin", "sigmoid", "exp"])
