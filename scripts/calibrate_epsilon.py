@@ -100,9 +100,8 @@ def main() -> int:
 
     sched, resid = fit_schedule(unique)
     print(f"\npoints: {unique}")
-    if sched.degenerate:
-        # every best epsilon is the same, so the points fix no b (and
-        # EpsilonSchedule refuses b = 0 unless flagged degenerate)
+    if sched.b == 0:
+        # every best epsilon is the same, so the points fix no b
         print(f"fit is degenerate: every best epsilon is {unique[0][1]:.4g}"
               f"; no b to recommend")
         return 0

@@ -15,6 +15,7 @@ The full byte layout is documented field-by-field in docs/bitstream.md.
 from __future__ import annotations
 
 import io
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -333,11 +334,17 @@ class BitstreamReader:
 
     Parsing the header touches only the header bytes; each
     :meth:`read_payload` call reads exactly that model's byte range, so a
-    single-group decode never touches other groups' payloads.
+    single-group decode never touches other groups' payloads.  A stream
+    with a file descriptor is read with ``os.pread``, which leaves the
+    file position alone: a forked worker shares it with its parent.
     """
 
     def __init__(self, fileobj):
         self._file = fileobj
+        try:
+            self._fd = fileobj.fileno()
+        except (AttributeError, OSError):  # in-memory streams have none
+            self._fd = None
         self.header = _parse_header(self._read_exact)
 
     @classmethod
@@ -345,6 +352,8 @@ class BitstreamReader:
         return cls(io.BytesIO(data))
 
     def _read_exact(self, offset: int, n: int) -> bytes:
+        if self._fd is not None:
+            return os.pread(self._fd, n, offset)
         self._file.seek(offset)
         return self._file.read(n)
 

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import closing
 from pathlib import Path
 
 from . import metrics, presets, video as videomod
@@ -33,13 +34,12 @@ EXIT_NUMERIC = 4
 def _write_atomic(path: Path, chunks) -> None:
     """Write an iterable of byte chunks via a temp file + rename: a
     failure, also one raised while the chunks are produced, leaves no
-    partial output."""
+    partial output.  Each chunk is let go before the next is produced."""
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
                                prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -205,8 +205,11 @@ def _cmd_decode(args) -> int:
         if args.dump_header:
             print(dump_header_text(reader.header))
             return EXIT_OK
-        groups = _decode_groups(reader, args.gom)
-        _write_atomic(args.out, (part.to_bytes() for part, _ in groups))
+        with closing(_decode_groups(reader, args.gom)) as groups:
+            # map, unlike a loop variable, keeps no group while the next
+            # one decodes
+            _write_atomic(args.out, map(lambda group: group[0].frames,
+                                        groups))
     frames = args.out.stat().st_size // (3 * reader.header.width
                                          * reader.header.height)
     print(f"decoded {frames} frames -> {args.out}")
@@ -263,11 +266,9 @@ def _cmd_fit_epsilon(args) -> int:
     points = metrics.read_csv_columns(args.points, [("mse",), ("epsilon",)])
     schedule, residual = fit_schedule(points)
     payload = (f'{{\n  "a": {schedule.a!r},\n  "b": {schedule.b!r},\n'
-               f'  "degenerate": '
-               f'{"true" if schedule.degenerate else "false"},\n'
                f'  "fit_residual": {residual!r}\n}}\n')
     _write_atomic(args.out, [payload.encode()])
-    flag = " (degenerate: constant epsilon)" if schedule.degenerate else ""
+    flag = " (b = 0: constant epsilon)" if schedule.b == 0 else ""
     print(f"fitted schedule: a={schedule.a:.8g} b={schedule.b:.8g}, "
           f"residual={residual:.3e}{flag}")
     return EXIT_OK

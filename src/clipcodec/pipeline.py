@@ -9,7 +9,12 @@ Groups never reference each other, so they decode independently and may
 be encoded in parallel.  One group walk serves both sides: the encoder
 trains each model and the decoder reads it from the stream, and the walk
 renders every model's clip from its final parameters into the group's
-frames, so the encoder scores the frames a decoder gives.
+frames, so the encoder scores the frames a decoder gives.  A whole-stream
+decode runs its groups on every CPU this process may use: group ``g`` on
+worker ``g mod w``, where worker 0 is the calling process and the others
+are forked children that send their frames back down a pipe.  So it holds
+up to ``w`` groups at once, one per process.  One CPU (``taskset -c 0``),
+one group, or another live Python thread gives the serial walk.
 
 Training follows a strict quantization-aware regime: every step renders
 with the warm start plus the straight-through-rounded residual, so the
@@ -21,8 +26,14 @@ into the header at the end.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import struct
+import threading
 import time
 import zlib
+from contextlib import closing, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -425,25 +436,135 @@ def decode_gom(reader: BitstreamReader,
                      frames=frames), plan.gom_frame_range(gom_index))
 
 
+# a forked worker's message per group: its kind, then the byte count of
+# the group's frames or of the pickled error that follows
+_MESSAGE = struct.Struct("<BQ")
+_FRAMES, _ERROR = 0, 1
+
+
+def _decode_workers(groups: int) -> int:
+    """Processes a whole-stream decode runs on: one per CPU this process
+    may use, at most one per group.  A fork copies only the calling
+    thread, so there is one while another Python thread is alive, and
+    one where the OS has no ``sched_getaffinity``."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or threading.active_count() > 1:
+        return 1
+    return min(groups, len(affinity(0)))
+
+
+def _send_groups(reader: BitstreamReader, indices, fd: int,
+                 inherited) -> None:
+    """A forked worker: decode the groups ``indices`` in order and send
+    each one's frames down ``fd``, or the error that ends the walk.  It
+    closes the read ends it ``inherited``, so that a parent that dies
+    leaves it a broken pipe, not a full one, and it leaves by
+    ``os._exit``, so no buffer or handler of the parent runs twice."""
+    try:
+        for pipe in inherited:
+            pipe.close()
+        with os.fdopen(fd, "wb") as out:
+            for index in indices:
+                try:
+                    frames = decode_gom(reader, index)[0].frames
+                except Exception as exc:
+                    blob = pickle.dumps(exc)
+                    out.write(_MESSAGE.pack(_ERROR, len(blob)) + blob)
+                    return
+                out.write(_MESSAGE.pack(_FRAMES, frames.nbytes))
+                out.write(frames)
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe, reader: BitstreamReader, index: int):
+    """Group ``index`` as :func:`decode_gom` returns it, read from a
+    worker's ``pipe`` straight into its frame array, or ``None`` if the
+    worker ended before it sent the whole group.  A sent error is raised
+    here."""
+    head = pipe.read(_MESSAGE.size)
+    if len(head) < _MESSAGE.size:
+        return None
+    kind, size = _MESSAGE.unpack(head)
+    if kind == _ERROR:
+        blob = pipe.read(size)
+        if len(blob) < size:
+            return None
+        raise pickle.loads(blob)
+    header = reader.header
+    start, stop = header.plan.gom_frame_range(index)
+    frames = np.empty((stop - start, 3, header.height, header.width),
+                      dtype=np.uint8)
+    if pipe.readinto(frames) != frames.nbytes:
+        return None
+    return (RawVideo(width=header.width, height=header.height,
+                     frames=frames), (start, stop))
+
+
+def _decode_forked(reader: BitstreamReader, workers: int):
+    """Every group in order; group ``g`` is decoded by worker
+    ``g % workers``.  This process is worker 0, and each other worker is a
+    forked child.  A group that a child did not send in full is decoded
+    here.  However the walk ends, every child is killed and reaped."""
+    count = reader.header.plan.gom_count
+    pipes, pids = {}, []
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pipes[worker] = os.fdopen(read_fd, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_groups(reader, range(worker, count, workers),
+                                 write_fd, list(pipes.values()))
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+        for index in range(count):
+            pipe = pipes.get(index % workers)
+            part = None if pipe is None else _receive(pipe, reader, index)
+            yield part or decode_gom(reader, index)
+            del part  # no group is kept past its yield
+    finally:
+        for pipe in pipes.values():
+            pipe.close()
+        for pid in pids:
+            # gone already where SIGCHLD is ignored, which reaps children
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def _decode_groups(reader: BitstreamReader, gom_index: int | None = None):
     """:func:`decode_gom` of one group, or of every group in order, run
     lazily.  Every group is the whole stream, so the call itself first
-    refuses a stream shorter than its header declares."""
-    if gom_index is None:
-        reader.check_complete()
-    every = range(reader.header.plan.gom_count)
-    return (decode_gom(reader, index)
-            for index in (every if gom_index is None else [gom_index]))
+    refuses a stream shorter than its header declares, and the groups run
+    on :func:`_decode_workers` processes; close the iterator when done
+    with it, so that no worker outlives it."""
+    if gom_index is not None:
+        return (decode_gom(reader, index) for index in [gom_index])
+    reader.check_complete()
+    count = reader.header.plan.gom_count
+    workers = _decode_workers(count)
+    if workers > 1:
+        return _decode_forked(reader, workers)
+    return (decode_gom(reader, index) for index in range(count))
 
 
 def decode_video(data: bytes) -> RawVideo:
-    """Reconstruct the full video from bitstream bytes (pure function),
-    one group at a time."""
+    """Reconstruct the full video from bitstream bytes (pure function).
+
+    The groups decode in parallel, one worker process per CPU this
+    process may use (see the module docstring), and each is copied into
+    the output as it arrives in order.  The frames equal a serial
+    decode's, and an invalid stream raises the error of its first bad
+    group, as a serial decode does."""
     reader = BitstreamReader.from_bytes(data)
     header = reader.header
-    groups = _decode_groups(reader)
-    frames = np.empty((header.frame_count, 3, header.height, header.width),
-                      dtype=np.uint8)
-    for part, (start, stop) in groups:
-        frames[start:stop] = part.frames
+    with closing(_decode_groups(reader)) as groups:
+        frames = np.empty((header.frame_count, 3, header.height,
+                           header.width), dtype=np.uint8)
+        for part, (start, stop) in groups:
+            frames[start:stop] = part.frames
+            del part  # not kept while the next group decodes
     return RawVideo(width=header.width, height=header.height, frames=frames)

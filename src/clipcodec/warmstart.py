@@ -6,10 +6,12 @@ fraction ``epsilon`` grows with the mean-squared gap between the two
 clips: near-identical clips reuse the predecessor almost verbatim, while
 dissimilar clips fall back toward a random start.  The mapping is
 
-    epsilon(mse) = 1 - a * exp(-b * mse),        a > 0, b > 0,
+    epsilon(mse) = 1 - a * exp(-b * mse),        a > 0, b >= 0,
 
-clamped into [0, 1].  With ``a = 1``, the default and what every
-non-degenerate fit returns, the schedule passes through epsilon(0) = 0.
+clamped into [0, 1].  With ``a = 1``, the default and what every fit of
+varying data returns, the schedule passes through epsilon(0) = 0.
+``b = 0`` is the constant epsilon = 1 - a, clamped, which is what a fit
+of constant data returns.
 """
 
 from __future__ import annotations
@@ -29,13 +31,10 @@ class EpsilonSchedule:
     # calibrated by scripts/calibrate_epsilon.py on the bundled synthetic
     # set (see that script for the procedure)
     b: float = 60.0
-    degenerate: bool = False  # set by fits over constant-epsilon data
 
     def __post_init__(self):
         if self.a <= 0:
             raise ConfigError(f"schedule needs a > 0, got a={self.a}")
-        if self.b <= 0 and not self.degenerate:
-            raise ConfigError(f"schedule needs b > 0, got b={self.b}")
         if self.b < 0:
             raise ConfigError(f"schedule needs b >= 0, got b={self.b}")
 
@@ -86,8 +85,8 @@ def fit_schedule(points: list[tuple[float, float]]
 
     The fit holds a = 1 (so epsilon(0) = 0) and is a one-dimensional
     problem over b.  Returns the schedule and the residual norm.
-    All-equal epsilon values yield a constant schedule flagged
-    ``degenerate``.  scipy loads on the first call.
+    All-equal epsilon values yield the constant schedule ``b = 0``.
+    scipy loads on the first call.
     """
     from scipy.optimize import least_squares  # keeps scipy off the codec path
 
@@ -104,7 +103,7 @@ def fit_schedule(points: list[tuple[float, float]]
     if np.allclose(eps, eps[0], atol=1e-12):
         # constant target: epsilon == eps0 for every mse
         amp = max(1.0 - float(eps[0]), 1e-12)
-        sched = EpsilonSchedule(a=amp, b=0.0, degenerate=True)
+        sched = EpsilonSchedule(a=amp, b=0.0)
         resid = float(np.linalg.norm(_eval_raw(mse, amp, 0.0) - eps))
         return sched, resid
 

@@ -1,6 +1,7 @@
 """Container format: round trips, tamper detection, random access."""
 
 import io
+import os
 import struct
 import time
 import zlib
@@ -153,6 +154,19 @@ def test_reader_reads_only_requested_ranges():
     assert spy.reads, "no payload read recorded"
     assert all(lo <= start and start + length <= hi
                for start, length in spy.reads)
+
+
+def test_file_reads_leave_the_file_position_alone(tmp_path):
+    # a forked decode worker shares its parent's open file, position and
+    # all; a read that moved it would hand the other process wrong bytes
+    data, records, payloads = _stream()
+    path = tmp_path / "clip.bits"
+    path.write_bytes(data)
+    with open(path, "rb", buffering=0) as fh:
+        fh.seek(7)
+        reader = BitstreamReader(fh)
+        assert [reader.read_payload(i) for i in range(3)] == payloads
+        assert os.lseek(fh.fileno(), 0, os.SEEK_CUR) == 7
 
 
 def test_dump_header_text_mentions_fields():

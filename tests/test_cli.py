@@ -13,6 +13,7 @@ import pytest
 
 import clipcodec
 from clipcodec import cli, detmath
+from clipcodec.bitstream import BitstreamReader
 from clipcodec.cli import main
 from clipcodec.errors import DataError
 from clipcodec.manifest import RunManifest
@@ -317,7 +318,30 @@ def test_fit_epsilon_command(tmp_path, capsys):
     import json
     sched = json.loads(out.read_text())
     assert sched["b"] == pytest.approx(0.8, abs=1e-6)
-    assert set(sched) == {"a", "b", "degenerate", "fit_residual"}
+    assert set(sched) == {"a", "b", "fit_residual"}
+
+
+def test_constant_fit_encodes_from_a_manifest(workdir, tmp_path, capsys):
+    # a fit of constant data is the schedule b = 0, epsilon = 1 - a, and a
+    # manifest carries it into an encode like any other schedule
+    points = tmp_path / "points.csv"
+    points.write_text("mse,epsilon\n0.01,0.3\n0.1,0.3\n0.5,0.3\n")
+    fitted = tmp_path / "sched.json"
+    assert main(["fit-epsilon", str(points), "--out", str(fitted)]) == 0
+    assert "constant epsilon" in capsys.readouterr().out
+    sched = json.loads(fitted.read_text())
+    assert sched["b"] == 0.0 and sched["a"] == pytest.approx(0.7)
+    raw = json.loads((workdir / "out.bits.manifest.json").read_text())
+    manifest = tmp_path / "constant.manifest.json"
+    manifest.write_text(json.dumps(dict(raw, schedule_a=sched["a"],
+                                        schedule_b=sched["b"])))
+    out = tmp_path / "constant.bits"
+    assert main(["encode", "--from-manifest", str(manifest), "--out",
+                 str(out)]) == 0
+    records = BitstreamReader.from_bytes(out.read_bytes()).header.records
+    assert [rec.role for rec in records] == ["I", "P", "I", "P"]
+    for rec in records[1::2]:
+        assert rec.epsilon == pytest.approx(0.3, abs=1e-6)
 
 
 @pytest.mark.parametrize("command, content", [

@@ -3,8 +3,9 @@
 scipy serves only ε calibration (``fit_schedule``) and rate-curve
 comparison (``bd_rate``), and ``multiprocessing`` only ``--jobs N``; each
 is imported on first use, so a codec process does not pay their memory
-and start-up time.  The check runs in a fresh interpreter: pytest and
-the other tests have loaded scipy into this one long ago.
+and start-up time.  A whole-stream decode forks its workers with
+``os.fork``, so it loads neither.  The check runs in a fresh interpreter:
+pytest and the other tests have loaded scipy into this one long ago.
 """
 
 import json
@@ -19,8 +20,13 @@ HEAVY = ("scipy.optimize", "scipy.interpolate", "scipy.linalg",
          "scipy.sparse", "concurrent.futures.process", "multiprocessing")
 
 _CODEC_THEN_TOOLS = """
-import json, sys, tempfile
+import json, os, sys, tempfile
 from pathlib import Path
+
+# two usable CPUs whatever the host has, so two-group decodes fork
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
 
 import clipcodec
 import clipcodec.cli
@@ -37,20 +43,27 @@ config = BackboneConfig(
 video = synth_video("moving-blob", 16, 16, 4, velocity=1.0, seed=3)
 result = encode_video(video, partition(4, 2, 2), config,
                       TrainConfig(epochs_i=1, epochs_p=1, seed=3))
+two = encode_video(video, partition(4, 2, 1), config,
+                   TrainConfig(epochs_i=1, epochs_p=1, seed=3))
 decoded = decode_video(result.data)
 fragment, _ = decode_gom(BitstreamReader.from_bytes(result.data), 0)
+decoded_two = decode_video(two.data)
+codes = []
 with tempfile.TemporaryDirectory() as tmp:
-    stream = Path(tmp) / "clip.bits"
-    stream.write_bytes(result.data)
-    code = clipcodec.cli.main(["decode", str(stream), str(Path(tmp) / "out.rgb")])
+    for name, data in (("clip", result.data), ("two", two.data)):
+        stream = Path(tmp) / f"{name}.bits"
+        stream.write_bytes(data)
+        codes.append(clipcodec.cli.main(["decode", str(stream),
+                                         str(Path(tmp) / f"{name}.rgb")]))
 loaded = sorted(name for name in sys.argv[1:] if name in sys.modules)
 
 anchor = [RDPoint(b, q) for b, q in ((1, 30), (2, 33), (3, 35), (4, 36))]
 test = [RDPoint(0.9 * p.bpp, p.quality) for p in anchor]
 schedule, _ = fit_schedule([(0.0, 0.0), (0.01, 0.3), (0.02, 0.5),
                             (0.05, 0.8)])
-print(json.dumps({"loaded": loaded, "cli": code,
-                  "frames": [decoded.frame_count, fragment.frame_count],
+print(json.dumps({"loaded": loaded, "cli": codes, "forks": len(forks),
+                  "frames": [decoded.frame_count, fragment.frame_count,
+                             decoded_two.frame_count],
                   "bd_rate": bd_rate(anchor, test), "b": schedule.b,
                   "after_tools": sorted(name for name in sys.argv[1:]
                                         if name in sys.modules)}))
@@ -67,7 +80,8 @@ def test_codec_path_loads_no_heavy_imports():
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout.splitlines()[-1])
     assert report["loaded"] == []
-    assert report["cli"] == 0 and report["frames"] == [4, 4]
+    assert report["cli"] == [0, 0] and report["frames"] == [4, 4, 4]
+    assert report["forks"] == 2  # the two-group decode_video and CLI decode
     # the tools still work, and load what they need on first call
     assert abs(report["bd_rate"] - (-10.0)) < 1e-9
     assert report["b"] > 0

@@ -4,6 +4,8 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import multiprocessing
+import os
+import threading
 import tracemalloc
 import weakref
 
@@ -454,6 +456,7 @@ def test_decoded_parameters_bit_identical(encoded_pair, monkeypatch):
     monkeypatch.setattr(pipeline, "render_video", render_spy("encode"))
     assert encode_video(video, plan, config, cfg).data == result.data
     monkeypatch.setattr(pipeline, "render_video", render_spy("decode"))
+    set_cpus(monkeypatch, 1)  # a spy does not see a forked worker's calls
     decode_video(result.data)
     assert len(trained_thetas) == plan.gop_count
     for side in rendered.values():
@@ -565,6 +568,7 @@ def test_random_inits_drawn_only_where_read(monkeypatch, frames, gop_size,
         plan.role_of(end - 1) == "P" for _, end in plan.goms)
     assert drawn == expected
     drawn.clear()
+    set_cpus(monkeypatch, 1)  # a spy does not see a forked worker's calls
     assert np.array_equal(decode_video(result.data).frames,
                           result.recon.frames)
     assert drawn == expected
@@ -670,6 +674,203 @@ def test_payloads_are_read_to_their_last_byte(encoded_pair):
         assert [layer.size for layer in layers] == counts
         with pytest.raises(BitstreamError, match="consumed"):
             decode_symbols(payload + b"\x00", models, counts)
+
+
+# ------------------------------------------- whole-stream decode workers
+
+def set_cpus(monkeypatch, count):
+    """Make the decoder see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+def count_forks(monkeypatch):
+    """The list that gets one entry per ``os.fork`` of this process."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def group_streams():
+    """groups -> (plan, stream): 9 frames whose last clip and last group
+    are short, or 5 frames for two groups."""
+    config = small_config()
+    out = {}
+    for frames, gop_size, gom_size in ((5, 2, 2), (9, 2, 2), (9, 2, 1)):
+        video = synth_video("moving-blob", 16, 16, frames, velocity=1.0,
+                            seed=6)
+        plan = partition(frames, gop_size, gom_size)
+        out[plan.gom_count] = plan, encode_video(
+            video, plan, config, quick_cfg(epochs_i=1, epochs_p=1)).data
+    return out
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+@pytest.mark.parametrize("groups", [2, 3, 5])
+def test_forked_decode_equals_group_decodes(group_streams, monkeypatch,
+                                            groups, cpus):
+    # with two workers a worker decodes every other group, so the last,
+    # short group shares one with earlier groups
+    plan, data = group_streams[groups]
+    assert plan.gom_count == groups
+    assert plan.goms[-1][1] - plan.goms[-1][0] < plan.gom_size or \
+        plan.gops[-1][1] - plan.gops[-1][0] < plan.gop_size
+    reader = BitstreamReader.from_bytes(data)
+    parts = [decode_gom(reader, g)[0].frames for g in range(groups)]
+    set_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    decoded = decode_video(data)
+    assert len(forks) == min(groups, cpus) - 1
+    assert_no_child_left()
+    assert np.array_equal(decoded.frames, np.concatenate(parts))
+
+
+def _stale_crc(data: bytes, model: int) -> bytes:
+    """One byte of ``model``'s payload flipped, its CRC left as it was."""
+    offset = BitstreamReader.from_bytes(data).header.offsets[model]
+    blob = bytearray(data)
+    blob[offset] ^= 0x5A
+    return bytes(blob)
+
+
+def _recoded(data: bytes, model: int) -> bytes:
+    """``model``'s payload one byte longer, its CRC recomputed."""
+    return repack(data, model=model, payload_tail=b"\x00")
+
+
+def _raised(data: bytes):
+    with pytest.raises(BitstreamError) as info:
+        decode_video(data)
+    return type(info.value), str(info.value), info.value.offset
+
+
+@pytest.mark.parametrize("edit", [_stale_crc, _recoded],
+                         ids=["stale-crc", "recoded"])
+@pytest.mark.parametrize("bad_groups", [(0,), (1,), (0, 1)],
+                         ids=["group-0", "group-1", "both"])
+def test_forked_decode_raises_the_serial_error(encoded_pair, monkeypatch,
+                                               edit, bad_groups):
+    # each bad group's P model is edited; the first bad group in order
+    # raises, with the serial walk's type, message and offset
+    data = encoded_pair[-1].data
+    for gom in bad_groups:
+        data = edit(data, 2 * gom + 1)
+    set_cpus(monkeypatch, 1)
+    serial = _raised(data)
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    assert _raised(data) == serial
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_bitstream_error_offset_survives_the_pipe(encoded_pair,
+                                                  monkeypatch):
+    # group 1 is the forked worker's, and the parent may not decode it
+    # itself, so its error must cross the pipe, pickled
+    data = _stale_crc(encoded_pair[-1].data, 3)
+    offset = BitstreamReader.from_bytes(data).header.offsets[3]
+    parent, decode = os.getpid(), pipeline.decode_gom
+
+    def worker_only(reader, index):
+        assert index == 0 or os.getpid() != parent
+        return decode(reader, index)
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "decode_gom", worker_only)
+    kind, message, raised_offset = _raised(data)
+    assert (kind, raised_offset) == (BitstreamError, offset)
+    assert message == f"model 3: payload CRC mismatch (offset {offset})"
+
+
+def test_one_cpu_decodes_without_forking(encoded_pair, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    set_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    result = encoded_pair[-1]
+    assert np.array_equal(decode_video(result.data).frames,
+                          result.recon.frames)
+
+
+def test_live_thread_decodes_without_forking(encoded_pair, monkeypatch):
+    # a fork copies only the calling thread
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        decoded = decode_video(encoded_pair[-1].data)
+    finally:
+        done.set()
+        thread.join()
+    assert not forks
+    assert np.array_equal(decoded.frames, encoded_pair[-1].recon.frames)
+
+
+def test_group_of_a_dead_worker_decodes_in_the_parent(group_streams,
+                                                      monkeypatch):
+    # a worker that ends before it sends a group leaves that group, and
+    # every later one of its, to the parent
+    plan, data = group_streams[5]
+    expected = decode_video(data).frames
+    parent, decode = os.getpid(), pipeline.decode_gom
+
+    def dying(reader, index):
+        if os.getpid() != parent:
+            os._exit(1)
+        return decode(reader, index)
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "decode_gom", dying)
+    forks = count_forks(monkeypatch)
+    assert np.array_equal(decode_video(data).frames, expected)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_cli_consumer_stopping_early_leaves_no_child(encoded_pair,
+                                                     monkeypatch, tmp_path):
+    # the output fails on the parent's first group, while the worker is
+    # still decoding or waiting to send the second
+    from clipcodec import cli
+    from clipcodec.errors import DataError
+
+    def full(path, chunks):
+        next(iter(chunks))
+        raise DataError("no space left")
+
+    stream, out = tmp_path / "clip.bits", tmp_path / "out.rgb"
+    stream.write_bytes(encoded_pair[-1].data)
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(cli, "_write_atomic", full)
+    assert cli.main(["decode", str(stream), str(out)]) == 3
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_cli_forked_decode_moves_no_file_position(encoded_pair, tmp_path,
+                                                  monkeypatch):
+    # the worker reads the parent's open file; a shared position moved by
+    # one process would hand the other the wrong bytes
+    from clipcodec import cli
+    stream, out = tmp_path / "clip.bits", tmp_path / "out.rgb"
+    stream.write_bytes(encoded_pair[-1].data)
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    assert cli.main(["decode", str(stream), str(out)]) == 0
+    assert len(forks) == 1
+    assert out.read_bytes() == encoded_pair[-1].recon.frames.tobytes()
+    assert_no_child_left()
 
 
 PAYLOAD_EDITS = ("flip", "truncate", "extend")

@@ -115,7 +115,7 @@ def test_fit_recovers_planted_parameters():
 
 def test_fit_degenerate_constant_points():
     sched, _ = fit_schedule([(0.1, 0.0), (0.5, 0.0), (1.0, 0.0)])
-    assert sched.degenerate
+    assert (sched.a, sched.b) == (1.0, 0.0)
     for m in (0.0, 0.5, 10.0):
         assert epsilon_for(m, sched) == pytest.approx(0.0)
 
@@ -134,6 +134,8 @@ def test_schedule_validation():
     with pytest.raises(ConfigError):
         EpsilonSchedule(a=0.0, b=1.0)
     with pytest.raises(ConfigError):
-        EpsilonSchedule(a=1.0, b=-1.0, degenerate=True)
-    with pytest.raises(ConfigError):
-        EpsilonSchedule(a=1.0, b=0.0)  # b == 0 only via degenerate fits
+        EpsilonSchedule(a=1.0, b=-1.0)
+    # b == 0 is the constant epsilon = 1 - a, clamped into [0, 1]
+    for a, eps in ((0.25, 0.75), (1.0, 0.0), (2.0, 0.0)):
+        for m in (0.0, 0.5, 10.0):
+            assert epsilon_for(m, EpsilonSchedule(a=a, b=0.0)) == eps
