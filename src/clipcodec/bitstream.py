@@ -18,6 +18,7 @@ import io
 import os
 import struct
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -334,17 +335,21 @@ class BitstreamReader:
 
     Parsing the header touches only the header bytes; each
     :meth:`read_payload` call reads exactly that model's byte range, so a
-    single-group decode never touches other groups' payloads.  A stream
-    with a file descriptor is read with ``os.pread``, which leaves the
-    file position alone: a forked worker shares it with its parent.
+    single-group decode never touches other groups' payloads.  A file
+    opened for reading, buffered or not, is read with ``os.pread``, which
+    leaves the file position alone: a forked worker shares it with its
+    parent.  Any other stream is read with seek and read, since its
+    descriptor, if it has one, need not hold the bytes it reads (a
+    ``gzip`` file's holds the compressed ones, a writer's lacks what it
+    has not flushed).
     """
 
     def __init__(self, fileobj):
         self._file = fileobj
-        try:
-            self._fd = fileobj.fileno()
-        except (AttributeError, OSError):  # in-memory streams have none
-            self._fd = None
+        self._fd = None
+        if isinstance(fileobj, (io.FileIO, io.BufferedReader)):
+            with suppress(OSError):  # a reader over a BytesIO has none
+                self._fd = fileobj.fileno()
         self.header = _parse_header(self._read_exact)
 
     @classmethod

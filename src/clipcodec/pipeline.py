@@ -10,11 +10,12 @@ be encoded in parallel.  One group walk serves both sides: the encoder
 trains each model and the decoder reads it from the stream, and the walk
 renders every model's clip from its final parameters into the group's
 frames, so the encoder scores the frames a decoder gives.  A whole-stream
-decode runs its groups on every CPU this process may use: group ``g`` on
-worker ``g mod w``, where worker 0 is the calling process and the others
-are forked children that send their frames back down a pipe.  So it holds
-up to ``w`` groups at once, one per process.  One CPU (``taskset -c 0``),
-one group, or another live Python thread gives the serial walk.
+decode runs its groups on the CPUs this process may use, two at most:
+group ``g`` on worker ``g mod w``, where worker 0 is the calling process
+and the other is a forked child that sends its frames back down a pipe.
+So it holds up to ``w`` groups at once, one per process.  One CPU
+(``taskset -c 0``), one group, another live Python thread, or a host with
+no process or descriptor to spare gives the serial walk.
 
 Training follows a strict quantization-aware regime: every step renders
 with the warm start plus the straight-through-rounded residual, so the
@@ -27,9 +28,7 @@ into the header at the end.
 from __future__ import annotations
 
 import os
-import pickle
 import signal
-import struct
 import threading
 import time
 import zlib
@@ -436,43 +435,37 @@ def decode_gom(reader: BitstreamReader,
                      frames=frames), plan.gom_frame_range(gom_index))
 
 
-# a forked worker's message per group: its kind, then the byte count of
-# the group's frames or of the pickled error that follows
-_MESSAGE = struct.Struct("<BQ")
-_FRAMES, _ERROR = 0, 1
+# the most processes a whole-stream decode runs on; two is what has been
+# measured (docs/resources.md), and each child adds its own dirty memory
+_MAX_DECODE_WORKERS = 2
 
 
 def _decode_workers(groups: int) -> int:
     """Processes a whole-stream decode runs on: one per CPU this process
-    may use, at most one per group.  A fork copies only the calling
-    thread, so there is one while another Python thread is alive, and
-    one where the OS has no ``sched_getaffinity``."""
+    may use, at most one per group and at most ``_MAX_DECODE_WORKERS``.
+    A fork copies only the calling thread, so there is one while another
+    Python thread is alive, and one where the OS has no
+    ``sched_getaffinity``."""
     affinity = getattr(os, "sched_getaffinity", None)
     if affinity is None or threading.active_count() > 1:
         return 1
-    return min(groups, len(affinity(0)))
+    return min(groups, len(affinity(0)), _MAX_DECODE_WORKERS)
 
 
 def _send_groups(reader: BitstreamReader, indices, fd: int,
                  inherited) -> None:
-    """A forked worker: decode the groups ``indices`` in order and send
-    each one's frames down ``fd``, or the error that ends the walk.  It
-    closes the read ends it ``inherited``, so that a parent that dies
-    leaves it a broken pipe, not a full one, and it leaves by
-    ``os._exit``, so no buffer or handler of the parent runs twice."""
+    """A forked worker: decode the groups ``indices`` in order and write
+    each one's frames to ``fd``, stopping at the first error, which the
+    parent meets again when it decodes that group itself.  It closes the
+    read ends it ``inherited``, so that a parent that dies leaves it a
+    broken pipe, not a full one, and it leaves by ``os._exit``, so no
+    buffer or handler of the parent runs twice."""
     try:
         for pipe in inherited:
             pipe.close()
         with os.fdopen(fd, "wb") as out:
             for index in indices:
-                try:
-                    frames = decode_gom(reader, index)[0].frames
-                except Exception as exc:
-                    blob = pickle.dumps(exc)
-                    out.write(_MESSAGE.pack(_ERROR, len(blob)) + blob)
-                    return
-                out.write(_MESSAGE.pack(_FRAMES, frames.nbytes))
-                out.write(frames)
+                out.write(decode_gom(reader, index)[0].frames)
     finally:
         os._exit(0)
 
@@ -480,17 +473,7 @@ def _send_groups(reader: BitstreamReader, indices, fd: int,
 def _receive(pipe, reader: BitstreamReader, index: int):
     """Group ``index`` as :func:`decode_gom` returns it, read from a
     worker's ``pipe`` straight into its frame array, or ``None`` if the
-    worker ended before it sent the whole group.  A sent error is raised
-    here."""
-    head = pipe.read(_MESSAGE.size)
-    if len(head) < _MESSAGE.size:
-        return None
-    kind, size = _MESSAGE.unpack(head)
-    if kind == _ERROR:
-        blob = pipe.read(size)
-        if len(blob) < size:
-            return None
-        raise pickle.loads(blob)
+    worker ended before it sent the whole group."""
     header = reader.header
     start, stop = header.plan.gom_frame_range(index)
     frames = np.empty((stop - start, 3, header.height, header.width),
@@ -504,22 +487,27 @@ def _receive(pipe, reader: BitstreamReader, index: int):
 def _decode_forked(reader: BitstreamReader, workers: int):
     """Every group in order; group ``g`` is decoded by worker
     ``g % workers``.  This process is worker 0, and each other worker is a
-    forked child.  A group that a child did not send in full is decoded
-    here.  However the walk ends, every child is killed and reaped."""
+    forked child.  A group that a child did not send in full, or whose
+    child could not be started, is decoded here, so an invalid group
+    raises the serial walk's error here.  However the walk ends, every
+    child is killed and reaped."""
     count = reader.header.plan.gom_count
     pipes, pids = {}, []
     try:
         for worker in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pipes[worker] = os.fdopen(read_fd, "rb")
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _send_groups(reader, range(worker, count, workers),
-                                 write_fd, list(pipes.values()))
-                pids.append(pid)
-            finally:
-                os.close(write_fd)
+                read_fd, write_fd = os.pipe()
+                pipes[worker] = os.fdopen(read_fd, "rb")
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _send_groups(reader, range(worker, count, workers),
+                                     write_fd, list(pipes.values()))
+                    pids.append(pid)
+                finally:
+                    os.close(write_fd)
+            except OSError:  # no descriptor or process to spare
+                break
         for index in range(count):
             pipe = pipes.get(index % workers)
             part = None if pipe is None else _receive(pipe, reader, index)
@@ -544,21 +532,18 @@ def _decode_groups(reader: BitstreamReader, gom_index: int | None = None):
     if gom_index is not None:
         return (decode_gom(reader, index) for index in [gom_index])
     reader.check_complete()
-    count = reader.header.plan.gom_count
-    workers = _decode_workers(count)
-    if workers > 1:
-        return _decode_forked(reader, workers)
-    return (decode_gom(reader, index) for index in range(count))
+    return _decode_forked(reader,
+                          _decode_workers(reader.header.plan.gom_count))
 
 
 def decode_video(data: bytes) -> RawVideo:
     """Reconstruct the full video from bitstream bytes (pure function).
 
-    The groups decode in parallel, one worker process per CPU this
-    process may use (see the module docstring), and each is copied into
-    the output as it arrives in order.  The frames equal a serial
-    decode's, and an invalid stream raises the error of its first bad
-    group, as a serial decode does."""
+    The groups decode in parallel, on up to two worker processes (see
+    the module docstring), and each is copied into the output as it
+    arrives in order.  The frames equal a serial decode's, and an invalid
+    stream raises the error of its first bad group, as a serial decode
+    does."""
     reader = BitstreamReader.from_bytes(data)
     header = reader.header
     with closing(_decode_groups(reader)) as groups:

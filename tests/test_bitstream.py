@@ -1,5 +1,6 @@
 """Container format: round trips, tamper detection, random access."""
 
+import gzip
 import io
 import os
 import struct
@@ -167,6 +168,21 @@ def test_file_reads_leave_the_file_position_alone(tmp_path):
         reader = BitstreamReader(fh)
         assert [reader.read_payload(i) for i in range(3)] == payloads
         assert os.lseek(fh.fileno(), 0, os.SEEK_CUR) == 7
+
+
+def test_streams_whose_descriptor_is_not_their_bytes(tmp_path):
+    # a gzip file's descriptor holds the compressed bytes, and a writer's
+    # file lacks what it has not flushed; both are read through the object
+    data, _, payloads = _stream()
+    with gzip.open(tmp_path / "clip.bits.gz", "wb") as fh:
+        fh.write(data)
+    with gzip.open(tmp_path / "clip.bits.gz", "rb") as fh:
+        reader = BitstreamReader(fh)
+        assert [reader.read_payload(i) for i in range(3)] == payloads
+    with open(tmp_path / "clip.bits", "w+b") as fh:
+        fh.write(data)
+        reader = BitstreamReader(fh)
+        assert [reader.read_payload(i) for i in range(3)] == payloads
 
 
 def test_dump_header_text_mentions_fields():
