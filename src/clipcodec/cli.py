@@ -21,7 +21,8 @@ from .bitstream import BitstreamReader, dump_header_text
 from .errors import (BitstreamError, CodecError, ConfigError, DataError,
                      NumericError, unreadable)
 from .manifest import RunManifest, build_manifest
-from .pipeline import TrainConfig, _decode_groups, encode_video, partition
+from .pipeline import (TrainConfig, _decode_groups, _group_workers,
+                       encode_video, partition)
 from .tensor import DTYPES
 from .warmstart import fit_schedule
 
@@ -107,9 +108,10 @@ def _add_encode(sub):
                    help="learning rate of both I and P models")
     p.add_argument("--warmup-frac", type=float, default=train.warmup_frac)
     p.add_argument("--seed", type=int, default=train.seed)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers; parallelism is across model "
-                        "groups only")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="processes that encode the model groups, at most "
+                        "one per group (default: one per usable CPU, at "
+                        "most 2)")
     p.add_argument("--precision", choices=tuple(DTYPES),
                    default=BackboneConfig.precision)
     p.add_argument("--csv", type=Path, help="append the summary row here")
@@ -152,6 +154,8 @@ def _cmd_encode(args) -> int:
 
     vid = videomod.load_raw(input_path, width, height)
     plan = partition(vid.frame_count, gop_size, gom_size)
+    if jobs is None:  # the manifest records the count this run used
+        jobs = _group_workers(plan.gom_count)
     result = encode_video(vid, plan, config, cfg, jobs=jobs)
     _write_atomic(args.out, [result.data])
     if args.log:

@@ -5,17 +5,18 @@ instance.  Clips are grouped into model groups (GOMs): the first model of
 a group trains and codes independently (I), every later model (P) is
 warm-started from its predecessor and only the quantized difference
 between its trained parameters and that warm start is entropy-coded.
-Groups never reference each other, so they decode independently and may
-be encoded in parallel.  One group walk serves both sides: the encoder
-trains each model and the decoder reads it from the stream, and the walk
-renders every model's clip from its final parameters into the group's
-frames, so the encoder scores the frames a decoder gives.  A whole-stream
-decode runs its groups on the CPUs this process may use, two at most:
-group ``g`` on worker ``g mod w``, where worker 0 is the calling process
-and the other is a forked child that sends its frames back down a pipe.
-So it holds up to ``w`` groups at once, one per process.  One CPU
-(``taskset -c 0``), one group, another live Python thread, or a host with
-no process or descriptor to spare gives the serial walk.
+Groups never reference each other, so they encode and decode
+independently.  One group walk serves both sides: the encoder trains each
+model and the decoder reads it from the stream, and the walk renders every
+model's clip from its final parameters into the group's frames, so the
+encoder scores the frames a decoder gives.  A whole-video encode or decode
+runs its groups on the CPUs this process may use, two at most (an encode's
+``jobs`` sets the count): group ``g`` on worker ``g mod w``, where worker 0
+is the calling process and each other is a forked child that sends its
+groups back down a pipe, the encoder's pickled and the decoder's as bare
+frames.  So it holds up to ``w`` groups at once, one per process.  One CPU
+(``taskset -c 0``), one group, another live Python thread, ``jobs=1``, or
+a host with no process or descriptor to spare gives the serial walk.
 
 Training follows a strict quantization-aware regime: every step renders
 with the warm start plus the straight-through-rounded residual, so the
@@ -28,6 +29,7 @@ into the header at the end.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import threading
 import time
@@ -277,7 +279,7 @@ def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
 
 def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
                 config: BackboneConfig, cfg: TrainConfig, gom_index: int):
-    """Train, code and render one group's models (self-contained worker).
+    """Train, code and render one group's models.
 
     ``frames`` holds the group's (n, 3, H, W) uint8 frames only.  Returns
     the rendered frames, their per-frame MSE against ``frames`` and one
@@ -330,21 +332,111 @@ def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
     return rendered, mse, rows
 
 
-def _gom_worker(args):
-    return _encode_gom(*args)
+# the most processes that encode or decode one video's groups by default;
+# two is what has been measured (docs/resources.md), and each child adds
+# its own dirty memory
+_MAX_GROUP_WORKERS = 2
+
+
+def _group_workers(groups: int, jobs: int | None = None) -> int:
+    """Processes that encode or decode ``groups`` model groups, at most
+    one per group: ``jobs``, or by default one per CPU this process may
+    use, at most ``_MAX_GROUP_WORKERS``.  A fork copies only the calling
+    thread, so there is one while another Python thread is alive, and one
+    where the OS has no ``fork`` or, by default, no ``sched_getaffinity``.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if jobs is None:
+        affinity = getattr(os, "sched_getaffinity", lambda pid: {0})
+        jobs = min(len(affinity(0)), _MAX_GROUP_WORKERS)
+    return min(groups, jobs)
+
+
+def _serve(run, send, indices, fd: int, inherited) -> None:
+    """A forked worker: ``send`` the result of ``run`` for each of
+    ``indices`` to ``fd`` in order, stopping at the first error, which the
+    parent meets again when it runs that group itself.  It closes the read
+    ends it ``inherited``, so that a parent that dies leaves it a broken
+    pipe, not a full one, and it leaves by ``os._exit``, so no buffer or
+    handler of the parent runs twice."""
+    try:
+        for pipe in inherited:
+            pipe.close()
+        with os.fdopen(fd, "wb") as out:
+            for index in indices:
+                send(out, run(index))
+    finally:
+        os._exit(0)
+
+
+def _forked_groups(count: int, workers: int, run, send, receive):
+    """``run(index)`` of every group in ``range(count)``, yielded in
+    order; group ``g`` runs on worker ``g % workers``.  This process is
+    worker 0, and each other worker is a forked child that writes its
+    groups' results down a pipe with ``send(out, result)``.
+    ``receive(pipe, index)`` reads one back, or returns ``None`` if the
+    child ended before it sent the whole group.  Such a group, and every
+    group whose child could not be started, runs here, so a failing group
+    raises the serial walk's error here.  One worker forks nothing.
+    However the walk ends, every child is killed and reaped."""
+    pipes, pids = {}, []
+    try:
+        for worker in range(1, workers):
+            try:
+                read_fd, write_fd = os.pipe()
+                pipes[worker] = os.fdopen(read_fd, "rb")
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _serve(run, send, range(worker, count, workers),
+                               write_fd, list(pipes.values()))
+                    pids.append(pid)
+                finally:
+                    os.close(write_fd)
+            except OSError:  # no descriptor or process to spare
+                break
+        for index in range(count):
+            pipe = pipes.get(index % workers)
+            part = None if pipe is None else receive(pipe, index)
+            yield run(index) if part is None else part
+            del part  # no group is kept past its yield
+    finally:
+        for pipe in pipes.values():
+            pipe.close()
+        for pid in pids:
+            # gone already where SIGCHLD is ignored, which reaps children
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _send_pickled(out, result) -> None:
+    pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+
+
+def _receive_pickled(pipe, index: int):
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # the child ended first
+        return None
 
 
 def encode_video(video: RawVideo, plan: PartitionPlan,
-                 config: BackboneConfig, cfg: TrainConfig, *, jobs: int = 1,
+                 config: BackboneConfig, cfg: TrainConfig, *,
+                 jobs: int | None = None,
                  keep_reference: bool = False) -> EncodeResult:
     """Run the full encoder; returns the bitstream plus a report.
 
-    ``jobs`` worker processes encode the model groups in parallel; no
-    more are started than there are groups.  Each group is scored as it
-    comes back; only its frames' squared errors are kept, and its frames
-    too when ``keep_reference`` asks for the reconstruction.
+    The model groups are encoded on ``jobs`` processes, no more than there
+    are groups; by default, on up to two (see the module docstring).  A
+    forked worker sends each group's models back pickled.  The bytes equal
+    a serial encode's, and a failing group raises the serial encode's
+    error.  Each group is scored as it comes back; only its frames'
+    squared errors are kept, and its frames too when ``keep_reference``
+    asks for the reconstruction.
     """
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if plan.frame_count != video.frame_count:
         raise ConfigError(f"plan covers {plan.frame_count} frames, video "
@@ -355,22 +447,22 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
                           f"{config.frame_height}x{config.frame_width}, "
                           f"video is {video.height}x{video.width}")
     wall_start = time.perf_counter()
-    tasks = [(video.frames[slice(*plan.gom_frame_range(g))], plan, config,
-              cfg, g) for g in range(plan.gom_count)]
-    if jobs > 1 and plan.gom_count > 1:
-        # imported here so single-process runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, plan.gom_count)) as pool:
-            groups = pool.map(_gom_worker, tasks)
-    else:
-        groups = map(_gom_worker, tasks)  # one group alive at a time
+
+    def run(index):
+        rendered, mse, rows = _encode_gom(
+            video.frames[slice(*plan.gom_frame_range(index))], plan, config,
+            cfg, index)
+        return rendered if keep_reference else None, mse, rows
+
     rows, mses, clips = [], [], []
-    for frames, mse, group_rows in groups:
-        rows += group_rows
-        mses.append(mse)
-        if keep_reference:
-            clips.append(frames)
+    with closing(_forked_groups(
+            plan.gom_count, _group_workers(plan.gom_count, jobs), run,
+            _send_pickled, _receive_pickled)) as groups:
+        for rendered, mse, group_rows in groups:
+            rows += group_rows
+            mses.append(mse)
+            if keep_reference:
+                clips.append(rendered)
     records, per_model, payloads = map(list, zip(*rows))
 
     data = write_bitstream(video.width, video.height, video.frame_count,
@@ -435,105 +527,35 @@ def decode_gom(reader: BitstreamReader,
                      frames=frames), plan.gom_frame_range(gom_index))
 
 
-# the most processes a whole-stream decode runs on; two is what has been
-# measured (docs/resources.md), and each child adds its own dirty memory
-_MAX_DECODE_WORKERS = 2
-
-
-def _decode_workers(groups: int) -> int:
-    """Processes a whole-stream decode runs on: one per CPU this process
-    may use, at most one per group and at most ``_MAX_DECODE_WORKERS``.
-    A fork copies only the calling thread, so there is one while another
-    Python thread is alive, and one where the OS has no
-    ``sched_getaffinity``."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is None or threading.active_count() > 1:
-        return 1
-    return min(groups, len(affinity(0)), _MAX_DECODE_WORKERS)
-
-
-def _send_groups(reader: BitstreamReader, indices, fd: int,
-                 inherited) -> None:
-    """A forked worker: decode the groups ``indices`` in order and write
-    each one's frames to ``fd``, stopping at the first error, which the
-    parent meets again when it decodes that group itself.  It closes the
-    read ends it ``inherited``, so that a parent that dies leaves it a
-    broken pipe, not a full one, and it leaves by ``os._exit``, so no
-    buffer or handler of the parent runs twice."""
-    try:
-        for pipe in inherited:
-            pipe.close()
-        with os.fdopen(fd, "wb") as out:
-            for index in indices:
-                out.write(decode_gom(reader, index)[0].frames)
-    finally:
-        os._exit(0)
-
-
-def _receive(pipe, reader: BitstreamReader, index: int):
-    """Group ``index`` as :func:`decode_gom` returns it, read from a
-    worker's ``pipe`` straight into its frame array, or ``None`` if the
-    worker ended before it sent the whole group."""
-    header = reader.header
-    start, stop = header.plan.gom_frame_range(index)
-    frames = np.empty((stop - start, 3, header.height, header.width),
-                      dtype=np.uint8)
-    if pipe.readinto(frames) != frames.nbytes:
-        return None
-    return (RawVideo(width=header.width, height=header.height,
-                     frames=frames), (start, stop))
-
-
-def _decode_forked(reader: BitstreamReader, workers: int):
-    """Every group in order; group ``g`` is decoded by worker
-    ``g % workers``.  This process is worker 0, and each other worker is a
-    forked child.  A group that a child did not send in full, or whose
-    child could not be started, is decoded here, so an invalid group
-    raises the serial walk's error here.  However the walk ends, every
-    child is killed and reaped."""
-    count = reader.header.plan.gom_count
-    pipes, pids = {}, []
-    try:
-        for worker in range(1, workers):
-            try:
-                read_fd, write_fd = os.pipe()
-                pipes[worker] = os.fdopen(read_fd, "rb")
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _send_groups(reader, range(worker, count, workers),
-                                     write_fd, list(pipes.values()))
-                    pids.append(pid)
-                finally:
-                    os.close(write_fd)
-            except OSError:  # no descriptor or process to spare
-                break
-        for index in range(count):
-            pipe = pipes.get(index % workers)
-            part = None if pipe is None else _receive(pipe, reader, index)
-            yield part or decode_gom(reader, index)
-            del part  # no group is kept past its yield
-    finally:
-        for pipe in pipes.values():
-            pipe.close()
-        for pid in pids:
-            # gone already where SIGCHLD is ignored, which reaps children
-            with suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
 def _decode_groups(reader: BitstreamReader, gom_index: int | None = None):
     """:func:`decode_gom` of one group, or of every group in order, run
     lazily.  Every group is the whole stream, so the call itself first
     refuses a stream shorter than its header declares, and the groups run
-    on :func:`_decode_workers` processes; close the iterator when done
-    with it, so that no worker outlives it."""
+    on :func:`_group_workers` processes, a worker sending each group's
+    bare frames; close the iterator when done with it, so that no worker
+    outlives it."""
     if gom_index is not None:
         return (decode_gom(reader, index) for index in [gom_index])
     reader.check_complete()
-    return _decode_forked(reader,
-                          _decode_workers(reader.header.plan.gom_count))
+    header = reader.header
+
+    def send(out, part):
+        out.write(part[0].frames)
+
+    def receive(pipe, index):
+        # read straight into the group's frame array
+        start, stop = header.plan.gom_frame_range(index)
+        frames = np.empty((stop - start, 3, header.height, header.width),
+                          dtype=np.uint8)
+        if pipe.readinto(frames) != frames.nbytes:
+            return None
+        return (RawVideo(width=header.width, height=header.height,
+                         frames=frames), (start, stop))
+
+    count = header.plan.gom_count
+    return _forked_groups(count, _group_workers(count),
+                          lambda index: decode_gom(reader, index), send,
+                          receive)
 
 
 def decode_video(data: bytes) -> RawVideo:

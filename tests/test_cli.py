@@ -115,6 +115,25 @@ def test_manifest_rerun_is_byte_identical(workdir):
         (workdir / "out.bits").read_bytes()
 
 
+@pytest.mark.parametrize("cpus, jobs", [(1, 1), (3, 2)])
+def test_default_jobs_recorded_as_the_count_used(workdir, tmp_path,
+                                                 monkeypatch, cpus, jobs):
+    # the CLI resolves the default process count before the encode, so the
+    # manifest holds an int, which a re-run takes as given
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    out, again = tmp_path / "default.bits", tmp_path / "again.bits"
+    assert main(["encode", str(workdir / "in.rgb"), "--out", str(out),
+                 *COMMON, *ENCODE_FAST]) == 0
+    manifest = tmp_path / "default.bits.manifest.json"
+    recorded = json.loads(manifest.read_text())["jobs"]
+    assert type(recorded) is int and recorded == jobs
+    assert main(["encode", "--from-manifest", str(manifest), "--out",
+                 str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes() == \
+        (workdir / "out.bits").read_bytes()
+
+
 # older setuptools flags its own [tool.setuptools] table as beta
 @pytest.mark.filterwarnings("ignore:Support for .*tool.setuptools")
 def test_package_version_is_the_module_version():

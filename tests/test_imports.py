@@ -1,11 +1,12 @@
 """The encode/decode path loads none of the codec's optional heavy imports.
 
 scipy serves only ε calibration (``fit_schedule``) and rate-curve
-comparison (``bd_rate``), and ``multiprocessing`` only ``--jobs N``; each
-is imported on first use, so a codec process does not pay their memory
-and start-up time.  A whole-stream decode forks its workers with
-``os.fork``, so it loads neither.  The check runs in a fresh interpreter:
-pytest and the other tests have loaded scipy into this one long ago.
+comparison (``bd_rate``); it is imported on first use, so a codec process
+does not pay its memory and start-up time.  A whole-video encode or decode
+forks its workers with ``os.fork``, so it loads neither ``multiprocessing``
+nor ``concurrent.futures.process``, whatever its ``jobs``.  The check runs
+in a fresh interpreter: pytest and the other tests have loaded scipy into
+this one long ago.
 """
 
 import json
@@ -23,7 +24,8 @@ _CODEC_THEN_TOOLS = """
 import json, os, sys, tempfile
 from pathlib import Path
 
-# two usable CPUs whatever the host has, so two-group decodes fork
+# two usable CPUs whatever the host has, so two-group encodes and decodes
+# fork
 os.sched_getaffinity = lambda pid: {0, 1}
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
@@ -45,6 +47,8 @@ result = encode_video(video, partition(4, 2, 2), config,
                       TrainConfig(epochs_i=1, epochs_p=1, seed=3))
 two = encode_video(video, partition(4, 2, 1), config,
                    TrainConfig(epochs_i=1, epochs_p=1, seed=3))
+jobs = encode_video(video, partition(4, 2, 1), config,
+                    TrainConfig(epochs_i=1, epochs_p=1, seed=3), jobs=2)
 decoded = decode_video(result.data)
 fragment, _ = decode_gom(BitstreamReader.from_bytes(result.data), 0)
 decoded_two = decode_video(two.data)
@@ -62,6 +66,7 @@ test = [RDPoint(0.9 * p.bpp, p.quality) for p in anchor]
 schedule, _ = fit_schedule([(0.0, 0.0), (0.01, 0.3), (0.02, 0.5),
                             (0.05, 0.8)])
 print(json.dumps({"loaded": loaded, "cli": codes, "forks": len(forks),
+                  "jobs_equal": jobs.data == two.data,
                   "frames": [decoded.frame_count, fragment.frame_count,
                              decoded_two.frame_count],
                   "bd_rate": bd_rate(anchor, test), "b": schedule.b,
@@ -81,7 +86,9 @@ def test_codec_path_loads_no_heavy_imports():
     report = json.loads(run.stdout.splitlines()[-1])
     assert report["loaded"] == []
     assert report["cli"] == [0, 0] and report["frames"] == [4, 4, 4]
-    assert report["forks"] == 2  # the two-group decode_video and CLI decode
+    # the two-group encodes, by default and with jobs=2, the two-group
+    # decode_video and the CLI decode
+    assert report["forks"] == 4 and report["jobs_equal"]
     # the tools still work, and load what they need on first call
     assert abs(report["bd_rate"] - (-10.0)) < 1e-9
     assert report["b"] > 0

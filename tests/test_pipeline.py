@@ -1,11 +1,10 @@
 """Partitioning, training, and the encode/decode closure."""
 
-import concurrent.futures
 import dataclasses
 import errno
 import hashlib
-import multiprocessing
 import os
+import pickle
 import threading
 import tracemalloc
 import weakref
@@ -20,7 +19,7 @@ from clipcodec.backbone import (BackboneConfig, UpsampleStage, forward_clip,
                                 forward_frame, init_random, param_layout)
 from clipcodec.bitstream import _FIXED, BitstreamReader
 from clipcodec.coder import build_models, decode_symbols
-from clipcodec.errors import BitstreamError, ConfigError
+from clipcodec.errors import BitstreamError, ConfigError, NumericError
 from clipcodec.optim import adam_init, adam_step
 from clipcodec.pipeline import (TrainConfig, decode_gom, decode_video,
                                 encode_video, partition, render_video,
@@ -453,11 +452,11 @@ def test_decoded_parameters_bit_identical(encoded_pair, monkeypatch):
             return render(config, params, frames)
         return spy
 
+    set_cpus(monkeypatch, 1)  # a spy does not see a forked worker's calls
     monkeypatch.setattr(pipeline, "train_model", train_spy)
     monkeypatch.setattr(pipeline, "render_video", render_spy("encode"))
     assert encode_video(video, plan, config, cfg).data == result.data
     monkeypatch.setattr(pipeline, "render_video", render_spy("decode"))
-    set_cpus(monkeypatch, 1)  # a spy does not see a forked worker's calls
     decode_video(result.data)
     assert len(trained_thetas) == plan.gop_count
     for side in rendered.values():
@@ -562,6 +561,7 @@ def test_random_inits_drawn_only_where_read(monkeypatch, frames, gop_size,
         drawn.append(seed)
         return init_random(config, seed)
 
+    set_cpus(monkeypatch, 1)  # a spy does not see a forked worker's calls
     monkeypatch.setattr(pipeline, "init_random", spy)
     result = encode_video(video, plan, config, cfg, keep_reference=True)
     expected = read_draws(0, plan.gop_count)
@@ -569,7 +569,6 @@ def test_random_inits_drawn_only_where_read(monkeypatch, frames, gop_size,
         plan.role_of(end - 1) == "P" for _, end in plan.goms)
     assert drawn == expected
     drawn.clear()
-    set_cpus(monkeypatch, 1)  # a spy does not see a forked worker's calls
     assert np.array_equal(decode_video(result.data).frames,
                           result.recon.frames)
     assert drawn == expected
@@ -677,10 +676,10 @@ def test_payloads_are_read_to_their_last_byte(encoded_pair):
             decode_symbols(payload + b"\x00", models, counts)
 
 
-# ------------------------------------------- whole-stream decode workers
+# ------------------------------------ whole-video encode and decode workers
 
 def set_cpus(monkeypatch, count):
-    """Make the decoder see ``count`` usable CPUs."""
+    """Make the encoder and decoder see ``count`` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(count)), raising=False)
 
@@ -698,18 +697,26 @@ def assert_no_child_left():
 
 
 @pytest.fixture(scope="module")
-def group_streams():
-    """groups -> (plan, stream): 9 frames whose last clip and last group
-    are short, or 5 frames for two groups."""
-    config = small_config()
-    out = {}
-    for frames, gop_size, gom_size in ((5, 2, 2), (9, 2, 2), (9, 2, 1)):
-        video = synth_video("moving-blob", 16, 16, frames, velocity=1.0,
-                            seed=6)
-        plan = partition(frames, gop_size, gom_size)
-        out[plan.gom_count] = plan, encode_video(
-            video, plan, config, quick_cfg(epochs_i=1, epochs_p=1)).data
+def group_encodes():
+    """groups -> (video, plan, cfg, one-CPU encode): 9 frames whose last
+    clip and last group are short, or 5 frames for two groups."""
+    out, cfg = {}, quick_cfg(epochs_i=1, epochs_p=1)
+    with pytest.MonkeyPatch.context() as mp:
+        set_cpus(mp, 1)
+        for frames, gop_size, gom_size in ((5, 2, 2), (9, 2, 2), (9, 2, 1)):
+            video = synth_video("moving-blob", 16, 16, frames, velocity=1.0,
+                                seed=6)
+            plan = partition(frames, gop_size, gom_size)
+            out[plan.gom_count] = video, plan, cfg, encode_video(
+                video, plan, small_config(), cfg, keep_reference=True)
     return out
+
+
+@pytest.fixture(scope="module")
+def group_streams(group_encodes):
+    """groups -> (plan, stream) of :func:`group_encodes`."""
+    return {groups: (plan, result.data)
+            for groups, (_, plan, _, result) in group_encodes.items()}
 
 
 @pytest.mark.parametrize("cpus", [2, 8])
@@ -872,6 +879,136 @@ def test_cli_forked_decode_moves_no_file_position(encoded_pair, tmp_path,
     assert_no_child_left()
 
 
+def encode_report(result):
+    """Everything an encode returns but its timings."""
+    return (result.data, result.recon.frames.tobytes(), result.bpp,
+            result.psnr_mean,
+            [dataclasses.replace(log, train_seconds=0.0)
+             for log in result.per_model])
+
+
+@pytest.mark.parametrize("cpus, jobs", [(2, None), (8, None), (1, 3)],
+                         ids=["2-cpus", "8-cpus", "jobs-3"])
+@pytest.mark.parametrize("groups", [2, 3, 5])
+def test_forked_encode_equals_serial_encode(group_encodes, monkeypatch,
+                                            groups, cpus, jobs):
+    # worker g % w trains group g, so the last, short group or clip shares
+    # a worker with earlier groups; an explicit jobs ignores the CPU count
+    video, plan, cfg, serial = group_encodes[groups]
+    assert plan.gom_count == groups
+    set_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    forked = encode_video(video, plan, small_config(), cfg, jobs=jobs,
+                          keep_reference=True)
+    assert len(forks) == (1 if jobs is None else min(jobs, groups) - 1)
+    assert_no_child_left()
+    assert encode_report(forked) == encode_report(serial)
+
+
+def _encode_error(group_encodes, monkeypatch, bad_gops):
+    """Type and message of the error a 3-group encode raises when
+    ``train_model`` fails for each clip in ``bad_gops``."""
+    video, plan, cfg, _ = group_encodes[3]
+    train = pipeline.train_model
+
+    def failing(role, frames, init, config, train_cfg, seed):
+        for gop in bad_gops:
+            if seed == model_seed(cfg.seed, gop):
+                raise NumericError(f"loss diverged in clip {gop}")
+        return train(role, frames, init, config, train_cfg, seed)
+
+    monkeypatch.setattr(pipeline, "train_model", failing)
+    with pytest.raises(NumericError) as info:
+        encode_video(video, plan, small_config(), cfg)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("bad_gops", [(0,), (2,), (3,), (4,), (2, 4)],
+                         ids=["group-0", "child-I", "child-P", "group-2",
+                              "child-and-parent"])
+def test_forked_encode_raises_the_serial_error(group_encodes, monkeypatch,
+                                               bad_gops):
+    # clips (0, 1), (2, 3) and (4,) form groups 0, 1 and 2; the child
+    # trains group 1, and the first failing group in order raises
+    set_cpus(monkeypatch, 1)
+    serial = _encode_error(group_encodes, monkeypatch, bad_gops)
+    assert serial[1] == f"loss diverged in clip {bad_gops[0]}"
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    assert _encode_error(group_encodes, monkeypatch, bad_gops) == serial
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_group_cut_short_on_the_pipe_encodes_in_the_parent(group_encodes,
+                                                           monkeypatch):
+    # a child that dies while it sends a group leaves that group, and every
+    # later one of its, to the parent
+    video, plan, cfg, serial = group_encodes[5]
+
+    def cut(out, result):
+        out.write(pickle.dumps(result)[:-7])
+        out.flush()
+        os._exit(1)
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "_send_pickled", cut)
+    forks = count_forks(monkeypatch)
+    forked = encode_video(video, plan, small_config(), cfg,
+                          keep_reference=True)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert encode_report(forked) == encode_report(serial)
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_no_pipe_or_process_to_spare_encodes_serially(group_encodes,
+                                                      monkeypatch, call):
+    video, plan, cfg, serial = group_encodes[5]
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, call, _fail)
+    forked = encode_video(video, plan, small_config(), cfg,
+                          keep_reference=True)
+    assert_no_child_left()
+    assert encode_report(forked) == encode_report(serial)
+
+
+@pytest.mark.parametrize("cpus, jobs", [(1, None), (2, 1)],
+                         ids=["one-cpu", "jobs-1"])
+def test_one_worker_encodes_without_forking(group_encodes, monkeypatch,
+                                            cpus, jobs):
+    def no_fork():
+        raise AssertionError("forked")
+
+    video, plan, cfg, serial = group_encodes[3]
+    set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "pipe", no_fork)
+    assert encode_report(encode_video(
+        video, plan, small_config(), cfg, jobs=jobs,
+        keep_reference=True)) == encode_report(serial)
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+def test_live_thread_encodes_without_forking(group_encodes, monkeypatch,
+                                             jobs):
+    # a fork copies only the calling thread
+    video, plan, cfg, serial = group_encodes[3]
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        result = encode_video(video, plan, small_config(), cfg, jobs=jobs,
+                              keep_reference=True)
+    finally:
+        done.set()
+        thread.join()
+    assert not forks
+    assert encode_report(result) == encode_report(serial)
+
+
 PAYLOAD_EDITS = ("flip", "truncate", "extend")
 
 
@@ -1031,33 +1168,17 @@ def test_encoder_widens_a_step_the_alphabet_cannot_hold(monkeypatch):
     assert np.array_equal(decoded.frames, result.recon.frames)
 
 
-def test_jobs_pool_capped_at_group_count(monkeypatch):
-    # a stand-in pool records its size and runs the groups inline, so
-    # no process starts
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InlinePool)
+def test_jobs_capped_at_group_count(monkeypatch):
     video = synth_video("moving-rect", 16, 16, 8, velocity=1.0, seed=9)
     plan = partition(8, 2, 2)
     cfg = quick_cfg(epochs_i=1, epochs_p=1)
-    pooled = encode_video(video, plan, small_config(), cfg, jobs=64)
-    assert sizes == [plan.gom_count] == [2]
-    assert not multiprocessing.active_children()
-    assert pooled.data == encode_video(video, plan, small_config(), cfg).data
+    set_cpus(monkeypatch, 1)
+    serial = encode_video(video, plan, small_config(), cfg).data
+    forks = count_forks(monkeypatch)
+    assert encode_video(video, plan, small_config(), cfg,
+                        jobs=64).data == serial
+    assert plan.gom_count == 2 and len(forks) == 1
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -1066,17 +1187,6 @@ def test_jobs_below_one_rejected(jobs):
     with pytest.raises(ConfigError, match="jobs"):
         encode_video(video, partition(4, 2, 2), small_config(), quick_cfg(),
                      jobs=jobs)
-
-
-def test_parallel_jobs_reproduce_serial_bitstream():
-    config = small_config()
-    video = synth_video("moving-rect", 16, 16, 8, velocity=1.0, seed=9)
-    plan = partition(8, 2, 2)  # two independent groups
-    assert plan.gom_count == 2
-    cfg = quick_cfg()
-    serial = encode_video(video, plan, config, cfg, jobs=1)
-    parallel = encode_video(video, plan, config, cfg, jobs=2)
-    assert serial.data == parallel.data
 
 
 def test_encode_rejects_mismatched_plan():
