@@ -21,8 +21,7 @@ from .bitstream import BitstreamReader, dump_header_text
 from .errors import (BitstreamError, CodecError, ConfigError, DataError,
                      NumericError, unreadable)
 from .manifest import RunManifest, build_manifest
-from .pipeline import (TrainConfig, _decode_groups, _group_workers,
-                       encode_video, partition)
+from .pipeline import TrainConfig, _decode_groups, encode_video, partition
 from .tensor import DTYPES
 from .warmstart import fit_schedule
 
@@ -108,10 +107,6 @@ def _add_encode(sub):
                    help="learning rate of both I and P models")
     p.add_argument("--warmup-frac", type=float, default=train.warmup_frac)
     p.add_argument("--seed", type=int, default=train.seed)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="processes that encode the model groups, at most "
-                        "one per group (default: one per usable CPU, at "
-                        "most 2)")
     p.add_argument("--precision", choices=tuple(DTYPES),
                    default=BackboneConfig.precision)
     p.add_argument("--csv", type=Path, help="append the summary row here")
@@ -131,7 +126,6 @@ def _cmd_encode(args) -> int:
         cfg = manifest.train_config()
         width, height = manifest.width, manifest.height
         gop_size, gom_size = manifest.gop_size, manifest.gom_size
-        jobs = manifest.jobs
     else:
         if args.input is None:
             raise ConfigError("encode needs an input file or --from-manifest")
@@ -150,13 +144,10 @@ def _cmd_encode(args) -> int:
         cfg = TrainConfig(epochs_i=args.epochs_i, epochs_p=args.epochs_p,
                           lr_i=args.lr, lr_p=args.lr, lam=args.lam,
                           warmup_frac=args.warmup_frac, seed=args.seed)
-        jobs = args.jobs
 
     vid = videomod.load_raw(input_path, width, height)
     plan = partition(vid.frame_count, gop_size, gom_size)
-    if jobs is None:  # the manifest records the count this run used
-        jobs = _group_workers(plan.gom_count)
-    result = encode_video(vid, plan, config, cfg, jobs=jobs)
+    result = encode_video(vid, plan, config, cfg)
     _write_atomic(args.out, [result.data])
     if args.log:
         _write_atomic(args.log, [
@@ -165,7 +156,7 @@ def _cmd_encode(args) -> int:
             for log in result.per_model for entry in log.epoch_logs])
 
     manifest = build_manifest(input_path, width, height, vid.frame_count,
-                              gop_size, gom_size, config, cfg, jobs=jobs)
+                              gop_size, gom_size, config, cfg)
     manifest_path = args.emit_manifest or args.out.with_suffix(
         args.out.suffix + ".manifest.json")
     manifest.save(manifest_path)

@@ -14,7 +14,7 @@ from .errors import DataError, unreadable
 from .pipeline import TrainConfig
 from .warmstart import EpsilonSchedule
 
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 
 # the JSON values each declared field type takes; a bool is not a number
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
@@ -42,7 +42,6 @@ class RunManifest:
     schedule_a: float
     schedule_b: float
     backbone_config: str  # config text, embedded verbatim
-    jobs: int
     manifest_version: int = MANIFEST_VERSION
 
     def train_config(self) -> TrainConfig:
@@ -104,8 +103,7 @@ def sha256_file(path) -> str:
 
 
 def build_manifest(input_path, width, height, frame_count, gop_size,
-                   gom_size, config, cfg: TrainConfig,
-                   jobs: int) -> RunManifest:
+                   gom_size, config, cfg: TrainConfig) -> RunManifest:
     return RunManifest(
         tool_version=__version__,
         input_path=str(input_path),
@@ -116,5 +114,4 @@ def build_manifest(input_path, width, height, frame_count, gop_size,
         lr_i=cfg.lr_i, lr_p=cfg.lr_p, warmup_frac=cfg.warmup_frac,
         seed=cfg.seed,
         schedule_a=cfg.schedule.a, schedule_b=cfg.schedule.b,
-        backbone_config=config_to_text(config),
-        jobs=jobs)
+        backbone_config=config_to_text(config))

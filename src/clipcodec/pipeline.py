@@ -10,13 +10,12 @@ independently.  One group walk serves both sides: the encoder trains each
 model and the decoder reads it from the stream, and the walk renders every
 model's clip from its final parameters into the group's frames, so the
 encoder scores the frames a decoder gives.  A whole-video encode or decode
-runs its groups on the CPUs this process may use, two at most (an encode's
-``jobs`` sets the count): group ``g`` on worker ``g mod w``, where worker 0
-is the calling process and each other is a forked child that sends its
-groups back down a pipe, the encoder's pickled and the decoder's as bare
-frames.  So it holds up to ``w`` groups at once, one per process.  One CPU
-(``taskset -c 0``), one group, another live Python thread, ``jobs=1``, or
-a host with no process or descriptor to spare gives the serial walk.
+runs its groups on the CPUs this process may use, two at most: group
+``g`` on worker ``g mod w``, where worker 0 is the calling process and
+each other is a forked child that pickles its groups back down a pipe.
+So it holds up to ``w`` groups at once, one per process.  One CPU
+(``taskset -c 0``), one group, another live Python thread, or a host with
+no process or descriptor to spare gives the serial walk.
 
 Training follows a strict quantization-aware regime: every step renders
 with the warm start plus the straight-through-rounded residual, so the
@@ -332,29 +331,31 @@ def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
     return rendered, mse, rows
 
 
-# the most processes that encode or decode one video's groups by default;
-# two is what has been measured (docs/resources.md), and each child adds
-# its own dirty memory
+# the most processes that encode or decode one video's groups; two is
+# what has been measured (docs/resources.md), and each child adds its own
+# dirty memory
 _MAX_GROUP_WORKERS = 2
 
 
-def _group_workers(groups: int, jobs: int | None = None) -> int:
-    """Processes that encode or decode ``groups`` model groups, at most
-    one per group: ``jobs``, or by default one per CPU this process may
-    use, at most ``_MAX_GROUP_WORKERS``.  A fork copies only the calling
-    thread, so there is one while another Python thread is alive, and one
-    where the OS has no ``fork`` or, by default, no ``sched_getaffinity``.
-    """
+def _group_workers(groups: int) -> int:
+    """Processes that encode or decode ``groups`` model groups: one per
+    CPU this process may use, at most one per group and at most
+    ``_MAX_GROUP_WORKERS``.  A fork copies only the calling thread, so
+    there is one while another Python thread is alive, and one where the
+    OS has no ``fork`` or no ``sched_getaffinity``."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    if jobs is None:
-        affinity = getattr(os, "sched_getaffinity", lambda pid: {0})
-        jobs = min(len(affinity(0)), _MAX_GROUP_WORKERS)
-    return min(groups, jobs)
+    affinity = getattr(os, "sched_getaffinity", lambda pid: {0})
+    return min(groups, len(affinity(0)), _MAX_GROUP_WORKERS)
 
 
-def _serve(run, send, indices, fd: int, inherited) -> None:
-    """A forked worker: ``send`` the result of ``run`` for each of
+# a child's one send, a module name so that a test can cut it short
+def _send(out, result) -> None:
+    pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+
+
+def _serve(run, indices, fd: int, inherited) -> None:
+    """A forked worker: pickle the result of ``run`` for each of
     ``indices`` to ``fd`` in order, stopping at the first error, which the
     parent meets again when it runs that group itself.  It closes the read
     ends it ``inherited``, so that a parent that dies leaves it a broken
@@ -365,21 +366,21 @@ def _serve(run, send, indices, fd: int, inherited) -> None:
             pipe.close()
         with os.fdopen(fd, "wb") as out:
             for index in indices:
-                send(out, run(index))
+                _send(out, run(index))
     finally:
         os._exit(0)
 
 
-def _forked_groups(count: int, workers: int, run, send, receive):
+def _forked_groups(count: int, run):
     """``run(index)`` of every group in ``range(count)``, yielded in
-    order; group ``g`` runs on worker ``g % workers``.  This process is
-    worker 0, and each other worker is a forked child that writes its
-    groups' results down a pipe with ``send(out, result)``.
-    ``receive(pipe, index)`` reads one back, or returns ``None`` if the
-    child ended before it sent the whole group.  Such a group, and every
-    group whose child could not be started, runs here, so a failing group
-    raises the serial walk's error here.  One worker forks nothing.
-    However the walk ends, every child is killed and reaped."""
+    order, on :func:`_group_workers` processes; group ``g`` runs on worker
+    ``g % workers``.  This process is worker 0, and each other worker is a
+    forked child that pickles its groups' results down a pipe.  A group
+    the child ended before it sent in full, and every group whose child
+    could not be started, runs here, so a failing group raises the serial
+    walk's error here.  One worker forks nothing.  However the walk ends,
+    every child is killed and reaped."""
+    workers = _group_workers(count)
     pipes, pids = {}, []
     try:
         for worker in range(1, workers):
@@ -389,16 +390,19 @@ def _forked_groups(count: int, workers: int, run, send, receive):
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _serve(run, send, range(worker, count, workers),
-                               write_fd, list(pipes.values()))
+                        _serve(run, range(worker, count, workers), write_fd,
+                               list(pipes.values()))
                     pids.append(pid)
                 finally:
                     os.close(write_fd)
             except OSError:  # no descriptor or process to spare
                 break
         for index in range(count):
-            pipe = pipes.get(index % workers)
-            part = None if pipe is None else receive(pipe, index)
+            part = None
+            if index % workers in pipes:
+                # a child that ended early leaves a short or empty pickle
+                with suppress(EOFError, pickle.UnpicklingError):
+                    part = pickle.load(pipes[index % workers])
             yield run(index) if part is None else part
             del part  # no group is kept past its yield
     finally:
@@ -411,33 +415,17 @@ def _forked_groups(count: int, workers: int, run, send, receive):
                 os.waitpid(pid, 0)
 
 
-def _send_pickled(out, result) -> None:
-    pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
-
-
-def _receive_pickled(pipe, index: int):
-    try:
-        return pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):  # the child ended first
-        return None
-
-
 def encode_video(video: RawVideo, plan: PartitionPlan,
                  config: BackboneConfig, cfg: TrainConfig, *,
-                 jobs: int | None = None,
                  keep_reference: bool = False) -> EncodeResult:
     """Run the full encoder; returns the bitstream plus a report.
 
-    The model groups are encoded on ``jobs`` processes, no more than there
-    are groups; by default, on up to two (see the module docstring).  A
-    forked worker sends each group's models back pickled.  The bytes equal
-    a serial encode's, and a failing group raises the serial encode's
-    error.  Each group is scored as it comes back; only its frames'
-    squared errors are kept, and its frames too when ``keep_reference``
-    asks for the reconstruction.
+    The model groups are encoded on up to two processes (see the module
+    docstring).  The bytes equal a serial encode's, and a failing group
+    raises the serial encode's error.  Each group is scored as it comes
+    back; only its frames' squared errors are kept, and its frames too
+    when ``keep_reference`` asks for the reconstruction.
     """
-    if jobs is not None and jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if plan.frame_count != video.frame_count:
         raise ConfigError(f"plan covers {plan.frame_count} frames, video "
                           f"has {video.frame_count}")
@@ -455,9 +443,7 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
         return rendered if keep_reference else None, mse, rows
 
     rows, mses, clips = [], [], []
-    with closing(_forked_groups(
-            plan.gom_count, _group_workers(plan.gom_count, jobs), run,
-            _send_pickled, _receive_pickled)) as groups:
+    with closing(_forked_groups(plan.gom_count, run)) as groups:
         for rendered, mse, group_rows in groups:
             rows += group_rows
             mses.append(mse)
@@ -531,31 +517,13 @@ def _decode_groups(reader: BitstreamReader, gom_index: int | None = None):
     """:func:`decode_gom` of one group, or of every group in order, run
     lazily.  Every group is the whole stream, so the call itself first
     refuses a stream shorter than its header declares, and the groups run
-    on :func:`_group_workers` processes, a worker sending each group's
-    bare frames; close the iterator when done with it, so that no worker
-    outlives it."""
+    on up to two processes (see the module docstring); close the iterator
+    when done with it, so that no worker outlives it."""
     if gom_index is not None:
         return (decode_gom(reader, index) for index in [gom_index])
     reader.check_complete()
-    header = reader.header
-
-    def send(out, part):
-        out.write(part[0].frames)
-
-    def receive(pipe, index):
-        # read straight into the group's frame array
-        start, stop = header.plan.gom_frame_range(index)
-        frames = np.empty((stop - start, 3, header.height, header.width),
-                          dtype=np.uint8)
-        if pipe.readinto(frames) != frames.nbytes:
-            return None
-        return (RawVideo(width=header.width, height=header.height,
-                         frames=frames), (start, stop))
-
-    count = header.plan.gom_count
-    return _forked_groups(count, _group_workers(count),
-                          lambda index: decode_gom(reader, index), send,
-                          receive)
+    return _forked_groups(reader.header.plan.gom_count,
+                          lambda index: decode_gom(reader, index))
 
 
 def decode_video(data: bytes) -> RawVideo:

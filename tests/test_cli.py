@@ -115,23 +115,19 @@ def test_manifest_rerun_is_byte_identical(workdir):
         (workdir / "out.bits").read_bytes()
 
 
-@pytest.mark.parametrize("cpus, jobs", [(1, 1), (3, 2)])
-def test_default_jobs_recorded_as_the_count_used(workdir, tmp_path,
-                                                 monkeypatch, cpus, jobs):
-    # the CLI resolves the default process count before the encode, so the
-    # manifest holds an int, which a re-run takes as given
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)), raising=False)
-    out, again = tmp_path / "default.bits", tmp_path / "again.bits"
-    assert main(["encode", str(workdir / "in.rgb"), "--out", str(out),
-                 *COMMON, *ENCODE_FAST]) == 0
-    manifest = tmp_path / "default.bits.manifest.json"
-    recorded = json.loads(manifest.read_text())["jobs"]
-    assert type(recorded) is int and recorded == jobs
-    assert main(["encode", "--from-manifest", str(manifest), "--out",
-                 str(again)]) == 0
-    assert again.read_bytes() == out.read_bytes() == \
-        (workdir / "out.bits").read_bytes()
+def test_manifest_rerun_equal_at_any_cpu_count(workdir, tmp_path,
+                                               monkeypatch):
+    # the process count changes no byte, so the manifest records none, and
+    # a re-run on one CPU or on three gives the same stream
+    manifest = workdir / "out.bits.manifest.json"
+    assert "jobs" not in json.loads(manifest.read_text())
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        again = tmp_path / f"again{cpus}.bits"
+        assert main(["encode", "--from-manifest", str(manifest), "--out",
+                     str(again)]) == 0
+        assert again.read_bytes() == (workdir / "out.bits").read_bytes()
 
 
 # older setuptools flags its own [tool.setuptools] table as beta
@@ -147,14 +143,15 @@ def test_package_version_is_the_module_version():
 
 def test_v1_manifest_with_thread_count_is_refused(workdir, tmp_path):
     # version 1 carried a thread_count field that nothing set, version 2 a
-    # schedule_c that every producer set to 0; version 3 drops both, so an
-    # older file is refused for its version, not its fields
+    # schedule_c that every producer set to 0, version 3 a jobs count that
+    # changed no byte; version 4 drops all three, so an older file is
+    # refused for its version, not its fields
     raw = json.loads((workdir / "out.bits.manifest.json").read_text())
-    assert raw["manifest_version"] == 3
-    assert "thread_count" not in raw and "schedule_c" not in raw
+    assert raw["manifest_version"] == 4
+    assert not {"thread_count", "schedule_c", "jobs"} & set(raw)
     assert raw["tool_version"] == clipcodec.__version__
     for version, extra in ((1, dict(thread_count=1, schedule_c=0.0)),
-                           (2, dict(schedule_c=0.0))):
+                           (2, dict(schedule_c=0.0)), (3, dict(jobs=2))):
         old = tmp_path / f"v{version}.manifest.json"
         old.write_text(json.dumps(dict(raw, manifest_version=version,
                                        **extra)))
@@ -168,8 +165,9 @@ def test_v1_manifest_with_thread_count_is_refused(workdir, tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("epochs_i", "5"), ("lam", "1e6"), ("jobs", "2"), ("schedule_b", None),
-    ("seed", True), ("input_path", 5), ("lr_i", [0.01])])
+    ("epochs_i", "5"), ("lam", "1e6"), ("gop_size", "2"),
+    ("schedule_b", None), ("seed", True), ("input_path", 5),
+    ("lr_i", [0.01])])
 def test_manifest_field_of_wrong_type_exits_3(workdir, tmp_path, capsys,
                                               field, value):
     raw = json.loads((workdir / "out.bits.manifest.json").read_text())
@@ -292,13 +290,6 @@ def test_non_integer_backbone_config_exits_2(workdir, tmp_path):
     assert main(["encode", str(workdir / "in.rgb"), "--out", str(out),
                  "--backbone-config", str(config), *COMMON,
                  *ENCODE_FAST]) == 2
-    assert not out.exists()
-
-
-def test_jobs_below_one_exits_2(workdir, tmp_path):
-    out = tmp_path / "never.bits"
-    assert main(["encode", str(workdir / "in.rgb"), "--out", str(out),
-                 *COMMON, *ENCODE_FAST, "--jobs", "0"]) == 2
     assert not out.exists()
 
 

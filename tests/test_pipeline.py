@@ -699,11 +699,13 @@ def assert_no_child_left():
 @pytest.fixture(scope="module")
 def group_encodes():
     """groups -> (video, plan, cfg, one-CPU encode): 9 frames whose last
-    clip and last group are short, or 5 frames for two groups."""
+    clip and last group are short, 5 frames for two groups, or 4 frames
+    for one."""
     out, cfg = {}, quick_cfg(epochs_i=1, epochs_p=1)
     with pytest.MonkeyPatch.context() as mp:
         set_cpus(mp, 1)
-        for frames, gop_size, gom_size in ((5, 2, 2), (9, 2, 2), (9, 2, 1)):
+        for frames, gop_size, gom_size in ((4, 2, 2), (5, 2, 2), (9, 2, 2),
+                                           (9, 2, 1)):
             video = synth_video("moving-blob", 16, 16, frames, velocity=1.0,
                                 seed=6)
             plan = partition(frames, gop_size, gom_size)
@@ -887,20 +889,22 @@ def encode_report(result):
              for log in result.per_model])
 
 
-@pytest.mark.parametrize("cpus, jobs", [(2, None), (8, None), (1, 3)],
-                         ids=["2-cpus", "8-cpus", "jobs-3"])
+@pytest.mark.parametrize("cpus, cap", [(2, 2), (8, 2), (8, 3)],
+                         ids=["2-cpus", "8-cpus", "cap-3"])
 @pytest.mark.parametrize("groups", [2, 3, 5])
 def test_forked_encode_equals_serial_encode(group_encodes, monkeypatch,
-                                            groups, cpus, jobs):
+                                            groups, cpus, cap):
     # worker g % w trains group g, so the last, short group or clip shares
-    # a worker with earlier groups; an explicit jobs ignores the CPU count
+    # a worker with earlier groups; a higher cap forks one child per
+    # further group, up to the CPU count
     video, plan, cfg, serial = group_encodes[groups]
     assert plan.gom_count == groups
     set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(pipeline, "_MAX_GROUP_WORKERS", cap)
     forks = count_forks(monkeypatch)
-    forked = encode_video(video, plan, small_config(), cfg, jobs=jobs,
+    forked = encode_video(video, plan, small_config(), cfg,
                           keep_reference=True)
-    assert len(forks) == (1 if jobs is None else min(jobs, groups) - 1)
+    assert len(forks) == min(cap, groups) - 1
     assert_no_child_left()
     assert encode_report(forked) == encode_report(serial)
 
@@ -940,8 +944,9 @@ def test_forked_encode_raises_the_serial_error(group_encodes, monkeypatch,
     assert_no_child_left()
 
 
-def test_group_cut_short_on_the_pipe_encodes_in_the_parent(group_encodes,
-                                                           monkeypatch):
+@pytest.mark.parametrize("side", ["encode", "decode"])
+def test_group_cut_short_on_the_pipe_runs_in_the_parent(group_encodes,
+                                                        monkeypatch, side):
     # a child that dies while it sends a group leaves that group, and every
     # later one of its, to the parent
     video, plan, cfg, serial = group_encodes[5]
@@ -952,13 +957,18 @@ def test_group_cut_short_on_the_pipe_encodes_in_the_parent(group_encodes,
         os._exit(1)
 
     set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(pipeline, "_send_pickled", cut)
+    monkeypatch.setattr(pipeline, "_send", cut)
     forks = count_forks(monkeypatch)
-    forked = encode_video(video, plan, small_config(), cfg,
-                          keep_reference=True)
+    if side == "encode":
+        forked = encode_report(encode_video(video, plan, small_config(), cfg,
+                                            keep_reference=True))
+        expected = encode_report(serial)
+    else:
+        forked = decode_video(serial.data).frames.tobytes()
+        expected = serial.recon.frames.tobytes()
     assert len(forks) == 1
     assert_no_child_left()
-    assert encode_report(forked) == encode_report(serial)
+    assert forked == expected
 
 
 @pytest.mark.parametrize("call", ["pipe", "fork"])
@@ -973,25 +983,24 @@ def test_no_pipe_or_process_to_spare_encodes_serially(group_encodes,
     assert encode_report(forked) == encode_report(serial)
 
 
-@pytest.mark.parametrize("cpus, jobs", [(1, None), (2, 1)],
-                         ids=["one-cpu", "jobs-1"])
+@pytest.mark.parametrize("groups, cpus", [(3, 1), (1, 2)],
+                         ids=["one-cpu", "one-group"])
 def test_one_worker_encodes_without_forking(group_encodes, monkeypatch,
-                                            cpus, jobs):
+                                            groups, cpus):
     def no_fork():
         raise AssertionError("forked")
 
-    video, plan, cfg, serial = group_encodes[3]
+    video, plan, cfg, serial = group_encodes[groups]
+    assert plan.gom_count == groups
     set_cpus(monkeypatch, cpus)
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "pipe", no_fork)
     assert encode_report(encode_video(
-        video, plan, small_config(), cfg, jobs=jobs,
+        video, plan, small_config(), cfg,
         keep_reference=True)) == encode_report(serial)
 
 
-@pytest.mark.parametrize("jobs", [None, 2])
-def test_live_thread_encodes_without_forking(group_encodes, monkeypatch,
-                                             jobs):
+def test_live_thread_encodes_without_forking(group_encodes, monkeypatch):
     # a fork copies only the calling thread
     video, plan, cfg, serial = group_encodes[3]
     set_cpus(monkeypatch, 2)
@@ -1000,7 +1009,7 @@ def test_live_thread_encodes_without_forking(group_encodes, monkeypatch,
     thread = threading.Thread(target=done.wait)
     thread.start()
     try:
-        result = encode_video(video, plan, small_config(), cfg, jobs=jobs,
+        result = encode_video(video, plan, small_config(), cfg,
                               keep_reference=True)
     finally:
         done.set()
@@ -1168,25 +1177,18 @@ def test_encoder_widens_a_step_the_alphabet_cannot_hold(monkeypatch):
     assert np.array_equal(decoded.frames, result.recon.frames)
 
 
-def test_jobs_capped_at_group_count(monkeypatch):
+def test_workers_capped_at_group_count(monkeypatch):
     video = synth_video("moving-rect", 16, 16, 8, velocity=1.0, seed=9)
     plan = partition(8, 2, 2)
     cfg = quick_cfg(epochs_i=1, epochs_p=1)
     set_cpus(monkeypatch, 1)
     serial = encode_video(video, plan, small_config(), cfg).data
+    set_cpus(monkeypatch, 8)
+    monkeypatch.setattr(pipeline, "_MAX_GROUP_WORKERS", 64)
     forks = count_forks(monkeypatch)
-    assert encode_video(video, plan, small_config(), cfg,
-                        jobs=64).data == serial
+    assert encode_video(video, plan, small_config(), cfg).data == serial
     assert plan.gom_count == 2 and len(forks) == 1
     assert_no_child_left()
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_jobs_below_one_rejected(jobs):
-    video = synth_video("static", 16, 16, 4, seed=1)
-    with pytest.raises(ConfigError, match="jobs"):
-        encode_video(video, partition(4, 2, 2), small_config(), quick_cfg(),
-                     jobs=jobs)
 
 
 def test_encode_rejects_mismatched_plan():
