@@ -115,19 +115,19 @@ def test_manifest_rerun_is_byte_identical(workdir):
         (workdir / "out.bits").read_bytes()
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
 def test_manifest_rerun_equal_at_any_cpu_count(workdir, tmp_path,
-                                               monkeypatch):
+                                               monkeypatch, cpus):
     # the process count changes no byte, so the manifest records none, and
     # a re-run on one CPU or on three gives the same stream
     manifest = workdir / "out.bits.manifest.json"
     assert "jobs" not in json.loads(manifest.read_text())
-    for cpus in (1, 3):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
-        again = tmp_path / f"again{cpus}.bits"
-        assert main(["encode", "--from-manifest", str(manifest), "--out",
-                     str(again)]) == 0
-        assert again.read_bytes() == (workdir / "out.bits").read_bytes()
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    again = tmp_path / "again.bits"
+    assert main(["encode", "--from-manifest", str(manifest), "--out",
+                 str(again)]) == 0
+    assert again.read_bytes() == (workdir / "out.bits").read_bytes()
 
 
 # older setuptools flags its own [tool.setuptools] table as beta
