@@ -120,12 +120,15 @@ def _add_encode(sub):
 def _cmd_encode(args) -> int:
     _check_outputs(args.out, args.csv, args.log, args.emit_manifest)
     if args.from_manifest:
-        manifest = RunManifest.load(args.from_manifest)
-        input_path = Path(manifest.input_path)
-        config = manifest.backbone()
-        cfg = manifest.train_config()
-        width, height = manifest.width, manifest.height
-        gop_size, gom_size = manifest.gop_size, manifest.gom_size
+        if args.input is not None:
+            raise ConfigError("encode takes an input file or "
+                              "--from-manifest, not both")
+        source = RunManifest.load(args.from_manifest)
+        input_path = Path(source.input_path)
+        config = source.backbone()
+        cfg = source.train_config()
+        width, height = source.width, source.height
+        gop_size, gom_size = source.gop_size, source.gom_size
     else:
         if args.input is None:
             raise ConfigError("encode needs an input file or --from-manifest")
@@ -146,6 +149,12 @@ def _cmd_encode(args) -> int:
                           warmup_frac=args.warmup_frac, seed=args.seed)
 
     vid = videomod.load_raw(input_path, width, height)
+    manifest = build_manifest(input_path, vid, gop_size, gom_size, config,
+                              cfg)
+    if args.from_manifest and manifest.input_sha256 != source.input_sha256:
+        raise DataError(f"{input_path}: sha256 {manifest.input_sha256} is "
+                        f"not the {source.input_sha256} that "
+                        f"{args.from_manifest} recorded")
     plan = partition(vid.frame_count, gop_size, gom_size)
     result = encode_video(vid, plan, config, cfg)
     _write_atomic(args.out, [result.data])
@@ -155,8 +164,6 @@ def _cmd_encode(args) -> int:
              + "\n").encode()
             for log in result.per_model for entry in log.epoch_logs])
 
-    manifest = build_manifest(input_path, width, height, vid.frame_count,
-                              gop_size, gom_size, config, cfg)
     manifest_path = args.emit_manifest or args.out.with_suffix(
         args.out.suffix + ".manifest.json")
     manifest.save(manifest_path)

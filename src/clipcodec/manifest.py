@@ -94,21 +94,14 @@ class RunManifest:
         return cls(**raw)
 
 
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def build_manifest(input_path, width, height, frame_count, gop_size,
-                   gom_size, config, cfg: TrainConfig) -> RunManifest:
+def build_manifest(input_path, video, gop_size, gom_size, config,
+                   cfg: TrainConfig) -> RunManifest:
     return RunManifest(
         tool_version=__version__,
         input_path=str(input_path),
-        input_sha256=sha256_file(input_path),
-        width=width, height=height, frame_count=frame_count,
+        input_sha256=hashlib.sha256(video.frames).hexdigest(),
+        width=video.width, height=video.height,
+        frame_count=video.frame_count,
         gop_size=gop_size, gom_size=gom_size,
         lam=cfg.lam, epochs_i=cfg.epochs_i, epochs_p=cfg.epochs_p,
         lr_i=cfg.lr_i, lr_p=cfg.lr_p, warmup_frac=cfg.warmup_frac,

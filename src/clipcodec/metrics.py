@@ -80,12 +80,31 @@ def _curve_arrays(points: list[RDPoint], label: str):
     return quality, np.log(rate)
 
 
+def _natural_spline_integral(x, y, lo: float, hi: float) -> float:
+    """Integral over [lo, hi] (inside [x[0], x[-1]]) of the natural cubic
+    spline through the knots (x, y)."""
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    # second derivatives m at the knots, zero at both ends
+    system = (np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(h[1:-1], 1)
+              + np.diag(h[1:-1], -1))
+    m = np.zeros_like(x)
+    m[1:-1] = np.linalg.solve(system, 6.0 * np.diff(slope))
+    m0, m1 = m[:-1], m[1:]
+    c1 = slope - h * (2.0 * m0 + m1) / 6.0
+
+    def antiderivative(t):  # of each segment, t measured from its left knot
+        return (y[:-1] * t + c1 * t**2 / 2.0 + m0 * t**3 / 6.0
+                + (m1 - m0) * t**4 / (24.0 * h))
+
+    left, right = x[:-1], x[1:]
+    return float(np.sum(antiderivative(np.clip(hi, left, right) - left)
+                        - antiderivative(np.clip(lo, left, right) - left)))
+
+
 def bd_rate(anchor: list[RDPoint], test: list[RDPoint]) -> float:
     """Average rate difference of ``test`` vs ``anchor`` at equal quality,
-    in percent; negative means the test curve spends fewer bits.  scipy
-    loads on the first call."""
-    from scipy.interpolate import CubicSpline  # keeps scipy off the codec path
-
+    in percent; negative means the test curve spends fewer bits."""
     q_a, lr_a = _curve_arrays(anchor, "anchor")
     q_t, lr_t = _curve_arrays(test, "test")
     lo = max(q_a.min(), q_t.min())
@@ -94,10 +113,8 @@ def bd_rate(anchor: list[RDPoint], test: list[RDPoint]) -> float:
         raise DataError(f"no quality overlap: [{q_a.min():.3f}, "
                         f"{q_a.max():.3f}] vs [{q_t.min():.3f}, "
                         f"{q_t.max():.3f}]")
-    spline_a = CubicSpline(q_a, lr_a, bc_type="natural")
-    spline_t = CubicSpline(q_t, lr_t, bc_type="natural")
-    int_a = spline_a.integrate(lo, hi)
-    int_t = spline_t.integrate(lo, hi)
+    int_a = _natural_spline_integral(q_a, lr_a, lo, hi)
+    int_t = _natural_spline_integral(q_t, lr_t, lo, hi)
     avg_log_diff = (int_t - int_a) / (hi - lo)
     return (math.exp(avg_log_diff) - 1.0) * 100.0
 

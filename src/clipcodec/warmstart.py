@@ -86,10 +86,7 @@ def fit_schedule(points: list[tuple[float, float]]
     The fit holds a = 1 (so epsilon(0) = 0) and is a one-dimensional
     problem over b.  Returns the schedule and the residual norm.
     All-equal epsilon values yield the constant schedule ``b = 0``.
-    scipy loads on the first call.
     """
-    from scipy.optimize import least_squares  # keeps scipy off the codec path
-
     if len(points) < 3:
         raise DataError(f"need at least 3 calibration points, got "
                         f"{len(points)}")
@@ -107,12 +104,17 @@ def fit_schedule(points: list[tuple[float, float]]
         resid = float(np.linalg.norm(_eval_raw(mse, amp, 0.0) - eps))
         return sched, resid
 
-    span = float(np.ptp(mse))
-    b0 = 1.0 / span if span > 0 else 1.0
+    def slope(b):  # half the derivative of the squared residual over b
+        decay = detmath.exp(-b * mse)
+        return float(np.sum((1.0 - decay - eps) * mse * decay))
 
-    def resid_fn(x):
-        return _eval_raw(mse, 1.0, x[0]) - eps
-
-    sol = least_squares(resid_fn, x0=[b0], bounds=([1e-12], [np.inf]),
-                        xtol=2.5e-16, ftol=2.5e-16, gtol=1e-15)
-    return EpsilonSchedule(b=float(sol.x[0])), float(np.linalg.norm(sol.fun))
+    # grow [lo, hi] from the lower bound b = 1e-12 until the slope turns
+    # non-negative, then bisect on its sign down to adjacent floats
+    lo = hi = 1e-12
+    step = 1.0 / float(np.ptp(mse))
+    while slope(hi) < 0.0:
+        lo, hi, step = hi, hi + step, 2.0 * step
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+    resid = float(np.linalg.norm(_eval_raw(mse, 1.0, hi) - eps))
+    return EpsilonSchedule(b=hi), resid

@@ -130,6 +130,40 @@ def test_manifest_rerun_equal_at_any_cpu_count(workdir, tmp_path,
     assert again.read_bytes() == (workdir / "out.bits").read_bytes()
 
 
+def test_manifest_rerun_refuses_a_changed_input(workdir, tmp_path, capsys,
+                                                monkeypatch):
+    # the input named by the manifest was overwritten with another video of
+    # the same size: refused before any training, with nothing written
+    video = tmp_path / "in.rgb"
+    video.write_bytes((workdir / "in.rgb").read_bytes())
+    raw = json.loads((workdir / "out.bits.manifest.json").read_text())
+    assert raw["input_sha256"] == \
+        hashlib.sha256(video.read_bytes()).hexdigest()
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(dict(raw, input_path=str(video))))
+    assert main(["synth", str(video), "--kind", "moving-blob", "--velocity",
+                 "1", "--frames", "8", "--seed", "6", *COMMON]) == 0
+    encodes = []
+    monkeypatch.setattr(cli, "encode_video",
+                        lambda *args: encodes.append(args)
+                        or encode_video(*args))
+    out = tmp_path / "again.bits"
+    assert main(["encode", "--from-manifest", str(manifest), "--out",
+                 str(out)]) == 3
+    assert not encodes and sorted(tmp_path.iterdir()) == [video, manifest]
+    err = capsys.readouterr().err
+    assert str(video) in err and raw["input_sha256"] in err
+
+
+def test_input_and_manifest_together_exit_2(workdir, tmp_path, capsys):
+    out = tmp_path / "never.bits"
+    assert main(["encode", str(workdir / "in.rgb"), "--from-manifest",
+                 str(workdir / "out.bits.manifest.json"), "--out",
+                 str(out)]) == 2
+    assert not out.exists()
+    assert "not both" in capsys.readouterr().err
+
+
 # older setuptools flags its own [tool.setuptools] table as beta
 @pytest.mark.filterwarnings("ignore:Support for .*tool.setuptools")
 def test_package_version_is_the_module_version():

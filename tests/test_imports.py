@@ -1,12 +1,12 @@
-"""The encode/decode path loads none of the codec's optional heavy imports.
+"""The package needs numpy only, and its encode/decode path loads no heavy
+standard-library machinery.
 
-scipy serves only ε calibration (``fit_schedule``) and rate-curve
-comparison (``bd_rate``); it is imported on first use, so a codec process
-does not pay its memory and start-up time.  A whole-video encode or decode
-forks its workers with ``os.fork``, so it loads neither ``multiprocessing``
-nor ``concurrent.futures.process``.  The check runs in a fresh
-interpreter: pytest and the other tests have loaded scipy into this one
-long ago.
+The codec, ε calibration (``fit_schedule``) and rate-curve comparison
+(``bd_rate``) all run with scipy made unimportable, and load no ``scipy``
+module.  A whole-video encode or decode forks its workers with
+``os.fork``, so it loads neither ``multiprocessing`` nor
+``concurrent.futures.process``.  The check runs in a fresh interpreter:
+pytest and the other tests have loaded scipy into this one long ago.
 """
 
 import json
@@ -17,12 +17,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-HEAVY = ("scipy.optimize", "scipy.interpolate", "scipy.linalg",
-         "scipy.sparse", "concurrent.futures.process", "multiprocessing")
+HEAVY = ("concurrent.futures.process", "multiprocessing")
 
 _CODEC_THEN_TOOLS = """
 import json, os, sys, tempfile
 from pathlib import Path
+
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 
 # two usable CPUs whatever the host has, so two-group encodes and decodes
 # fork
@@ -67,8 +68,9 @@ print(json.dumps({"loaded": loaded, "cli": codes, "forks": len(forks),
                   "frames": [decoded.frame_count, fragment.frame_count,
                              decoded_two.frame_count],
                   "bd_rate": bd_rate(anchor, test), "b": schedule.b,
-                  "after_tools": sorted(name for name in sys.argv[1:]
-                                        if name in sys.modules)}))
+                  "scipy": sorted(name for name, module in sys.modules.items()
+                                  if name.startswith("scipy")
+                                  and module is not None)}))
 """
 
 
@@ -85,8 +87,7 @@ def test_codec_path_loads_no_heavy_imports():
     assert report["cli"] == [0, 0] and report["frames"] == [4, 4, 4]
     # the two-group encode, the two-group decode_video and the CLI decode
     assert report["forks"] == 3
-    # the tools still work, and load what they need on first call
+    # the tools work without scipy
     assert abs(report["bd_rate"] - (-10.0)) < 1e-9
     assert report["b"] > 0
-    assert {"scipy.optimize", "scipy.interpolate"} <= set(
-        report["after_tools"])
+    assert report["scipy"] == []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import least_squares
 
 from clipcodec import detmath
 from clipcodec.errors import ConfigError, DataError
@@ -111,6 +112,46 @@ def test_fit_recovers_planted_parameters():
     sched, resid = fit_schedule(points)
     assert abs(sched.b - planted_b) < 1e-6
     assert resid < 1e-10
+
+
+def _least_squares_fit(points):
+    """The fit by scipy's trust-region solver, from the same start and
+    bounds; returns the residual norm."""
+    mse = np.asarray([p[0] for p in points])
+    eps = np.asarray([p[1] for p in points])
+    sol = least_squares(lambda x: 1.0 - np.exp(-x[0] * mse) - eps,
+                        x0=[1.0 / np.ptp(mse)], bounds=([1e-12], [np.inf]),
+                        xtol=2.5e-16, ftol=2.5e-16, gtol=1e-15)
+    return float(np.linalg.norm(sol.fun))
+
+
+def _noisy_points(seed):
+    rng = np.random.default_rng(seed)
+    mse = np.sort(rng.uniform(0.0, 0.1, 8))
+    eps = np.clip(1.0 - np.exp(-30.0 * mse) + rng.normal(0.0, 0.05, 8),
+                  0.0, 1.0)
+    return list(zip(mse, eps))
+
+
+@pytest.mark.parametrize("points", [
+    *(_noisy_points(seed) for seed in range(4)),
+    # epsilon falling with mse: the best b is small
+    [(0.01, 0.9), (0.5, 0.6), (5.0, 0.3), (50.0, 0.0)],
+    # epsilon highest at mse 0: the best b is the lower bound
+    [(0.0, 0.5), (1.0, 0.0), (2.0, 0.0)],
+    # a plateau: every epsilon at 1 but one, so any large b fits as well
+    [(0.01, 1.0), (0.05, 1.0), (0.1, 1.0), (0.2, 0.99)],
+], ids=["noisy-0", "noisy-1", "noisy-2", "noisy-3", "falling",
+        "lower-bound", "plateau"])
+def test_fit_residual_no_worse_than_least_squares(points):
+    # compare residuals, not b: on a plateau many b fit equally well
+    sched, resid = fit_schedule(points)
+    assert sched.a == 1.0 and sched.b >= 1e-12
+    assert resid <= _least_squares_fit(points) + 1e-9
+    mse = np.asarray([p[0] for p in points])
+    eps = np.asarray([p[1] for p in points])
+    assert resid == pytest.approx(
+        np.linalg.norm(1.0 - np.exp(-sched.b * mse) - eps), abs=1e-12)
 
 
 def test_fit_degenerate_constant_points():
