@@ -8,8 +8,8 @@ predecessor, producing a decodable bitstream plus rate/quality reports.
 __version__ = "0.1.0"  # the manifest records it as tool_version
 
 from .backbone import (BackboneConfig, UpsampleStage, config_from_text,
-                       config_to_text, forward_clip, forward_frame,
-                       init_random, param_layout)
+                       config_to_text, forward_clip, init_random,
+                       param_layout)
 from .bitstream import BitstreamReader, write_bitstream
 from .errors import (BitstreamError, CodecError, ConfigError, DataError,
                      LayoutError, NumericError, ShapeError, TapeError)

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import detmath, ops
-from .errors import ConfigError, NumericError, TapeError
+from .errors import ConfigError, NumericError
 from .params import ParamVector, SegmentSpec
 from .seeds import STREAM_INIT, make_rng
 from .tensor import DTYPES, Tensor, active_tape
@@ -213,17 +213,13 @@ def _layers(config: BackboneConfig, params) -> list:
     A layer maps a batch of frames to the same batch one layer on.  The
     first takes the timestamps; after it, a batch holds its frames' rows
     back to back along the first axis (one row per frame for nerv-lite,
-    H*W for coord-mlp).  The last returns (H, W, 3) for one frame and
-    (n, H, W, 3) for n.
+    H*W for coord-mlp).  The last returns (n, H, W, 3).
     """
     get = params.__getitem__
     act = _activation(config.activation)
     dtype = config.dtype
     H, W = config.frame_height, config.frame_width
     freqs = config.pe_frequencies
-
-    def frames_shape(n):
-        return (H, W, 3) if n == 1 else (n, H, W, 3)
 
     def dense(name, activation):
         def layer(x):
@@ -247,7 +243,7 @@ def _layers(config: BackboneConfig, params) -> list:
 
         def head(x):
             x = out(x)
-            return ops.reshape(x, frames_shape(x.shape[0] // (H * W)))
+            return ops.reshape(x, (x.shape[0] // (H * W), H, W, 3))
 
         return ([(H * W * 6 * freqs, encode)]
                 + [(H * W * width, dense(f"mlp.fc{i}", act))
@@ -279,8 +275,7 @@ def _layers(config: BackboneConfig, params) -> list:
     def head(x):
         x = ops.conv2d(x, get("head.conv.weight"), get("head.conv.bias"))
         x = _finite("head", ops.sigmoid(x))
-        return ops.reshape(ops.permute(x, (0, 2, 3, 1)),
-                           frames_shape(x.shape[0]))
+        return ops.permute(x, (0, 2, 3, 1))
 
     layers = [(2 * freqs, encode),
               (config.stem_width, dense("stem.fc0", act)),
@@ -301,35 +296,38 @@ def _layers(config: BackboneConfig, params) -> list:
     return layers
 
 
-def _walk(config: BackboneConfig, params, t_norms):
-    """The one walk of the network; yields each timestamp's frame Tensor.
+def forward_clip(config: BackboneConfig, params, t_norms):
+    """Render a clip's frames in [0, 1], yielded in order as (n, H, W, 3)
+    Tensors: the one walk of the network, for training and rendering.
 
     Each layer runs on every frame at once while that batch holds no more
     elements than the network's largest one-frame activation.  From the
     first layer where it would hold more, each frame runs the remaining
-    layers on its own, depth first, and is yielded before the next one
-    starts, so a long clip never holds more than one frame's activations
-    past that layer.  One frame never splits.
+    layers on its own, depth first, and is yielded (n = 1) before the next
+    one starts, so a long clip never holds more than one frame's
+    activations past that layer.  Under an active
+    :class:`~clipcodec.tensor.Tape` nothing splits: the one Tensor yielded
+    carries the whole clip's graph.  A frame has the same bits however it
+    is batched: the ``detmath`` kernels are elementwise and ``einsum`` sums
+    each output element over channels only, so every element goes through
+    the same operations in the same order.
     """
+    t_norms = tuple(t_norms)
     for t_norm in t_norms:
         if not 0.0 <= t_norm <= 1.0:
             raise ConfigError(f"timestamp {t_norm} outside [0, 1]")
     frames = len(t_norms)
-    if frames > 1 and active_tape() is not None:
-        raise TapeError("a multi-frame render does not record gradients; "
-                        "render one frame per call under a tape")
     layers = _layers(config, params)
-    largest = max(size for size, _ in layers)
+    largest = math.inf
+    if active_tape() is None:
+        largest = max(size for size, _ in layers)
     x = Tensor(np.asarray(t_norms, dtype=np.float64))
     for depth, (size, layer) in enumerate(layers):
         if frames * size > largest:
             break
         x = layer(x)
     else:
-        if frames == 1:
-            yield x
-        else:
-            yield from (Tensor(frame) for frame in x.data)
+        yield x
         return
     rows = x.shape[0] // frames
     for i in range(frames):
@@ -337,30 +335,6 @@ def _walk(config: BackboneConfig, params, t_norms):
         for _, layer in layers[depth:]:
             y = layer(y)
         yield y
-
-
-def forward_frame(config: BackboneConfig, params, t_norm: float) -> Tensor:
-    """Render one frame (H, W, 3) in [0, 1] for a clip-local timestamp.
-
-    The one-timestamp case of :func:`forward_clip`; under an active
-    :class:`~clipcodec.tensor.Tape` it records the graph for training.
-    """
-    (frame,) = _walk(config, params, (t_norm,))
-    return frame
-
-
-def forward_clip(config: BackboneConfig, params, t_norms):
-    """Yield a clip's frames in order, one (H, W, 3) array per timestamp.
-
-    The frames are batched through the network as far as the memory
-    bound of :func:`_walk` allows.  Each one has the bits
-    :func:`forward_frame` gives it: the ``detmath`` kernels are
-    elementwise and ``einsum`` sums each output element over channels
-    only, so every element goes through the same operations in the same
-    order.  The frames carry no gradients, so under an active tape more
-    than one timestamp raises :class:`~clipcodec.errors.TapeError`.
-    """
-    return (frame.data for frame in _walk(config, params, tuple(t_norms)))
 
 
 def frame_timestamps(length: int) -> list[float]:

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from contextlib import closing
 from pathlib import Path
 
@@ -34,9 +33,10 @@ EXIT_NUMERIC = 4
 def _write_atomic(path: Path, chunks) -> None:
     """Write an iterable of byte chunks via a temp file + rename: a
     failure, also one raised while the chunks are produced, leaves no
-    partial output.  Each chunk is let go before the next is produced."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                               prefix=path.name + ".")
+    partial output.  Each chunk is let go before the next is produced.
+    The file gets the mode a plain ``open`` gives, 0o666 less the umask."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
@@ -79,36 +79,48 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
+class _Setting(argparse.Action):
+    """An encode setting: stored, and its flag noted in ``args.settings``,
+    as ``--from-manifest`` takes every setting from the manifest."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        if self.option_strings[0] not in namespace.settings:
+            namespace.settings += (self.option_strings[0],)
+
+
 def _add_encode(sub):
     train = TrainConfig()
     p = sub.add_parser("encode", help="fit and compress a raw RGB video")
+    p.set_defaults(settings=())
     p.add_argument("input", type=Path, nargs="?",
                    help="raw planar RGB8 file (omit with --from-manifest)")
     p.add_argument("--out", type=Path, required=True,
                    help="output bitstream path")
     p.add_argument("--from-manifest", type=Path,
                    help="re-run a previous encode exactly")
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--height", type=int, default=32)
-    p.add_argument("--gop", "-p", type=int, default=10,
-                   help="frames per clip")
-    p.add_argument("--gom", "-m", type=int, default=3,
-                   help="clips per model group")
-    p.add_argument("--tier", choices=tuple(presets.TIERS),
-                   default=presets.DEFAULT_TIER,
-                   help="desk-scale backbone size")
-    p.add_argument("--backbone-config", type=Path,
-                   help="explicit backbone config file (overrides --tier)")
-    p.add_argument("--lambda", dest="lam", type=float, default=train.lam,
-                   help="distortion weight in the training loss")
-    p.add_argument("--epochs-i", type=int, default=train.epochs_i)
-    p.add_argument("--epochs-p", type=int, default=train.epochs_p)
-    p.add_argument("--lr", type=float, default=train.lr_i,
-                   help="learning rate of both I and P models")
-    p.add_argument("--warmup-frac", type=float, default=train.warmup_frac)
-    p.add_argument("--seed", type=int, default=train.seed)
-    p.add_argument("--precision", choices=tuple(DTYPES),
-                   default=BackboneConfig.precision)
+
+    def setting(*flags, **kwargs):
+        p.add_argument(*flags, action=_Setting, **kwargs)
+
+    setting("--width", type=int, default=32)
+    setting("--height", type=int, default=32)
+    setting("--gop", "-p", type=int, default=10, help="frames per clip")
+    setting("--gom", "-m", type=int, default=3, help="clips per model group")
+    setting("--tier", choices=tuple(presets.TIERS),
+            default=presets.DEFAULT_TIER, help="desk-scale backbone size")
+    setting("--backbone-config", type=Path,
+            help="explicit backbone config file (overrides --tier)")
+    setting("--lambda", dest="lam", type=float, default=train.lam,
+            help="distortion weight in the training loss")
+    setting("--epochs-i", type=int, default=train.epochs_i)
+    setting("--epochs-p", type=int, default=train.epochs_p)
+    setting("--lr", type=float, default=train.lr_i,
+            help="learning rate of both I and P models")
+    setting("--warmup-frac", type=float, default=train.warmup_frac)
+    setting("--seed", type=int, default=train.seed)
+    setting("--precision", choices=tuple(DTYPES),
+            default=BackboneConfig.precision)
     p.add_argument("--csv", type=Path, help="append the summary row here")
     p.add_argument("--log", type=Path, help="write per-epoch JSONL records")
     p.add_argument("--emit-manifest", type=Path,
@@ -123,6 +135,10 @@ def _cmd_encode(args) -> int:
         if args.input is not None:
             raise ConfigError("encode takes an input file or "
                               "--from-manifest, not both")
+        if args.settings:
+            raise ConfigError(f"encode --from-manifest takes its settings "
+                              f"from the manifest, not "
+                              f"{', '.join(args.settings)}")
         source = RunManifest.load(args.from_manifest)
         input_path = Path(source.input_path)
         config = source.backbone()

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import detmath, metrics, ops
 from .backbone import (BackboneConfig, config_to_text, forward_clip,
-                       forward_frame, frame_timestamps, init_random)
+                       frame_timestamps, init_random)
 # partition is also this module's, for callers that plan an encode
 from .bitstream import (BitstreamReader, ModelRecord, PartitionPlan, ROLE_I,
                         partition, write_bitstream)
@@ -83,9 +83,10 @@ class TrainConfig:
 
 def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
                        theta_star: ParamVector, log_scales: ParamVector,
-                       target_hw3: np.ndarray, t_norm: float, lam: float,
-                       noise):
-    """Build one training-step graph; returns (loss, rate, mse, (mu, sd)).
+                       targets: np.ndarray, t_norms, lam: float, noise):
+    """Build one training-step graph over a batch of frames, ``targets``
+    (n, H, W, 3) at timestamps ``t_norms``; returns (loss, rate, mse,
+    (mu, sd)).
 
     Rendering uses the warm start plus the straight-through-rounded
     residual on the trained lattice, so train-time distortion equals
@@ -113,8 +114,8 @@ def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
                          ops.split_flat(ops.add(prime, snapped), shapes)))
     mu, sd = layer_stats(unit.data, theta_star.sizes)
     rate = rate_bits_train(unit, noise, mu, sd, theta_star.sizes)
-    frame = forward_frame(config, effective, t_norm)
-    mse = ops.mean_square(ops.sub(frame, ops.constant(target_hw3)))
+    (frames,) = forward_clip(config, effective, t_norms)
+    mse = ops.mean_square(ops.sub(frames, ops.constant(targets)))
     loss = ops.add(rate, ops.mul(mse, lam))
     return loss, rate, mse, (mu, sd)
 
@@ -179,14 +180,15 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
         lr = lr_at(epoch, epochs, base_lr, cfg.warmup_frac)
         rate_sum = 0.0
         mse_sum = 0.0
-        for step, (t_norm, target) in enumerate(zip(t_norms, targets)):
+        for step in range(len(frames)):
             # PCG64 spends one word per double, so one draw for all layers
             # equals one draw per layer, joined
             noise = noise_rng.uniform(-0.5, 0.5, size=init.flat.size)
             with Tape() as tape:
                 loss, rate, mse, _ = training_step_loss(
-                    config, theta_prime, theta_star, log_scales, target,
-                    t_norm, cfg.lam, noise)
+                    config, theta_prime, theta_star, log_scales,
+                    targets[step:step + 1], t_norms[step:step + 1], cfg.lam,
+                    noise)
             if not np.isfinite(loss.data):
                 raise NumericError(f"loss diverged at epoch {epoch} "
                                    f"step {step}")
@@ -468,13 +470,17 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
 def render_video(config: BackboneConfig, params: ParamVector,
                  frames: np.ndarray) -> None:
     """Render one clip into ``frames``, its (n, 3, H, W) uint8 output, in
-    one :func:`forward_clip` call; parameters no encoder could have
-    trained may overflow the network, which raises :class:`NumericError`.
+    one :func:`forward_clip` call, writing each batch it yields; parameters
+    no encoder could have trained may overflow the network, which raises
+    :class:`NumericError`.
     """
-    clip = forward_clip(config, params, frame_timestamps(len(frames)))
+    start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for index, out in enumerate(clip):
-            frames[index] = denormalize(out).transpose(2, 0, 1)
+        for out in forward_clip(config, params,
+                                frame_timestamps(len(frames))):
+            stop = start + out.shape[0]
+            frames[start:stop] = denormalize(out.data).transpose(0, 3, 1, 2)
+            start = stop
 
 
 def decode_gom(reader: BitstreamReader,

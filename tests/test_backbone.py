@@ -7,9 +7,9 @@ import pytest
 
 from clipcodec import ops
 from clipcodec.backbone import (BackboneConfig, UpsampleStage, config_from_text,
-                                config_to_text, forward_clip, forward_frame,
+                                config_to_text, forward_clip,
                                 frame_timestamps, init_random, param_layout)
-from clipcodec.errors import ConfigError, NumericError, TapeError
+from clipcodec.errors import ConfigError, NumericError
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.tensor import Tape
 from conftest import fd_gradient, rel_error, segment_leaves
@@ -61,24 +61,30 @@ def test_init_reproducible_and_seed_sensitive(tiny_nerv):
     assert differing >= 0.99
 
 
+def render(config, params, t_norm):
+    """The one frame of a one-timestamp clip, a (1, H, W, 3) Tensor."""
+    (frame,) = forward_clip(config, params, [t_norm])
+    return frame
+
+
 def test_forward_frame_shape_and_range(tiny_nerv):
     params = init_random(tiny_nerv, 0)
-    frame = forward_frame(tiny_nerv, params, 0.5)
-    assert frame.shape == (16, 16, 3)
+    frame = render(tiny_nerv, params, 0.5)
+    assert frame.shape == (1, 16, 16, 3)
     assert np.all(frame.data >= 0.0) and np.all(frame.data <= 1.0)
 
 
 def test_forward_frame_deterministic(tiny_nerv):
     params = init_random(tiny_nerv, 3)
-    a = forward_frame(tiny_nerv, params, 0.25).data
-    b = forward_frame(tiny_nerv, params, 0.25).data
+    a = render(tiny_nerv, params, 0.25).data
+    b = render(tiny_nerv, params, 0.25).data
     assert np.array_equal(a, b)
 
 
 def test_forward_range_even_for_wild_parameters(tiny_nerv):
     params = init_random(tiny_nerv, 1)
     scaled = params.with_flat(params.flat.data * 50.0)
-    frame = forward_frame(tiny_nerv, scaled, 0.0)
+    frame = render(tiny_nerv, scaled, 0.0)
     assert np.all(frame.data >= 0.0) and np.all(frame.data <= 1.0)
 
 
@@ -87,7 +93,7 @@ def test_forward_rejects_nonfinite_params(tiny_nerv):
     bad = params.clone()
     bad["stem.fc0.weight"].data[0, 0] = np.nan
     with pytest.raises(NumericError, match="stem.fc0"):
-        forward_frame(tiny_nerv, bad, 0.0)
+        render(tiny_nerv, bad, 0.0)
 
 
 CLIP_CONFIGS = {
@@ -113,10 +119,11 @@ def test_clip_render_equals_per_frame_render(name):
     params = init_random(config, 3)
     for frames in range(1, 7):
         t_norms = frame_timestamps(frames)
-        clip = list(forward_clip(config, params, t_norms))
+        clip = [frame for batch in forward_clip(config, params, t_norms)
+                for frame in batch.data]
         assert len(clip) == frames
         for t_norm, got in zip(t_norms, clip):
-            want = forward_frame(config, params, t_norm).data
+            want = render(config, params, t_norm).data[0]
             assert (got.shape, got.dtype, got.strides) == \
                 (want.shape, want.dtype, want.strides)
             assert got.tobytes() == want.tobytes()
@@ -143,21 +150,6 @@ def test_clip_render_batches_only_below_largest_activation(monkeypatch):
     assert max(np.prod(shape) for shape in seen) == 12 * 64 * 64
 
 
-@pytest.mark.parametrize("fixture_name",
-                         ["tiny_nerv", "tiny_subpel", "tiny_mlp"])
-def test_multi_frame_render_under_tape_raises(fixture_name, request):
-    # a clip's frames are plain arrays: under a tape the call raises
-    # rather than return frames whose gradients are lost
-    config = request.getfixturevalue(fixture_name)
-    live = segment_leaves(init_random(config, 11))
-    with Tape() as tape:
-        with pytest.raises(TapeError, match="one frame per call"):
-            list(forward_clip(config, live, [0.0, 1.0]))
-        loss = ops.mean_square(forward_frame(config, live, 1.0))
-    tape.backward(loss)
-    assert all(live[name].grad is not None for name in live)
-
-
 def test_timestamps_normalization():
     assert frame_timestamps(1) == [0.0]
     ts = frame_timestamps(5)
@@ -165,22 +157,24 @@ def test_timestamps_normalization():
     assert ts[2] == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("fixture_name",
-                         ["tiny_nerv", "tiny_subpel", "tiny_mlp"])
-def test_frame_mse_gradients_match_fd(fixture_name, request):
-    config = request.getfixturevalue(fixture_name)
+def check_clip_mse_gradients(config, t_norms):
+    """Every parameter's gradient of the clip's MSE against another
+    network's clip, recorded in one call under a tape, against central
+    differences."""
     params = init_random(config, 11)
     assert params.flat.size <= 5000
     target = init_random(config, 12)  # any fixed params make a target
-    target_frame = forward_frame(config, target, 0.3).data
+    target_frames = np.concatenate(  # no tape: it may come frame by frame
+        [batch.data for batch in forward_clip(config, target, t_norms)])
 
     live = segment_leaves(params)
 
     def run():
         with Tape() as tape:
-            frame = forward_frame(config, live, 0.3)
-            loss = ops.mean_square(ops.sub(frame,
-                                           ops.constant(target_frame)))
+            clip = list(forward_clip(config, live, t_norms))
+            assert len(clip) == 1 and clip[0].shape[0] == len(t_norms)
+            loss = ops.mean_square(ops.sub(clip[0],
+                                           ops.constant(target_frames)))
         return loss, tape
 
     loss, tape = run()
@@ -194,6 +188,22 @@ def test_frame_mse_gradients_match_fd(fixture_name, request):
         assert rel_error(analytic, numeric) < 1e-4, name
         checked += tensor.size
     assert checked == params.flat.size
+
+
+@pytest.mark.parametrize("fixture_name",
+                         ["tiny_nerv", "tiny_subpel", "tiny_mlp"])
+def test_frame_mse_gradients_match_fd(fixture_name, request):
+    check_clip_mse_gradients(request.getfixturevalue(fixture_name), [0.3])
+
+
+@pytest.mark.parametrize("fixture_name",
+                         ["tiny_nerv", "tiny_subpel", "tiny_mlp"])
+def test_multi_frame_render_under_tape_records_one_graph(fixture_name,
+                                                         request):
+    # under a tape nothing splits: a 3-frame call yields one Tensor whose
+    # graph reaches every parameter through every frame
+    check_clip_mse_gradients(request.getfixturevalue(fixture_name),
+                             [0.0, 0.3, 1.0])
 
 
 def test_config_text_round_trip(tiny_nerv, tiny_subpel, tiny_mlp):

@@ -164,6 +164,34 @@ def test_input_and_manifest_together_exit_2(workdir, tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+# every encode setting with a value; the manifest holds them all
+ENCODE_SETTINGS = {
+    "--width": "8", "--height": "8", "--gop": "4", "--gom": "1",
+    "--tier": "tiny", "--backbone-config": "b.cfg", "--lambda": "3",
+    "--epochs-i": "9", "--epochs-p": "9", "--lr": "0.1",
+    "--warmup-frac": "0.5", "--seed": "3", "--precision": "f64"}
+
+
+def test_manifest_rerun_with_encode_settings_exits_2(workdir, tmp_path,
+                                                     capsys):
+    # a setting given next to --from-manifest would be ignored, so it is
+    # refused before any work, each one named; the output flags stay
+    manifest = str(workdir / "out.bits.manifest.json")
+    given = [part for item in ENCODE_SETTINGS.items() for part in item]
+    assert main(["encode", "--from-manifest", manifest, "--out",
+                 str(tmp_path / "m.bits"), "--csv", str(tmp_path / "r.csv"),
+                 "--log", str(tmp_path / "t.jsonl"), "--sequence", "s",
+                 "--emit-manifest", str(tmp_path / "m.json"), *given]) == 2
+    assert not list(tmp_path.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert all(flag in err for flag in ENCODE_SETTINGS)
+    assert main(["encode", "--from-manifest", manifest, "--out",
+                 str(tmp_path / "m.bits"), "-p", "4"]) == 2
+    assert "--gop" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # older setuptools flags its own [tool.setuptools] table as beta
 @pytest.mark.filterwarnings("ignore:Support for .*tool.setuptools")
 def test_package_version_is_the_module_version():
@@ -474,3 +502,29 @@ def test_cli_entrypoint_via_subprocess(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.stat().st_size == 3 * 8 * 8 * 2
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_outputs_get_the_mode_open_gives(tmp_path, umask):
+    # every output is created 0o666 less the umask, as by a plain open
+    old = os.umask(umask)
+    try:
+        assert main(["synth", str(tmp_path / "in.rgb"), "--frames", "4",
+                     *COMMON]) == 0
+        assert main(["encode", str(tmp_path / "in.rgb"), "--out",
+                     str(tmp_path / "out.bits"), "--log",
+                     str(tmp_path / "t.jsonl"), *COMMON, "-p", "2", "-m",
+                     "1", "--epochs-i", "1"]) == 0
+        assert main(["decode", str(tmp_path / "out.bits"),
+                     str(tmp_path / "out.rgb")]) == 0
+        (tmp_path / "points.csv").write_text(
+            "mse,epsilon\n0.1,0.2\n0.5,0.6\n1.0,0.8\n")
+        assert main(["fit-epsilon", str(tmp_path / "points.csv"), "--out",
+                     str(tmp_path / "e.json")]) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: path.stat().st_mode & 0o777
+             for path in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(
+        ["in.rgb", "out.bits", "t.jsonl", "out.bits.manifest.json",
+         "out.rgb", "points.csv", "e.json"], 0o666 & ~umask)

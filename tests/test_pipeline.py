@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from clipcodec import (backbone, bitstream, detmath, metrics, ops,
                        pipeline)
 from clipcodec.backbone import (BackboneConfig, UpsampleStage, forward_clip,
-                                forward_frame, init_random, param_layout)
+                                init_random, param_layout)
 from clipcodec.bitstream import _FIXED, BitstreamReader
 from clipcodec.coder import build_models, decode_symbols
 from clipcodec.errors import BitstreamError, ConfigError, NumericError
@@ -219,8 +219,8 @@ def test_step_loss_full_graph_runs_and_is_finite():
     target = rng.uniform(0, 1, (16, 16, 3))
     with Tape() as tape:
         loss, rate, mse, stats = training_step_loss(
-            config, theta_prime, theta_star, log_scales, target, 0.5,
-            1e6, noise)
+            config, theta_prime, theta_star, log_scales, target[None],
+            [0.5], 1e6, noise)
     assert np.isfinite(loss.data)
     tape.backward(loss)
     assert theta_star.flat.grad is not None
@@ -229,7 +229,7 @@ def test_step_loss_full_graph_runs_and_is_finite():
 
 
 def _training_step_loss_per_layer(config, theta_prime, theta_star,
-                                  log_scales, target_hw3, t_norm, lam,
+                                  log_scales, targets, t_norms, lam,
                                   noise):
     """Reference: the lattice built by one op chain per layer, as before
     the flat chain, over dicts of per-layer leaves.  ``training_step_loss``
@@ -245,8 +245,8 @@ def _training_step_loss_per_layer(config, theta_prime, theta_star,
         effective[name] = ops.add(theta_prime[name], snapped)
     stats = layer_stats_of([u.data for u in scaled])
     rate = rate_bits_layers(scaled, noise, stats)
-    frame = forward_frame(config, effective, t_norm)
-    mse = ops.mean_square(ops.sub(frame, ops.constant(target_hw3)))
+    (frames,) = forward_clip(config, effective, t_norms)
+    mse = ops.mean_square(ops.sub(frames, ops.constant(targets)))
     loss = ops.add(rate, ops.mul(mse, lam))
     return loss, rate, mse, stats
 
@@ -304,12 +304,13 @@ def test_flat_step_and_adam_match_per_layer_reference_bitwise(precision):
                      for t in ref_star.values()]
         with Tape() as tape:
             loss, rate, mse, stats = training_step_loss(
-                config, prime, star, logs, target, t_norm, 1e4, noise)
+                config, prime, star, logs, target[None], [t_norm], 1e4,
+                noise)
         tape.backward(loss)
         with Tape() as ref_tape:
             ref_loss, ref_rate, _, ref_stats = _training_step_loss_per_layer(
-                config, prime, ref_star, ref_logs, target, t_norm, 1e4,
-                ref_noise)
+                config, prime, ref_star, ref_logs, target[None], [t_norm],
+                1e4, ref_noise)
         ref_tape.backward(ref_loss)
         assert loss.data.dtype == config.dtype
         assert loss.data.tobytes() == ref_loss.data.tobytes()
@@ -389,7 +390,6 @@ def test_train_model_renders_each_frame_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(pipeline, "forward_frame", counted(forward_frame))
     monkeypatch.setattr(pipeline, "forward_clip", counted(forward_clip))
     cfg = quick_cfg(epochs_i=2, epochs_p=1)
     result = encode_video(video, partition(4, 2, 2), config, cfg,

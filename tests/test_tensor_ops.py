@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clipcodec import ops
-from clipcodec.backbone import forward_frame, init_random
+from clipcodec.backbone import forward_clip, init_random
 from clipcodec.errors import ShapeError, TapeError
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.tensor import Tape, Tensor
@@ -170,7 +170,7 @@ def test_tier_conv_shapes_are_the_forward_pass(monkeypatch):
 
     monkeypatch.setattr(ops, "conv2d", spy)
     for config in TIER_CONFIGS:
-        forward_frame(config, init_random(config, 0), 0.5)
+        list(forward_clip(config, init_random(config, 0), [0.5]))
     assert seen == TIER_CONV_SHAPES and len(seen) == 9
 
 
