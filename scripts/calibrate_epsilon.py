@@ -30,7 +30,7 @@ from clipcodec.warmstart import fit_schedule, gop_gap_mse, interpolate_init
 
 def best_epsilon_for(video, gop_size, config, cfg, grid):
     plan = partition(video.frame_count, gop_size, 2)
-    normalized = video.normalized(config.dtype)
+    normalized = video.normalized()
     clip0 = normalized[slice(*plan.gops[0])]
     clip1 = normalized[slice(*plan.gops[1])]
     target1 = video.frames[slice(*plan.gops[1])]

@@ -28,7 +28,7 @@ from . import detmath, ops
 from .errors import ConfigError, NumericError
 from .params import ParamVector, SegmentSpec
 from .seeds import STREAM_INIT, make_rng
-from .tensor import DTYPES, Tensor, active_tape
+from .tensor import Tensor, active_tape
 
 ACTIVATIONS = ("gelu", "sin", "sigmoid")
 UPSAMPLE_KINDS = ("nearest", "subpel")
@@ -60,11 +60,6 @@ class BackboneConfig:
     activation: str = "gelu"
     frame_height: int = 32
     frame_width: int = 32
-    precision: str = "f32"
-
-    @property
-    def dtype(self):
-        return DTYPES[self.precision]
 
 
 def validate(config: BackboneConfig) -> None:
@@ -74,8 +69,6 @@ def validate(config: BackboneConfig) -> None:
         raise ConfigError("pe_frequencies must be >= 1")
     if config.activation not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {config.activation!r}")
-    if config.precision not in DTYPES:
-        raise ConfigError(f"unknown precision {config.precision!r}")
     if config.frame_height < 1 or config.frame_width < 1:
         raise ConfigError("frame size must be positive")
     if config.kind == "coord-mlp":
@@ -148,7 +141,7 @@ def init_random(config: BackboneConfig, seed: int) -> ParamVector:
     """Standard-normal draw per segment, scaled by 1/sqrt(fan_in).
 
     Reproducible from (config, seed) alone: draws happen in layout order
-    from a PCG64 stream, in float64, then cast to the configured dtype.
+    from a PCG64 stream, in float64, then cast to float32.
     """
     rng = make_rng(seed, STREAM_INIT)
     layout = param_layout(config)
@@ -156,7 +149,7 @@ def init_random(config: BackboneConfig, seed: int) -> ParamVector:
         rng.standard_normal(spec.count, dtype=np.float64)
         * (1.0 / math.sqrt(spec.fan_in)) for spec in layout])
     return ParamVector([(spec.name, spec.shape) for spec in layout],
-                       Tensor(flat.astype(config.dtype)))
+                       Tensor(flat.astype(np.float32)))
 
 
 # ------------------------------------------------------------ encodings
@@ -213,11 +206,13 @@ def _layers(config: BackboneConfig, params) -> list:
     A layer maps a batch of frames to the same batch one layer on.  The
     first takes the timestamps; after it, a batch holds its frames' rows
     back to back along the first axis (one row per frame for nerv-lite,
-    H*W for coord-mlp).  The last returns (n, H, W, 3).
+    H*W for coord-mlp).  The last returns (n, H, W, 3).  The encodings
+    take the dtype of the first layer's weight.
     """
     get = params.__getitem__
     act = _activation(config.activation)
-    dtype = config.dtype
+    dtype = get("mlp.fc0.weight" if config.kind == "coord-mlp"
+                else "stem.fc0.weight").dtype
     H, W = config.frame_height, config.frame_width
     freqs = config.pe_frequencies
 
@@ -349,6 +344,9 @@ def frame_timestamps(length: int) -> list[float]:
 # One config key per BackboneConfig field.  A key only the other kind
 # reads is accepted and ignored.
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(BackboneConfig)}
+# The one key with no field: parameters are float32, the one precision,
+# which a text names last and may omit.
+_PRECISION = "f32"
 _KIND_KEYS = {
     "nerv-lite": {"stem_width", "base_channels", "base_height", "base_width",
                   "stages", "upsample"},
@@ -372,7 +370,7 @@ def config_to_text(config: BackboneConfig) -> str:
             value = ", ".join(map(str, value))
         if key not in ignored:
             text += f"{key} = {value}\n"
-    return text
+    return text + f"precision = {_PRECISION}\n"
 
 
 def config_from_text(text: str) -> BackboneConfig:
@@ -385,11 +383,15 @@ def config_from_text(text: str) -> BackboneConfig:
             raise ConfigError(f"config line {lineno}: expected 'key = value', "
                               f"got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in _FIELD_TYPES and key != "precision":
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in fields:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         fields[key] = value
+    precision = fields.pop("precision", _PRECISION)
+    if precision != _PRECISION:
+        raise ConfigError(f"unknown precision {precision!r} (parameters "
+                          f"are {_PRECISION})")
 
     # an omitted key keeps its BackboneConfig field default, except that
     # a nerv-lite text must name its stages

@@ -34,8 +34,8 @@ VERSION = 1
 # plane of the whole video: 2^31, above the 1.24e9 of the largest setting
 # the codec targets (600 frames of 1920x1080).
 MAX_VIDEO_PIXELS = 1 << 31
-_PRECISION_CODES = {"f32": 0, "f64": 1}
-_PRECISION_NAMES = {v: k for k, v in _PRECISION_CODES.items()}
+# The precision byte: parameters are float32, the one precision, code 0.
+_PRECISION_F32 = 0
 
 _FIXED = struct.Struct("<4sHBBIIIIIQI")  # magic..seed + config_len
 _LAYERS = struct.Struct("<HI")           # n_layers, model_count
@@ -130,7 +130,6 @@ class BitstreamHeader:
     gop_size: int
     gom_size: int
     seed: int
-    precision: str
     config_text: str
     n_layers: int
     records: tuple[ModelRecord, ...]
@@ -141,9 +140,8 @@ class BitstreamHeader:
 
 
 def _check_header(width: int, height: int, frame_count: int, gop_size: int,
-                  gom_size: int, precision: str, config_text: str,
-                  n_layers: int, records) -> tuple[BackboneConfig,
-                                                    PartitionPlan]:
+                  gom_size: int, config_text: str, n_layers: int,
+                  records) -> tuple[BackboneConfig, PartitionPlan]:
     """Every rule a header must meet; returns its parsed backbone config
     and its partition plan.
 
@@ -176,10 +174,6 @@ def _check_header(width: int, height: int, frame_count: int, gop_size: int,
     except ConfigError as exc:
         raise BitstreamError(f"unusable backbone config text: {exc}",
                              offset=_FIXED.size) from None
-    if config.precision != precision:
-        raise BitstreamError(f"header precision {precision} disagrees with "
-                             f"the config text's {config.precision}",
-                             offset=6)
     if (config.frame_width, config.frame_height) != (width, height):
         raise BitstreamError(f"header frame size {width}x{height} differs "
                              f"from the backbone's "
@@ -228,11 +222,10 @@ def _check_header(width: int, height: int, frame_count: int, gop_size: int,
 
 
 def _pack_header(width, height, frame_count, gop_size, gom_size, seed,
-                 precision, config_text, n_layers,
-                 records: list[ModelRecord]) -> bytes:
+                 config_text, n_layers, records: list[ModelRecord]) -> bytes:
     config_bytes = config_text.encode("utf-8")
     buf = bytearray()
-    buf += _FIXED.pack(MAGIC, VERSION, _PRECISION_CODES[precision], 0,
+    buf += _FIXED.pack(MAGIC, VERSION, _PRECISION_F32, 0,
                        width, height, frame_count, gop_size, gom_size,
                        seed, len(config_bytes))
     buf += config_bytes
@@ -248,8 +241,8 @@ def _pack_header(width, height, frame_count, gop_size, gom_size, seed,
 
 
 def write_bitstream(width: int, height: int, frame_count: int, gop_size: int,
-                    gom_size: int, seed: int, precision: str,
-                    config_text: str, records: list[ModelRecord],
+                    gom_size: int, seed: int, config_text: str,
+                    records: list[ModelRecord],
                     payloads: list[bytes]) -> bytes:
     """Serialize header and payloads; record lengths/CRCs must match."""
     if len(records) != len(payloads):
@@ -263,10 +256,10 @@ def write_bitstream(width: int, height: int, frame_count: int, gop_size: int,
             raise BitstreamError(f"model {rec.index}: payload CRC mismatch "
                                  f"at write time")
     n_layers = len(records[0].scale) if records else 0
-    _check_header(width, height, frame_count, gop_size, gom_size, precision,
+    _check_header(width, height, frame_count, gop_size, gom_size,
                   config_text, n_layers, records)
     header = _pack_header(width, height, frame_count, gop_size, gom_size,
-                          seed, precision, config_text, n_layers, records)
+                          seed, config_text, n_layers, records)
     return header + b"".join(payloads)
 
 
@@ -284,8 +277,9 @@ def _parse_header(read_exact) -> BitstreamHeader:
         raise BitstreamError(f"bad magic {magic!r}", offset=0)
     if version != VERSION:
         raise BitstreamError(f"unsupported version {version}", offset=4)
-    if prec_code not in _PRECISION_NAMES:
-        raise BitstreamError(f"unknown precision code {prec_code}", offset=6)
+    if prec_code != _PRECISION_F32:
+        raise BitstreamError(f"unknown precision code {prec_code} "
+                             f"(parameters are f32, code 0)", offset=6)
     config_bytes = take(_FIXED.size, config_len)
     pos = _FIXED.size + config_len
     n_layers, model_count = _LAYERS.unpack(take(pos, _LAYERS.size))
@@ -316,14 +310,12 @@ def _parse_header(read_exact) -> BitstreamHeader:
     except UnicodeDecodeError as exc:
         raise BitstreamError(f"backbone config text is not UTF-8: {exc}",
                              offset=_FIXED.size + exc.start) from None
-    precision = _PRECISION_NAMES[prec_code]
     config, plan = _check_header(width, height, frame_count, gop_size,
-                                 gom_size, precision, config_text, n_layers,
-                                 records)
+                                 gom_size, config_text, n_layers, records)
     header_size = pos + _CRC.size
     return BitstreamHeader(
         width=width, height=height, frame_count=frame_count,
-        gop_size=gop_size, gom_size=gom_size, seed=seed, precision=precision,
+        gop_size=gop_size, gom_size=gom_size, seed=seed,
         config_text=config_text, n_layers=n_layers, records=tuple(records),
         header_size=header_size, config=config, plan=plan,
         offsets=tuple(accumulate((rec.payload_len for rec in records),
@@ -396,7 +388,6 @@ def dump_header_text(header: BitstreamHeader) -> str:
         f"video: {header.width}x{header.height}, {header.frame_count} frames",
         f"partition: gop_size={header.gop_size} gom_size={header.gom_size}",
         f"seed: {header.seed}",
-        f"precision: {header.precision}",
         f"layers per model: {header.n_layers}",
         f"models: {len(header.records)}",
         f"parameters per model: {params}",

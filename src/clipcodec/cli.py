@@ -15,13 +15,12 @@ from contextlib import closing
 from pathlib import Path
 
 from . import metrics, presets, video as videomod
-from .backbone import BackboneConfig, config_from_text
+from .backbone import config_from_text
 from .bitstream import BitstreamReader, dump_header_text
 from .errors import (BitstreamError, CodecError, ConfigError, DataError,
                      NumericError, unreadable)
 from .manifest import RunManifest, build_manifest
 from .pipeline import TrainConfig, _decode_groups, encode_video, partition
-from .tensor import DTYPES
 from .warmstart import fit_schedule
 
 EXIT_OK = 0
@@ -119,8 +118,6 @@ def _add_encode(sub):
             help="learning rate of both I and P models")
     setting("--warmup-frac", type=float, default=train.warmup_frac)
     setting("--seed", type=int, default=train.seed)
-    setting("--precision", choices=tuple(DTYPES),
-            default=BackboneConfig.precision)
     p.add_argument("--csv", type=Path, help="append the summary row here")
     p.add_argument("--log", type=Path, help="write per-epoch JSONL records")
     p.add_argument("--emit-manifest", type=Path,
@@ -158,8 +155,7 @@ def _cmd_encode(args) -> int:
                 raise unreadable(args.backbone_config, exc) from None
             config = config_from_text(text)
         else:
-            config = presets.nerv_lite_preset(width, height, args.tier,
-                                              precision=args.precision)
+            config = presets.nerv_lite_preset(width, height, args.tier)
         cfg = TrainConfig(epochs_i=args.epochs_i, epochs_p=args.epochs_p,
                           lr_i=args.lr, lr_p=args.lr, lam=args.lam,
                           warmup_frac=args.warmup_frac, seed=args.seed)

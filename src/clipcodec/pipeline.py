@@ -75,10 +75,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs_i < 0 or self.epochs_p < 0:
             raise ConfigError("epoch budgets must be >= 0")
-        if self.lr_i <= 0 or self.lr_p <= 0 or self.lam <= 0:
-            raise ConfigError("learning rates and lambda must be positive")
+        if not all(0 < value < np.inf
+                   for value in (self.lr_i, self.lr_p, self.lam)):
+            raise ConfigError("learning rates and lambda must be positive "
+                              "and finite")
         if not 0.0 < self.warmup_frac < 1.0:
             raise ConfigError("warmup_frac must lie in (0, 1)")
+        if not 0 <= self.seed < 1 << 64:  # the header stores 64 bits
+            raise ConfigError(f"seed {self.seed} outside [0, 2^64)")
 
 
 def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
@@ -155,25 +159,24 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
 
     ``frames`` is the clip's (n, 3, H, W) normalized pixel data; ``init``
     is the warm start (random for I-models, blended for P-models).  Runs
-    epochs * n steps, one frame per step in clip order.  The returned
-    parameters are snapped to the quantization lattice, i.e. exactly what
-    a decoder reconstructs from the symbols.
+    epochs * n steps, one frame per step in clip order, in float32.  The
+    returned parameters are snapped to the quantization lattice, i.e.
+    exactly what a decoder reconstructs from the symbols.
     """
     epochs = cfg.epochs_i if role == ROLE_I else cfg.epochs_p
     base_lr = cfg.lr_i if role == ROLE_I else cfg.lr_p
-    dtype = config.dtype
 
     theta_prime = init
     theta_star = init.clone(requires_grad=True)
     log_scales = ParamVector(
         [(name, ()) for name in init.names],
         Tensor(np.asarray(detmath.log(initial_scales(init)),
-                          dtype=dtype), requires_grad=True))
+                          dtype=np.float32), requires_grad=True))
     opt_theta = adam_init(theta_star)
     opt_scales = adam_init(log_scales)
     noise_rng = make_rng(seed, STREAM_NOISE)
 
-    targets = frames.transpose(0, 2, 3, 1).astype(dtype)
+    targets = frames.transpose(0, 2, 3, 1).astype(np.float32)
     t_norms = frame_timestamps(len(frames))
     epoch_logs: list[dict] = []
     for epoch in range(epochs):
@@ -289,7 +292,7 @@ def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
     offset = plan.gom_frame_range(gom_index)[0]
     normalized = RawVideo(width=config.frame_width,
                           height=config.frame_height,
-                          frames=frames).normalized(config.dtype)
+                          frames=frames).normalized()
 
     def clip(gop_index):
         start, stop = plan.gops[gop_index]
@@ -455,8 +458,7 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
 
     data = write_bitstream(video.width, video.height, video.frame_count,
                            plan.gop_size, plan.gom_size, cfg.seed,
-                           config.precision, config_to_text(config),
-                           records, payloads)
+                           config_to_text(config), records, payloads)
     return EncodeResult(
         data=data, per_model=per_model,
         bpp=len(data) * 8.0 / video.pixel_count,

@@ -38,9 +38,8 @@ def _stage_chain(height: int, width: int) -> tuple[int, int, list[int]]:
     return size, size, scales
 
 
-def nerv_lite_preset(width: int, height: int, tier: str = DEFAULT_TIER,
-                     precision: str = BackboneConfig.precision
-                     ) -> BackboneConfig:
+def nerv_lite_preset(width: int, height: int,
+                     tier: str = DEFAULT_TIER) -> BackboneConfig:
     """Desk-scale backbone sized for the given square frame."""
     if tier not in TIERS:
         raise ConfigError(f"unknown tier {tier!r} "
@@ -55,4 +54,4 @@ def nerv_lite_preset(width: int, height: int, tier: str = DEFAULT_TIER,
         kind="nerv-lite", pe_frequencies=8, stem_width=stem_width,
         base_channels=base_channels, base_height=base_h, base_width=base_w,
         stages=tuple(stages), frame_height=height, frame_width=width,
-        activation="gelu", upsample="nearest", precision=precision)
+        activation="gelu", upsample="nearest")

@@ -9,8 +9,9 @@ rather than silently recomputing.
 
 Precision follows the data: a float32 or float64 array keeps its dtype
 and anything else becomes float32 unless ``dtype`` is given.  Operations
-inherit the dtype of their inputs, so the precision parameters are
-created with (``BackboneConfig.precision``) flows through the whole graph.
+inherit the dtype of their inputs, so the precision of the parameters
+(float32 in the codec, float64 in gradient checks) flows through the
+whole graph.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TapeError
-
-DTYPES = {"f32": np.float32, "f64": np.float64}
-
 
 class Tensor:
     """A shaped array plus the bookkeeping autodiff needs."""

@@ -122,6 +122,9 @@ def synth_video(kind: str, width: int, height: int, frame_count: int,
                         f"(have {', '.join(SYNTH_KINDS)})")
     if width < 1 or height < 1 or frame_count < 1:
         raise DataError("synthetic video needs positive dimensions")
+    if not math.isfinite(velocity):
+        raise DataError(f"synthetic video needs a finite velocity, got "
+                        f"{velocity}")
     rng = make_rng(seed)
     coeff = np.stack([np.concatenate([rng.uniform(0.5, 1.0, 2),
                                       rng.uniform(0.0, 2.0 * math.pi, 2)])

@@ -14,6 +14,7 @@ from clipcodec.backbone import BackboneConfig, UpsampleStage
 from clipcodec.bitstream import _FIXED, BitstreamReader, _pack_header
 from clipcodec.coder import SymbolModel, build_models
 from clipcodec.errors import ShapeError
+from clipcodec.params import ParamVector
 from clipcodec.ratequant import layer_stats, rate_bits_train
 from clipcodec.tensor import Tensor
 
@@ -161,7 +162,7 @@ def tiny_nerv() -> BackboneConfig:
         base_height=4, base_width=4,
         stages=(UpsampleStage(2, 6), UpsampleStage(2, 5)),
         frame_height=16, frame_width=16, activation="gelu",
-        upsample="nearest", precision="f64")
+        upsample="nearest")
 
 
 @pytest.fixture
@@ -171,15 +172,20 @@ def tiny_subpel() -> BackboneConfig:
         base_height=4, base_width=4,
         stages=(UpsampleStage(2, 5), UpsampleStage(2, 4)),
         frame_height=16, frame_width=16, activation="sin",
-        upsample="subpel", precision="f64")
+        upsample="subpel")
 
 
 @pytest.fixture
 def tiny_mlp() -> BackboneConfig:
     return BackboneConfig(
         kind="coord-mlp", pe_frequencies=3, hidden=(14, 12),
-        frame_height=12, frame_width=12, activation="gelu",
-        precision="f64")
+        frame_height=12, frame_width=12, activation="gelu")
+
+
+def as_f64(params: ParamVector) -> ParamVector:
+    """``params`` cast to float64: the network and the training step
+    follow their parameters' dtype, so a check in float64 passes these."""
+    return params.with_flat(params.flat.data.astype(np.float64))
 
 
 def edit_stream(fields: dict, model: int = 0, **edit) -> dict:
@@ -202,8 +208,8 @@ def repack(data: bytes, model: int = 0, payload_tail: bytes = b"",
            payload: bytes | None = None, **edit) -> bytes:
     """Rewrite a valid stream with header CRC (and payload length and CRC)
     recomputed, so only the change itself can make it fail: ``edit`` as
-    :func:`edit_stream` applies it (header fields such as ``frame_count``,
-    ``precision`` or ``config_text``, or fields of record ``model``), and
+    :func:`edit_stream` applies it (header fields such as ``frame_count``
+    or ``config_text``, or fields of record ``model``), and
     that record's payload replaced by ``payload`` if given and then
     ``payload_tail`` appended.  The writer's checks are bypassed on
     purpose."""
@@ -215,18 +221,18 @@ def repack(data: bytes, model: int = 0, payload_tail: bytes = b"",
     payloads[model] += payload_tail
     fields = {name: getattr(header, name)
               for name in ("width", "height", "frame_count", "gop_size",
-                           "gom_size", "seed", "precision", "config_text",
+                           "gom_size", "seed", "config_text",
                            "n_layers", "records")}
     fields = edit_stream(fields, model, payload_len=len(payloads[model]),
                          payload_crc=zlib.crc32(payloads[model]), **edit)
     return _pack_header(**fields) + b"".join(payloads)
 
 
-def set_config_byte(data: bytes, index: int, value: int) -> bytes:
-    """Overwrite byte ``index`` of the config text; header CRC recomputed."""
+def set_header_byte(data: bytes, offset: int, value: int) -> bytes:
+    """Overwrite the header byte at ``offset``; header CRC recomputed."""
     size = BitstreamReader.from_bytes(data).header.header_size
     blob = bytearray(data)
-    blob[_FIXED.size + index] = value
+    blob[offset] = value
     blob[size - 4:size] = struct.pack("<I", zlib.crc32(bytes(blob[:size - 4])))
     return bytes(blob)
 
@@ -234,7 +240,7 @@ def set_config_byte(data: bytes, index: int, value: int) -> bytes:
 # Header edits that leave every CRC valid and the stream undecodable:
 # (id, repack or edit_stream keyword arguments).  A scalar array field
 # edits layer 0.  The cases assume 8 frames of 16x16 in 4 clips of 2, two
-# clips per group, and f32 parameters in other than 6 layers per model.
+# clips per group, and other than 6 layers per model.
 HOSTILE_HEADERS = [
     ("frame-count-max", dict(frame_count=2 ** 32 - 1, gop_size=1)),
     ("frame-count-0", dict(frame_count=0)),
@@ -264,8 +270,24 @@ HOSTILE_HEADERS = [
     ("record-index-wrong", dict(model=1, index=2)),
     ("role-P-on-I", dict(model=2, role="P")),
     ("role-I-on-P", dict(model=1, role="I", epsilon=0.0)),
+    ("config-precision-f64",
+     dict(config_text="kind = coord-mlp\nframe_height = 16\n"
+                      "frame_width = 16\nprecision = f64\n")),
     ("config-6-layers",
      dict(config_text="kind = coord-mlp\nframe_height = 16\n"
                       "frame_width = 16\n")),
-    ("precision-f64", dict(precision="f64")),
 ]
+
+# Header bytes no writer can be asked for, each set with the header CRC
+# recomputed: (id, (offset, value)) for :func:`set_header_byte`.
+HOSTILE_BYTES = [
+    ("precision-f64", (6, 1)),
+    ("config-not-utf8", (_FIXED.size, 0xFF)),
+]
+
+
+def hostile_stream(data: bytes, edit) -> bytes:
+    """``data`` with one edit of HOSTILE_HEADERS or HOSTILE_BYTES."""
+    if isinstance(edit, dict):
+        return repack(data, **edit)
+    return set_header_byte(data, *edit)

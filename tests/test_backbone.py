@@ -12,7 +12,7 @@ from clipcodec.backbone import (BackboneConfig, UpsampleStage, config_from_text,
 from clipcodec.errors import ConfigError, NumericError
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.tensor import Tape
-from conftest import fd_gradient, rel_error, segment_leaves
+from conftest import as_f64, fd_gradient, rel_error, segment_leaves
 
 
 def test_layout_is_deterministic(tiny_nerv):
@@ -96,27 +96,31 @@ def test_forward_rejects_nonfinite_params(tiny_nerv):
         render(tiny_nerv, bad, 0.0)
 
 
-CLIP_CONFIGS = {
-    "tiny32-f32": nerv_lite_preset(32, 32, "tiny"),
-    "tiny32-f64": nerv_lite_preset(32, 32, "tiny", precision="f64"),
-    "small64-f32": nerv_lite_preset(64, 64, "small"),
-    "small64-f64": nerv_lite_preset(64, 64, "small", precision="f64"),
-    "tiny32-subpel": dataclasses.replace(nerv_lite_preset(32, 32, "tiny"),
-                                         upsample="subpel"),
+TINY32 = nerv_lite_preset(32, 32, "tiny")
+SMALL64 = nerv_lite_preset(64, 64, "small")
+# (config, whether its parameters are cast to float64)
+CLIP_CASES = [
+    pytest.param(TINY32, False, id="tiny32-f32"),
+    pytest.param(TINY32, True, id="tiny32-f64"),
+    pytest.param(SMALL64, False, id="small64-f32"),
+    pytest.param(SMALL64, True, id="small64-f64"),
+    pytest.param(dataclasses.replace(TINY32, upsample="subpel"), False,
+                 id="tiny32-subpel"),
     # the encoding (12 per pixel) batches up to 5 frames; the 64-wide
     # layer never does
-    "coord-mlp": BackboneConfig(kind="coord-mlp", pe_frequencies=2,
+    pytest.param(BackboneConfig(kind="coord-mlp", pe_frequencies=2,
                                 hidden=(64, 8), frame_height=16,
-                                frame_width=16),
-}
+                                frame_width=16), False, id="coord-mlp"),
+]
 
 
-@pytest.mark.parametrize("name", CLIP_CONFIGS)
-def test_clip_render_equals_per_frame_render(name):
+@pytest.mark.parametrize("config, f64", CLIP_CASES)
+def test_clip_render_equals_per_frame_render(config, f64):
     # the batched walk gives every frame the bits, dtype and memory layout
     # of a one-frame render
-    config = CLIP_CONFIGS[name]
     params = init_random(config, 3)
+    if f64:
+        params = as_f64(params)
     for frames in range(1, 7):
         t_norms = frame_timestamps(frames)
         clip = [frame for batch in forward_clip(config, params, t_norms)
@@ -133,7 +137,7 @@ def test_clip_render_batches_only_below_largest_activation(monkeypatch):
     # small@64: the largest one-frame activation is the last stage's,
     # 12 x 64 x 64; a 5-frame clip runs the 8x8 and 16x16 stages as one
     # batch and everything finer one frame at a time
-    config = CLIP_CONFIGS["small64-f32"]
+    config = SMALL64
     seen = []
     original = ops.conv2d
 
@@ -160,10 +164,10 @@ def test_timestamps_normalization():
 def check_clip_mse_gradients(config, t_norms):
     """Every parameter's gradient of the clip's MSE against another
     network's clip, recorded in one call under a tape, against central
-    differences."""
-    params = init_random(config, 11)
+    differences, in float64."""
+    params = as_f64(init_random(config, 11))
     assert params.flat.size <= 5000
-    target = init_random(config, 12)  # any fixed params make a target
+    target = as_f64(init_random(config, 12))  # any fixed params do
     target_frames = np.concatenate(  # no tape: it may come frame by frame
         [batch.data for batch in forward_clip(config, target, t_norms)])
 
@@ -223,13 +227,13 @@ CONFIG_TEXT_PINS = {
         "base_channels = 12\nbase_height = 4\nbase_width = 4\n"
         "stages = 2x12, 2x10, 2x8\nupsample = nearest\nactivation = gelu\n"
         "frame_height = 32\nframe_width = 32\nprecision = f32\n"),
-    "small64-f64": (
-        nerv_lite_preset(64, 64, "small", precision="f64"),
+    "small64-f32": (
+        nerv_lite_preset(64, 64, "small"),
         "kind = nerv-lite\npe_frequencies = 8\nstem_width = 64\n"
         "base_channels = 24\nbase_height = 4\nbase_width = 4\n"
         "stages = 2x24, 2x16, 2x12, 2x12\nupsample = nearest\n"
         "activation = gelu\nframe_height = 64\nframe_width = 64\n"
-        "precision = f64\n"),
+        "precision = f32\n"),
     "subpel-sin": (
         dataclasses.replace(nerv_lite_preset(16, 16, "tiny"),
                             upsample="subpel", activation="sin"),
@@ -246,10 +250,10 @@ CONFIG_TEXT_PINS = {
         "frame_height = 16\nframe_width = 16\nprecision = f32\n"),
     "coord-mlp": (
         BackboneConfig(kind="coord-mlp", pe_frequencies=3, hidden=(14, 12),
-                       frame_height=8, frame_width=6, precision="f64"),
+                       frame_height=8, frame_width=6),
         "kind = coord-mlp\npe_frequencies = 3\nhidden = 14, 12\n"
         "activation = gelu\nframe_height = 8\nframe_width = 6\n"
-        "precision = f64\n"),
+        "precision = f32\n"),
 }
 
 
@@ -271,6 +275,14 @@ def test_config_text_omitted_keys_take_field_defaults():
 def test_config_text_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_text("kind = nerv-lite\nbogus = 1\n")
+
+
+@pytest.mark.parametrize("value", ["f64", "F32", ""])
+def test_config_text_refuses_any_precision_but_f32(value):
+    text = config_to_text(nerv_lite_preset(16, 16))
+    assert text.endswith("\nprecision = f32\n")
+    with pytest.raises(ConfigError, match="precision"):
+        config_from_text(text.replace("= f32", f"= {value}"))
 
 
 @pytest.mark.parametrize("text", [

@@ -17,7 +17,7 @@ from clipcodec.bitstream import (MAX_VIDEO_PIXELS, BitstreamReader,
                                  write_bitstream)
 from clipcodec.errors import BitstreamError
 from clipcodec.pipeline import decode_video
-from conftest import HOSTILE_HEADERS, edit_stream, repack
+from conftest import HOSTILE_HEADERS, edit_stream, repack, set_header_byte
 
 
 def _config_text(width, height):
@@ -42,7 +42,7 @@ def _stream(model_count=3, gom_size=5):
                        epsilon=0.0 if i == 0 else 0.25 * i)
                for i in range(model_count)]
     data = write_bitstream(16, 16, 30, 10, gom_size, seed=42,
-                           precision="f32", config_text=_config_text(16, 16),
+                           config_text=_config_text(16, 16),
                            records=records, payloads=payloads)
     return data, records, payloads
 
@@ -53,7 +53,7 @@ def test_write_read_round_trip():
     header = reader.header
     assert header.width == 16 and header.frame_count == 30
     assert header.gop_size == 10 and header.gom_size == 5
-    assert header.seed == 42 and header.precision == "f32"
+    assert header.seed == 42 and data[6] == 0  # the f32 precision code
     assert header.config_text == _config_text(16, 16)
     assert len(header.records) == len(records)
     for rec, orig in zip(header.records, records):
@@ -69,7 +69,7 @@ def test_paper_scale_header_round_trips():
     payloads = [bytes([i]) * 8 for i in range(20)]
     records = [_record(i, "I" if i % 5 == 0 else "P", payloads[i])
                for i in range(20)]
-    data = write_bitstream(1920, 1080, 600, 30, 5, seed=0, precision="f32",
+    data = write_bitstream(1920, 1080, 600, 30, 5, seed=0,
                            config_text=_config_text(1920, 1080),
                            records=records, payloads=payloads)
     reader = BitstreamReader.from_bytes(data)
@@ -202,7 +202,7 @@ def test_write_rejects_mismatched_payload():
     payload = b"abcdef"
     record = _record(0, "I", payload)
     with pytest.raises(BitstreamError):
-        write_bitstream(8, 8, 2, 2, 2, 0, "f32", _config_text(8, 8),
+        write_bitstream(8, 8, 2, 2, 2, 0, _config_text(8, 8),
                         [record], [payload + b"x"])
 
 
@@ -213,7 +213,7 @@ def _frame_stream():
     records = [_record(i, "I" if i % 2 == 0 else "P", payloads[i])
                for i in range(4)]
     args = dict(width=16, height=16, frame_count=8, gop_size=2, gom_size=2,
-                seed=3, precision="f32", config_text=_config_text(16, 16),
+                seed=3, config_text=_config_text(16, 16),
                 records=records, payloads=payloads)
     return write_bitstream(**args), args
 
@@ -232,6 +232,16 @@ def test_frame_fields_checked_on_read_and_write(edit):
         write_bitstream(**edit_stream(args, **edit))
 
 
+@pytest.mark.parametrize("code", [1, 255])
+def test_precision_byte_other_than_f32_is_refused_at_offset_6(code):
+    # 0 (f32) is the one precision code; the writer has no other
+    data, _ = _frame_stream()
+    assert data[6] == 0
+    with pytest.raises(BitstreamError, match="precision code") as excinfo:
+        BitstreamReader.from_bytes(set_header_byte(data, 6, code))
+    assert excinfo.value.offset == 6
+
+
 def test_video_pixel_limit_is_inclusive():
     # 2^31 pixels in 8 clips is the largest video the format allows
     side = 1 << 13
@@ -239,12 +249,12 @@ def test_video_pixel_limit_is_inclusive():
     payloads = [b"\x01"] * 8
     records = [_record(i, "I", payloads[i]) for i in range(8)]
     text = _config_text(side, side)
-    data = write_bitstream(side, side, frames, frames // 8, 1, 0, "f32",
-                           text, records, payloads)
+    data = write_bitstream(side, side, frames, frames // 8, 1, 0, text,
+                           records, payloads)
     assert BitstreamReader.from_bytes(data).header.frame_count == frames
     # one frame more, in 7 clips of 5
     with pytest.raises(BitstreamError, match="format limit"):
-        write_bitstream(side, side, frames + 1, 5, 1, 0, "f32", text,
+        write_bitstream(side, side, frames + 1, 5, 1, 0, text,
                         records[:7], payloads[:7])
 
 
@@ -256,7 +266,7 @@ def test_many_model_header_rejected_in_linear_time():
     payloads = [bytes([i % 251]) for i in range(count)]
     records = [_record(i, "I" if i < count - 1 else "P", payloads[i])
                for i in range(count)]
-    data = _pack_header(1, 1, count, 1, 1, 0, "f32", _config_text(1, 1), 4,
+    data = _pack_header(1, 1, count, 1, 1, 0, _config_text(1, 1), 4,
                         records) + b"".join(payloads)
     tic = time.perf_counter()
     with pytest.raises(BitstreamError, match="contradicts the partition"):

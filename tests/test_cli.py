@@ -21,7 +21,7 @@ from clipcodec.metrics import psnr
 from clipcodec.pipeline import TrainConfig, encode_video, partition
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.video import load_raw
-from conftest import HOSTILE_HEADERS, repack, set_config_byte
+from conftest import HOSTILE_BYTES, HOSTILE_HEADERS, hostile_stream
 
 COMMON = ["--width", "16", "--height", "16"]
 # 2-frame clips, 2 clips per group: 8 frames make two GOMs, each I + P
@@ -169,7 +169,7 @@ ENCODE_SETTINGS = {
     "--width": "8", "--height": "8", "--gop": "4", "--gom": "1",
     "--tier": "tiny", "--backbone-config": "b.cfg", "--lambda": "3",
     "--epochs-i": "9", "--epochs-p": "9", "--lr": "0.1",
-    "--warmup-frac": "0.5", "--seed": "3", "--precision": "f64"}
+    "--warmup-frac": "0.5", "--seed": "3"}
 
 
 def test_manifest_rerun_with_encode_settings_exits_2(workdir, tmp_path,
@@ -320,18 +320,13 @@ def test_cut_stream_exits_3_and_writes_nothing(workdir, tmp_path):
     assert not list(tmp_path.glob("cut.rgb*"))
 
 
-@pytest.mark.parametrize("edit", [edit for _, edit in HOSTILE_HEADERS]
-                         + [None],
-                         ids=[name for name, _ in HOSTILE_HEADERS]
-                         + ["config-not-utf8"])
+@pytest.mark.parametrize("edit", [edit for _, edit in HOSTILE_HEADERS
+                                  + HOSTILE_BYTES],
+                         ids=[name for name, _ in HOSTILE_HEADERS
+                              + HOSTILE_BYTES])
 def test_hostile_header_exits_3(workdir, tmp_path, capsys, edit):
-    data = (workdir / "out.bits").read_bytes()
-    if edit is None:
-        data = set_config_byte(data, 0, 0xFF)
-    else:
-        data = repack(data, **edit)
     bad = tmp_path / "bad.bits"
-    bad.write_bytes(data)
+    bad.write_bytes(hostile_stream((workdir / "out.bits").read_bytes(), edit))
     out = tmp_path / "x.rgb"
     assert main(["decode", str(bad), str(out)]) == 3
     assert main(["decode", str(bad), str(out), "--gom", "0"]) == 3
@@ -343,6 +338,40 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["decode"])  # missing positional
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("setting", [
+    ["--seed", "-1"], ["--seed", str(2 ** 64)], ["--lambda", "nan"],
+    ["--lambda", "inf"], ["--lr", "inf"]], ids="=".join)
+def test_bad_train_setting_exits_2_before_reading_input(tmp_path, capsys,
+                                                        setting):
+    # refused up front: the input is never read (it does not exist here),
+    # and no model is trained
+    out = tmp_path / "never.bits"
+    assert main(["encode", str(tmp_path / "missing.rgb"), "--out", str(out),
+                 *COMMON, *ENCODE_FAST, *setting]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_manifest_seed_outside_64_bits_exits_2(workdir, tmp_path, seed):
+    raw = json.loads((workdir / "out.bits.manifest.json").read_text())
+    bad = tmp_path / "bad.manifest.json"
+    bad.write_text(json.dumps(dict(raw, seed=seed)))
+    out = tmp_path / "never.bits"
+    assert main(["encode", "--from-manifest", str(bad), "--out",
+                 str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("velocity", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["moving-blob", "noise-texture-pan"])
+def test_synth_non_finite_velocity_exits_3(tmp_path, kind, velocity):
+    out = tmp_path / "x.rgb"
+    assert main(["synth", str(out), "--kind", kind,
+                 f"--velocity={velocity}", "--frames", "2", *COMMON]) == 3
+    assert not list(tmp_path.iterdir())
 
 
 def test_non_integer_backbone_config_exits_2(workdir, tmp_path):

@@ -31,17 +31,18 @@ from clipcodec.seeds import STREAM_NOISE, make_rng, model_seed
 from clipcodec.tensor import Tape, Tensor
 from clipcodec.video import synth_video
 from clipcodec.warmstart import EpsilonSchedule
-from conftest import (HOSTILE_HEADERS, PerSegmentAdam, fd_gradient, joined,
+from conftest import (HOSTILE_BYTES, HOSTILE_HEADERS, PerSegmentAdam,
+                      as_f64, fd_gradient, hostile_stream, joined,
                       layer_stats_of, rate_bits_layers, rel_error, repack,
-                      segment_leaves, set_config_byte)
+                      segment_leaves, set_header_byte)
 
 
-def small_config(size=16, precision="f32"):
+def small_config(size=16):
     return BackboneConfig(
         kind="nerv-lite", pe_frequencies=4, stem_width=16, base_channels=8,
         base_height=4, base_width=4,
         stages=(UpsampleStage(2, 8), UpsampleStage(2, 6)),
-        frame_height=size, frame_width=size, precision=precision)
+        frame_height=size, frame_width=size)
 
 
 def quick_cfg(**kw):
@@ -104,6 +105,23 @@ def test_partition_invariants(frame_count, gop_size, gom_size):
 
 # ---------------------------------------------------------- train_model
 
+@pytest.mark.parametrize("field, value", [
+    ("lam", 0.0), ("lam", -1.0), ("lam", float("nan")), ("lam", float("inf")),
+    ("lr_i", float("nan")), ("lr_i", float("inf")), ("lr_p", float("inf")),
+    ("lr_p", -1e-2), ("warmup_frac", float("nan")), ("epochs_p", -1),
+    ("seed", -1), ("seed", 2 ** 64)])
+def test_train_config_refuses_bad_settings(field, value):
+    # the header stores the seed in 64 bits; a non-finite lambda or
+    # learning rate would only show as a diverged loss after training
+    with pytest.raises(ConfigError):
+        quick_cfg(**{field: value})
+
+
+def test_train_config_takes_every_64_bit_seed():
+    for seed in (0, 2 ** 64 - 1):
+        assert quick_cfg(seed=seed).seed == seed
+
+
 def test_zero_epoch_budget_snaps_to_init():
     config = small_config()
     video = synth_video("static", 16, 16, 4, seed=0)
@@ -158,8 +176,8 @@ def test_step_loss_gradients_match_fd_with_frozen_stats():
     config = BackboneConfig(
         kind="nerv-lite", pe_frequencies=3, stem_width=8, base_channels=4,
         base_height=4, base_width=4, stages=(UpsampleStage(2, 4),),
-        frame_height=8, frame_width=8, precision="f64")
-    theta_prime = init_random(config, 0)
+        frame_height=8, frame_width=8)
+    theta_prime = as_f64(init_random(config, 0))
     theta_star = segment_leaves(theta_prime)
     rng = make_rng(7)
     # displace from the warm start so the residual is non-trivial
@@ -209,8 +227,8 @@ def test_step_loss_gradients_match_fd_with_frozen_stats():
 
 
 def test_step_loss_full_graph_runs_and_is_finite():
-    config = small_config(precision="f64")
-    theta_prime = init_random(config, 0)
+    config = small_config()
+    theta_prime = as_f64(init_random(config, 0))
     theta_star = theta_prime.clone(requires_grad=True)
     log_scales = _log_scales(theta_prime, np.full(len(theta_prime.names),
                                                   -4.0))
@@ -251,12 +269,12 @@ def _training_step_loss_per_layer(config, theta_prime, theta_star,
     return loss, rate, mse, stats
 
 
-def _one_channel_config(precision):
+def _one_channel_config():
     # stage 0 has one output channel, so its bias is a 1-element layer
     return BackboneConfig(
         kind="nerv-lite", pe_frequencies=3, stem_width=8, base_channels=4,
         base_height=4, base_width=4, stages=(UpsampleStage(2, 1),),
-        frame_height=8, frame_width=8, precision=precision)
+        frame_height=8, frame_width=8)
 
 
 def _log_scales(params, values):
@@ -272,27 +290,32 @@ def _segment_grads(params):
             in zip(params.split(params.flat.grad), params.layout())]
 
 
-def _trainable(config, seed):
-    """Warm start, displaced live parameters and their log-scales."""
+def _trainable(config, seed, dtype):
+    """Warm start, displaced live parameters and their log-scales, in
+    ``dtype``."""
     theta_prime = init_random(config, seed)
+    if dtype == np.float64:
+        theta_prime = as_f64(theta_prime)
     theta_star = theta_prime.clone(requires_grad=True)
     rng = make_rng(seed + 1)
     for name in theta_star.names:
         theta_star[name].data += (rng.standard_normal(
-            theta_star[name].shape) * 0.02).astype(config.dtype)
+            theta_star[name].shape) * 0.02).astype(dtype)
     log_scales = _log_scales(
         theta_prime, detmath.log(initial_scales(theta_prime)))
     return theta_prime, theta_star, log_scales
 
 
-@pytest.mark.parametrize("precision", ["f32", "f64"])
-def test_flat_step_and_adam_match_per_layer_reference_bitwise(precision):
-    config = _one_channel_config(precision)
+@pytest.mark.parametrize("dtype", [pytest.param(np.float32, id="f32"),
+                                   pytest.param(np.float64, id="f64")])
+def test_flat_step_and_adam_match_per_layer_reference_bitwise(dtype):
+    config = _one_channel_config()
     assert 1 in [spec.count for spec in param_layout(config)]
     video = synth_video("moving-blob", 8, 8, 3, velocity=1.0, seed=2)
-    targets = video.normalized(config.dtype).transpose(0, 2, 3, 1)
-    prime, star, logs = _trainable(config, 4)
-    ref_star, ref_logs = map(segment_leaves, _trainable(config, 4)[1:])
+    targets = video.normalized(dtype).transpose(0, 2, 3, 1)
+    prime, star, logs = _trainable(config, 4, dtype)
+    ref_star, ref_logs = map(segment_leaves,
+                             _trainable(config, 4, dtype)[1:])
     opt_star, opt_logs = adam_init(star), adam_init(logs)
     ref_opt_star = PerSegmentAdam(ref_star)
     ref_opt_logs = PerSegmentAdam(ref_logs)
@@ -312,7 +335,7 @@ def test_flat_step_and_adam_match_per_layer_reference_bitwise(precision):
                 config, prime, ref_star, ref_logs, target[None], [t_norm],
                 1e4, ref_noise)
         ref_tape.backward(ref_loss)
-        assert loss.data.dtype == config.dtype
+        assert loss.data.dtype == dtype
         assert loss.data.tobytes() == ref_loss.data.tobytes()
         assert rate.data.tobytes() == ref_rate.data.tobytes()
         for got, want in zip(stats, ref_stats):  # mu, then sd
@@ -590,11 +613,12 @@ def test_decode_frame_count_and_range(encoded_pair):
     assert np.array_equal(fragment.frames, decoded.frames[start:end])
 
 
-@pytest.mark.parametrize("edit", [edit for _, edit in HOSTILE_HEADERS],
-                         ids=[name for name, _ in HOSTILE_HEADERS])
+@pytest.mark.parametrize("edit", [edit for _, edit in HOSTILE_HEADERS
+                                  + HOSTILE_BYTES],
+                         ids=[name for name, _ in HOSTILE_HEADERS
+                              + HOSTILE_BYTES])
 def test_hostile_header_fields_raise_before_any_payload(encoded_pair, edit):
-    result = encoded_pair[-1]
-    data = repack(result.data, **edit)
+    data = hostile_stream(encoded_pair[-1].data, edit)
     with pytest.raises(BitstreamError):
         decode_video(data)
 
@@ -611,7 +635,7 @@ def test_hostile_header_fields_raise_before_any_payload(encoded_pair, edit):
 def test_config_text_not_utf8_raises_bitstream_error(encoded_pair, restamp):
     data = encoded_pair[-1].data
     if restamp:
-        data = set_config_byte(data, 0, 0xFF)
+        data = set_header_byte(data, _FIXED.size, 0xFF)
     else:
         blob = bytearray(data)
         blob[_FIXED.size] = 0xFF  # first config byte, header CRC left stale
@@ -1201,7 +1225,7 @@ def test_encode_rejects_mismatched_plan():
 # ------------------------------------------------------------ golden bits
 
 # sha256 of the stream bytes and of the decoded frames for fixed tiny
-# encodes (one group: an I model and two P models) of four backbones, and
+# encodes (one group: an I model and two P models) of three backbones, and
 # the repr of the encoder's psnr_mean.  Pinned at a known-good commit: a
 # speed-up must leave all three unchanged, and any deliberate change of
 # the bytes re-pins them with a bitstream version bump.
@@ -1209,11 +1233,6 @@ GOLDEN = {
     "nerv-f32": (
         small_config(),
         "76f46ebcb3168857b0f830d10ab5d2ec1d13b41430dd60b2c33ee83d6d43e692",
-        "14641a22db6c2815212109341a2b180038fd8dd0a939525e0d8e37d5ba6b2ab4",
-        "15.05685397692767"),
-    "nerv-f64": (
-        small_config(precision="f64"),
-        "bd938b758047c915dc907497dbc13121abddf3c2b4789084e64d3d57e175d401",
         "14641a22db6c2815212109341a2b180038fd8dd0a939525e0d8e37d5ba6b2ab4",
         "15.05685397692767"),
     "nerv-subpel-sin": (

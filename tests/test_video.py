@@ -68,6 +68,14 @@ def test_zero_velocity_reduces_to_static():
             assert np.array_equal(frame, vid.frames[0])
 
 
+@pytest.mark.parametrize("kind", SYNTH_KINDS)
+@pytest.mark.parametrize("velocity", [float("nan"), float("inf"),
+                                      -float("inf")])
+def test_non_finite_velocity_rejected(kind, velocity):
+    with pytest.raises(DataError, match="finite velocity"):
+        synth_video(kind, 8, 8, 2, velocity=velocity)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(DataError, match="unknown synthetic kind"):
         synth_video("sparkles", 8, 8, 2)
