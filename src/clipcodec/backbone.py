@@ -199,10 +199,41 @@ def _activation(kind: str):
     return {"gelu": ops.gelu, "sin": ops.sin, "sigmoid": ops.sigmoid}[kind]
 
 
+def _layer_sizes(config: BackboneConfig) -> list[int]:
+    """Per layer of :func:`_layers`, in order, the elements of the largest
+    tensor it makes for one frame."""
+    H, W = config.frame_height, config.frame_width
+    if config.kind == "coord-mlp":
+        return ([H * W * 6 * config.pe_frequencies]
+                + [H * W * width for width in config.hidden] + [H * W * 3])
+    sizes = [2 * config.pe_frequencies, config.stem_width,
+             config.base_channels * config.base_height * config.base_width]
+    channels = config.base_channels
+    pixels = config.base_height * config.base_width
+    for spec in config.stages:
+        pixels *= spec.scale * spec.scale
+        # a nearest stage counts its input at the output size, as its
+        # backward pass builds it
+        largest = spec.channels
+        if config.upsample == "nearest":
+            largest = max(channels, spec.channels)
+        sizes.append(largest * pixels)
+        channels = spec.channels
+    return sizes + [3 * H * W]
+
+
+def peak_activation(config: BackboneConfig) -> int:
+    """Elements of the network's largest one-frame activation.  A render
+    batches frames through a layer only while the batch stays within it
+    (:func:`forward_clip`), so no layer output of a decode holds more."""
+    return max(_layer_sizes(config))
+
+
 def _layers(config: BackboneConfig, params) -> list:
     """The network as a chain of ``(elements, layer)`` pairs.
 
-    ``elements`` counts the largest tensor the layer makes for one frame.
+    ``elements`` counts the largest tensor the layer makes for one frame
+    (:func:`_layer_sizes`).
     A layer maps a batch of frames to the same batch one layer on.  The
     first takes the timestamps; after it, a batch holds its frames' rows
     back to back along the first axis (one row per frame for nerv-lite,
@@ -240,10 +271,9 @@ def _layers(config: BackboneConfig, params) -> list:
             x = out(x)
             return ops.reshape(x, (x.shape[0] // (H * W), H, W, 3))
 
-        return ([(H * W * 6 * freqs, encode)]
-                + [(H * W * width, dense(f"mlp.fc{i}", act))
-                   for i, width in enumerate(config.hidden)]
-                + [(H * W * 3, head)])
+        fns = ([encode]
+               + [dense(f"mlp.fc{i}", act) for i in range(last)] + [head])
+        return list(zip(_layer_sizes(config), fns))
 
     def encode(t):
         return ops.constant(_time_encodings(t, freqs).astype(dtype))
@@ -272,23 +302,10 @@ def _layers(config: BackboneConfig, params) -> list:
         x = _finite("head", ops.sigmoid(x))
         return ops.permute(x, (0, 2, 3, 1))
 
-    layers = [(2 * freqs, encode),
-              (config.stem_width, dense("stem.fc0", act)),
-              (config.base_channels * config.base_height * config.base_width,
-               stem)]
-    channels = config.base_channels
-    pixels = config.base_height * config.base_width
-    for i, spec in enumerate(config.stages):
-        pixels *= spec.scale * spec.scale
-        # a nearest stage counts its input at the output size, as its
-        # backward pass builds it
-        largest = spec.channels
-        if config.upsample == "nearest":
-            largest = max(channels, spec.channels)
-        layers.append((largest * pixels, stage(i, spec.scale)))
-        channels = spec.channels
-    layers.append((3 * H * W, head))
-    return layers
+    fns = ([encode, dense("stem.fc0", act), stem]
+           + [stage(i, spec.scale) for i, spec in enumerate(config.stages)]
+           + [head])
+    return list(zip(_layer_sizes(config), fns))
 
 
 def forward_clip(config: BackboneConfig, params, t_norms):
@@ -315,7 +332,7 @@ def forward_clip(config: BackboneConfig, params, t_norms):
     layers = _layers(config, params)
     largest = math.inf
     if active_tape() is None:
-        largest = max(size for size, _ in layers)
+        largest = peak_activation(config)
     x = Tensor(np.asarray(t_norms, dtype=np.float64))
     for depth, (size, layer) in enumerate(layers):
         if frames * size > largest:

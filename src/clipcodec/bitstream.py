@@ -24,7 +24,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .backbone import BackboneConfig, config_from_text, param_layout
+from .backbone import (BackboneConfig, config_from_text, param_layout,
+                       peak_activation)
 from .errors import BitstreamError, ConfigError
 from .ratequant import MAX_SYMBOL, SIGMA_FLOOR
 
@@ -383,6 +384,7 @@ def dump_header_text(header: BitstreamHeader) -> str:
     """Human-readable header rendering for the --dump-header mode."""
     params = sum(spec.count for spec in param_layout(header.config))
     n = header.frame_count  # decode work as docs/bitstream.md counts it
+    peak = peak_activation(header.config)
     lines = [
         f"magic/version: {MAGIC.decode()} v{VERSION}",
         f"video: {header.width}x{header.height}, {header.frame_count} frames",
@@ -393,6 +395,8 @@ def dump_header_text(header: BitstreamHeader) -> str:
         f"parameters per model: {params}",
         f"decode work: {len(header.records) * params} symbols, {n} frame "
         f"renders, {3 * n * header.height * header.width} output bytes",
+        f"render peak: {peak} activation elements, {4 * peak} bytes at "
+        f"float32",
         "backbone config:",
     ]
     lines += ["  | " + line for line in header.config_text.rstrip().split("\n")]

@@ -9,12 +9,21 @@ Groups never reference each other, so they encode and decode
 independently.  One group walk serves both sides: the encoder trains each
 model and the decoder reads it from the stream, and the walk renders every
 model's clip from its final parameters into the group's frames, so the
-encoder scores the frames a decoder gives.  A whole-video encode or decode
-runs its groups on the CPUs this process may use, two at most: group
-``g`` on worker ``g mod w``, where worker 0 is the calling process and
-each other is a forked child that pickles its groups back down a pipe.
-So it holds up to ``w`` groups at once, one per process.  One CPU
-(``taskset -c 0``), one group, another live Python thread, or a host with
+encoder scores the frames a decoder gives.
+
+Work fans out over the CPUs this process may use, two processes at most:
+unit ``i`` runs on worker ``i mod w``, where worker 0 is the calling
+process and each other is a forked child that pickles its units' results
+back down a pipe.  A whole-video encode or decode of two or more groups
+makes the group the unit, so it holds up to ``w`` groups at once, one per
+process.  Decoding one group (``decode_gom``, or a one-group video) makes
+the model the unit: each model's payload is its own range-coded stream,
+so a child range-decodes every other model's symbols while this process
+decodes the rest and renders the clips in chain order.  The two never
+nest: a fan-out started inside a live one, in a forked child or in a
+parent whose children are alive, runs serially.  The encoder's models
+stay serial, since a P model trains from its predecessor.  One CPU
+(``taskset -c 0``), one unit, another live Python thread, or a host with
 no process or descriptor to spare gives the serial walk.
 
 Training follows a strict quantization-aware regime: every step renders
@@ -40,7 +49,7 @@ import numpy as np
 
 from . import detmath, metrics, ops
 from .backbone import (BackboneConfig, config_to_text, forward_clip,
-                       frame_timestamps, init_random)
+                       frame_timestamps, init_random, param_layout)
 # partition is also this module's, for callers that plan an encode
 from .bitstream import (BitstreamReader, ModelRecord, PartitionPlan, ROLE_I,
                         partition, write_bitstream)
@@ -336,22 +345,28 @@ def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
     return rendered, mse, rows
 
 
-# the most processes that encode or decode one video's groups; two is
-# what has been measured (docs/resources.md), and each child adds its own
-# dirty memory
+# the most processes one encode or decode runs on; two is what has been
+# measured (docs/resources.md), and each child adds its own dirty memory
 _MAX_GROUP_WORKERS = 2
 
+# true while this process runs a fan-out that forks, and in each child it
+# forks: a fan-out started then runs serially, so groups and the models of
+# one group never fan out at once
+_fanned_out = False
 
-def _group_workers(groups: int) -> int:
-    """Processes that encode or decode ``groups`` model groups: one per
-    CPU this process may use, at most one per group and at most
-    ``_MAX_GROUP_WORKERS``.  A fork copies only the calling thread, so
-    there is one while another Python thread is alive, and one where the
-    OS has no ``fork`` or no ``sched_getaffinity``."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+
+def _workers(count: int) -> int:
+    """Processes that run ``count`` units of work (groups, or the models
+    of one group): one per CPU this process may use, at most one per unit
+    and at most ``_MAX_GROUP_WORKERS``.  A fork copies only the calling
+    thread, so there is one while another Python thread is alive, one
+    inside a live fan-out, and one where the OS has no ``fork`` or no
+    ``sched_getaffinity``."""
+    if (_fanned_out or not hasattr(os, "fork")
+            or threading.active_count() > 1):
         return 1
     affinity = getattr(os, "sched_getaffinity", lambda pid: {0})
-    return min(groups, len(affinity(0)), _MAX_GROUP_WORKERS)
+    return min(count, len(affinity(0)), _MAX_GROUP_WORKERS)
 
 
 # a child's one send, a module name so that a test can cut it short
@@ -362,7 +377,7 @@ def _send(out, result) -> None:
 def _serve(run, indices, fd: int, inherited) -> None:
     """A forked worker: pickle the result of ``run`` for each of
     ``indices`` to ``fd`` in order, stopping at the first error, which the
-    parent meets again when it runs that group itself.  It closes the read
+    parent meets again when it runs that unit itself.  It closes the read
     ends it ``inherited``, so that a parent that dies leaves it a broken
     pipe, not a full one, and it leaves by ``os._exit``, so no buffer or
     handler of the parent runs twice."""
@@ -376,18 +391,22 @@ def _serve(run, indices, fd: int, inherited) -> None:
         os._exit(0)
 
 
-def _forked_groups(count: int, run):
-    """``run(index)`` of every group in ``range(count)``, yielded in
-    order, on :func:`_group_workers` processes; group ``g`` runs on worker
-    ``g % workers``.  This process is worker 0, and each other worker is a
-    forked child that pickles its groups' results down a pipe.  A group
-    the child ended before it sent in full, and every group whose child
-    could not be started, runs here, so a failing group raises the serial
-    walk's error here.  One worker forks nothing.  However the walk ends,
-    every child is killed and reaped."""
-    workers = _group_workers(count)
+def _fan_out(count: int, run):
+    """``run(index)`` of every unit in ``range(count)``, yielded in order,
+    on :func:`_workers` processes; unit ``i`` runs on worker
+    ``i % workers``.  This process is worker 0 and runs its units as they
+    are asked for; each other worker is a forked child that runs its units
+    at once and pickles their results down a pipe.  A unit the child ended
+    before it sent in full, and every unit whose child could not be
+    started, runs here, so a failing unit raises the serial walk's error
+    here.  One worker forks nothing.  However the walk ends, every child
+    is killed and reaped."""
+    global _fanned_out
+    workers = _workers(count)
     pipes, pids = {}, []
     try:
+        if workers > 1:
+            _fanned_out = True  # before the fork, so each child has it too
         for worker in range(1, workers):
             try:
                 read_fd, write_fd = os.pipe()
@@ -403,13 +422,13 @@ def _forked_groups(count: int, run):
             except OSError:  # no descriptor or process to spare
                 break
         for index in range(count):
-            part = None
+            sent = []
             if index % workers in pipes:
                 # a child that ended early leaves a short or empty pickle
                 with suppress(EOFError, pickle.UnpicklingError):
-                    part = pickle.load(pipes[index % workers])
-            yield run(index) if part is None else part
-            del part  # no group is kept past its yield
+                    sent.append(pickle.load(pipes[index % workers]))
+            # popped, so that only the caller holds a unit past its yield
+            yield sent.pop() if sent else run(index)
     finally:
         for pipe in pipes.values():
             pipe.close()
@@ -418,6 +437,8 @@ def _forked_groups(count: int, run):
             with suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        if workers > 1:
+            _fanned_out = False
 
 
 def encode_video(video: RawVideo, plan: PartitionPlan,
@@ -448,7 +469,7 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
         return rendered if keep_reference else None, mse, rows
 
     rows, mses, clips = [], [], []
-    with closing(_forked_groups(plan.gom_count, run)) as groups:
+    with closing(_fan_out(plan.gom_count, run)) as groups:
         for rendered, mse, group_rows in groups:
             rows += group_rows
             mses.append(mse)
@@ -489,20 +510,31 @@ def decode_gom(reader: BitstreamReader,
                gom_index: int) -> tuple[RawVideo, tuple[int, int]]:
     """Decode one group via random access; reads only its payload range.
 
-    Each model decodes its own payload, and the group walk renders its
-    clip once its coder tables and symbols are freed.
+    Each model's payload is its own range-coded stream, so the models'
+    symbols fan out over up to two processes (see the module docstring):
+    a forked child range-decodes models 1, 3, 5, ... of the group while
+    this process decodes the others and renders the clips in order, each
+    once its model's coder tables and symbols are freed.  Inside a
+    whole-video decode that already runs groups on two processes, the
+    models decode serially.  The frames, and the error of a bad model,
+    are the serial walk's.
     """
     header = reader.header
     plan = header.plan
     if not 0 <= gom_index < plan.gom_count:
         raise ConfigError(f"gom index {gom_index} outside "
                           f"[0, {plan.gom_count})")
+    first, end = plan.goms[gom_index]
+    sizes = [spec.count for spec in param_layout(header.config)]
+
+    def symbols_of(index):
+        rec = header.records[first + index]
+        return decode_symbols(reader.read_payload(first + index),
+                              build_models(rec.mu, rec.sd, rec.bound), sizes)
 
     def finish(gop_index, role, epsilon, theta_prime):
         rec = header.records[gop_index]
-        symbols = decode_symbols(reader.read_payload(gop_index),
-                                 build_models(rec.mu, rec.sd, rec.bound),
-                                 theta_prime.sizes)
+        symbols = next(decoded)
         with np.errstate(over="ignore"):  # refused just below
             theta = apply_residual(theta_prime, symbols, rec.scale)
         del symbols
@@ -512,9 +544,10 @@ def decode_gom(reader: BitstreamReader,
         return theta, None
 
     try:
-        frames, _ = _walk_gom(
-            header.config, header.seed, plan, gom_index,
-            lambda gop_index: header.records[gop_index].epsilon, finish)
+        with closing(_fan_out(end - first, symbols_of)) as decoded:
+            frames, _ = _walk_gom(
+                header.config, header.seed, plan, gom_index,
+                lambda gop_index: header.records[gop_index].epsilon, finish)
     except NumericError as exc:  # only the render raises it here
         raise BitstreamError(str(exc)) from None
     return (RawVideo(width=header.width, height=header.height,
@@ -524,24 +557,25 @@ def decode_gom(reader: BitstreamReader,
 def _decode_groups(reader: BitstreamReader, gom_index: int | None = None):
     """:func:`decode_gom` of one group, or of every group in order, run
     lazily.  Every group is the whole stream, so the call itself first
-    refuses a stream shorter than its header declares, and the groups run
-    on up to two processes (see the module docstring); close the iterator
-    when done with it, so that no worker outlives it."""
+    refuses a stream shorter than its header declares, and the groups, or
+    a one-group stream's models, run on up to two processes (see the
+    module docstring); close the iterator when done with it, so that no
+    worker outlives it."""
     if gom_index is not None:
         return (decode_gom(reader, index) for index in [gom_index])
     reader.check_complete()
-    return _forked_groups(reader.header.plan.gom_count,
-                          lambda index: decode_gom(reader, index))
+    return _fan_out(reader.header.plan.gom_count,
+                    lambda index: decode_gom(reader, index))
 
 
 def decode_video(data: bytes) -> RawVideo:
     """Reconstruct the full video from bitstream bytes (pure function).
 
-    The groups decode in parallel, on up to two worker processes (see
-    the module docstring), and each is copied into the output as it
-    arrives in order.  The frames equal a serial decode's, and an invalid
-    stream raises the error of its first bad group, as a serial decode
-    does."""
+    The groups decode in parallel, on up to two worker processes, or, in
+    a one-group stream, the models do (see the module docstring); each
+    group is copied into the output as it arrives in order.  The frames
+    equal a serial decode's, and an invalid stream raises the error of
+    its first bad group, as a serial decode does."""
     reader = BitstreamReader.from_bytes(data)
     header = reader.header
     with closing(_decode_groups(reader)) as groups:

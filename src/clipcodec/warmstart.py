@@ -33,10 +33,11 @@ class EpsilonSchedule:
     b: float = 60.0
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ConfigError(f"schedule needs a > 0, got a={self.a}")
-        if self.b < 0:
-            raise ConfigError(f"schedule needs b >= 0, got b={self.b}")
+        # written so that NaN fails each test
+        if not 0 < self.a < np.inf:
+            raise ConfigError(f"schedule needs 0 < a < inf, got a={self.a}")
+        if not 0 <= self.b < np.inf:
+            raise ConfigError(f"schedule needs 0 <= b < inf, got b={self.b}")
 
 
 def gop_gap_mse(prev_frames: np.ndarray, cur_frames: np.ndarray) -> float:

@@ -8,7 +8,8 @@ import pytest
 from clipcodec import ops
 from clipcodec.backbone import (BackboneConfig, UpsampleStage, config_from_text,
                                 config_to_text, forward_clip,
-                                frame_timestamps, init_random, param_layout)
+                                frame_timestamps, init_random, param_layout,
+                                peak_activation)
 from clipcodec.errors import ConfigError, NumericError
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.tensor import Tape
@@ -152,6 +153,7 @@ def test_clip_render_batches_only_below_largest_activation(monkeypatch):
     assert seen[:2] == [(5, 24, 8, 8), (5, 24, 16, 16)]
     assert seen[2:] == [(1, 16, 32, 32), (1, 12, 64, 64), (1, 12, 64, 64)] * 5
     assert max(np.prod(shape) for shape in seen) == 12 * 64 * 64
+    assert peak_activation(config) == 12 * 64 * 64
 
 
 def test_timestamps_normalization():

@@ -196,6 +196,10 @@ def test_dump_header_text_mentions_fields():
     assert "parameters per model: 419" in lines
     assert ("decode work: 1257 symbols, 30 frame renders, 23040 output bytes"
             in lines)
+    # the largest one-frame activation is the encoding's 6 x 8 bands per
+    # pixel, above the 8-wide hidden layer
+    assert ("render peak: 12288 activation elements, 49152 bytes at float32"
+            in lines)
 
 
 def test_write_rejects_mismatched_payload():

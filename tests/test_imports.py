@@ -3,10 +3,11 @@ standard-library machinery.
 
 The codec, ε calibration (``fit_schedule``) and rate-curve comparison
 (``bd_rate``) all run with scipy made unimportable, and load no ``scipy``
-module.  A whole-video encode or decode forks its workers with
-``os.fork``, so it loads neither ``multiprocessing`` nor
-``concurrent.futures.process``.  The check runs in a fresh interpreter:
-pytest and the other tests have loaded scipy into this one long ago.
+module.  A whole-video encode or decode, and a decode of one group's
+models, forks its workers with ``os.fork``, so it loads neither
+``multiprocessing`` nor ``concurrent.futures.process``.  The check runs
+in a fresh interpreter: pytest and the other tests have loaded scipy
+into this one long ago.
 """
 
 import json
@@ -26,7 +27,7 @@ from pathlib import Path
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 
 # two usable CPUs whatever the host has, so two-group encodes and decodes
-# fork
+# and two-model group decodes fork
 os.sched_getaffinity = lambda pid: {0, 1}
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
@@ -85,8 +86,9 @@ def test_codec_path_loads_no_heavy_imports():
     report = json.loads(run.stdout.splitlines()[-1])
     assert report["loaded"] == []
     assert report["cli"] == [0, 0] and report["frames"] == [4, 4, 4]
-    # the two-group encode, the two-group decode_video and the CLI decode
-    assert report["forks"] == 3
+    # groups fork in the two-group encode, decode_video and CLI decode;
+    # models fork in the one-group decode_video, decode_gom and CLI decode
+    assert report["forks"] == 6
     # the tools work without scipy
     assert abs(report["bd_rate"] - (-10.0)) < 1e-9
     assert report["b"] > 0

@@ -723,12 +723,12 @@ def assert_no_child_left():
 @pytest.fixture(scope="module")
 def group_encodes():
     """groups -> (video, plan, cfg, one-CPU encode): 9 frames whose last
-    clip and last group are short, 5 frames for two groups, or 4 frames
-    for one."""
+    clip and last group are short, 5 frames for two groups, or 7 frames
+    for one group of four models, its last clip short."""
     out, cfg = {}, quick_cfg(epochs_i=1, epochs_p=1)
     with pytest.MonkeyPatch.context() as mp:
         set_cpus(mp, 1)
-        for frames, gop_size, gom_size in ((4, 2, 2), (5, 2, 2), (9, 2, 2),
+        for frames, gop_size, gom_size in ((7, 2, 4), (5, 2, 2), (9, 2, 2),
                                            (9, 2, 1)):
             video = synth_video("moving-blob", 16, 16, frames, velocity=1.0,
                                 seed=6)
@@ -903,6 +903,103 @@ def test_cli_forked_decode_moves_no_file_position(encoded_pair, tmp_path,
     assert len(forks) == 1
     assert out.read_bytes() == encoded_pair[-1].recon.frames.tobytes()
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("groups, models",
+                         [(1, [4]), (2, [2, 1]), (3, [2, 2, 1]), (5, [1] * 5)])
+def test_forked_model_decode_equals_serial(group_streams, monkeypatch,
+                                           groups, models):
+    # a child range-decodes models 1, 3, ... of the group; every group of
+    # every stream, short last clip and one-model groups included
+    plan, data = group_streams[groups]
+    assert [end - first for first, end in plan.goms] == models
+    set_cpus(monkeypatch, 1)
+    serial = [decode_gom(BitstreamReader.from_bytes(data), g)
+              for g in range(groups)]
+    set_cpus(monkeypatch, 2)
+    for gom in range(groups):
+        forks = count_forks(monkeypatch)
+        part, span = decode_gom(BitstreamReader.from_bytes(data), gom)
+        assert len(forks) == (models[gom] >= 2)
+        assert_no_child_left()
+        assert span == serial[gom][1]
+        assert np.array_equal(part.frames, serial[gom][0].frames)
+
+
+def _gom_raised(data: bytes):
+    with pytest.raises(BitstreamError) as info:
+        decode_gom(BitstreamReader.from_bytes(data), 0)
+    return type(info.value), str(info.value), info.value.offset
+
+
+@pytest.mark.parametrize("edit", [_stale_crc, _recoded],
+                         ids=["stale-crc", "recoded"])
+@pytest.mark.parametrize("model", [0, 1, 3], ids=["I", "P-child", "P-last"])
+def test_forked_model_decode_raises_the_serial_error(group_streams,
+                                                     monkeypatch, edit,
+                                                     model):
+    # model 0 decodes in the parent, models 1 and 3 in the child
+    _, data = group_streams[1]
+    data = edit(data, model)
+    set_cpus(monkeypatch, 1)
+    serial = _gom_raised(data), _raised(data)
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    assert (_gom_raised(data), _raised(data)) == serial
+    assert len(forks) == 2  # one per call
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ["exit", "cut"])
+def test_model_of_a_dead_worker_decodes_in_the_parent(group_streams,
+                                                      monkeypatch, how):
+    # a child that ends before it sends a model's symbols, or while it
+    # sends them, leaves that model and its later ones to the parent
+    _, data = group_streams[1]
+    set_cpus(monkeypatch, 1)
+    expected = decode_gom(BitstreamReader.from_bytes(data), 0)[0].frames
+    parent, decode = os.getpid(), pipeline.decode_symbols
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return decode(*args)
+
+    def cut(out, result):
+        out.write(pickle.dumps(result)[:-7])
+        out.flush()
+        os._exit(1)
+
+    set_cpus(monkeypatch, 2)
+    if how == "exit":
+        monkeypatch.setattr(pipeline, "decode_symbols", dying)
+    else:
+        monkeypatch.setattr(pipeline, "_send", cut)
+    forks = count_forks(monkeypatch)
+    decoded = decode_gom(BitstreamReader.from_bytes(data), 0)[0].frames
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert np.array_equal(decoded, expected)
+
+
+@pytest.mark.parametrize("groups", [2, 3])
+def test_group_workers_fork_no_model_workers(group_streams, monkeypatch,
+                                             tmp_path, groups):
+    # groups fan out, so neither the parent nor the child fans out the
+    # models of a group: one fork in any process, two processes in all
+    _, data = group_streams[groups]
+    log, fork = tmp_path / "forks", os.fork
+
+    def logged():
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return fork()
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", logged)
+    decode_video(data)
+    assert_no_child_left()
+    assert log.read_text().split() == [str(os.getpid())]
 
 
 def encode_report(result):

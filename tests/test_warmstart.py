@@ -180,3 +180,12 @@ def test_schedule_validation():
     for a, eps in ((0.25, 0.75), (1.0, 0.0), (2.0, 0.0)):
         for m in (0.0, 0.5, 10.0):
             assert epsilon_for(m, EpsilonSchedule(a=a, b=0.0)) == eps
+
+
+@pytest.mark.parametrize("field", ["a", "b"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_schedule_refuses_non_finite(field, value):
+    # refused at construction, not at the first P model's epsilon_for
+    with pytest.raises(ConfigError, match=f"{field}={value}"):
+        EpsilonSchedule(**{field: value})
