@@ -4,15 +4,17 @@ Two backbones share one parameter-layout contract:
 
 * ``nerv-lite`` -- positional encoding of the clip-local timestamp, a two
   layer MLP stem, reshape to a base feature map, then a chain of
-  [upsample, 3x3 conv, activation] stages and a 3x3 conv head with a
-  sigmoid.  Upsampling is nearest-neighbour by default; ``subpel`` swaps
-  in conv-to-r*r-channels followed by pixel shuffle.
+  [nearest-neighbour upsample, 3x3 conv, GELU] stages and a 3x3 conv head
+  with a sigmoid.
 * ``coord-mlp`` -- a per-pixel MLP over the positional encodings of
-  (x, y, t), evaluated on the full pixel grid per frame.
+  (x, y, t), evaluated on the full pixel grid per frame, with GELU hidden
+  layers and a sigmoid output.
 
 Configs serialize to a human-readable ``key = value`` text block; those
 exact bytes are embedded in bitstream headers so a decoder rebuilds the
-identical network.
+identical network.  The text also names three things that have one value
+each: ``upsample = nearest`` (nerv-lite only), ``activation = gelu`` and
+``precision = f32``; a text with any other value for them is refused.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .params import ParamVector, SegmentSpec
 from .seeds import STREAM_INIT, make_rng
 from .tensor import Tensor, active_tape
 
-ACTIVATIONS = ("gelu", "sin", "sigmoid")
-UPSAMPLE_KINDS = ("nearest", "subpel")
 KINDS = ("nerv-lite", "coord-mlp")
 
 
@@ -55,9 +55,7 @@ class BackboneConfig:
     stages: tuple[UpsampleStage, ...] = (UpsampleStage(2, 16),
                                          UpsampleStage(2, 12),
                                          UpsampleStage(2, 8))
-    upsample: str = "nearest"
     hidden: tuple[int, ...] = (64, 64)
-    activation: str = "gelu"
     frame_height: int = 32
     frame_width: int = 32
 
@@ -67,16 +65,12 @@ def validate(config: BackboneConfig) -> None:
         raise ConfigError(f"unknown backbone kind {config.kind!r}")
     if config.pe_frequencies < 1:
         raise ConfigError("pe_frequencies must be >= 1")
-    if config.activation not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {config.activation!r}")
     if config.frame_height < 1 or config.frame_width < 1:
         raise ConfigError("frame size must be positive")
     if config.kind == "coord-mlp":
         if not config.hidden or any(w < 1 for w in config.hidden):
             raise ConfigError("coord-mlp hidden widths must be positive")
         return
-    if config.upsample not in UPSAMPLE_KINDS:
-        raise ConfigError(f"unknown upsample kind {config.upsample!r}")
     if config.stem_width < 1 or config.base_channels < 1:
         raise ConfigError("stem width and base channels must be positive")
     if config.base_height < 1 or config.base_width < 1:
@@ -126,8 +120,6 @@ def param_layout(config: BackboneConfig) -> tuple[SegmentSpec, ...]:
     cin = config.base_channels
     for i, stage in enumerate(config.stages):
         cout = stage.channels
-        if config.upsample == "subpel":
-            cout = stage.channels * stage.scale * stage.scale
         segs.append(SegmentSpec(f"stage{i}.conv.weight", (cout, cin, 3, 3),
                                 cin * 9))
         segs.append(SegmentSpec(f"stage{i}.conv.bias", (cout,), cin * 9))
@@ -195,10 +187,6 @@ def _finite(name: str, tensor: Tensor) -> Tensor:
     return tensor
 
 
-def _activation(kind: str):
-    return {"gelu": ops.gelu, "sin": ops.sin, "sigmoid": ops.sigmoid}[kind]
-
-
 def _layer_sizes(config: BackboneConfig) -> list[int]:
     """Per layer of :func:`_layers`, in order, the elements of the largest
     tensor it makes for one frame."""
@@ -212,12 +200,9 @@ def _layer_sizes(config: BackboneConfig) -> list[int]:
     pixels = config.base_height * config.base_width
     for spec in config.stages:
         pixels *= spec.scale * spec.scale
-        # a nearest stage counts its input at the output size, as its
-        # backward pass builds it
-        largest = spec.channels
-        if config.upsample == "nearest":
-            largest = max(channels, spec.channels)
-        sizes.append(largest * pixels)
+        # a stage counts its input at the output size, as its backward
+        # pass builds it
+        sizes.append(max(channels, spec.channels) * pixels)
         channels = spec.channels
     return sizes + [3 * H * W]
 
@@ -241,7 +226,6 @@ def _layers(config: BackboneConfig, params) -> list:
     take the dtype of the first layer's weight.
     """
     get = params.__getitem__
-    act = _activation(config.activation)
     dtype = get("mlp.fc0.weight" if config.kind == "coord-mlp"
                 else "stem.fc0.weight").dtype
     H, W = config.frame_height, config.frame_width
@@ -272,13 +256,14 @@ def _layers(config: BackboneConfig, params) -> list:
             return ops.reshape(x, (x.shape[0] // (H * W), H, W, 3))
 
         fns = ([encode]
-               + [dense(f"mlp.fc{i}", act) for i in range(last)] + [head])
+               + [dense(f"mlp.fc{i}", ops.gelu) for i in range(last)]
+               + [head])
         return list(zip(_layer_sizes(config), fns))
 
     def encode(t):
         return ops.constant(_time_encodings(t, freqs).astype(dtype))
 
-    fc1 = dense("stem.fc1", act)
+    fc1 = dense("stem.fc1", ops.gelu)
 
     def stem(x):
         x = fc1(x)
@@ -288,13 +273,10 @@ def _layers(config: BackboneConfig, params) -> list:
     def stage(i, scale):
         weight = get(f"stage{i}.conv.weight")
         bias = get(f"stage{i}.conv.bias")
-        nearest = config.upsample == "nearest"
 
         def layer(x):
-            x = ops.conv2d(x, weight, bias, scale if nearest else 1)
-            if not nearest and scale > 1:
-                x = ops.pixel_shuffle(x, scale)
-            return _finite(f"stage{i}", act(x))
+            x = ops.conv2d(x, weight, bias, scale)
+            return _finite(f"stage{i}", ops.gelu(x))
         return layer
 
     def head(x):
@@ -302,7 +284,7 @@ def _layers(config: BackboneConfig, params) -> list:
         x = _finite("head", ops.sigmoid(x))
         return ops.permute(x, (0, 2, 3, 1))
 
-    fns = ([encode, dense("stem.fc0", act), stem]
+    fns = ([encode, dense("stem.fc0", ops.gelu), stem]
            + [stage(i, spec.scale) for i, spec in enumerate(config.stages)]
            + [head])
     return list(zip(_layer_sizes(config), fns))
@@ -358,12 +340,15 @@ def frame_timestamps(length: int) -> list[float]:
 
 # ----------------------------------------------------- config text format
 
-# One config key per BackboneConfig field.  A key only the other kind
-# reads is accepted and ignored.
+# One config key per BackboneConfig field, and three fixed keys with no
+# field and one legal value each, which a text may omit.  _KEYS is the
+# order a text writes them in.  A key only the other kind reads is
+# accepted and ignored.
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(BackboneConfig)}
-# The one key with no field: parameters are float32, the one precision,
-# which a text names last and may omit.
-_PRECISION = "f32"
+_FIXED = {"upsample": "nearest", "activation": "gelu", "precision": "f32"}
+_KEYS = ("kind", "pe_frequencies", "stem_width", "base_channels",
+         "base_height", "base_width", "stages", "upsample", "hidden",
+         "activation", "frame_height", "frame_width", "precision")
 _KIND_KEYS = {
     "nerv-lite": {"stem_width", "base_channels", "base_height", "base_width",
                   "stages", "upsample"},
@@ -377,17 +362,17 @@ def _ignored_keys(kind: str) -> set[str]:  # the keys only other kinds read
 
 def config_to_text(config: BackboneConfig) -> str:
     """Canonical ``key = value`` text: the keys ``config.kind`` reads, in
-    field order (see docs/bitstream.md)."""
+    ``_KEYS`` order (see docs/bitstream.md)."""
     validate(config)
     ignored = _ignored_keys(config.kind)
     text = ""
-    for key in _FIELD_TYPES:
-        value = getattr(config, key)
+    for key in _KEYS:
+        value = _FIXED[key] if key in _FIXED else getattr(config, key)
         if isinstance(value, tuple):  # stages or hidden widths
             value = ", ".join(map(str, value))
         if key not in ignored:
             text += f"{key} = {value}\n"
-    return text + f"precision = {_PRECISION}\n"
+    return text
 
 
 def config_from_text(text: str) -> BackboneConfig:
@@ -400,22 +385,23 @@ def config_from_text(text: str) -> BackboneConfig:
             raise ConfigError(f"config line {lineno}: expected 'key = value', "
                               f"got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_TYPES and key != "precision":
+        if key not in _KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in fields:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         fields[key] = value
-    precision = fields.pop("precision", _PRECISION)
-    if precision != _PRECISION:
-        raise ConfigError(f"unknown precision {precision!r} (parameters "
-                          f"are {_PRECISION})")
 
-    # an omitted key keeps its BackboneConfig field default, except that
-    # a nerv-lite text must name its stages
+    # an omitted key keeps its BackboneConfig field default (or its fixed
+    # value), except that a nerv-lite text must name its stages
     kind = fields.get("kind", BackboneConfig.kind)
     ignored = _ignored_keys(kind)
     kwargs = {key: _parse_value(key, value) for key, value in fields.items()
               if key not in ignored}
+    for key, fixed in _FIXED.items():
+        value = kwargs.pop(key, fixed)
+        if value != fixed:
+            raise ConfigError(f"unknown {key} {value!r} ({key} is always "
+                              f"{fixed})")
     if kind == "nerv-lite" and "stages" not in kwargs:
         raise ConfigError("nerv-lite config needs a 'stages' key")
     config = BackboneConfig(**kwargs)
@@ -440,7 +426,7 @@ def _parse_value(key: str, value: str):
             return tuple(int(w) for w in _list_items(value))
         except ValueError:
             raise ConfigError(f"bad hidden widths {value!r}") from None
-    if _FIELD_TYPES[key] == "int":
+    if _FIELD_TYPES.get(key) == "int":
         try:
             return int(value)
         except ValueError:

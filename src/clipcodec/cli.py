@@ -116,7 +116,6 @@ def _add_encode(sub):
     setting("--epochs-p", type=int, default=train.epochs_p)
     setting("--lr", type=float, default=train.lr_i,
             help="learning rate of both I and P models")
-    setting("--warmup-frac", type=float, default=train.warmup_frac)
     setting("--seed", type=int, default=train.seed)
     p.add_argument("--csv", type=Path, help="append the summary row here")
     p.add_argument("--log", type=Path, help="write per-epoch JSONL records")
@@ -127,7 +126,9 @@ def _add_encode(sub):
 
 
 def _cmd_encode(args) -> int:
-    _check_outputs(args.out, args.csv, args.log, args.emit_manifest)
+    manifest_path = args.emit_manifest or args.out.with_suffix(
+        args.out.suffix + ".manifest.json")
+    _check_outputs(args.out, args.csv, args.log, manifest_path)
     if args.from_manifest:
         if args.input is not None:
             raise ConfigError("encode takes an input file or "
@@ -158,7 +159,7 @@ def _cmd_encode(args) -> int:
             config = presets.nerv_lite_preset(width, height, args.tier)
         cfg = TrainConfig(epochs_i=args.epochs_i, epochs_p=args.epochs_p,
                           lr_i=args.lr, lr_p=args.lr, lam=args.lam,
-                          warmup_frac=args.warmup_frac, seed=args.seed)
+                          seed=args.seed)
 
     vid = videomod.load_raw(input_path, width, height)
     manifest = build_manifest(input_path, vid, gop_size, gom_size, config,
@@ -175,10 +176,7 @@ def _cmd_encode(args) -> int:
             (json.dumps({"model": log.index, "role": log.role, **entry})
              + "\n").encode()
             for log in result.per_model for entry in log.epoch_logs])
-
-    manifest_path = args.emit_manifest or args.out.with_suffix(
-        args.out.suffix + ".manifest.json")
-    manifest.save(manifest_path)
+    _write_atomic(manifest_path, [manifest.to_json().encode()])
 
     sequence = args.sequence or input_path.stem
     if args.csv:
@@ -317,7 +315,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout stopped early (``| head``): not an error of
+        # the command.  Later flushes of stdout go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

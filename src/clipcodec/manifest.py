@@ -14,7 +14,7 @@ from .errors import DataError, unreadable
 from .pipeline import TrainConfig
 from .warmstart import EpsilonSchedule
 
-MANIFEST_VERSION = 4
+MANIFEST_VERSION = 5
 
 # the JSON values each declared field type takes; a bool is not a number
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
@@ -37,7 +37,6 @@ class RunManifest:
     epochs_p: int
     lr_i: float
     lr_p: float
-    warmup_frac: float
     seed: int
     schedule_a: float
     schedule_b: float
@@ -47,8 +46,7 @@ class RunManifest:
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             epochs_i=self.epochs_i, epochs_p=self.epochs_p,
-            lr_i=self.lr_i, lr_p=self.lr_p, lam=self.lam,
-            warmup_frac=self.warmup_frac, seed=self.seed,
+            lr_i=self.lr_i, lr_p=self.lr_p, lam=self.lam, seed=self.seed,
             schedule=EpsilonSchedule(a=self.schedule_a, b=self.schedule_b))
 
     def backbone(self):
@@ -56,9 +54,6 @@ class RunManifest:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
 
     @classmethod
     def load(cls, path) -> "RunManifest":
@@ -104,7 +99,6 @@ def build_manifest(input_path, video, gop_size, gom_size, config,
         frame_count=video.frame_count,
         gop_size=gop_size, gom_size=gom_size,
         lam=cfg.lam, epochs_i=cfg.epochs_i, epochs_p=cfg.epochs_p,
-        lr_i=cfg.lr_i, lr_p=cfg.lr_p, warmup_frac=cfg.warmup_frac,
-        seed=cfg.seed,
+        lr_i=cfg.lr_i, lr_p=cfg.lr_p, seed=cfg.seed,
         schedule_a=cfg.schedule.a, schedule_b=cfg.schedule.b,
         backbone_config=config_to_text(config))

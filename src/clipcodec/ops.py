@@ -246,28 +246,6 @@ def _phase_conv(x: np.ndarray, w: np.ndarray, scale: int) -> np.ndarray:
     return out.reshape(n, cout, h * scale, wd * scale)
 
 
-def pixel_shuffle(x: Tensor, r: int) -> Tensor:
-    """(N, C*r*r, H, W) -> (N, C, H*r, W*r), channel-major sub-pixel order."""
-    if x.data.ndim != 4 or x.shape[1] % (r * r) != 0:
-        raise ShapeError(f"pixel_shuffle: input {x.shape} not divisible by "
-                         f"r*r={r * r} in channels")
-    n, crr, h, w = x.shape
-    c = crr // (r * r)
-    data = (x.data.reshape(n, c, r, r, h, w)
-            .transpose(0, 1, 4, 2, 5, 3)
-            .reshape(n, c, h * r, w * r))
-    out = _result(data, (x,))
-
-    def backward(g):
-        gi = (g.reshape(n, c, h, r, w, r)
-              .transpose(0, 1, 3, 5, 2, 4)
-              .reshape(n, crr, h, w))
-        return (gi,)
-
-    _record(out, (x,), backward)
-    return out
-
-
 # ------------------------------------------------------------------ reshape
 
 def split_flat(x: Tensor, shapes) -> tuple[Tensor, ...]:
@@ -356,14 +334,6 @@ def gelu(x: Tensor) -> Tensor:
         return ((g * (cdf + xd * pdf).astype(x.dtype)),)
 
     _record(out, (x,), backward)
-    return out
-
-
-def sin(x: Tensor) -> Tensor:
-    xd = x.data
-    out = _result(detmath.sin(xd).astype(x.dtype), (x,))
-    _record(out, (x,),
-            lambda g: ((g * detmath.cos(xd).astype(x.dtype)),))
     return out
 
 

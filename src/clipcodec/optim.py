@@ -14,6 +14,7 @@ from .params import ParamVector
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+WARMUP_FRAC = 0.1  # the share of a model's epochs the learning rate ramps
 
 
 @dataclass
@@ -60,14 +61,12 @@ def adam_step(params: ParamVector, state: AdamState, lr: float) -> None:
     flat.data -= dt(lr) * mhat / (np.sqrt(vhat) + dt(EPS))
 
 
-def lr_at(epoch: int, total_epochs: int, base_lr: float,
-          warmup_frac: float) -> float:
-    """Linear ramp 0 -> base over the warmup span, then cosine decay to 0."""
+def lr_at(epoch: int, total_epochs: int, base_lr: float) -> float:
+    """Linear ramp 0 -> base over the first WARMUP_FRAC of the epochs,
+    then cosine decay to 0."""
     if not 0 <= epoch < total_epochs:
         raise ConfigError(f"epoch {epoch} outside [0, {total_epochs})")
-    if not 0.0 < warmup_frac < 1.0:
-        raise ConfigError(f"warmup_frac {warmup_frac} outside (0, 1)")
-    warm = math.ceil(warmup_frac * total_epochs)
+    warm = math.ceil(WARMUP_FRAC * total_epochs)
     if epoch < warm:
         return base_lr * (epoch / warm)
     last = total_epochs - 1

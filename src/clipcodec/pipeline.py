@@ -77,7 +77,6 @@ class TrainConfig:
     lr_i: float = 1e-2
     lr_p: float = 1e-2
     lam: float = 1e6
-    warmup_frac: float = 0.1
     seed: int = 0
     schedule: EpsilonSchedule = field(default_factory=EpsilonSchedule)
 
@@ -88,8 +87,6 @@ class TrainConfig:
                    for value in (self.lr_i, self.lr_p, self.lam)):
             raise ConfigError("learning rates and lambda must be positive "
                               "and finite")
-        if not 0.0 < self.warmup_frac < 1.0:
-            raise ConfigError("warmup_frac must lie in (0, 1)")
         if not 0 <= self.seed < 1 << 64:  # the header stores 64 bits
             raise ConfigError(f"seed {self.seed} outside [0, 2^64)")
 
@@ -189,7 +186,7 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
     t_norms = frame_timestamps(len(frames))
     epoch_logs: list[dict] = []
     for epoch in range(epochs):
-        lr = lr_at(epoch, epochs, base_lr, cfg.warmup_frac)
+        lr = lr_at(epoch, epochs, base_lr)
         rate_sum = 0.0
         mse_sum = 0.0
         for step in range(len(frames)):

@@ -53,5 +53,4 @@ def nerv_lite_preset(width: int, height: int,
     return BackboneConfig(
         kind="nerv-lite", pe_frequencies=8, stem_width=stem_width,
         base_channels=base_channels, base_height=base_h, base_width=base_w,
-        stages=tuple(stages), frame_height=height, frame_width=width,
-        activation="gelu", upsample="nearest")
+        stages=tuple(stages), frame_height=height, frame_width=width)

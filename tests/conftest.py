@@ -161,25 +161,14 @@ def tiny_nerv() -> BackboneConfig:
         kind="nerv-lite", pe_frequencies=4, stem_width=12, base_channels=6,
         base_height=4, base_width=4,
         stages=(UpsampleStage(2, 6), UpsampleStage(2, 5)),
-        frame_height=16, frame_width=16, activation="gelu",
-        upsample="nearest")
-
-
-@pytest.fixture
-def tiny_subpel() -> BackboneConfig:
-    return BackboneConfig(
-        kind="nerv-lite", pe_frequencies=4, stem_width=10, base_channels=6,
-        base_height=4, base_width=4,
-        stages=(UpsampleStage(2, 5), UpsampleStage(2, 4)),
-        frame_height=16, frame_width=16, activation="sin",
-        upsample="subpel")
+        frame_height=16, frame_width=16)
 
 
 @pytest.fixture
 def tiny_mlp() -> BackboneConfig:
     return BackboneConfig(
         kind="coord-mlp", pe_frequencies=3, hidden=(14, 12),
-        frame_height=12, frame_width=12, activation="gelu")
+        frame_height=12, frame_width=12)
 
 
 def as_f64(params: ParamVector) -> ParamVector:
@@ -273,6 +262,14 @@ HOSTILE_HEADERS = [
     ("config-precision-f64",
      dict(config_text="kind = coord-mlp\nframe_height = 16\n"
                       "frame_width = 16\nprecision = f64\n")),
+    ("config-upsample-subpel",
+     dict(config_text="kind = nerv-lite\nstages = 2x4, 2x4\n"
+                      "upsample = subpel\nframe_height = 16\n"
+                      "frame_width = 16\n")),
+    ("config-activation-sin",
+     dict(config_text="kind = nerv-lite\nstages = 2x4, 2x4\n"
+                      "activation = sin\nframe_height = 16\n"
+                      "frame_width = 16\n")),
     ("config-6-layers",
      dict(config_text="kind = coord-mlp\nframe_height = 16\n"
                       "frame_width = 16\n")),

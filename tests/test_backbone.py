@@ -1,7 +1,5 @@
 """Backbone layout, init, rendering, and gradient correctness."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -105,8 +103,6 @@ CLIP_CASES = [
     pytest.param(TINY32, True, id="tiny32-f64"),
     pytest.param(SMALL64, False, id="small64-f32"),
     pytest.param(SMALL64, True, id="small64-f64"),
-    pytest.param(dataclasses.replace(TINY32, upsample="subpel"), False,
-                 id="tiny32-subpel"),
     # the encoding (12 per pixel) batches up to 5 frames; the 64-wide
     # layer never does
     pytest.param(BackboneConfig(kind="coord-mlp", pe_frequencies=2,
@@ -196,14 +192,12 @@ def check_clip_mse_gradients(config, t_norms):
     assert checked == params.flat.size
 
 
-@pytest.mark.parametrize("fixture_name",
-                         ["tiny_nerv", "tiny_subpel", "tiny_mlp"])
+@pytest.mark.parametrize("fixture_name", ["tiny_nerv", "tiny_mlp"])
 def test_frame_mse_gradients_match_fd(fixture_name, request):
     check_clip_mse_gradients(request.getfixturevalue(fixture_name), [0.3])
 
 
-@pytest.mark.parametrize("fixture_name",
-                         ["tiny_nerv", "tiny_subpel", "tiny_mlp"])
+@pytest.mark.parametrize("fixture_name", ["tiny_nerv", "tiny_mlp"])
 def test_multi_frame_render_under_tape_records_one_graph(fixture_name,
                                                          request):
     # under a tape nothing splits: a 3-frame call yields one Tensor whose
@@ -212,8 +206,8 @@ def test_multi_frame_render_under_tape_records_one_graph(fixture_name,
                              [0.0, 0.3, 1.0])
 
 
-def test_config_text_round_trip(tiny_nerv, tiny_subpel, tiny_mlp):
-    for config in (tiny_nerv, tiny_subpel, tiny_mlp):
+def test_config_text_round_trip(tiny_nerv, tiny_mlp):
+    for config in (tiny_nerv, tiny_mlp):
         text = config_to_text(config)
         back = config_from_text(text)
         assert back == config
@@ -236,20 +230,6 @@ CONFIG_TEXT_PINS = {
         "stages = 2x24, 2x16, 2x12, 2x12\nupsample = nearest\n"
         "activation = gelu\nframe_height = 64\nframe_width = 64\n"
         "precision = f32\n"),
-    "subpel-sin": (
-        dataclasses.replace(nerv_lite_preset(16, 16, "tiny"),
-                            upsample="subpel", activation="sin"),
-        "kind = nerv-lite\npe_frequencies = 8\nstem_width = 32\n"
-        "base_channels = 12\nbase_height = 4\nbase_width = 4\n"
-        "stages = 2x12, 2x10\nupsample = subpel\nactivation = sin\n"
-        "frame_height = 16\nframe_width = 16\nprecision = f32\n"),
-    "sigmoid": (
-        dataclasses.replace(nerv_lite_preset(16, 16, "tiny"),
-                            activation="sigmoid"),
-        "kind = nerv-lite\npe_frequencies = 8\nstem_width = 32\n"
-        "base_channels = 12\nbase_height = 4\nbase_width = 4\n"
-        "stages = 2x12, 2x10\nupsample = nearest\nactivation = sigmoid\n"
-        "frame_height = 16\nframe_width = 16\nprecision = f32\n"),
     "coord-mlp": (
         BackboneConfig(kind="coord-mlp", pe_frequencies=3, hidden=(14, 12),
                        frame_height=8, frame_width=6),
@@ -285,6 +265,32 @@ def test_config_text_refuses_any_precision_but_f32(value):
     assert text.endswith("\nprecision = f32\n")
     with pytest.raises(ConfigError, match="precision"):
         config_from_text(text.replace("= f32", f"= {value}"))
+
+
+@pytest.mark.parametrize("line, fixed", [
+    ("upsample = subpel", "upsample = nearest"),
+    ("upsample = ", "upsample = nearest"),
+    ("activation = sin", "activation = gelu"),
+    ("activation = sigmoid", "activation = gelu"),
+    ("activation = GELU", "activation = gelu")])
+def test_config_text_refuses_any_other_value_of_a_fixed_key(line, fixed):
+    # every network upsamples nearest-neighbour and has GELU hidden
+    # layers; the text still names both, with their one legal value
+    text = config_to_text(nerv_lite_preset(16, 16))
+    assert f"\n{fixed}\n" in text
+    key = fixed.split(" = ")[0]
+    with pytest.raises(ConfigError, match=f"unknown {key}"):
+        config_from_text(text.replace(fixed, line))
+    # omitted, each takes its one value
+    assert config_from_text(text.replace(f"{fixed}\n", "")) == \
+        nerv_lite_preset(16, 16)
+
+
+def test_coord_mlp_text_ignores_upsample():
+    # upsample is a key only nerv-lite reads: a coord-mlp text may carry
+    # it, and any value, as it may carry stages
+    text = "kind = coord-mlp\nupsample = subpel\nstages = 2x4\n"
+    assert config_from_text(text) == BackboneConfig(kind="coord-mlp")
 
 
 @pytest.mark.parametrize("text", [

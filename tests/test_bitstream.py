@@ -246,6 +246,18 @@ def test_precision_byte_other_than_f32_is_refused_at_offset_6(code):
     assert excinfo.value.offset == 6
 
 
+@pytest.mark.parametrize("name", ["config-precision-f64",
+                                  "config-upsample-subpel",
+                                  "config-activation-sin"])
+def test_fixed_config_key_other_value_is_refused_at_offset_40(name):
+    # upsample, activation and precision each have one legal value; a
+    # config text with another is refused where the text starts
+    data, _ = _frame_stream()
+    with pytest.raises(BitstreamError, match="unknown") as excinfo:
+        BitstreamReader.from_bytes(repack(data, **dict(HOSTILE_HEADERS)[name]))
+    assert excinfo.value.offset == 40
+
+
 def test_video_pixel_limit_is_inclusive():
     # 2^31 pixels in 8 clips is the largest video the format allows
     side = 1 << 13

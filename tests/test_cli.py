@@ -18,7 +18,8 @@ from clipcodec.cli import main
 from clipcodec.errors import DataError
 from clipcodec.manifest import RunManifest
 from clipcodec.metrics import psnr
-from clipcodec.pipeline import TrainConfig, encode_video, partition
+from clipcodec.pipeline import (TrainConfig, decode_video, encode_video,
+                                partition)
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.video import load_raw
 from conftest import HOSTILE_BYTES, HOSTILE_HEADERS, hostile_stream
@@ -168,8 +169,7 @@ def test_input_and_manifest_together_exit_2(workdir, tmp_path, capsys):
 ENCODE_SETTINGS = {
     "--width": "8", "--height": "8", "--gop": "4", "--gom": "1",
     "--tier": "tiny", "--backbone-config": "b.cfg", "--lambda": "3",
-    "--epochs-i": "9", "--epochs-p": "9", "--lr": "0.1",
-    "--warmup-frac": "0.5", "--seed": "3"}
+    "--epochs-i": "9", "--epochs-p": "9", "--lr": "0.1", "--seed": "3"}
 
 
 def test_manifest_rerun_with_encode_settings_exits_2(workdir, tmp_path,
@@ -206,14 +206,17 @@ def test_package_version_is_the_module_version():
 def test_v1_manifest_with_thread_count_is_refused(workdir, tmp_path):
     # version 1 carried a thread_count field that nothing set, version 2 a
     # schedule_c that every producer set to 0, version 3 a jobs count that
-    # changed no byte; version 4 drops all three, so an older file is
-    # refused for its version, not its fields
+    # changed no byte, version 4 a warmup_frac that every producer set to
+    # 0.1; version 5 drops all four, so an older file is refused for its
+    # version, not its fields
     raw = json.loads((workdir / "out.bits.manifest.json").read_text())
-    assert raw["manifest_version"] == 4
-    assert not {"thread_count", "schedule_c", "jobs"} & set(raw)
+    assert raw["manifest_version"] == 5
+    assert not {"thread_count", "schedule_c", "jobs", "warmup_frac"} & \
+        set(raw)
     assert raw["tool_version"] == clipcodec.__version__
     for version, extra in ((1, dict(thread_count=1, schedule_c=0.0)),
-                           (2, dict(schedule_c=0.0)), (3, dict(jobs=2))):
+                           (2, dict(schedule_c=0.0)), (3, dict(jobs=2)),
+                           (4, dict(warmup_frac=0.1))):
         old = tmp_path / f"v{version}.manifest.json"
         old.write_text(json.dumps(dict(raw, manifest_version=version,
                                        **extra)))
@@ -270,7 +273,7 @@ def test_manifest_not_utf8_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("lam", "NaN"), ("lr_i", "Infinity"), ("schedule_b", "NaN"),
-    ("warmup_frac", "-Infinity"), ("lr_p", "1e400")])
+    ("schedule_a", "-Infinity"), ("lr_p", "1e400")])
 def test_manifest_non_finite_number_exits_3_before_reading_input(
         workdir, tmp_path, capsys, monkeypatch, field, value):
     # json reads NaN, Infinity and an overflowing literal as floats; the
@@ -517,20 +520,62 @@ def test_unwritable_output_exits_3_before_any_work(workdir, tmp_path, capsys,
     assert not list(tmp_path.glob("x.*"))
 
 
+def _cli_env() -> dict:
+    """The environment of a child that imports the same package as this
+    process, installed or not."""
+    src = str(Path(clipcodec.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
 def test_cli_entrypoint_via_subprocess(tmp_path):
     """The installed console script behaves like main()."""
     out = tmp_path / "tiny.rgb"
-    # the child imports the same package as this process, installed or not
-    src = str(Path(clipcodec.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run(
         [sys.executable, "-m", "clipcodec.cli", "synth", str(out),
          "--width", "8", "--height", "8", "--frames", "2"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_cli_env())
     assert proc.returncode == 0, proc.stderr
     assert out.stat().st_size == 3 * 8 * 8 * 2
+
+
+@pytest.mark.parametrize("command", [["--dump-header"], ["x.rgb"]],
+                         ids=["dump-header", "decode"])
+def test_closed_stdout_exits_0_quietly(workdir, tmp_path, command):
+    # a reader that stops early (``| head -n 1``) closes the pipe: the
+    # command still does its work and exits 0, with no traceback
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "clipcodec.cli", "decode",
+             str(workdir / "out.bits"), *command], cwd=tmp_path,
+            stdout=write_fd, stderr=subprocess.PIPE, text=True,
+            env=_cli_env())
+    finally:
+        os.close(write_fd)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if command == ["x.rgb"]:
+        decoded = decode_video((workdir / "out.bits").read_bytes())
+        assert (tmp_path / "x.rgb").read_bytes() == decoded.frames.tobytes()
+
+
+def test_default_manifest_path_a_directory_exits_3_before_any_work(
+        workdir, tmp_path, capsys, monkeypatch):
+    # <out>.manifest.json is an output too, even when not named
+    encodes = []
+    monkeypatch.setattr("clipcodec.cli.encode_video",
+                        lambda *args, **kwargs: encodes.append(args))
+    manifest = tmp_path / "x.bits.manifest.json"
+    manifest.mkdir()
+    assert main(["encode", str(workdir / "in.rgb"), "--out",
+                 str(tmp_path / "x.bits"), *COMMON, *ENCODE_FAST]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(manifest) in err
+    assert not encodes
+    assert [path.name for path in tmp_path.iterdir()] == [manifest.name]
+    assert not list(manifest.iterdir())
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clipcodec.errors import ConfigError, NumericError
-from clipcodec.optim import adam_init, adam_step, lr_at
+from clipcodec.optim import WARMUP_FRAC, adam_init, adam_step, lr_at
 from clipcodec.params import ParamVector
 from clipcodec.tensor import Tensor
 from conftest import PerSegmentAdam, joined, segment_leaves
@@ -118,27 +118,27 @@ def test_lr_schedule_shape():
     base = 5e-3
     total = 102
     warm = 11  # ceil(0.1 * 102); decay span [11, 101] has even length
-    assert lr_at(0, total, base, 0.1) == 0.0
-    assert lr_at(warm, total, base, 0.1) == base  # peak at warmup end
-    assert lr_at(total - 1, total, base, 0.1) == pytest.approx(0.0,
-                                                              abs=1e-12)
+    assert WARMUP_FRAC == 0.1
+    assert lr_at(0, total, base) == 0.0
+    assert lr_at(warm - 1, total, base) < base
+    assert lr_at(warm, total, base) == base  # peak at warmup end
+    assert lr_at(total - 1, total, base) == pytest.approx(0.0, abs=1e-12)
     mid = warm + (total - 1 - warm) // 2  # midpoint of the decay span
-    assert lr_at(mid, total, base, 0.1) == pytest.approx(base / 2, rel=1e-9)
+    assert lr_at(mid, total, base) == pytest.approx(base / 2, rel=1e-9)
 
 
 def test_lr_schedule_preconditions():
     with pytest.raises(ConfigError):
-        lr_at(10, 10, 1e-3, 0.1)
+        lr_at(10, 10, 1e-3)
     with pytest.raises(ConfigError):
-        lr_at(0, 10, 1e-3, warmup_frac=1.5)
+        lr_at(-1, 10, 1e-3)
 
 
-@given(st.integers(min_value=2, max_value=500),
-       st.floats(min_value=0.01, max_value=0.9))
-def test_lr_bounded_and_warmup_monotone(total, warmup_frac):
+@given(st.integers(min_value=2, max_value=500))
+def test_lr_bounded_and_warmup_monotone(total):
     base = 2e-3
-    values = [lr_at(e, total, base, warmup_frac) for e in range(total)]
+    values = [lr_at(e, total, base) for e in range(total)]
     assert all(0.0 <= v <= base + 1e-15 for v in values)
-    warm = min(math.ceil(warmup_frac * total), total - 1)
+    warm = min(math.ceil(WARMUP_FRAC * total), total - 1)
     ramp = values[:warm + 1]
     assert all(ramp[i] <= ramp[i + 1] + 1e-15 for i in range(len(ramp) - 1))

@@ -20,23 +20,6 @@ def test_matmul_shape_contract():
         ops.matmul(a, Tensor(np.ones((2, 4))))
 
 
-def test_pixel_shuffle_shape():
-    r = 2
-    x = Tensor(np.arange(1 * 4 * r * r * 3 * 5, dtype=np.float32)
-               .reshape(1, 4 * r * r, 3, 5))
-    out = ops.pixel_shuffle(x, r)
-    assert out.shape == (1, 4, 6, 10)
-    # channel-major sub-pixel placement
-    assert out.data[0, 0, 0, 0] == x.data[0, 0, 0, 0]
-    assert out.data[0, 0, 0, 1] == x.data[0, 1, 0, 0]
-    assert out.data[0, 0, 1, 0] == x.data[0, 2, 0, 0]
-
-
-def test_pixel_shuffle_rejects_bad_channels():
-    with pytest.raises(ShapeError):
-        ops.pixel_shuffle(Tensor(np.ones((1, 5, 2, 2))), 2)
-
-
 def test_mean_square_zero():
     assert ops.mean_square(Tensor(np.zeros((3, 4)))).item() == 0.0
 
@@ -269,7 +252,7 @@ def test_conv2d_rejects_upsample_below_one():
                    Tensor(np.ones((2, 2, 3, 3))), scale=0)
 
 
-@pytest.mark.parametrize("op_name", ["gelu", "sin", "sigmoid", "exp"])
+@pytest.mark.parametrize("op_name", ["gelu", "sigmoid", "exp"])
 def test_elementwise_gradients_match_fd(op_name):
     rng = np.random.default_rng(2)
     fn = getattr(ops, op_name)
