@@ -46,13 +46,30 @@ def _write_atomic(path: Path, chunks) -> None:
         raise
 
 
-def _check_outputs(*paths) -> None:
-    """Refuse, before any work, an output that is a directory or lies in a
-    missing one; ``None`` stands for an output not asked for."""
-    for path in paths:
-        if path is not None and (path.is_dir() or not path.parent.is_dir()):
+def _same_file(a: Path, b: Path) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist (yet)
+        return a.resolve() == b.resolve()
+
+
+def _check_outputs(*paths, inputs=()) -> None:
+    """Refuse, before any work, an output that is a directory, lies in a
+    missing one, names the same file as another output or names one of
+    the command's ``inputs``; ``None`` stands for a file not asked for."""
+    paths = [path for path in paths if path is not None]
+    for index, path in enumerate(paths):
+        if path.is_dir() or not path.parent.is_dir():
             raise DataError(f"cannot write {path}: not a file in an "
                             f"existing directory")
+        for other in paths[:index]:
+            if _same_file(path, other):
+                raise DataError(f"cannot write {path}: it is also the "
+                                f"output {other}")
+        for source in inputs:
+            if source is not None and _same_file(path, source):
+                raise DataError(f"cannot write {path}: it is the input "
+                                f"{source}")
 
 
 def _add_synth(sub):
@@ -128,7 +145,9 @@ def _add_encode(sub):
 def _cmd_encode(args) -> int:
     manifest_path = args.emit_manifest or args.out.with_suffix(
         args.out.suffix + ".manifest.json")
-    _check_outputs(args.out, args.csv, args.log, manifest_path)
+    outputs = args.out, args.csv, args.log, manifest_path
+    _check_outputs(*outputs, inputs=(args.input, args.from_manifest,
+                                     args.backbone_config))
     if args.from_manifest:
         if args.input is not None:
             raise ConfigError("encode takes an input file or "
@@ -139,6 +158,7 @@ def _cmd_encode(args) -> int:
                               f"{', '.join(args.settings)}")
         source = RunManifest.load(args.from_manifest)
         input_path = Path(source.input_path)
+        _check_outputs(*outputs, inputs=(input_path,))
         config = source.backbone()
         cfg = source.train_config()
         width, height = source.width, source.height
@@ -207,7 +227,7 @@ def _add_decode(sub):
 def _cmd_decode(args) -> int:
     if args.out is None and not args.dump_header:
         raise ConfigError("decode needs an output path (or --dump-header)")
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=(args.bitstream,))
     try:
         fh = args.bitstream.open("rb")
     except OSError as exc:
@@ -274,7 +294,7 @@ def _add_fit_epsilon(sub):
 
 
 def _cmd_fit_epsilon(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=(args.points,))
     points = metrics.read_csv_columns(args.points, [("mse",), ("epsilon",)])
     schedule, residual = fit_schedule(points)
     payload = (f'{{\n  "a": {schedule.a!r},\n  "b": {schedule.b!r},\n'

@@ -7,21 +7,23 @@ warm-started from its predecessor and only the quantized difference
 between its trained parameters and that warm start is entropy-coded.
 Groups never reference each other, so they encode and decode
 independently.  One group walk serves both sides: the encoder trains each
-model and the decoder reads it from the stream, and the walk renders every
-model's clip from its final parameters into the group's frames, so the
-encoder scores the frames a decoder gives.
+model and the decoder reads it from the stream, and each renders every
+model's clip from the final parameters the walk yields into the group's
+frames, so the encoder scores the frames a decoder gives.
 
-Work fans out over the CPUs this process may use, two processes at most:
-unit ``i`` runs on worker ``i mod w``, where worker 0 is the calling
-process and each other is a forked child that pickles its units' results
-back down a pipe.  A whole-video encode or decode of two or more groups
-makes the group the unit, so it holds up to ``w`` groups at once, one per
-process.  Decoding one group (``decode_gom``, or a one-group video) makes
-the model the unit: each model's payload is its own range-coded stream,
-so a child range-decodes every other model's symbols while this process
-decodes the rest and renders the clips in chain order.  The two never
-nest: a fan-out started inside a live one, in a forked child or in a
-parent whose children are alive, runs serially.  The encoder's models
+Work fans out over the CPUs this process may use, two processes at most,
+where worker 0 is the calling process and each other is a forked child
+that pickles its results back down a pipe.  A whole-video encode or
+decode of two or more groups makes the group the unit: group ``i`` runs
+on worker ``i mod w``, so the work holds up to ``w`` groups at once, one
+per process.  Decoding one group of two or more models (``decode_gom``,
+or a one-group video) splits its warm-start chain at the middle model:
+each model's payload is its own range-coded stream, so a child decodes
+and walks the first half and hands the chain's state at the middle to
+this process, which has decoded the second half's payloads meanwhile and
+walks on from there; each process renders its own half's clips.  The two
+never nest: a fan-out started inside a live one, in a forked child or in
+a parent whose children are alive, runs serially.  The encoder's models
 stay serial, since a P model trains from its predecessor.  One CPU
 (``taskset -c 0``), one unit, another live Python thread, or a host with
 no process or descriptor to spare gives the serial walk.
@@ -42,7 +44,7 @@ import signal
 import threading
 import time
 import zlib
-from contextlib import closing, suppress
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,7 +246,8 @@ class EncodeResult:
 
 
 def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
-              gom_index: int, epsilon_of, finish):
+              gom_index: int, epsilon_of, finish, models=None,
+              state=(None, None)):
     """The I/P warm-start chain of one group, shared by encoder and decoder.
 
     The I model starts from its seeded random init; every P model starts
@@ -255,18 +258,18 @@ def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
     the group's last P draw changes no value of the chain, and another
     decoder that draws every init decodes the same frames.
     ``finish(gop_index, role, epsilon, theta_prime)`` turns the start into
-    ``(final parameters, result)``; the walk renders the clip with them,
-    and an overflow raises :class:`NumericError` naming the clip.  Returns
-    the group's (n, 3, H, W) uint8 frames and the results in order.
+    ``(final parameters, result)``.
+
+    Walks the models ``range(*models)``, the whole group by default;
+    a walk that starts after the group's first model continues from
+    ``state``, the ``(random init, final parameters)`` of the model before
+    it.  Yields ``(gop_index, state, result)`` per model, its ``state``
+    the one the next model starts from, and renders nothing: the caller
+    renders each clip from ``state[1]`` (:func:`_render_clip`).
     """
-    first, end = plan.goms[gom_index]
-    offset, end_frame = plan.gom_frame_range(gom_index)
-    frames = np.empty((end_frame - offset, 3, config.frame_height,
-                       config.frame_width), dtype=np.uint8)
-    results = []
-    prev_rand: ParamVector | None = None
-    prev_theta: ParamVector | None = None
-    for gop_index in range(first, end):
+    end = plan.goms[gom_index][1]
+    prev_rand, prev_theta = state
+    for gop_index in range(*(models or plan.goms[gom_index])):
         role = plan.role_of(gop_index)
         rand = (init_random(config, model_seed(seed, gop_index))
                 if role == ROLE_I or gop_index + 1 < end else None)
@@ -278,13 +281,28 @@ def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
                                            float(epsilon))
         prev_rand, prev_theta = rand, None  # not kept alive in finish
         prev_theta, result = finish(gop_index, role, epsilon, theta_prime)
-        results.append(result)
-        start, stop = (i - offset for i in plan.gops[gop_index])
-        try:
-            render_video(config, prev_theta, frames[start:stop])
-        except NumericError as exc:
-            raise NumericError(f"clip {gop_index}: {exc}") from None
-    return frames, results
+        yield gop_index, (rand, prev_theta), result
+
+
+def _gom_frames(config: BackboneConfig, plan: PartitionPlan,
+                gom_index: int) -> np.ndarray:
+    """An empty (n, 3, H, W) uint8 buffer for the frames of one group."""
+    start, stop = plan.gom_frame_range(gom_index)
+    return np.empty((stop - start, 3, config.frame_height,
+                     config.frame_width), dtype=np.uint8)
+
+
+def _render_clip(config: BackboneConfig, plan: PartitionPlan,
+                 gop_index: int, params: ParamVector, frames: np.ndarray,
+                 offset: int) -> None:
+    """Render clip ``gop_index`` into ``frames``, the frames of its group
+    from frame ``offset`` on; an overflow raises :class:`NumericError`
+    naming the clip."""
+    start, stop = (i - offset for i in plan.gops[gop_index])
+    try:
+        render_video(config, params, frames[start:stop])
+    except NumericError as exc:
+        raise NumericError(f"clip {gop_index}: {exc}") from None
 
 
 def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
@@ -333,8 +351,12 @@ def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
             final_mse=float("nan"), epoch_logs=trained.epoch_logs)
         return trained.theta_star, (record, log, payload)
 
-    rendered, rows = _walk_gom(config, cfg.seed, plan, gom_index,
-                               epsilon_of, finish)
+    rendered, rows = _gom_frames(config, plan, gom_index), []
+    for gop_index, state, row in _walk_gom(config, cfg.seed, plan,
+                                           gom_index, epsilon_of, finish):
+        _render_clip(config, plan, gop_index, state[1], rendered, offset)
+        rows.append(row)
+        del state  # not kept while the next model trains
     mse = metrics.frame_mse(frames, rendered)
     for _, log, _ in rows:  # scored once the walk has rendered the clip
         start, stop = (i - offset for i in plan.gops[log.index])
@@ -369,23 +391,76 @@ def _workers(count: int) -> int:
 # a child's one send, a module name so that a test can cut it short
 def _send(out, result) -> None:
     pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+    out.flush()  # not held back in the buffer until the next send
 
 
-def _serve(run, indices, fd: int, inherited) -> None:
-    """A forked worker: pickle the result of ``run`` for each of
-    ``indices`` to ``fd`` in order, stopping at the first error, which the
-    parent meets again when it runs that unit itself.  It closes the read
-    ends it ``inherited``, so that a parent that dies leaves it a broken
-    pipe, not a full one, and it leaves by ``os._exit``, so no buffer or
-    handler of the parent runs twice."""
+def _serve(messages, fd: int, inherited) -> None:
+    """A forked worker: pickle each item of the iterable ``messages`` to
+    ``fd`` in order, stopping at the first error, which the parent meets
+    again when it does that work itself.  It closes the read ends it
+    ``inherited``, so that a parent that dies leaves it a broken pipe,
+    not a full one, and it leaves by ``os._exit``, so no buffer or handler
+    of the parent runs twice."""
     try:
         for pipe in inherited:
             pipe.close()
         with os.fdopen(fd, "wb") as out:
-            for index in indices:
-                _send(out, run(index))
+            for message in messages:
+                _send(out, message)
     finally:
         os._exit(0)
+
+
+def _receive(pipe, otherwise):
+    """The next message a child sent down ``pipe``, or ``otherwise()``
+    where there is no child or it ended before it sent the message in
+    full (a short or empty pickle)."""
+    if pipe is not None:
+        with suppress(EOFError, pickle.UnpicklingError):
+            return pickle.load(pipe)
+    return otherwise()
+
+
+@contextmanager
+def _children():
+    """A fan-out's forks: yields ``spawn(messages)``, which forks a child
+    that sends each item of ``messages`` (see :func:`_serve`) and returns
+    the pipe to read them from, or ``None`` where no descriptor or process
+    is to spare.  The fan-out is live until the block ends, so a fan-out
+    started in it, or in a child, runs serially; then every child is
+    killed and reaped."""
+    global _fanned_out
+    pipes, pids = [], []
+
+    def spawn(messages):
+        try:
+            read_fd, write_fd = os.pipe()
+        except OSError:
+            return None
+        try:
+            pipes.append(os.fdopen(read_fd, "rb"))
+            pid = os.fork()
+            if pid == 0:
+                _serve(messages, write_fd, pipes)
+            pids.append(pid)
+        except OSError:
+            return None
+        finally:
+            os.close(write_fd)
+        return pipes[-1]
+
+    _fanned_out = True  # before any fork, so each child has it too
+    try:
+        yield spawn
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            # gone already where SIGCHLD is ignored, which reaps children
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        _fanned_out = False
 
 
 def _fan_out(count: int, run):
@@ -398,44 +473,19 @@ def _fan_out(count: int, run):
     started, runs here, so a failing unit raises the serial walk's error
     here.  One worker forks nothing.  However the walk ends, every child
     is killed and reaped."""
-    global _fanned_out
     workers = _workers(count)
-    pipes, pids = {}, []
-    try:
-        if workers > 1:
-            _fanned_out = True  # before the fork, so each child has it too
+    if workers == 1:
+        yield from map(run, range(count))
+        return
+    with _children() as spawn:
+        pipes = [None]
         for worker in range(1, workers):
-            try:
-                read_fd, write_fd = os.pipe()
-                pipes[worker] = os.fdopen(read_fd, "rb")
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _serve(run, range(worker, count, workers), write_fd,
-                               list(pipes.values()))
-                    pids.append(pid)
-                finally:
-                    os.close(write_fd)
-            except OSError:  # no descriptor or process to spare
-                break
+            pipes.append(spawn(run(index)
+                               for index in range(worker, count, workers)))
         for index in range(count):
-            sent = []
-            if index % workers in pipes:
-                # a child that ended early leaves a short or empty pickle
-                with suppress(EOFError, pickle.UnpicklingError):
-                    sent.append(pickle.load(pipes[index % workers]))
-            # popped, so that only the caller holds a unit past its yield
-            yield sent.pop() if sent else run(index)
-    finally:
-        for pipe in pipes.values():
-            pipe.close()
-        for pid in pids:
-            # gone already where SIGCHLD is ignored, which reaps children
-            with suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        if workers > 1:
-            _fanned_out = False
+            # not bound here, so that only the caller holds a unit past
+            # its yield
+            yield _receive(pipes[index % workers], lambda: run(index))
 
 
 def encode_video(video: RawVideo, plan: PartitionPlan,
@@ -507,31 +557,41 @@ def decode_gom(reader: BitstreamReader,
                gom_index: int) -> tuple[RawVideo, tuple[int, int]]:
     """Decode one group via random access; reads only its payload range.
 
-    Each model's payload is its own range-coded stream, so the models'
-    symbols fan out over up to two processes (see the module docstring):
-    a forked child range-decodes models 1, 3, 5, ... of the group while
-    this process decodes the others and renders the clips in order, each
-    once its model's coder tables and symbols are freed.  Inside a
-    whole-video decode that already runs groups on two processes, the
-    models decode serially.  The frames, and the error of a bad model,
-    are the serial walk's.
+    A group of two or more models splits at its middle model over two
+    processes (see the module docstring).  A forked child takes the first
+    half: it range-decodes and walks its models, pickles the chain's state
+    at the boundary (the last model's final parameters and random init)
+    down a pipe, then renders its clips and sends their frames.  This
+    process meanwhile range-decodes the second half's payloads, continues
+    the chain from the child's state, rendering each clip as the walk
+    reaches it, and last copies in the child's frames.  A half the child
+    did not finish runs here.  Inside a whole-video decode that already
+    runs groups on two processes, the models decode serially.  The frames,
+    and the error of a bad model, are the serial walk's.
     """
     header = reader.header
-    plan = header.plan
+    config, plan = header.config, header.plan
     if not 0 <= gom_index < plan.gom_count:
         raise ConfigError(f"gom index {gom_index} outside "
                           f"[0, {plan.gom_count})")
     first, end = plan.goms[gom_index]
-    sizes = [spec.count for spec in param_layout(header.config)]
+    middle = first + (end - first) // 2
+    offset = plan.gom_frame_range(gom_index)[0]
+    split = plan.gops[middle][0] - offset  # the second half's first frame
+    frames = _gom_frames(config, plan, gom_index)
+    sizes = [spec.count for spec in param_layout(config)]
+    decoded = {}  # symbols of the second half, decoded ahead of its walk
 
-    def symbols_of(index):
-        rec = header.records[first + index]
-        return decode_symbols(reader.read_payload(first + index),
+    def symbols_of(gop_index):
+        rec = header.records[gop_index]
+        return decode_symbols(reader.read_payload(gop_index),
                               build_models(rec.mu, rec.sd, rec.bound), sizes)
 
     def finish(gop_index, role, epsilon, theta_prime):
         rec = header.records[gop_index]
-        symbols = next(decoded)
+        symbols = decoded.pop(gop_index, None)
+        if symbols is None:
+            symbols = symbols_of(gop_index)
         with np.errstate(over="ignore"):  # refused just below
             theta = apply_residual(theta_prime, symbols, rec.scale)
         del symbols
@@ -540,11 +600,63 @@ def decode_gom(reader: BitstreamReader,
                                  f"overflow the parameters")
         return theta, None
 
+    def walk(models, state=(None, None)):
+        return _walk_gom(config, header.seed, plan, gom_index,
+                         lambda gop_index: header.records[gop_index].epsilon,
+                         finish, models, state)
+
+    def here(models, state=(None, None)):
+        """Walk ``models`` and render each clip as the walk reaches it, the
+        serial order; returns the chain's state after the last model."""
+        for gop_index, state, _ in walk(models, state):
+            _render_clip(config, plan, gop_index, state[1], frames, offset)
+        return state
+
+    def first_half():
+        """The child's messages: the chain's state at the middle, then
+        the frames of the first half's clips."""
+        thetas = []
+        for _, state, _ in walk((first, middle)):
+            thetas.append(state[1])
+        yield state
+        for gop_index, theta in zip(range(first, middle), thetas):
+            _render_clip(config, plan, gop_index, theta, frames, offset)
+        yield frames[:split]
+
+    def copy_first_half(pipe):
+        """The first half's frames from the child at ``pipe``, or, where
+        it sent none, walked and rendered here, which raises the half's
+        first error."""
+        if pipe is None:  # rendered here already
+            return
+        sent = _receive(pipe, lambda: None)
+        if sent is None:
+            here((first, middle))
+        else:
+            frames[:split] = sent
+
     try:
-        with closing(_fan_out(end - first, symbols_of)) as decoded:
-            frames, _ = _walk_gom(
-                header.config, header.seed, plan, gom_index,
-                lambda gop_index: header.records[gop_index].epsilon, finish)
+        if _workers(end - first) == 1:
+            here((first, end))
+        else:
+            with _children() as spawn:
+                pipe = spawn(first_half())
+                for gop_index in range(middle, end):
+                    try:
+                        decoded[gop_index] = symbols_of(gop_index)
+                    except Exception:  # met again where the walk gets to it
+                        break
+                state = _receive(pipe, lambda: None)
+                if state is None:  # the child ended before its handover
+                    state, pipe = here((first, middle)), None
+                try:
+                    here((middle, end), state)
+                except Exception:
+                    # the first half comes first in the serial order, so
+                    # an error of its replaces this one
+                    copy_first_half(pipe)
+                    raise
+                copy_first_half(pipe)
     except NumericError as exc:  # only the render raises it here
         raise BitstreamError(str(exc)) from None
     return (RawVideo(width=header.width, height=header.height,

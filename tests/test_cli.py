@@ -520,6 +520,60 @@ def test_unwritable_output_exits_3_before_any_work(workdir, tmp_path, capsys,
     assert not list(tmp_path.glob("x.*"))
 
 
+@pytest.mark.parametrize("case", [
+    "manifest-is-out", "csv-is-log", "default-manifest-is-log",
+    "log-is-input", "out-is-input-spelled-otherwise", "out-is-manifest-read",
+    "csv-is-backbone-config", "log-is-manifest-input", "decode-out-is-stream",
+    "fit-epsilon-out-is-points"])
+def test_output_naming_another_file_exits_3_and_writes_nothing(
+        workdir, tmp_path, capsys, monkeypatch, case):
+    # two outputs of one command, or an output and an input, that name one
+    # file would leave one of them over the other
+    encodes = []
+    monkeypatch.setattr("clipcodec.cli.encode_video",
+                        lambda *args, **kwargs: encodes.append(args))
+    monkeypatch.chdir(tmp_path)
+    for name in ("in.rgb", "out.bits", "out.bits.manifest.json"):
+        (tmp_path / name).write_bytes((workdir / name).read_bytes())
+    manifest = json.loads((tmp_path / "out.bits.manifest.json").read_text())
+    manifest["input_path"] = "in.rgb"
+    (tmp_path / "run.json").write_text(json.dumps(manifest))
+    (tmp_path / "net.cfg").write_text(manifest["backbone_config"])
+    (tmp_path / "points.csv").write_text(
+        "mse,epsilon\n0.1,0.2\n0.5,0.6\n1.0,0.8\n")
+    (tmp_path / "sub").mkdir()
+    encode = ["encode", "in.rgb", *COMMON, *ENCODE_FAST]
+    args = {
+        "manifest-is-out": encode + ["--out", "same.bits", "--emit-manifest",
+                                     "same.bits"],
+        "csv-is-log": encode + ["--out", "x.bits", "--csv", "r.csv", "--log",
+                                "r.csv"],
+        "default-manifest-is-log": encode + ["--out", "x.bits", "--log",
+                                             "x.bits.manifest.json"],
+        "log-is-input": encode + ["--out", "x.bits", "--log", "in.rgb"],
+        "out-is-input-spelled-otherwise": encode + ["--out",
+                                                    "sub/../in.rgb"],
+        "out-is-manifest-read": ["encode", "--from-manifest", "run.json",
+                                 "--out", "run.json"],
+        "csv-is-backbone-config": encode + ["--out", "x.bits",
+                                            "--backbone-config", "net.cfg",
+                                            "--csv", "net.cfg"],
+        "log-is-manifest-input": ["encode", "--from-manifest", "run.json",
+                                  "--out", "x.bits", "--log", "in.rgb"],
+        "decode-out-is-stream": ["decode", "out.bits", str(tmp_path /
+                                                           "out.bits")],
+        "fit-epsilon-out-is-points": ["fit-epsilon", "points.csv", "--out",
+                                      "points.csv"],
+    }[case]
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()
+              if path.is_file()}
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith("data error: cannot write")
+    assert not encodes
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()
+            if path.is_file()} == before
+
+
 def _cli_env() -> dict:
     """The environment of a child that imports the same package as this
     process, installed or not."""

@@ -905,12 +905,30 @@ def test_cli_forked_decode_moves_no_file_position(encoded_pair, tmp_path,
     assert_no_child_left()
 
 
+@pytest.fixture(scope="module")
+def model_streams():
+    """models -> one-group stream of that many 2-frame clips, the last
+    clip one frame short, trained long enough that every model codes
+    nonzero symbols."""
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        set_cpus(mp, 1)
+        for models in (3, 4, 5):
+            frames = 2 * models - 1
+            video = synth_video("moving-blob", 16, 16, frames, velocity=1.0,
+                                seed=4)
+            out[models] = encode_video(video, partition(frames, 2, models),
+                                       small_config(), quick_cfg()).data
+    return out
+
+
 @pytest.mark.parametrize("groups, models",
                          [(1, [4]), (2, [2, 1]), (3, [2, 2, 1]), (5, [1] * 5)])
 def test_forked_model_decode_equals_serial(group_streams, monkeypatch,
                                            groups, models):
-    # a child range-decodes models 1, 3, ... of the group; every group of
-    # every stream, short last clip and one-model groups included
+    # a child walks the first half of a group's models and this process
+    # the second; every group of every stream, short last clip and
+    # one-model groups included
     plan, data = group_streams[groups]
     assert [end - first for first, end in plan.goms] == models
     set_cpus(monkeypatch, 1)
@@ -926,6 +944,23 @@ def test_forked_model_decode_equals_serial(group_streams, monkeypatch,
         assert np.array_equal(part.frames, serial[gom][0].frames)
 
 
+@pytest.mark.parametrize("models", [3, 4, 5])
+def test_forked_split_of_one_group_equals_serial(model_streams, monkeypatch,
+                                                 models):
+    # an odd count gives this process the larger half; the last clip is
+    # short, and every model codes nonzero symbols
+    data = model_streams[models]
+    set_cpus(monkeypatch, 1)
+    serial = decode_gom(BitstreamReader.from_bytes(data), 0)
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    part, span = decode_gom(BitstreamReader.from_bytes(data), 0)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert span == serial[1] == (0, 2 * models - 1)
+    assert np.array_equal(part.frames, serial[0].frames)
+
+
 def _gom_raised(data: bytes):
     with pytest.raises(BitstreamError) as info:
         decode_gom(BitstreamReader.from_bytes(data), 0)
@@ -934,15 +969,20 @@ def _gom_raised(data: bytes):
 
 @pytest.mark.parametrize("edit", [_stale_crc, _recoded],
                          ids=["stale-crc", "recoded"])
-@pytest.mark.parametrize("model", [0, 1, 3], ids=["I", "P-child", "P-last"])
-def test_forked_model_decode_raises_the_serial_error(group_streams,
+@pytest.mark.parametrize("models", [(0,), (1,), (2,), (3,), (1, 2), (0, 3)],
+                         ids=["I", "P-child", "P-parent", "P-last",
+                              "both-halves", "I-and-last"])
+def test_forked_model_decode_raises_the_serial_error(model_streams,
                                                      monkeypatch, edit,
-                                                     model):
-    # model 0 decodes in the parent, models 1 and 3 in the child
-    _, data = group_streams[1]
-    data = edit(data, model)
+                                                     models):
+    # models 0 and 1 are the child's half, 2 and 3 this process's; the
+    # first bad model in the serial order raises
+    data = model_streams[4]
+    for model in models:
+        data = edit(data, model)
     set_cpus(monkeypatch, 1)
     serial = _gom_raised(data), _raised(data)
+    assert serial[0] == _gom_raised(edit(model_streams[4], models[0]))
     set_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     assert (_gom_raised(data), _raised(data)) == serial
@@ -950,31 +990,78 @@ def test_forked_model_decode_raises_the_serial_error(group_streams,
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("how", ["exit", "cut"])
-def test_model_of_a_dead_worker_decodes_in_the_parent(group_streams,
-                                                      monkeypatch, how):
-    # a child that ends before it sends a model's symbols, or while it
-    # sends them, leaves that model and its later ones to the parent
-    _, data = group_streams[1]
-    set_cpus(monkeypatch, 1)
-    expected = decode_gom(BitstreamReader.from_bytes(data), 0)[0].frames
-    parent, decode = os.getpid(), pipeline.decode_symbols
+def _overflowing(data: bytes, model: int, layer: int, scale: float) -> bytes:
+    """``model``'s step of ``layer`` set to ``scale``, a finite value no
+    encoder writes."""
+    record = BitstreamReader.from_bytes(data).header.records[model]
+    values = record.scale.copy()
+    values[layer] = scale
+    return repack(data, model=model, scale=values)
 
-    def dying(*args):
-        if os.getpid() != parent:
-            os._exit(1)
-        return decode(*args)
+
+def test_first_half_render_error_comes_before_a_second_half_payload(
+        model_streams, monkeypatch):
+    # the child walks its half and hands over, then its render of clip 1
+    # overflows; this process meets model 2's bad payload first, but the
+    # serial walk renders clip 1 before it reads model 2
+    data = _overflowing(model_streams[4], 1, 4, 1e37)
+    assert BitstreamReader.from_bytes(data).header.records[1].bound[4] > 1
+    data = _stale_crc(data, 2)
+    set_cpus(monkeypatch, 1)
+    serial = _gom_raised(data)
+    assert serial[1].startswith("clip 1: non-finite activation")
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    assert _gom_raised(data) == serial
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def _cut_send(after: int):
+    """A ``_send`` that sends ``after`` messages whole, then a cut one,
+    and ends the process."""
+    sent = []
 
     def cut(out, result):
+        if len(sent) < after:
+            sent.append(1)
+            return pickle.dump(result, out)
         out.write(pickle.dumps(result)[:-7])
         out.flush()
         os._exit(1)
 
+    return cut
+
+
+@pytest.mark.parametrize("how", ["exit", "cut", "exit-in-render",
+                                 "cut-frames"])
+def test_model_of_a_dead_worker_decodes_in_the_parent(model_streams,
+                                                      monkeypatch, how):
+    # a child that ends before its handover leaves its whole half to this
+    # process; one that ends after it, before it sends its frames in full,
+    # makes this process walk and render that half again
+    data = model_streams[4]
+    set_cpus(monkeypatch, 1)
+    expected = decode_gom(BitstreamReader.from_bytes(data), 0)[0].frames
+    parent = os.getpid()
+
+    def dying(call):
+        def die(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return call(*args)
+        return die
+
     set_cpus(monkeypatch, 2)
     if how == "exit":
-        monkeypatch.setattr(pipeline, "decode_symbols", dying)
+        monkeypatch.setattr(pipeline, "decode_symbols",
+                            dying(pipeline.decode_symbols))
+    elif how == "exit-in-render":
+        monkeypatch.setattr(pipeline, "render_video",
+                            dying(pipeline.render_video))
     else:
-        monkeypatch.setattr(pipeline, "_send", cut)
+        monkeypatch.setattr(pipeline, "_send",
+                            _cut_send(0 if how == "cut" else 1))
     forks = count_forks(monkeypatch)
     decoded = decode_gom(BitstreamReader.from_bytes(data), 0)[0].frames
     assert len(forks) == 1
@@ -1242,21 +1329,29 @@ def test_render_memory_flat_in_clip_length(gop_size):
     assert _traced_peak(render) <= 1.25 * PER_FRAME_RENDER_PEAK
 
 
-@pytest.mark.parametrize("layer, scale, message", [
-    (0, 3.4e38, "model 0: scales and symbols overflow the parameters"),
-    (4, 1e37, "clip 0: non-finite activation")], ids=["params", "render"])
-def test_overflowing_scale_raises_bitstream_error(encoded_pair, layer, scale,
-                                                  message):
+@pytest.mark.parametrize("model, layer, scale, message", [
+    (model, layer, scale, message)
+    for model in (0, 1) for layer, scale, message in (
+        (0, 3.4e38, "model {}: scales and symbols overflow the parameters"),
+        (4, 1e37, "clip {}: non-finite activation"))],
+    ids=["params", "render", "params-parent", "render-parent"])
+def test_overflowing_scale_raises_bitstream_error(encoded_pair, monkeypatch,
+                                                  layer, scale, message,
+                                                  model):
     # a finite scale no encoder writes: symbol * scale overflows float32,
-    # or the parameters it yields overflow the network's activations
-    data = encoded_pair[-1].data
-    values = BitstreamReader.from_bytes(data).header.records[0].scale.copy()
-    values[layer] = scale
-    data = repack(data, scale=values)
-    with pytest.raises(BitstreamError, match=message):
-        decode_video(data)
-    with pytest.raises(BitstreamError, match=message):
-        decode_gom(BitstreamReader.from_bytes(data), 0)
+    # or the parameters it yields overflow the network's activations; in
+    # group 0, model 0 is the forked child's half and model 1 this
+    # process's, and either raises the serial walk's error
+    data = _overflowing(encoded_pair[-1].data, model, layer, scale)
+    message = message.format(model)
+    set_cpus(monkeypatch, 1)
+    serial = _gom_raised(data), _raised(data)
+    assert all(error[1].startswith(message) for error in serial)
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    assert (_gom_raised(data), _raised(data)) == serial
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 def test_bpp_accounting(encoded_pair):
