@@ -24,9 +24,15 @@ this process, which has decoded the second half's payloads meanwhile and
 walks on from there; each process renders its own half's clips.  The two
 never nest: a fan-out started inside a live one, in a forked child or in
 a parent whose children are alive, runs serially.  The encoder's models
-stay serial, since a P model trains from its predecessor.  One CPU
-(``taskset -c 0``), one unit, another live Python thread, or a host with
-no process or descriptor to spare gives the serial walk.
+stay serial, since a P model trains from its predecessor, but a step's
+rate term may run on the second core: where no fan-out is live, as in a
+one-group encode, each model forks one rate worker.  Each training step
+sends it the scaled residual and the noise, and it scores their rate and
+its gradient while this process renders the frame and walks the network
+backward, which reads the reply only where it reaches the rate term.  One
+CPU (``taskset -c 0``), one unit, another live Python thread, or a host
+with no process or descriptor to spare gives the serial walk, and a
+worker that fails or dies hands its steps back to this process.
 
 Training follows a strict quantization-aware regime: every step renders
 with the warm start plus the straight-through-rounded residual, so the
@@ -63,7 +69,7 @@ from .ratequant import (apply_residual, initial_scales, layer_stats,
                         quantize, rate_bits_eval, rate_bits_train, residual,
                         scaled_residual, widen_steps)
 from .seeds import STREAM_NOISE, make_rng, model_seed
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, active_tape
 from .video import RawVideo, denormalize
 from .warmstart import (EpsilonSchedule, epsilon_for, gop_gap_mse,
                         interpolate_init)
@@ -95,7 +101,8 @@ class TrainConfig:
 
 def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
                        theta_star: ParamVector, log_scales: ParamVector,
-                       targets: np.ndarray, t_norms, lam: float, noise):
+                       targets: np.ndarray, t_norms, lam: float, noise,
+                       worker=None):
     """Build one training-step graph over a batch of frames, ``targets``
     (n, H, W, 3) at timestamps ``t_norms``; returns (loss, rate, mse,
     (mu, sd)).
@@ -114,6 +121,14 @@ def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
     layer: the step sizes enter the division and the product as two
     separate spreads, so each path's log-scale gradient is reduced over
     its layer on its own, in the layer's shape, before the two are added.
+
+    The rate term is one tape node over ``unit``, recorded after the
+    lattice and before the network, whose value and gradient
+    :func:`_score_rate` computes on a tape of its own: here, or, where a
+    :class:`_RateWorker` ``worker`` takes the step, in that process while
+    this one renders.  Then ``rate`` reads 0, and so ``loss`` the
+    distortion term alone, until ``tape.backward(loss)`` reaches the node
+    and reads the worker's reply; (mu, sd) is None.
     """
     shapes = [shape for _, shape in theta_star.layout()]
     steps = ops.exp(log_scales.flat)
@@ -124,12 +139,64 @@ def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
                       ops.broadcast_segments(steps, shapes))
     effective = dict(zip(theta_star.names,
                          ops.split_flat(ops.add(prime, snapped), shapes)))
-    mu, sd = layer_stats(unit.data, theta_star.sizes)
-    rate = rate_bits_train(unit, noise, mu, sd, theta_star.sizes)
+    rate, stats = _rate_node(unit, noise, theta_star.sizes, worker)
     (frames,) = forward_clip(config, effective, t_norms)
     mse = ops.mean_square(ops.sub(frames, ops.constant(targets)))
     loss = ops.add(rate, ops.mul(mse, lam))
-    return loss, rate, mse, (mu, sd)
+    return loss, rate, mse, stats
+
+
+def _score_rate(unit: np.ndarray, noise: np.ndarray, sizes):
+    """One step's rate term on a tape of its own: ``(bits, grad, (mu,
+    sd))`` for the scaled residual ``unit``, every layer's values joined
+    in layout order with ``sizes`` giving each layer's element count, at
+    ``noise``, under the layer statistics of ``unit``.
+
+    ``grad()`` walks that tape backward and returns ``d bits / d unit``:
+    the gradient the rate's ops give ``unit`` when they are recorded on
+    the step's own tape, whose backward pass seeds the step's loss, and
+    so its rate term, with 1.  Called where the step's backward pass
+    reaches the rate, it keeps the rate's temporaries alive as long as
+    the step's own tape would, which keeps malloc's heap, and the page
+    faults of the step, as they are with one tape.  A rate that is not
+    finite has no gradient (None): its step raises before any update.
+    """
+    flat = Tensor(unit, requires_grad=True)
+    mu, sd = layer_stats(unit, sizes)
+    with Tape() as tape:
+        bits = rate_bits_train(flat, noise, mu, sd, sizes)
+
+    def grad():
+        if not np.isfinite(bits.data):
+            return None
+        tape.backward(bits)
+        return flat.grad
+
+    return bits.data, grad, (mu, sd)
+
+
+def _rate_node(unit: Tensor, noise: np.ndarray, sizes, worker):
+    """The rate term over ``unit`` as one node of the active tape;
+    returns ``(rate, (mu, sd))``, both as :func:`training_step_loss`
+    describes.  Its backward pass multiplies the gradient of
+    :func:`_score_rate` by the rate's own."""
+    tape = active_tape()
+    taped = tape is not None and unit.requires_grad
+    rate = Tensor(np.zeros((), unit.dtype), requires_grad=unit.requires_grad)
+    if taped and worker is not None and worker.send(unit.data, noise):
+        stats = None
+
+        def reply():
+            rate.data, grad = worker.receive()
+            return grad
+    else:
+        rate.data, reply, stats = _score_rate(unit.data, noise, sizes)
+    if taped:
+        def backward(g):
+            grad = reply()
+            return (None if grad is None else grad * g,)
+        tape.record(rate, (unit,), backward)
+    return rate, stats
 
 
 @dataclass
@@ -187,33 +254,47 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
     targets = frames.transpose(0, 2, 3, 1).astype(np.float32)
     t_norms = frame_timestamps(len(frames))
     epoch_logs: list[dict] = []
-    for epoch in range(epochs):
-        lr = lr_at(epoch, epochs, base_lr)
-        rate_sum = 0.0
-        mse_sum = 0.0
-        for step in range(len(frames)):
-            # PCG64 spends one word per double, so one draw for all layers
-            # equals one draw per layer, joined
-            noise = noise_rng.uniform(-0.5, 0.5, size=init.flat.size)
-            with Tape() as tape:
-                loss, rate, mse, _ = training_step_loss(
-                    config, theta_prime, theta_star, log_scales,
-                    targets[step:step + 1], t_norms[step:step + 1], cfg.lam,
-                    noise)
-            if not np.isfinite(loss.data):
-                raise NumericError(f"loss diverged at epoch {epoch} "
-                                   f"step {step}")
-            tape.backward(loss)
-            adam_step(theta_star, opt_theta, lr)
-            adam_step(log_scales, opt_scales, lr)
-            theta_star.clear_grads()
-            log_scales.clear_grads()
-            rate_sum += float(rate.data)
-            mse_sum += float(mse.data)
-        epoch_logs.append({"epoch": epoch,
-                           "loss_r": rate_sum / len(frames),
-                           "loss_d": mse_sum / len(frames),
-                           "lr": lr})
+
+    def diverged(epoch, step):
+        return NumericError(f"loss diverged at epoch {epoch} step {step}")
+
+    with _rate_worker(init, epochs * len(frames)) as worker:
+        for epoch in range(epochs):
+            lr = lr_at(epoch, epochs, base_lr)
+            rate_sum = 0.0
+            mse_sum = 0.0
+            for step in range(len(frames)):
+                # PCG64 spends one word per double, so one draw for all
+                # layers equals one draw per layer, joined
+                noise = noise_rng.uniform(-0.5, 0.5, size=init.flat.size)
+                try:
+                    with Tape() as tape:
+                        loss, rate, mse, _ = training_step_loss(
+                            config, theta_prime, theta_star, log_scales,
+                            targets[step:step + 1], t_norms[step:step + 1],
+                            cfg.lam, noise, worker)
+                    if not np.isfinite(loss.data):
+                        raise diverged(epoch, step)
+                    tape.backward(loss)
+                except Exception:
+                    # the serial step scores its rate term first, so an
+                    # error of the rate term comes before this one
+                    if worker is not None:
+                        worker.settle()
+                    raise
+                # with a worker, the rate's value came in the backward pass
+                if not np.isfinite(ops.add(rate, ops.mul(mse, cfg.lam)).data):
+                    raise diverged(epoch, step)
+                adam_step(theta_star, opt_theta, lr)
+                adam_step(log_scales, opt_scales, lr)
+                theta_star.clear_grads()
+                log_scales.clear_grads()
+                rate_sum += float(rate.data)
+                mse_sum += float(mse.data)
+            epoch_logs.append({"epoch": epoch,
+                               "loss_r": rate_sum / len(frames),
+                               "loss_d": mse_sum / len(frames),
+                               "lr": lr})
     # the last step's tape closes over every activation of that step;
     # each earlier one goes when the next is bound (freeing it before
     # the Adam step took 5x the page faults: docs/resources.md)
@@ -375,11 +456,12 @@ _fanned_out = False
 
 
 def _workers(count: int) -> int:
-    """Processes that run ``count`` units of work (groups, or the models
-    of one group): one per CPU this process may use, at most one per unit
-    and at most ``_MAX_GROUP_WORKERS``.  A fork copies only the calling
-    thread, so there is one while another Python thread is alive, one
-    inside a live fan-out, and one where the OS has no ``fork`` or no
+    """Processes that run ``count`` units of work (groups, the models of
+    one group, or the network and the rate term of a training step): one
+    per CPU this process may use, at most one per unit and at most
+    ``_MAX_GROUP_WORKERS``.  A fork copies only the calling thread, so
+    there is one while another Python thread is alive, one inside a live
+    fan-out, and one where the OS has no ``fork`` or no
     ``sched_getaffinity``."""
     if (_fanned_out or not hasattr(os, "fork")
             or threading.active_count() > 1):
@@ -394,16 +476,19 @@ def _send(out, result) -> None:
     out.flush()  # not held back in the buffer until the next send
 
 
-def _serve(messages, fd: int, inherited) -> None:
+def _serve(messages, fd: int, inherited, requests=None) -> None:
     """A forked worker: pickle each item of the iterable ``messages`` to
     ``fd`` in order, stopping at the first error, which the parent meets
-    again when it does that work itself.  It closes the read ends it
-    ``inherited``, so that a parent that dies leaves it a broken pipe,
-    not a full one, and it leaves by ``os._exit``, so no buffer or handler
-    of the parent runs twice."""
+    again when it does that work itself; given the descriptor
+    ``requests``, the items of ``messages(its reader)``.  It closes the
+    pipe ends it ``inherited``, so that a parent that dies leaves it a
+    broken pipe or an empty one, never a full or open one, and it leaves
+    by ``os._exit``, so no buffer or handler of the parent runs twice."""
     try:
         for pipe in inherited:
             pipe.close()
+        if requests is not None:
+            messages = messages(os.fdopen(requests, "rb"))
         with os.fdopen(fd, "wb") as out:
             for message in messages:
                 _send(out, message)
@@ -426,41 +511,137 @@ def _children():
     """A fan-out's forks: yields ``spawn(messages)``, which forks a child
     that sends each item of ``messages`` (see :func:`_serve`) and returns
     the pipe to read them from, or ``None`` where no descriptor or process
-    is to spare.  The fan-out is live until the block ends, so a fan-out
-    started in it, or in a child, runs serially; then every child is
-    killed and reaped."""
+    is to spare.  ``spawn(messages, requests=True)`` also opens a pipe to
+    the child: the child sends each item of ``messages(its read end)``,
+    and spawn returns ``(pipe to read, pipe to write)``.  The fan-out is
+    live until the block ends, so a fan-out started in it, or in a child,
+    runs serially; then every child is killed and reaped."""
     global _fanned_out
-    pipes, pids = [], []
+    ends, pids = [], []  # this process's end of every pipe, to close
 
-    def spawn(messages):
+    def spawn(messages, requests=False):
+        fds = []
         try:
-            read_fd, write_fd = os.pipe()
+            for _ in range(1 + requests):
+                fds += os.pipe()
         except OSError:
+            for fd in fds:
+                os.close(fd)
             return None
+        # fds: the pipe from the child (read, write), then the one to it;
+        # this process keeps the first read end and the second write end,
+        # and every child closes them (see _serve)
+        mine = [os.fdopen(fds[0], "rb")]
+        if requests:
+            mine.append(os.fdopen(fds[3], "wb"))
+        ends.extend(mine)
         try:
-            pipes.append(os.fdopen(read_fd, "rb"))
             pid = os.fork()
             if pid == 0:
-                _serve(messages, write_fd, pipes)
+                _serve(messages, fds[1], ends, fds[2] if requests else None)
             pids.append(pid)
         except OSError:
             return None
         finally:
-            os.close(write_fd)
-        return pipes[-1]
+            for fd in fds[1:3]:  # the child's ends
+                os.close(fd)
+        return tuple(mine) if requests else mine[0]
 
+    # numpy loads numpy.random on first use; a child that draws an init
+    # would otherwise load it on its own critical path, once per fork
+    import numpy.random  # noqa: F401
     _fanned_out = True  # before any fork, so each child has it too
     try:
         yield spawn
     finally:
-        for pipe in pipes:
-            pipe.close()
+        for end in ends:
+            # a request end whose worker has gone cannot flush
+            with suppress(OSError):
+                end.close()
         for pid in pids:
             # gone already where SIGCHLD is ignored, which reaps children
             with suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
         _fanned_out = False
+
+
+def _rate_reply(unit: np.ndarray, noise: np.ndarray, sizes):
+    """``(bits, d bits / d unit)`` of :func:`_score_rate`: a rate
+    worker's reply to one step."""
+    bits, grad, _ = _score_rate(unit, noise, sizes)
+    return bits, grad()
+
+
+def _rate_replies(requests, sizes, dtype):
+    """A rate worker's messages: for each request read from ``requests``,
+    one step's ``unit`` in ``dtype`` and its float64 noise as raw bytes,
+    its :func:`_rate_reply`.  They end when the parent closes its end, or
+    dies."""
+    count = sum(sizes)
+    size = count * (np.dtype(dtype).itemsize + 8)
+    while len(request := requests.read(size)) == size:
+        unit = np.frombuffer(request, dtype, count)
+        noise = np.frombuffer(request, np.float64, count,
+                              offset=size - 8 * count)
+        yield _rate_reply(unit, noise, sizes)
+
+
+class _RateWorker:
+    """A forked process that scores each training step's rate term
+    (:func:`_score_rate`) while this process renders and walks the network
+    backward.  :meth:`send` hands it one step, and :meth:`receive` reads
+    its reply, once per step.  A worker that could not start, failed or
+    died hands that step and every later one back to this process, which
+    so raises the serial step's error."""
+
+    def __init__(self, spawn, params: ParamVector):
+        self.sizes = params.sizes
+        self.pipes = spawn(lambda requests: _rate_replies(
+            requests, self.sizes, params.dtype), requests=True)
+        self.pending = None
+
+    def send(self, unit: np.ndarray, noise: np.ndarray) -> bool:
+        """Hand the worker one step; False where it has none to take it."""
+        if self.pipes is None:
+            return False
+        try:
+            self.pipes[1].write(unit)
+            self.pipes[1].write(noise)
+            self.pipes[1].flush()
+        except OSError:  # the worker has gone
+            self.pipes = None
+            return False
+        self.pending = unit, noise
+        return True
+
+    def receive(self):
+        """The :func:`_rate_reply` to the step last sent, from the worker
+        or, where it sent none in full, scored here."""
+        (unit, noise), self.pending = self.pending, None
+
+        def here():
+            self.pipes = None
+            return _rate_reply(unit, noise, self.sizes)
+
+        return _receive(self.pipes[0], here)
+
+    def settle(self) -> None:
+        """Read the reply of a step sent but not yet received."""
+        if self.pending is not None:
+            self.receive()
+
+
+@contextmanager
+def _rate_worker(params: ParamVector, steps: int):
+    """A :class:`_RateWorker` for training ``params``, or None where there
+    are no ``steps`` or no second core to run it (:func:`_workers`); it is
+    killed and reaped when the block ends."""
+    if steps == 0 or _workers(2) == 1:
+        yield None
+        return
+    with _children() as spawn:
+        yield _RateWorker(spawn, params)
 
 
 def _fan_out(count: int, run):

@@ -3,9 +3,10 @@ standard-library machinery.
 
 The codec, ε calibration (``fit_schedule``) and rate-curve comparison
 (``bd_rate``) all run with scipy made unimportable, and load no ``scipy``
-module.  A whole-video encode or decode, and a decode of one group's
-models, forks its workers with ``os.fork``, so it loads neither
-``multiprocessing`` nor ``concurrent.futures.process``.  The check runs
+module.  A whole-video encode or decode, a decode of one group's models
+and a one-group encode's training steps fork their workers with
+``os.fork``, so they load neither ``multiprocessing`` nor
+``concurrent.futures.process``.  The check runs
 in a fresh interpreter: pytest and the other tests have loaded scipy
 into this one long ago.
 """
@@ -87,9 +88,60 @@ def test_codec_path_loads_no_heavy_imports():
     assert report["loaded"] == []
     assert report["cli"] == [0, 0] and report["frames"] == [4, 4, 4]
     # groups fork in the two-group encode, decode_video and CLI decode;
-    # models fork in the one-group decode_video, decode_gom and CLI decode
-    assert report["forks"] == 6
+    # models fork in the one-group decode_video, decode_gom and CLI decode;
+    # the one-group encode forks a rate worker for each of its two models
+    assert report["forks"] == 8
     # the tools work without scipy
     assert abs(report["bd_rate"] - (-10.0)) < 1e-9
     assert report["b"] > 0
     assert report["scipy"] == []
+
+
+_DECODE_ONLY = """
+import json, os, sys
+from pathlib import Path
+
+import clipcodec
+from clipcodec import BitstreamReader, decode_gom
+
+before = "numpy.random" in sys.modules
+data = Path(sys.argv[1]).read_bytes()
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+forked = decode_gom(BitstreamReader.from_bytes(data), 0)[0].frames
+after = "numpy.random" in sys.modules
+os.sched_getaffinity = lambda pid: {0}
+serial = decode_gom(BitstreamReader.from_bytes(data), 0)[0].frames
+print(json.dumps({"before": before, "after": after, "forks": len(forks),
+                  "equal": bool((forked == serial).all()),
+                  "loaded": sorted(name for name in sys.argv[2:]
+                                   if name in sys.modules)}))
+"""
+
+
+def test_decode_only_process_loads_numpy_random_before_it_forks(tmp_path):
+    # the parent's half of a two-model group draws no random init, so it
+    # is _children() that loads numpy.random, once, before the child that
+    # draws the I model's init is forked
+    from clipcodec import (BackboneConfig, TrainConfig, UpsampleStage,
+                           encode_video, partition, synth_video)
+    config = BackboneConfig(
+        kind="nerv-lite", pe_frequencies=4, stem_width=8, base_channels=4,
+        base_height=4, base_width=4, stages=(UpsampleStage(2, 4),),
+        frame_height=8, frame_width=8)
+    video = synth_video("moving-blob", 8, 8, 4, velocity=1.0, seed=3)
+    stream = tmp_path / "clip.bits"
+    stream.write_bytes(encode_video(video, partition(4, 2, 2), config,
+                                    TrainConfig(epochs_i=1, epochs_p=1,
+                                                seed=3)).data)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-c", _DECODE_ONLY, str(stream),
+                          *HEAVY], cwd=ROOT, env=env, capture_output=True,
+                         text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert report == {"before": False, "after": True, "forks": 1,
+                      "equal": True, "loaded": []}

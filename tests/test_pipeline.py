@@ -5,6 +5,7 @@ import errno
 import hashlib
 import os
 import pickle
+import select
 import threading
 import tracemalloc
 import weakref
@@ -1191,8 +1192,7 @@ def test_no_pipe_or_process_to_spare_encodes_serially(group_encodes,
     assert encode_report(forked) == encode_report(serial)
 
 
-@pytest.mark.parametrize("groups, cpus", [(3, 1), (1, 2)],
-                         ids=["one-cpu", "one-group"])
+@pytest.mark.parametrize("groups, cpus", [(3, 1)], ids=["one-cpu"])
 def test_one_worker_encodes_without_forking(group_encodes, monkeypatch,
                                             groups, cpus):
     def no_fork():
@@ -1224,6 +1224,187 @@ def test_live_thread_encodes_without_forking(group_encodes, monkeypatch):
         thread.join()
     assert not forks
     assert encode_report(result) == encode_report(serial)
+
+
+def test_one_group_encode_forks_one_rate_worker_per_model(group_encodes,
+                                                          monkeypatch):
+    # no second group for the second core: each model's training steps
+    # score their rate term in a forked worker, one per model
+    video, plan, cfg, serial = group_encodes[1]
+    assert plan.gom_count == 1 and plan.gop_count == 4
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    forked = encode_video(video, plan, small_config(), cfg,
+                          keep_reference=True)
+    assert len(forks) == plan.gop_count
+    assert_no_child_left()
+    assert encode_report(forked) == encode_report(serial)
+
+
+def test_live_thread_one_group_encode_forks_no_rate_worker(group_encodes,
+                                                           monkeypatch):
+    video, plan, cfg, serial = group_encodes[1]
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        result = encode_video(video, plan, small_config(), cfg,
+                              keep_reference=True)
+    finally:
+        done.set()
+        thread.join()
+    assert not forks
+    assert encode_report(result) == encode_report(serial)
+
+
+# ------------------------------------------------------ the rate worker
+
+RATE_SEED = 21
+
+
+def _train_one(cpus, monkeypatch, cfg=None):
+    """A 3-frame I model trained with ``cpus`` usable CPUs; returns every
+    field of its :class:`TrainedModel` as bytes or plain values, and the
+    number of forks."""
+    config = small_config()
+    video = synth_video("moving-blob", 16, 16, 3, velocity=1.0, seed=8)
+    set_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    trained = train_model("I", video.normalized(np.float32),
+                          init_random(config, 2), config,
+                          cfg or quick_cfg(epochs_i=2), RATE_SEED)
+    assert_no_child_left()
+    fields = (trained.theta_star.to_bytes(),
+              [sym.tobytes() for sym in trained.symbols],
+              trained.scale.tobytes(), trained.mu.tobytes(),
+              trained.sd.tobytes(), trained.epoch_logs)
+    return fields, len(forks)
+
+
+def _step_noise(step: int) -> np.ndarray:
+    """The noise of training step ``step`` (counted over all epochs) of
+    :func:`_train_one`: what tells one step from another in every
+    process."""
+    rng = make_rng(RATE_SEED, STREAM_NOISE)
+    size = sum(spec.count for spec in param_layout(small_config()))
+    for _ in range(step):
+        rng.uniform(-0.5, 0.5, size=size)
+    return rng.uniform(-0.5, 0.5, size=size)
+
+
+def _at_step(step: int, act):
+    """A ``rate_bits_train`` that runs ``act(bits)`` at training step
+    ``step``, in whichever process scores it, and returns its result."""
+    target, rate_bits = _step_noise(step), pipeline.rate_bits_train
+
+    def rate(flat, noise, mu, sd, sizes):
+        bits = rate_bits(flat, noise, mu, sd, sizes)
+        return act(bits) if np.array_equal(noise, target) else bits
+
+    return rate
+
+
+def test_rate_worker_trains_the_serial_model(monkeypatch):
+    serial, forks = _train_one(1, monkeypatch)
+    assert forks == 0
+    forked, forks = _train_one(2, monkeypatch)
+    assert forks == 1
+    assert forked == serial  # the epoch logs' loss_r and loss_d too
+
+
+def test_model_without_steps_forks_no_rate_worker(monkeypatch):
+    fields, forks = _train_one(2, monkeypatch, quick_cfg(epochs_i=0))
+    assert forks == 0 and fields[-1] == []
+
+
+@pytest.mark.parametrize("step", [0, 3, 5])
+@pytest.mark.parametrize("how", ["exit", "cut"])
+def test_rate_worker_that_ends_hands_its_steps_back(monkeypatch, how, step):
+    # the worker ends before its reply to ``step``, or cuts it short; that
+    # step and every later one are scored here, to the same bits
+    serial, _ = _train_one(1, monkeypatch)
+    if how == "cut":
+        monkeypatch.setattr(pipeline, "_send", _cut_send(step))
+    else:
+        parent = os.getpid()
+
+        def leave(bits):
+            if os.getpid() != parent:
+                os._exit(1)
+            return bits
+
+        monkeypatch.setattr(pipeline, "rate_bits_train", _at_step(step, leave))
+    forked, forks = _train_one(2, monkeypatch)
+    assert forks == 1
+    assert forked == serial
+
+
+def _overflow(bits):
+    return np.float32(3e38) * np.float32(10.0)  # a RuntimeWarning here
+
+
+def _fail_rate(bits):
+    raise ValueError("rate term failed")
+
+
+def _non_finite(bits):
+    return ops.add(bits, np.float32(np.inf))
+
+
+@pytest.mark.parametrize("act, error", [
+    (_fail_rate, ValueError), (_overflow, RuntimeWarning),
+    (_non_finite, NumericError)], ids=["raises", "warns", "non-finite"])
+@pytest.mark.parametrize("step", [0, 4])
+def test_rate_worker_raises_the_serial_error(monkeypatch, act, error, step):
+    # pyproject.toml turns RuntimeWarning into an error, in the worker too;
+    # a non-finite rate makes the loss diverge at that step
+    monkeypatch.setattr(pipeline, "rate_bits_train", _at_step(step, act))
+    raised = []
+    for cpus in (1, 2):
+        with pytest.raises(error) as info:
+            _train_one(cpus, monkeypatch)
+        assert_no_child_left()
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    if error is NumericError:
+        assert raised[0][1] == f"loss diverged at epoch {step // 3} " \
+            f"step {step % 3}"
+
+
+def test_network_error_waits_for_the_rate_term(monkeypatch):
+    # the serial step scores its rate term before the network renders, so
+    # a rate term that fails comes first though the worker's reply comes
+    # after the network's own error
+    monkeypatch.setattr(pipeline, "rate_bits_train", _at_step(2, _fail_rate))
+    forward = pipeline.forward_clip
+    seen = []
+
+    def overflowing(config, params, t_norms):
+        if len(seen) == 2:
+            raise NumericError("network overflow")
+        seen.append(1)
+        return forward(config, params, t_norms)
+
+    monkeypatch.setattr(pipeline, "forward_clip", overflowing)
+    for cpus in (1, 2):
+        seen.clear()
+        with pytest.raises(ValueError, match="rate term failed"):
+            _train_one(cpus, monkeypatch)
+        assert_no_child_left()
+
+
+def test_rate_worker_leaves_when_its_parent_closes_the_pipe():
+    # the worker keeps no write end of its own request pipe, so a parent
+    # that dies, and so closes its end, leaves it an empty pipe: it exits
+    with pipeline._children() as spawn:
+        replies, requests = pipeline._RateWorker(
+            spawn, init_random(small_config(), 0)).pipes
+        requests.close()
+        ready, _, _ = select.select([replies], [], [], 60)
+        assert ready and replies.read() == b""
+    assert_no_child_left()
 
 
 PAYLOAD_EDITS = ("flip", "truncate", "extend")
