@@ -359,17 +359,13 @@ class BitstreamReader:
         return (self.header.offsets[index],
                 self.header.records[index].payload_len)
 
+    def raw_payload(self, index: int) -> bytes:
+        """Model ``index``'s payload bytes as read, unchecked: the bytes
+        :func:`check_payload` takes."""
+        return self._read_exact(*self.payload_range(index))
+
     def read_payload(self, index: int) -> bytes:
-        offset, length = self.payload_range(index)
-        payload = self._read_exact(offset, length)
-        if len(payload) != length:
-            raise BitstreamError(f"model {index}: truncated payload",
-                                 offset=offset + len(payload))
-        rec = self.header.records[index]
-        if zlib.crc32(payload) != rec.payload_crc:
-            raise BitstreamError(f"model {rec.index}: payload CRC mismatch",
-                                 offset=offset)
-        return payload
+        return check_payload(self.header, index, self.raw_payload(index))
 
     def check_complete(self) -> None:
         """Refuse a stream shorter than its header declares; a whole-stream
@@ -378,6 +374,20 @@ class BitstreamReader:
         if size < end:
             raise BitstreamError(f"stream shorter than declared: {size} "
                                  f"< {end}", offset=size)
+
+
+def check_payload(header: BitstreamHeader, index: int,
+                  payload: bytes) -> bytes:
+    """``payload``, the bytes read for model ``index`` of ``header``'s
+    stream, once its length and CRC check out."""
+    offset, rec = header.offsets[index], header.records[index]
+    if len(payload) != rec.payload_len:
+        raise BitstreamError(f"model {index}: truncated payload",
+                             offset=offset + len(payload))
+    if zlib.crc32(payload) != rec.payload_crc:
+        raise BitstreamError(f"model {rec.index}: payload CRC mismatch",
+                             offset=offset)
+    return payload
 
 
 def dump_header_text(header: BitstreamHeader) -> str:

@@ -11,28 +11,33 @@ model and the decoder reads it from the stream, and each renders every
 model's clip from the final parameters the walk yields into the group's
 frames, so the encoder scores the frames a decoder gives.
 
-Work fans out over the CPUs this process may use, two processes at most,
-where worker 0 is the calling process and each other is a forked child
-that pickles its results back down a pipe.  A whole-video encode or
-decode of two or more groups makes the group the unit: group ``i`` runs
-on worker ``i mod w``, so the work holds up to ``w`` groups at once, one
-per process.  Decoding one group of two or more models (``decode_gom``,
-or a one-group video) splits its warm-start chain at the middle model:
-each model's payload is its own range-coded stream, so a child decodes
-and walks the first half and hands the chain's state at the middle to
-this process, which has decoded the second half's payloads meanwhile and
-walks on from there; each process renders its own half's clips.  The two
-never nest: a fan-out started inside a live one, in a forked child or in
-a parent whose children are alive, runs serially.  The encoder's models
-stay serial, since a P model trains from its predecessor, but a step's
-rate term may run on the second core: where no fan-out is live, as in a
-one-group encode, each model forks one rate worker.  Each training step
-sends it the scaled residual and the noise, and it scores their rate and
-its gradient while this process renders the frame and walks the network
-backward, which reads the reply only where it reaches the rate term.  One
-CPU (``taskset -c 0``), one unit, another live Python thread, or a host
-with no process or descriptor to spare gives the serial walk, and a
-worker that fails or dies hands its steps back to this process.
+Work uses a second CPU, where this process may use one, through one
+worker process: this module forks it at the first task that can use it
+and keeps it until the interpreter exits, and each use hands it a task
+by value down a pipe, which it answers with pickled messages on another.
+A whole-video encode or decode of two or more groups makes the group the
+unit: the worker runs the odd groups, sent their frames or their header
+and payload bytes, while this process runs the even ones.  Decoding one
+group of two or more models (``decode_gom``, or a one-group video) splits
+its warm-start chain at the middle model: each model's payload is its
+own range-coded stream, so the worker, sent the header and the first
+half's payload bytes, decodes and walks that half and hands the chain's
+state at the middle to this process, which has decoded the second half's
+payloads meanwhile and walks on from there; each process renders its own
+half's clips.  The encoder's models stay serial, since a P model trains
+from its predecessor, but in a one-group encode each model's rate term
+is a task: each training step sends the worker the scaled residual, it
+draws the step's noise from the model's own stream and scores the rate
+and its gradient while this process renders the frame and walks the
+network backward, which reads the reply only where it reaches the rate
+term.  Tasks never nest: work started while one is in flight, or in the
+worker, runs serially.  One CPU (``taskset -c 0``), one unit, another
+live Python thread, or a host with no process or descriptor to spare
+gives the serial walk.  A task that fails, or a worker that dies, hands
+its work back to this process, which so raises the serial walk's error,
+and the worker ends; so does a task abandoned before its last message.
+The next task forks afresh.  A process this one forks forgets the
+worker.
 
 Training follows a strict quantization-aware regime: every step renders
 with the warm start plus the straight-through-rounded residual, so the
@@ -44,6 +49,7 @@ into the header at the end.
 
 from __future__ import annotations
 
+import atexit
 import os
 import pickle
 import signal
@@ -51,7 +57,7 @@ import threading
 import time
 import zlib
 from contextlib import closing, contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,7 +66,7 @@ from .backbone import (BackboneConfig, config_to_text, forward_clip,
                        frame_timestamps, init_random, param_layout)
 # partition is also this module's, for callers that plan an encode
 from .bitstream import (BitstreamReader, ModelRecord, PartitionPlan, ROLE_I,
-                        partition, write_bitstream)
+                        check_payload, partition, write_bitstream)
 from .coder import build_models, decode_symbols, encode_symbols
 from .errors import BitstreamError, ConfigError, NumericError
 from .optim import adam_init, adam_step, lr_at
@@ -199,6 +205,14 @@ def _rate_node(unit: Tensor, noise: np.ndarray, sizes, worker):
     return rate, stats
 
 
+def _step_noise(rng, size: int) -> np.ndarray:
+    """One training step's uniform(-1/2, 1/2) rate noise, every layer's in
+    layout order, as both the training loop and the rate worker draw it.
+    PCG64 spends one word per double, so one draw for all layers equals
+    one draw per layer, joined."""
+    return rng.uniform(-0.5, 0.5, size=size)
+
+
 @dataclass
 class TrainedModel:
     theta_star: ParamVector          # lattice-snapped final parameters
@@ -249,6 +263,8 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
                           dtype=np.float32), requires_grad=True))
     opt_theta = adam_init(theta_star)
     opt_scales = adam_init(log_scales)
+    # the rate worker draws the same noise; this draw replays its steps
+    # where it ends
     noise_rng = make_rng(seed, STREAM_NOISE)
 
     targets = frames.transpose(0, 2, 3, 1).astype(np.float32)
@@ -258,15 +274,13 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
     def diverged(epoch, step):
         return NumericError(f"loss diverged at epoch {epoch} step {step}")
 
-    with _rate_worker(init, epochs * len(frames)) as worker:
+    with _rate_worker(init, epochs * len(frames), seed) as worker:
         for epoch in range(epochs):
             lr = lr_at(epoch, epochs, base_lr)
             rate_sum = 0.0
             mse_sum = 0.0
             for step in range(len(frames)):
-                # PCG64 spends one word per double, so one draw for all
-                # layers equals one draw per layer, joined
-                noise = noise_rng.uniform(-0.5, 0.5, size=init.flat.size)
+                noise = _step_noise(noise_rng, init.flat.size)
                 try:
                     with Tape() as tape:
                         loss, rate, mse, _ = training_step_loss(
@@ -445,125 +459,193 @@ def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
     return rendered, mse, rows
 
 
-# the most processes one encode or decode runs on; two is what has been
-# measured (docs/resources.md), and each child adds its own dirty memory
-_MAX_GROUP_WORKERS = 2
+class _Worker:
+    """This process's handle on the worker: its pid, the pipe this process
+    sends it tasks and requests down, and the pipe its messages come up."""
 
-# true while this process runs a fan-out that forks, and in each child it
-# forks: a fan-out started then runs serially, so groups and the models of
-# one group never fan out at once
-_fanned_out = False
+    def __init__(self, pid: int, requests, replies):
+        self.pid, self.requests, self.replies = pid, requests, replies
+
+    def close(self) -> None:
+        """Close this process's ends of the worker's pipes."""
+        for end in (self.requests, self.replies):
+            with suppress(OSError):  # a request end cannot flush to the dead
+                end.close()
 
 
-def _workers(count: int) -> int:
-    """Processes that run ``count`` units of work (groups, the models of
-    one group, or the network and the rate term of a training step): one
-    per CPU this process may use, at most one per unit and at most
-    ``_MAX_GROUP_WORKERS``.  A fork copies only the calling thread, so
-    there is one while another Python thread is alive, one inside a live
-    fan-out, and one where the OS has no ``fork`` or no
-    ``sched_getaffinity``."""
-    if (_fanned_out or not hasattr(os, "fork")
+# the worker, forked at the first task and kept until this interpreter
+# exits, or None where there is none (yet, or since it ended)
+_worker = None
+
+# true while a task is in flight, and for good in the worker: work started
+# then runs in this process, so tasks never nest and the worker never uses
+# a worker
+_busy = False
+
+
+def _second_core(units: int) -> bool:
+    """Whether ``units`` units of work (groups, the two halves of a group,
+    or the network and the rate term of a training step) share the work
+    with the worker: two or more units, a second CPU this process may use
+    and no task in flight.  A fork copies only the calling thread, so not
+    while another Python thread is alive, nor where the OS has no ``fork``
+    or no ``sched_getaffinity``."""
+    if (_busy or units < 2 or not hasattr(os, "fork")
             or threading.active_count() > 1):
-        return 1
+        return False
     affinity = getattr(os, "sched_getaffinity", lambda pid: {0})
-    return min(count, len(affinity(0)), _MAX_GROUP_WORKERS)
+    return len(affinity(0)) > 1
 
 
-# a child's one send, a module name so that a test can cut it short
+# the worker's one send, a module name so that a test can cut it short
 def _send(out, result) -> None:
     pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
     out.flush()  # not held back in the buffer until the next send
 
 
-def _serve(messages, fd: int, inherited, requests=None) -> None:
-    """A forked worker: pickle each item of the iterable ``messages`` to
-    ``fd`` in order, stopping at the first error, which the parent meets
-    again when it does that work itself; given the descriptor
-    ``requests``, the items of ``messages(its reader)``.  It closes the
-    pipe ends it ``inherited``, so that a parent that dies leaves it a
-    broken pipe or an empty one, never a full or open one, and it leaves
-    by ``os._exit``, so no buffer or handler of the parent runs twice."""
+def _run_task(requests, replies) -> None:
+    """Read one task, ``(function, args)``, from ``requests`` and send
+    each message of ``function(requests, *args)`` to ``replies``; a call
+    of its own, so that the worker keeps nothing of a task while idle."""
+    function, args = pickle.load(requests)
+    for message in function(requests, *args):
+        _send(replies, message)
+
+
+def _serve(requests: int, replies: int) -> None:
+    """The worker: run each task read from the descriptor ``requests`` in
+    turn, sending its messages to ``replies``.  The first error ends it,
+    and the parent meets it again when it does that work itself; so does
+    the parent closing its end or dying.  It leaves by ``os._exit``, so no
+    buffer or handler of the parent runs twice."""
+    global _busy
+    _busy = True
     try:
-        for pipe in inherited:
-            pipe.close()
-        if requests is not None:
-            messages = messages(os.fdopen(requests, "rb"))
-        with os.fdopen(fd, "wb") as out:
-            for message in messages:
-                _send(out, message)
+        requests, replies = os.fdopen(requests, "rb"), os.fdopen(replies, "wb")
+        while True:
+            _run_task(requests, replies)
     finally:
         os._exit(0)
 
 
-def _receive(pipe, otherwise):
-    """The next message a child sent down ``pipe``, or ``otherwise()``
-    where there is no child or it ended before it sent the message in
-    full (a short or empty pickle)."""
-    if pipe is not None:
-        with suppress(EOFError, pickle.UnpicklingError):
-            return pickle.load(pipe)
-    return otherwise()
+def _start_worker():
+    """Fork the worker; its :class:`_Worker`, or None where no descriptor
+    or process is to spare."""
+    # numpy loads numpy.random on first use; a worker that draws an init
+    # would otherwise load it on its own critical path
+    import numpy.random  # noqa: F401
+    # the requests pipe (read, write), then the replies pipe; this process
+    # keeps the requests' write end and the replies' read end
+    fds = []
+    try:
+        for _ in range(2):
+            fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:
+        os.close(fds[1])
+        os.close(fds[2])
+        _serve(fds[0], fds[3])
+    os.close(fds[0])
+    os.close(fds[3])
+    return _Worker(pid, os.fdopen(fds[1], "wb"), os.fdopen(fds[2], "rb"))
+
+
+def _stop_worker() -> None:
+    """Kill and reap the worker, if there is one: at exit, and where a
+    task ended by an error, before all its messages were read or with the
+    worker gone."""
+    global _worker
+    worker, _worker = _worker, None
+    if worker is None:
+        return
+    # gone already where SIGCHLD is ignored, which reaps children
+    with suppress(ProcessLookupError, ChildProcessError):
+        os.kill(worker.pid, signal.SIGKILL)
+        os.waitpid(worker.pid, 0)
+    worker.close()
+
+
+def _forget_worker() -> None:
+    """In a forked child: drop this process's copies of its parent's
+    worker pipes, without a word to that worker, which stays the
+    parent's."""
+    global _worker, _busy
+    worker, _worker, _busy = _worker, None, False
+    if worker is not None:
+        worker.close()
+
+
+atexit.register(_stop_worker)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+class _Tasks:
+    """This process's tasks in the worker: :meth:`post` hands it one,
+    :meth:`receive` reads their messages in order and :meth:`send` writes
+    a task raw request bytes.  Where there is no worker, or it ended,
+    every later post and send is refused and every receive is the
+    caller's own result."""
+
+    def __init__(self, worker):
+        self.worker, self.left = worker, 0  # left: messages not yet read
+
+    def send(self, data) -> bool:
+        """Write ``data`` to the worker; False where it has gone."""
+        if self.worker is not None:
+            try:
+                self.worker.requests.write(data)
+                self.worker.requests.flush()
+                return True
+            except OSError:
+                self.worker = None
+        return False
+
+    def post(self, messages: int, function, *args) -> None:
+        """Hand the worker the task ``function(its requests, *args)``,
+        which sends ``messages`` messages: ``function`` is a module-level
+        function, found by name in the worker, and ``args`` go by
+        value."""
+        self.left += messages
+        if self.worker is not None:
+            self.send(pickle.dumps((function, args), pickle.HIGHEST_PROTOCOL))
+
+    def receive(self, otherwise):
+        """The next message, or ``otherwise()`` where there is no worker or
+        it ended before it sent the message in full (a short or empty
+        pickle)."""
+        if self.worker is not None:
+            with suppress(EOFError, pickle.UnpicklingError):
+                message = pickle.load(self.worker.replies)
+                self.left -= 1
+                return message
+            self.worker = None
+        return otherwise()
 
 
 @contextmanager
-def _children():
-    """A fan-out's forks: yields ``spawn(messages)``, which forks a child
-    that sends each item of ``messages`` (see :func:`_serve`) and returns
-    the pipe to read them from, or ``None`` where no descriptor or process
-    is to spare.  ``spawn(messages, requests=True)`` also opens a pipe to
-    the child: the child sends each item of ``messages(its read end)``,
-    and spawn returns ``(pipe to read, pipe to write)``.  The fan-out is
-    live until the block ends, so a fan-out started in it, or in a child,
-    runs serially; then every child is killed and reaped."""
-    global _fanned_out
-    ends, pids = [], []  # this process's end of every pipe, to close
-
-    def spawn(messages, requests=False):
-        fds = []
-        try:
-            for _ in range(1 + requests):
-                fds += os.pipe()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            return None
-        # fds: the pipe from the child (read, write), then the one to it;
-        # this process keeps the first read end and the second write end,
-        # and every child closes them (see _serve)
-        mine = [os.fdopen(fds[0], "rb")]
-        if requests:
-            mine.append(os.fdopen(fds[3], "wb"))
-        ends.extend(mine)
-        try:
-            pid = os.fork()
-            if pid == 0:
-                _serve(messages, fds[1], ends, fds[2] if requests else None)
-            pids.append(pid)
-        except OSError:
-            return None
-        finally:
-            for fd in fds[1:3]:  # the child's ends
-                os.close(fd)
-        return tuple(mine) if requests else mine[0]
-
-    # numpy loads numpy.random on first use; a child that draws an init
-    # would otherwise load it on its own critical path, once per fork
-    import numpy.random  # noqa: F401
-    _fanned_out = True  # before any fork, so each child has it too
+def _tasks():
+    """Yield a :class:`_Tasks` for the worker, forking it first where
+    there is none.  Its tasks are in flight until the block ends.  A block
+    that ends by an error, or before it read every message, abandons
+    them: the worker is killed, not drained.  So is a worker that ended;
+    the next block then forks afresh."""
+    global _worker, _busy
+    if _worker is None:
+        _worker = _start_worker()
+    tasks = _Tasks(_worker)
+    _busy, kept = True, False
     try:
-        yield spawn
+        yield tasks
+        kept = tasks.worker is not None and tasks.left == 0
     finally:
-        for end in ends:
-            # a request end whose worker has gone cannot flush
-            with suppress(OSError):
-                end.close()
-        for pid in pids:
-            # gone already where SIGCHLD is ignored, which reaps children
-            with suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        _fanned_out = False
+        _busy = False
+        if not kept:
+            _stop_worker()
 
 
 def _rate_reply(unit: np.ndarray, noise: np.ndarray, sizes):
@@ -573,44 +655,39 @@ def _rate_reply(unit: np.ndarray, noise: np.ndarray, sizes):
     return bits, grad()
 
 
-def _rate_replies(requests, sizes, dtype):
-    """A rate worker's messages: for each request read from ``requests``,
-    one step's ``unit`` in ``dtype`` and its float64 noise as raw bytes,
-    its :func:`_rate_reply`.  They end when the parent closes its end, or
-    dies."""
+def _rate_replies(requests, sizes, dtype, seed: int, steps: int):
+    """The rate task of a model with ``steps`` training steps: for each
+    step, its ``unit`` in ``dtype`` read from ``requests`` as raw bytes,
+    and the step's noise drawn here from the model's own stream, as the
+    training loop draws it, give its :func:`_rate_reply`."""
     count = sum(sizes)
-    size = count * (np.dtype(dtype).itemsize + 8)
-    while len(request := requests.read(size)) == size:
-        unit = np.frombuffer(request, dtype, count)
-        noise = np.frombuffer(request, np.float64, count,
-                              offset=size - 8 * count)
-        yield _rate_reply(unit, noise, sizes)
+    size = count * np.dtype(dtype).itemsize
+    noise_rng = make_rng(seed, STREAM_NOISE)
+    for _ in range(steps):
+        request = requests.read(size)
+        if len(request) != size:  # the parent has gone
+            return
+        yield _rate_reply(np.frombuffer(request, dtype, count),
+                          _step_noise(noise_rng, count), sizes)
 
 
 class _RateWorker:
-    """A forked process that scores each training step's rate term
-    (:func:`_score_rate`) while this process renders and walks the network
-    backward.  :meth:`send` hands it one step, and :meth:`receive` reads
-    its reply, once per step.  A worker that could not start, failed or
-    died hands that step and every later one back to this process, which
-    so raises the serial step's error."""
+    """The worker's rate task for one model: it scores each training
+    step's rate term (:func:`_score_rate`) while this process renders and
+    walks the network backward.  :meth:`send` hands it one step, and
+    :meth:`receive` reads its reply, once per step.  A worker that failed
+    or died hands that step and every later one back to this process,
+    which so raises the serial step's error."""
 
-    def __init__(self, spawn, params: ParamVector):
-        self.sizes = params.sizes
-        self.pipes = spawn(lambda requests: _rate_replies(
-            requests, self.sizes, params.dtype), requests=True)
+    def __init__(self, tasks: _Tasks, sizes):
+        self.tasks, self.sizes = tasks, sizes
         self.pending = None
 
     def send(self, unit: np.ndarray, noise: np.ndarray) -> bool:
-        """Hand the worker one step; False where it has none to take it."""
-        if self.pipes is None:
-            return False
-        try:
-            self.pipes[1].write(unit)
-            self.pipes[1].write(noise)
-            self.pipes[1].flush()
-        except OSError:  # the worker has gone
-            self.pipes = None
+        """Hand the worker one step; False where it has none to take it.
+        It draws the same ``noise`` itself, which is kept here to score
+        the step where the worker ends."""
+        if not self.tasks.send(unit):
             return False
         self.pending = unit, noise
         return True
@@ -619,12 +696,8 @@ class _RateWorker:
         """The :func:`_rate_reply` to the step last sent, from the worker
         or, where it sent none in full, scored here."""
         (unit, noise), self.pending = self.pending, None
-
-        def here():
-            self.pipes = None
-            return _rate_reply(unit, noise, self.sizes)
-
-        return _receive(self.pipes[0], here)
+        return self.tasks.receive(
+            lambda: _rate_reply(unit, noise, self.sizes))
 
     def settle(self) -> None:
         """Read the reply of a step sent but not yet received."""
@@ -633,40 +706,50 @@ class _RateWorker:
 
 
 @contextmanager
-def _rate_worker(params: ParamVector, steps: int):
-    """A :class:`_RateWorker` for training ``params``, or None where there
-    are no ``steps`` or no second core to run it (:func:`_workers`); it is
-    killed and reaped when the block ends."""
-    if steps == 0 or _workers(2) == 1:
+def _rate_worker(params: ParamVector, steps: int, seed: int):
+    """A :class:`_RateWorker` for ``steps`` training steps of ``params``
+    at the model seed ``seed``, or None where there are no steps or no
+    second core (:func:`_second_core`)."""
+    if steps == 0 or not _second_core(2):
         yield None
         return
-    with _children() as spawn:
-        yield _RateWorker(spawn, params)
+    with _tasks() as tasks:
+        tasks.post(steps, _rate_replies, params.sizes, params.dtype, seed,
+                   steps)
+        yield _RateWorker(tasks, params.sizes)
 
 
-def _fan_out(count: int, run):
-    """``run(index)`` of every unit in ``range(count)``, yielded in order,
-    on :func:`_workers` processes; unit ``i`` runs on worker
-    ``i % workers``.  This process is worker 0 and runs its units as they
-    are asked for; each other worker is a forked child that runs its units
-    at once and pickles their results down a pipe.  A unit the child ended
-    before it sent in full, and every unit whose child could not be
-    started, runs here, so a failing unit raises the serial walk's error
-    here.  One worker forks nothing.  However the walk ends, every child
-    is killed and reaped."""
-    workers = _workers(count)
-    if workers == 1:
+def _fan_out(count: int, run, task):
+    """``run(index)`` of every unit in ``range(count)``, yielded in order.
+    With a second core (:func:`_second_core`) the worker runs the odd
+    units, each posted as ``task(index)``, the ``(function, *args)`` of a
+    task whose one message is the unit's result, before this process runs
+    the even unit ahead of it.  This process runs the even units as they
+    are asked for, and any unit the worker did not send in full, so a
+    failing unit raises the serial walk's error here."""
+    if not _second_core(count):
         yield from map(run, range(count))
         return
-    with _children() as spawn:
-        pipes = [None]
-        for worker in range(1, workers):
-            pipes.append(spawn(run(index)
-                               for index in range(worker, count, workers)))
+    with _tasks() as tasks:
         for index in range(count):
-            # not bound here, so that only the caller holds a unit past
-            # its yield
-            yield _receive(pipes[index % workers], lambda: run(index))
+            if index % 2:
+                # not bound here, so that only the caller holds a unit
+                # past its yield
+                yield tasks.receive(lambda: run(index))
+                continue
+            if index + 1 < count and tasks.worker is not None:
+                tasks.post(1, *task(index + 1))
+            yield run(index)
+
+
+def _encode_group(requests, frames: np.ndarray, plan: PartitionPlan,
+                  config: BackboneConfig, cfg: TrainConfig, index: int,
+                  keep_reference: bool):
+    """The task of one group of an encode: :func:`_encode_gom` of its
+    ``frames``, the rendered frames dropped unless ``keep_reference``
+    asks for them."""
+    rendered, mse, rows = _encode_gom(frames, plan, config, cfg, index)
+    yield rendered if keep_reference else None, mse, rows
 
 
 def encode_video(video: RawVideo, plan: PartitionPlan,
@@ -674,7 +757,7 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
                  keep_reference: bool = False) -> EncodeResult:
     """Run the full encoder; returns the bitstream plus a report.
 
-    The model groups are encoded on up to two processes (see the module
+    The model groups are encoded on two processes (see the module
     docstring).  The bytes equal a serial encode's, and a failing group
     raises the serial encode's error.  Each group is scored as it comes
     back; only its frames' squared errors are kept, and its frames too
@@ -690,14 +773,19 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
                           f"video is {video.height}x{video.width}")
     wall_start = time.perf_counter()
 
-    def run(index):
-        rendered, mse, rows = _encode_gom(
-            video.frames[slice(*plan.gom_frame_range(index))], plan, config,
-            cfg, index)
-        return rendered if keep_reference else None, mse, rows
+    def frames(index):
+        return video.frames[slice(*plan.gom_frame_range(index))]
+
+    def task(index):
+        return (_encode_group, frames(index), plan, config, cfg, index,
+                keep_reference)
+
+    def run(index):  # the worker's task for the group, run here
+        function, *args = task(index)
+        return next(function(None, *args))
 
     rows, mses, clips = [], [], []
-    with closing(_fan_out(plan.gom_count, run)) as groups:
+    with closing(_fan_out(plan.gom_count, run, task)) as groups:
         for rendered, mse, group_rows in groups:
             rows += group_rows
             mses.append(mse)
@@ -734,45 +822,60 @@ def render_video(config: BackboneConfig, params: ParamVector,
             start = stop
 
 
-def decode_gom(reader: BitstreamReader,
-               gom_index: int) -> tuple[RawVideo, tuple[int, int]]:
-    """Decode one group via random access; reads only its payload range.
+class _Payloads:
+    """What a worker's decode of some ``models`` reads of a stream, sent
+    to it by value: the header, its records and payload offsets cut to
+    those models (each keyed by model index, so that what a task carries
+    does not grow with the stream), and their payload bytes as ``reader``
+    read them, which :meth:`read_payload` checks as
+    :meth:`BitstreamReader.read_payload` does."""
 
-    A group of two or more models splits at its middle model over two
-    processes (see the module docstring).  A forked child takes the first
-    half: it range-decodes and walks its models, pickles the chain's state
-    at the boundary (the last model's final parameters and random init)
-    down a pipe, then renders its clips and sends their frames.  This
-    process meanwhile range-decodes the second half's payloads, continues
-    the chain from the child's state, rendering each clip as the walk
-    reaches it, and last copies in the child's frames.  A half the child
-    did not finish runs here.  Inside a whole-video decode that already
-    runs groups on two processes, the models decode serially.  The frames,
-    and the error of a bad model, are the serial walk's.
-    """
-    header = reader.header
-    config, plan = header.config, header.plan
-    if not 0 <= gom_index < plan.gom_count:
-        raise ConfigError(f"gom index {gom_index} outside "
-                          f"[0, {plan.gom_count})")
-    first, end = plan.goms[gom_index]
-    middle = first + (end - first) // 2
-    offset = plan.gom_frame_range(gom_index)[0]
-    split = plan.gops[middle][0] - offset  # the second half's first frame
-    frames = _gom_frames(config, plan, gom_index)
-    sizes = [spec.count for spec in param_layout(config)]
-    decoded = {}  # symbols of the second half, decoded ahead of its walk
+    def __init__(self, reader: BitstreamReader, models):
+        header = reader.header
+        records = {}
+        for index in models:
+            # arrays copied: pickling an array keeps a note of its buffer
+            # as long as the array lives, and the reader's records live
+            # as long as the whole decode
+            rec = header.records[index]
+            records[index] = replace(rec, scale=rec.scale.copy(),
+                                     mu=rec.mu.copy(), sd=rec.sd.copy(),
+                                     bound=rec.bound.copy())
+        self.header = replace(
+            header, records=records,
+            offsets={index: header.offsets[index] for index in models})
+        self.raw = {index: reader.raw_payload(index) for index in models}
 
-    def symbols_of(gop_index):
-        rec = header.records[gop_index]
-        return decode_symbols(reader.read_payload(gop_index),
-                              build_models(rec.mu, rec.sd, rec.bound), sizes)
+    def read_payload(self, index: int) -> bytes:
+        return check_payload(self.header, index, self.raw[index])
 
-    def finish(gop_index, role, epsilon, theta_prime):
-        rec = header.records[gop_index]
-        symbols = decoded.pop(gop_index, None)
+
+class _GroupDecode:
+    """The decode of group ``gom_index`` from ``reader`` (a
+    :class:`BitstreamReader`, or the :class:`_Payloads` a worker gets):
+    the group's frame buffer, and walks of its warm-start chain that
+    render each clip into it."""
+
+    def __init__(self, reader, gom_index: int):
+        self.reader, self.gom_index = reader, gom_index
+        self.header = reader.header
+        self.config, self.plan = self.header.config, self.header.plan
+        self.offset = self.plan.gom_frame_range(gom_index)[0]
+        self.frames = _gom_frames(self.config, self.plan, gom_index)
+        self.sizes = [spec.count for spec in param_layout(self.config)]
+        self.decoded = {}  # symbols of models decoded ahead of the walk
+
+    def symbols_of(self, gop_index: int):
+        rec = self.header.records[gop_index]
+        return decode_symbols(self.reader.read_payload(gop_index),
+                              build_models(rec.mu, rec.sd, rec.bound),
+                              self.sizes)
+
+    def _finish(self, gop_index, role, epsilon, theta_prime):
+        rec = self.header.records[gop_index]
+        symbols = self.decoded.pop(gop_index, None)
         if symbols is None:
-            symbols = symbols_of(gop_index)
+            symbols = self.symbols_of(gop_index)
         with np.errstate(over="ignore"):  # refused just below
             theta = apply_residual(theta_prime, symbols, rec.scale)
         del symbols
@@ -781,91 +884,147 @@ def decode_gom(reader: BitstreamReader,
                                  f"overflow the parameters")
         return theta, None
 
-    def walk(models, state=(None, None)):
-        return _walk_gom(config, header.seed, plan, gom_index,
-                         lambda gop_index: header.records[gop_index].epsilon,
-                         finish, models, state)
+    def walk(self, models, state=(None, None)):
+        return _walk_gom(self.config, self.header.seed, self.plan,
+                         self.gom_index,
+                         lambda gop_index: self.header.records[
+                             gop_index].epsilon,
+                         self._finish, models, state)
 
-    def here(models, state=(None, None)):
+    def render(self, gop_index: int, params: ParamVector) -> None:
+        _render_clip(self.config, self.plan, gop_index, params, self.frames,
+                     self.offset)
+
+    def here(self, models, state=(None, None)):
         """Walk ``models`` and render each clip as the walk reaches it, the
         serial order; returns the chain's state after the last model."""
-        for gop_index, state, _ in walk(models, state):
-            _render_clip(config, plan, gop_index, state[1], frames, offset)
+        for gop_index, state, _ in self.walk(models, state):
+            self.render(gop_index, state[1])
         return state
 
-    def first_half():
-        """The child's messages: the chain's state at the middle, then
-        the frames of the first half's clips."""
-        thetas = []
-        for _, state, _ in walk((first, middle)):
-            thetas.append(state[1])
-        yield state
-        for gop_index, theta in zip(range(first, middle), thetas):
-            _render_clip(config, plan, gop_index, theta, frames, offset)
-        yield frames[:split]
 
-    def copy_first_half(pipe):
-        """The first half's frames from the child at ``pipe``, or, where
-        it sent none, walked and rendered here, which raises the half's
-        first error."""
-        if pipe is None:  # rendered here already
-            return
-        sent = _receive(pipe, lambda: None)
-        if sent is None:
-            here((first, middle))
-        else:
-            frames[:split] = sent
+def _first_half(requests, reader, gom_index: int, middle: int):
+    """The worker's half of a split group decode: the chain's state at
+    model ``middle`` (the last model's final parameters and random init),
+    then the frames of the clips before it, rendered once the state is
+    sent."""
+    group = _GroupDecode(reader, gom_index)
+    first = group.plan.goms[gom_index][0]
+    thetas = []
+    for _, state, _ in group.walk((first, middle)):
+        thetas.append(state[1])
+    yield state
+    for gop_index, theta in zip(range(first, middle), thetas):
+        group.render(gop_index, theta)
+    yield group.frames[:group.plan.gops[middle][0] - group.offset]
 
+
+def _decode_split(group: _GroupDecode, middle: int) -> None:
+    """Decode ``group``, its first half in the worker (:func:`_first_half`)
+    and the rest here; the frames, and the error of a bad model, are the
+    serial walk's."""
+    first, end = group.plan.goms[group.gom_index]
+    split = group.plan.gops[middle][0] - group.offset
+    with _tasks() as tasks:
+        tasks.post(2, _first_half,
+                   _Payloads(group.reader, range(first, middle)),
+                   group.gom_index, middle)
+        for gop_index in range(middle, end):
+            try:
+                group.decoded[gop_index] = group.symbols_of(gop_index)
+            except Exception:  # met again where the walk gets to it
+                break
+        state = tasks.receive(lambda: None)
+        handed = state is not None
+        if not handed:  # the worker ended before its handover
+            state = group.here((first, middle))
+
+        def copy_first_half():
+            """The first half's frames from the worker, or, where it sent
+            none, walked and rendered here, which raises the half's first
+            error."""
+            if not handed:  # rendered here already
+                return
+            sent = tasks.receive(lambda: None)
+            if sent is None:
+                group.here((first, middle))
+            else:
+                group.frames[:split] = sent
+
+        try:
+            group.here((middle, end), state)
+        except Exception:
+            # the first half comes first in the serial order, so an error
+            # of its replaces this one
+            copy_first_half()
+            raise
+        copy_first_half()
+
+
+def decode_gom(reader: BitstreamReader,
+               gom_index: int) -> tuple[RawVideo, tuple[int, int]]:
+    """Decode one group via random access; reads only its payload range.
+
+    A group of two or more models splits at its middle model over two
+    processes (see the module docstring).  The worker takes the first
+    half: it range-decodes and walks its models, sends the chain's state
+    at the boundary (the last model's final parameters and random init),
+    then renders its clips and sends their frames.  This process meanwhile
+    range-decodes the second half's payloads, continues the chain from the
+    worker's state, rendering each clip as the walk reaches it, and last
+    copies in the worker's frames.  A half the worker did not finish runs
+    here.  While the worker decodes other groups of a whole-video decode,
+    the models decode serially.  The frames, and the error of a bad model,
+    are the serial walk's.
+    """
+    plan = reader.header.plan
+    if not 0 <= gom_index < plan.gom_count:
+        raise ConfigError(f"gom index {gom_index} outside "
+                          f"[0, {plan.gom_count})")
+    first, end = plan.goms[gom_index]
+    group = _GroupDecode(reader, gom_index)
     try:
-        if _workers(end - first) == 1:
-            here((first, end))
+        if _second_core(end - first):
+            _decode_split(group, first + (end - first) // 2)
         else:
-            with _children() as spawn:
-                pipe = spawn(first_half())
-                for gop_index in range(middle, end):
-                    try:
-                        decoded[gop_index] = symbols_of(gop_index)
-                    except Exception:  # met again where the walk gets to it
-                        break
-                state = _receive(pipe, lambda: None)
-                if state is None:  # the child ended before its handover
-                    state, pipe = here((first, middle)), None
-                try:
-                    here((middle, end), state)
-                except Exception:
-                    # the first half comes first in the serial order, so
-                    # an error of its replaces this one
-                    copy_first_half(pipe)
-                    raise
-                copy_first_half(pipe)
+            group.here((first, end))
     except NumericError as exc:  # only the render raises it here
         raise BitstreamError(str(exc)) from None
-    return (RawVideo(width=header.width, height=header.height,
-                     frames=frames), plan.gom_frame_range(gom_index))
+    return (RawVideo(width=reader.header.width, height=reader.header.height,
+                     frames=group.frames), plan.gom_frame_range(gom_index))
+
+
+def _decode_group(requests, reader, index: int):
+    """The task of one group of a whole-video decode: :func:`decode_gom`
+    of group ``index`` from the :class:`_Payloads` ``reader``."""
+    yield decode_gom(reader, index)
 
 
 def _decode_groups(reader: BitstreamReader, gom_index: int | None = None):
     """:func:`decode_gom` of one group, or of every group in order, run
     lazily.  Every group is the whole stream, so the call itself first
     refuses a stream shorter than its header declares, and the groups, or
-    a one-group stream's models, run on up to two processes (see the
-    module docstring); close the iterator when done with it, so that no
-    worker outlives it."""
+    a one-group stream's models, run on two processes (see the module
+    docstring); close the iterator when done with it, so that an abandoned
+    task ends the worker."""
     if gom_index is not None:
         return (decode_gom(reader, index) for index in [gom_index])
     reader.check_complete()
-    return _fan_out(reader.header.plan.gom_count,
-                    lambda index: decode_gom(reader, index))
+    plan = reader.header.plan
+    return _fan_out(
+        plan.gom_count, lambda index: decode_gom(reader, index),
+        lambda index: (_decode_group,
+                       _Payloads(reader, range(*plan.goms[index])), index))
 
 
 def decode_video(data: bytes) -> RawVideo:
     """Reconstruct the full video from bitstream bytes (pure function).
 
-    The groups decode in parallel, on up to two worker processes, or, in
-    a one-group stream, the models do (see the module docstring); each
-    group is copied into the output as it arrives in order.  The frames
-    equal a serial decode's, and an invalid stream raises the error of
-    its first bad group, as a serial decode does."""
+    The groups decode in parallel, on two processes, or, in a one-group
+    stream, the models do (see the module docstring); each group is
+    copied into the output as it arrives in order.  The frames equal a
+    serial decode's, and an invalid stream raises the error of its first
+    bad group, as a serial decode does."""
     reader = BitstreamReader.from_bytes(data)
     header = reader.header
     with closing(_decode_groups(reader)) as groups:

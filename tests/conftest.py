@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from clipcodec import ops
+from clipcodec import ops, pipeline
 from clipcodec.backbone import BackboneConfig, UpsampleStage
 from clipcodec.bitstream import _FIXED, BitstreamReader, _pack_header
 from clipcodec.coder import SymbolModel, build_models
@@ -17,6 +17,15 @@ from clipcodec.errors import ShapeError
 from clipcodec.params import ParamVector
 from clipcodec.ratequant import layer_stats, rate_bits_train
 from clipcodec.tensor import Tensor
+
+
+@pytest.fixture(autouse=True)
+def no_worker():
+    """Each test starts and ends with no pipeline worker: one that a test
+    forks sees the test's own patches, and none outlives the test."""
+    pipeline._stop_worker()
+    yield
+    pipeline._stop_worker()
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -4,7 +4,7 @@ standard-library machinery.
 The codec, ε calibration (``fit_schedule``) and rate-curve comparison
 (``bd_rate``) all run with scipy made unimportable, and load no ``scipy``
 module.  A whole-video encode or decode, a decode of one group's models
-and a one-group encode's training steps fork their workers with
+and a one-group encode's training steps use one worker forked with
 ``os.fork``, so they load neither ``multiprocessing`` nor
 ``concurrent.futures.process``.  The check runs
 in a fresh interpreter: pytest and the other tests have loaded scipy
@@ -28,7 +28,7 @@ from pathlib import Path
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 
 # two usable CPUs whatever the host has, so two-group encodes and decodes
-# and two-model group decodes fork
+# and two-model group decodes use the worker
 os.sched_getaffinity = lambda pid: {0, 1}
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
@@ -87,10 +87,10 @@ def test_codec_path_loads_no_heavy_imports():
     report = json.loads(run.stdout.splitlines()[-1])
     assert report["loaded"] == []
     assert report["cli"] == [0, 0] and report["frames"] == [4, 4, 4]
-    # groups fork in the two-group encode, decode_video and CLI decode;
-    # models fork in the one-group decode_video, decode_gom and CLI decode;
-    # the one-group encode forks a rate worker for each of its two models
-    assert report["forks"] == 8
+    # the two-group encode forks the worker; the one-group encode's rate
+    # tasks, both decode_video calls, decode_gom and the CLI decodes use
+    # the same one
+    assert report["forks"] == 1
     # the tools work without scipy
     assert abs(report["bd_rate"] - (-10.0)) < 1e-9
     assert report["b"] > 0
@@ -122,8 +122,8 @@ print(json.dumps({"before": before, "after": after, "forks": len(forks),
 
 def test_decode_only_process_loads_numpy_random_before_it_forks(tmp_path):
     # the parent's half of a two-model group draws no random init, so it
-    # is _children() that loads numpy.random, once, before the child that
-    # draws the I model's init is forked
+    # is the worker's start that loads numpy.random, once, before the
+    # worker that draws the I model's init is forked
     from clipcodec import (BackboneConfig, TrainConfig, UpsampleStage,
                            encode_video, partition, synth_video)
     config = BackboneConfig(

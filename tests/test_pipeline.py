@@ -3,12 +3,17 @@
 import dataclasses
 import errno
 import hashlib
+import io
+import json
 import os
 import pickle
 import select
+import subprocess
+import sys
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +41,8 @@ from conftest import (HOSTILE_BYTES, HOSTILE_HEADERS, PerSegmentAdam,
                       as_f64, fd_gradient, hostile_stream, joined,
                       layer_stats_of, rate_bits_layers, rel_error, repack,
                       segment_leaves, set_header_byte)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_config(size=16):
@@ -710,13 +717,17 @@ def set_cpus(monkeypatch, count):
 
 
 def count_forks(monkeypatch):
-    """The list that gets one entry per ``os.fork`` of this process."""
+    """The list that gets one entry per ``os.fork`` of this process, from
+    a start with no worker."""
+    pipeline._stop_worker()
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     return forks
 
 
 def assert_no_child_left():
+    """No child is left but the worker, which is then killed and reaped."""
+    pipeline._stop_worker()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1098,22 +1109,19 @@ def encode_report(result):
              for log in result.per_model])
 
 
-@pytest.mark.parametrize("cpus, cap", [(2, 2), (8, 2), (8, 3)],
-                         ids=["2-cpus", "8-cpus", "cap-3"])
+@pytest.mark.parametrize("cpus", [2, 8], ids=["2-cpus", "8-cpus"])
 @pytest.mark.parametrize("groups", [2, 3, 5])
 def test_forked_encode_equals_serial_encode(group_encodes, monkeypatch,
-                                            groups, cpus, cap):
-    # worker g % w trains group g, so the last, short group or clip shares
-    # a worker with earlier groups; a higher cap forks one child per
-    # further group, up to the CPU count
+                                            groups, cpus):
+    # the worker trains the odd groups, so the last, short group or clip
+    # shares it with earlier groups; one worker however many CPUs
     video, plan, cfg, serial = group_encodes[groups]
     assert plan.gom_count == groups
     set_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(pipeline, "_MAX_GROUP_WORKERS", cap)
     forks = count_forks(monkeypatch)
     forked = encode_video(video, plan, small_config(), cfg,
                           keep_reference=True)
-    assert len(forks) == min(cap, groups) - 1
+    assert len(forks) == 1
     assert_no_child_left()
     assert encode_report(forked) == encode_report(serial)
 
@@ -1226,17 +1234,17 @@ def test_live_thread_encodes_without_forking(group_encodes, monkeypatch):
     assert encode_report(result) == encode_report(serial)
 
 
-def test_one_group_encode_forks_one_rate_worker_per_model(group_encodes,
-                                                          monkeypatch):
+def test_one_group_encode_forks_one_worker_for_every_model(group_encodes,
+                                                           monkeypatch):
     # no second group for the second core: each model's training steps
-    # score their rate term in a forked worker, one per model
+    # score their rate term in the worker, one task per model
     video, plan, cfg, serial = group_encodes[1]
     assert plan.gom_count == 1 and plan.gop_count == 4
     set_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     forked = encode_video(video, plan, small_config(), cfg,
                           keep_reference=True)
-    assert len(forks) == plan.gop_count
+    assert len(forks) == 1
     assert_no_child_left()
     assert encode_report(forked) == encode_report(serial)
 
@@ -1257,6 +1265,168 @@ def test_live_thread_one_group_encode_forks_no_rate_worker(group_encodes,
         thread.join()
     assert not forks
     assert encode_report(result) == encode_report(serial)
+
+
+# ------------------------------------------------- the worker's lifetime
+
+def test_second_encode_and_decode_fork_nothing(group_encodes, monkeypatch):
+    # one worker serves every call of the process: a one-group encode's
+    # rate tasks, a group fan-out and a split group decode alike
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    for groups in (1, 3, 1, 3):
+        video, plan, cfg, serial = group_encodes[groups]
+        result = encode_video(video, plan, small_config(), cfg,
+                              keep_reference=True)
+        assert encode_report(result) == encode_report(serial)
+        assert np.array_equal(decode_video(result.data).frames,
+                              serial.recon.frames)
+        part, _ = decode_gom(BitstreamReader.from_bytes(result.data), 0)
+        assert np.array_equal(part.frames, serial.recon.frames[:len(
+            part.frames)])
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+_ENCODE_DECODE = """
+import json, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from clipcodec import (BackboneConfig, TrainConfig, UpsampleStage,
+                       decode_video, encode_video, partition, pipeline,
+                       synth_video)
+config = BackboneConfig(
+    kind="nerv-lite", pe_frequencies=4, stem_width=8, base_channels=4,
+    base_height=4, base_width=4, stages=(UpsampleStage(2, 4),),
+    frame_height=8, frame_width=8)
+video = synth_video("moving-blob", 8, 8, 4, velocity=1.0, seed=3)
+data = encode_video(video, partition(4, 2, 2), config,
+                    TrainConfig(epochs_i=1, epochs_p=1, seed=3)).data
+decode_video(data)
+print(json.dumps({"worker": pipeline._worker.pid}))
+"""
+
+
+def test_no_worker_outlives_a_process_that_encoded_and_decoded():
+    # the process reaps its worker as it exits, so the pid is gone when
+    # the process is: not even a zombie is left for init to reap
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-c", _ENCODE_DECODE], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    pid = json.loads(run.stdout.splitlines()[-1])["worker"]
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+def _no_fork():
+    raise AssertionError("forked")
+
+
+def test_forked_child_never_talks_to_the_parents_worker(encoded_pair,
+                                                        monkeypatch):
+    # a child of os.fork drops its copies of the worker's pipes and forks
+    # a worker of its own; the parent's worker still answers the parent
+    result = encoded_pair[-1]
+    set_cpus(monkeypatch, 2)
+    assert np.array_equal(decode_video(result.data).frames,
+                          result.recon.frames)
+    worker = pipeline._worker
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            forgot = pipeline._worker is None and not pipeline._busy
+            frames = decode_video(result.data).frames
+            own = (pipeline._worker is not None
+                   and pipeline._worker.pid != worker.pid)
+            pipeline._stop_worker()
+            ok = forgot and own and np.array_equal(frames,
+                                                   result.recon.frames)
+            os.write(write, b"1" if ok else b"0")
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as answer:
+        assert answer.read() == b"1"
+    os.waitpid(pid, 0)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert np.array_equal(decode_video(result.data).frames,
+                          result.recon.frames)
+    assert pipeline._worker is worker
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ["fail", "exit", "cut"])
+def test_ended_task_gives_the_serial_result_and_the_next_call_forks(
+        model_streams, monkeypatch, how):
+    # a task that raises, a worker that dies in it and one cut short on
+    # the pipe each end the worker; the call gives the serial walk's
+    # error or frames, and the next call forks a fresh worker
+    good = model_streams[4]
+    data = _stale_crc(good, 0) if how == "fail" else good
+    set_cpus(monkeypatch, 1)
+    serial = (_gom_raised(data) if how == "fail" else
+              decode_gom(BitstreamReader.from_bytes(data), 0)[0].frames)
+    expected = decode_gom(BitstreamReader.from_bytes(good), 0)[0].frames
+    armed, parent = [how != "fail"], os.getpid()
+    decode, send = pipeline.decode_symbols, pipeline._send
+
+    def dying(*args):
+        if armed[0] and os.getpid() != parent:
+            os._exit(1)
+        return decode(*args)
+
+    def cut(out, result):
+        if armed[0]:
+            return _cut_send(0)(out, result)
+        return send(out, result)
+
+    if how == "exit":
+        monkeypatch.setattr(pipeline, "decode_symbols", dying)
+    elif how == "cut":
+        monkeypatch.setattr(pipeline, "_send", cut)
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    if how == "fail":
+        assert _gom_raised(data) == serial
+    else:
+        assert np.array_equal(
+            decode_gom(BitstreamReader.from_bytes(data), 0)[0].frames,
+            serial)
+    assert len(forks) == 1 and pipeline._worker is None
+    armed[0] = False
+    for calls in (2, 2):
+        assert np.array_equal(
+            decode_gom(BitstreamReader.from_bytes(good), 0)[0].frames,
+            expected)
+        assert len(forks) == calls and pipeline._worker is not None
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: _stale_crc(data, 0), lambda data: _stale_crc(data, 3),
+    lambda data: _recoded(data, 1), lambda data: _recoded(data, 2),
+    lambda data: _overflowing(data, 1, 4, 1e37),
+    lambda data: _overflowing(data, 3, 0, 3.4e38)],
+    ids=["crc-I", "crc-last", "recoded-child", "recoded-parent",
+         "render-child", "params-parent"])
+def test_hostile_stream_after_a_good_one_gives_the_serial_error(
+        model_streams, monkeypatch, edit):
+    # a worker kept from a good stream decodes the bad one as a fresh one
+    # would, and the good stream decodes again after it
+    good = model_streams[4]
+    data = edit(good)
+    set_cpus(monkeypatch, 1)
+    serial = _gom_raised(data), _raised(data)
+    expected = decode_video(good).frames
+    set_cpus(monkeypatch, 2)
+    for _ in range(2):
+        assert np.array_equal(decode_video(good).frames, expected)
+        assert pipeline._worker is not None
+        assert (_gom_raised(data), _raised(data)) == serial
+    assert_no_child_left()
 
 
 # ------------------------------------------------------ the rate worker
@@ -1397,14 +1567,62 @@ def test_network_error_waits_for_the_rate_term(monkeypatch):
 
 def test_rate_worker_leaves_when_its_parent_closes_the_pipe():
     # the worker keeps no write end of its own request pipe, so a parent
-    # that dies, and so closes its end, leaves it an empty pipe: it exits
-    with pipeline._children() as spawn:
-        replies, requests = pipeline._RateWorker(
-            spawn, init_random(small_config(), 0)).pipes
-        requests.close()
-        ready, _, _ = select.select([replies], [], [], 60)
-        assert ready and replies.read() == b""
+    # that dies, and so closes its end, leaves it an empty pipe: it exits,
+    # idle or inside a model's rate task
+    params = init_random(small_config(), 0)
+    pipeline._worker = pipeline._start_worker()
+    for task in (None, (pipeline._rate_replies, params.sizes, params.dtype,
+                        0, 3)):
+        worker = pipeline._worker
+        if task is not None:
+            worker.requests.write(pickle.dumps((task[0], task[1:])))
+            worker.requests.flush()
+        worker.requests.close()
+        ready, _, _ = select.select([worker.replies], [], [], 60)
+        assert ready and worker.replies.read() == b""
+        assert_no_child_left()
+        pipeline._worker = pipeline._start_worker()
     assert_no_child_left()
+
+
+def test_rate_task_draws_the_training_loop_noise():
+    # the worker is sent only each step's scaled residual and draws its
+    # noise from the model's stream: the same bits as the training loop's
+    # draw, which is what this process scores where the worker has ended
+    params = init_random(small_config(), 2)
+    units = [np.random.default_rng(step).standard_normal(
+        params.flat.size).astype(np.float32) for step in range(4)]
+    requests = io.BytesIO(b"".join(unit.tobytes() for unit in units))
+    replies = pipeline._rate_replies(requests, params.sizes, params.dtype,
+                                     RATE_SEED, len(units))
+    for step, (unit, (bits, grad)) in enumerate(zip(units, replies)):
+        want_bits, want_grad = pipeline._rate_reply(unit, _step_noise(step),
+                                                    params.sizes)
+        assert bits.tobytes() == want_bits.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+    assert requests.read() == b""
+
+
+@pytest.mark.parametrize("step", [1, 4])
+def test_dead_rate_worker_steps_replay_with_their_noise(monkeypatch, step):
+    # a worker that dies at ``step`` leaves that step and every later one
+    # to this process, each scored with that step's own noise
+    serial, _ = _train_one(1, monkeypatch)
+    parent, score_rate, scored = os.getpid(), pipeline._score_rate, []
+
+    def score(unit, noise, sizes):
+        if os.getpid() == parent:
+            scored.append(noise.copy())
+        elif np.array_equal(noise, _step_noise(step)):
+            os._exit(1)
+        return score_rate(unit, noise, sizes)
+
+    monkeypatch.setattr(pipeline, "_score_rate", score)
+    forked, forks = _train_one(2, monkeypatch)
+    assert forks == 1 and forked == serial
+    assert len(scored) == 6 - step  # 2 epochs of 3 frames
+    for offset, noise in enumerate(scored):
+        assert noise.tobytes() == _step_noise(step + offset).tobytes()
 
 
 PAYLOAD_EDITS = ("flip", "truncate", "extend")
@@ -1581,7 +1799,6 @@ def test_workers_capped_at_group_count(monkeypatch):
     set_cpus(monkeypatch, 1)
     serial = encode_video(video, plan, small_config(), cfg).data
     set_cpus(monkeypatch, 8)
-    monkeypatch.setattr(pipeline, "_MAX_GROUP_WORKERS", 64)
     forks = count_forks(monkeypatch)
     assert encode_video(video, plan, small_config(), cfg).data == serial
     assert plan.gom_count == 2 and len(forks) == 1
