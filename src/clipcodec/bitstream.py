@@ -80,9 +80,12 @@ class PartitionPlan:
     def gom_count(self) -> int:
         return len(self.goms)
 
+    def frame_range(self, models) -> tuple[int, int]:
+        """The frames of the clips ``range(*models)``."""
+        return self.gops[models[0]][0], self.gops[models[1] - 1][1]
+
     def gom_frame_range(self, gom_index: int) -> tuple[int, int]:
-        first, end = self.goms[gom_index]
-        return self.gops[first][0], self.gops[end - 1][1]
+        return self.frame_range(self.goms[gom_index])
 
     def role_of(self, gop_index: int) -> str:
         if not 0 <= gop_index < self.gop_count:
@@ -324,7 +327,7 @@ def _parse_header(read_exact) -> BitstreamHeader:
 
 
 class BitstreamReader:
-    """Random-access view over a seekable stream.
+    """Random-access view over a stream.
 
     Parsing the header touches only the header bytes; each
     :meth:`read_payload` call reads exactly that model's byte range, so a
@@ -334,10 +337,12 @@ class BitstreamReader:
     parent.  Any other stream is read with seek and read, since its
     descriptor, if it has one, need not hold the bytes it reads (a
     ``gzip`` file's holds the compressed ones, a writer's lacks what it
-    has not flushed).
+    has not flushed); one that cannot seek, a pipe, is read whole first.
     """
 
     def __init__(self, fileobj):
+        if not fileobj.seekable():
+            fileobj = io.BytesIO(fileobj.read())
         self._file = fileobj
         self._fd = None
         if isinstance(fileobj, (io.FileIO, io.BufferedReader)):

@@ -20,7 +20,8 @@ from .bitstream import BitstreamReader, dump_header_text
 from .errors import (BitstreamError, CodecError, ConfigError, DataError,
                      NumericError, unreadable)
 from .manifest import RunManifest, build_manifest
-from .pipeline import TrainConfig, _decode_groups, encode_video, partition
+from .pipeline import (TrainConfig, _decode_windows, decode_gom,
+                       encode_video, partition)
 from .warmstart import fit_schedule
 
 EXIT_OK = 0
@@ -237,11 +238,11 @@ def _cmd_decode(args) -> int:
         if args.dump_header:
             print(dump_header_text(reader.header))
             return EXIT_OK
-        with closing(_decode_groups(reader, args.gom)) as groups:
-            # map, unlike a loop variable, keeps no group while the next
-            # one decodes
-            _write_atomic(args.out, map(lambda group: group[0].frames,
-                                        groups))
+        if args.gom is not None:
+            _write_atomic(args.out, [decode_gom(reader, args.gom)[0].frames])
+        else:
+            with closing(_decode_windows(reader)) as windows:
+                _write_atomic(args.out, windows)
     frames = args.out.stat().st_size // (3 * reader.header.width
                                          * reader.header.height)
     print(f"decoded {frames} frames -> {args.out}")

@@ -15,29 +15,28 @@ Work uses a second CPU, where this process may use one, through one
 worker process: this module forks it at the first task that can use it
 and keeps it until the interpreter exits, and each use hands it a task
 by value down a pipe, which it answers with pickled messages on another.
-A whole-video encode or decode of two or more groups makes the group the
-unit: the worker runs the odd groups, sent their frames or their header
-and payload bytes, while this process runs the even ones.  Decoding one
-group of two or more models (``decode_gom``, or a one-group video) splits
-its warm-start chain at the middle model: each model's payload is its
-own range-coded stream, so the worker, sent the header and the first
-half's payload bytes, decodes and walks that half and hands the chain's
-state at the middle to this process, which has decoded the second half's
-payloads meanwhile and walks on from there; each process renders its own
-half's clips.  The encoder's models stay serial, since a P model trains
-from its predecessor, but in a one-group encode each model's rate term
-is a task: each training step sends the worker the scaled residual, it
-draws the step's noise from the model's own stream and scores the rate
-and its gradient while this process renders the frame and walks the
-network backward, which reads the reply only where it reaches the rate
-term.  Tasks never nest: work started while one is in flight, or in the
-worker, runs serially.  One CPU (``taskset -c 0``), one unit, another
-live Python thread, or a host with no process or descriptor to spare
-gives the serial walk.  A task that fails, or a worker that dies, hands
-its work back to this process, which so raises the serial walk's error,
-and the worker ends; so does a task abandoned before its last message.
-The next task forks afresh.  A process this one forks forgets the
-worker.
+Both sides take the groups in windows of two, the last group alone where
+their count is odd; ``decode_gom`` decodes a window of one group.  A
+decode splits each window's models at the middle one: each model's
+payload is its own range-coded stream, so the worker, sent the header
+and the first half's payload bytes, range-decodes, walks and renders
+that half, handing the chain's state to this process first where the
+middle model is a P model, while this process range-decodes the second
+half and walks on.  An encode's models stay serial, since a P model
+trains from its predecessor: the worker trains a window's first group
+and this process its second, and a lone group sends the worker each
+training step's scaled residual, from which it draws the step's noise
+from the model's own stream and scores the rate and its gradient while
+this process renders the frame and walks the network backward, which
+reads the reply only where it reaches the rate term.  Tasks never nest:
+work started while one is in flight, or in the worker, runs serially.
+One CPU (``taskset -c 0``), one unit, another live Python thread, or a
+host with no process or descriptor to spare gives the serial walk.  A
+task that fails, or a worker that dies, hands its work back to this
+process, which so raises the serial walk's error, and the worker ends;
+so does a task abandoned before its last message.  The rest of the call
+then runs here, and the next call forks afresh.  A process this one
+forks forgets the worker.
 
 Training follows a strict quantization-aware regime: every step renders
 with the warm start plus the straight-through-rounded residual, so the
@@ -56,7 +55,7 @@ import signal
 import threading
 import time
 import zlib
-from contextlib import closing, contextmanager, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -340,34 +339,33 @@ class EncodeResult:
     recon: RawVideo | None = None
 
 
-def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
-              gom_index: int, epsilon_of, finish, models=None,
-              state=(None, None)):
-    """The I/P warm-start chain of one group, shared by encoder and decoder.
+def _walk(config: BackboneConfig, seed: int, plan: PartitionPlan, models,
+          epsilon_of, finish, state=(None, None)):
+    """The I/P warm-start chain of the models ``range(*models)``, shared by
+    encoder and decoder; the range may span groups.
 
-    The I model starts from its seeded random init; every P model starts
+    Each I model starts from its seeded random init; every P model starts
     from ``interpolate_init`` of its predecessor's init and final
     parameters at ``epsilon_of(gop_index)``.  So a model draws its init
-    only where it is read: every I model, and a P model with a successor
-    in the group.  Each draw depends on its model's seed alone, so skipping
-    the group's last P draw changes no value of the chain, and another
+    only where it is read: every I model, and a P model followed by a P
+    model.  Each draw depends on its model's seed alone, so skipping a
+    group's last P draw changes no value of the chain, and another
     decoder that draws every init decodes the same frames.
     ``finish(gop_index, role, epsilon, theta_prime)`` turns the start into
     ``(final parameters, result)``.
 
-    Walks the models ``range(*models)``, the whole group by default;
-    a walk that starts after the group's first model continues from
-    ``state``, the ``(random init, final parameters)`` of the model before
-    it.  Yields ``(gop_index, state, result)`` per model, its ``state``
-    the one the next model starts from, and renders nothing: the caller
-    renders each clip from ``state[1]`` (:func:`_render_clip`).
+    A walk that starts at a P model continues from ``state``, the
+    ``(random init, final parameters)`` of the model before it.  Yields
+    ``(gop_index, state, result)`` per model, its ``state`` the one the
+    next model starts from, and renders nothing: the caller renders each
+    clip from ``state[1]`` (:func:`_render_clip`).
     """
-    end = plan.goms[gom_index][1]
     prev_rand, prev_theta = state
-    for gop_index in range(*(models or plan.goms[gom_index])):
+    for gop_index in range(*models):
         role = plan.role_of(gop_index)
         rand = (init_random(config, model_seed(seed, gop_index))
-                if role == ROLE_I or gop_index + 1 < end else None)
+                if role == ROLE_I or (gop_index + 1) % plan.gom_size
+                and gop_index + 1 < plan.gop_count else None)
         if role == ROLE_I:
             epsilon, theta_prime = np.float32(0.0), rand
         else:
@@ -379,10 +377,10 @@ def _walk_gom(config: BackboneConfig, seed: int, plan: PartitionPlan,
         yield gop_index, (rand, prev_theta), result
 
 
-def _gom_frames(config: BackboneConfig, plan: PartitionPlan,
-                gom_index: int) -> np.ndarray:
-    """An empty (n, 3, H, W) uint8 buffer for the frames of one group."""
-    start, stop = plan.gom_frame_range(gom_index)
+def _clip_frames(config: BackboneConfig, plan: PartitionPlan,
+                 models) -> np.ndarray:
+    """An empty (n, 3, H, W) uint8 buffer for the clips ``range(*models)``."""
+    start, stop = plan.frame_range(models)
     return np.empty((stop - start, 3, config.frame_height,
                      config.frame_width), dtype=np.uint8)
 
@@ -446,9 +444,10 @@ def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
             final_mse=float("nan"), epoch_logs=trained.epoch_logs)
         return trained.theta_star, (record, log, payload)
 
-    rendered, rows = _gom_frames(config, plan, gom_index), []
-    for gop_index, state, row in _walk_gom(config, cfg.seed, plan,
-                                           gom_index, epsilon_of, finish):
+    models = plan.goms[gom_index]
+    rendered, rows = _clip_frames(config, plan, models), []
+    for gop_index, state, row in _walk(config, cfg.seed, plan, models,
+                                       epsilon_of, finish):
         _render_clip(config, plan, gop_index, state[1], rendered, offset)
         rows.append(row)
         del state  # not kept while the next model trains
@@ -477,21 +476,23 @@ class _Worker:
 # exits, or None where there is none (yet, or since it ended)
 _worker = None
 
-# true while a task is in flight, and for good in the worker: work started
-# then runs in this process, so tasks never nest and the worker never uses
-# a worker
+# the :class:`_Tasks` of the call in progress (:func:`_tasks`), or None
+_current = None
+
+# true for good in the worker, which so never uses a worker
 _busy = False
 
 
 def _second_core(units: int) -> bool:
-    """Whether ``units`` units of work (groups, the two halves of a group,
-    or the network and the rate term of a training step) share the work
-    with the worker: two or more units, a second CPU this process may use
-    and no task in flight.  A fork copies only the calling thread, so not
-    while another Python thread is alive, nor where the OS has no ``fork``
-    or no ``sched_getaffinity``."""
-    if (_busy or units < 2 or not hasattr(os, "fork")
-            or threading.active_count() > 1):
+    """Whether ``units`` units of work (the two groups of an encode's
+    window, the models of a decode's window, or the network and the rate
+    term of a training step) share the work with the worker: two or more
+    units, a second CPU this process may use and no task in flight, so
+    that tasks never nest.  A fork copies only the calling thread, so not
+    while another Python thread is alive, nor where the OS has no
+    ``fork`` or no ``sched_getaffinity``."""
+    if (_busy or units < 2 or _current is not None and _current.left
+            or not hasattr(os, "fork") or threading.active_count() > 1):
         return False
     affinity = getattr(os, "sched_getaffinity", lambda pid: {0})
     return len(affinity(0)) > 1
@@ -573,8 +574,8 @@ def _forget_worker() -> None:
     """In a forked child: drop this process's copies of its parent's
     worker pipes, without a word to that worker, which stays the
     parent's."""
-    global _worker, _busy
-    worker, _worker, _busy = _worker, None, False
+    global _worker, _current, _busy
+    worker, _worker, _current, _busy = _worker, None, None, False
     if worker is not None:
         worker.close()
 
@@ -585,14 +586,15 @@ if hasattr(os, "register_at_fork"):
 
 
 class _Tasks:
-    """This process's tasks in the worker: :meth:`post` hands it one,
-    :meth:`receive` reads their messages in order and :meth:`send` writes
-    a task raw request bytes.  Where there is no worker, or it ended,
-    every later post and send is refused and every receive is the
-    caller's own result."""
+    """One call's tasks in the worker: :meth:`post` hands it one, forking
+    it first where there is none, :meth:`receive` reads their messages in
+    order and :meth:`send` writes a task raw request bytes.  Where there
+    is no worker, or it ended, every later post and send of the call is
+    refused and every receive is the caller's own result."""
 
-    def __init__(self, worker):
-        self.worker, self.left = worker, 0  # left: messages not yet read
+    def __init__(self):
+        self.worker, self.left = None, 0  # left: messages not yet read
+        self.forked = False  # whether the call has taken the worker
 
     def send(self, data) -> bool:
         """Write ``data`` to the worker; False where it has gone."""
@@ -610,6 +612,12 @@ class _Tasks:
         which sends ``messages`` messages: ``function`` is a module-level
         function, found by name in the worker, and ``args`` go by
         value."""
+        global _worker
+        if not self.forked:
+            self.forked = True
+            if _worker is None:
+                _worker = _start_worker()
+            self.worker = _worker
         self.left += messages
         if self.worker is not None:
             self.send(pickle.dumps((function, args), pickle.HIGHEST_PROTOCOL))
@@ -629,23 +637,26 @@ class _Tasks:
 
 @contextmanager
 def _tasks():
-    """Yield a :class:`_Tasks` for the worker, forking it first where
-    there is none.  Its tasks are in flight until the block ends.  A block
-    that ends by an error, or before it read every message, abandons
-    them: the worker is killed, not drained.  So is a worker that ended;
-    the next block then forks afresh."""
-    global _worker, _busy
-    if _worker is None:
-        _worker = _start_worker()
-    tasks = _Tasks(_worker)
-    _busy, kept = True, False
+    """Yield the call's :class:`_Tasks`: the outermost block makes them
+    and every block inside it shares them, so a worker that ends is not
+    forked again before the call returns.  A block that ends by an error,
+    or before it read every message, abandons the tasks: the worker is
+    killed, not drained, and every later task of the call runs here.  So
+    is a worker that ended; the next call then forks afresh."""
+    global _current
+    outer = _current is None
+    if outer:
+        _current = _Tasks()
+    tasks, ended = _current, True
     try:
         yield tasks
-        kept = tasks.worker is not None and tasks.left == 0
+        ended = tasks.left > 0
     finally:
-        _busy = False
-        if not kept:
+        if tasks.forked and (ended or tasks.worker is None):
+            tasks.worker = None
             _stop_worker()
+        if outer:
+            _current = None
 
 
 def _rate_reply(unit: np.ndarray, noise: np.ndarray, sizes):
@@ -719,29 +730,6 @@ def _rate_worker(params: ParamVector, steps: int, seed: int):
         yield _RateWorker(tasks, params.sizes)
 
 
-def _fan_out(count: int, run, task):
-    """``run(index)`` of every unit in ``range(count)``, yielded in order.
-    With a second core (:func:`_second_core`) the worker runs the odd
-    units, each posted as ``task(index)``, the ``(function, *args)`` of a
-    task whose one message is the unit's result, before this process runs
-    the even unit ahead of it.  This process runs the even units as they
-    are asked for, and any unit the worker did not send in full, so a
-    failing unit raises the serial walk's error here."""
-    if not _second_core(count):
-        yield from map(run, range(count))
-        return
-    with _tasks() as tasks:
-        for index in range(count):
-            if index % 2:
-                # not bound here, so that only the caller holds a unit
-                # past its yield
-                yield tasks.receive(lambda: run(index))
-                continue
-            if index + 1 < count and tasks.worker is not None:
-                tasks.post(1, *task(index + 1))
-            yield run(index)
-
-
 def _encode_group(requests, frames: np.ndarray, plan: PartitionPlan,
                   config: BackboneConfig, cfg: TrainConfig, index: int,
                   keep_reference: bool):
@@ -757,11 +745,12 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
                  keep_reference: bool = False) -> EncodeResult:
     """Run the full encoder; returns the bitstream plus a report.
 
-    The model groups are encoded on two processes (see the module
-    docstring).  The bytes equal a serial encode's, and a failing group
-    raises the serial encode's error.  Each group is scored as it comes
-    back; only its frames' squared errors are kept, and its frames too
-    when ``keep_reference`` asks for the reconstruction.
+    The model groups are encoded in windows of two, one group per
+    process, and a lone last group puts its rate term on the second core
+    (see the module docstring).  The bytes equal a serial encode's, and a
+    failing group raises the serial encode's error.  Each group is scored
+    as it comes back; only its frames' squared errors are kept, and its
+    frames too when ``keep_reference`` asks for the reconstruction.
     """
     if plan.frame_count != video.frame_count:
         raise ConfigError(f"plan covers {plan.frame_count} frames, video "
@@ -784,13 +773,29 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
         function, *args = task(index)
         return next(function(None, *args))
 
+    def window(first):
+        """Groups ``first`` and ``first + 1``, or the last group alone."""
+        if first + 1 == plan.gom_count or not _second_core(2):
+            return map(run, range(first, min(first + 2, plan.gom_count)))
+        with _tasks() as tasks:
+            tasks.post(1, *task(first))
+            try:
+                second = run(first + 1)
+            except Exception:
+                # the first group comes first in the serial order, so an
+                # error of its replaces this one
+                tasks.receive(lambda: run(first))
+                raise
+            return tasks.receive(lambda: run(first)), second
+
     rows, mses, clips = [], [], []
-    with closing(_fan_out(plan.gom_count, run, task)) as groups:
-        for rendered, mse, group_rows in groups:
-            rows += group_rows
-            mses.append(mse)
-            if keep_reference:
-                clips.append(rendered)
+    with _tasks():
+        for first in range(0, plan.gom_count, 2):
+            for rendered, mse, group_rows in window(first):
+                rows += group_rows
+                mses.append(mse)
+                if keep_reference:
+                    clips.append(rendered)
     records, per_model, payloads = map(list, zip(*rows))
 
     data = write_bitstream(video.width, video.height, video.frame_count,
@@ -850,18 +855,17 @@ class _Payloads:
         return check_payload(self.header, index, self.raw[index])
 
 
-class _GroupDecode:
-    """The decode of group ``gom_index`` from ``reader`` (a
-    :class:`BitstreamReader`, or the :class:`_Payloads` a worker gets):
-    the group's frame buffer, and walks of its warm-start chain that
-    render each clip into it."""
+class _ModelsDecode:
+    """The decode of the models ``range(*models)`` from ``reader`` (a
+    :class:`BitstreamReader`, or the :class:`_Payloads` a worker gets)
+    into ``frames``, the buffer of their clips' frames: walks of their
+    warm-start chain that render each clip into it."""
 
-    def __init__(self, reader, gom_index: int):
-        self.reader, self.gom_index = reader, gom_index
+    def __init__(self, reader, models, frames: np.ndarray):
+        self.reader, self.frames = reader, frames
         self.header = reader.header
         self.config, self.plan = self.header.config, self.header.plan
-        self.offset = self.plan.gom_frame_range(gom_index)[0]
-        self.frames = _gom_frames(self.config, self.plan, gom_index)
+        self.offset = self.plan.gops[models[0]][0]
         self.sizes = [spec.count for spec in param_layout(self.config)]
         self.decoded = {}  # symbols of models decoded ahead of the walk
 
@@ -885,11 +889,9 @@ class _GroupDecode:
         return theta, None
 
     def walk(self, models, state=(None, None)):
-        return _walk_gom(self.config, self.header.seed, self.plan,
-                         self.gom_index,
-                         lambda gop_index: self.header.records[
-                             gop_index].epsilon,
-                         self._finish, models, state)
+        return _walk(self.config, self.header.seed, self.plan, models,
+                     lambda gop_index: self.header.records[gop_index].epsilon,
+                     self._finish, state)
 
     def render(self, gop_index: int, params: ParamVector) -> None:
         _render_clip(self.config, self.plan, gop_index, params, self.frames,
@@ -898,46 +900,57 @@ class _GroupDecode:
     def here(self, models, state=(None, None)):
         """Walk ``models`` and render each clip as the walk reaches it, the
         serial order; returns the chain's state after the last model."""
-        for gop_index, state, _ in self.walk(models, state):
-            self.render(gop_index, state[1])
+        try:
+            for gop_index, state, _ in self.walk(models, state):
+                self.render(gop_index, state[1])
+        except NumericError as exc:  # only the render raises it here
+            raise BitstreamError(str(exc)) from None
         return state
 
 
-def _first_half(requests, reader, gom_index: int, middle: int):
-    """The worker's half of a split group decode: the chain's state at
-    model ``middle`` (the last model's final parameters and random init),
-    then the frames of the clips before it, rendered once the state is
-    sent."""
-    group = _GroupDecode(reader, gom_index)
-    first = group.plan.goms[gom_index][0]
+def _first_half(requests, reader, models, handover: bool):
+    """The worker's half of a split decode, the models ``range(*models)``:
+    where ``handover`` asks for it, the chain's state after them (the last
+    model's random init and final parameters), then their clips' frames,
+    rendered once the state is sent."""
+    header = reader.header
+    half = _ModelsDecode(reader, models,
+                         _clip_frames(header.config, header.plan, models))
     thetas = []
-    for _, state, _ in group.walk((first, middle)):
+    for _, state, _ in half.walk(models):
         thetas.append(state[1])
-    yield state
-    for gop_index, theta in zip(range(first, middle), thetas):
-        group.render(gop_index, theta)
-    yield group.frames[:group.plan.gops[middle][0] - group.offset]
+    if handover:
+        yield state
+    for gop_index, theta in zip(range(*models), thetas):
+        half.render(gop_index, theta)
+    yield half.frames
 
 
-def _decode_split(group: _GroupDecode, middle: int) -> None:
-    """Decode ``group``, its first half in the worker (:func:`_first_half`)
-    and the rest here; the frames, and the error of a bad model, are the
-    serial walk's."""
-    first, end = group.plan.goms[group.gom_index]
-    split = group.plan.gops[middle][0] - group.offset
+def _decode_models(reader, models, frames: np.ndarray) -> None:
+    """Decode the models ``range(*models)`` of ``reader``'s stream into
+    ``frames``, the buffer of their clips' frames.  Two or more split at
+    the middle model (see the module docstring): the worker decodes the
+    first half (:func:`_first_half`) and this process the rest.  The
+    frames, and the error of a bad model, are the serial walk's."""
+    (first, end), decode = models, _ModelsDecode(reader, models, frames)
+    if not _second_core(end - first):
+        decode.here(models)
+        return
+    middle = first + (end - first) // 2
+    handover = decode.plan.role_of(middle) != ROLE_I
     with _tasks() as tasks:
-        tasks.post(2, _first_half,
-                   _Payloads(group.reader, range(first, middle)),
-                   group.gom_index, middle)
+        tasks.post(1 + handover, _first_half,
+                   _Payloads(reader, range(first, middle)), (first, middle),
+                   handover)
         for gop_index in range(middle, end):
             try:
-                group.decoded[gop_index] = group.symbols_of(gop_index)
+                decode.decoded[gop_index] = decode.symbols_of(gop_index)
             except Exception:  # met again where the walk gets to it
                 break
-        state = tasks.receive(lambda: None)
+        state = tasks.receive(lambda: None) if handover else (None, None)
         handed = state is not None
         if not handed:  # the worker ended before its handover
-            state = group.here((first, middle))
+            state = decode.here((first, middle))
 
         def copy_first_half():
             """The first half's frames from the worker, or, where it sent
@@ -947,12 +960,12 @@ def _decode_split(group: _GroupDecode, middle: int) -> None:
                 return
             sent = tasks.receive(lambda: None)
             if sent is None:
-                group.here((first, middle))
+                decode.here((first, middle))
             else:
-                group.frames[:split] = sent
+                decode.frames[:len(sent)] = sent
 
         try:
-            group.here((middle, end), state)
+            decode.here((middle, end), state)
         except Exception:
             # the first half comes first in the serial order, so an error
             # of its replaces this one
@@ -964,73 +977,53 @@ def _decode_split(group: _GroupDecode, middle: int) -> None:
 def decode_gom(reader: BitstreamReader,
                gom_index: int) -> tuple[RawVideo, tuple[int, int]]:
     """Decode one group via random access; reads only its payload range.
-
-    A group of two or more models splits at its middle model over two
-    processes (see the module docstring).  The worker takes the first
-    half: it range-decodes and walks its models, sends the chain's state
-    at the boundary (the last model's final parameters and random init),
-    then renders its clips and sends their frames.  This process meanwhile
-    range-decodes the second half's payloads, continues the chain from the
-    worker's state, rendering each clip as the walk reaches it, and last
-    copies in the worker's frames.  A half the worker did not finish runs
-    here.  While the worker decodes other groups of a whole-video decode,
-    the models decode serially.  The frames, and the error of a bad model,
-    are the serial walk's.
-    """
-    plan = reader.header.plan
+    The group is a window of its own, split at its middle model over two
+    processes (see the module docstring)."""
+    header = reader.header
+    plan = header.plan
     if not 0 <= gom_index < plan.gom_count:
         raise ConfigError(f"gom index {gom_index} outside "
                           f"[0, {plan.gom_count})")
-    first, end = plan.goms[gom_index]
-    group = _GroupDecode(reader, gom_index)
-    try:
-        if _second_core(end - first):
-            _decode_split(group, first + (end - first) // 2)
-        else:
-            group.here((first, end))
-    except NumericError as exc:  # only the render raises it here
-        raise BitstreamError(str(exc)) from None
-    return (RawVideo(width=reader.header.width, height=reader.header.height,
-                     frames=group.frames), plan.gom_frame_range(gom_index))
+    models = plan.goms[gom_index]
+    frames = _clip_frames(header.config, plan, models)
+    _decode_models(reader, models, frames)
+    return (RawVideo(width=header.width, height=header.height,
+                     frames=frames), plan.gom_frame_range(gom_index))
 
 
-def _decode_group(requests, reader, index: int):
-    """The task of one group of a whole-video decode: :func:`decode_gom`
-    of group ``index`` from the :class:`_Payloads` ``reader``."""
-    yield decode_gom(reader, index)
-
-
-def _decode_groups(reader: BitstreamReader, gom_index: int | None = None):
-    """:func:`decode_gom` of one group, or of every group in order, run
-    lazily.  Every group is the whole stream, so the call itself first
-    refuses a stream shorter than its header declares, and the groups, or
-    a one-group stream's models, run on two processes (see the module
-    docstring); close the iterator when done with it, so that an abandoned
-    task ends the worker."""
-    if gom_index is not None:
-        return (decode_gom(reader, index) for index in [gom_index])
-    reader.check_complete()
-    plan = reader.header.plan
-    return _fan_out(
-        plan.gom_count, lambda index: decode_gom(reader, index),
-        lambda index: (_decode_group,
-                       _Payloads(reader, range(*plan.goms[index])), index))
+def _decode_windows(reader: BitstreamReader, frames=None):
+    """Decode the stream of ``reader`` window by window, in order, each
+    two consecutive groups, the last one alone where their count is odd,
+    and yield each window's frames: its part of ``frames``, the whole
+    video's buffer, where given, or else a buffer of its own.  A stream
+    shorter than its header declares is refused first.  Close the
+    iterator when done with it, so that the call ends."""
+    header = reader.header
+    plan = header.plan
+    with _tasks():
+        reader.check_complete()
+        for first in range(0, plan.gom_count, 2):
+            models = (plan.goms[first][0],
+                      plan.goms[min(first + 2, plan.gom_count) - 1][1])
+            window = (_clip_frames(header.config, plan, models)
+                      if frames is None else
+                      frames[slice(*plan.frame_range(models))])
+            _decode_models(reader, models, window)
+            yield window
 
 
 def decode_video(data: bytes) -> RawVideo:
     """Reconstruct the full video from bitstream bytes (pure function).
 
-    The groups decode in parallel, on two processes, or, in a one-group
-    stream, the models do (see the module docstring); each group is
-    copied into the output as it arrives in order.  The frames equal a
-    serial decode's, and an invalid stream raises the error of its first
-    bad group, as a serial decode does."""
+    Each window of two groups, or a lone last group, decodes on two
+    processes, split at its middle model (see the module docstring),
+    straight into the output.  The frames equal a serial decode's, and an
+    invalid stream raises the error of its first bad model, as a serial
+    decode does."""
     reader = BitstreamReader.from_bytes(data)
     header = reader.header
-    with closing(_decode_groups(reader)) as groups:
-        frames = np.empty((header.frame_count, 3, header.height,
-                           header.width), dtype=np.uint8)
-        for part, (start, stop) in groups:
-            frames[start:stop] = part.frames
-            del part  # not kept while the next group decodes
+    frames = np.empty((header.frame_count, 3, header.height, header.width),
+                      dtype=np.uint8)
+    for _ in _decode_windows(reader, frames):
+        pass
     return RawVideo(width=header.width, height=header.height, frames=frames)

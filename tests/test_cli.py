@@ -90,6 +90,26 @@ def test_decode_single_gom_matches_full(workdir):
     assert np.array_equal(frag.frames, full.frames[4:8])
 
 
+def test_decode_from_a_pipe_equals_the_file_decode(workdir, tmp_path):
+    # a pipe cannot seek, so the reader reads it whole first; the stream
+    # fits the pipe's buffer, so it is written before the decode starts
+    data = (workdir / "out.bits").read_bytes()
+    assert main(["decode", str(workdir / "out.bits"),
+                 str(tmp_path / "file.rgb")]) == 0
+    for args in ([], ["--gom", "1"]):
+        read, write = os.pipe()
+        try:
+            os.write(write, data)
+            os.close(write)
+            assert main(["decode", f"/dev/fd/{read}",
+                         str(tmp_path / "pipe.rgb"), *args]) == 0
+        finally:
+            os.close(read)
+        full = (tmp_path / "file.rgb").read_bytes()
+        assert (tmp_path / "pipe.rgb").read_bytes() == (
+            full[len(full) // 2:] if args else full)
+
+
 def test_run_log_records_epochs(workdir):
     lines = [json.loads(line)
              for line in (workdir / "train.jsonl").read_text().splitlines()]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import functools
 import hashlib
 import io
 import json
@@ -732,49 +733,87 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+# shape -> (frames, gop_size, gom_size): a group count for 9 frames whose
+# last clip and last group are short, 5 frames for two groups and 7 frames
+# for one group of four models, its last clip short; "3x2" and "5x2" for
+# 3 and 5 groups of two models, the last clip short in "5x2", and "3+1"
+# for groups of three and one model
+GROUP_SHAPES = {1: (7, 2, 4), 2: (5, 2, 2), 3: (9, 2, 2), 5: (9, 2, 1),
+                "3x2": (12, 2, 2), "5x2": (19, 2, 2), "3+1": (8, 2, 3)}
+
+
 @pytest.fixture(scope="module")
 def group_encodes():
-    """groups -> (video, plan, cfg, one-CPU encode): 9 frames whose last
-    clip and last group are short, 5 frames for two groups, or 7 frames
-    for one group of four models, its last clip short."""
+    """shape -> (video, plan, cfg, one-CPU encode) of each
+    :data:`GROUP_SHAPES` entry."""
     out, cfg = {}, quick_cfg(epochs_i=1, epochs_p=1)
     with pytest.MonkeyPatch.context() as mp:
         set_cpus(mp, 1)
-        for frames, gop_size, gom_size in ((7, 2, 4), (5, 2, 2), (9, 2, 2),
-                                           (9, 2, 1)):
+        for shape, (frames, gop_size, gom_size) in GROUP_SHAPES.items():
             video = synth_video("moving-blob", 16, 16, frames, velocity=1.0,
                                 seed=6)
             plan = partition(frames, gop_size, gom_size)
-            out[plan.gom_count] = video, plan, cfg, encode_video(
+            out[shape] = video, plan, cfg, encode_video(
                 video, plan, small_config(), cfg, keep_reference=True)
     return out
 
 
 @pytest.fixture(scope="module")
 def group_streams(group_encodes):
-    """groups -> (plan, stream) of :func:`group_encodes`."""
-    return {groups: (plan, result.data)
-            for groups, (_, plan, _, result) in group_encodes.items()}
+    """shape -> (plan, stream) of :func:`group_encodes`."""
+    return {shape: (plan, result.data)
+            for shape, (_, plan, _, result) in group_encodes.items()}
+
+
+def record_posts(monkeypatch):
+    """The list that gets ``(function name, args)`` of each task this
+    process posts to the worker."""
+    posts, post = [], pipeline._Tasks.post
+
+    def recording(tasks, messages, function, *args):
+        posts.append((function.__name__, args))
+        return post(tasks, messages, function, *args)
+
+    monkeypatch.setattr(pipeline._Tasks, "post", recording)
+    return posts
+
+
+def window_halves(plan):
+    """The first half of each window of two or more models: groups are
+    taken two at a time, the last alone where their count is odd, and
+    each window's models split at the middle one."""
+    halves = []
+    for group in range(0, plan.gom_count, 2):
+        first = plan.goms[group][0]
+        end = plan.goms[min(group + 2, plan.gom_count) - 1][1]
+        if end - first >= 2:
+            halves.append((first, first + (end - first) // 2))
+    return halves
 
 
 @pytest.mark.parametrize("cpus", [2, 8])
-@pytest.mark.parametrize("groups", [2, 3, 5])
+@pytest.mark.parametrize("groups", [2, 3, 5, "3x2", "5x2", "3+1"])
 def test_forked_decode_equals_group_decodes(group_streams, monkeypatch,
                                             groups, cpus):
-    # each of the two workers decodes every other group, so the last,
-    # short group shares one with earlier groups
+    # the worker decodes the first half of each window of two groups, so
+    # a short last group or clip, a lone last group of two models and a
+    # window split inside its first group (3 + 1) decode as the groups do
     plan, data = group_streams[groups]
-    assert plan.gom_count == groups
-    assert plan.goms[-1][1] - plan.goms[-1][0] < plan.gom_size or \
-        plan.gops[-1][1] - plan.gops[-1][0] < plan.gop_size
+    if isinstance(groups, int):
+        assert plan.gom_count == groups
+        assert plan.goms[-1][1] - plan.goms[-1][0] < plan.gom_size or \
+            plan.gops[-1][1] - plan.gops[-1][0] < plan.gop_size
     reader = BitstreamReader.from_bytes(data)
-    parts = [decode_gom(reader, g)[0].frames for g in range(groups)]
+    parts = [decode_gom(reader, g)[0].frames for g in range(plan.gom_count)]
     set_cpus(monkeypatch, cpus)
     forks = count_forks(monkeypatch)
+    posts = record_posts(monkeypatch)
     decoded = decode_video(data)
     assert len(forks) == 1  # two workers at most, however many CPUs
     assert_no_child_left()
     assert np.array_equal(decoded.frames, np.concatenate(parts))
+    assert [(name, args[1]) for name, args in posts] == [
+        ("_first_half", half) for half in window_halves(plan)]
 
 
 def _stale_crc(data: bytes, model: int) -> bytes:
@@ -845,19 +884,21 @@ def test_live_thread_decodes_without_forking(encoded_pair, monkeypatch):
 
 def test_group_of_a_dead_worker_decodes_in_the_parent(group_streams,
                                                       monkeypatch):
-    # a worker that ends before it sends a group leaves that group, and
-    # every later one of its, to the parent
+    # a worker that ends in its first half of a window leaves that half,
+    # and the first half of every later window, to the parent; the task
+    # is found by name, so the patch keeps the name
     plan, data = group_streams[5]
     expected = decode_video(data).frames
-    parent, decode = os.getpid(), pipeline.decode_gom
+    parent, half = os.getpid(), pipeline._first_half
 
-    def dying(reader, index):
+    @functools.wraps(half)
+    def dying(*args):
         if os.getpid() != parent:
             os._exit(1)
-        return decode(reader, index)
+        return half(*args)
 
     set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(pipeline, "decode_gom", dying)
+    monkeypatch.setattr(pipeline, "_first_half", dying)
     forks = count_forks(monkeypatch)
     assert np.array_equal(decode_video(data).frames, expected)
     assert len(forks) == 1
@@ -883,8 +924,8 @@ def test_no_pipe_or_process_to_spare_decodes_serially(group_streams,
 
 def test_cli_consumer_stopping_early_leaves_no_child(encoded_pair,
                                                      monkeypatch, tmp_path):
-    # the output fails on the parent's first group, while the worker is
-    # still decoding or waiting to send the second
+    # the output fails on the first window, and the abandoned call ends
+    # the worker
     from clipcodec import cli
     from clipcodec.errors import DataError
 
@@ -1002,6 +1043,33 @@ def test_forked_model_decode_raises_the_serial_error(model_streams,
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("edit", [_stale_crc, _recoded],
+                         ids=["stale-crc", "recoded"])
+@pytest.mark.parametrize("models", [(1,), (2,), (3,), (1, 2), (0, 3)],
+                         ids=["worker-P", "parent-P", "second-group",
+                              "both-sides", "I-and-second-group"])
+def test_window_split_inside_a_group_raises_the_serial_error(
+        group_streams, monkeypatch, edit, models):
+    # groups of 3 + 1 models make one window, split at model 2, a P model
+    # of the first group: the worker hands over the chain after model 1,
+    # and the first bad model in the serial order raises
+    plan, good = group_streams["3+1"]
+    assert plan.goms == ((0, 3), (3, 4))
+    data = good
+    for model in models:
+        data = edit(data, model)
+    set_cpus(monkeypatch, 1)
+    serial = _raised(data)
+    assert serial == _raised(edit(good, models[0]))
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    posts = record_posts(monkeypatch)
+    assert _raised(data) == serial
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert [args[1:] for _, args in posts] == [((0, 2), True)]
+
+
 def _overflowing(data: bytes, model: int, layer: int, scale: float) -> bytes:
     """``model``'s step of ``layer`` set to ``scale``, a finite value no
     encoder writes."""
@@ -1084,8 +1152,8 @@ def test_model_of_a_dead_worker_decodes_in_the_parent(model_streams,
 @pytest.mark.parametrize("groups", [2, 3])
 def test_group_workers_fork_no_model_workers(group_streams, monkeypatch,
                                              tmp_path, groups):
-    # groups fan out, so neither the parent nor the child fans out the
-    # models of a group: one fork in any process, two processes in all
+    # each window splits once, and the worker's half uses no worker: one
+    # fork in any process, two processes in all
     _, data = group_streams[groups]
     log, fork = tmp_path / "forks", os.fork
 
@@ -1110,20 +1178,27 @@ def encode_report(result):
 
 
 @pytest.mark.parametrize("cpus", [2, 8], ids=["2-cpus", "8-cpus"])
-@pytest.mark.parametrize("groups", [2, 3, 5])
+@pytest.mark.parametrize("groups", [2, 3, 5, "3x2", "5x2", "3+1"])
 def test_forked_encode_equals_serial_encode(group_encodes, monkeypatch,
                                             groups, cpus):
-    # the worker trains the odd groups, so the last, short group or clip
-    # shares it with earlier groups; one worker however many CPUs
+    # the worker trains the first group of each window of two, and a lone
+    # last group scores each model's rate term in it; one worker however
+    # many CPUs
     video, plan, cfg, serial = group_encodes[groups]
-    assert plan.gom_count == groups
+    if isinstance(groups, int):
+        assert plan.gom_count == groups
     set_cpus(monkeypatch, cpus)
     forks = count_forks(monkeypatch)
+    posts = record_posts(monkeypatch)
     forked = encode_video(video, plan, small_config(), cfg,
                           keep_reference=True)
     assert len(forks) == 1
     assert_no_child_left()
     assert encode_report(forked) == encode_report(serial)
+    lone = range(*plan.goms[-1]) if plan.gom_count % 2 else []
+    assert [name for name, _ in posts] == (
+        ["_encode_group"] * (plan.gom_count // 2)
+        + ["_rate_replies"] * len(lone))
 
 
 def _encode_error(group_encodes, monkeypatch, bad_gops):
@@ -1149,8 +1224,9 @@ def _encode_error(group_encodes, monkeypatch, bad_gops):
                               "child-and-parent"])
 def test_forked_encode_raises_the_serial_error(group_encodes, monkeypatch,
                                                bad_gops):
-    # clips (0, 1), (2, 3) and (4,) form groups 0, 1 and 2; the child
-    # trains group 1, and the first failing group in order raises
+    # clips (0, 1), (2, 3) and (4,) form groups 0, 1 and 2; the worker
+    # trains group 0, this process group 1, and then group 2 with its rate
+    # term in the worker; the first failing group in order raises
     set_cpus(monkeypatch, 1)
     serial = _encode_error(group_encodes, monkeypatch, bad_gops)
     assert serial[1] == f"loss diverged in clip {bad_gops[0]}"
@@ -1271,7 +1347,7 @@ def test_live_thread_one_group_encode_forks_no_rate_worker(group_encodes,
 
 def test_second_encode_and_decode_fork_nothing(group_encodes, monkeypatch):
     # one worker serves every call of the process: a one-group encode's
-    # rate tasks, a group fan-out and a split group decode alike
+    # rate tasks, a window of two groups and a split group decode alike
     set_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     for groups in (1, 3, 1, 3):
