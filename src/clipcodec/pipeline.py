@@ -637,26 +637,25 @@ class _Tasks:
 
 @contextmanager
 def _tasks():
-    """Yield the call's :class:`_Tasks`: the outermost block makes them
+    """Yield the call's :class:`_Tasks`: the outermost block makes them,
     and every block inside it shares them, so a worker that ends is not
-    forked again before the call returns.  A block that ends by an error,
-    or before it read every message, abandons the tasks: the worker is
-    killed, not drained, and every later task of the call runs here.  So
-    is a worker that ended; the next call then forks afresh."""
+    forked again before the call returns.  A call that ends by an error,
+    or before it read every message, abandons its tasks: the worker is
+    killed, not drained.  So is a worker that ended; the next call then
+    forks afresh."""
     global _current
-    outer = _current is None
-    if outer:
-        _current = _Tasks()
-    tasks, ended = _current, True
+    if _current is not None:
+        yield _current
+        return
+    _current = tasks = _Tasks()
+    ended = True
     try:
         yield tasks
         ended = tasks.left > 0
     finally:
+        _current = None
         if tasks.forked and (ended or tasks.worker is None):
-            tasks.worker = None
             _stop_worker()
-        if outer:
-            _current = None
 
 
 def _rate_reply(unit: np.ndarray, noise: np.ndarray, sizes):
