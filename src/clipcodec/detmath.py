@@ -23,18 +23,32 @@ Recipes are the classic ones:
   ``CALERF`` coefficient sets), with the ``exp(-x*x)`` factor evaluated
   via the split-argument trick and the deterministic ``exp`` above (its
   ``exp(-ysq*ysq)`` half takes 425 values, tabulated by that ``exp``).
-  Each element is routed once to its region (near, mid or far) and only
-  that region's kernel runs on it, on the gathered subset.
+  Each element is routed once, by ``|x|``, to the near region or beyond
+  it, and each route runs on its gathered subset.  Beyond it, the mid
+  (up to 4) and far kernels are both ``exp(-x*x)`` times a rational
+  factor: one ``exp`` pass serves both, the mid factor runs on every
+  element of the route, and the far factor's results replace it on the
+  far elements.
 
 In both routed pairs (sin/cos, erf/erfc) every step is elementwise and
 exactly rounded, so an element's bits do not depend on which other
 elements share its call, nor on the input's shape: the result equals
 evaluating every kernel everywhere and selecting.
 
+The same holds for every kernel, so the ones that take tensor-sized
+inputs (``exp``, ``log``, ``erf``, ``erfc``, ``norm_cdf``, ``norm_pdf``,
+``norm_cdf_diff``, ``sigmoid``) run on consecutive blocks of at most
+``_BLOCK_ELEMENTS`` (16,384) elements of their flattened input, each
+block's result written into one float64 output, and give the bits of
+one call on the whole input.  A float64 temporary then takes at most
+128 KiB, below glibc's default mmap threshold, whatever the tensor's
+size, and a call of at most one block runs its kernel once, with no
+copy.  ``ops.gelu`` does its float64 arithmetic on the same blocks.
+
 Fast paths skip passes that do no arithmetic when the input allows it:
 ``exp`` with every element in range and ``log`` with every element
 finite and positive run no select and no special-value fix; ``erf`` and
-``erfc`` with every ``|x| <= 4`` (so no NaN) build no far route; the
+``erfc`` with every ``|x| <= 4`` (so no NaN) build no far mask; the
 erfc kernels call ``exp``'s core without its range check, as their
 argument is in range by construction.  Selects that are exact as
 arithmetic are written so (``log``'s mantissa shift, ``erf``'s sign,
@@ -54,6 +68,42 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+# 128 KiB per float64 temporary, below glibc's default mmap threshold
+_BLOCK_ELEMENTS = 16_384
+
+
+def _blocked(body, x, y=None, dtype=np.float64) -> np.ndarray:
+    """``body`` of ``x`` (and ``y``, broadcast to one shape), flattened
+    and cast to float64, run on consecutive slices of at most
+    ``_BLOCK_ELEMENTS`` elements; the result has that shape and
+    ``dtype``.
+
+    A call of at most one block runs ``body`` once on the whole input,
+    with no copy a direct call would not make; a larger one casts each
+    slice and writes each slice's result into one output, so no float64
+    temporary is larger than a block.  ``body`` is elementwise, so the
+    bits do not depend on the slicing.
+    """
+    x = np.asarray(x)
+    if y is not None:
+        y = np.asarray(y)
+        if y.shape != x.shape:
+            x, y = np.broadcast_arrays(x, y)
+    shape, n = x.shape, x.size
+    if n <= _BLOCK_ELEMENTS:
+        x = x.reshape(-1).astype(np.float64, copy=False)
+        out = body(x) if y is None else body(
+            x, y.reshape(-1).astype(np.float64, copy=False))
+        return out.astype(dtype, copy=False).reshape(shape)
+    flats = (x.reshape(-1),) if y is None else (x.reshape(-1), y.reshape(-1))
+    out = np.empty(n, dtype)
+    for start in range(0, n, _BLOCK_ELEMENTS):
+        piece = slice(start, start + _BLOCK_ELEMENTS)
+        out[piece] = body(*[f[piece].astype(np.float64, copy=False)
+                            for f in flats])
+    return out.reshape(shape)
+
 
 _LN2_HI = 6.93147180369123816490e-01  # high 33 bits of ln 2
 _LN2_LO = 1.90821492927058770002e-10  # ln 2 - _LN2_HI
@@ -95,16 +145,18 @@ def _exp_core(x: np.ndarray) -> np.ndarray:
 
 def exp(x) -> np.ndarray:
     """Deterministic ``e**x`` (float64)."""
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1)
+    return _blocked(_exp, x)
+
+
+def _exp(flat: np.ndarray) -> np.ndarray:
     ok = (flat >= _EXP_UNDERFLOW) & (flat <= _EXP_OVERFLOW)  # False for NaN
     if ok.all():
-        return _exp_core(flat).reshape(x.shape)
+        return _exp_core(flat)
     out = _exp_core(np.where(ok, flat, 0.0))
     bad = np.flatnonzero(~ok)
     xb = flat[bad]
     out[bad] = np.where(xb > 0.0, np.inf, np.where(xb < 0.0, 0.0, np.nan))
-    return out.reshape(x.shape)
+    return out
 
 
 _SQRT_HALF = 0.7071067811865476
@@ -114,8 +166,10 @@ _LOG_POLY = tuple(1.0 / k for k in range(21, 2, -2))
 
 def log(x) -> np.ndarray:
     """Deterministic natural logarithm (float64)."""
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1)
+    return _blocked(_log, x)
+
+
+def _log(flat: np.ndarray) -> np.ndarray:
     ok = (flat > 0.0) & (flat < np.inf)  # False for NaN
     fix = not ok.all()
     m, e = np.frexp(np.where(ok, flat, 1.0) if fix else flat)
@@ -142,7 +196,7 @@ def log(x) -> np.ndarray:
         out = np.where(flat < 0.0, np.nan, out)
         out = np.where(np.isposinf(flat), np.inf, out)
         out = np.where(np.isnan(flat), np.nan, out)
-    return out.reshape(x.shape)
+    return out
 
 
 def log2(x) -> np.ndarray:
@@ -316,26 +370,35 @@ def _exp_neg_square(y: np.ndarray):
     return head, rest
 
 
-def _erfc_mid(y: np.ndarray) -> np.ndarray:
-    # 0.46875 < y <= 4
-    head, rest = _exp_neg_square(y)
-    head *= _exp_core(rest)
+def _erfc_above_near(y: np.ndarray, any_far: bool) -> np.ndarray:
+    """``erfc(y)`` for 1-d ``y > 0.46875``, none NaN: the mid kernel up
+    to 4, the far kernel beyond (if ``any_far``); ``y`` is overwritten.
+
+    Both kernels are ``exp(-y*y)`` times a rational factor, and one
+    ``exp(-y*y)`` pass serves every element.  A far element is first
+    cut at _ERFC_ZERO, where the value is 0 (the far kernel's result is
+    set to 0 there), so y * y cannot overflow, nor y - ysq be inf - inf.
+    The mid factor runs on every element and the far elements' results
+    are then written over theirs.
+    """
+    far = np.flatnonzero(y > 4.0) if any_far else ()
+    if len(far):
+        yf = np.minimum(y[far], _ERFC_ZERO)
+        y[far] = yf
+    out, rest = _exp_neg_square(y)
+    out *= _exp_core(rest)
     del rest  # freed before the ratio's buffers are taken
+    if len(far):
+        z = 1.0 / (yf * yf)
+        r = z * _horner(z, _ERFC_FAR_NUM) / _horner(z, _ERFC_FAR_DEN)
+        tail = out[far] * (_INV_SQRT_PI - r) / yf
+        tail[yf == _ERFC_ZERO] = 0.0
     ratio = _horner(y, _ERFC_MID_NUM)
     ratio /= _horner(y, _ERFC_MID_DEN)
-    head *= ratio
-    return head
-
-
-def _erfc_far(y: np.ndarray) -> np.ndarray:
-    # y > 4; the value is 0 from _ERFC_ZERO on, so the kernel runs on y
-    # clipped there: y * y cannot overflow, nor y - ysq be inf - inf
-    yc = np.minimum(y, _ERFC_ZERO)
-    z = 1.0 / (yc * yc)
-    r = z * _horner(z, _ERFC_FAR_NUM) / _horner(z, _ERFC_FAR_DEN)
-    head, rest = _exp_neg_square(yc)
-    out = head * _exp_core(rest) * (_INV_SQRT_PI - r) / yc
-    return np.where(y >= _ERFC_ZERO, 0.0, out)
+    out *= ratio
+    if len(far):
+        out[far] = tail
+    return out
 
 
 def _erf_near(x: np.ndarray) -> np.ndarray:
@@ -358,43 +421,46 @@ def _erf_tail(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.copysign(t, v, out=t)
 
 
-def _by_region(x, near, tail) -> np.ndarray:
+def _by_region(flat, near, tail) -> np.ndarray:
     """``near(x)`` where ``|x| <= 0.46875``, else ``tail(x, erfc(|x|))``.
 
-    ``erfc(|x|)`` comes from the mid kernel up to 4 and the far kernel
-    beyond; each kernel sees only its own elements, and a region with no
+    ``erfc(|x|)`` comes from :func:`_erfc_above_near`; a route with no
     elements runs nothing.  NaN stays NaN.
     """
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1)
     y = np.abs(flat)
     is_near = y <= 0.46875
-    if flat.size and y.max() <= 4.0:  # no far element and no NaN
-        routes = ((np.flatnonzero(~is_near), _erfc_mid),)
-    else:
-        routes = ((np.flatnonzero(~is_near & (y <= 4.0)), _erfc_mid),
-                  (np.flatnonzero(y > 4.0), _erfc_far))
+    above = np.flatnonzero(y > 0.46875)  # NaN is in neither route
+    any_far = not (flat.size and y.max() <= 4.0)  # or a NaN
+    if any_far:
         y[np.isnan(y)] = np.nan  # the one NaN, whatever the input's
-    # Each route gathers its |x| first; then the output is written over
-    # y, where every element but NaN lies in a route.
-    routes = [(idx, kernel, y[idx]) for idx, kernel in routes if idx.size]
+    # |x| of the mid and far elements is gathered first; then the output
+    # is written over y, where every element but NaN lies in a route
+    y_above = y[above]
     out = y
     idx = np.flatnonzero(is_near)
     if idx.size:
         out[idx] = near(flat[idx])
-    for idx, kernel, y_idx in routes:
-        out[idx] = tail(flat[idx], kernel(y_idx))
-    return out.reshape(x.shape)
+    if above.size:
+        out[above] = tail(flat[above], _erfc_above_near(y_above, any_far))
+    return out
 
 
 def erf(x) -> np.ndarray:
     """Deterministic error function (float64)."""
-    return _by_region(x, _erf_near, _erf_tail)
+    return _blocked(_erf, x)
+
+
+def _erf(flat: np.ndarray) -> np.ndarray:
+    return _by_region(flat, _erf_near, _erf_tail)
 
 
 def erfc(x) -> np.ndarray:
     """Deterministic complementary error function (float64)."""
-    return _by_region(x, _erfc_near,
+    return _blocked(_erfc, x)
+
+
+def _erfc(flat: np.ndarray) -> np.ndarray:
+    return _by_region(flat, _erfc_near,
                       lambda v, t: np.where(v < 0.0, 2.0 - t, t))
 
 
@@ -404,7 +470,11 @@ _INV_SQRT_2PI = 0.3989422804014327
 
 def norm_cdf(x) -> np.ndarray:
     """Standard normal CDF via ``erfc`` (accurate in both tails)."""
-    out = erfc(np.asarray(x, dtype=np.float64) * -_INV_SQRT2)
+    return _blocked(_norm_cdf, x)
+
+
+def _norm_cdf(flat: np.ndarray) -> np.ndarray:
+    out = erfc(flat * -_INV_SQRT2)
     out *= 0.5
     return out
 
@@ -413,14 +483,17 @@ _PDF_ZERO = 64.0  # exp(-x*x/2) is 0 from |x| ~ 38.6 on
 
 
 def norm_pdf(x) -> np.ndarray:
+    return _blocked(_norm_pdf, x)
+
+
+def _norm_pdf(flat: np.ndarray) -> np.ndarray:
     # |x| is capped so that x*x cannot overflow; the cap changes no value
-    x = np.asarray(x, dtype=np.float64)
-    h = np.abs(x.reshape(-1))
+    h = np.abs(flat)
     np.minimum(h, _PDF_ZERO, out=h)
     h *= -0.5 * h
     out = exp(h)
     out *= _INV_SQRT_2PI
-    return out.reshape(x.shape)
+    return out
 
 
 def norm_cdf_diff(lo, hi) -> np.ndarray:
@@ -430,8 +503,10 @@ def norm_cdf_diff(lo, hi) -> np.ndarray:
     taken between two small, relatively-accurate ``erfc`` values instead of
     two values near 1.
     """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
+    return _blocked(_norm_cdf_diff, lo, hi)
+
+
+def _norm_cdf_diff(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # where lo > -hi (the sign of lo + hi without the sum, which can
     # overflow) the interval flips to (-hi, -lo]; minimum picks the same
     # ends without a select, and at lo == -hi differs only in the sign of
@@ -443,9 +518,12 @@ def norm_cdf_diff(lo, hi) -> np.ndarray:
 
 def sigmoid(x) -> np.ndarray:
     """Deterministic logistic function (float64)."""
-    x = np.asarray(x, dtype=np.float64)
-    ez = exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return _blocked(_sigmoid, x)
+
+
+def _sigmoid(flat: np.ndarray) -> np.ndarray:
+    ez = exp(-np.abs(flat))
+    return np.where(flat >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def round_half_away(x) -> np.ndarray:

@@ -325,16 +325,33 @@ _INV_SQRT2 = 0.7071067811865476
 
 
 def gelu(x: Tensor) -> Tensor:
+    # the float64 glue runs on detmath's blocks, and the product is cast
+    # to x's dtype in ufunc buffers: no float64 temporary at full size
+    # but the cdf the backward pass keeps
     xd = x.data
-    cdf = 0.5 * (1.0 + detmath.erf(xd.astype(np.float64) * _INV_SQRT2))
-    out = _result((xd * cdf).astype(x.dtype), (x,))
+    cdf = detmath._blocked(_gelu_cdf, xd)
+    out = _result(np.multiply(xd, cdf, out=np.empty_like(xd),
+                              casting="same_kind"), (x,))
 
     def backward(g):
-        pdf = detmath.norm_pdf(xd.astype(np.float64))
-        return ((g * (cdf + xd * pdf).astype(x.dtype)),)
+        return (g * detmath._blocked(_gelu_slope, xd, cdf, dtype=x.dtype),)
 
     _record(out, (x,), backward)
     return out
+
+
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    cdf = detmath.erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    slope = detmath.norm_pdf(x)
+    slope *= x
+    slope += cdf
+    return slope
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -16,7 +16,7 @@ from clipcodec.coder import SymbolModel, build_models
 from clipcodec.errors import ShapeError
 from clipcodec.params import ParamVector
 from clipcodec.ratequant import layer_stats, rate_bits_train
-from clipcodec.tensor import Tensor
+from clipcodec.tensor import Tape, Tensor
 
 
 @pytest.fixture(autouse=True)
@@ -53,6 +53,22 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray,
     scale = np.maximum(np.abs(numeric), np.abs(analytic))
     return float(np.max(np.abs(analytic - numeric)
                         / np.maximum(scale, floor)))
+
+
+class CaptureTape(Tape):
+    """A tape that keeps the backward closure of the last recorded op."""
+
+    def record(self, out, inputs, backward):
+        super().record(out, inputs, backward)
+        self.last_backward = backward
+
+
+def op_and_grads(op, g, *inputs) -> tuple:
+    """``op``'s output data and the gradients its backward pass gives the
+    upstream gradient ``g``."""
+    with CaptureTape() as tape:
+        out = op(*(Tensor(a, requires_grad=True) for a in inputs))
+    return (out.data,) + tuple(tape.last_backward(g))
 
 
 def concat_flat(xs) -> Tensor:

@@ -321,3 +321,77 @@ def test_trig_inputs_missing_a_quadrant_keep_their_bits(fn):
     for keep in groups:
         assert 0 < keep.sum() < x.size
         assert fn(x[keep]).tobytes() == full[keep].tobytes()
+
+
+# Kernels of more than _BLOCK_ELEMENTS elements run block by block.  An
+# input tiling the golden grid puts NaN, +-inf and every Cody region in
+# every full block; each size gives the bits of the same call made on
+# pieces of at most a block, which take the one-block path, cut where
+# the blocks are not.
+
+_BLOCK = detmath._BLOCK_ELEMENTS
+BLOCK_SIZES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17)
+_PIECE = 6007
+
+
+def tiled(values, n: int) -> np.ndarray:
+    """``values`` repeated end to end, cut to ``n`` elements."""
+    return np.resize(np.asarray(values), n)
+
+
+def pieces(n: int) -> list[slice]:
+    """Consecutive slices of at most _PIECE elements covering ``n``."""
+    assert _PIECE <= _BLOCK
+    return [slice(i, i + _PIECE) for i in range(0, n, _PIECE)]
+
+
+def by_pieces(fn, *arrays) -> np.ndarray:
+    return np.concatenate([fn(*(a[piece] for a in arrays))
+                           for piece in pieces(arrays[0].size)])
+
+
+def _routed_inputs(n: int):
+    x = golden_grid()
+    yield "exp", detmath.exp, (tiled(x, n),)
+    yield "log", detmath.log, (tiled(np.concatenate([x, np.abs(x)]), n),)
+    for fn in (detmath.erf, detmath.erfc, detmath.norm_cdf,
+               detmath.norm_pdf, detmath.sigmoid):
+        yield fn.__name__, fn, (tiled(x, n),)
+    yield "norm_cdf_diff", detmath.norm_cdf_diff, (
+        tiled(np.concatenate([x, x - 1.0, x]), n),
+        tiled(np.concatenate([x[::-1], x + 1.0, x]), n))
+
+
+def test_tiled_blocks_hold_every_region():
+    x = tiled(golden_grid(), 3 * _BLOCK)
+    for start in range(0, x.size, _BLOCK):
+        block = x[start:start + _BLOCK]
+        y = np.abs(block)
+        assert np.isnan(block).any()
+        assert np.isposinf(block).any() and np.isneginf(block).any()
+        assert (y <= 0.46875).any() and (y > 26.543).any()
+        assert ((y > 0.46875) & (y <= 4.0)).any()
+        assert ((y > 4.0) & (y <= 26.543)).any()
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_blocked_kernels_equal_their_pieces(n, dtype):
+    for name, fn, args in _routed_inputs(n):
+        with np.errstate(over="ignore"):  # beyond float32's range: inf
+            args = [a.astype(dtype) for a in args]
+        got = fn(*args)
+        assert got.dtype == np.float64 and got.shape == (n,), name
+        assert got.tobytes() == by_pieces(fn, *args).tobytes(), name
+
+
+def test_blocked_kernels_keep_the_input_shape():
+    # a strided 4-d view of three blocks and more, flattened in C order
+    n = 2 * 3 * 96 * 96
+    for name, fn, args in _routed_inputs(n):
+        views = [a.reshape(2, 3, 96, 96).transpose(0, 1, 3, 2)
+                 for a in args]
+        got = fn(*views)
+        assert got.shape == (2, 3, 96, 96), name
+        flat = [np.ascontiguousarray(v).reshape(-1) for v in views]
+        assert got.reshape(-1).tobytes() == fn(*flat).tobytes(), name

@@ -3,13 +3,14 @@
 numpy picks its SIMD loops at import time from the CPU features it finds;
 ``NPY_DISABLE_CPU_FEATURES`` switches dispatched ones off.  The codec's
 bytes must not depend on that choice, so the golden stream,
-reconstruction, kernel-hash and synthetic-clip tests are rerun in a fresh
-interpreter once per lower level.  Each case is named after the highest level it
-leaves on, so the test ids say which levels were covered.  Baseline
-features are compiled in and cannot be switched off, and a level the
-host lacks cannot be emulated: only dispatch targets found here are
-disabled, from the top down, because a higher target implies the lower
-ones.
+reconstruction, kernel-hash and synthetic-clip tests, and the tests that
+kernels and ops cut into blocks give the bits of one block at a time,
+are rerun in a fresh interpreter once per lower level.  Each case is
+named after the highest level it leaves on, so the test ids say which
+levels were covered.  Baseline features are compiled in and cannot be
+switched off, and a level the host lacks cannot be emulated: only
+dispatch targets found here are disabled, from the top down, because a
+higher target implies the lower ones.
 """
 
 import os
@@ -28,6 +29,9 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_TESTS = (
     "tests/test_pipeline.py::test_golden_bitstream_and_reconstruction",
     "tests/test_detmath.py::test_kernels_match_golden_hashes",
+    "tests/test_detmath.py::test_blocked_kernels_equal_their_pieces",
+    "tests/test_detmath.py::test_blocked_kernels_keep_the_input_shape",
+    "tests/test_tensor_ops.py::test_blocked_ops_equal_their_pieces",
     "tests/test_video.py::test_synth_matches_golden_hashes",
     "tests/test_tensor_ops.py::"
     "test_conv2d_upsample_bitwise_equal_to_two_op_chain",

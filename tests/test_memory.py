@@ -1,15 +1,20 @@
 """Working sets per model group: the codec's memory does not grow with the
-frame count beyond the frames it is asked to hold."""
+frame count beyond the frames it is asked to hold, and a large tensor's
+float64 math holds a few blocks of temporaries beside its outputs."""
 
+import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from clipcodec import detmath, ops
 from clipcodec.cli import main
 from clipcodec.pipeline import TrainConfig, decode_video, encode_video, \
     partition
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.video import synth_video
+from conftest import op_and_grads
 
 # tiny@32, clips of 5 frames in groups of 2, one epoch per model
 CONFIG = nerv_lite_preset(32, 32, "tiny")
@@ -23,7 +28,16 @@ def _video(frames):
 
 
 def _traced_peak(fn) -> int:
-    """Peak bytes tracemalloc sees while ``fn`` runs, after one warm-up."""
+    """Peak bytes tracemalloc sees while ``fn`` runs, after one warm-up.
+
+    CPython keeps freed tuples, lists, dicts and floats on free lists,
+    and an object taken from one is no allocation tracemalloc sees, while
+    one freed onto it while tracing stays counted; so the peak depends
+    on how full the lists are, that is, on what ran before.  A full
+    collection empties them, and the warm-up refills them with ``fn``'s
+    own frees, so that the peak is ``fn``'s alone.
+    """
+    gc.collect()
     fn()
     tracemalloc.start()
     try:
@@ -82,3 +96,27 @@ def test_decode_video_peak_grows_by_its_output_only(streams):
 
     output = _video(LONG).frames.nbytes
     assert peak(LONG) <= peak(SHORT) + output
+
+
+# one 12-channel 256x256 stage
+STAGE = 12 * 256 * 256
+
+
+def test_gelu_forward_and_backward_peak_is_its_outputs():
+    # the float64 cdf the backward pass keeps, the float32 output, slope
+    # and gradient, and temporaries of a few blocks: about 20 bytes per
+    # element (a whole-tensor float64 temporary is 8)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(STAGE).astype(np.float32)
+    g = rng.standard_normal(STAGE).astype(np.float32)
+    peak = _traced_peak(lambda: op_and_grads(ops.gelu, g, x))
+    assert peak <= 24 * STAGE
+
+
+def test_norm_cdf_diff_peak_is_its_output():
+    # the float64 mass and temporaries of a few blocks: about 10 bytes
+    # per element
+    r = np.random.default_rng(1).standard_normal(STAGE) * 2.0
+    lo, hi = r - 0.5, r + 0.5
+    peak = _traced_peak(lambda: detmath.norm_cdf_diff(lo, hi))
+    assert peak <= 12 * STAGE

@@ -8,8 +8,9 @@ from clipcodec.backbone import forward_clip, init_random
 from clipcodec.errors import ShapeError, TapeError
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.tensor import Tape, Tensor
-from conftest import (concat_flat, fd_gradient, rel_error, sum_all,
-                      upsample_nearest)
+from conftest import (CaptureTape, concat_flat, fd_gradient, op_and_grads,
+                      rel_error, sum_all, upsample_nearest)
+from test_detmath import BLOCK_SIZES, golden_grid, pieces, tiled
 
 
 def test_matmul_shape_contract():
@@ -157,14 +158,6 @@ def test_tier_conv_shapes_are_the_forward_pass(monkeypatch):
     assert seen == TIER_CONV_SHAPES and len(seen) == 9
 
 
-class _CaptureTape(Tape):
-    """A tape that keeps the backward closure of the last recorded op."""
-
-    def record(self, out, inputs, backward):
-        super().record(out, inputs, backward)
-        self.last_backward = backward
-
-
 @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("x_shape,w_shape", TIER_CONV_SHAPES,
@@ -179,7 +172,7 @@ def test_conv2d_bitwise_equal_to_per_tap_reference(x_shape, w_shape, dtype,
         b = rng.standard_normal(w_shape[0]).astype(dtype) if bias else None
         g = rng.standard_normal((x_shape[0], w_shape[0])
                                 + x_shape[2:]).astype(dtype)
-        with _CaptureTape() as tape:
+        with CaptureTape() as tape:
             out = ops.conv2d(Tensor(x, requires_grad=True),
                              Tensor(w, requires_grad=True),
                              None if b is None else Tensor(b,
@@ -268,6 +261,31 @@ def test_elementwise_gradients_match_fd(op_name):
     analytic = x.grad.copy()
     numeric = fd_gradient(lambda: run()[0].item(), x.data)
     assert rel_error(analytic, numeric) < 1e-7
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_ops_equal_their_pieces(n, dtype):
+    # GELU's float64 work and gauss_mass's kernels run block by block on
+    # more than a block: forward and backward give the bits of the same
+    # op on pieces within one block, on inputs tiling the golden grid
+    x = golden_grid()
+    g = np.random.default_rng(n).standard_normal(n).astype(dtype)
+    with np.errstate(over="ignore"):  # beyond float32's range: inf
+        cases = [(ops.gelu, tiled(x, n).astype(dtype)),
+                 (ops.gauss_mass,
+                  tiled(np.concatenate([x, x - 1.0]), n).astype(dtype),
+                  tiled(np.concatenate([x[::-1], x + 1.0]), n).astype(dtype))]
+    for op, *inputs in cases:
+        with np.errstate(invalid="ignore"):  # -inf * 0 is NaN
+            got = op_and_grads(op, g, *inputs)
+            want = [np.concatenate(parts) for parts in zip(*(
+                op_and_grads(op, g[piece], *(a[piece] for a in inputs))
+                for piece in pieces(n)))]
+        assert len(got) == len(inputs) + 1
+        for a, e in zip(got, want):
+            assert a.dtype == dtype and a.shape == (n,), op.__name__
+            assert a.tobytes() == e.tobytes(), op.__name__
 
 
 def test_div_and_broadcast_gradients():
