@@ -241,8 +241,9 @@ def _phase_conv(x: np.ndarray, w: np.ndarray, scale: int) -> np.ndarray:
                     t * tap + (p + ri) * row + (p + ci) * item,
                     (sn, so, rs * row, cs * item, row, item))
     out = np.empty((n, cout, h, scale, wd, scale), dtype=x.dtype)
-    for a, b in np.ndindex(scale, scale):
-        out[:, :, :, a, :, b] = acc[:, :, a, b]
+    for a in range(scale):
+        for b in range(scale):
+            out[:, :, :, a, :, b] = acc[:, :, a, b]
     return out.reshape(n, cout, h * scale, wd * scale)
 
 
@@ -325,19 +326,27 @@ _INV_SQRT2 = 0.7071067811865476
 
 
 def gelu(x: Tensor) -> Tensor:
-    # the float64 glue runs on detmath's blocks, and the product is cast
-    # to x's dtype in ufunc buffers: no float64 temporary at full size
-    # but the cdf the backward pass keeps
+    """``x * cdf(x)``, its float64 work on detmath's blocks, each block's
+    product cast to ``x``'s dtype in ufunc buffers.  Under a tape the
+    forward pass also writes the slope ``cdf(x) + x * pdf(x)`` in that
+    dtype, all that the backward pass keeps; with none, nothing is kept."""
     xd = x.data
-    cdf = detmath._blocked(_gelu_cdf, xd)
-    out = _result(np.multiply(xd, cdf, out=np.empty_like(xd),
-                              casting="same_kind"), (x,))
-
-    def backward(g):
-        return (g * detmath._blocked(_gelu_slope, xd, cdf, dtype=x.dtype),)
-
-    _record(out, (x,), backward)
-    return out
+    flat = xd.reshape(-1)
+    out = np.empty(flat.shape, xd.dtype)
+    taped = active_tape() is not None and x.requires_grad
+    slope = np.empty(flat.shape, xd.dtype) if taped else None
+    for start in range(0, flat.size, detmath._BLOCK_ELEMENTS):
+        piece = slice(start, start + detmath._BLOCK_ELEMENTS)
+        block = flat[piece].astype(np.float64, copy=False)
+        cdf = _gelu_cdf(block)
+        np.multiply(block, cdf, out=out[piece], casting="same_kind")
+        if taped:
+            slope[piece] = _gelu_slope(block, cdf)
+    result = _result(out.reshape(xd.shape), (x,))
+    if taped:
+        slope = slope.reshape(xd.shape)
+        _record(result, (x,), lambda g: (g * slope,))
+    return result
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
@@ -409,36 +418,4 @@ def mean_square(x: Tensor) -> Tensor:
     n = x.size
     xd = x.data
     _record(out, (x,), lambda g: (g * xd * x.dtype.type(2.0 / n),))
-    return out
-
-
-def segment_sum(x: Tensor, sizes) -> Tensor:
-    """Sums of consecutive runs of the 1-d ``x``, one per entry of ``sizes``.
-
-    Each run is reduced by its own ``np.sum``, so a run sums to the same
-    bits as ``np.sum`` over that run alone.
-    """
-    sizes = list(sizes)
-    if x.data.ndim != 1 or sum(sizes) != x.size:
-        raise ShapeError(f"segment_sum: runs {sizes} do not cover {x.shape}")
-    ends = np.cumsum(sizes)
-    data = np.array([np.sum(x.data[end - n:end])
-                     for n, end in zip(sizes, ends)], dtype=x.dtype)
-    out = _result(data, (x,))
-    _record(out, (x,), lambda g: (np.repeat(g, sizes),))
-    return out
-
-
-def sum_ordered(x: Tensor) -> Tensor:
-    """Sum of a 1-d ``x`` added strictly left to right.
-
-    ``np.sum`` adds pairwise; this matches a chain of scalar ``add`` ops.
-    """
-    if x.data.ndim != 1:
-        raise ShapeError(f"sum_ordered: need a 1-d input, got {x.shape}")
-    total = np.add.accumulate(x.data)[-1] if x.size else 0.0
-    out = _result(np.asarray(total, dtype=x.dtype), (x,))
-    shape = x.shape
-    _record(out, (x,),
-            lambda g: (np.broadcast_to(g, shape).astype(x.dtype),))
     return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -84,13 +85,20 @@ class ParamVector:
                 raise LayoutError(f"segment mismatch at {n1!r}: "
                                   f"{n1} {s1} vs {n2} {s2}")
 
-    def with_flat(self, data: np.ndarray) -> "ParamVector":
-        """The same layout over the 1-d ``data``."""
-        return ParamVector(self._layout, Tensor(data))
+    def with_flat(self, data: np.ndarray,
+                  requires_grad: bool = False) -> "ParamVector":
+        """The same layout over the 1-d ``data``, sharing this vector's
+        layout tables rather than building them again."""
+        flat = Tensor(data, requires_grad=requires_grad)
+        if flat.data.ndim != 1 or flat.size != self.flat.size:
+            raise LayoutError(f"flat vector of shape {flat.shape} does not "
+                              f"hold {self.flat.size} parameters")
+        out = copy.copy(self)
+        out.flat = flat
+        return out
 
     def clone(self, requires_grad: bool = False) -> "ParamVector":
-        return ParamVector(self._layout, Tensor(self.flat.data.copy(),
-                                                requires_grad=requires_grad))
+        return self.with_flat(self.flat.data.copy(), requires_grad)
 
     def clear_grads(self) -> None:
         self.flat.grad = None

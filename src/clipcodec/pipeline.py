@@ -129,7 +129,7 @@ def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
 
     The rate term is one tape node over ``unit``, recorded after the
     lattice and before the network, whose value and gradient
-    :func:`_score_rate` computes on a tape of its own: here, or, where a
+    :func:`_score_rate` computes at once: here, or, where a
     :class:`_RateWorker` ``worker`` takes the step, in that process while
     this one renders.  Then ``rate`` reads 0, and so ``loss`` the
     distortion term alone, until ``tape.backward(loss)`` reaches the node
@@ -152,32 +152,16 @@ def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
 
 
 def _score_rate(unit: np.ndarray, noise: np.ndarray, sizes):
-    """One step's rate term on a tape of its own: ``(bits, grad, (mu,
-    sd))`` for the scaled residual ``unit``, every layer's values joined
-    in layout order with ``sizes`` giving each layer's element count, at
-    ``noise``, under the layer statistics of ``unit``.
-
-    ``grad()`` walks that tape backward and returns ``d bits / d unit``:
-    the gradient the rate's ops give ``unit`` when they are recorded on
-    the step's own tape, whose backward pass seeds the step's loss, and
-    so its rate term, with 1.  Called where the step's backward pass
-    reaches the rate, it keeps the rate's temporaries alive as long as
-    the step's own tape would, which keeps malloc's heap, and the page
-    faults of the step, as they are with one tape.  A rate that is not
-    finite has no gradient (None): its step raises before any update.
-    """
-    flat = Tensor(unit, requires_grad=True)
+    """One step's rate term: ``(bits, d bits / d unit, (mu, sd))`` for the
+    scaled residual ``unit``, every layer's values joined in layout order
+    with ``sizes`` giving each layer's element count, at ``noise``, under
+    the layer statistics of ``unit``.  The gradient is the one the step's
+    backward pass gives ``unit`` through the rate, whose own gradient is
+    1; a rate that is not finite has none (None), and its step raises
+    before any update."""
     mu, sd = layer_stats(unit, sizes)
-    with Tape() as tape:
-        bits = rate_bits_train(flat, noise, mu, sd, sizes)
-
-    def grad():
-        if not np.isfinite(bits.data):
-            return None
-        tape.backward(bits)
-        return flat.grad
-
-    return bits.data, grad, (mu, sd)
+    bits, grad = rate_bits_train(unit, noise, mu, sd, sizes)
+    return bits, grad, (mu, sd)
 
 
 def _rate_node(unit: Tensor, noise: np.ndarray, sizes, worker):
@@ -195,7 +179,10 @@ def _rate_node(unit: Tensor, noise: np.ndarray, sizes, worker):
             rate.data, grad = worker.receive()
             return grad
     else:
-        rate.data, reply, stats = _score_rate(unit.data, noise, sizes)
+        rate.data, grad, stats = _score_rate(unit.data, noise, sizes)
+
+        def reply():
+            return grad
     if taped:
         def backward(g):
             grad = reply()
@@ -661,8 +648,7 @@ def _tasks():
 def _rate_reply(unit: np.ndarray, noise: np.ndarray, sizes):
     """``(bits, d bits / d unit)`` of :func:`_score_rate`: a rate
     worker's reply to one step."""
-    bits, grad, _ = _score_rate(unit, noise, sizes)
-    return bits, grad()
+    return _score_rate(unit, noise, sizes)[:2]
 
 
 def _rate_replies(requests, sizes, dtype, seed: int, steps: int):
@@ -726,7 +712,41 @@ def _rate_worker(params: ParamVector, steps: int, seed: int):
     with _tasks() as tasks:
         tasks.post(steps, _rate_replies, params.sizes, params.dtype, seed,
                    steps)
-        yield _RateWorker(tasks, params.sizes)
+        with _apart(tasks.worker):
+            yield _RateWorker(tasks, params.sizes)
+
+
+@contextmanager
+def _apart(worker):
+    """For the body of the block, pin ``worker`` (a :class:`_Worker`, or
+    None) to the highest CPU this thread may use and this thread to the
+    rest, where it may use two or more; both masks are restored after
+    it.  The scheduler may otherwise keep both processes on one CPU,
+    where each request waits for the worker to drain it
+    (``docs/resources.md``, "Where the two processes run").  Where a mask
+    cannot be set, both run as they were."""
+    pinned = []  # (pid, mask to restore), 0 for this thread
+
+    def restore():
+        while pinned:
+            pid, mask = pinned.pop()
+            with suppress(OSError):
+                os.sched_setaffinity(pid, mask)
+
+    try:
+        mine = os.sched_getaffinity(0)
+        if worker is not None and len(mine) > 1:
+            top = max(mine)
+            for pid, mask in ((worker.pid, {top}), (0, mine - {top})):
+                before = os.sched_getaffinity(pid)
+                os.sched_setaffinity(pid, mask)
+                pinned.append((pid, before))
+    except OSError:  # ProcessLookupError where the worker has died
+        restore()
+    try:
+        yield
+    finally:
+        restore()
 
 
 def _encode_group(requests, frames: np.ndarray, plan: PartitionPlan,

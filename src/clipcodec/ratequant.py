@@ -8,7 +8,7 @@ probability of a quantized value is modelled per layer as a Gaussian,
 fitted to the scaled residual, convolved with a unit uniform:
 
 * train mode adds uniform(-1/2, 1/2) noise to the scaled residual and
-  scores it under the continuous density (differentiable),
+  scores it under the continuous density, with its gradient,
 * eval mode scores the hard integer symbols via interval masses of the
   same Gaussian, which is what the entropy coder's tables discretize.
 
@@ -24,10 +24,9 @@ import itertools
 
 import numpy as np
 
-from . import detmath, ops
+from . import detmath
 from .errors import ConfigError, LayoutError, NumericError
 from .params import ParamVector
-from .tensor import Tensor
 
 SIGMA_FLOOR = 1e-6
 # Train-mode floor is far gentler: the residual starts at exactly zero, and
@@ -167,47 +166,75 @@ def layer_stats(scaled: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
             np.maximum(np.sqrt(var), SIGMA_FLOOR).astype(np.float32))
 
 
-def rate_bits_train(flat: Tensor, noise: np.ndarray, mu: np.ndarray,
-                    sd: np.ndarray, sizes) -> Tensor:
-    """Differentiable bit estimate at (scaled residual + uniform noise).
+def rate_bits_train(unit: np.ndarray, noise: np.ndarray, mu: np.ndarray,
+                    sd: np.ndarray, sizes):
+    """Bit estimate at (scaled residual + uniform noise) and its gradient:
+    ``(bits, d bits / d unit)``.
 
-    ``flat`` holds every layer's scaled residual, flattened and joined in
+    ``unit`` holds every layer's scaled residual, flattened and joined in
     layout order, with ``sizes`` giving each layer's element count;
     ``noise`` holds every layer's noise in the same order.  (mu, sd) are
-    treated as per-step constants; gradients flow through the scaled
-    residual (and hence through parameters and log-scales).
+    per-step constants, so the gradient is the one the scaled residual
+    (and through it the parameters and log-scales) receives.  ``bits`` is
+    a 0-d array of ``unit``'s dtype and the gradient a flat array of it;
+    a rate that is not finite has no gradient (None).
 
-    All layers are scored by one op chain: every element carries its
-    layer's offsets and inverse sd, and the per-element bits are summed
-    per layer.  The bits equal scoring each layer on its own, because
-    every rounding step is kept: ``0.5 - mu`` and ``-0.5 - mu`` are taken
-    in float32 and ``1 / max(sd, SIGMA_TRAIN_FLOOR)`` in float64, then
-    rounded to the tensor dtype; each layer's sum is one ``np.sum`` over
-    its own contiguous elements, scaled to bits per layer; and the layer
-    bits are added left to right in layout order.
+    One pass over blocks of at most ``detmath._BLOCK_ELEMENTS`` values
+    scores the rate and differentiates it at once, so nothing of it
+    outlives the call but the gradient.  Every value is the one the chain
+    of ``ops`` gives when each layer is scored on its own and walked
+    backward: ``0.5 - mu`` and ``-0.5 - mu`` are taken in float32 and
+    ``1 / max(sd, SIGMA_TRAIN_FLOOR)`` in float64, then rounded to the
+    dtype; each layer's nats are one ``np.sum`` over its own contiguous
+    values, scaled to bits per layer; and the layer bits are added left
+    to right in layout order.  The gradient's arithmetic raises no
+    floating-point warning; where the chain's backward pass reads an
+    infinite value, it gave a warning and the same gradient.
     """
     sizes = list(sizes)
-    u = noise.reshape(-1)
+    unit, u = unit.reshape(-1), noise.reshape(-1)
     if not (len(sizes) == len(mu) == len(sd)
-            and sum(sizes) == u.size == flat.size):
+            and sum(sizes) == u.size == unit.size):
         raise LayoutError(f"rate term got {len(sizes)} layers of "
-                          f"{flat.size} values, {u.size} noise values and "
+                          f"{unit.size} values, {u.size} noise values and "
                           f"{len(mu)}/{len(sd)} layer stats")
-
-    def per_element(values) -> Tensor:
-        return ops.constant(np.repeat(np.asarray(values, dtype=flat.dtype),
-                                      sizes))
-
-    inv_sd = per_element([1.0 / max(float(s), SIGMA_TRAIN_FLOOR)
-                          for s in sd])
-    y = ops.add(flat, ops.constant(u.astype(flat.dtype)))
-    hi = ops.mul(ops.add(y, per_element([float(0.5 - m) for m in mu])),
-                 inv_sd)
-    lo = ops.mul(ops.add(y, per_element([float(-0.5 - m) for m in mu])),
-                 inv_sd)
-    p = ops.clamp_min(ops.gauss_mass(lo, hi), TRAIN_PROB_FLOOR)
-    nats = ops.segment_sum(ops.neg(ops.log(p)), sizes)
-    return ops.sum_ordered(ops.mul(nats, _INV_LN2))
+    dtype = unit.dtype
+    inv_sd = np.array([1.0 / max(float(s), SIGMA_TRAIN_FLOOR) for s in sd],
+                      dtype)
+    hi_shift = np.array([float(0.5 - m) for m in mu], dtype)
+    lo_shift = np.array([float(-0.5 - m) for m in mu], dtype)
+    floor, slope = dtype.type(TRAIN_PROB_FLOOR), dtype.type(-_INV_LN2)
+    bounds = np.cumsum([0] + sizes)
+    nats = np.empty(unit.size, dtype)  # each value's -log p
+    grad = np.empty(unit.size, dtype)
+    for start in range(0, unit.size, detmath._BLOCK_ELEMENTS):
+        piece = slice(start, start + detmath._BLOCK_ELEMENTS)
+        # each layer's count in the block spreads its constants over it
+        counts = np.diff(np.clip(bounds, start, piece.stop))
+        scale = np.repeat(inv_sd, counts)
+        y = unit[piece] + u[piece].astype(dtype)
+        hi = y + np.repeat(hi_shift, counts)
+        hi *= scale
+        lo = np.add(y, np.repeat(lo_shift, counts), out=y)
+        lo *= scale
+        mass = detmath.norm_cdf_diff(lo, hi).astype(dtype)
+        p = np.maximum(mass, floor)
+        np.negative(detmath.log(p).astype(dtype), out=nats[piece])
+        with np.errstate(all="ignore"):
+            g = np.divide(slope, p, out=p)
+            g *= mass > floor
+            up = g * detmath.norm_pdf(hi).astype(dtype)
+            np.negative(g, out=g)
+            g *= detmath.norm_pdf(lo).astype(dtype)
+            g *= scale
+            up *= scale
+            np.add(g, up, out=grad[piece])
+    layer_nats = np.array([np.sum(nats[a:b]) for a, b
+                           in zip(bounds[:-1], bounds[1:])], dtype)
+    terms = layer_nats * dtype.type(_INV_LN2)
+    bits = np.asarray(np.add.accumulate(terms)[-1] if terms.size else 0.0,
+                      dtype)
+    return bits, grad if np.isfinite(bits) else None
 
 
 def rate_bits_eval(symbols: list[np.ndarray], mu: np.ndarray,

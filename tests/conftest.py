@@ -135,11 +135,16 @@ def joined(leaves: dict) -> np.ndarray:
 
 def rate_bits_layers(scaled, noise, stats):
     """``rate_bits_train`` of one tensor and one noise array per layer,
-    joined in layout order as the training step joins them; ``stats`` is
-    ``(mu, sd)``."""
-    return rate_bits_train(concat_flat(scaled),
-                           np.concatenate([u.reshape(-1) for u in noise]),
-                           *stats, [t.size for t in scaled])
+    joined in layout order as the training step joins them, as one tape
+    node whose backward pass scales the kernel's gradient, as the
+    training step's rate node does; ``stats`` is ``(mu, sd)``."""
+    flat = concat_flat(scaled)
+    bits, grad = rate_bits_train(
+        flat.data, np.concatenate([u.reshape(-1) for u in noise]), *stats,
+        [t.size for t in scaled])
+    out = ops._result(bits, (flat,))
+    ops._record(out, (flat,), lambda g: (grad * g,))
+    return out
 
 
 def layer_stats_of(scaled):

@@ -145,6 +145,8 @@ def test_manifest_rerun_equal_at_any_cpu_count(workdir, tmp_path,
     assert "jobs" not in json.loads(manifest.read_text())
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None,
+                        raising=False)
     again = tmp_path / "again.bits"
     assert main(["encode", "--from-manifest", str(manifest), "--out",
                  str(again)]) == 0

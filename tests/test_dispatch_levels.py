@@ -32,6 +32,8 @@ GOLDEN_TESTS = (
     "tests/test_detmath.py::test_blocked_kernels_equal_their_pieces",
     "tests/test_detmath.py::test_blocked_kernels_keep_the_input_shape",
     "tests/test_tensor_ops.py::test_blocked_ops_equal_their_pieces",
+    "tests/test_tensor_ops.py::"
+    "test_gelu_with_and_without_tape_gives_the_whole_input_bits",
     "tests/test_video.py::test_synth_matches_golden_hashes",
     "tests/test_tensor_ops.py::"
     "test_conv2d_upsample_bitwise_equal_to_two_op_chain",

@@ -8,11 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clipcodec import detmath, ops
+from clipcodec import detmath, ops, pipeline
+from clipcodec.backbone import param_layout
+from clipcodec.bitstream import BitstreamReader
 from clipcodec.cli import main
 from clipcodec.pipeline import TrainConfig, decode_video, encode_video, \
     partition
 from clipcodec.presets import nerv_lite_preset
+from clipcodec.tensor import Tensor
 from clipcodec.video import synth_video
 from conftest import op_and_grads
 
@@ -88,29 +91,44 @@ def test_cli_decode_peak_flat_in_frame_count(streams):
 
 
 def test_decode_video_peak_grows_by_its_output_only(streams):
-    # one group's parameters and frames are alive at a time; only the
-    # returned video grows with the frame count
-    def peak(frames):
+    # one window's parameters and frames are alive at a time; only the
+    # returned video, and the header's record of each model, grow with
+    # the frame count, on one CPU or two
+    def peak(frames, fn):
         data = streams[frames][1]
-        return _traced_peak(lambda: decode_video(data))
+        return _traced_peak(lambda: fn(data))
 
     output = _video(LONG).frames.nbytes
-    assert peak(LONG) <= peak(SHORT) + output
+    header = (peak(LONG, BitstreamReader.from_bytes)
+              - peak(SHORT, BitstreamReader.from_bytes))
+    assert peak(LONG, decode_video) <= (peak(SHORT, decode_video) + output
+                                        + header)
 
 
 # one 12-channel 256x256 stage
 STAGE = 12 * 256 * 256
+BLOCK = detmath._BLOCK_ELEMENTS
 
 
 def test_gelu_forward_and_backward_peak_is_its_outputs():
-    # the float64 cdf the backward pass keeps, the float32 output, slope
-    # and gradient, and temporaries of a few blocks: about 20 bytes per
-    # element (a whole-tensor float64 temporary is 8)
+    # the float32 output, the slope the backward pass keeps and the
+    # gradient, and temporaries of a few blocks: about 12 bytes per
+    # element (keeping the float64 cdf instead of the slope took 20)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(STAGE).astype(np.float32)
     g = rng.standard_normal(STAGE).astype(np.float32)
     peak = _traced_peak(lambda: op_and_grads(ops.gelu, g, x))
-    assert peak <= 24 * STAGE
+    assert peak <= 14 * STAGE
+
+
+def test_gelu_without_a_tape_peak_is_its_output():
+    # a render keeps nothing for a backward pass: the float32 output and
+    # temporaries of a few blocks, about 5.4 bytes per element (keeping
+    # the float64 cdf took 12)
+    x = Tensor(np.random.default_rng(0).standard_normal(STAGE)
+               .astype(np.float32))
+    peak = _traced_peak(lambda: ops.gelu(x))
+    assert peak <= 6 * STAGE
 
 
 def test_norm_cdf_diff_peak_is_its_output():
@@ -120,3 +138,22 @@ def test_norm_cdf_diff_peak_is_its_output():
     lo, hi = r - 0.5, r + 0.5
     peak = _traced_peak(lambda: detmath.norm_cdf_diff(lo, hi))
     assert peak <= 12 * STAGE
+
+
+def test_score_rate_peak_is_its_gradient_and_a_block():
+    # a small@64 step's rate term (38,103 values) keeps its float32
+    # gradient and each value's nats over all values, 8 bytes each, and
+    # works on one block at a time: a few float32 arrays of a block and
+    # one norm_cdf_diff call on a block (2.17 MB against a bound of
+    # 2.29; the taped chain held 3.16 MB)
+    sizes = [spec.count for spec in
+             param_layout(nerv_lite_preset(64, 64, "small"))]
+    n = sum(sizes)
+    rng = np.random.default_rng(2)
+    unit = (rng.standard_normal(n) * 3.0).astype(np.float32)
+    noise = rng.uniform(-0.5, 0.5, n)
+    lo = (rng.standard_normal(BLOCK) * 3.0).astype(np.float32)
+    hi = lo + np.float32(0.5)
+    block = _traced_peak(lambda: detmath.norm_cdf_diff(lo, hi))
+    peak = _traced_peak(lambda: pipeline._score_rate(unit, noise, sizes))
+    assert peak <= block + 8 * n + 8 * 4 * BLOCK

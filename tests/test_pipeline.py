@@ -712,9 +712,17 @@ def test_payloads_are_read_to_their_last_byte(encoded_pair):
 # ------------------------------------ whole-video encode and decode workers
 
 def set_cpus(monkeypatch, count):
-    """Make the encoder and decoder see ``count`` usable CPUs."""
+    """Make the encoder and decoder see ``count`` usable CPUs, for this
+    process and every other; returns the masks they set since, by pid (0
+    for this thread), which no real mask takes."""
+    masks = {}
     monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)), raising=False)
+                        lambda pid: masks.get(pid, set(range(count))),
+                        raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda pid, mask: masks.update({pid: set(mask)}),
+                        raising=False)
+    return masks
 
 
 def count_forks(monkeypatch):
@@ -1511,22 +1519,26 @@ RATE_SEED = 21
 
 
 def _train_one(cpus, monkeypatch, cfg=None):
-    """A 3-frame I model trained with ``cpus`` usable CPUs; returns every
-    field of its :class:`TrainedModel` as bytes or plain values, and the
-    number of forks."""
-    config = small_config()
-    video = synth_video("moving-blob", 16, 16, 3, velocity=1.0, seed=8)
+    """A 3-frame I model trained with ``cpus`` usable CPUs; returns
+    :func:`_trained` and the number of forks."""
     set_cpus(monkeypatch, cpus)
     forks = count_forks(monkeypatch)
+    return _trained(cfg), len(forks)
+
+
+def _trained(cfg=None):
+    """Every field of a 3-frame I model's :class:`TrainedModel`, as bytes
+    or plain values."""
+    config = small_config()
+    video = synth_video("moving-blob", 16, 16, 3, velocity=1.0, seed=8)
     trained = train_model("I", video.normalized(np.float32),
                           init_random(config, 2), config,
                           cfg or quick_cfg(epochs_i=2), RATE_SEED)
     assert_no_child_left()
-    fields = (trained.theta_star.to_bytes(),
-              [sym.tobytes() for sym in trained.symbols],
-              trained.scale.tobytes(), trained.mu.tobytes(),
-              trained.sd.tobytes(), trained.epoch_logs)
-    return fields, len(forks)
+    return (trained.theta_star.to_bytes(),
+            [sym.tobytes() for sym in trained.symbols],
+            trained.scale.tobytes(), trained.mu.tobytes(),
+            trained.sd.tobytes(), trained.epoch_logs)
 
 
 def _step_noise(step: int) -> np.ndarray:
@@ -1541,13 +1553,14 @@ def _step_noise(step: int) -> np.ndarray:
 
 
 def _at_step(step: int, act):
-    """A ``rate_bits_train`` that runs ``act(bits)`` at training step
-    ``step``, in whichever process scores it, and returns its result."""
+    """A ``rate_bits_train`` that runs ``act`` on its ``(bits, grad)`` at
+    training step ``step``, in whichever process scores it, and returns
+    its result."""
     target, rate_bits = _step_noise(step), pipeline.rate_bits_train
 
-    def rate(flat, noise, mu, sd, sizes):
-        bits = rate_bits(flat, noise, mu, sd, sizes)
-        return act(bits) if np.array_equal(noise, target) else bits
+    def rate(unit, noise, mu, sd, sizes):
+        scored = rate_bits(unit, noise, mu, sd, sizes)
+        return act(scored) if np.array_equal(noise, target) else scored
 
     return rate
 
@@ -1558,6 +1571,66 @@ def test_rate_worker_trains_the_serial_model(monkeypatch):
     forked, forks = _train_one(2, monkeypatch)
     assert forks == 1
     assert forked == serial  # the epoch logs' loss_r and loss_d too
+
+
+def _masks_at_adam_steps(monkeypatch):
+    """The list that gets, at each of this process's Adam steps while a
+    worker lives, the worker's CPU mask and this thread's."""
+    seen, adam = [], pipeline.adam_step
+
+    def step(*args):
+        if pipeline._worker is not None:
+            seen.append((os.sched_getaffinity(pipeline._worker.pid),
+                         os.sched_getaffinity(0)))
+        return adam(*args)
+
+    monkeypatch.setattr(pipeline, "adam_step", step)
+    return seen
+
+
+def test_rate_worker_and_its_caller_run_on_different_cpus(monkeypatch):
+    # for its rate task the worker takes the highest usable CPU and this
+    # thread the rest; both masks are restored after it
+    serial, _ = _train_one(1, monkeypatch)
+    masks = set_cpus(monkeypatch, 2)
+    seen = _masks_at_adam_steps(monkeypatch)
+    assert _trained() == serial
+    assert len(seen) == 12  # 2 epochs of 3 frames, two Adam steps each
+    assert all(pair == ({1}, {0}) for pair in seen)
+    assert len(masks) == 2 and all(m == {0, 1} for m in masks.values())
+
+
+def test_pinned_caller_is_restored_after_an_error(monkeypatch):
+    masks = set_cpus(monkeypatch, 2)
+    seen = _masks_at_adam_steps(monkeypatch)
+    monkeypatch.setattr(pipeline, "rate_bits_train", _at_step(2, _fail_rate))
+    with pytest.raises(ValueError, match="rate term failed"):
+        _trained()
+    assert_no_child_left()
+    assert len(seen) == 4 and all(pair == ({1}, {0}) for pair in seen)
+    assert len(masks) == 2 and all(m == {0, 1} for m in masks.values())
+
+
+@pytest.mark.parametrize("refused, error", [
+    ("worker", ProcessLookupError), ("caller", OSError)])
+def test_rate_worker_runs_unpinned_where_a_mask_is_refused(monkeypatch,
+                                                           refused, error):
+    # a pin refused, the worker's (dead) or this thread's, leaves both
+    # processes as they were, and the model keeps its bytes
+    serial, _ = _train_one(1, monkeypatch)
+    set_cpus(monkeypatch, 2)
+    set_mask = os.sched_setaffinity
+
+    def refusing(pid, mask):
+        if len(mask) == 1 and (pid == 0) == (refused == "caller"):
+            raise error(errno.EINVAL, "refused")
+        set_mask(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", refusing)
+    seen = _masks_at_adam_steps(monkeypatch)
+    assert _trained() == serial
+    assert len(seen) == 12
+    assert all(pair == ({0, 1}, {0, 1}) for pair in seen)
 
 
 def test_model_without_steps_forks_no_rate_worker(monkeypatch):
@@ -1576,10 +1649,10 @@ def test_rate_worker_that_ends_hands_its_steps_back(monkeypatch, how, step):
     else:
         parent = os.getpid()
 
-        def leave(bits):
+        def leave(scored):
             if os.getpid() != parent:
                 os._exit(1)
-            return bits
+            return scored
 
         monkeypatch.setattr(pipeline, "rate_bits_train", _at_step(step, leave))
     forked, forks = _train_one(2, monkeypatch)
@@ -1587,16 +1660,17 @@ def test_rate_worker_that_ends_hands_its_steps_back(monkeypatch, how, step):
     assert forked == serial
 
 
-def _overflow(bits):
+def _overflow(scored):
     return np.float32(3e38) * np.float32(10.0)  # a RuntimeWarning here
 
 
-def _fail_rate(bits):
+def _fail_rate(scored):
     raise ValueError("rate term failed")
 
 
-def _non_finite(bits):
-    return ops.add(bits, np.float32(np.inf))
+def _non_finite(scored):
+    bits, _ = scored
+    return bits + np.float32(np.inf), None
 
 
 @pytest.mark.parametrize("act, error", [

@@ -15,7 +15,7 @@ from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_FLOOR, SIGMA_TRAIN_FLOOR,
                                  quantize, rate_bits_eval, rate_bits_train,
                                  residual, scaled_residual, widen_steps)
 from clipcodec.tensor import Tape, Tensor
-from conftest import (concat_flat, fd_gradient, layer_stats_of,
+from conftest import (fd_gradient, layer_stats_of,
                       rate_bits_layers, rel_error, sum_all)
 
 
@@ -238,20 +238,13 @@ def test_eval_bits_nonnegative_per_layer():
 
 def test_train_rate_gradients_match_fd_with_fixed_noise():
     rng = np.random.default_rng(2)
-    scaled_data = rng.standard_normal(24) * 3.0
+    x = rng.standard_normal(24) * 3.0
     noise = rng.uniform(-0.5, 0.5, 24)
-    mu, sd = layer_stats_of([scaled_data])
-    x = Tensor(scaled_data.copy(), requires_grad=True, dtype=np.float64)
-
-    def run():
-        with Tape() as tape:
-            bits = rate_bits_train(x, noise, mu, sd, [24])
-        return bits, tape
-
-    bits, tape = run()
-    tape.backward(bits)
-    analytic = x.grad.copy()
-    numeric = fd_gradient(lambda: run()[0].item(), x.data)
+    mu, sd = layer_stats_of([x])
+    bits, analytic = rate_bits_train(x, noise, mu, sd, [24])
+    assert bits.dtype == analytic.dtype == np.float64
+    numeric = fd_gradient(
+        lambda: float(rate_bits_train(x, noise, mu, sd, [24])[0]), x)
     assert rel_error(analytic, numeric) < 1e-6
 
 
@@ -320,24 +313,80 @@ def test_fused_train_rate_matches_per_layer_reference_bitwise(dtype, seed):
         assert g.tobytes() == w.tobytes()
 
 
-def test_fused_train_rate_records_one_chain():
-    rng = np.random.default_rng(4)
-    scaled = [Tensor(rng.standard_normal(shape), requires_grad=True,
-                     dtype=np.float32) for shape in _MIXED_SHAPES]
-    noise = [rng.uniform(-0.5, 0.5, shape) for shape in _MIXED_SHAPES]
-    stats = layer_stats_of([t.data.reshape(-1) for t in scaled])
-    with Tape() as tape:
-        rate_bits_layers(scaled, noise, stats)
-    # one gauss_mass chain for all layers, independent of the layer count
-    assert len(tape) == 13
-
-
 def test_train_rate_rejects_layer_count_mismatch():
     rng = np.random.default_rng(5)
-    scaled = [Tensor(rng.standard_normal(4)) for _ in range(2)]
-    mu, sd = layer_stats_of([t.data for t in scaled])
+    scaled = [rng.standard_normal(4) for _ in range(2)]
+    mu, sd = layer_stats_of(scaled)
     with pytest.raises(LayoutError):
-        rate_bits_train(concat_flat(scaled), np.zeros(4), mu, sd, [4, 4])
+        rate_bits_train(np.concatenate(scaled), np.zeros(4), mu, sd, [4, 4])
+
+
+def _layer_sizes(n):
+    """Uneven layers covering ``n`` values: one-value layers, layers that
+    cross a block's end and, from one block on, a layer longer than a
+    block."""
+    sizes = [1, 3, 1, 129, n // 3, 1]
+    return sizes + [n - sum(sizes)]
+
+
+def _per_layer_bits_and_grad(unit, noise, stats, sizes):
+    """The per-layer reference's bits and ``d bits / d unit``, joined;
+    the gradient is None where the bits are not finite."""
+    cuts = np.cumsum(sizes)[:-1]
+    layers = [Tensor(piece, requires_grad=True)
+              for piece in np.split(unit, cuts)]
+    # where a unit or a noise value is infinite, the chain's backward
+    # pass multiplies it by a zero gradient, which warns
+    with np.errstate(all="ignore"):
+        with Tape() as tape:
+            bits = _rate_bits_train_per_layer(layers, np.split(noise, cuts),
+                                              stats)
+        if not np.isfinite(bits.data):
+            return bits.data, None
+        tape.backward(bits)
+    return bits.data, np.concatenate([t.grad.reshape(-1) for t in layers])
+
+
+# a block's edges, several blocks, and the parameter counts of tiny@32
+# and small@64
+KERNEL_SIZES = (detmath._BLOCK_ELEMENTS - 1, detmath._BLOCK_ELEMENTS,
+                detmath._BLOCK_ELEMENTS + 1, 3 * detmath._BLOCK_ELEMENTS + 17,
+                10_225, 38_103)
+
+
+@pytest.mark.parametrize("special", ["none", "zero-inf", "nan"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_train_rate_kernel_matches_per_layer_reference(n, dtype, special):
+    # one blocked pass gives the bits and the gradient of scoring each
+    # layer on a tape of its own and walking it backward, past every
+    # block edge and with 0, +-inf or NaN among the units and the noise
+    rng = np.random.default_rng(n)
+    sizes = _layer_sizes(n)
+    unit = (rng.standard_normal(n)
+            * 10.0 ** rng.uniform(-3.0, 2.0, n)).astype(dtype)
+    noise = rng.uniform(-0.5, 0.5, n)
+    stats = layer_stats(unit, sizes)
+    spots = rng.choice(n, 6, replace=False)
+    if special == "zero-inf":
+        unit[spots[:3]] = [0.0, np.inf, -np.inf]
+        noise[spots[3:5]] = [np.inf, -np.inf]
+        noise[spots[5]] = 0.0
+    elif special == "nan":
+        unit[spots[0]] = np.nan
+        noise[spots[1]] = np.nan
+    bits, grad = rate_bits_train(unit, noise, *stats, sizes)
+    want_bits, want_grad = _per_layer_bits_and_grad(unit, noise, stats,
+                                                    sizes)
+    assert bits.dtype == dtype and bits.shape == ()
+    if special == "nan":
+        assert np.isnan(bits) and np.isnan(want_bits) and grad is None
+        return
+    assert np.isfinite(bits) and bits.tobytes() == want_bits.tobytes()
+    assert grad.dtype == dtype and grad.shape == (n,)
+    assert grad.tobytes() == want_grad.tobytes()
+    if special == "zero-inf":
+        assert (grad[spots[1:5]] == 0.0).all()
 
 
 def test_train_and_eval_rate_agree_in_direction():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clipcodec import ops
+from clipcodec import detmath, ops
 from clipcodec.backbone import forward_clip, init_random
 from clipcodec.errors import ShapeError, TapeError
 from clipcodec.presets import nerv_lite_preset
@@ -288,6 +288,40 @@ def test_blocked_ops_equal_their_pieces(n, dtype):
             assert a.tobytes() == e.tobytes(), op.__name__
 
 
+def _gelu_whole(x):
+    """GELU's output and slope computed on the whole of ``x`` at once, in
+    float64, each cast to ``x``'s dtype: ``x * cdf`` and
+    ``cdf + x * pdf``, with ``cdf = (erf(x / sqrt 2) + 1) / 2``."""
+    x64 = x.astype(np.float64)
+    cdf = detmath.erf(x64 * 0.7071067811865476)
+    cdf += 1.0
+    cdf *= 0.5
+    slope = detmath.norm_pdf(x64)
+    slope *= x64
+    slope += cdf
+    return (x64 * cdf).astype(x.dtype), slope.astype(x.dtype)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_with_and_without_tape_gives_the_whole_input_bits(n, dtype):
+    # block by block, with the slope kept under a tape or nothing kept
+    # without one, GELU gives the bits of its math on the whole input
+    with np.errstate(over="ignore"):  # beyond float32's range: inf
+        x = tiled(golden_grid(), n).astype(dtype)
+    g = np.random.default_rng(n).standard_normal(n).astype(dtype)
+    with np.errstate(invalid="ignore"):  # -inf * 0 is NaN
+        want, slope = _gelu_whole(x)
+        want_grad = g * slope
+        with Tape() as tape:
+            untaped = ops.gelu(Tensor(x)).data
+        out, grad = op_and_grads(ops.gelu, g, x)
+    assert len(tape) == 0
+    for got, expected in ((untaped, want), (out, want), (grad, want_grad)):
+        assert got.dtype == dtype and got.shape == (n,)
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_div_and_broadcast_gradients():
     rng = np.random.default_rng(3)
     a = Tensor(rng.uniform(0.5, 2.0, (3, 4)), requires_grad=True)
@@ -397,44 +431,6 @@ def test_broadcast_segments_reduces_each_segment_as_broadcasting(dtype):
     assert x.grad.tobytes() == np.array(want, dtype=dtype).tobytes()
     with pytest.raises(ShapeError):
         ops.broadcast_segments(x, shapes[1:])
-
-
-def test_segment_sum_forward_and_gradient():
-    rng = np.random.default_rng(5)
-    sizes = [3, 0, 1, 6]
-    x = Tensor(rng.standard_normal(10), requires_grad=True)
-    sums = ops.segment_sum(x, sizes)
-    assert np.array_equal(sums.data, [x.data[:3].sum(), 0.0, x.data[3],
-                                      x.data[4:].sum()])
-    w = ops.constant(rng.uniform(0.5, 2.0, len(sizes)))
-    _leaf_gradients_match_fd(
-        [x], lambda: ops.mean_square(ops.mul(ops.segment_sum(x, sizes),
-                                             w)))
-    with pytest.raises(ShapeError):
-        ops.segment_sum(x, [3, 6])
-    with pytest.raises(ShapeError):
-        ops.segment_sum(ops.reshape(x, (2, 5)), [5, 5])
-
-
-def test_sum_ordered_adds_left_to_right_and_gradient():
-    # each +1 vanishes next to 1e8 in float32; np.sum's pairwise partial
-    # sums keep some of them, so the two orders differ
-    x = Tensor(np.array([1e8] + [1.0] * 15, dtype=np.float32))
-    chained = x.data[0]
-    for v in x.data[1:]:
-        chained = chained + v
-    assert chained != np.sum(x.data)
-    out = ops.sum_ordered(x)
-    assert out.shape == () and out.dtype == np.float32
-    assert out.data.tobytes() == np.float32(chained).tobytes()
-    assert ops.sum_ordered(Tensor(np.zeros(0))).item() == 0.0
-    rng = np.random.default_rng(6)
-    y = Tensor(rng.standard_normal(7), requires_grad=True)
-    w = ops.constant(rng.uniform(0.5, 2.0, 7))
-    _leaf_gradients_match_fd(
-        [y], lambda: ops.mean_square(ops.sum_ordered(ops.mul(y, w))))
-    with pytest.raises(ShapeError):
-        ops.sum_ordered(Tensor(np.ones((2, 2))))
 
 
 def test_ste_round_forward_and_gradient():
