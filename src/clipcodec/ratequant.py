@@ -188,8 +188,9 @@ def rate_bits_train(unit: np.ndarray, noise: np.ndarray, mu: np.ndarray,
     dtype; each layer's nats are one ``np.sum`` over its own contiguous
     values, scaled to bits per layer; and the layer bits are added left
     to right in layout order.  The gradient's arithmetic raises no
-    floating-point warning; where the chain's backward pass reads an
-    infinite value, it gave a warning and the same gradient.
+    floating-point warning: where a unit or a noise value is infinite,
+    the chain's backward pass multiplied it by a zero gradient that
+    nothing read, which warned, and gave the same gradient.
     """
     sizes = list(sizes)
     unit, u = unit.reshape(-1), noise.reshape(-1)
