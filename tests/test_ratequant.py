@@ -322,9 +322,9 @@ def test_train_rate_rejects_layer_count_mismatch():
 
 
 def _layer_sizes(n):
-    """Uneven layers covering ``n`` values: one-value layers, layers that
-    cross a block's end and, from one block on, a layer longer than a
-    block."""
+    """Uneven layers covering ``n`` values: one-value layers, and layers
+    that cross a block's end, longer than a block where ``n`` passes two
+    blocks."""
     sizes = [1, 3, 1, 129, n // 3, 1]
     return sizes + [n - sum(sizes)]
 
