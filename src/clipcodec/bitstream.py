@@ -15,10 +15,8 @@ The full byte layout is documented field-by-field in docs/bitstream.md.
 from __future__ import annotations
 
 import io
-import os
 import struct
 import zlib
-from contextlib import suppress
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -331,23 +329,19 @@ class BitstreamReader:
 
     Parsing the header touches only the header bytes; each
     :meth:`read_payload` call reads exactly that model's byte range, so a
-    single-group decode never touches other groups' payloads.  A file
-    opened for reading, buffered or not, is read with ``os.pread``, which
-    leaves the file position alone: a forked worker shares it with its
-    parent.  Any other stream is read with seek and read, since its
+    single-group decode never touches other groups' payloads.  Every
+    stream is read with seek and read, through the object: its
     descriptor, if it has one, need not hold the bytes it reads (a
     ``gzip`` file's holds the compressed ones, a writer's lacks what it
-    has not flushed); one that cannot seek, a pipe, is read whole first.
+    has not flushed).  One that cannot seek, a pipe, is read whole first.
+    A decode's worker is sent the payload bytes it decodes, and never
+    reads the stream.
     """
 
     def __init__(self, fileobj):
         if not fileobj.seekable():
             fileobj = io.BytesIO(fileobj.read())
         self._file = fileobj
-        self._fd = None
-        if isinstance(fileobj, (io.FileIO, io.BufferedReader)):
-            with suppress(OSError):  # a reader over a BytesIO has none
-                self._fd = fileobj.fileno()
         self.header = _parse_header(self._read_exact)
 
     @classmethod
@@ -355,8 +349,6 @@ class BitstreamReader:
         return cls(io.BytesIO(data))
 
     def _read_exact(self, offset: int, n: int) -> bytes:
-        if self._fd is not None:
-            return os.pread(self._fd, n, offset)
         self._file.seek(offset)
         return self._file.read(n)
 

@@ -116,12 +116,6 @@ def div(a: Tensor, b) -> Tensor:
     return out
 
 
-def neg(a: Tensor) -> Tensor:
-    out = _result(-a.data, (a,))
-    _record(out, (a,), lambda g: (-g,))
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
@@ -374,33 +368,6 @@ def exp(x: Tensor) -> Tensor:
     e = detmath.exp(x.data).astype(x.dtype)
     out = _result(e, (x,))
     _record(out, (x,), lambda g: (g * e,))
-    return out
-
-
-def log(x: Tensor) -> Tensor:
-    out = _result(detmath.log(x.data).astype(x.dtype), (x,))
-    xd = x.data
-    _record(out, (x,), lambda g: (g / xd,))
-    return out
-
-
-def clamp_min(x: Tensor, floor: float) -> Tensor:
-    out = _result(np.maximum(x.data, x.dtype.type(floor)), (x,))
-    mask = x.data > floor
-    _record(out, (x,), lambda g: (g * mask,))
-    return out
-
-
-def gauss_mass(lo: Tensor, hi: Tensor) -> Tensor:
-    """Standard-normal mass on ``(lo, hi]`` with analytic endpoint grads."""
-    if lo.shape != hi.shape:
-        raise ShapeError(f"gauss_mass: bounds {lo.shape} vs {hi.shape}")
-    mass = detmath.norm_cdf_diff(lo.data, hi.data).astype(lo.dtype)
-    out = _result(mass, (lo, hi))
-    lod, hid = lo.data, hi.data
-    _record(out, (lo, hi),
-            lambda g: (-g * detmath.norm_pdf(lod).astype(lo.dtype),
-                       g * detmath.norm_pdf(hid).astype(hi.dtype)))
     return out
 
 

@@ -12,31 +12,22 @@ model's clip from the final parameters the walk yields into the group's
 frames, so the encoder scores the frames a decoder gives.
 
 Work uses a second CPU, where this process may use one, through one
-worker process: this module forks it at the first task that can use it
-and keeps it until the interpreter exits, and each use hands it a task
-by value down a pipe, which it answers with pickled messages on another.
-Both sides take the groups in windows of two, the last group alone where
-their count is odd; ``decode_gom`` decodes a window of one group.  A
-decode splits each window's models at the middle one: each model's
-payload is its own range-coded stream, so the worker, sent the header
-and the first half's payload bytes, range-decodes, walks and renders
-that half, handing the chain's state to this process first where the
-middle model is a P model, while this process range-decodes the second
-half and walks on.  An encode's models stay serial, since a P model
-trains from its predecessor: the worker trains a window's first group
-and this process its second, and a lone group sends the worker each
-training step's scaled residual, from which it draws the step's noise
-from the model's own stream and scores the rate and its gradient while
-this process renders the frame and walks the network backward, which
-reads the reply only where it reaches the rate term.  Tasks never nest:
-work started while one is in flight, or in the worker, runs serially.
-One CPU (``taskset -c 0``), one unit, another live Python thread, or a
-host with no process or descriptor to spare gives the serial walk.  A
-task that fails, or a worker that dies, hands its work back to this
-process, which so raises the serial walk's error, and the worker ends;
-so does a task abandoned before its last message.  The rest of the call
-then runs here, and the next call forks afresh.  A process this one
-forks forgets the worker.
+worker process (:mod:`~clipcodec.worker`, which also says when work runs
+serially and how a failed task hands its work back).  Both sides take
+the groups in windows of two, the last group alone where their count is
+odd; ``decode_gom`` decodes a window of one group.  A decode splits each
+window's models at the middle one: each model's payload is its own
+range-coded stream, so the worker, sent the header and the first half's
+payload bytes, range-decodes, walks and renders that half, handing the
+chain's state to this process first where the middle model is a P
+model, while this process range-decodes the second half and walks on.
+An encode's models stay serial, since a P model trains from its
+predecessor: the worker trains a window's first group and this process
+its second, and a lone group sends the worker each training step's
+scaled residual, from which it draws the step's noise from the model's
+own stream and scores the rate and its gradient while this process
+renders the frame and walks the network backward, which reads the reply
+only where it reaches the rate term.
 
 Training follows a strict quantization-aware regime: every step renders
 with the warm start plus the straight-through-rounded residual, so the
@@ -48,19 +39,14 @@ into the header at the end.
 
 from __future__ import annotations
 
-import atexit
-import os
-import pickle
-import signal
-import threading
 import time
 import zlib
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import detmath, metrics, ops
+from . import detmath, metrics, ops, worker
 from .backbone import (BackboneConfig, config_to_text, forward_clip,
                        frame_timestamps, init_random, param_layout)
 # partition is also this module's, for callers that plan an encode
@@ -107,16 +93,16 @@ class TrainConfig:
 def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
                        theta_star: ParamVector, log_scales: ParamVector,
                        targets: np.ndarray, t_norms, lam: float, noise,
-                       worker=None):
+                       rate_worker=None):
     """Build one training-step graph over a batch of frames, ``targets``
-    (n, H, W, 3) at timestamps ``t_norms``; returns (loss, rate, mse,
-    (mu, sd)).
+    (n, H, W, 3) at timestamps ``t_norms``; returns (loss, rate, mse).
 
     Rendering uses the warm start plus the straight-through-rounded
     residual on the trained lattice, so train-time distortion equals
     decode-time distortion.  The rate term scores the noisy scaled
-    residual; (mu, sd) statistics are per-step constants.  ``noise`` is
-    one uniform(-1/2, 1/2) array with every layer's noise in layout order.
+    residual under per-layer (mu, sd) statistics that are per-step
+    constants.  ``noise`` is one uniform(-1/2, 1/2) array with every
+    layer's noise in layout order.
 
     The lattice is one op chain over the flat vectors: each layer's step
     size ``exp(log_scale)`` is spread over its elements,
@@ -130,10 +116,10 @@ def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
     The rate term is one tape node over ``unit``, recorded after the
     lattice and before the network, whose value and gradient
     :func:`_score_rate` computes at once: here, or, where a
-    :class:`_RateWorker` ``worker`` takes the step, in that process while
-    this one renders.  Then ``rate`` reads 0, and so ``loss`` the
+    :class:`_RateWorker` ``rate_worker`` takes the step, in that process
+    while this one renders.  Then ``rate`` reads 0, and so ``loss`` the
     distortion term alone, until ``tape.backward(loss)`` reaches the node
-    and reads the worker's reply; (mu, sd) is None.
+    and reads the worker's reply.
     """
     shapes = [shape for _, shape in theta_star.layout()]
     steps = ops.exp(log_scales.flat)
@@ -144,15 +130,15 @@ def training_step_loss(config: BackboneConfig, theta_prime: ParamVector,
                       ops.broadcast_segments(steps, shapes))
     effective = dict(zip(theta_star.names,
                          ops.split_flat(ops.add(prime, snapped), shapes)))
-    rate, stats = _rate_node(unit, noise, theta_star.sizes, worker)
+    rate = _rate_node(unit, noise, theta_star.sizes, rate_worker)
     (frames,) = forward_clip(config, effective, t_norms)
     mse = ops.mean_square(ops.sub(frames, ops.constant(targets)))
     loss = ops.add(rate, ops.mul(mse, lam))
-    return loss, rate, mse, stats
+    return loss, rate, mse
 
 
 def _score_rate(unit: np.ndarray, noise: np.ndarray, sizes):
-    """One step's rate term: ``(bits, d bits / d unit, (mu, sd))`` for the
+    """One step's rate term: ``(bits, d bits / d unit)`` for the
     scaled residual ``unit``, every layer's values joined in layout order
     with ``sizes`` giving each layer's element count, at ``noise``, under
     the layer statistics of ``unit``.  The gradient is the one the step's
@@ -160,26 +146,23 @@ def _score_rate(unit: np.ndarray, noise: np.ndarray, sizes):
     1; a rate that is not finite has none (None), and its step raises
     before any update."""
     mu, sd = layer_stats(unit, sizes)
-    bits, grad = rate_bits_train(unit, noise, mu, sd, sizes)
-    return bits, grad, (mu, sd)
+    return rate_bits_train(unit, noise, mu, sd, sizes)
 
 
-def _rate_node(unit: Tensor, noise: np.ndarray, sizes, worker):
-    """The rate term over ``unit`` as one node of the active tape;
-    returns ``(rate, (mu, sd))``, both as :func:`training_step_loss`
-    describes.  Its backward pass multiplies the gradient of
-    :func:`_score_rate` by the rate's own."""
+def _rate_node(unit: Tensor, noise: np.ndarray, sizes, rate_worker):
+    """The rate term over ``unit`` as one node of the active tape, as
+    :func:`training_step_loss` describes it.  Its backward pass multiplies
+    the gradient of :func:`_score_rate` by the rate's own."""
     tape = active_tape()
     taped = tape is not None and unit.requires_grad
     rate = Tensor(np.zeros((), unit.dtype), requires_grad=unit.requires_grad)
-    if taped and worker is not None and worker.send(unit.data, noise):
-        stats = None
-
+    if (taped and rate_worker is not None
+            and rate_worker.send(unit.data, noise)):
         def reply():
-            rate.data, grad = worker.receive()
+            rate.data, grad = rate_worker.receive()
             return grad
     else:
-        rate.data, grad, stats = _score_rate(unit.data, noise, sizes)
+        rate.data, grad = _score_rate(unit.data, noise, sizes)
 
         def reply():
             return grad
@@ -188,7 +171,7 @@ def _rate_node(unit: Tensor, noise: np.ndarray, sizes, worker):
             grad = reply()
             return (None if grad is None else grad * g,)
         tape.record(rate, (unit,), backward)
-    return rate, stats
+    return rate
 
 
 def _step_noise(rng, size: int) -> np.ndarray:
@@ -260,7 +243,7 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
     def diverged(epoch, step):
         return NumericError(f"loss diverged at epoch {epoch} step {step}")
 
-    with _rate_worker(init, epochs * len(frames), seed) as worker:
+    with _rate_worker(init, epochs * len(frames), seed) as rate_worker:
         for epoch in range(epochs):
             lr = lr_at(epoch, epochs, base_lr)
             rate_sum = 0.0
@@ -269,18 +252,18 @@ def train_model(role: str, frames: np.ndarray, init: ParamVector,
                 noise = _step_noise(noise_rng, init.flat.size)
                 try:
                     with Tape() as tape:
-                        loss, rate, mse, _ = training_step_loss(
+                        loss, rate, mse = training_step_loss(
                             config, theta_prime, theta_star, log_scales,
                             targets[step:step + 1], t_norms[step:step + 1],
-                            cfg.lam, noise, worker)
+                            cfg.lam, noise, rate_worker)
                     if not np.isfinite(loss.data):
                         raise diverged(epoch, step)
                     tape.backward(loss)
                 except Exception:
                     # the serial step scores its rate term first, so an
                     # error of the rate term comes before this one
-                    if worker is not None:
-                        worker.settle()
+                    if rate_worker is not None:
+                        rate_worker.settle()
                     raise
                 # with a worker, the rate's value came in the backward pass
                 if not np.isfinite(ops.add(rate, ops.mul(mse, cfg.lam)).data):
@@ -445,217 +428,11 @@ def _encode_gom(frames: np.ndarray, plan: PartitionPlan,
     return rendered, mse, rows
 
 
-class _Worker:
-    """This process's handle on the worker: its pid, the pipe this process
-    sends it tasks and requests down, and the pipe its messages come up."""
-
-    def __init__(self, pid: int, requests, replies):
-        self.pid, self.requests, self.replies = pid, requests, replies
-
-    def close(self) -> None:
-        """Close this process's ends of the worker's pipes."""
-        for end in (self.requests, self.replies):
-            with suppress(OSError):  # a request end cannot flush to the dead
-                end.close()
-
-
-# the worker, forked at the first task and kept until this interpreter
-# exits, or None where there is none (yet, or since it ended)
-_worker = None
-
-# the :class:`_Tasks` of the call in progress (:func:`_tasks`), or None
-_current = None
-
-# true for good in the worker, which so never uses a worker
-_busy = False
-
-
-def _second_core(units: int) -> bool:
-    """Whether ``units`` units of work (the two groups of an encode's
-    window, the models of a decode's window, or the network and the rate
-    term of a training step) share the work with the worker: two or more
-    units, a second CPU this process may use and no task in flight, so
-    that tasks never nest.  A fork copies only the calling thread, so not
-    while another Python thread is alive, nor where the OS has no
-    ``fork`` or no ``sched_getaffinity``."""
-    if (_busy or units < 2 or _current is not None and _current.left
-            or not hasattr(os, "fork") or threading.active_count() > 1):
-        return False
-    affinity = getattr(os, "sched_getaffinity", lambda pid: {0})
-    return len(affinity(0)) > 1
-
-
-# the worker's one send, a module name so that a test can cut it short
-def _send(out, result) -> None:
-    pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
-    out.flush()  # not held back in the buffer until the next send
-
-
-def _run_task(requests, replies) -> None:
-    """Read one task, ``(function, args)``, from ``requests`` and send
-    each message of ``function(requests, *args)`` to ``replies``; a call
-    of its own, so that the worker keeps nothing of a task while idle."""
-    function, args = pickle.load(requests)
-    for message in function(requests, *args):
-        _send(replies, message)
-
-
-def _serve(requests: int, replies: int) -> None:
-    """The worker: run each task read from the descriptor ``requests`` in
-    turn, sending its messages to ``replies``.  The first error ends it,
-    and the parent meets it again when it does that work itself; so does
-    the parent closing its end or dying.  It leaves by ``os._exit``, so no
-    buffer or handler of the parent runs twice."""
-    global _busy
-    _busy = True
-    try:
-        requests, replies = os.fdopen(requests, "rb"), os.fdopen(replies, "wb")
-        while True:
-            _run_task(requests, replies)
-    finally:
-        os._exit(0)
-
-
-def _start_worker():
-    """Fork the worker; its :class:`_Worker`, or None where no descriptor
-    or process is to spare."""
-    # numpy loads numpy.random on first use; a worker that draws an init
-    # would otherwise load it on its own critical path
-    import numpy.random  # noqa: F401
-    # the requests pipe (read, write), then the replies pipe; this process
-    # keeps the requests' write end and the replies' read end
-    fds = []
-    try:
-        for _ in range(2):
-            fds += os.pipe()
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return None
-    if pid == 0:
-        os.close(fds[1])
-        os.close(fds[2])
-        _serve(fds[0], fds[3])
-    os.close(fds[0])
-    os.close(fds[3])
-    return _Worker(pid, os.fdopen(fds[1], "wb"), os.fdopen(fds[2], "rb"))
-
-
-def _stop_worker() -> None:
-    """Kill and reap the worker, if there is one: at exit, and where a
-    task ended by an error, before all its messages were read or with the
-    worker gone."""
-    global _worker
-    worker, _worker = _worker, None
-    if worker is None:
-        return
-    # gone already where SIGCHLD is ignored, which reaps children
-    with suppress(ProcessLookupError, ChildProcessError):
-        os.kill(worker.pid, signal.SIGKILL)
-        os.waitpid(worker.pid, 0)
-    worker.close()
-
-
-def _forget_worker() -> None:
-    """In a forked child: drop this process's copies of its parent's
-    worker pipes, without a word to that worker, which stays the
-    parent's."""
-    global _worker, _current, _busy
-    worker, _worker, _current, _busy = _worker, None, None, False
-    if worker is not None:
-        worker.close()
-
-
-atexit.register(_stop_worker)
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-class _Tasks:
-    """One call's tasks in the worker: :meth:`post` hands it one, forking
-    it first where there is none, :meth:`receive` reads their messages in
-    order and :meth:`send` writes a task raw request bytes.  Where there
-    is no worker, or it ended, every later post and send of the call is
-    refused and every receive is the caller's own result."""
-
-    def __init__(self):
-        self.worker, self.left = None, 0  # left: messages not yet read
-        self.forked = False  # whether the call has taken the worker
-
-    def send(self, data) -> bool:
-        """Write ``data`` to the worker; False where it has gone."""
-        if self.worker is not None:
-            try:
-                self.worker.requests.write(data)
-                self.worker.requests.flush()
-                return True
-            except OSError:
-                self.worker = None
-        return False
-
-    def post(self, messages: int, function, *args) -> None:
-        """Hand the worker the task ``function(its requests, *args)``,
-        which sends ``messages`` messages: ``function`` is a module-level
-        function, found by name in the worker, and ``args`` go by
-        value."""
-        global _worker
-        if not self.forked:
-            self.forked = True
-            if _worker is None:
-                _worker = _start_worker()
-            self.worker = _worker
-        self.left += messages
-        if self.worker is not None:
-            self.send(pickle.dumps((function, args), pickle.HIGHEST_PROTOCOL))
-
-    def receive(self, otherwise):
-        """The next message, or ``otherwise()`` where there is no worker or
-        it ended before it sent the message in full (a short or empty
-        pickle)."""
-        if self.worker is not None:
-            with suppress(EOFError, pickle.UnpicklingError):
-                message = pickle.load(self.worker.replies)
-                self.left -= 1
-                return message
-            self.worker = None
-        return otherwise()
-
-
-@contextmanager
-def _tasks():
-    """Yield the call's :class:`_Tasks`: the outermost block makes them,
-    and every block inside it shares them, so a worker that ends is not
-    forked again before the call returns.  A call that ends by an error,
-    or before it read every message, abandons its tasks: the worker is
-    killed, not drained.  So is a worker that ended; the next call then
-    forks afresh."""
-    global _current
-    if _current is not None:
-        yield _current
-        return
-    _current = tasks = _Tasks()
-    ended = True
-    try:
-        yield tasks
-        ended = tasks.left > 0
-    finally:
-        _current = None
-        if tasks.forked and (ended or tasks.worker is None):
-            _stop_worker()
-
-
-def _rate_reply(unit: np.ndarray, noise: np.ndarray, sizes):
-    """``(bits, d bits / d unit)`` of :func:`_score_rate`: a rate
-    worker's reply to one step."""
-    return _score_rate(unit, noise, sizes)[:2]
-
-
 def _rate_replies(requests, sizes, dtype, seed: int, steps: int):
     """The rate task of a model with ``steps`` training steps: for each
     step, its ``unit`` in ``dtype`` read from ``requests`` as raw bytes,
     and the step's noise drawn here from the model's own stream, as the
-    training loop draws it, give its :func:`_rate_reply`."""
+    training loop draws it, give its :func:`_score_rate`."""
     count = sum(sizes)
     size = count * np.dtype(dtype).itemsize
     noise_rng = make_rng(seed, STREAM_NOISE)
@@ -663,7 +440,7 @@ def _rate_replies(requests, sizes, dtype, seed: int, steps: int):
         request = requests.read(size)
         if len(request) != size:  # the parent has gone
             return
-        yield _rate_reply(np.frombuffer(request, dtype, count),
+        yield _score_rate(np.frombuffer(request, dtype, count),
                           _step_noise(noise_rng, count), sizes)
 
 
@@ -675,7 +452,7 @@ class _RateWorker:
     or died hands that step and every later one back to this process,
     which so raises the serial step's error."""
 
-    def __init__(self, tasks: _Tasks, sizes):
+    def __init__(self, tasks: worker.Tasks, sizes):
         self.tasks, self.sizes = tasks, sizes
         self.pending = None
 
@@ -689,11 +466,11 @@ class _RateWorker:
         return True
 
     def receive(self):
-        """The :func:`_rate_reply` to the step last sent, from the worker
+        """The :func:`_score_rate` of the step last sent, from the worker
         or, where it sent none in full, scored here."""
         (unit, noise), self.pending = self.pending, None
         return self.tasks.receive(
-            lambda: _rate_reply(unit, noise, self.sizes))
+            lambda: _score_rate(unit, noise, self.sizes))
 
     def settle(self) -> None:
         """Read the reply of a step sent but not yet received."""
@@ -705,48 +482,16 @@ class _RateWorker:
 def _rate_worker(params: ParamVector, steps: int, seed: int):
     """A :class:`_RateWorker` for ``steps`` training steps of ``params``
     at the model seed ``seed``, or None where there are no steps or no
-    second core (:func:`_second_core`)."""
-    if steps == 0 or not _second_core(2):
+    second core (:func:`worker.usable`): the network and the rate term
+    are its two units."""
+    if steps == 0 or not worker.usable(2):
         yield None
         return
-    with _tasks() as tasks:
+    with worker.tasks() as tasks:
         tasks.post(steps, _rate_replies, params.sizes, params.dtype, seed,
                    steps)
-        with _apart(tasks.worker):
+        with tasks.apart():
             yield _RateWorker(tasks, params.sizes)
-
-
-@contextmanager
-def _apart(worker):
-    """For the body of the block, pin ``worker`` (a :class:`_Worker`, or
-    None) to the highest CPU this thread may use and this thread to the
-    rest, where it may use two or more; both masks are restored after
-    it.  The scheduler may otherwise keep both processes on one CPU,
-    where each request waits for the worker to drain it
-    (``docs/resources.md``, "Where the two processes run").  Where a mask
-    cannot be set, both run as they were."""
-    pinned = []  # (pid, mask to restore), 0 for this thread
-
-    def restore():
-        while pinned:
-            pid, mask = pinned.pop()
-            with suppress(OSError):
-                os.sched_setaffinity(pid, mask)
-
-    try:
-        mine = os.sched_getaffinity(0)
-        if worker is not None and len(mine) > 1:
-            top = max(mine)
-            for pid, mask in ((worker.pid, {top}), (0, mine - {top})):
-                before = os.sched_getaffinity(pid)
-                os.sched_setaffinity(pid, mask)
-                pinned.append((pid, before))
-    except OSError:  # ProcessLookupError where the worker has died
-        restore()
-    try:
-        yield
-    finally:
-        restore()
 
 
 def _encode_group(requests, frames: np.ndarray, plan: PartitionPlan,
@@ -794,9 +539,9 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
 
     def window(first):
         """Groups ``first`` and ``first + 1``, or the last group alone."""
-        if first + 1 == plan.gom_count or not _second_core(2):
+        if first + 1 == plan.gom_count or not worker.usable(2):
             return map(run, range(first, min(first + 2, plan.gom_count)))
-        with _tasks() as tasks:
+        with worker.tasks() as tasks:
             tasks.post(1, *task(first))
             try:
                 second = run(first + 1)
@@ -808,7 +553,7 @@ def encode_video(video: RawVideo, plan: PartitionPlan,
             return tasks.receive(lambda: run(first)), second
 
     rows, mses, clips = [], [], []
-    with _tasks():
+    with worker.tasks():
         for first in range(0, plan.gom_count, 2):
             for rendered, mse, group_rows in window(first):
                 rows += group_rows
@@ -952,12 +697,12 @@ def _decode_models(reader, models, frames: np.ndarray) -> None:
     first half (:func:`_first_half`) and this process the rest.  The
     frames, and the error of a bad model, are the serial walk's."""
     (first, end), decode = models, _ModelsDecode(reader, models, frames)
-    if not _second_core(end - first):
+    if not worker.usable(end - first):
         decode.here(models)
         return
     middle = first + (end - first) // 2
     handover = decode.plan.role_of(middle) != ROLE_I
-    with _tasks() as tasks:
+    with worker.tasks() as tasks:
         tasks.post(1 + handover, _first_half,
                    _Payloads(reader, range(first, middle)), (first, middle),
                    handover)
@@ -1019,7 +764,7 @@ def _decode_windows(reader: BitstreamReader, frames=None):
     iterator when done with it, so that the call ends."""
     header = reader.header
     plan = header.plan
-    with _tasks():
+    with worker.tasks():
         reader.check_complete()
         for first in range(0, plan.gom_count, 2):
             models = (plan.goms[first][0],

@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny backbones and a finite-difference oracle."""
+"""Shared fixtures: tiny backbones, a finite-difference oracle and the
+taped ops only the oracles use."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
-from clipcodec import ops, pipeline
+from clipcodec import detmath, ops, worker
 from clipcodec.backbone import BackboneConfig, UpsampleStage
 from clipcodec.bitstream import _FIXED, BitstreamReader, _pack_header
 from clipcodec.coder import SymbolModel, build_models
@@ -21,11 +22,11 @@ from clipcodec.tensor import Tape, Tensor
 
 @pytest.fixture(autouse=True)
 def no_worker():
-    """Each test starts and ends with no pipeline worker: one that a test
-    forks sees the test's own patches, and none outlives the test."""
-    pipeline._stop_worker()
+    """Each test starts and ends with no worker: one that a test forks
+    sees the test's own patches, and none outlives the test."""
+    worker.stop()
     yield
-    pipeline._stop_worker()
+    worker.stop()
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -111,6 +112,44 @@ def upsample_nearest(x: Tensor, r: int) -> Tensor:
     out = ops._result(data, (x,))
     ops._record(out, (x,),
                 lambda g: (g.reshape(n, c, h, r, w, r).sum(axis=(3, 5)),))
+    return out
+
+
+def neg(a: Tensor) -> Tensor:
+    """``-a`` as one tape node."""
+    out = ops._result(-a.data, (a,))
+    ops._record(out, (a,), lambda g: (-g,))
+    return out
+
+
+def log(x: Tensor) -> Tensor:
+    """``detmath.log`` of ``x`` as one tape node."""
+    out = ops._result(detmath.log(x.data).astype(x.dtype), (x,))
+    xd = x.data
+    ops._record(out, (x,), lambda g: (g / xd,))
+    return out
+
+
+def clamp_min(x: Tensor, floor: float) -> Tensor:
+    """``x`` raised to at least ``floor`` as one tape node, passing no
+    gradient where it is at or below ``floor``."""
+    out = ops._result(np.maximum(x.data, x.dtype.type(floor)), (x,))
+    mask = x.data > floor
+    ops._record(out, (x,), lambda g: (g * mask,))
+    return out
+
+
+def gauss_mass(lo: Tensor, hi: Tensor) -> Tensor:
+    """Standard-normal mass on ``(lo, hi]`` with analytic endpoint grads,
+    as one tape node: the taped form of the rate term's probability."""
+    if lo.shape != hi.shape:
+        raise ShapeError(f"gauss_mass: bounds {lo.shape} vs {hi.shape}")
+    mass = detmath.norm_cdf_diff(lo.data, hi.data).astype(lo.dtype)
+    out = ops._result(mass, (lo, hi))
+    lod, hid = lo.data, hi.data
+    ops._record(out, (lo, hi),
+                lambda g: (-g * detmath.norm_pdf(lod).astype(lo.dtype),
+                           g * detmath.norm_pdf(hid).astype(hi.dtype)))
     return out
 
 

@@ -1,5 +1,6 @@
 """The package needs numpy only, and its encode/decode path loads no heavy
-standard-library machinery.
+standard-library machinery.  The worker module knows nothing of the
+codec, and the pipeline owns no process, pipe or thread.
 
 The codec, ε calibration (``fit_schedule``) and rate-curve comparison
 (``bd_rate``) all run with scipy made unimportable, and load no ``scipy``
@@ -11,6 +12,7 @@ in a fresh interpreter: pytest and the other tests have loaded scipy
 into this one long ago.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -145,3 +147,25 @@ def test_decode_only_process_loads_numpy_random_before_it_forks(tmp_path):
     report = json.loads(run.stdout.splitlines()[-1])
     assert report == {"before": False, "after": True, "forks": 1,
                       "equal": True, "loaded": []}
+
+
+def _imports(module: str) -> set[str]:
+    """The modules ``clipcodec/<module>.py`` imports, each as written,
+    a relative one with its leading dots."""
+    tree = ast.parse((ROOT / "src" / "clipcodec" / module).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+    return names
+
+
+def test_worker_knows_no_codec_and_pipeline_no_process():
+    # the worker runs whatever task it is handed; the pipeline hands it
+    # tasks through the worker module alone
+    assert not [name for name in _imports("worker.py")
+                if name.startswith(".") or name.split(".")[0] == "clipcodec"]
+    assert not {name.split(".")[0] for name in _imports("pipeline.py")} & {
+        "atexit", "os", "pickle", "signal", "threading"}

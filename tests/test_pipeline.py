@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clipcodec import (backbone, bitstream, detmath, metrics, ops,
-                       pipeline)
+                       pipeline, worker)
 from clipcodec.backbone import (BackboneConfig, UpsampleStage, forward_clip,
                                 init_random, param_layout)
 from clipcodec.bitstream import _FIXED, BitstreamReader
@@ -245,7 +245,7 @@ def test_step_loss_full_graph_runs_and_is_finite():
     noise = rng.uniform(-0.5, 0.5, theta_prime.flat.size)
     target = rng.uniform(0, 1, (16, 16, 3))
     with Tape() as tape:
-        loss, rate, mse, stats = training_step_loss(
+        loss, rate, mse = training_step_loss(
             config, theta_prime, theta_star, log_scales, target[None],
             [0.5], 1e6, noise)
     assert np.isfinite(loss.data)
@@ -317,7 +317,15 @@ def _trainable(config, seed, dtype):
 
 @pytest.mark.parametrize("dtype", [pytest.param(np.float32, id="f32"),
                                    pytest.param(np.float64, id="f64")])
-def test_flat_step_and_adam_match_per_layer_reference_bitwise(dtype):
+def test_flat_step_and_adam_match_per_layer_reference_bitwise(dtype,
+                                                             monkeypatch):
+    seen, layer_stats = [], pipeline.layer_stats
+
+    def spy(*args):  # keeps the step's (mu, sd)
+        seen.append(layer_stats(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(pipeline, "layer_stats", spy)
     config = _one_channel_config()
     assert 1 in [spec.count for spec in param_layout(config)]
     video = synth_video("moving-blob", 8, 8, 3, velocity=1.0, seed=2)
@@ -334,11 +342,13 @@ def test_flat_step_and_adam_match_per_layer_reference_bitwise(dtype):
         noise = rng.uniform(-0.5, 0.5, size=star.flat.size)
         ref_noise = [ref_rng.uniform(-0.5, 0.5, size=t.shape)
                      for t in ref_star.values()]
+        seen.clear()
         with Tape() as tape:
-            loss, rate, mse, stats = training_step_loss(
+            loss, rate, mse = training_step_loss(
                 config, prime, star, logs, target[None], [t_norm], 1e4,
                 noise)
         tape.backward(loss)
+        (stats,) = seen
         with Tape() as ref_tape:
             ref_loss, ref_rate, _, ref_stats = _training_step_loss_per_layer(
                 config, prime, ref_star, ref_logs, target[None], [t_norm],
@@ -728,7 +738,7 @@ def set_cpus(monkeypatch, count):
 def count_forks(monkeypatch):
     """The list that gets one entry per ``os.fork`` of this process, from
     a start with no worker."""
-    pipeline._stop_worker()
+    worker.stop()
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     return forks
@@ -736,7 +746,7 @@ def count_forks(monkeypatch):
 
 def assert_no_child_left():
     """No child is left but the worker, which is then killed and reaped."""
-    pipeline._stop_worker()
+    worker.stop()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -776,13 +786,13 @@ def group_streams(group_encodes):
 def record_posts(monkeypatch):
     """The list that gets ``(function name, args)`` of each task this
     process posts to the worker."""
-    posts, post = [], pipeline._Tasks.post
+    posts, post = [], worker.Tasks.post
 
     def recording(tasks, messages, function, *args):
         posts.append((function.__name__, args))
         return post(tasks, messages, function, *args)
 
-    monkeypatch.setattr(pipeline._Tasks, "post", recording)
+    monkeypatch.setattr(worker.Tasks, "post", recording)
     return posts
 
 
@@ -953,8 +963,8 @@ def test_cli_consumer_stopping_early_leaves_no_child(encoded_pair,
 
 def test_cli_forked_decode_moves_no_file_position(encoded_pair, tmp_path,
                                                   monkeypatch):
-    # the worker reads the parent's open file; a shared position moved by
-    # one process would hand the other the wrong bytes
+    # the worker is sent the payload bytes it decodes and never reads the
+    # open file, which this process alone reads, by seek and read
     from clipcodec import cli
     stream, out = tmp_path / "clip.bits", tmp_path / "out.rgb"
     stream.write_bytes(encoded_pair[-1].data)
@@ -1148,7 +1158,7 @@ def test_model_of_a_dead_worker_decodes_in_the_parent(model_streams,
         monkeypatch.setattr(pipeline, "render_video",
                             dying(pipeline.render_video))
     else:
-        monkeypatch.setattr(pipeline, "_send",
+        monkeypatch.setattr(worker, "_send",
                             _cut_send(0 if how == "cut" else 1))
     forks = count_forks(monkeypatch)
     decoded = decode_gom(BitstreamReader.from_bytes(data), 0)[0].frames
@@ -1258,7 +1268,7 @@ def test_group_cut_short_on_the_pipe_runs_in_the_parent(group_encodes,
         os._exit(1)
 
     set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(pipeline, "_send", cut)
+    monkeypatch.setattr(worker, "_send", cut)
     forks = count_forks(monkeypatch)
     if side == "encode":
         forked = encode_report(encode_video(video, plan, small_config(), cfg,
@@ -1376,8 +1386,8 @@ _ENCODE_DECODE = """
 import json, os, sys
 os.sched_getaffinity = lambda pid: {0, 1}
 from clipcodec import (BackboneConfig, TrainConfig, UpsampleStage,
-                       decode_video, encode_video, partition, pipeline,
-                       synth_video)
+                       decode_video, encode_video, partition, synth_video,
+                       worker)
 config = BackboneConfig(
     kind="nerv-lite", pe_frequencies=4, stem_width=8, base_channels=4,
     base_height=4, base_width=4, stages=(UpsampleStage(2, 4),),
@@ -1386,7 +1396,7 @@ video = synth_video("moving-blob", 8, 8, 4, velocity=1.0, seed=3)
 data = encode_video(video, partition(4, 2, 2), config,
                     TrainConfig(epochs_i=1, epochs_p=1, seed=3)).data
 decode_video(data)
-print(json.dumps({"worker": pipeline._worker.pid}))
+print(json.dumps({"worker": worker._worker.pid}))
 """
 
 
@@ -1416,16 +1426,16 @@ def test_forked_child_never_talks_to_the_parents_worker(encoded_pair,
     set_cpus(monkeypatch, 2)
     assert np.array_equal(decode_video(result.data).frames,
                           result.recon.frames)
-    worker = pipeline._worker
+    parents = worker._worker
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
-            forgot = pipeline._worker is None and not pipeline._busy
+            forgot = worker._worker is None and not worker._busy
             frames = decode_video(result.data).frames
-            own = (pipeline._worker is not None
-                   and pipeline._worker.pid != worker.pid)
-            pipeline._stop_worker()
+            own = (worker._worker is not None
+                   and worker._worker.pid != parents.pid)
+            worker.stop()
             ok = forgot and own and np.array_equal(frames,
                                                    result.recon.frames)
             os.write(write, b"1" if ok else b"0")
@@ -1438,7 +1448,7 @@ def test_forked_child_never_talks_to_the_parents_worker(encoded_pair,
     monkeypatch.setattr(os, "fork", _no_fork)
     assert np.array_equal(decode_video(result.data).frames,
                           result.recon.frames)
-    assert pipeline._worker is worker
+    assert worker._worker is parents
     assert_no_child_left()
 
 
@@ -1455,7 +1465,7 @@ def test_ended_task_gives_the_serial_result_and_the_next_call_forks(
               decode_gom(BitstreamReader.from_bytes(data), 0)[0].frames)
     expected = decode_gom(BitstreamReader.from_bytes(good), 0)[0].frames
     armed, parent = [how != "fail"], os.getpid()
-    decode, send = pipeline.decode_symbols, pipeline._send
+    decode, send = pipeline.decode_symbols, worker._send
 
     def dying(*args):
         if armed[0] and os.getpid() != parent:
@@ -1470,7 +1480,7 @@ def test_ended_task_gives_the_serial_result_and_the_next_call_forks(
     if how == "exit":
         monkeypatch.setattr(pipeline, "decode_symbols", dying)
     elif how == "cut":
-        monkeypatch.setattr(pipeline, "_send", cut)
+        monkeypatch.setattr(worker, "_send", cut)
     set_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     if how == "fail":
@@ -1479,13 +1489,13 @@ def test_ended_task_gives_the_serial_result_and_the_next_call_forks(
         assert np.array_equal(
             decode_gom(BitstreamReader.from_bytes(data), 0)[0].frames,
             serial)
-    assert len(forks) == 1 and pipeline._worker is None
+    assert len(forks) == 1 and worker._worker is None
     armed[0] = False
     for calls in (2, 2):
         assert np.array_equal(
             decode_gom(BitstreamReader.from_bytes(good), 0)[0].frames,
             expected)
-        assert len(forks) == calls and pipeline._worker is not None
+        assert len(forks) == calls and worker._worker is not None
     assert_no_child_left()
 
 
@@ -1508,7 +1518,7 @@ def test_hostile_stream_after_a_good_one_gives_the_serial_error(
     set_cpus(monkeypatch, 2)
     for _ in range(2):
         assert np.array_equal(decode_video(good).frames, expected)
-        assert pipeline._worker is not None
+        assert worker._worker is not None
         assert (_gom_raised(data), _raised(data)) == serial
     assert_no_child_left()
 
@@ -1579,8 +1589,8 @@ def _masks_at_adam_steps(monkeypatch):
     seen, adam = [], pipeline.adam_step
 
     def step(*args):
-        if pipeline._worker is not None:
-            seen.append((os.sched_getaffinity(pipeline._worker.pid),
+        if worker._worker is not None:
+            seen.append((os.sched_getaffinity(worker._worker.pid),
                          os.sched_getaffinity(0)))
         return adam(*args)
 
@@ -1645,7 +1655,7 @@ def test_rate_worker_that_ends_hands_its_steps_back(monkeypatch, how, step):
     # step and every later one are scored here, to the same bits
     serial, _ = _train_one(1, monkeypatch)
     if how == "cut":
-        monkeypatch.setattr(pipeline, "_send", _cut_send(step))
+        monkeypatch.setattr(worker, "_send", _cut_send(step))
     else:
         parent = os.getpid()
 
@@ -1720,18 +1730,18 @@ def test_rate_worker_leaves_when_its_parent_closes_the_pipe():
     # that dies, and so closes its end, leaves it an empty pipe: it exits,
     # idle or inside a model's rate task
     params = init_random(small_config(), 0)
-    pipeline._worker = pipeline._start_worker()
+    worker._worker = worker.start()
     for task in (None, (pipeline._rate_replies, params.sizes, params.dtype,
                         0, 3)):
-        worker = pipeline._worker
+        handle = worker._worker
         if task is not None:
-            worker.requests.write(pickle.dumps((task[0], task[1:])))
-            worker.requests.flush()
-        worker.requests.close()
-        ready, _, _ = select.select([worker.replies], [], [], 60)
-        assert ready and worker.replies.read() == b""
+            handle.requests.write(pickle.dumps((task[0], task[1:])))
+            handle.requests.flush()
+        handle.requests.close()
+        ready, _, _ = select.select([handle.replies], [], [], 60)
+        assert ready and handle.replies.read() == b""
         assert_no_child_left()
-        pipeline._worker = pipeline._start_worker()
+        worker._worker = worker.start()
     assert_no_child_left()
 
 
@@ -1746,7 +1756,7 @@ def test_rate_task_draws_the_training_loop_noise():
     replies = pipeline._rate_replies(requests, params.sizes, params.dtype,
                                      RATE_SEED, len(units))
     for step, (unit, (bits, grad)) in enumerate(zip(units, replies)):
-        want_bits, want_grad = pipeline._rate_reply(unit, _step_noise(step),
+        want_bits, want_grad = pipeline._score_rate(unit, _step_noise(step),
                                                     params.sizes)
         assert bits.tobytes() == want_bits.tobytes()
         assert grad.tobytes() == want_grad.tobytes()

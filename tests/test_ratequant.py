@@ -15,8 +15,8 @@ from clipcodec.ratequant import (MAX_SYMBOL, SIGMA_FLOOR, SIGMA_TRAIN_FLOOR,
                                  quantize, rate_bits_eval, rate_bits_train,
                                  residual, scaled_residual, widen_steps)
 from clipcodec.tensor import Tape, Tensor
-from conftest import (fd_gradient, layer_stats_of,
-                      rate_bits_layers, rel_error, sum_all)
+from conftest import (clamp_min, fd_gradient, gauss_mass, layer_stats_of,
+                      log, neg, rate_bits_layers, rel_error, sum_all)
 
 
 def _pv(values, name="w"):
@@ -258,8 +258,8 @@ def _rate_bits_train_per_layer(scaled, noise, stats):
         y = ops.add(tensor, ops.constant(u.astype(tensor.dtype)))
         hi = ops.mul(ops.add(y, float(0.5 - mu)), inv_sd)
         lo = ops.mul(ops.add(y, float(-0.5 - mu)), inv_sd)
-        p = ops.clamp_min(ops.gauss_mass(lo, hi), TRAIN_PROB_FLOOR)
-        bits = ops.mul(sum_all(ops.neg(ops.log(p))), 1.4426950408889634)
+        p = clamp_min(gauss_mass(lo, hi), TRAIN_PROB_FLOOR)
+        bits = ops.mul(sum_all(neg(log(p))), 1.4426950408889634)
         total = bits if total is None else ops.add(total, bits)
     return total
 

@@ -8,8 +8,8 @@ from clipcodec.backbone import forward_clip, init_random
 from clipcodec.errors import ShapeError, TapeError
 from clipcodec.presets import nerv_lite_preset
 from clipcodec.tensor import Tape, Tensor
-from conftest import (CaptureTape, concat_flat, fd_gradient, op_and_grads,
-                      rel_error, sum_all, upsample_nearest)
+from conftest import (CaptureTape, concat_flat, fd_gradient, gauss_mass,
+                      op_and_grads, rel_error, sum_all, upsample_nearest)
 from test_detmath import BLOCK_SIZES, golden_grid, pieces, tiled
 
 
@@ -273,7 +273,7 @@ def test_blocked_ops_equal_their_pieces(n, dtype):
     g = np.random.default_rng(n).standard_normal(n).astype(dtype)
     with np.errstate(over="ignore"):  # beyond float32's range: inf
         cases = [(ops.gelu, tiled(x, n).astype(dtype)),
-                 (ops.gauss_mass,
+                 (gauss_mass,
                   tiled(np.concatenate([x, x - 1.0]), n).astype(dtype),
                   tiled(np.concatenate([x[::-1], x + 1.0]), n).astype(dtype))]
     for op, *inputs in cases:
